@@ -3,9 +3,8 @@
 Commands: curvature maps, spectrum tables, wavefunction grids, classical
 diagnostics, and the verification suites.  Outputs are deterministic
 (shortest round-trip decimals in JSON, 17 significant digits in CSV) and
-written atomically.  DARBOUX_THREADS caps the parallelism of per-record
-loops; exit codes are 0 (success), 2 (validation error), 3 (a verification
-suite failed its tolerance).
+written atomically.  Exit codes are 0 (success), 2 (validation error), 3 (a
+verification suite failed its tolerance).
 """
 
 from __future__ import annotations
@@ -16,25 +15,17 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import DarbouxError
+from .errors import DarbouxError, ParamError
 from .geometry import DIII, DIV, Chart, SpaceParams, curvature_closed, curvature_numeric
 from .potentials import FAMILIES, PotentialSpec
 from .spectra import QuantumNumbers, solve_quantization
 from .wavefun import assemble_bound_state, default_grid, hamiltonian_residual, pick_energy
 
 COUPLING_FLAGS = ("k1", "k2", "k3", "alpha", "c1", "c2", "c3", "d1", "d2", "omega", "v0", "k0")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DARBOUX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_space_args(p):
@@ -77,15 +68,38 @@ def _spec_of(args) -> PotentialSpec:
 
 def _parse_range(text: str):
     """Inclusive 'a..b' integer range, or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    parts = text.split("..")
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise ParamError(f"malformed range {text!r}: expected a..b or an integer") from None
+    if len(parts) > 2 or hi < lo:
+        raise ParamError(f"range {text!r} is malformed or empty")
+    return list(range(lo, hi + 1))
 
 
 def _parse_grid(text: str):
-    n1, n2 = text.lower().split("x")
-    return int(n1), int(n2)
+    """'N1xN2' grid shape with positive sizes."""
+    try:
+        n1, n2 = (int(t) for t in text.lower().split("x"))
+    except ValueError:
+        raise ParamError(f"malformed grid {text!r}: expected N1xN2") from None
+    if n1 < 1 or n2 < 1:
+        raise ParamError(f"grid {text!r} is empty")
+    return n1, n2
+
+
+def _parse_span(text, default):
+    """Float interval 'lo:hi', or ``default`` when no text is given."""
+    if text is None:
+        return default
+    try:
+        lo, hi = (float(t) for t in text.split(":"))
+    except ValueError:
+        raise ParamError(f"malformed span {text!r}: expected lo:hi") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParamError(f"span {text!r} must have finite ends")
+    return lo, hi
 
 
 def _fmt17(x) -> str:
@@ -138,12 +152,9 @@ def _header(args, command: str, spec: PotentialSpec | None = None, **extra) -> d
 def cmd_curvature(args) -> int:
     sp = _space_of(args)
     n1, n2 = _parse_grid(args.grid)
-    if args.space == DIII:
-        u_lo, u_hi = (-1.0, 1.0) if args.u_range is None else map(float, args.u_range.split(":"))
-    else:
-        u_lo, u_hi = (0.1 * math.pi / 2, 0.9 * math.pi / 2) if args.u_range is None else map(
-            float, args.u_range.split(":"))
-    v_lo, v_hi = (0.0, 1.0) if args.v_range is None else map(float, args.v_range.split(":"))
+    u_default = (-1.0, 1.0) if args.space == DIII else (0.1 * math.pi / 2, 0.9 * math.pi / 2)
+    u_lo, u_hi = _parse_span(args.u_range, u_default)
+    v_lo, v_hi = _parse_span(args.v_range, (0.0, 1.0))
     us = np.linspace(u_lo, u_hi, n1)
     vs = np.linspace(v_lo, v_hi, n2)
     records = []
@@ -163,8 +174,7 @@ def cmd_spectrum(args) -> int:
     ns = _parse_range(args.n)
     ls = _parse_range(args.l)
 
-    def one(pair):
-        n, l = pair
+    def one(n, l):
         qn = QuantumNumbers(n, l, scheme)
         roots = solve_quantization(spec, qn)
         return {
@@ -179,13 +189,7 @@ def cmd_spectrum(args) -> int:
             ],
         }
 
-    pairs = [(n, l) for n in ns for l in ls]
-    nt = _threads()
-    if nt > 1:
-        with ThreadPoolExecutor(max_workers=nt) as ex:
-            records = list(ex.map(one, pairs))
-    else:
-        records = [one(p) for p in pairs]
+    records = [one(n, l) for n in ns for l in ls]
     _emit(args, _header(args, "spectrum", spec, scheme=scheme), records)
     return 0
 

@@ -58,6 +58,8 @@ class SpaceParams:
     def __post_init__(self):
         if self.family not in (DIII, DIV):
             raise ParamError(f"unknown family {self.family!r}")
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.hbar, self.mass)):
+            raise ParamError("a, b, hbar and mass must be finite")
         if self.hbar <= 0 or self.mass <= 0:
             raise ParamError("hbar and mass must be positive")
         if self.family == DIII:
@@ -253,6 +255,13 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3) -> f
 # chart transforms (all routed through the (u, v) chart)
 # ----------------------------------------------------------------------
 
+def elliptic_cartesian(chart: Chart):
+    """(d cosh q1 cos q2, d sinh q1 sin q2) of an elliptic chart point: its
+    parabolic (xi, eta) on D_III, its horospherical (mu, nu) on D_IV."""
+    return (chart.d * math.cosh(chart.q1) * math.cos(chart.q2),
+            chart.d * math.sinh(chart.q1) * math.sin(chart.q2))
+
+
 def _d3_to_uv(chart: Chart):
     name, q1, q2 = chart.name, chart.q1, chart.q2
     if name == "uv":
@@ -265,9 +274,7 @@ def _d3_to_uv(chart: Chart):
             raise DomainError("parabolic origin has no (u, v) image")
         return math.log(4.0 / r2), 2.0 * math.atan2(q2, q1)
     if name == "elliptic":
-        xi = chart.d * math.cosh(q1) * math.cos(q2)
-        eta = chart.d * math.sinh(q1) * math.sin(q2)
-        return _d3_to_uv(Chart("parabolic", xi, eta))
+        return _d3_to_uv(Chart("parabolic", *elliptic_cartesian(chart)))
     raise UnsupportedError(f"no real (u, v) image for D_III chart {name!r}")
 
 
@@ -302,9 +309,7 @@ def _d4_to_uv(chart: Chart):
         z = cmath.tan(complex(q2, -q1))
         return -cmath.phase(z), math.log(abs(z))
     if name == "elliptic":
-        mu = chart.d * math.cosh(q1) * math.cos(q2)
-        nu = chart.d * math.sinh(q1) * math.sin(q2)
-        return _d4_to_uv(Chart("horospherical", mu, nu))
+        return _d4_to_uv(Chart("horospherical", *elliptic_cartesian(chart)))
     raise UnsupportedError(f"no real (u, v) image for D_IV chart {name!r}")
 
 

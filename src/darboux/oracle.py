@@ -22,6 +22,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ParamError, ResolutionError
 from .potentials import PotentialSpec, separated_problem
 from .spectra import QuantumNumbers
+from .wavefun import _d2_4
 from . import specfun as sf
 
 
@@ -169,16 +170,13 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     partner = qn.l if axis == 0 else qn.n
     own = qn.n if axis == 0 else qn.l
     sepd = separated_problem(spec, chart_name, partner, axis=axis)
-    lo, hi = sepd.meta["window"](E, own) if "window" in sepd.meta else sepd.domain
+    lo, hi = sepd.domain if sepd.window is None else sepd.window(E, own)
     xs = np.linspace(lo, hi, n_points)
     h = xs[1] - xs[0]
     psi = np.asarray(sepd.factor(E, own)(xs))
     U = np.asarray(sepd.profile(E)(xs))
     lam = sepd.lam_req(E)
     hq = spec.space.hbar ** 2 / (2.0 * spec.space.mass)
-    d2 = (-psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]) / (
-        12.0 * h * h
-    )
-    r = -hq * d2 + (U[2:-2] - lam) * psi[2:-2]
+    r = -hq * _d2_4(psi, h, 0) + (U[2:-2] - lam) * psi[2:-2]
     scale = max(abs(lam), hq) * np.abs(psi[2:-2]).max()
     return float(np.abs(r).max() / scale)

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParamError, UnsupportedChartError
-from .geometry import DIII, DIV, Chart, SpaceParams, validate_chart
+from .geometry import DIII, DIV, Chart, SpaceParams, elliptic_cartesian, validate_chart
 from . import specfun as sf
 
 FAMILIES = {
@@ -60,6 +60,8 @@ class PotentialSpec:
         extra = set(self.couplings) - set(allowed)
         if extra:
             raise ParamError(f"{self.family} does not take couplings {sorted(extra)}")
+        if not all(math.isfinite(self.c(k)) for k in self.couplings):
+            raise ParamError(f"{self.family} couplings must be finite")
         if self.family == "DIII_V3" and self.c("c1") == 0.0:
             raise ParamError("DIII_V3 requires c1 != 0")
         if self.family == "DIV_V1" and self.c("omega") == 0.0:
@@ -241,10 +243,7 @@ def _d3_cartesian(chart: Chart):
     if chart.name == "polar":
         return chart.q1 * math.cos(chart.q2), chart.q1 * math.sin(chart.q2)
     if chart.name == "elliptic":
-        return (
-            chart.d * math.cosh(chart.q1) * math.cos(chart.q2),
-            chart.d * math.sinh(chart.q1) * math.sin(chart.q2),
-        )
+        return elliptic_cartesian(chart)
     raise UnsupportedChartError(chart.name)
 
 
@@ -253,10 +252,7 @@ def _d4_cartesian(chart: Chart):
     if chart.name == "horospherical":
         return chart.q1, chart.q2
     if chart.name == "elliptic":
-        return (
-            chart.d * math.cosh(chart.q1) * math.cos(chart.q2),
-            chart.d * math.sinh(chart.q1) * math.sin(chart.q2),
-        )
+        return elliptic_cartesian(chart)
     raise UnsupportedChartError(chart.name)
 
 
@@ -269,20 +265,18 @@ class Separated1D:
     """Effective 1D problem for one separation variable at trial energy E.
 
     ``profile(E)`` returns the potential U_E(x); ``lam_req(E)`` the
-    pseudo-eigenvalue required by the partner separation; ``factor(E)`` the
-    analytic factor carrying this problem's quantum number; ``factor_level(E)``
-    the pseudo-eigenvalue that factor actually realizes.  A root of the
-    quantization condition is exactly an E with factor_level(E) = lam_req(E).
+    pseudo-eigenvalue required by the partner separation; ``factor(E, n)`` the
+    analytic factor carrying this problem's quantum number n; ``window(E, n)``,
+    where given, the interval on which that factor is sampled.  A root of the
+    quantization condition is exactly an E at which the factor solves the
+    problem at pseudo-eigenvalue lam_req(E).
     """
 
-    variable: str
     domain: tuple
     profile: Callable
     lam_req: Callable
     factor: Callable
-    factor_level: Callable
-    weight: Callable
-    meta: dict = field(default_factory=dict)
+    window: Callable | None = None
 
 
 def _omega_of(spec: PotentialSpec, E: float) -> float:
@@ -468,12 +462,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
 
         def factor(E, n):
             w = _omega_of(spec, E)
-            base = ho_flipped_factor(m, hb, w, int(n), shift=k_own / (m * w * w))
-
-            def psi(x):
-                return base(x)
-
-            return psi
+            return ho_flipped_factor(m, hb, w, int(n), shift=k_own / (m * w * w))
 
         def window(E, n):
             w = _omega_of(spec, E)
@@ -481,18 +470,14 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             s = k_own / (m * w * w)
             return (-s - half, -s + half)
 
-        return Separated1D("xi" if axis == 0 else "eta", (-math.inf, math.inf),
-                           profile, lam_req, factor, None, lambda x: np.ones_like(x),
-                           {"window": window})
+        return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
 
     # ---------------- D_III V2/V3/V5, uv chart (u variable) ----------------
     if fam in ("DIII_V2", "DIII_V5") and chart_name == "uv" and axis == 0:
         if fam == "DIII_V2":
             mu_idx = 0.5 * (2.0 * int(pq) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
-            coupling = spec.c("alpha")
         else:
             mu_idx = abs(float(pq))
-            coupling = 0.0
 
         def profile(E):
             if fam == "DIII_V2":
@@ -512,8 +497,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             beta = math.sqrt(-8.0 * m * b * E) / hb
             return (math.log(beta / 12.0), math.log(beta / 0.05))
 
-        return Separated1D("u", (-math.inf, math.inf), profile, lam_req, factor,
-                           None, lambda x: np.ones_like(x), {"window": window})
+        return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
 
     # ------------- D_III V2/V3/V5, polar chart (rho variable) -------------
     if fam in ("DIII_V2", "DIII_V3", "DIII_V5") and chart_name == "polar" and axis == 0:
@@ -544,8 +528,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             q = m * _omega_of(spec, E) / hb
             return (0.35 / math.sqrt(q) / math.sqrt(lam_ang + 1.0), math.sqrt(28.0 / q))
 
-        return Separated1D("rho", (0.0, math.inf), profile, lam_req, factor,
-                           None, lambda x: np.asarray(x), {"window": window, "lam_ang": lam_ang})
+        return Separated1D((0.0, math.inf), profile, lam_req, factor, window)
 
     # -------------- D_III V3, polar chart (phi variable) --------------
     if fam == "DIII_V3" and chart_name == "polar" and axis == 1:
@@ -564,8 +547,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
         def factor(E, n):
             return lambda phi: sf.model_eigenfunction(cm, int(n), 2.0 * np.asarray(phi))
 
-        return Separated1D("phi", (0.0, 2.0 * math.pi), profile, lam_req, factor,
-                           None, lambda x: np.ones_like(x), {"family": cm})
+        return Separated1D((0.0, 2.0 * math.pi), profile, lam_req, factor)
 
     # -------------- D_III V2/V5, parabolic chart (xi/eta) --------------
     if fam in ("DIII_V2", "DIII_V5") and chart_name == "parabolic":
@@ -611,8 +593,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             hi = math.sqrt(18.0 / q)
             return (0.3 / math.sqrt(q * hi), hi) if dom[0] == 0.0 else (-hi, hi)
 
-        return Separated1D("xi" if axis == 0 else "eta", dom, profile, lam_req, factor,
-                           None, lambda x: np.ones_like(x), {"window": window})
+        return Separated1D(dom, profile, lam_req, factor, window)
 
     # -------------- D_III V4, hyperbolic chart (x = ln mu, y = ln nu) -----
     if fam == "DIII_V4" and chart_name == "hyperbolic":
@@ -649,9 +630,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             v0 = v0_of(E)
             return (math.log(0.05 / (2.0 * v0)), math.log(12.0 / (2.0 * v0)))
 
-        return Separated1D("x" if axis == 0 else "y", (-math.inf, math.inf),
-                           profile, lam_req, factor, None,
-                           lambda x: np.ones_like(x), {"window": window})
+        return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
 
     # -------------- D_III V5, hyperbolic chart --------------
     if fam == "DIII_V5" and chart_name == "hyperbolic":
@@ -682,8 +661,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                 vt = vt_of(E)
                 return (math.log(0.05 / (2.0 * vt)), math.log(12.0 / (2.0 * vt)))
 
-            return Separated1D("x", (-math.inf, math.inf), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x), {"window": window})
+            return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
         else:
             # y = ln nu: genuine Morse well
             def profile(E):
@@ -703,8 +681,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                 vt = vt_of(E)
                 return (math.log(0.05 / (2.0 * vt)), math.log(12.0 / (2.0 * vt)))
 
-            return Separated1D("y", (-math.inf, math.inf), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x), {"window": window})
+            return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
 
     # -------------- D_IV V1, uv chart --------------
     if fam == "DIV_V1" and chart_name == "uv":
@@ -726,9 +703,8 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                 pt = sf.ModelFamily(sf.PT, {"alpha": l2, "beta": l1}, hbar=hb, mass=m)
                 return lambda u: sf.model_eigenfunction(pt, int(n), np.asarray(u))
 
-            return Separated1D("u", (0.0, math.pi / 2.0), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x),
-                               {"window": lambda E, n: (0.15, math.pi / 2.0 - 0.15)})
+            return Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
+                               lambda E, n: (0.15, math.pi / 2.0 - 0.15))
         else:
             def profile(E):
                 return lambda v: 8.0 * m * om * om * np.exp(4.0 * np.asarray(v)) - 4.0 * al * np.exp(
@@ -746,8 +722,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                 v0m = morse_fam.p("v0")
                 return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
 
-            return Separated1D("v", (-math.inf, math.inf), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x), {"window": window})
+            return Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
 
     # -------------- D_IV V1, horospherical chart --------------
     if fam == "DIV_V1" and chart_name == "horospherical":
@@ -777,9 +752,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             q = m * om / hb
             return (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
 
-        return Separated1D("mu" if axis == 0 else "nu", (0.0, math.inf),
-                           profile, lam_req, factor, None, lambda x: np.ones_like(x),
-                           {"window": window})
+        return Separated1D((0.0, math.inf), profile, lam_req, factor, window)
 
     # -------------- D_IV V2, uv chart --------------
     if fam == "DIV_V2" and chart_name == "uv":
@@ -801,9 +774,8 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                 pt = sf.ModelFamily(sf.PT, {"alpha": lp, "beta": lm}, hbar=hb, mass=m)
                 return lambda u: sf.model_eigenfunction(pt, int(n), np.asarray(u))
 
-            return Separated1D("u", (0.0, math.pi / 2.0), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x),
-                               {"window": lambda E, n: (0.15, math.pi / 2.0 - 0.15)})
+            return Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
+                               lambda E, n: (0.15, math.pi / 2.0 - 0.15))
         else:
             def profile(E):
                 return lambda v: hq * (
@@ -817,9 +789,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             def factor(E, n):
                 return lambda v: sf.model_eigenfunction(mpt_v, int(n), np.asarray(v))
 
-            return Separated1D("v", (0.0, math.inf), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x),
-                               {"window": lambda E, n: (0.8, 6.5), "family": mpt_v})
+            return Separated1D((0.0, math.inf), profile, lam_req, factor, lambda E, n: (0.8, 6.5))
 
     # -------------- D_IV V3, degenerate elliptic II --------------
     if fam == "DIV_V3" and chart_name == "degelliptic2":
@@ -842,9 +812,8 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                                     hbar=hb, mass=m)
                 return lambda p: sf.model_eigenfunction(pt, int(n), np.asarray(p))
 
-            return Separated1D("phi", (0.0, math.pi / 4.0), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x),
-                               {"window": lambda E, n: (0.12, math.pi / 4.0 - 0.02)})
+            return Separated1D((0.0, math.pi / 4.0), profile, lam_req, factor,
+                               lambda E, n: (0.12, math.pi / 4.0 - 0.02))
         else:
             def profile(E):
                 lam = div3_indices(spec, E)
@@ -863,9 +832,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
                                      hbar=hb, mass=m)
                 return lambda w: sf.model_eigenfunction(mpt, int(n), np.asarray(w))
 
-            return Separated1D("omega", (0.0, math.inf), profile, lam_req, factor,
-                               None, lambda x: np.ones_like(x),
-                               {"window": lambda E, n: (0.3, 10.0)})
+            return Separated1D((0.0, math.inf), profile, lam_req, factor, lambda E, n: (0.3, 10.0))
 
     # -------------- D_IV V4, uv chart (tau form) --------------
     if fam == "DIV_V4" and chart_name == "uv":
@@ -893,9 +860,7 @@ def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int =
             fam_s = sf.ModelFamily(sf.MPT_SCATTER, {"eta": l0, "nu": 1j * kv}, hbar=hb, mass=m)
             return lambda t: sf.model_eigenfunction(fam_s, pm, np.asarray(t))
 
-        return Separated1D("tau", (0.0, math.inf), profile, lam_req, factor,
-                           None, lambda x: np.ones_like(x),
-                           {"window": lambda E, n: (0.1, 8.0)})
+        return Separated1D((0.0, math.inf), profile, lam_req, factor, lambda E, n: (0.1, 8.0))
 
     raise UnsupportedChartError(f"{fam} is not separated in chart {chart_name!r} (axis {axis})")
 

@@ -66,22 +66,6 @@ def gamma_complex(z):
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def gammaln_complex(z):
-    """log Gamma(z), principal branch up to multiples of 2 pi i."""
-    z = complex(z)
-    if z.real < 0.5:
-        s = _sinpi(z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z = {z}")
-        return cmath.log(cmath.pi) - cmath.log(s) - gammaln_complex(1.0 - z)
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
 def _rgamma(z):
     """1/Gamma(z); zero at the poles."""
     z = complex(z)
@@ -237,17 +221,6 @@ def hyp2f1(a, b, c, z):
     raise ConvergenceError(f"2F1 argument z = {z} outside the supported region")
 
 
-def hypergeometric(kind: str, a, b, c=None, z=None):
-    """Dispatch: kind='1F1' -> 1F1(a; b; z), kind='2F1' -> 2F1(a, b; c; z)."""
-    if kind.upper() in ("1F1", "ONEF1"):
-        if z is None:
-            z, c = c, None
-        return hyp1f1(a, b, z)
-    if kind.upper() in ("2F1", "TWOF1"):
-        return hyp2f1(a, b, c, z)
-    raise ParamError(f"unknown hypergeometric kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # Whittaker functions
 # ----------------------------------------------------------------------
@@ -337,14 +310,6 @@ def whittaker_w(kappa, mu, z):
     t1 = g(-2.0 * mu) * _rgamma(0.5 - mu - kappa) * whittaker_m(kappa, mu, z)
     t2 = g(2.0 * mu) * _rgamma(0.5 + mu - kappa) * whittaker_m(kappa, -mu, z)
     return t1 + t2
-
-
-def whittaker(kind: str, kappa, mu, z):
-    if kind.upper() == "M":
-        return whittaker_m(kappa, mu, z)
-    if kind.upper() == "W":
-        return whittaker_w(kappa, mu, z)
-    raise ParamError(f"unknown Whittaker kind {kind!r}")
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,8 @@ def effective_count(spec: PotentialSpec, qn: QuantumNumbers) -> float:
         if qn.scheme == "polar":
             return 2.0 * n + abs(l) + 1.0
         return n + l + 1.0  # parabolic and hyperbolic countings
+    if fam == "DIV_V1":
+        return spec.c("alpha") / (spec.space.hbar * spec.c("omega")) - 2.0 * (n + l + 1.0)
     if fam == "DIV_V2":
         return abs(spec.c("k2")) - abs(spec.c("k1")) - 2.0 * (n + l) - 2.0
     raise UnsupportedError(f"no composite count for {fam}")
@@ -108,28 +110,77 @@ def _quad_roots(A, B, C):
     return [q / A, C / q]
 
 
-def _metamorphic_quadratic(spec: PotentialSpec, c: float, M: float, s: float = 1.0):
-    """Roots of (aE - c)^2 = -s hbar^2 M^2 b E / (2m)."""
-    sp = spec.space
-    B = s * sp.hbar ** 2 * M * M * sp.b / (2.0 * sp.mass)
-    return _quad_roots(sp.a ** 2, B - 2.0 * sp.a * c, c * c)
+def _energy_shift(spec: PotentialSpec) -> float:
+    """The constant c of the D_III V2/V3/V5 condition a E - c = -s hbar w M."""
+    if spec.family == "DIII_V5":
+        return _quantum_unit(spec.space) * spec.c("v0") ** 2
+    return spec.c("alpha")
 
 
-def _v1_quartic_coeffs(spec: PotentialSpec, N: float):
+def _branches(spec: PotentialSpec, qn: QuantumNumbers) -> list:
+    """Coefficient tuples (highest power of E first) of every branch of the
+    family's squared quantization condition."""
     sp = spec.space
+    fam = spec.family
     a, b, m, hb = sp.a, sp.b, sp.mass, sp.hbar
-    c = spec.c("k1") ** 2 + spec.c("k2") ** 2
-    k3 = spec.c("k3")
-    # squaring a E - k3 + c/(2 m w^2) = -hbar w N with w^2 = -bE/2m gives the
-    # quartic below; squaring either sign branch fixes the constant term
-    # as +c^2/(a b)^2
-    return np.array([
-        1.0,
-        b * hb * hb * N * N / (2.0 * m * a * a) - 2.0 * k3 / a,
-        -(2.0 * c / (a * b) - k3 * k3 / (a * a)),
-        2.0 * k3 * c / (a * a * b),
-        c * c / (a * a * b * b),
-    ])
+    if fam == "DIII_V1":
+        c = spec.c("k1") ** 2 + spec.c("k2") ** 2
+        k3 = spec.c("k3")
+        N = effective_count(spec, qn)
+        # squaring a E - k3 + c/(2 m w^2) = -hbar w N with w^2 = -bE/2m gives the
+        # quartic below; squaring either sign branch fixes the constant term
+        # as +c^2/(a b)^2
+        return [(
+            1.0,
+            b * hb * hb * N * N / (2.0 * m * a * a) - 2.0 * k3 / a,
+            -(2.0 * c / (a * b) - k3 * k3 / (a * a)),
+            2.0 * k3 * c / (a * a * b),
+            c * c / (a * a * b * b),
+        )]
+    if fam in ("DIII_V2", "DIII_V3", "DIII_V5"):
+        # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
+        c = _energy_shift(spec)
+        M = effective_count(spec, qn)
+        s = 0.5 if (fam == "DIII_V5" and qn.scheme == "hyperbolic") else 1.0
+        B = s * hb ** 2 * M * M * b / (2.0 * m)
+        return [(a ** 2, B - 2.0 * a * c, c * c)]
+    if fam == "DIII_V4":
+        # sum branch: m (d1+d2)^2 = hbar^2 (n+l+1)^2 (m w^2 - bE);
+        # difference branch: m (2aE - d1 + d2)^2 = hbar^2 (n-l)^2 (m w^2 - bE)
+        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
+        Np = qn.n + qn.l + 1.0
+        nd = qn.n - qn.l
+        h2n = hb * hb * Np * Np
+        h2d = hb * hb * nd * nd
+        return [
+            (h2n * b, m * (d1 + d2) ** 2 - h2n * m * om * om),
+            (4.0 * a * a * m, 4.0 * a * m * (d2 - d1) + h2d * b,
+             m * (d1 - d2) ** 2 - h2d * m * om * om),
+        ]
+    if fam == "DIV_V1":
+        hq = _quantum_unit(sp)
+        k1, k2 = spec.c("k1"), spec.c("k2")
+        S = effective_count(spec, qn)
+        N = S * S - (k1 * k1 + k2 * k2)
+        Ka = 4.0 * (sp.a_plus * k1 * k1 + sp.a_minus * k2 * k2)
+        return [(b * b, hq * (a * N + Ka), hq * hq * (N * N - 4.0 * k1 * k1 * k2 * k2))]
+    if fam == "DIV_V2":
+        S2 = effective_count(spec, qn)
+        k3 = spec.c("k3")
+        return [(
+            4.0 * m * m * b * b / hb ** 4,
+            2.0 * m * a * S2 * S2 / hb ** 2,
+            S2 * S2 * (S2 * S2 - 4.0 * k3 * k3),
+        )]
+    raise UnsupportedError(f"{fam} has no polynomial quantization condition")
+
+
+def _poly_roots(coeffs):
+    """All roots of one branch: companion matrix plus Newton polish above
+    degree 2, the cancellation-stable closed form otherwise."""
+    if len(coeffs) > 3:
+        return [complex(_polish_poly_root(coeffs, z)) for z in np.roots(coeffs)]
+    return _quad_roots(*(0.0,) * (3 - len(coeffs)), *coeffs)
 
 
 def _polish_poly_root(coeffs, z, steps=8):
@@ -143,72 +194,40 @@ def _polish_poly_root(coeffs, z, steps=8):
     return z
 
 
+def _div3_gaps(spec: PotentialSpec, qn: QuantumNumbers, E: float):
+    """The DIV_V3 condition in its two index conventions, (tabulated after its
+    cancellation, separation-consistent closure); NaN where an index is complex."""
+    lam = div3_indices(spec, E)
+    nl = 2.0 * (qn.n + qn.l)
+    return (nl + lam["1m"] - lam["2m"] - 2.0,
+            lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0)
+
+
 def quantization_residual(spec: PotentialSpec, qn: QuantumNumbers, E) -> float:
     """Residual of the family's squared (polynomial) quantization condition,
-    normalized by the magnitude of its largest term."""
-    sp = spec.space
-    hq = _quantum_unit(sp)
-    fam = spec.family
-    a, b, m, hb = sp.a, sp.b, sp.mass, sp.hbar
+    normalized by the magnitude of its largest term (the smallest over the
+    branches)."""
     E = complex(E)
-    if fam == "DIII_V1":
-        N = effective_count(spec, qn)
-        co = _v1_quartic_coeffs(spec, N)
-        terms = np.array([co[k] * E ** (4 - k) for k in range(5)])
-        scale = max(np.abs(terms).max(), 1e-300)
-        return abs(terms.sum()) / scale
-    if fam in ("DIII_V2", "DIII_V3", "DIII_V5"):
-        c = {"DIII_V2": spec.c("alpha"), "DIII_V3": spec.c("alpha"),
-             "DIII_V5": hq * spec.c("v0") ** 2}[fam]
-        M = effective_count(spec, qn)
-        s = 0.5 if (fam == "DIII_V5" and qn.scheme == "hyperbolic") else 1.0
-        lhs = (a * E - c) ** 2
-        rhs = -s * hb * hb * M * M * b * E / (2.0 * m)
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    if fam == "DIII_V4":
-        # closed sum branch: m (d1+d2)^2 = hbar^2 (n+l+1)^2 (m w^2 - bE)
-        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
-        Np = qn.n + qn.l + 1.0
-        lhs = m * (d1 + d2) ** 2
-        rhs = hb * hb * Np * Np * (m * om * om - b * E)
-        r1 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        # difference branch: m (2aE - d1 + d2)^2 = hbar^2 (n-l)^2 (m w^2 - bE)
-        lhs2 = m * (2.0 * a * E - d1 + d2) ** 2
-        rhs2 = hb * hb * (qn.n - qn.l) ** 2 * (m * om * om - b * E)
-        r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2), 1e-300)
-        return min(r1, r2)
-    if fam == "DIV_V1":
-        k1, k2 = spec.c("k1"), spec.c("k2")
-        al, om = spec.c("alpha"), spec.c("omega")
-        S = al / (hb * om) - 2.0 * (qn.n + qn.l + 1.0)
-        N = S * S - (k1 * k1 + k2 * k2)
-        Ka = 4.0 * (sp.a_plus * k1 * k1 + sp.a_minus * k2 * k2)
-        terms = [b * b * E * E, hq * (a * N + Ka) * E, hq * hq * (N * N - 4.0 * k1 * k1 * k2 * k2)]
-        scale = max(max(abs(t) for t in terms), 1e-300)
-        return abs(sum(terms)) / scale
-    if fam == "DIV_V2":
-        S2 = effective_count(spec, qn)
-        k3 = spec.c("k3")
-        terms = [4.0 * m * m * b * b * E * E / hb ** 4,
-                 2.0 * m * a * S2 * S2 * E / hb ** 2,
-                 S2 * S2 * (S2 * S2 - 4.0 * k3 * k3)]
-        scale = max(max(abs(t) for t in terms), 1e-300)
-        return abs(sum(terms)) / scale
-    if fam == "DIV_V3":
-        Ereal = E.real
-        lam = div3_indices(spec, Ereal)
-        g = 2.0 * (qn.n + qn.l) + lam["1m"] - lam["2m"] - 2.0
-        g2 = lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - 2.0 * (qn.n + qn.l) - 2.0
-        vals = [abs(v) for v in (g, g2) if not math.isnan(v)]
-        return (min(vals) if vals else math.nan) / (1.0 + abs(Ereal))
-    raise UnsupportedError(f"no quantization residual for {fam}")
+    if spec.family == "DIV_V3":
+        vals = [abs(g) for g in _div3_gaps(spec, qn, E.real) if not math.isnan(g)]
+        return (min(vals) if vals else math.nan) / (1.0 + abs(E.real))
+    res = []
+    for co in _branches(spec, qn):
+        terms = [c * E ** (len(co) - 1 - k) for k, c in enumerate(co)]
+        res.append(abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300))
+    return min(res)
+
+
+def _gap_pair(lhs, rhs):
+    """(|lhs - rhs|, |lhs + rhs|) normalized by the larger side."""
+    sc = max(abs(lhs), abs(rhs), 1e-300)
+    return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
 
 
 def _unsquared_gap(spec: PotentialSpec, qn: QuantumNumbers, E: float):
     """(gap with principal signs, gap with flipped sign) of the unsquared
     condition, both normalized; NaN when a square root goes complex."""
     sp = spec.space
-    hq = _quantum_unit(sp)
     fam = spec.family
     a, b, m, hb = sp.a, sp.b, sp.mass, sp.hbar
     try:
@@ -219,50 +238,27 @@ def _unsquared_gap(spec: PotentialSpec, qn: QuantumNumbers, E: float):
             if fam == "DIII_V1":
                 c = spec.c("k1") ** 2 + spec.c("k2") ** 2
                 N = effective_count(spec, qn)
-                lhs = a * E - spec.c("k3") + c / (2.0 * m * w * w)
-                rhs = hb * w * N
-            else:
-                cc = {"DIII_V2": spec.c("alpha"), "DIII_V3": spec.c("alpha"),
-                      "DIII_V5": hq * spec.c("v0") ** 2}[fam]
-                M = effective_count(spec, qn)
-                s = math.sqrt(0.5) if (fam == "DIII_V5" and qn.scheme == "hyperbolic") else 1.0
-                lhs = a * E - cc
-                rhs = s * hb * w * M
-            sc = max(abs(lhs), abs(rhs), 1e-300)
-            return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
+                return _gap_pair(a * E - spec.c("k3") + c / (2.0 * m * w * w), hb * w * N)
+            M = effective_count(spec, qn)
+            s = math.sqrt(0.5) if (fam == "DIII_V5" and qn.scheme == "hyperbolic") else 1.0
+            return _gap_pair(a * E - _energy_shift(spec), s * hb * w * M)
         if fam == "DIII_V4":
             d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
             if m * om * om - b * E <= 0:
                 return (math.nan, math.nan)
-            root = math.sqrt(m * (m * om * om - b * E))
-            lhs = -(d1 + d2) * math.sqrt(m) / (hb * math.sqrt(m * om * om - b * E))
-            rhs = qn.n + qn.l + 1.0
-            sc = max(abs(lhs), abs(rhs), 1e-300)
-            g1 = (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
-            lhs2 = (2.0 * a * E - d1 + d2) * math.sqrt(m) / (hb * math.sqrt(m * om * om - b * E))
-            rhs2 = float(qn.n - qn.l)
-            sc2 = max(abs(lhs2), abs(rhs2), 1e-300)
-            g2 = (abs(lhs2 - rhs2) / sc2, abs(lhs2 + rhs2) / sc2)
-            return min(g1, g2, key=lambda t: min(t))
+            den = hb * math.sqrt(m * om * om - b * E)
+            g1 = _gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0)
+            g2 = _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l))
+            return min(g1, g2, key=min)
         if fam == "DIV_V1":
             l1, l2 = div1_indices(spec, E)
-            lhs = spec.c("alpha") / (hb * spec.c("omega")) - 2.0 * (qn.n + qn.l + 1.0)
-            rhs = l1 + l2
-            sc = max(abs(lhs), abs(rhs), 1e-300)
-            return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
+            return _gap_pair(effective_count(spec, qn), l1 + l2)
         if fam == "DIV_V2":
             lp, lm = mpt_indices_div(spec, E)
-            lhs = effective_count(spec, qn)
-            rhs = lp + lm
-            sc = max(abs(lhs), abs(rhs), 1e-300)
-            return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
+            return _gap_pair(effective_count(spec, qn), lp + lm)
         if fam == "DIV_V3":
-            lam = div3_indices(spec, E)
-            g = 2.0 * (qn.n + qn.l) + lam["1m"] - lam["2m"] - 2.0
-            g2 = lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - 2.0 * (qn.n + qn.l) - 2.0
-            g = 1e6 if math.isnan(g) else min(abs(g), 1e6)
-            g2 = 1e6 if math.isnan(g2) else min(abs(g2), 1e6)
-            return (g / (1.0 + g), g2 / (1.0 + g2))
+            gaps = [1e6 if math.isnan(g) else min(abs(g), 1e6) for g in _div3_gaps(spec, qn, E)]
+            return tuple(g / (1.0 + g) for g in gaps)
     except DomainError:
         return (math.nan, math.nan)
     raise UnsupportedError(fam)
@@ -288,9 +284,8 @@ def _decay_flag(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> bool:
             l1, l2 = div1_indices(spec, E)
         except DomainError:
             return False
-        al, om = spec.c("alpha"), spec.c("omega")
-        return (al / (hb * om) - 2.0 * (qn.n + qn.l + 1.0) > 0
-                and al / (2.0 * hb * om) - qn.l - 0.5 > 0)
+        return (effective_count(spec, qn) > 0
+                and spec.c("alpha") / (2.0 * hb * spec.c("omega")) - qn.l - 0.5 > 0)
     if fam == "DIV_V2":
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
         if qn.l > (k2 - k1 - 1.0) / 2.0 - 1e-12:
@@ -330,56 +325,16 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float, tol=1
 
 def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
     """All candidate energies of the family's quantization condition at qn."""
-    sp = spec.space
     fam = spec.family
-    hq = _quantum_unit(sp)
     if fam not in SCHEMES:
         raise UnsupportedError(f"{fam} has no discrete quantization")
     if qn.scheme not in SCHEMES[fam]:
         raise ParamError(f"{fam} does not separate in scheme {qn.scheme!r}")
 
-    cands: list = []
-    if fam == "DIII_V1":
-        coeffs = _v1_quartic_coeffs(spec, effective_count(spec, qn))
-        roots = np.roots(coeffs)
-        cands = [complex(_polish_poly_root(coeffs, z)) for z in roots]
-    elif fam in ("DIII_V2", "DIII_V3"):
-        cands = _metamorphic_quadratic(spec, spec.c("alpha"), effective_count(spec, qn))
-    elif fam == "DIII_V5":
-        s = 0.5 if qn.scheme == "hyperbolic" else 1.0
-        cands = _metamorphic_quadratic(spec, hq * spec.c("v0") ** 2,
-                                       effective_count(spec, qn), s=s)
-    elif fam == "DIII_V4":
-        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
-        m, hb, a, b = sp.mass, sp.hbar, sp.a, sp.b
-        Np = qn.n + qn.l + 1.0
-        cands = [complex(m * om * om / b - m * (d1 + d2) ** 2 / (b * hb * hb * Np * Np))]
-        nd = qn.n - qn.l
-        cands += _quad_roots(
-            4.0 * a * a * m,
-            4.0 * a * m * (d2 - d1) + hb * hb * nd * nd * b,
-            m * (d1 - d2) ** 2 - hb * hb * nd * nd * m * om * om,
-        )
-    elif fam == "DIV_V1":
-        k1, k2 = spec.c("k1"), spec.c("k2")
-        al, om = spec.c("alpha"), spec.c("omega")
-        hb, m, a, b = sp.hbar, sp.mass, sp.a, sp.b
-        S = al / (hb * om) - 2.0 * (qn.n + qn.l + 1.0)
-        N = S * S - (k1 * k1 + k2 * k2)
-        Ka = 4.0 * (sp.a_plus * k1 * k1 + sp.a_minus * k2 * k2)
-        cands = _quad_roots(b * b, hq * (a * N + Ka), hq * hq * (N * N - 4.0 * k1 * k1 * k2 * k2))
-    elif fam == "DIV_V2":
-        S2 = effective_count(spec, qn)
-        k3 = spec.c("k3")
-        hb, m, a, b = sp.hbar, sp.mass, sp.a, sp.b
-        cands = _quad_roots(
-            4.0 * m * m * b * b / hb ** 4,
-            2.0 * m * a * S2 * S2 / hb ** 2,
-            S2 * S2 * (S2 * S2 - 4.0 * k3 * k3),
-        )
-    elif fam == "DIV_V3":
-        cands = [complex(E) for E in _div3_roots(spec, qn)]
-
+    if fam == "DIV_V3":
+        cands = _div3_roots(spec, qn)
+    else:
+        cands = [z for co in _branches(spec, qn) for z in _poly_roots(co)]
     out = EnergyRoots(candidates=[complex(z) for z in cands])
     for z in out.candidates:
         if abs(z.imag) < 1e-10 * (1.0 + abs(z.real)):
@@ -403,23 +358,17 @@ def _div3_roots(spec: PotentialSpec, qn: QuantumNumbers, n_brackets=1000):
             return (0.25 - ci) * hb2 / (2.0 * sp.mass * sp.a_plus)
         return (0.25 + ci) * hb2 / (2.0 * sp.mass * sp.a_minus)
 
-    def tabulated(E):
-        lam = div3_indices(spec, E)
-        return 2.0 * (qn.n + qn.l) + lam["1m"] - lam["2m"] - 2.0
-
-    def closure(E):
-        lam = div3_indices(spec, E)
-        return lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - 2.0 * (qn.n + qn.l) - 2.0
-
-    needs = {tabulated: ("1m", "2m"), closure: ("2p", "3p", "3m", "1m")}
     scale = hb2 / (2.0 * sp.mass * sp.a_plus)
     roots = []
-    for func in (tabulated, closure):
-        e_hi = min(0.0, min(top_of(nm) for nm in needs[func])) - 1e-12
+    # the indices each convention of _div3_gaps reads
+    for k, needs in enumerate((("1m", "2m"), ("2p", "3p", "3m", "1m"))):
+        def func(E):
+            return _div3_gaps(spec, qn, E)[k]
+
+        e_hi = min(0.0, min(top_of(nm) for nm in needs)) - 1e-12
         e_lo = e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2
         es = np.linspace(e_lo, e_hi, n_brackets + 1)
         vals = np.array([func(e) for e in es])
-        hit = False
         for i in range(n_brackets):
             va, vb = vals[i], vals[i + 1]
             if not (np.isfinite(va) and np.isfinite(vb)) or va * vb > 0:
@@ -445,7 +394,6 @@ def _div3_roots(spec: PotentialSpec, qn: QuantumNumbers, n_brackets=1000):
                     break
                 x0, f0, x1, f1 = x1, f1, x2, func(x2)
             roots.append(x1)
-            hit = True
     if not roots:
         raise NoRootError("DIV_V3 bracket scan found no sign change")
     return sorted(set(round(r, 12) for r in roots))

@@ -110,8 +110,8 @@ def suite_spectra() -> dict:
         for l in range(3):
             roots = solve_quantization(spec5, QuantumNumbers(n, l, "uv"))
             want = -0.5 * (2 * n + 2 * l + 1) ** 2
-            dev5 = min(abs(z.real - want) for z in roots.candidates)
-            worst = max(worst, dev5)
+            dev5 = max(dev5, min(abs(z.real - want) for z in roots.candidates))
+    worst = max(worst, dev5)
     details.append({"case": "DIII_V5 free levels", "dev": dev5})
     ok = worst < 1e-9
     return {"pass": bool(ok), "max_dev": float(worst), "details": details}

@@ -28,20 +28,8 @@ from .errors import (
 )
 from .geometry import Chart, SpaceParams, metric_diag
 from .potentials import PotentialSpec, potential_value, separated_problem
-from .spectra import QuantumNumbers, solve_quantization
+from .spectra import SCHEMES, QuantumNumbers, solve_quantization
 from . import specfun as sf
-
-ASSEMBLY_CHARTS = {
-    "DIII_V1": ("parabolic",),
-    "DIII_V2": ("uv", "polar", "parabolic"),
-    "DIII_V3": ("polar",),
-    "DIII_V4": ("hyperbolic",),
-    "DIII_V5": ("uv", "polar", "parabolic", "hyperbolic"),
-    "DIV_V1": ("uv", "horospherical"),
-    "DIV_V2": ("uv", "degelliptic2"),
-    "DIV_V3": ("degelliptic2",),
-}
-
 
 @dataclass
 class WaveField:
@@ -100,10 +88,6 @@ def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         half = 0.5 if chart_name == "uv" else 1.0
         ang = lambda v: sf.model_eigenfunction(pt, qn.l, half * np.asarray(v))
         return s0, f0, ang
-    if fam == "DIII_V3" and chart_name == "polar":
-        s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-        s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-        return s0, s0.factor(E, qn.n), s1.factor(E, qn.l)
     # generic two-axis families
     s0 = separated_problem(spec, chart_name, qn.l, axis=0)
     s1 = separated_problem(spec, chart_name, qn.n, axis=1)
@@ -115,18 +99,15 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
     """A sensible rectangular grid for the assembled state."""
     fam = spec.family
     s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-    lo1, hi1 = s0.meta["window"](E, qn.n)
+    lo1, hi1 = s0.window(E, qn.n)
     if fam in ("DIII_V5", "DIII_V2") and chart_name == "uv":
         lo2, hi2 = (0.05, 2.0 * math.pi - 0.05) if fam == "DIII_V5" else (0.1, math.pi - 0.1)
     elif chart_name == "polar":
         lo2, hi2 = (0.05, 2.0 * math.pi - 0.05) if fam != "DIII_V2" else (0.05, math.pi / 2.0 - 0.05)
-        if fam == "DIII_V3":
-            lo2, hi2 = (0.05, 2.0 * math.pi - 0.05)
     else:
         try:
-            s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-            lo2, hi2 = s1.meta["window"](E, qn.l)
-        except (UnsupportedChartError, KeyError):
+            lo2, hi2 = separated_problem(spec, chart_name, qn.n, axis=1).window(E, qn.l)
+        except UnsupportedChartError:
             lo2, hi2 = lo1, hi1
     if chart_name == "hyperbolic":
         # keep a + b(mu - nu)/2 safely positive on the whole grid
@@ -148,7 +129,7 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     (x, y) = (ln mu, ln nu) there.
     """
     fam = spec.family
-    if fam not in ASSEMBLY_CHARTS or chart_name not in ASSEMBLY_CHARTS[fam]:
+    if chart_name not in SCHEMES.get(fam, ()):
         raise UnsupportedChartError(f"{fam} states are not assembled in {chart_name!r}")
     if energy is None:
         energy = pick_energy(spec, qn, root_index)
@@ -227,7 +208,7 @@ def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
     """
     fam = spec.family
     s0, f1, f2 = _factor_pair(spec, chart, qn, E)
-    lo1, hi1 = s0.meta["window"](E, qn.n)
+    lo1, hi1 = s0.window(E, qn.n)
     two_pi = 2.0 * math.pi
     if chart == "uv" and fam.startswith("DIII"):
         probe1 = np.linspace(lo1 - 10.0, hi1 + 10.0, 4001)
@@ -242,7 +223,10 @@ def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
         else:
             a2 = (np.linspace(0.0, two_pi, n2), True)
     elif chart == "parabolic":
-        probe1 = np.linspace(min(-4.0 * abs(lo1), -20.0), max(4.0 * abs(hi1), 20.0), 4001)             if fam in ("DIII_V1", "DIII_V5") else np.geomspace(1e-4, 4.0 * hi1, 4001)
+        if fam in ("DIII_V1", "DIII_V5"):
+            probe1 = np.linspace(min(-4.0 * abs(lo1), -20.0), max(4.0 * abs(hi1), 20.0), 4001)
+        else:
+            probe1 = np.geomspace(1e-4, 4.0 * hi1, 4001)
         a2 = (probe1.copy(), False)
     elif chart == "horospherical":
         probe1 = np.geomspace(1e-4, 3.0 * hi1, 4001)
@@ -250,7 +234,7 @@ def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
     elif chart == "uv" and fam.startswith("DIV"):
         probe1 = np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001)
         if fam == "DIV_V1":
-            w2 = separated_problem(spec, chart, qn.n, axis=1).meta["window"](E, qn.l)
+            w2 = separated_problem(spec, chart, qn.n, axis=1).window(E, qn.l)
             a2 = (np.linspace(w2[0] - 6.0, w2[1] + 6.0, 4001), False)
         else:
             a2 = (np.geomspace(1e-3, 40.0, 4001), False)
@@ -321,28 +305,28 @@ def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:
     return complex(simpson(simpson(dens, x=f1.q2, axis=1), x=f1.q1))
 
 
+def _stencil_views(vals, axis):
+    """The views of vals at offsets -2..2 along ``axis``, on its interior
+    (margin 2)."""
+    n = vals.shape[axis]
+    out = []
+    for k in (-2, -1, 0, 1, 2):
+        s = [slice(None)] * vals.ndim
+        s[axis] = slice(2 + k, n - 2 + k if k != 2 else None)
+        out.append(vals[tuple(s)])
+    return out
+
+
 def _d1_4(vals, h, axis):
-    """4th-order first derivative on the interior (margin 2)."""
-    s = [slice(None)] * 2
-
-    def sl(k):
-        s2 = list(s)
-        s2[axis] = slice(2 + k, vals.shape[axis] - 2 + k if k != 2 else None)
-        return vals[tuple(s2)]
-
-    return (sl(-2) - 8.0 * sl(-1) + 8.0 * sl(1) - sl(2)) / (12.0 * h)
+    """4th-order first derivative on the interior (margin 2) of ``axis``."""
+    m2, m1, _, p1, p2 = _stencil_views(vals, axis)
+    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
 
 
 def _d2_4(vals, h, axis):
-    """4th-order second derivative on the interior (margin 2)."""
-    s = [slice(None)] * 2
-
-    def sl(k):
-        s2 = list(s)
-        s2[axis] = slice(2 + k, vals.shape[axis] - 2 + k if k != 2 else None)
-        return vals[tuple(s2)]
-
-    return (-sl(-2) + 16.0 * sl(-1) - 30.0 * sl(0) + 16.0 * sl(1) - sl(2)) / (12.0 * h * h)
+    """4th-order second derivative on the interior (margin 2) of ``axis``."""
+    m2, m1, c0, p1, p2 = _stencil_views(vals, axis)
+    return (-m2 + 16.0 * m1 - 30.0 * c0 + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
 def hamiltonian_residual(field: WaveField, spec: PotentialSpec | None = None) -> float:

@@ -81,13 +81,44 @@ def test_validation_error_exit_code(tmp_path):
     assert "V9" in err["message"]
 
 
-def test_threads_env_consistency(tmp_path, monkeypatch):
-    import os
+def _with(job, **flags):
+    """A golden job's argv with some flag values replaced."""
+    argv = list(JOBS[job])
+    for flag, val in flags.items():
+        argv[argv.index(f"--{flag}") + 1] = val
+    return argv
 
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    env = dict(os.environ, DARBOUX_THREADS="4")
-    r = subprocess.run([sys.executable, "-m", "darboux.cli"] + JOBS["spectrum.json"]
-                       + ["--out", str(a)], capture_output=True, env=env)
-    assert r.returncode == 0
-    assert run_cli(JOBS["spectrum.json"], b).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+
+CURV = ["curvature", "--space", "DIV", "--a", "2", "--b", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    CURV + ["--grid", "12y12"],
+    CURV + ["--grid", "0x0"],
+    CURV + ["--u-range", "1"],
+    CURV + ["--v-range", "0:x"],
+    _with("spectrum.json", n="3..1"),
+    _with("spectrum.json", l="a..b"),
+    _with("spectrum.json", n="0..1..2"),
+    _with("wavefunction.json", grid="12x"),
+], ids=["grid-12y12", "grid-0x0", "u-range-1", "v-range-0:x", "n-3..1", "l-a..b",
+        "n-0..1..2", "wavefunction-grid-12x"])
+def test_malformed_ranges_and_grids_exit_2(argv, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "x.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParamError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, val", [("a", "nan"), ("b", "inf"), ("v0", "nan")])
+def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "x.json"
+    assert main(_with("spectrum.json", **{flag: val}) + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
+    assert not out.exists()

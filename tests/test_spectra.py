@@ -95,6 +95,23 @@ def test_v4_spectrum():
     assert best(roots, 0.0) < 1e-12
 
 
+@pytest.mark.parametrize("a, b, d1, d2", [(0.98, 1.59, -1.52, -0.58),
+                                         (1.02, 0.97, 0.98, -1.12)])
+def test_v4_equal_index_double_root_residual(a, b, d1, d2):
+    # at n = l the difference branch m (2aE - d1 + d2)^2 = 0 has the double
+    # root E = (d1 - d2)/(2a); both copies must plug back and stay admissible
+    spec = PotentialSpec(SpaceParams(DIII, a, b), "DIII_V4",
+                         {"d1": d1, "d2": d2, "omega": 1.0})
+    qn = QuantumNumbers(0, 0, "hyperbolic")
+    roots = solve_quantization(spec, qn)
+    assert len(roots.admissible) == 3
+    for rec in roots.admissible:
+        assert rec["residual"] < 1e-12 and rec["admissible"]
+        assert quantization_residual(spec, qn, rec["E"]) < 1e-12
+    double = [r["E"] for r in roots.admissible][1:]
+    assert double == [pytest.approx((d1 - d2) / (2.0 * a), rel=1e-7)] * 2
+
+
 def test_plugback_randomized_quadratics():
     rng = np.random.default_rng(6)
     for _ in range(20):
