@@ -31,14 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DarbouxError, DomainError, ParamError, UnsupportedError
-from .geometry import (
-    DIII,
-    Chart,
-    SpaceParams,
-    chart_transform,
-    metric_diag,
-    validate_chart,
-)
+from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
 from .potentials import PotentialSpec, potential_value
 
 
@@ -215,7 +208,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     trajectory that leaves the chart domain raises BlowupError.
     """
     chart0 = state0.chart
-    validate_chart(space, chart0)
+    hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
 
     def H(y):
         st = PhaseState(replace(chart0, q1=y[0], q2=y[1]), y[2], y[3])

@@ -66,13 +66,18 @@ def _spec_of(args) -> PotentialSpec:
     return PotentialSpec(_space_of(args), fam, coup)
 
 
+def _parse_int(text: str) -> int:
+    """One integer, such as a quantum number or the end of a range."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParamError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_range(text: str):
     """Inclusive 'a..b' integer range, or a single integer."""
     parts = text.split("..")
-    try:
-        lo, hi = int(parts[0]), int(parts[-1])
-    except ValueError:
-        raise ParamError(f"malformed range {text!r}: expected a..b or an integer") from None
+    lo, hi = _parse_int(parts[0]), _parse_int(parts[-1])
     if len(parts) > 2 or hi < lo:
         raise ParamError(f"range {text!r} is malformed or empty")
     return list(range(lo, hi + 1))
@@ -196,8 +201,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     spec = _spec_of(args)
-    scheme = args.scheme.lower()
-    qn = QuantumNumbers(int(args.n), int(args.l), scheme)
+    # the chart fixes the counting scheme of the quantum numbers
+    qn = QuantumNumbers(_parse_int(args.n), _parse_int(args.l), args.chart)
     energy = args.energy if args.energy is not None else pick_energy(spec, qn)
     n1, n2 = _parse_grid(args.grid)
     grid = default_grid(spec, args.chart, qn, energy, (n1, n2))
@@ -209,8 +214,8 @@ def cmd_wavefunction(args) -> int:
             records.append({"q1": float(x), "q2": float(y),
                             "re": float(field.values[i, j].real),
                             "im": float(field.values[i, j].imag)})
-    _emit(args, _header(args, "wavefunction", spec, scheme=scheme, chart=args.chart,
-                        n=int(args.n), l=int(args.l), energy=energy,
+    _emit(args, _header(args, "wavefunction", spec, scheme=qn.scheme, chart=args.chart,
+                        n=qn.n, l=qn.l, energy=energy,
                         hamiltonian_residual=resid),
           records, columns=["q1", "q2", "re", "im"])
     return 0
@@ -291,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="sampled 2D bound state on a chart grid")
     _add_space_args(p)
     _add_coupling_args(p)
-    p.add_argument("--scheme", default="uv")
     p.add_argument("--chart", default="uv")
     p.add_argument("--n", default="0")
     p.add_argument("--l", default="0")

@@ -88,49 +88,54 @@ class SpaceParams:
 class Chart:
     """A chart name together with a point (q1, q2) in it.
 
+    q1 and q2 may be broadcastable arrays, a grid of points in one chart;
+    what is evaluated on them broadcasts against the grid.
     ``d`` is the focal parameter of the elliptic charts and is ignored
     elsewhere.
     """
 
     name: str
-    q1: float
-    q2: float
+    q1: float | np.ndarray
+    q2: float | np.ndarray
     d: float = 1.0
 
-    @property
-    def point(self):
-        return (self.q1, self.q2)
+
+def _anywhere(mask) -> bool:
+    """Whether a condition (a bool, or a bool array over a grid) holds anywhere."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
 
 
 def validate_chart(space: SpaceParams, chart: Chart) -> None:
-    """Raise DomainError/ParamError unless the point lies in the chart domain."""
+    """Raise DomainError/ParamError unless every point lies in the chart domain."""
     if chart.name not in CHARTS[space.family]:
         raise ParamError(f"chart {chart.name!r} unknown for {space.family}")
     q1, q2 = chart.q1, chart.q2
     fam = space.family
     name = chart.name
-    if not (np.isfinite(q1) and np.isfinite(q2)):
+    if _anywhere(~(np.isfinite(q1) & np.isfinite(q2))):
         raise DomainError("non-finite chart point")
     if fam == DIII:
-        if name == "polar" and q1 <= 0:
+        if name == "polar" and _anywhere(q1 <= 0):
             raise DomainError("polar chart requires rho > 0")
-        if name == "elliptic" and (q1 <= 0 or chart.d <= 0):
+        if name == "elliptic" and (_anywhere(q1 <= 0) or chart.d <= 0):
             raise DomainError("elliptic chart requires omega > 0 and d > 0")
         if name == "hyperbolic":
-            if q1 <= 0 or q2 <= 0:
+            if _anywhere((q1 <= 0) | (q2 <= 0)):
                 raise DomainError("hyperbolic chart requires mu, nu > 0")
-            if space.a + 0.5 * space.b * (q1 - q2) <= 0:
+            if _anywhere(space.a + 0.5 * space.b * (q1 - q2) <= 0):
                 raise DomainError("hyperbolic point outside the metric's domain")
     else:
-        if name == "uv" and not 0 < q1 < math.pi / 2:
+        if name == "uv" and _anywhere((q1 <= 0) | (q1 >= math.pi / 2)):
             raise DomainError("D_IV uv chart requires 0 < u < pi/2")
-        if name == "horospherical" and (q1 <= 0 or q2 <= 0):
+        if name == "horospherical" and _anywhere((q1 <= 0) | (q2 <= 0)):
             raise DomainError("horospherical chart requires mu, nu > 0")
-        if name == "degelliptic2" and not (q1 > 0 and 0 < q2 < math.pi / 4):
+        if name == "degelliptic2" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 4)):
             raise DomainError("degenerate elliptic II requires omega > 0, 0 < phi < pi/4")
-        if name == "degelliptic1" and not (q1 > 0 and 0 < q2 < math.pi / 2):
+        if name == "degelliptic1" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)):
             raise DomainError("degenerate elliptic I requires omega > 0, 0 < phi < pi/2")
-        if name == "elliptic" and not (q1 > 0 and 0 < q2 < math.pi / 2 and chart.d > 0):
+        if name == "elliptic" and (
+            chart.d <= 0 or _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2))
+        ):
             raise DomainError("elliptic chart requires omega > 0, 0 < phi < pi/2")
 
 
@@ -172,7 +177,7 @@ def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):
 
 
 def metric_diag(space: SpaceParams, chart: Chart):
-    """Diagonal metric components (g11, g22) at the chart point.
+    """Diagonal metric components (g11, g22) at the chart point(s).
 
     The D_III polar chart returns (f, f*rho^2); the D_III hyperbolic chart
     returns the signed pair (f/mu^2, -f/nu^2) with
@@ -187,13 +192,13 @@ def metric_diag(space: SpaceParams, chart: Chart):
         f = (space.a + 0.5 * space.b * (q1 - q2)) * (q1 + q2)
         return (f / q1 ** 2, -f / q2 ** 2)
     f = conformal_factor(space, name, q1, q2, chart.d)
-    return (float(f), float(f))
+    return (f, f)
 
 
-def sqrt_g(space: SpaceParams, chart: Chart) -> float:
-    """Riemannian area density sqrt|det g| at the chart point."""
+def sqrt_g(space: SpaceParams, chart: Chart):
+    """Riemannian area density sqrt|det g| at the chart point(s)."""
     g11, g22 = metric_diag(space, chart)
-    return math.sqrt(abs(g11 * g22))
+    return np.sqrt(np.abs(g11 * g22))
 
 
 def curvature_closed(space: SpaceParams, point_uv) -> float:
@@ -229,20 +234,14 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3) -> f
         raise DomainError(f"chart {chart.name!r} is not conformal")
 
     def lap_lnf(h):
-        pts = [
-            (chart.q1, chart.q2),
-            (chart.q1 + h, chart.q2),
-            (chart.q1 - h, chart.q2),
-            (chart.q1, chart.q2 + h),
-            (chart.q1, chart.q2 - h),
-        ]
-        vals = []
-        for q1, q2 in pts:
-            validate_chart(space, replace(chart, q1=q1, q2=q2))
-            f = conformal_factor(space, chart.name, q1, q2, chart.d)
-            if f <= 0:
-                raise DomainError("metric factor not positive inside stencil")
-            vals.append(math.log(f))
+        # the stencil points: centre, q1 +- h, q2 +- h
+        pts = replace(chart, q1=chart.q1 + np.array([0.0, h, -h, 0.0, 0.0]),
+                      q2=chart.q2 + np.array([0.0, 0.0, 0.0, h, -h]))
+        validate_chart(space, pts)
+        f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
+        if (f <= 0).any():
+            raise DomainError("metric factor not positive inside stencil")
+        vals = np.log(f)
         return (vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * vals[0]) / h ** 2
 
     f0 = conformal_factor(space, chart.name, chart.q1, chart.q2, chart.d)
@@ -258,8 +257,8 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3) -> f
 def elliptic_cartesian(chart: Chart):
     """(d cosh q1 cos q2, d sinh q1 sin q2) of an elliptic chart point: its
     parabolic (xi, eta) on D_III, its horospherical (mu, nu) on D_IV."""
-    return (chart.d * math.cosh(chart.q1) * math.cos(chart.q2),
-            chart.d * math.sinh(chart.q1) * math.sin(chart.q2))
+    return (chart.d * np.cosh(chart.q1) * np.cos(chart.q2),
+            chart.d * np.sinh(chart.q1) * np.sin(chart.q2))
 
 
 def _d3_to_uv(chart: Chart):
@@ -306,8 +305,8 @@ def _d4_to_uv(chart: Chart):
     if name == "horospherical":
         return math.atan2(q2, q1), math.log(math.hypot(q1, q2) / 2.0)
     if name == "degelliptic2":
-        z = cmath.tan(complex(q2, -q1))
-        return -cmath.phase(z), math.log(abs(z))
+        z = np.tan(q2 - 1j * q1)
+        return -np.angle(z), np.log(np.abs(z))
     if name == "elliptic":
         return _d4_to_uv(Chart("horospherical", *elliptic_cartesian(chart)))
     raise UnsupportedError(f"no real (u, v) image for D_IV chart {name!r}")

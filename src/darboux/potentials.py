@@ -20,13 +20,14 @@ the sign required by the Morse parameters of its separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ParamError, UnsupportedChartError
-from .geometry import DIII, DIV, Chart, SpaceParams, elliptic_cartesian, validate_chart
+from .geometry import (DIII, DIV, Chart, SpaceParams, chart_transform, conformal_factor,
+                       elliptic_cartesian, validate_chart)
 from . import specfun as sf
 
 FAMILIES = {
@@ -81,8 +82,23 @@ def _quantum_unit(space: SpaceParams) -> float:
 # ----------------------------------------------------------------------
 
 def potential_value(spec: PotentialSpec, chart: Chart):
-    """Scalar potential at the chart point (complex for DIII_V3)."""
+    """Potential at the chart point(s) (complex for DIII_V3).
+
+    A point where the potential is singular raises DomainError.
+    """
     validate_chart(spec.space, chart)
+    # float arrays turn a division by zero into inf rather than ZeroDivisionError,
+    # and give a single point the arithmetic of a grid (x**2 is x*x, not pow)
+    pts = replace(chart, q1=np.atleast_1d(np.asarray(chart.q1, dtype=float)),
+                  q2=np.atleast_1d(np.asarray(chart.q2, dtype=float)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = _closed_form(spec, pts)
+    if not np.isfinite(val).all():
+        raise DomainError(f"{spec.family} is singular at a point of chart {chart.name!r}")
+    return val if np.ndim(chart.q1) or np.ndim(chart.q2) else val[0]
+
+
+def _closed_form(spec: PotentialSpec, chart: Chart):
     sp = spec.space
     a, b = sp.a, sp.b
     hq = _quantum_unit(sp)
@@ -92,9 +108,9 @@ def potential_value(spec: PotentialSpec, chart: Chart):
     if fam == "DIII_V1":
         k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
         if name == "uv":
-            e = math.exp(-q1 / 2.0)
-            num = 2.0 * k1 * e * math.cos(q2 / 2.0) + 2.0 * k2 * e * math.sin(q2 / 2.0) + k3
-            return num / (a + b * math.exp(-q1))
+            e = np.exp(-q1 / 2.0)
+            num = 2.0 * k1 * e * np.cos(q2 / 2.0) + 2.0 * k2 * e * np.sin(q2 / 2.0) + k3
+            return num / (a + b * np.exp(-q1))
         if name in ("parabolic", "polar", "elliptic"):
             xi, eta = _d3_cartesian(chart)
             return (k1 * xi + k2 * eta + k3) / (a + 0.25 * b * (xi * xi + eta * eta))
@@ -103,14 +119,14 @@ def potential_value(spec: PotentialSpec, chart: Chart):
     if fam == "DIII_V2":
         al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
         if name == "uv":
-            cen = hq / 4.0 * math.exp(q1) * (
-                (k1 * k1 - 0.25) / math.cos(q2 / 2.0) ** 2
-                + (k2 * k2 - 0.25) / math.sin(q2 / 2.0) ** 2
+            cen = hq / 4.0 * np.exp(q1) * (
+                (k1 * k1 - 0.25) / np.cos(q2 / 2.0) ** 2
+                + (k2 * k2 - 0.25) / np.sin(q2 / 2.0) ** 2
             )
-            return (-al + cen) / (a + b * math.exp(-q1))
+            return (-al + cen) / (a + b * np.exp(-q1))
         if name == "polar":
             cen = hq / q1 ** 2 * (
-                (k1 * k1 - 0.25) / math.cos(q2) ** 2 + (k2 * k2 - 0.25) / math.sin(q2) ** 2
+                (k1 * k1 - 0.25) / np.cos(q2) ** 2 + (k2 * k2 - 0.25) / np.sin(q2) ** 2
             )
             return (-al + cen) / (a + 0.25 * b * q1 ** 2)
         if name in ("parabolic", "elliptic"):
@@ -122,10 +138,10 @@ def potential_value(spec: PotentialSpec, chart: Chart):
     if fam == "DIII_V3":
         al, c1, c2 = spec.c("alpha"), spec.c("c1"), spec.c("c2")
         if name == "uv":
-            cen = hq * math.exp(q1) * (
+            cen = hq * np.exp(q1) * (
                 c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2)
             )
-            return (-al + cen) / (a + b * math.exp(-q1))
+            return (-al + cen) / (a + b * np.exp(-q1))
         if name == "polar":
             cen = 4.0 * hq / q1 ** 2 * (
                 c1 * c1 * np.exp(-2j * q2) - 2.0 * c2 * np.exp(-4j * q2)
@@ -149,7 +165,7 @@ def potential_value(spec: PotentialSpec, chart: Chart):
         v0 = spec.c("v0")
         top = hq * v0 * v0
         if name == "uv":
-            return top / (a + b * math.exp(-q1))
+            return top / (a + b * np.exp(-q1))
         if name in ("polar", "parabolic", "elliptic"):
             xi, eta = _d3_cartesian(chart)
             return top / (a + 0.25 * b * (xi * xi + eta * eta))
@@ -157,21 +173,27 @@ def potential_value(spec: PotentialSpec, chart: Chart):
             return top / (a + 0.5 * b * (q1 - q2))
         raise UnsupportedChartError(f"{fam} has no form in chart {name!r}")
 
-    ap, am = sp.a_plus, sp.a_minus
+    if fam == "DIV_V2" and name == "degelliptic2":
+        # evaluated through the chart map so the value is a chart scalar
+        return _closed_form(spec, chart_transform(sp, chart, "uv"))
+    # every D_IV form divides by the chart's conformal factor; the elliptic
+    # forms are written in the horospherical (mu, nu) of the point
+    if name in ("horospherical", "elliptic"):
+        mu, nu = _d4_cartesian(chart)
+        f = conformal_factor(sp, "horospherical", mu, nu)
+    else:
+        f = conformal_factor(sp, name, q1, q2)
 
     if fam == "DIV_V1":
         al, k1, k2, om = spec.c("alpha"), spec.c("k1"), spec.c("k2"), spec.c("omega")
         if name == "uv":
-            f = ap / math.sin(q1) ** 2 + am / math.cos(q1) ** 2
             num = (
-                hq * ((k1 * k1 - 0.25) / math.cos(q1) ** 2 + (k2 * k2 - 0.25) / math.sin(q1) ** 2)
-                - 4.0 * al * math.exp(2.0 * q2)
-                + 8.0 * sp.mass * om * om * math.exp(4.0 * q2)
+                hq * ((k1 * k1 - 0.25) / np.cos(q1) ** 2 + (k2 * k2 - 0.25) / np.sin(q1) ** 2)
+                - 4.0 * al * np.exp(2.0 * q2)
+                + 8.0 * sp.mass * om * om * np.exp(4.0 * q2)
             )
             return num / f
         if name in ("horospherical", "elliptic"):
-            mu, nu = _d4_cartesian(chart)
-            f = ap / nu ** 2 + am / mu ** 2
             num = (
                 -al
                 + hq * ((k1 * k1 - 0.25) / mu ** 2 + (k2 * k2 - 0.25) / nu ** 2)
@@ -183,39 +205,28 @@ def potential_value(spec: PotentialSpec, chart: Chart):
     if fam == "DIV_V2":
         k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
         if name == "uv":
-            f = ap / math.sin(q1) ** 2 + am / math.cos(q1) ** 2
             num = hq * (
-                (k1 * k1 - 0.25) / math.sinh(q2) ** 2
-                - (k2 * k2 - 0.25) / math.cosh(q2) ** 2
-                + (k3 * k3 - 0.25) * (1.0 / math.sin(q1) ** 2 + 1.0 / math.cos(q1) ** 2)
+                (k1 * k1 - 0.25) / np.sinh(q2) ** 2
+                - (k2 * k2 - 0.25) / np.cosh(q2) ** 2
+                + (k3 * k3 - 0.25) * (1.0 / np.sin(q1) ** 2 + 1.0 / np.cos(q1) ** 2)
             )
             return num / f
-        if name == "degelliptic2":
-            # evaluated through the chart map so the value is a chart scalar
-            from .geometry import chart_transform
-
-            c = chart_transform(sp, chart, "uv")
-            return potential_value(spec, c)
         raise UnsupportedChartError(f"{fam} has no form in chart {name!r}")
 
     if fam == "DIV_V3":
         c1, c2, c3 = spec.c("c1"), spec.c("c2"), spec.c("c3")
         if name == "degelliptic2":
-            f = 4.0 * (ap / math.sinh(2.0 * q1) ** 2 + am / math.sin(2.0 * q2) ** 2)
             num = hq * (
-                c1 / math.cos(q2) ** 2
-                + c2 / math.cosh(q1) ** 2
-                + c3 * (1.0 / math.sin(q2) ** 2 - 1.0 / math.sinh(q1) ** 2)
+                c1 / np.cos(q2) ** 2
+                + c2 / np.cosh(q1) ** 2
+                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2)
             )
             return num / f
         if name == "degelliptic1":
-            f = am * (1.0 / math.sinh(q1) ** 2 + 1.0 / math.sin(q2) ** 2) - ap * (
-                1.0 / math.cosh(q1) ** 2 - 1.0 / math.cos(q2) ** 2
-            )
             num = hq * (
-                c3 / math.sinh(q1) ** 2
-                + c2 / math.cosh(q1) ** 2
-                + c3 * (1.0 / math.sin(q2) ** 2 - 1.0 / math.cos(q2) ** 2)
+                c3 / np.sinh(q1) ** 2
+                + c2 / np.cosh(q1) ** 2
+                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.cos(q2) ** 2)
             )
             return num / f
         raise UnsupportedChartError(f"{fam} has no form in chart {name!r}")
@@ -223,12 +234,9 @@ def potential_value(spec: PotentialSpec, chart: Chart):
     if fam == "DIV_V4":
         k0 = spec.c("k0")
         if name == "uv":
-            f = ap / math.sin(q1) ** 2 + am / math.cos(q1) ** 2
-            num = hq * (k0 * k0 - 0.25) * (1.0 / math.sin(q1) ** 2 + 1.0 / math.cos(q1) ** 2)
+            num = hq * (k0 * k0 - 0.25) * (1.0 / np.sin(q1) ** 2 + 1.0 / np.cos(q1) ** 2)
             return num / f
         if name in ("horospherical", "elliptic"):
-            mu, nu = _d4_cartesian(chart)
-            f = ap / nu ** 2 + am / mu ** 2
             num = hq * (k0 * k0 - 0.25) * (1.0 / mu ** 2 + 1.0 / nu ** 2)
             return num / f
         raise UnsupportedChartError(f"{fam} has no form in chart {name!r}")
@@ -241,7 +249,7 @@ def _d3_cartesian(chart: Chart):
     if chart.name == "parabolic":
         return chart.q1, chart.q2
     if chart.name == "polar":
-        return chart.q1 * math.cos(chart.q2), chart.q1 * math.sin(chart.q2)
+        return chart.q1 * np.cos(chart.q2), chart.q1 * np.sin(chart.q2)
     if chart.name == "elliptic":
         return elliptic_cartesian(chart)
     raise UnsupportedChartError(chart.name)
@@ -287,25 +295,15 @@ def _omega_of(spec: PotentialSpec, E: float) -> float:
     return math.sqrt(val)
 
 
-def _hermite_flip(n: int, y):
-    """Real polynomial i^{-n} H_n(i y) (Hermite recurrence with + sign)."""
-    y = np.asarray(y, dtype=float)
-    p_prev = np.ones_like(y)
-    if n == 0:
-        return p_prev
-    p = 2.0 * y
-    for k in range(1, n):
-        p, p_prev = 2.0 * y * p + 2.0 * k * p_prev, p
-    return p
-
-
 def ho_flipped_factor(mass, hbar, omega, n, shift=0.0):
     """Oscillator solution at level -hbar w (n + 1/2) (growing Gaussian)."""
     q = mass * omega / hbar
 
     def psi(x):
         y = np.asarray(x, dtype=float) + shift
-        return _hermite_flip(n, np.sqrt(q) * y) * np.exp(0.5 * q * y * y)
+        # the real polynomial i^{-n} H_n(i y)
+        flip = np.real(1j ** -n * sf.orthopoly_eval("hermite", n, (), 1j * np.sqrt(q) * y))
+        return flip * np.exp(0.5 * q * y * y)
 
     return psi
 

@@ -545,7 +545,7 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
         pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
         f = np.array([
             hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, -math.sinh(t) ** 2).real
-            for t in np.atleast_1d(x)
+            for t in np.ravel(x)
         ]).reshape(np.shape(x))
         return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
     if fam.tag == MPT_SCATTER:
@@ -561,7 +561,7 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
         )
         f = np.array([
             hyp2f1(k1 + k2 - kap, k1 + k2 + kap - 1.0, 2.0 * k2, -math.sinh(t) ** 2)
-            for t in np.atleast_1d(x)
+            for t in np.ravel(x)
         ]).reshape(np.shape(x))
         return pref * np.cosh(x) ** (2.0 * k1 - 0.5) * np.sinh(x) ** (2.0 * k2 - 0.5) * f
     if fam.tag == MORSE_SCATTER:
@@ -573,7 +573,7 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
         )
         return pref * np.array([
             whittaker_w(kap, 1j * p, 2.0 * v0 * math.exp(t)) / math.sqrt(2.0 * v0 * math.exp(t))
-            for t in np.atleast_1d(x)
+            for t in np.ravel(x)
         ]).reshape(np.shape(x))
     if fam.tag == CMORSE:
         c1, c2 = fam.p("c1"), fam.p("c2")

@@ -152,11 +152,12 @@ def _branches(spec: PotentialSpec, qn: QuantumNumbers) -> list:
         nd = qn.n - qn.l
         h2n = hb * hb * Np * Np
         h2d = hb * hb * nd * nd
-        return [
-            (h2n * b, m * (d1 + d2) ** 2 - h2n * m * om * om),
+        # at n = l the difference branch is the square of its linear factor,
+        # whose root is listed once per copy of the double root
+        diff = [(2.0 * a, d2 - d1)] * 2 if nd == 0 else [
             (4.0 * a * a * m, 4.0 * a * m * (d2 - d1) + h2d * b,
-             m * (d1 - d2) ** 2 - h2d * m * om * om),
-        ]
+             m * (d1 - d2) ** 2 - h2d * m * om * om)]
+        return [(h2n * b, m * (d1 + d2) ** 2 - h2n * m * om * om), *diff]
     if fam == "DIV_V1":
         hq = _quantum_unit(sp)
         k1, k2 = spec.c("k1"), spec.c("k2")
@@ -218,9 +219,10 @@ def quantization_residual(spec: PotentialSpec, qn: QuantumNumbers, E) -> float:
     return min(res)
 
 
-def _gap_pair(lhs, rhs):
-    """(|lhs - rhs|, |lhs + rhs|) normalized by the larger side."""
-    sc = max(abs(lhs), abs(rhs), 1e-300)
+def _gap_pair(lhs, rhs, floor=1e-300):
+    """(|lhs - rhs|, |lhs + rhs|) normalized by the larger side, or by
+    ``floor`` if that is larger."""
+    sc = max(abs(lhs), abs(rhs), floor)
     return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
 
 
@@ -247,8 +249,9 @@ def _unsquared_gap(spec: PotentialSpec, qn: QuantumNumbers, E: float):
             if m * om * om - b * E <= 0:
                 return (math.nan, math.nan)
             den = hb * math.sqrt(m * om * om - b * E)
-            g1 = _gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0)
-            g2 = _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l))
+            # both sides are pure numbers; a unit scale keeps n = l (rhs 0) finite
+            g1 = _gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0, 1.0)
+            g2 = _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l), 1.0)
             return min(g1, g2, key=min)
         if fam == "DIV_V1":
             l1, l2 = div1_indices(spec, E)

@@ -24,9 +24,10 @@ from .errors import (
     DivergentNormError,
     GridError,
     NoAdmissibleRootError,
+    ParamError,
     UnsupportedChartError,
 )
-from .geometry import Chart, SpaceParams, metric_diag
+from .geometry import Chart, SpaceParams, chart_transform, metric_diag, sqrt_g
 from .potentials import PotentialSpec, potential_value, separated_problem
 from .spectra import SCHEMES, QuantumNumbers, solve_quantization
 from . import specfun as sf
@@ -95,9 +96,13 @@ def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
-                 shape=(401, 201)):
-    """A sensible rectangular grid for the assembled state."""
+                 shape=None):
+    """A sensible rectangular grid for the assembled state (401x201 unless
+    ``shape`` is given; 301x201 for the DIV_V2 degelliptic2 pullback)."""
     fam = spec.family
+    if _is_pullback(spec, chart_name):
+        n1, n2 = shape or (301, 201)
+        return np.linspace(0.35, 1.6, n1), np.linspace(0.25, math.pi / 4.0 - 0.12, n2)
     s0 = separated_problem(spec, chart_name, qn.l, axis=0)
     lo1, hi1 = s0.window(E, qn.n)
     if fam in ("DIII_V5", "DIII_V2") and chart_name == "uv":
@@ -114,7 +119,7 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         sp = spec.space
         lo1 = max(lo1, math.log(0.3))
         hi2 = min(hi2, math.log(math.exp(lo1) + 1.6 * sp.a / sp.b))
-    n1, n2 = shape
+    n1, n2 = shape or (401, 201)
     return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
 
 
@@ -123,20 +128,25 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
                          root_index: int = 0) -> WaveField:
     """Sample the separated product state on a chart grid.
 
-    The energy defaults to an admissible quantization root (callers select
-    among several with ``energy=`` or ``root_index=``).  The log variables of
-    the hyperbolic chart are sampled directly, i.e. the grid is in
+    The quantum numbers must be counted in the chart's own scheme, except
+    for the DIV_V2 degelliptic2 pullback, whose count does not read it.  The
+    energy defaults to an admissible quantization root (callers select among
+    several with ``energy=`` or ``root_index=``).  The log variables of the
+    hyperbolic chart are sampled directly, i.e. the grid is in
     (x, y) = (ln mu, ln nu) there.
     """
     fam = spec.family
     if chart_name not in SCHEMES.get(fam, ()):
         raise UnsupportedChartError(f"{fam} states are not assembled in {chart_name!r}")
+    if qn.scheme != chart_name and not _is_pullback(spec, chart_name):
+        raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
+                         f"do not label states in chart {chart_name!r}")
     if energy is None:
         energy = pick_energy(spec, qn, root_index)
-    if fam == "DIV_V2" and chart_name == "degelliptic2":
-        return _assemble_pullback(spec, chart_name, qn, grid, energy)
     if grid is None:
         grid = default_grid(spec, chart_name, qn, energy)
+    if _is_pullback(spec, chart_name):
+        return _assemble_pullback(spec, chart_name, qn, grid, energy)
     q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
     s0, f1, f2 = _factor_pair(spec, chart_name, qn, energy)
     v1 = np.asarray(f1(q1))
@@ -149,20 +159,18 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     return WaveField(chart_name, q1, q2, vals, float(energy), qn, spec)
 
 
+def _is_pullback(spec: PotentialSpec, chart_name: str) -> bool:
+    """DIV_V2 is assembled in degelliptic2 by pulling its (u, v) state back."""
+    return spec.family == "DIV_V2" and chart_name == "degelliptic2"
+
+
 def _assemble_pullback(spec, chart_name, qn, grid, energy):
     """Assemble in a chart by pulling the (u, v) state back through the map."""
-    from .geometry import chart_transform
-
-    if grid is None:
-        grid = (np.linspace(0.35, 1.6, 301), np.linspace(0.25, math.pi / 4.0 - 0.12, 201))
     q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
     _, f1, f2 = _factor_pair(spec, "uv", qn, energy)
-    vals = np.empty((len(q1), len(q2)), dtype=complex)
-    for i, w in enumerate(q1):
-        for j, p in enumerate(q2):
-            c = chart_transform(spec.space, Chart(chart_name, w, p), "uv")
-            # the v direction of DIV_V2 is even in v; this patch covers v < 0
-            vals[i, j] = complex(np.asarray(f1(c.q1)).item() * np.asarray(f2(abs(c.q2))).item())
+    c = chart_transform(spec.space, Chart(chart_name, q1[:, None], q2[None, :]), "uv")
+    # the v direction of DIV_V2 is even in v; this patch covers v < 0
+    vals = (np.asarray(f1(c.q1)) * np.asarray(f2(np.abs(c.q2)))).astype(complex)
     return WaveField(chart_name, q1, q2, vals, float(energy), qn, spec)
 
 
@@ -177,12 +185,8 @@ def _sqrtg_grid(space: SpaceParams, chart: str, q1, q2):
         mu = np.exp(q1)[:, None]
         nu = np.exp(q2)[None, :]
         return (space.a + 0.5 * space.b * (mu - nu)) * (mu + nu)
-    out = np.empty((len(q1), len(q2)))
-    for i, x in enumerate(q1):
-        for j, y in enumerate(q2):
-            g11, g22 = metric_diag(space, Chart(chart, x, y))
-            out[i, j] = math.sqrt(abs(g11 * g22))
-    return out
+    w = sqrt_g(space, Chart(chart, q1[:, None], q2[None, :]))
+    return np.broadcast_to(w, (len(q1), len(q2)))
 
 
 def _norm_axis_support(fn, probe, compact=False, thresh=1e-9):
@@ -353,38 +357,21 @@ def hamiltonian_residual(field: WaveField, spec: PotentialSpec | None = None) ->
     d22 = _d2_4(vals, h2, 1)[2:-2, :]
 
     if field.chart == "hyperbolic":
-        mu = np.exp(q1)[2:-2][:, None]
-        nu = np.exp(q2)[2:-2][None, :]
-        f = (sp.a + 0.5 * sp.b * (mu - nu)) * (mu + nu)
-        kin = -hq * (d11 - d22) / f
-        V = _potential_grid(spec, field.chart, np.log(mu[:, 0]), np.log(nu[0, :]), logvars=True)
+        # the grid is in the log variables (ln mu, ln nu)
+        chart = Chart("hyperbolic", np.exp(x1), np.exp(x2))
+    else:
+        chart = Chart(field.chart, x1, x2)
+    g11, _ = metric_diag(sp, chart)
+    if field.chart == "hyperbolic":
+        # f = g11 mu^2 = (a + b (mu - nu)/2)(mu + nu)
+        kin = -hq * (d11 - d22) / (g11 * chart.q1 ** 2)
     elif field.chart == "polar":
         d1 = _d1_4(vals, h1, 0)[:, 2:-2]
-        f = np.empty((len(q1) - 4, len(q2) - 4))
-        for i, r in enumerate(q1[2:-2]):
-            f[i, :] = sp.a + 0.25 * sp.b * r * r
-        kin = -hq * (d11 + d1 / x1 + d22 / x1 ** 2) / f
-        V = _potential_grid(spec, field.chart, q1[2:-2], q2[2:-2])
+        kin = -hq * (d11 + d1 / x1 + d22 / x1 ** 2) / g11
     else:
-        f = np.empty((len(q1) - 4, len(q2) - 4))
-        from .geometry import conformal_factor
-
-        for i, x in enumerate(q1[2:-2]):
-            f[i, :] = conformal_factor(sp, field.chart, x, q2[2:-2])
-        kin = -hq * (d11 + d22) / f
-        V = _potential_grid(spec, field.chart, q1[2:-2], q2[2:-2])
+        kin = -hq * (d11 + d22) / g11
+    V = potential_value(spec, chart)
 
     r = kin + (V - field.energy) * vals[inner]
     scale = max(abs(field.energy), hq) * np.abs(vals[inner]).max()
     return float(np.abs(r).max() / scale)
-
-
-def _potential_grid(spec, chart, q1, q2, logvars=False):
-    out = np.empty((len(q1), len(q2)), dtype=complex)
-    for i, x in enumerate(q1):
-        for j, y in enumerate(q2):
-            if logvars:
-                out[i, j] = potential_value(spec, Chart("hyperbolic", math.exp(x), math.exp(y)))
-            else:
-                out[i, j] = potential_value(spec, Chart(chart, x, y))
-    return out

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -101,8 +102,10 @@ CURV = ["curvature", "--space", "DIV", "--a", "2", "--b", "1"]
     _with("spectrum.json", l="a..b"),
     _with("spectrum.json", n="0..1..2"),
     _with("wavefunction.json", grid="12x"),
+    _with("wavefunction.json", n="x"),
+    _with("wavefunction.json", l="x"),
 ], ids=["grid-12y12", "grid-0x0", "u-range-1", "v-range-0:x", "n-3..1", "l-a..b",
-        "n-0..1..2", "wavefunction-grid-12x"])
+        "n-0..1..2", "wavefunction-grid-12x", "wavefunction-n-x", "wavefunction-l-x"])
 def test_malformed_ranges_and_grids_exit_2(argv, tmp_path, capsys):
     from darboux.cli import main
 
@@ -121,4 +124,36 @@ def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(_with("spectrum.json", **{flag: val}) + ["--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
+    assert not out.exists()
+
+
+def test_wavefunction_pullback_chart(tmp_path):
+    # DIV_V2 is assembled in degelliptic2 by pulling its (u, v) state back
+    out = tmp_path / "w.json"
+    r = run_cli(["wavefunction", "--space", "DIV", "--potential", "V2", "--a", "3", "--b", "1",
+                 "--k1", "2", "--k2", "6", "--k3", "0.5", "--chart", "degelliptic2",
+                 "--grid", "12x12"], out)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["header"]["scheme"] == "degelliptic2"
+    assert len(doc["records"]) == 144
+    assert all(math.isfinite(rec[k]) for rec in doc["records"] for k in ("q1", "q2", "re", "im"))
+
+
+def test_wavefunction_has_no_scheme_option(tmp_path):
+    # the chart fixes the scheme; a polar state at the uv energy is no eigenstate
+    from darboux.cli import main
+
+    argv = _with("wavefunction.json", chart="polar") + ["--scheme", "uv"]
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_classical_singular_start_point_exit_2(tmp_path):
+    out = tmp_path / "c.json"
+    r = run_cli(["classical", "--space", "DIII", "--a", "1", "--b", "1", "--potential", "V2",
+                 "--alpha", "0.3", "--k1", "0.3", "--k2", "0.7", "--q1", "0.3", "--q2", "0.0",
+                 "--p1", "0.7", "--p2", "-0.4", "--t-final", "1"], out)
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "DomainError"
     assert not out.exists()

@@ -14,6 +14,7 @@ from darboux.geometry import (
     curvature_closed,
     curvature_numeric,
     metric_diag,
+    validate_chart,
 )
 
 
@@ -153,3 +154,16 @@ def test_curvature_domain_errors():
         curvature_numeric(sp, Chart("uv", 1e-5, 0.0))  # stencil leaves the domain
     with pytest.raises(DomainError):
         curvature_numeric(SpaceParams(DIII, 1, 1), Chart("polar", 1.0, 0.0))  # not conformal
+
+
+@pytest.mark.parametrize("space, name, q1, q2", [
+    (SpaceParams(DIII, 1.0, 1.0), "polar", [0.5, 1.0, 0.0], [0.1, 0.2, 0.3]),
+    (SpaceParams(DIII, 1.0, 1.0), "hyperbolic", [2.0, 2.0, 0.5], [1.0, 1.0, 4.0]),
+    (SpaceParams(DIV, 3.0, 1.0), "uv", [0.2, 0.4, math.pi / 2], [0.0, 0.0, 0.0]),
+    (SpaceParams(DIV, 3.0, 1.0), "degelliptic2", [0.5, 0.5, 0.5], [0.2, 0.3, 0.8]),
+])
+def test_validate_chart_checks_every_point(space, name, q1, q2):
+    # the last point of each list lies outside the chart domain
+    validate_chart(space, Chart(name, np.array(q1[:2]), np.array(q2[:2])))
+    with pytest.raises(DomainError):
+        validate_chart(space, Chart(name, np.array(q1), np.array(q2)))

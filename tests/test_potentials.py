@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from darboux.errors import ParamError, UnsupportedChartError
+from darboux.errors import DomainError, ParamError, UnsupportedChartError
 from darboux.geometry import DIII, DIV, Chart, SpaceParams, chart_transform
 from darboux.potentials import PotentialSpec, potential_value, separated_problem
 
@@ -132,3 +132,59 @@ def test_separated_descriptor_div_v4():
     want = 0.5 * ((lam0_sq - 0.25) / math.sinh(1.0) ** 2 + (0.81 + 0.25) / math.cosh(1.0) ** 2)
     assert sep.profile(E)(t)[0] == pytest.approx(want)
     assert sep.lam_req(E) == pytest.approx(SP4.a_plus * E - 0.5 * 0.49)
+
+
+# generic couplings per family, and a patch of each chart away from every
+# singular line of the potentials
+COUPLINGS = {
+    "DIII_V1": {"k1": 0.4, "k2": 0.7, "k3": 1.1},
+    "DIII_V2": {"alpha": 0.9, "k1": 0.3, "k2": 0.6},
+    "DIII_V3": {"alpha": 0.5, "c1": 0.8, "c2": 0.6},
+    "DIII_V4": {"d1": 1.0, "d2": 0.5, "omega": 1.0},
+    "DIII_V5": {"v0": 1.2},
+    "DIV_V1": {"alpha": 2.0, "k1": 0.3, "k2": 0.5, "omega": 1.0},
+    "DIV_V2": {"k1": 0.3, "k2": 0.5, "k3": 0.7},
+    "DIV_V3": {"c1": 0.3, "c2": 0.2, "c3": 0.1},
+    "DIV_V4": {"k0": 0.7},
+}
+PATCHES = {
+    ("DIII", "uv"): ((-0.5, 1.0), (0.3, 2.4)),
+    ("DIII", "polar"): ((0.4, 1.5), (0.2, 1.3)),
+    ("DIII", "parabolic"): ((0.3, 1.5), (0.3, 1.5)),
+    ("DIII", "elliptic"): ((0.3, 1.2), (0.2, 1.3)),
+    ("DIII", "hyperbolic"): ((1.5, 3.0), (0.3, 1.2)),
+    ("DIV", "uv"): ((0.3, 1.2), (0.2, 1.0)),
+    ("DIV", "horospherical"): ((0.3, 1.5), (0.3, 1.5)),
+    ("DIV", "degelliptic1"): ((0.3, 1.2), (0.2, 1.3)),
+    ("DIV", "degelliptic2"): ((0.3, 1.2), (0.1, 0.7)),
+    ("DIV", "elliptic"): ((0.3, 1.2), (0.2, 1.3)),
+}
+
+
+def test_array_chart_matches_points_bitwise():
+    pairs = 0
+    for family, coup in COUPLINGS.items():
+        sp = SpaceParams(DIII, 1.3, 0.8) if family.startswith("DIII") else SP4
+        spec = PotentialSpec(sp, family, coup)
+        for (space, name), (r1, r2) in PATCHES.items():
+            if space != sp.family:
+                continue
+            q1, q2 = np.linspace(*r1, 11), np.linspace(*r2, 9)
+            try:
+                grid = potential_value(spec, Chart(name, q1[:, None], q2[None, :]))
+            except UnsupportedChartError:
+                continue
+            points = [[potential_value(spec, Chart(name, float(x), float(y))) for y in q2]
+                      for x in q1]
+            # a value independent of one coordinate broadcasts along it
+            assert np.array_equal(np.broadcast_to(grid, (11, 9)), points), (family, name)
+            pairs += 1
+    assert pairs == 27
+
+
+@pytest.mark.parametrize("chart", [Chart("uv", 0.3, 0.0), Chart("parabolic", 0.0, 0.8),
+                                   Chart("uv", np.array([0.3, 0.4]), np.array([0.5, 0.0]))])
+def test_singular_point_is_a_domain_error(chart):
+    spec = PotentialSpec(SP3, "DIII_V2", {"alpha": 0.3, "k1": 0.3, "k2": 0.7})
+    with pytest.raises(DomainError, match="singular"):
+        potential_value(spec, chart)

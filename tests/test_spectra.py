@@ -16,6 +16,7 @@ from darboux.spectra import (
     quantization_residual,
     solve_quantization,
 )
+from darboux.wavefun import pick_energy
 
 SP1 = SpaceParams(DIII, 1.0, 1.0)
 SP4 = SpaceParams(DIV, 3.0, 1.0)
@@ -110,6 +111,18 @@ def test_v4_equal_index_double_root_residual(a, b, d1, d2):
         assert quantization_residual(spec, qn, rec["E"]) < 1e-12
     double = [r["E"] for r in roots.admissible][1:]
     assert double == [pytest.approx((d1 - d2) / (2.0 * a), rel=1e-7)] * 2
+
+
+def test_v4_equal_index_double_root_is_exact():
+    # the double root comes from the linear factor 2aE - d1 + d2, so both
+    # copies are exact and the unsquared condition holds at n - l = 0
+    spec = PotentialSpec(SpaceParams(DIII, 1.02, 0.97), "DIII_V4",
+                         {"d1": 0.98, "d2": -1.12, "omega": 1.0})
+    qn = QuantumNumbers(0, 0, "hyperbolic")
+    double = solve_quantization(spec, qn).admissible[1:]
+    assert [r["E"] for r in double] == [(0.98 + 1.12) / (2.0 * 1.02)] * 2
+    assert all(r["satisfies_unsquared"] and r["decaying_wavefunction"] for r in double)
+    assert pick_energy(spec, qn) == double[0]["E"]
 
 
 def test_plugback_randomized_quadratics():

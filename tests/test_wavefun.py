@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from darboux.errors import DivergentNormError, NoAdmissibleRootError, UnsupportedChartError
+from darboux.errors import (
+    DivergentNormError,
+    NoAdmissibleRootError,
+    ParamError,
+    UnsupportedChartError,
+)
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec
 from darboux.spectra import QuantumNumbers
@@ -154,3 +159,13 @@ def test_divergent_norm_error():
     f = assemble_bound_state(spec, "uv", QuantumNumbers(0, 1, "uv"), energy=-4.5)
     with pytest.raises(DivergentNormError):
         normalize_weighted(f)
+
+
+def test_scheme_must_match_chart():
+    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.0})
+    with pytest.raises(ParamError):
+        assemble_bound_state(spec, "polar", QuantumNumbers(0, 1, "uv"), energy=-4.5)
+    # the DIV_V2 pullback takes the (u, v) count of its state
+    spec = PotentialSpec(SP4, "DIV_V2", {"k1": 2.0, "k2": 6.0, "k3": 0.5})
+    field = assemble_bound_state(spec, "degelliptic2", QuantumNumbers(0, 0, "uv"))
+    assert field.values.shape == (301, 201)
