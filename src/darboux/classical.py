@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DarbouxError, DomainError, ParamError, UnsupportedError
 from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
@@ -207,6 +206,8 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     and the potential; its gradients are taken by central differences.  A
     trajectory that leaves the chart domain raises BlowupError.
     """
+    from scipy.integrate import solve_ivp
+
     chart0 = state0.chart
     hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
 

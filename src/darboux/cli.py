@@ -3,8 +3,11 @@
 Commands: curvature maps, spectrum tables, wavefunction grids, classical
 diagnostics, and the verification suites.  Outputs are deterministic
 (shortest round-trip decimals in JSON, 17 significant digits in CSV) and
-written atomically.  Exit codes are 0 (success), 2 (validation error), 3 (a
-verification suite failed its tolerance).
+written atomically.  Exit codes are 0 (success), 2 (validation error, or a
+spectrum table none of whose records has a root), 3 (a verification suite
+failed its tolerance, or an internal numerical failure).  A spectrum record
+without a root carries an ``error`` object and empty candidate lists, and the
+header then counts such records in ``failed_records``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DarbouxError, ParamError
+from .errors import DarbouxError, NoRootError, ParamError
 from .geometry import DIII, DIV, Chart, SpaceParams, curvature_closed, curvature_numeric
 from .potentials import FAMILIES, PotentialSpec
 from .spectra import QuantumNumbers, solve_quantization
@@ -162,11 +165,11 @@ def cmd_curvature(args) -> int:
     v_lo, v_hi = _parse_span(args.v_range, (0.0, 1.0))
     us = np.linspace(u_lo, u_hi, n1)
     vs = np.linspace(v_lo, v_hi, n2)
+    gs = curvature_numeric(sp, Chart("uv", *np.meshgrid(us, vs, indexing="ij")), args.step)
     records = []
-    for u in us:
-        for v in vs:
-            g = curvature_numeric(sp, Chart("uv", float(u), float(v)), args.step)
-            records.append({"u": float(u), "v": float(v), "G": g,
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            records.append({"u": float(u), "v": float(v), "G": float(gs[i, j]),
                             "G_closed": curvature_closed(sp, (float(u), float(v)))})
     _emit(args, _header(args, "curvature", grid=args.grid, step=args.step),
           records, columns=["u", "v", "G", "G_closed"])
@@ -179,9 +182,17 @@ def cmd_spectrum(args) -> int:
     ns = _parse_range(args.n)
     ls = _parse_range(args.l)
 
+    failed = []
+
     def one(n, l):
         qn = QuantumNumbers(n, l, scheme)
-        roots = solve_quantization(spec, qn)
+        try:
+            roots = solve_quantization(spec, qn)
+        except NoRootError as exc:
+            # a record without a root does not abort the table
+            failed.append(exc)
+            return {"n": n, "l": l, "candidates_re": [], "candidates_im": [], "admissible": [],
+                    "error": {"type": type(exc).__name__, "message": str(exc)}}
         return {
             "n": n,
             "l": l,
@@ -195,7 +206,10 @@ def cmd_spectrum(args) -> int:
         }
 
     records = [one(n, l) for n in ns for l in ls]
-    _emit(args, _header(args, "spectrum", spec, scheme=scheme), records)
+    if len(failed) == len(records):
+        raise failed[0]
+    extra = {"failed_records": len(failed)} if failed else {}
+    _emit(args, _header(args, "spectrum", spec, scheme=scheme, **extra), records)
     return 0
 
 

@@ -222,27 +222,30 @@ def curvature_closed(space: SpaceParams, point_uv) -> float:
     return -num / f ** 3
 
 
-def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3) -> float:
+def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     """Gaussian curvature G = -(1/2f) Lap ln f by central differences.
 
     Uses the 5-point Laplacian of ln f at steps h and h/2 with one Richardson
-    extrapolation.  Requires a conformal chart; points whose stencil leaves
-    the chart domain raise DomainError.
+    extrapolation.  The chart may hold a grid of points.  Requires a conformal
+    chart; if any point's stencil leaves the chart domain, DomainError.
     """
     validate_chart(space, chart)
     if chart.name not in CONFORMAL_CHARTS[space.family]:
         raise DomainError(f"chart {chart.name!r} is not conformal")
+    # each point's stencil runs along a trailing axis
+    q1, q2 = np.asarray(chart.q1)[..., None], np.asarray(chart.q2)[..., None]
 
     def lap_lnf(h):
         # the stencil points: centre, q1 +- h, q2 +- h
-        pts = replace(chart, q1=chart.q1 + np.array([0.0, h, -h, 0.0, 0.0]),
-                      q2=chart.q2 + np.array([0.0, 0.0, 0.0, h, -h]))
+        pts = replace(chart, q1=q1 + np.array([0.0, h, -h, 0.0, 0.0]),
+                      q2=q2 + np.array([0.0, 0.0, 0.0, h, -h]))
         validate_chart(space, pts)
         f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
         if (f <= 0).any():
             raise DomainError("metric factor not positive inside stencil")
         vals = np.log(f)
-        return (vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * vals[0]) / h ** 2
+        return (vals[..., 1] + vals[..., 2] + vals[..., 3] + vals[..., 4]
+                - 4.0 * vals[..., 0]) / h ** 2
 
     f0 = conformal_factor(space, chart.name, chart.q1, chart.q2, chart.d)
     g_h = -lap_lnf(step) / (2.0 * f0)
@@ -342,7 +345,8 @@ def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
 
     All transforms route through (u, v).  The D_III hyperbolic chart and the
     D_IV degenerate elliptic I chart are complexified sections and support
-    only the identity transform.
+    only the identity transform.  An array chart is mapped only by the
+    identity and by D_IV degelliptic2 -> uv; other maps raise ParamError.
     """
     validate_chart(space, chart)
     if to_name not in CHARTS[space.family]:
@@ -354,6 +358,12 @@ def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
         raise UnsupportedError(
             f"chart {chart.name!r} -> {to_name!r} has no real transform"
         )
+    # only degelliptic2 -> (u, v) is written with numpy; the other maps use
+    # math and cmath, whose values feed the classical flows
+    if (np.ndim(chart.q1) or np.ndim(chart.q2)) and (
+            (space.family, chart.name, to_name) != (DIV, "degelliptic2", "uv")):
+        raise ParamError(f"chart map {chart.name!r} -> {to_name!r} on {space.family} "
+                         "takes a single point, not an array")
     if space.family == DIII:
         u, v = _d3_to_uv(chart)
         out = _d3_from_uv(to_name, u, v, chart.d)

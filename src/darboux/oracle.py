@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParamError, ResolutionError
 from .potentials import PotentialSpec, separated_problem
@@ -44,6 +43,8 @@ class Grid1D:
 
 
 def _solve_once(profile, xs, n_states, hbar, mass):
+    from scipy.linalg import eigh_tridiagonal
+
     h = xs[1] - xs[0]
     inner = xs[1:-1]
     kin = hbar * hbar / (2.0 * mass * h * h)

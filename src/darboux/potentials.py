@@ -383,25 +383,20 @@ def mpt_indices_div(spec: PotentialSpec, E: float):
     return math.sqrt(lp), math.sqrt(lm)
 
 
-def div3_indices(spec: PotentialSpec, E: float, strict=()):
+def div3_indices(spec: PotentialSpec, E):
     """The index roots of DIV_V3 (a_plus carries -c_i, a_minus +c_i).
 
-    Indices whose square goes negative come back as NaN; names listed in
-    ``strict`` raise DomainError instead.
+    E may be an array of energies; each index then has its shape.  Indices
+    whose square goes negative come back as NaN.
     """
     sp = spec.space
     hb2 = sp.hbar ** 2
     out = {}
-    for i, ci in ((1, spec.c("c1")), (2, spec.c("c2")), (3, spec.c("c3"))):
-        for pm, apm, s in (("p", sp.a_plus, -1.0), ("m", sp.a_minus, +1.0)):
-            name = f"{i}{pm}"
-            val = 0.25 + s * ci - 2.0 * sp.mass * apm * E / hb2
-            if val < 0:
-                if name in strict:
-                    raise DomainError(f"lambda_{name}^2 < 0 at E = {E}")
-                out[name] = math.nan
-            else:
-                out[name] = math.sqrt(val)
+    # np.sqrt is correctly rounded like math.sqrt, and NaN below 0
+    with np.errstate(invalid="ignore"):
+        for i, ci in ((1, spec.c("c1")), (2, spec.c("c2")), (3, spec.c("c3"))):
+            for pm, apm, s in (("p", sp.a_plus, -1.0), ("m", sp.a_minus, +1.0)):
+                out[f"{i}{pm}"] = np.sqrt(0.25 + s * ci - 2.0 * sp.mass * apm * E / hb2)
     return out
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, ParamError, PoleError
 
@@ -596,6 +595,8 @@ def model_norm_correction(fam: ModelFamily, n: int) -> float:
     key = (fam.tag, tuple(sorted(fam.params.items())), fam.hbar, fam.mass, n)
     if key in _NORM_CACHE:
         return _NORM_CACHE[key]
+    from scipy.integrate import quad
+
     lo, hi = model_domain(fam)
     if fam.tag == CMORSE:
         val = quad(lambda t: abs(_raw_eigenfunction(fam, n, t)) ** 2, lo, hi, limit=200)[0]

@@ -124,6 +124,9 @@ def _branches(spec: PotentialSpec, qn: QuantumNumbers) -> list:
     fam = spec.family
     a, b, m, hb = sp.a, sp.b, sp.mass, sp.hbar
     if fam == "DIII_V1":
+        if a * a * b * b == 0:
+            raise ParamError(f"DIII_V1 condition divides by (a b)^2, which is 0 at "
+                             f"a = {a!r}, b = {b!r}")
         c = spec.c("k1") ** 2 + spec.c("k2") ** 2
         k3 = spec.c("k3")
         N = effective_count(spec, qn)
@@ -195,9 +198,10 @@ def _polish_poly_root(coeffs, z, steps=8):
     return z
 
 
-def _div3_gaps(spec: PotentialSpec, qn: QuantumNumbers, E: float):
+def _div3_gaps(spec: PotentialSpec, qn: QuantumNumbers, E):
     """The DIV_V3 condition in its two index conventions, (tabulated after its
-    cancellation, separation-consistent closure); NaN where an index is complex."""
+    cancellation, separation-consistent closure); NaN where an index is complex.
+    E may be an array of energies."""
     lam = div3_indices(spec, E)
     nl = 2.0 * (qn.n + qn.l)
     return (nl + lam["1m"] - lam["2m"] - 2.0,
@@ -371,12 +375,11 @@ def _div3_roots(spec: PotentialSpec, qn: QuantumNumbers, n_brackets=1000):
         e_hi = min(0.0, min(top_of(nm) for nm in needs)) - 1e-12
         e_lo = e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2
         es = np.linspace(e_lo, e_hi, n_brackets + 1)
-        vals = np.array([func(e) for e in es])
-        for i in range(n_brackets):
-            va, vb = vals[i], vals[i + 1]
-            if not (np.isfinite(va) and np.isfinite(vb)) or va * vb > 0:
-                continue
-            lo, hi, flo = es[i], es[i + 1], va
+        vals = func(es)
+        va, vb = vals[:-1], vals[1:]
+        # brackets with finite ends and no sign agreement
+        for i in np.flatnonzero(np.isfinite(va) & np.isfinite(vb) & ~(va * vb > 0)):
+            lo, hi, flo = es[i], es[i + 1], va[i]
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = func(mid)

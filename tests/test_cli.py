@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import pathlib
@@ -157,3 +158,94 @@ def test_classical_singular_start_point_exit_2(tmp_path):
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "DomainError"
     assert not out.exists()
+
+
+# the jobs that need numpy only; classical and verify also load scipy.integrate
+NUMPY_ONLY = ("curvature.csv", "spectrum.json", "wavefunction.json")
+
+
+def test_numpy_only_jobs_load_no_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import darboux.cli\n"
+        f"for name, argv in {[(n, JOBS[n]) for n in NUMPY_ONLY]!r}:\n"
+        f"    code = darboux.cli.main(argv + ['--out', {str(tmp_path)!r} + '/' + name])\n"
+        "    assert code == 0, (name, code)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def _import_time_nodes(body):
+    """The statements of a module body that run when it is imported."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for part in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_nodes(getattr(node, part, []))
+
+
+def test_no_module_level_scipy_import():
+    src = pathlib.Path(__file__).parent.parent / "src" / "darboux"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text()).body):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"scipy imported at module level: {offenders}"
+
+
+def test_curvature_stencil_outside_chart_exit_2(tmp_path, capsys):
+    from darboux.cli import main
+
+    # u = 5e-4 is inside D_IV's chart, but its stencil at step 1e-3 is not
+    out = tmp_path / "c.csv"
+    assert main(CURV + ["--grid", "4x3", "--u-range", "0.0005:1", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert not out.exists()
+
+
+def test_diii_v1_degenerate_b_exit_2(tmp_path, capsys):
+    from darboux.cli import main
+
+    # (a b)^2 underflows to 0; the quartic condition is then undefined
+    out = tmp_path / "s.json"
+    argv = ["spectrum", "--space", "DIII", "--potential", "V1", "--a", "1", "--b", "1e-300",
+            "--k3", "0.1", "--scheme", "parabolic", "--n", "0", "--l", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
+    assert not out.exists()
+
+
+DIV3 = ["spectrum", "--space", "DIV", "--potential", "V3", "--a", "3", "--b", "1",
+        "--c1", "0.3", "--c2", "-200", "--c3", "0.2", "--scheme", "degelliptic2", "--l", "0"]
+
+
+def test_spectrum_failed_records_kept(tmp_path, capsys):
+    from darboux.cli import main
+
+    # at these couplings DIV_V3 has a root for n + l <= 5 only
+    full, part = tmp_path / "full.json", tmp_path / "part.json"
+    assert main(DIV3 + ["--n", "0..7", "--out", str(full)]) == 0
+    assert main(DIV3 + ["--n", "0..5", "--out", str(part)]) == 0
+    full_doc, part_doc = json.loads(full.read_text()), json.loads(part.read_text())
+    assert full_doc["header"].pop("failed_records") == 2
+    assert "failed_records" not in part_doc["header"]
+    assert full_doc["header"] == part_doc["header"]
+    assert ([json.dumps(r, sort_keys=True) for r in full_doc["records"][:6]]
+            == [json.dumps(r, sort_keys=True) for r in part_doc["records"]])
+    for rec, n in zip(full_doc["records"][6:], (6, 7)):
+        assert rec == {"n": n, "l": 0, "candidates_re": [], "candidates_im": [],
+                       "admissible": [],
+                       "error": {"type": "NoRootError",
+                                 "message": "DIV_V3 bracket scan found no sign change"}}
+    # a table in which every record fails is an error
+    none = tmp_path / "none.json"
+    assert main(DIV3 + ["--n", "6..7", "--out", str(none)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NoRootError"
+    assert not none.exists()

@@ -167,3 +167,38 @@ def test_validate_chart_checks_every_point(space, name, q1, q2):
     validate_chart(space, Chart(name, np.array(q1[:2]), np.array(q2[:2])))
     with pytest.raises(DomainError):
         validate_chart(space, Chart(name, np.array(q1), np.array(q2)))
+
+
+@pytest.mark.parametrize("space, u_range", [
+    (SpaceParams(DIV, 2.0, 1.0), (0.1 * math.pi / 2, 0.9 * math.pi / 2)),
+    (SpaceParams(DIII, 1.3, 0.7), (-1.0, 1.0)),
+])
+def test_curvature_numeric_grid_matches_points_bitwise(space, u_range):
+    # the 50x50 maps of the curvature command
+    us, vs = np.linspace(*u_range, 50), np.linspace(0.0, 1.0, 50)
+    grid = curvature_numeric(space, Chart("uv", *np.meshgrid(us, vs, indexing="ij")))
+    points = np.array([[curvature_numeric(space, Chart("uv", float(u), float(v))) for v in vs]
+                       for u in us])
+    assert grid.shape == (50, 50)
+    assert grid.tobytes() == points.tobytes()
+
+
+def test_curvature_numeric_grid_domain_error():
+    # one point of the grid is inside the chart, but its stencil is not
+    us = np.array([1e-5, 0.3, 0.6])
+    with pytest.raises(DomainError):
+        curvature_numeric(SpaceParams(DIV, 3.0, 1.0), Chart("uv", us[:, None], np.zeros((1, 2))))
+    curvature_numeric(SpaceParams(DIV, 3.0, 1.0), Chart("uv", us[1:, None], np.zeros((1, 2))))
+
+
+@pytest.mark.parametrize("space, chart, to_name", [
+    (SpaceParams(DIII, 1.0, 1.0), Chart("polar", np.array([1.0, 1.2]), np.array([0.3, 0.4])), "uv"),
+    (SpaceParams(DIII, 1.0, 1.0), Chart("uv", np.array([0.1, 0.2]), 0.3), "parabolic"),
+    (SpaceParams(DIV, 3.0, 1.0), Chart("uv", np.array([0.4, 0.5]), np.array([0.1, 0.2])),
+     "degelliptic2"),
+    (SpaceParams(DIV, 3.0, 1.0), Chart("elliptic", 0.7, np.array([0.8, 0.9])), "uv"),
+])
+def test_chart_transform_array_needs_a_numpy_map(space, chart, to_name):
+    with pytest.raises(ParamError, match=f"'{chart.name}' -> '{to_name}'"):
+        chart_transform(space, chart, to_name)
+

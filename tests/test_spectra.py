@@ -283,3 +283,67 @@ def test_scheme_validation():
     spec = PotentialSpec(SP1, "DIII_V4", {"d1": 1.0, "d2": 1.0, "omega": 1.0})
     with pytest.raises(ParamError):
         solve_quantization(spec, QuantumNumbers(0, 0, "uv"))
+
+
+DIV3 = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
+
+
+@pytest.mark.parametrize("n, l", [(0, 0), (2, 1), (3, 4)])
+def test_div_v3_gaps_on_an_energy_array(n, l):
+    from darboux.potentials import div3_indices
+    from darboux.spectra import _div3_gaps
+
+    qn = QuantumNumbers(n, l, "degelliptic2")
+    # spans energies where some indices are complex (NaN) and where none is
+    es = np.linspace(-1000.0, 100.0, 2201)
+    arr = _div3_gaps(DIV3, qn, es)
+    for k in range(2):
+        one = np.array([_div3_gaps(DIV3, qn, e)[k] for e in es])
+        assert np.isnan(arr[k]).any() and not np.isnan(arr[k]).all()
+        assert np.array_equal(np.isnan(arr[k]), np.isnan(one))
+        assert arr[k][~np.isnan(one)].tobytes() == one[~np.isnan(one)].tobytes()
+    # the indices are the correctly rounded square roots, NaN below 0
+    sp = DIV3.space
+    lam = div3_indices(DIV3, es)
+    for i in (1, 2, 3):
+        for pm, s, apm in (("p", -1.0, sp.a_plus), ("m", 1.0, sp.a_minus)):
+            sq = [0.25 + s * DIV3.c(f"c{i}") - 2.0 * sp.mass * apm * e / sp.hbar ** 2 for e in es]
+            ref = np.array([math.sqrt(v) if v >= 0 else math.nan for v in sq])
+            assert np.array_equal(lam[f"{i}{pm}"], ref, equal_nan=True)
+
+
+# DIV_V3 at DIV3 depends on n + l only: (energy, plug-back residual) for
+# n + l = 0..5, and no root beyond; pinned from the per-energy scalar scan
+DIV3_PINNED = [
+    (-21.064430857609, 1.7711696584880946e-15),
+    (-13.80975642707, 3.4184336637954515e-15),
+    (-8.282606168504, 1.5022075628507752e-14),
+    (-4.273250937797, 3.7728522378254956e-14),
+    (-1.599193620314, 1.1618244225359452e-14),
+    (-0.148859971364, 1.079241252029427e-12),
+]
+
+
+def test_div_v3_pinned_records():
+    from darboux.errors import NoRootError
+
+    for n in range(8):
+        for l in range(8):
+            qn = QuantumNumbers(n, l, "degelliptic2")
+            if n + l >= len(DIV3_PINNED):
+                with pytest.raises(NoRootError):
+                    solve_quantization(DIV3, qn)
+                continue
+            energy, residual = DIV3_PINNED[n + l]
+            roots = solve_quantization(DIV3, qn)
+            assert roots.candidates == [complex(energy)]
+            assert roots.admissible == [{
+                "E": energy, "residual": residual, "sqrt_real": True,
+                "satisfies_unsquared": True, "unsquared_sign": -1,
+                "decaying_wavefunction": True, "admissible": True}]
+
+
+def test_diii_v1_degenerate_b_is_a_param_error():
+    spec = PotentialSpec(SpaceParams(DIII, 1.0, 1e-300), "DIII_V1", {"k3": 0.1})
+    with pytest.raises(ParamError):
+        solve_quantization(spec, QuantumNumbers(0, 0, "parabolic"))
