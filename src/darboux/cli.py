@@ -5,7 +5,8 @@ diagnostics, and the verification suites.  Outputs are deterministic
 (shortest round-trip decimals in JSON, 17 significant digits in CSV) and
 written atomically.  Exit codes are 0 (success), 2 (validation error, or a
 spectrum table none of whose records has a root), 3 (a verification suite
-failed its tolerance, or an internal numerical failure).  A spectrum record
+failed its tolerance) and 4 (an internal error: any exception that is not a
+``DarbouxError``).  Errors go to stderr as one line of JSON.  A spectrum record
 without a root carries an ``error`` object and empty candidate lists, and the
 header then counts such records in ``failed_records``.
 """
@@ -353,9 +354,9 @@ def main(argv=None) -> int:
     except DarbouxError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    except Exception as exc:  # numerical failure surfaces as oracle error
+    except Exception as exc:  # an internal error, apart from a failed verification
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
+        return 4
 
 
 if __name__ == "__main__":

@@ -177,25 +177,48 @@ def _series_2f1(a, b, c, z):
     raise ConvergenceError("2F1 series did not converge")
 
 
+def _terminating_degree(a, b, c):
+    """n when a or b is -n and c is no pole in front of the last term, else None."""
+    for p in (a, b):
+        if _is_nonpos_int(p):
+            n = int(round(-complex(p).real))
+            if not (_is_nonpos_int(c) and -round(complex(c).real) < n):
+                return n
+    return None
+
+
+def _terminating_2f1(a, b, c, z, n, one):
+    """The n + 1 terms of a terminating 2F1, summed from ``one`` (1 in z's type)."""
+    term = total = one
+    for k in range(n):
+        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
+        total = total + term
+    return total
+
+
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z).
 
     Power series for small |z|, Pfaff transformation for z to the left of the
     disk, and the 1-z connection formula near the unit circle.  Terminating
-    cases are summed directly for any z.
+    cases are summed directly for any z, and only there may z be an array:
+    the sum then runs over the whole array, in real arithmetic when a, b, c
+    and z are all real.  A scalar z gives a complex result.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    for p in (a, b):
-        if _is_nonpos_int(p):
-            n = int(round(-p.real))
-            if not (_is_nonpos_int(c) and -round(c.real) < n):
-                term, total = 1.0 + 0.0j, 1.0 + 0.0j
-                for k in range(n):
-                    term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-                    total += term
-                return total
-    if _is_nonpos_int(c):
+    n = _terminating_degree(a, b, c)
+    if n is None and _is_nonpos_int(c):
         raise PoleError("2F1 pole: c is a non-positive integer")
+    if np.ndim(z):
+        if n is None:
+            raise ParamError("2F1 takes an array z only when its series terminates")
+        real = not any(np.iscomplexobj(p) for p in (a, b, c, z))
+        if real:
+            a, b, c = float(a), float(b), float(c)
+        z = np.asarray(z, dtype=float if real else complex)
+        return _terminating_2f1(a, b, c, z, n, np.ones(z.shape, dtype=z.dtype))
+    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    if n is not None:
+        return _terminating_2f1(a, b, c, z, n, 1.0 + 0.0j)
     if abs(z) <= 0.6:
         return _series_2f1(a, b, c, z)
     if z.real < 0:
@@ -542,10 +565,9 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
             / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1.0))
         )
         pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
-        f = np.array([
-            hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, -math.sinh(t) ** 2).real
-            for t in np.ravel(x)
-        ]).reshape(np.shape(x))
+        # math.sinh, not np.sinh: the two differ by an ulp at some points
+        z = np.fromiter((-math.sinh(t) ** 2 for t in np.ravel(x)), float, x.size).reshape(x.shape)
+        f = np.real(hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, z))
         return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
     if fam.tag == MPT_SCATTER:
         k1, k2 = _mpt_k12(fam)

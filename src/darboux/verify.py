@@ -69,18 +69,18 @@ def suite_curvature() -> dict:
                 us = np.linspace(0.15, math.pi / 2 - 0.15, 10)
             sp = SpaceParams(famname, float(a), float(b))
             vs = np.linspace(0.0, 1.0, 10)
-            dev = 0.0
-            for u in us:
-                for v in vs:
-                    gn = curvature_numeric(sp, Chart("uv", float(u), float(v)))
-                    gc = curvature_closed(sp, (float(u), float(v)))
-                    dev = max(dev, abs(gn - gc) / (1.0 + abs(gc)))
+            gn = curvature_numeric(sp, Chart("uv", *np.meshgrid(us, vs, indexing="ij")))
+            # the closed form depends on u only
+            gc = np.array([curvature_closed(sp, (float(u), 0.0)) for u in us])[:, None]
+            dev = float(np.max(np.abs(gn - gc) / (1.0 + np.abs(gc))))
             details.append({"case": f"{famname} a={a:.3f} b={b:.3f}", "dev": dev})
             worst = max(worst, dev)
-    flat = max(abs(curvature_numeric(SpaceParams(DIII, 1.0, 0.0), Chart("uv", u, 0.0)))
-               for u in np.linspace(-1, 1, 20))
-    hyper = max(abs(curvature_numeric(SpaceParams(DIV, 2.0, 1.0), Chart("uv", u, 0.0)) + 1.0)
-                for u in np.linspace(0.2, 1.3, 20))
+    line = np.zeros(20)
+    flat = float(np.max(np.abs(curvature_numeric(SpaceParams(DIII, 1.0, 0.0),
+                                                 Chart("uv", np.linspace(-1, 1, 20), line)))))
+    hyper = float(np.max(np.abs(curvature_numeric(SpaceParams(DIV, 2.0, 1.0),
+                                                  Chart("uv", np.linspace(0.2, 1.3, 20), line))
+                                + 1.0)))
     details.append({"case": "flat_limit", "dev": flat})
     details.append({"case": "hyperboloid_limit", "dev": hyper})
     ok = worst < 1e-6 and flat < 1e-8 and hyper < 1e-8

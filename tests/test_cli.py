@@ -249,3 +249,29 @@ def test_spectrum_failed_records_kept(tmp_path, capsys):
     assert main(DIV3 + ["--n", "6..7", "--out", str(none)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "NoRootError"
     assert not none.exists()
+
+
+def test_internal_error_exit_4(monkeypatch, tmp_path, capsys):
+    import darboux.cli as cli
+
+    def broken(args):
+        raise RuntimeError("not a validation error")
+
+    monkeypatch.setattr(cli, "cmd_curvature", broken)
+    out = tmp_path / "x.csv"
+    assert cli.main(JOBS["curvature.csv"] + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err) == {"error": "RuntimeError", "message": "not a validation error"}
+    assert not out.exists()
+
+
+def test_failed_suite_exit_3(monkeypatch, tmp_path):
+    import darboux.cli as cli
+    import darboux.verify as vf
+
+    monkeypatch.setattr(vf, "suite_spectra",
+                        lambda: {"pass": False, "max_dev": 1.0, "details": []})
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--suite", "spectra", "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["records"][0]["pass"] is False

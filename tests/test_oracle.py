@@ -112,3 +112,21 @@ def test_energy_closure_sharp_minimum():
     assert separated_ode_residual(spec4, "hyperbolic", qn4, -3.0) < 1e-6
     for fac in (0.95, 1.05):
         assert separated_ode_residual(spec4, "hyperbolic", qn4, -3.0 * fac) > 1e-2
+
+
+def test_mpt_bound_building_block_hyp2f1_calls(monkeypatch):
+    # one hyp2f1 call per eigenfunction evaluation: the truncated domain and
+    # the comparison of each level, not one call per grid point
+    fam = sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5})
+    n_max = 3
+    verify_building_block(fam, n_max, n_points=4400)  # warms the norm cache
+    calls = []
+    original = sf.hyp2f1
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sf, "hyp2f1", counted)
+    verify_building_block(fam, n_max, n_points=4400)
+    assert 0 < len(calls) <= 2 * (n_max + 1)
