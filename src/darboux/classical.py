@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DarbouxError, DomainError, ParamError, UnsupportedError
+from .errors import DarbouxError, DomainError, ParamError
+from .families import FAMILIES
 from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
 from .potentials import PotentialSpec, potential_value
 
@@ -204,8 +205,16 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
 
     Returns (times, states).  The Hamiltonian is evaluated from the metric
     and the potential; its gradients are taken by central differences.  A
-    trajectory that leaves the chart domain raises BlowupError.
+    trajectory that leaves the chart domain raises BlowupError.  A t_final
+    or tol that is not finite and positive, fewer than one output sample or
+    a non-finite momentum raises ParamError.
     """
+    if not (math.isfinite(t_final) and t_final > 0 and math.isfinite(tol) and tol > 0):
+        raise ParamError(f"t_final and tol must be finite and positive, got {t_final}, {tol}")
+    if n_out < 1:
+        raise ParamError(f"need at least one output sample, got {n_out}")
+    if not (math.isfinite(state0.p1) and math.isfinite(state0.p2)):
+        raise ParamError("momenta must be finite")
     from scipy.integrate import solve_ivp
 
     chart0 = state0.chart
@@ -243,39 +252,13 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     return sol.t, states
 
 
-# ----------------------------------------------------------------------
-# per-family extra constants of motion
-# ----------------------------------------------------------------------
-
 def residual_constant(spec: PotentialSpec, name: str, state: PhaseState) -> float:
     """Value of a potential-specific constant of motion.
 
     Implemented: DIII_V5 R1, R2, R3 (the coupling corrections in parabolic
     variables added to X1, X2, K) and DIV_V4 R3 = mu p_mu + nu p_nu.
     """
-    sp = spec.space
-    if spec.family == "DIII_V5":
-        if name == "R3":
-            return observable_value(sp, "K", state)
-        st = transform_state(sp, state, "uv") if state.chart.name != "uv" else state
-        par = transform_state(sp, st, "parabolic")
-        xi, eta = par.chart.q1, par.chart.q2
-        hq = sp.hbar ** 2 / (2.0 * sp.mass)
-        v0 = spec.c("v0")
-        den = sp.a + 0.25 * sp.b * (xi * xi + eta * eta)
-        # coupling corrections fixed by the conservation requirement itself
-        if name == "R1":
-            return observable_value(sp, "X1", st) + 0.125 * hq * v0 * v0 * (
-                eta * eta - xi * xi
-            ) / den
-        if name == "R2":
-            return observable_value(sp, "X2", st) + 0.25 * hq * v0 * v0 * xi * eta / den
-    if spec.family == "DIV_V4" and name == "R3":
-        st = state if state.chart.name == "horospherical" else transform_state(
-            sp, state, "horospherical"
-        )
-        return st.chart.q1 * st.p1 + st.chart.q2 * st.p2
-    raise UnsupportedError(f"{spec.family} has no implemented constant {name!r}")
+    return FAMILIES[spec.family].constant(spec, name, state)
 
 
 def drift(values) -> float:

@@ -1,0 +1,1165 @@
+"""One record per superintegrable potential family on D_III and D_IV.
+
+Five families live on D_III (V1..V5) and four on D_IV (V1..V4), after
+Kalnins, Kress, Miller and Winternitz, J. Math. Phys. 44, 5811 (2003).  A
+record holds everything specific to its family: its couplings, its closed
+form per chart, its separations keyed by (chart, axis) with their windows,
+the charts its states are counted and assembled in, its squared quantization
+condition with the unsquared gap and decay rule that judge the roots, its
+continuous dispersion and asymptotic pair, and its extra constants of motion.
+``FAMILIES`` maps each family name to its record.
+
+Energy enters the separated 1D profiles as an effective coupling: on D_III
+through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
+lambda^2 = k^2 - 2 m a_pm E / hbar^2.  What the families share stays in its
+module: the D_IV conformal-factor division in ``potentials``, root finding
+and admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call
+the public functions of those modules through the module, at call time.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
+from .geometry import DIII, DIV, elliptic_cartesian
+from . import potentials, specfun as sf
+
+# An angle in place of a separated second axis: its length, the margin the
+# default grid keeps from its ends, and whether the factor is periodic on it.
+Angle = namedtuple("Angle", "length pad periodic")
+CIRCLE = Angle(2.0 * math.pi, 0.05, True)
+
+
+def _gap_pair(lhs, rhs, floor=1e-300):
+    """(|lhs - rhs|, |lhs + rhs|) normalized by the larger side, or by
+    ``floor`` if that is larger."""
+    sc = max(abs(lhs), abs(rhs), floor)
+    return (abs(lhs - rhs) / sc, abs(lhs + rhs) / sc)
+
+
+def _units(spec):
+    """(a, b, mass, hbar, hbar^2/2m) of the spec's space."""
+    sp = spec.space
+    return sp.a, sp.b, sp.mass, sp.hbar, potentials._quantum_unit(sp)
+
+
+def _model_factor(spec, tag, params, n, scale=1.0):
+    """The level-n eigenfunction of a model family of ``specfun``, at scale * x."""
+    fam = sf.ModelFamily(tag, params, hbar=spec.space.hbar, mass=spec.space.mass)
+    return lambda x: sf.model_eigenfunction(fam, int(n), scale * np.asarray(x))
+
+
+class Family:
+    """A potential family.  Records hold no state (every method takes the
+    PotentialSpec), and the defaults say that a family lacks an operation."""
+
+    space = DIII
+    couplings: tuple = ()
+    nonzero: tuple = ()      # couplings that must not vanish
+    schemes: tuple = ()      # charts its states are counted and assembled in
+    pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
+    angles: dict = {}        # chart -> Angle of its second axis
+    separations: dict = {}   # (chart, axis) -> separated problem
+    transcendental = False   # quantized by a bracket scan rather than by polynomial roots
+
+    @property
+    def name(self):
+        return type(self).__name__
+
+    def form(self, spec, chart):
+        """The potential at the chart points; on D_IV the numerator over the
+        chart's conformal factor, with elliptic points given as their
+        horospherical (mu, nu)."""
+        raise UnsupportedChartError(f"{self.name} has no form in chart {chart.name!r}")
+
+    def separation(self, spec, chart, partner, axis):
+        """The separated 1D problem of one axis of a chart (see ``separated_problem``)."""
+        sep = self.separations.get((chart, axis))
+        if sep is None:
+            raise UnsupportedChartError(
+                f"{self.name} is not separated in chart {chart!r} (axis {axis})")
+        return sep(self, spec, partner, axis)
+
+    def angular_factor(self, spec, chart, qn):
+        """The factor of an angle in ``angles`` that is not separated, or None."""
+        return None
+
+    def count(self, spec, qn):
+        """The composite quantum number entering the squared condition."""
+        raise UnsupportedError(f"no composite count for {self.name}")
+
+    def branches(self, spec, qn):
+        """Coefficient tuples (highest power of E first) of every branch of the
+        squared quantization condition."""
+        raise UnsupportedError(f"{self.name} has no polynomial quantization condition")
+
+    def unsquared_gap(self, spec, qn, E):
+        """(gap with principal signs, gap with flipped sign) of the unsquared
+        condition, both normalized; DomainError when a square root goes complex."""
+        raise UnsupportedError(self.name)
+
+    def decays(self, spec, qn, E):
+        """Does the family's stated decay criterion hold for this root?"""
+        return False
+
+    def dispersion(self, spec, p, aux):
+        raise UnsupportedError(f"{self.name} has no continuous branch")
+
+    def asymptotic(self, spec, qn, branch):
+        raise UnsupportedError(f"{self.name} has no asymptotic pair")
+
+    def constant(self, spec, name, state):
+        raise UnsupportedError(f"{self.name} has no implemented constant {name!r}")
+
+
+# ----------------------------------------------------------------------
+# D_III
+# ----------------------------------------------------------------------
+
+def _omega_of(spec, E: float) -> float:
+    """The D_III effective frequency sqrt(-bE/2m); requires bE < 0."""
+    val = -spec.space.b * E / (2.0 * spec.space.mass)
+    if val <= 0:
+        raise DomainError("effective frequency requires bE < 0")
+    return math.sqrt(val)
+
+
+def _d3_cartesian(chart):
+    """(xi, eta) of a D_III point given in a Cartesian-like chart."""
+    if chart.name == "parabolic":
+        return chart.q1, chart.q2
+    if chart.name == "polar":
+        return chart.q1 * np.cos(chart.q2), chart.q1 * np.sin(chart.q2)
+    return elliptic_cartesian(chart)
+
+
+def _log_window(v0):
+    """Sampling window of a factor in z = 2 v0 e^x."""
+    return (math.log(0.05 / (2.0 * v0)), math.log(12.0 / (2.0 * v0)))
+
+
+class DIIIFamily(Family):
+    """A D_III family; its roots decay when b/a > 0 and E < 0."""
+
+    def decays(self, spec, qn, E):
+        return spec.space.b / spec.space.a > 0 and E < 0
+
+    def norm_probes(self, spec, chart, qn, E, window, n2):
+        """The axes on which the factors' decayed support is sought:
+        (probe 1, probe 2, whether axis 2 is compact)."""
+        lo1, hi1 = window
+        if chart == "parabolic":
+            probe1 = np.linspace(min(-4.0 * abs(lo1), -20.0), max(4.0 * abs(hi1), 20.0), 4001)
+            return probe1, probe1.copy(), False
+        if chart == "hyperbolic":
+            # factor decay confines the support; the sliver where the metric
+            # factor changes sign carries only the decayed tails
+            return np.linspace(-60.0, hi1 + 12.0, 6001), np.linspace(-60.0, 12.0, 6001), False
+        if chart == "uv":
+            probe1 = np.linspace(lo1 - 10.0, hi1 + 10.0, 4001)
+        else:
+            probe1 = np.geomspace(1e-4, 4.0 * hi1, 4001)
+        ang = self.angles[chart]
+        if ang.periodic:
+            return probe1, np.linspace(0.0, ang.length, n2), True
+        return probe1, np.linspace(1e-3, ang.length - 1e-3, 4001), False
+
+
+class DIII_V1(DIIIFamily):
+    """(k1 xi + k2 eta + k3) / (a + b (xi^2 + eta^2)/4), separated in the
+    parabolic chart; its squared condition is a quartic in E."""
+
+    couplings = ("k1", "k2", "k3")
+    schemes = ("parabolic",)
+
+    def form(self, spec, chart):
+        a, b = spec.space.a, spec.space.b
+        k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
+        if chart.name == "uv":
+            e = np.exp(-chart.q1 / 2.0)
+            num = 2.0 * k1 * e * np.cos(chart.q2 / 2.0) + 2.0 * k2 * e * np.sin(chart.q2 / 2.0) + k3
+            return num / (a + b * np.exp(-chart.q1))
+        if chart.name in ("parabolic", "polar", "elliptic"):
+            xi, eta = _d3_cartesian(chart)
+            return (k1 * xi + k2 * eta + k3) / (a + 0.25 * b * (xi * xi + eta * eta))
+        return super().form(spec, chart)
+
+    def _parabolic(self, spec, partner, axis):
+        a, _, m, hb, _ = _units(spec)
+        k_own = spec.c("k1") if axis == 0 else spec.c("k2")
+        k_oth = spec.c("k2") if axis == 0 else spec.c("k1")
+        k3 = spec.c("k3")
+        n_oth = int(partner)
+
+        def profile(E):
+            w = _omega_of(spec, E)
+            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + k_own * np.asarray(x)
+
+        def lam_req(E):
+            w = _omega_of(spec, E)
+            e_oth = -hb * w * (n_oth + 0.5) - k_oth * k_oth / (2.0 * m * w * w)
+            return a * E - k3 - e_oth
+
+        def factor(E, n):
+            w = _omega_of(spec, E)
+            return potentials.ho_flipped_factor(m, hb, w, int(n), shift=k_own / (m * w * w))
+
+        def window(E, n):
+            w = _omega_of(spec, E)
+            half = math.sqrt(18.0 * hb / (m * w))
+            s = k_own / (m * w * w)
+            return (-s - half, -s + half)
+
+        return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+
+    separations = {("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
+
+    def count(self, spec, qn):
+        return qn.n + qn.l + 1.0
+
+    def branches(self, spec, qn):
+        a, b, m, hb, _ = _units(spec)
+        if a * a * b * b == 0:
+            raise ParamError(f"DIII_V1 condition divides by (a b)^2, which is 0 at "
+                             f"a = {a!r}, b = {b!r}")
+        c = spec.c("k1") ** 2 + spec.c("k2") ** 2
+        k3 = spec.c("k3")
+        N = self.count(spec, qn)
+        # squaring a E - k3 + c/(2 m w^2) = -hbar w N with w^2 = -bE/2m gives the
+        # quartic below; squaring either sign branch fixes the constant term
+        # as +c^2/(a b)^2
+        return [(
+            1.0,
+            b * hb * hb * N * N / (2.0 * m * a * a) - 2.0 * k3 / a,
+            -(2.0 * c / (a * b) - k3 * k3 / (a * a)),
+            2.0 * k3 * c / (a * a * b),
+            c * c / (a * a * b * b),
+        )]
+
+    def unsquared_gap(self, spec, qn, E):
+        a, _, m, hb, _ = _units(spec)
+        w = _omega_of(spec, E)
+        c = spec.c("k1") ** 2 + spec.c("k2") ** 2
+        N = self.count(spec, qn)
+        return _gap_pair(a * E - spec.c("k3") + c / (2.0 * m * w * w), hb * w * N)
+
+
+class Shifted(DIIIFamily):
+    """V2, V3 and V5 of D_III, quantized by a E - c = -s hbar w M with an
+    energy shift c and a composite count M.
+
+    Sign convention: the shift c of V2 and V3 is their alpha read as the
+    attractive coupling, the convention of the closed-form spectra.  Their
+    potentials carry "-alpha" in the bracket, so the separations follow the
+    spectral convention for the 1D oracle to close, and the 2D Hamiltonian
+    gate of these two families is exact at alpha = 0.
+    """
+
+    def shift(self, spec):
+        return spec.c("alpha")
+
+    def scale(self, qn):
+        """The s of the condition."""
+        return 1.0
+
+    def _uv(self, spec, partner, axis):
+        """u of the (u, v) chart: a flipped Morse problem."""
+        a, b, m, hb, hq = _units(spec)
+        mu_idx = self._uv_index(spec, partner)
+
+        def profile(E):
+            c1 = self.shift(spec) - a * E
+            return lambda u: (-b * E) * np.exp(-2.0 * np.asarray(u)) + c1 * np.exp(-np.asarray(u))
+
+        def beta(E):
+            return math.sqrt(-8.0 * m * b * E) / hb
+
+        return potentials.Separated1D(
+            (-math.inf, math.inf), profile, lam_req=lambda E: -hq * mu_idx ** 2,
+            factor=lambda E, n: potentials.morse_flipped_factor(beta(E), mu_idx, int(n), sign=-1.0),
+            window=lambda E, n: (math.log(beta(E) / 12.0), math.log(beta(E) / 0.05)))
+
+    def _polar(self, spec, partner, axis):
+        """The radius of the polar chart: a flipped radial oscillator."""
+        a, b, m, hb, hq = _units(spec)
+        lam_ang = self._polar_index(spec, partner)
+        coupling = self.shift(spec)
+
+        def profile(E):
+            return lambda r: (-0.25 * b * E) * np.asarray(r) ** 2 + hq * (
+                lam_ang * lam_ang - 0.25
+            ) / np.asarray(r) ** 2
+
+        def factor(E, n):
+            return potentials.rho_flipped_factor(m, hb, _omega_of(spec, E), lam_ang, int(n))
+
+        def window(E, n):
+            q = m * _omega_of(spec, E) / hb
+            return (0.35 / math.sqrt(q) / math.sqrt(lam_ang + 1.0), math.sqrt(28.0 / q))
+
+        return potentials.Separated1D((0.0, math.inf), profile, lambda E: a * E - coupling,
+                                      factor, window)
+
+    def branches(self, spec, qn):
+        # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
+        a, b, m, hb, _ = _units(spec)
+        c = self.shift(spec)
+        M = self.count(spec, qn)
+        B = self.scale(qn) * hb ** 2 * M * M * b / (2.0 * m)
+        return [(a ** 2, B - 2.0 * a * c, c * c)]
+
+    def unsquared_gap(self, spec, qn, E):
+        w = _omega_of(spec, E)
+        M = self.count(spec, qn)
+        return _gap_pair(spec.space.a * E - self.shift(spec),
+                         math.sqrt(self.scale(qn)) * spec.space.hbar * w * M)
+
+    def asymptotic(self, spec, qn, branch):
+        """'minus' is the deep oscillator-like branch, 'plus' the shallow
+        Coulomb-like one."""
+        a, b, m, hb, _ = _units(spec)
+        al = spec.c("alpha")
+        N = self.count(spec, qn)
+        if branch == "minus":
+            return -b * hb * hb * N * N / (2.0 * m * a * a) + 2.0 * al / a
+        if branch == "plus":
+            return -2.0 * m * al * al / (b * hb * hb * N * N)
+        raise ParamError(f"unknown branch {branch!r}")
+
+
+class DIII_V2(Shifted):
+    """Centrifugal terms (k1^2 - 1/4)/xi^2 and (k2^2 - 1/4)/eta^2 minus alpha,
+    over the D_III factor; the angle of the uv and polar charts carries a
+    Poeschl-Teller factor."""
+
+    couplings = ("alpha", "k1", "k2")
+    schemes = ("uv", "polar", "parabolic")
+    angles = {"uv": Angle(math.pi, 0.1, False), "polar": Angle(math.pi / 2.0, 0.05, False)}
+
+    def form(self, spec, chart):
+        a, b, _, _, hq = _units(spec)
+        al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
+        q1, q2 = chart.q1, chart.q2
+        if chart.name == "uv":
+            cen = hq / 4.0 * np.exp(q1) * (
+                (k1 * k1 - 0.25) / np.cos(q2 / 2.0) ** 2
+                + (k2 * k2 - 0.25) / np.sin(q2 / 2.0) ** 2
+            )
+            return (-al + cen) / (a + b * np.exp(-q1))
+        if chart.name == "polar":
+            cen = hq / q1 ** 2 * (
+                (k1 * k1 - 0.25) / np.cos(q2) ** 2 + (k2 * k2 - 0.25) / np.sin(q2) ** 2
+            )
+            return (-al + cen) / (a + 0.25 * b * q1 ** 2)
+        if chart.name in ("parabolic", "elliptic"):
+            xi, eta = _d3_cartesian(chart)
+            cen = hq * ((k1 * k1 - 0.25) / xi ** 2 + (k2 * k2 - 0.25) / eta ** 2)
+            return (-al + cen) / (a + 0.25 * b * (xi * xi + eta * eta))
+        return super().form(spec, chart)
+
+    def _uv_index(self, spec, partner):
+        return 0.5 * (2.0 * int(partner) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
+
+    def _polar_index(self, spec, partner):
+        return 2.0 * int(partner) + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
+
+    def _parabolic(self, spec, partner, axis):
+        """xi or eta > 0: a flipped radial oscillator."""
+        a, _, m, hb, hq = _units(spec)
+        n_oth = int(partner)
+        k_own = abs(spec.c("k1")) if axis == 0 else abs(spec.c("k2"))
+        k_oth = abs(spec.c("k2")) if axis == 0 else abs(spec.c("k1"))
+        coupling = spec.c("alpha")
+
+        def profile(E):
+            w = _omega_of(spec, E)
+            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + hq * (
+                k_own * k_own - 0.25
+            ) / np.asarray(x) ** 2
+
+        def lam_req(E):
+            return a * E - coupling + hb * _omega_of(spec, E) * (2.0 * n_oth + k_oth + 1.0)
+
+        def factor(E, n):
+            return potentials.rho_flipped_factor(m, hb, _omega_of(spec, E), k_own, int(n))
+
+        def window(E, n):
+            q = m * _omega_of(spec, E) / hb
+            hi = math.sqrt(18.0 / q)
+            return (0.3 / math.sqrt(q * hi), hi)
+
+        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, window)
+
+    separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
+                   ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
+
+    def angular_factor(self, spec, chart, qn):
+        if chart not in self.angles:
+            return None
+        return _model_factor(spec, sf.PT, {"alpha": abs(spec.c("k2")), "beta": abs(spec.c("k1"))},
+                             qn.l, 0.5 if chart == "uv" else 1.0)
+
+    def count(self, spec, qn):
+        return 2.0 * qn.n + 2.0 * qn.l + abs(spec.c("k1")) + abs(spec.c("k2")) + 2.0
+
+    def norm_probes(self, spec, chart, qn, E, window, n2):
+        if chart == "parabolic":  # xi, eta > 0
+            probe1 = np.geomspace(1e-4, 4.0 * window[1], 4001)
+            return probe1, probe1.copy(), False
+        return super().norm_probes(spec, chart, qn, E, window, n2)
+
+
+class DIII_V3(Shifted):
+    """The complex c1^2 e^{-i phi} - 2 c2 e^{-2i phi} terms minus alpha; its
+    polar angle is a complex Morse problem with a real spectrum."""
+
+    couplings = ("alpha", "c1", "c2")
+    nonzero = ("c1",)
+    schemes = ("polar",)
+    angles = {"polar": CIRCLE}
+
+    def form(self, spec, chart):
+        a, b, _, _, hq = _units(spec)
+        al, c1, c2 = spec.c("alpha"), spec.c("c1"), spec.c("c2")
+        q1, q2 = chart.q1, chart.q2
+        if chart.name == "uv":
+            cen = hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
+            return (-al + cen) / (a + b * np.exp(-q1))
+        if chart.name == "polar":
+            cen = 4.0 * hq / q1 ** 2 * (
+                c1 * c1 * np.exp(-2j * q2) - 2.0 * c2 * np.exp(-4j * q2)
+            )
+            return (-al + cen) / (a + 0.25 * b * q1 ** 2)
+        if chart.name == "hyperbolic":
+            mu, nu = q1, q2
+            cen = hq * (c1 * c1 / (mu * nu) - c2 * (mu - nu) / (mu * nu) ** 2)
+            return (-al + cen) / (a + 0.5 * b * (mu - nu))
+        return super().form(spec, chart)
+
+    def _cmorse(self, spec):
+        """The couplings (C1, C2) of the complex-Morse family that solves the
+        angular equation.  Requires c2 > 0 (else the effective index is complex)."""
+        c1, c2 = spec.c("c1"), spec.c("c2")
+        if c2 <= 0:
+            raise ParamError("DIII_V3 separation implemented for c2 > 0")
+        return math.sqrt(c2 / 2.0), c1 * c1 / 8.0
+
+    def _polar_index(self, spec, l):
+        """The angular index lambda(l)."""
+        C1, C2 = self._cmorse(spec)
+        ratio = 2.0 * C2 / C1  # = c1^2 / (2 sqrt(2 c2))
+        return abs(2.0 * (ratio - int(l) - 0.5))
+
+    def _angle(self, spec, partner, axis):
+        """The polar angle phi: the complex Morse family in 2 phi."""
+        hq = potentials._quantum_unit(spec.space)
+        C1, C2 = self._cmorse(spec)
+
+        def profile(E):
+            return lambda phi: 4.0 * hq * (
+                spec.c("c1") ** 2 * np.exp(-2j * np.asarray(phi))
+                - 2.0 * spec.c("c2") * np.exp(-4j * np.asarray(phi))
+            )
+
+        return potentials.Separated1D(
+            (0.0, 2.0 * math.pi), profile,
+            lam_req=lambda E: hq * self._polar_index(spec, partner) ** 2,
+            factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0))
+
+    separations = {("polar", 0): Shifted._polar, ("polar", 1): _angle}
+
+    def count(self, spec, qn):
+        return 2.0 * qn.n + self._polar_index(spec, qn.l) + 1.0
+
+
+class DIII_V4(DIIIFamily):
+    """(d1 mu - d2 nu + m w^2 (mu^2 - nu^2)/2) over the hyperbolic conformal
+    factor, separated in (x, y) = (ln mu, ln nu) into two Morse problems.
+
+    Sign convention: the nu-coupling enters the separated pair as -d2 nu,
+    the sign the Morse parameters of the separation require.
+    """
+
+    couplings = ("d1", "d2", "omega")
+    schemes = ("hyperbolic",)
+
+    def form(self, spec, chart):
+        if chart.name != "hyperbolic":
+            return super().form(spec, chart)
+        a, b, m, _, _ = _units(spec)
+        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
+        mu, nu = chart.q1, chart.q2
+        num = d1 * mu - d2 * nu + 0.5 * m * om * om * (mu * mu - nu * nu)
+        return num / ((a + 0.5 * b * (mu - nu)) * (mu + nu))
+
+    def _w2(self, spec, E):
+        """m w^2 - bE, which the Morse pair needs positive."""
+        om = spec.c("omega")
+        w2 = spec.space.mass * om * om - spec.space.b * E
+        if w2 <= 0:
+            raise DomainError("DIII_V4 requires E < m w^2 / b")
+        return w2
+
+    def _v0(self, spec, E):
+        """The Morse parameter v0 = sqrt(m (m w^2 - bE)) / hbar."""
+        return math.sqrt(spec.space.mass * self._w2(spec, E)) / spec.space.hbar
+
+    def _index(self, spec, E, axis, n):
+        """The Morse index s = a~ v0 - n - 1/2 of the axis' factor at level n."""
+        a = spec.space.a
+        num = (a * E - spec.c("d1")) if axis == 0 else -(a * E + spec.c("d2"))
+        return num / self._w2(spec, E) * self._v0(spec, E) - n - 0.5
+
+    def _hyperbolic(self, spec, partner, axis):
+        a, b, m, _, hq = _units(spec)
+        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
+
+        def profile(E):
+            quad = 0.5 * (m * om * om - b * E)
+            lin = (d1 - a * E) if axis == 0 else (d2 + a * E)
+            return lambda x: quad * np.exp(2.0 * np.asarray(x)) + lin * np.exp(np.asarray(x))
+
+        def factor(E, n):
+            s = self._index(spec, E, axis, int(n))
+            return potentials.morse_bound_factor(self._v0(spec, E), s, int(n))
+
+        return potentials.Separated1D(
+            (-math.inf, math.inf), profile,
+            lam_req=lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2,
+            factor=factor, window=lambda E, n: _log_window(self._v0(spec, E)))
+
+    separations = {("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
+
+    def branches(self, spec, qn):
+        # sum branch: m (d1+d2)^2 = hbar^2 (n+l+1)^2 (m w^2 - bE);
+        # difference branch: m (2aE - d1 + d2)^2 = hbar^2 (n-l)^2 (m w^2 - bE)
+        a, b, m, hb, _ = _units(spec)
+        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
+        Np = qn.n + qn.l + 1.0
+        nd = qn.n - qn.l
+        h2n = hb * hb * Np * Np
+        h2d = hb * hb * nd * nd
+        # at n = l the difference branch is the square of its linear factor,
+        # whose root is listed once per copy of the double root
+        diff = [(2.0 * a, d2 - d1)] * 2 if nd == 0 else [
+            (4.0 * a * a * m, 4.0 * a * m * (d2 - d1) + h2d * b,
+             m * (d1 - d2) ** 2 - h2d * m * om * om)]
+        return [(h2n * b, m * (d1 + d2) ** 2 - h2n * m * om * om), *diff]
+
+    def unsquared_gap(self, spec, qn, E):
+        a, _, m, hb, _ = _units(spec)
+        d1, d2 = spec.c("d1"), spec.c("d2")
+        den = hb * math.sqrt(self._w2(spec, E))
+        # both sides are pure numbers; a unit scale keeps n = l (rhs 0) finite
+        g1 = _gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0, 1.0)
+        g2 = _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l), 1.0)
+        return min(g1, g2, key=min)
+
+    def decays(self, spec, qn, E):
+        try:
+            return self._index(spec, E, 0, qn.n) > 0 and self._index(spec, E, 1, qn.l) > 0
+        except DomainError:
+            return False
+
+    def dispersion(self, spec, p, aux):
+        return potentials._quantum_unit(spec.space) * p * p
+
+
+class DIII_V5(Shifted):
+    """The constant hbar^2 v0^2/2m over the D_III factor, separated in the uv,
+    polar, parabolic and hyperbolic charts; the angle carries a plane wave."""
+
+    couplings = ("v0",)
+    schemes = ("uv", "polar", "parabolic", "hyperbolic")
+    angles = {"uv": CIRCLE, "polar": CIRCLE}
+
+    def form(self, spec, chart):
+        a, b, _, _, hq = _units(spec)
+        v0 = spec.c("v0")
+        top = hq * v0 * v0
+        if chart.name == "uv":
+            return top / (a + b * np.exp(-chart.q1))
+        if chart.name in ("polar", "parabolic", "elliptic"):
+            xi, eta = _d3_cartesian(chart)
+            return top / (a + 0.25 * b * (xi * xi + eta * eta))
+        if chart.name == "hyperbolic":
+            return top / (a + 0.5 * b * (chart.q1 - chart.q2))
+        return super().form(spec, chart)
+
+    def shift(self, spec):
+        return potentials._quantum_unit(spec.space) * spec.c("v0") ** 2
+
+    def scale(self, qn):
+        return 0.5 if qn.scheme == "hyperbolic" else 1.0
+
+    def _uv_index(self, spec, partner):
+        return abs(float(partner))
+
+    def _polar_index(self, spec, partner):
+        return abs(int(partner))
+
+    def _parabolic(self, spec, partner, axis):
+        """xi or eta: a flipped oscillator."""
+        a, _, m, hb, _ = _units(spec)
+        n_oth = int(partner)
+        coupling = self.shift(spec)
+
+        def profile(E):
+            w = _omega_of(spec, E)
+            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2
+
+        def window(E, n):
+            hi = math.sqrt(18.0 / (m * _omega_of(spec, E) / hb))
+            return (-hi, hi)
+
+        return potentials.Separated1D(
+            (-math.inf, math.inf), profile,
+            lam_req=lambda E: a * E - coupling + hb * _omega_of(spec, E) * (n_oth + 0.5),
+            factor=lambda E, n: potentials.ho_flipped_factor(m, hb, _omega_of(spec, E), int(n)),
+            window=window)
+
+    def _hyperbolic(self, spec, partner, axis):
+        """x = ln mu: a flipped factor on the growing-exponential side;
+        y = ln nu: a genuine Morse well."""
+        a, b, m, hb, hq = _units(spec)
+        v0c = spec.c("v0")
+        n_oth = int(partner)
+        # the linear coefficient of the profile, in e^x or e^y
+        lin = (lambda E: hq * v0c * v0c - a * E) if axis == 0 else (
+            lambda E: a * E - hq * v0c * v0c)
+
+        def vt_of(E):
+            return math.sqrt(-m * E * b) / hb
+
+        def ktilde(E):
+            return (hq * v0c * v0c - a * E) * math.sqrt(-m / (E * b)) / hb
+
+        def profile(E):
+            return lambda x: (-0.5 * b * E) * np.exp(2.0 * np.asarray(x)) + lin(E) * np.exp(
+                np.asarray(x))
+
+        def factor(E, n):
+            s = ktilde(E) - int(n) - 0.5
+            if axis == 0:
+                return potentials.morse_flipped_factor(2.0 * vt_of(E), s, int(n), sign=+1.0)
+            return potentials.morse_bound_factor(vt_of(E), s, int(n))
+
+        return potentials.Separated1D(
+            (-math.inf, math.inf), profile,
+            lam_req=lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2,
+            factor=factor, window=lambda E, n: _log_window(vt_of(E)))
+
+    separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
+                   ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic,
+                   ("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
+
+    def angular_factor(self, spec, chart, qn):
+        if chart not in self.angles:
+            return None
+        return lambda v: np.exp(1j * qn.l * v)
+
+    def count(self, spec, qn):
+        if qn.scheme == "uv":
+            return 2.0 * qn.n + 2.0 * qn.l + 1.0
+        if qn.scheme == "polar":
+            return 2.0 * qn.n + abs(qn.l) + 1.0
+        return qn.n + qn.l + 1.0  # parabolic and hyperbolic countings
+
+    def asymptotic(self, spec, qn, branch):
+        """'plus' is the deep free-motion-like branch and 'minus' the shallow
+        one, the labels of the closed form."""
+        a, b, _, _, hq = _units(spec)
+        v0 = spec.c("v0")
+        M = self.count(spec, qn)
+        s = self.scale(qn)
+        if branch == "plus":
+            return -hq * s * (b / (a * a)) * (M * M - 2.0 * a * v0 * v0 / (s * b))
+        if branch == "minus":
+            return -hq * v0 ** 4 / (s * b * M * M)
+        raise ParamError(f"unknown branch {branch!r}")
+
+    def constant(self, spec, name, state):
+        """R1, R2, R3: the coupling corrections in parabolic variables added
+        to X1, X2 and K."""
+        from . import classical
+
+        sp = spec.space
+        if name == "R3":
+            return classical.observable_value(sp, "K", state)
+        if name not in ("R1", "R2"):
+            return super().constant(spec, name, state)
+        st = classical.transform_state(sp, state, "uv")
+        par = classical.transform_state(sp, st, "parabolic")
+        xi, eta = par.chart.q1, par.chart.q2
+        hq = sp.hbar ** 2 / (2.0 * sp.mass)
+        v0 = spec.c("v0")
+        den = sp.a + 0.25 * sp.b * (xi * xi + eta * eta)
+        # coupling corrections fixed by the conservation requirement itself
+        if name == "R1":
+            return classical.observable_value(sp, "X1", st) + 0.125 * hq * v0 * v0 * (
+                eta * eta - xi * xi
+            ) / den
+        return classical.observable_value(sp, "X2", st) + 0.25 * hq * v0 * v0 * xi * eta / den
+
+
+# ----------------------------------------------------------------------
+# D_IV
+# ----------------------------------------------------------------------
+
+class DIVFamily(Family):
+    space = DIV
+
+    def norm_probes(self, spec, chart, qn, E, window, n2):
+        """The axes on which the factors' decayed support is sought:
+        (probe 1, probe 2, whether axis 2 is compact)."""
+        if chart == "degelliptic2":
+            return (np.geomspace(1e-3, 25.0, 4001),
+                    np.linspace(1e-3, math.pi / 4.0 - 1e-3, 4001), False)
+        return (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001),
+                np.geomspace(1e-3, 40.0, 4001), False)
+
+
+class DIV_V1(DIVFamily):
+    """Centrifugal k1, k2 terms, minus alpha, plus an oscillator in omega:
+    Poeschl-Teller times Morse in (u, v), two radial oscillators in the
+    horospherical chart."""
+
+    couplings = ("alpha", "k1", "k2", "omega")
+    nonzero = ("omega",)
+    schemes = ("uv", "horospherical")
+
+    def form(self, spec, chart):
+        _, _, m, _, hq = _units(spec)
+        al, k1, k2, om = spec.c("alpha"), spec.c("k1"), spec.c("k2"), spec.c("omega")
+        q1, q2 = chart.q1, chart.q2
+        if chart.name == "uv":
+            return (
+                hq * ((k1 * k1 - 0.25) / np.cos(q1) ** 2 + (k2 * k2 - 0.25) / np.sin(q1) ** 2)
+                - 4.0 * al * np.exp(2.0 * q2)
+                + 8.0 * m * om * om * np.exp(4.0 * q2)
+            )
+        if chart.name in ("horospherical", "elliptic"):
+            return (
+                -al
+                + hq * ((k1 * k1 - 0.25) / q1 ** 2 + (k2 * k2 - 0.25) / q2 ** 2)
+                + 0.5 * m * om * om * (q1 * q1 + q2 * q2)
+            )
+        return super().form(spec, chart)
+
+    def indices(self, spec, E: float):
+        """lambda_1 = sqrt(k1^2 - 2 m a_- E), lambda_2 = sqrt(k2^2 - 2 m a_+ E)."""
+        sp = spec.space
+        l1 = spec.c("k1") ** 2 - 2.0 * sp.mass * sp.a_minus * E / sp.hbar ** 2
+        l2 = spec.c("k2") ** 2 - 2.0 * sp.mass * sp.a_plus * E / sp.hbar ** 2
+        if l1 < 0 or l2 < 0:
+            raise DomainError("DIV_V1 index roots not real at this E")
+        return math.sqrt(l1), math.sqrt(l2)
+
+    def _v_index(self, spec, l: int) -> float:
+        """The Morse index alpha/(2 hbar w) - l - 1/2 of the v problem at level l."""
+        return spec.c("alpha") / (2.0 * spec.space.hbar * spec.c("omega")) - l - 0.5
+
+    def _uv(self, spec, partner, axis):
+        _, _, m, hb, hq = _units(spec)
+        al, om = spec.c("alpha"), spec.c("omega")
+        n_oth = int(partner)
+        if axis == 0:
+            def profile(E):
+                l1, l2 = self.indices(spec, E)
+                return lambda u: hq * (
+                    (l2 * l2 - 0.25) / np.sin(u) ** 2 + (l1 * l1 - 0.25) / np.cos(u) ** 2
+                )
+
+            def lam_req(E):
+                # minus the Morse level of the v problem (doubled-variable convention)
+                s = self._v_index(spec, n_oth)
+                return 2.0 * hb ** 2 / m * s * s
+
+            def factor(E, n):
+                l1, l2 = self.indices(spec, E)
+                return _model_factor(spec, sf.PT, {"alpha": l2, "beta": l1}, n)
+
+            return potentials.Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
+                                          lambda E, n: (0.15, math.pi / 2.0 - 0.15))
+        # v, in the doubled variable x = 2v: a Morse well of mass m/4
+        morse = sf.ModelFamily(
+            sf.MORSE_BOUND,
+            {"v0": 2.0 * m * om / hb, "alpha_t": al / (4.0 * m * om * om)},
+            hbar=hb,
+            mass=m / 4.0,
+        )
+
+        def profile(E):
+            return lambda v: 8.0 * m * om * om * np.exp(4.0 * np.asarray(v)) - 4.0 * al * np.exp(
+                2.0 * np.asarray(v)
+            )
+
+        def lam_req(E):
+            l1, l2 = self.indices(spec, E)
+            return -hq * (2.0 * n_oth + l1 + l2 + 1.0) ** 2
+
+        def factor(E, n):
+            return lambda v: sf.model_eigenfunction(morse, int(n), 2.0 * np.asarray(v))
+
+        def window(E, n):
+            v0m = morse.p("v0")
+            return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
+
+        return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+
+    def _horospherical(self, spec, partner, axis):
+        """mu or nu > 0: a radial oscillator."""
+        _, _, m, hb, hq = _units(spec)
+        al, om = spec.c("alpha"), spec.c("omega")
+        n_oth = int(partner)
+
+        def idx(E):
+            l1, l2 = self.indices(spec, E)
+            return (l1, l2) if axis == 0 else (l2, l1)
+
+        def profile(E):
+            lo, _ = idx(E)
+            return lambda r: 0.5 * m * om * om * np.asarray(r) ** 2 + hq * (
+                lo * lo - 0.25
+            ) / np.asarray(r) ** 2
+
+        def lam_req(E):
+            _, lt = idx(E)
+            return al - hb * om * (2.0 * n_oth + lt + 1.0)
+
+        def factor(E, n):
+            return _model_factor(spec, sf.RHO, {"omega": om, "lam": idx(E)[0]}, n)
+
+        def window(E, n):
+            q = m * om / hb
+            return (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
+
+        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, window)
+
+    separations = {("uv", 0): _uv, ("uv", 1): _uv,
+                   ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
+
+    def count(self, spec, qn):
+        return spec.c("alpha") / (spec.space.hbar * spec.c("omega")) - 2.0 * (qn.n + qn.l + 1.0)
+
+    def branches(self, spec, qn):
+        a, b, _, _, hq = _units(spec)
+        sp = spec.space
+        k1, k2 = spec.c("k1"), spec.c("k2")
+        S = self.count(spec, qn)
+        N = S * S - (k1 * k1 + k2 * k2)
+        Ka = 4.0 * (sp.a_plus * k1 * k1 + sp.a_minus * k2 * k2)
+        return [(b * b, hq * (a * N + Ka), hq * hq * (N * N - 4.0 * k1 * k1 * k2 * k2))]
+
+    def unsquared_gap(self, spec, qn, E):
+        l1, l2 = self.indices(spec, E)
+        return _gap_pair(self.count(spec, qn), l1 + l2)
+
+    def decays(self, spec, qn, E):
+        try:
+            self.indices(spec, E)
+        except DomainError:
+            return False
+        return self.count(spec, qn) > 0 and self._v_index(spec, qn.l) > 0
+
+    def dispersion(self, spec, p, aux):
+        sp = spec.space
+        return potentials._quantum_unit(sp) / sp.a_plus * (p * p + spec.c("k2") ** 2) * 1.0
+
+    def norm_probes(self, spec, chart, qn, E, window, n2):
+        if chart == "horospherical":
+            probe1 = np.geomspace(1e-4, 3.0 * window[1], 4001)
+            return probe1, probe1.copy(), False
+        w2 = potentials.separated_problem(spec, chart, qn.n, axis=1).window(E, qn.l)
+        return (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001),
+                np.linspace(w2[0] - 6.0, w2[1] + 6.0, 4001), False)
+
+
+class DIV_V2(DIVFamily):
+    """Centrifugal k1, k2, k3 terms: Poeschl-Teller times a bound modified
+    Poeschl-Teller in (u, v); its degelliptic2 states are the (u, v) states
+    pulled back."""
+
+    couplings = ("k1", "k2", "k3")
+    schemes = ("uv", "degelliptic2")
+    pullbacks = {"degelliptic2": ((0.35, 1.6), (0.25, math.pi / 4.0 - 0.12))}
+
+    def form(self, spec, chart):
+        if chart.name != "uv":
+            return super().form(spec, chart)
+        k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
+        u, v = chart.q1, chart.q2
+        return potentials._quantum_unit(spec.space) * (
+            (k1 * k1 - 0.25) / np.sinh(v) ** 2
+            - (k2 * k2 - 0.25) / np.cosh(v) ** 2
+            + (k3 * k3 - 0.25) * (1.0 / np.sin(u) ** 2 + 1.0 / np.cos(u) ** 2)
+        )
+
+    def indices(self, spec, E: float):
+        """lambda_pm = sqrt(k3^2 - 2 m a_pm E / hbar^2)."""
+        sp = spec.space
+        k3 = spec.c("k3")
+        lp = k3 * k3 - 2.0 * sp.mass * sp.a_plus * E / sp.hbar ** 2
+        lm = k3 * k3 - 2.0 * sp.mass * sp.a_minus * E / sp.hbar ** 2
+        if lp < 0 or lm < 0:
+            raise DomainError("index sqrt(k3^2 - 2 m a_pm E) not real at this E")
+        return math.sqrt(lp), math.sqrt(lm)
+
+    def _uv(self, spec, partner, axis):
+        _, _, m, hb, hq = _units(spec)
+        k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
+        n_oth = int(partner)
+        mpt_v = sf.ModelFamily(sf.MPT_BOUND, {"eta": k1, "nu": k2}, hbar=hb, mass=m)
+        if axis == 0:
+            def profile(E):
+                lp, lm = self.indices(spec, E)
+                return lambda u: hq * (
+                    (lp * lp - 0.25) / np.sin(u) ** 2 + (lm * lm - 0.25) / np.cos(u) ** 2
+                )
+
+            def lam_req(E):
+                return -sf.model_eigenvalue(mpt_v, n_oth)
+
+            def factor(E, n):
+                lp, lm = self.indices(spec, E)
+                return _model_factor(spec, sf.PT, {"alpha": lp, "beta": lm}, n)
+
+            return potentials.Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
+                                          lambda E, n: (0.15, math.pi / 2.0 - 0.15))
+
+        def profile(E):
+            return lambda v: hq * (
+                (k1 * k1 - 0.25) / np.sinh(v) ** 2 - (k2 * k2 - 0.25) / np.cosh(v) ** 2
+            )
+
+        def lam_req(E):
+            lp, lm = self.indices(spec, E)
+            return -hq * (2.0 * n_oth + lp + lm + 1.0) ** 2
+
+        def factor(E, n):
+            return lambda v: sf.model_eigenfunction(mpt_v, int(n), np.asarray(v))
+
+        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
+                                      lambda E, n: (0.8, 6.5))
+
+    separations = {("uv", 0): _uv, ("uv", 1): _uv}
+
+    def count(self, spec, qn):
+        return abs(spec.c("k2")) - abs(spec.c("k1")) - 2.0 * (qn.n + qn.l) - 2.0
+
+    def branches(self, spec, qn):
+        a, b, m, hb, _ = _units(spec)
+        S2 = self.count(spec, qn)
+        k3 = spec.c("k3")
+        return [(
+            4.0 * m * m * b * b / hb ** 4,
+            2.0 * m * a * S2 * S2 / hb ** 2,
+            S2 * S2 * (S2 * S2 - 4.0 * k3 * k3),
+        )]
+
+    def unsquared_gap(self, spec, qn, E):
+        lp, lm = self.indices(spec, E)
+        return _gap_pair(self.count(spec, qn), lp + lm)
+
+    def decays(self, spec, qn, E):
+        k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
+        if qn.l > (k2 - k1 - 1.0) / 2.0 - 1e-12:
+            return False
+        try:
+            self.indices(spec, E)
+        except DomainError:
+            return False
+        return self.count(spec, qn) > 0
+
+    def dispersion(self, spec, p, aux):
+        sp = spec.space
+        apm = sp.a_minus if aux == "degelliptic" else sp.a_plus
+        return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k3") ** 2)
+
+
+def _div3_gaps(spec, qn, E):
+    """The DIV_V3 condition in its two index conventions, (tabulated after its
+    cancellation, separation-consistent closure); NaN where an index is complex.
+    E may be an array of energies."""
+    lam = potentials.div3_indices(spec, E)
+    nl = 2.0 * (qn.n + qn.l)
+    return (nl + lam["1m"] - lam["2m"] - 2.0,
+            lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0)
+
+
+class DIV_V3(DIVFamily):
+    """The c1, c2, c3 terms of the degenerate elliptic charts: Poeschl-Teller
+    times a bound modified Poeschl-Teller in degelliptic2, quantized by a
+    transcendental condition in the index roots of ``potentials.div3_indices``."""
+
+    couplings = ("c1", "c2", "c3")
+    schemes = ("degelliptic2",)
+    transcendental = True
+
+    def form(self, spec, chart):
+        hq = potentials._quantum_unit(spec.space)
+        c1, c2, c3 = spec.c("c1"), spec.c("c2"), spec.c("c3")
+        q1, q2 = chart.q1, chart.q2
+        if chart.name == "degelliptic2":
+            return hq * (
+                c1 / np.cos(q2) ** 2
+                + c2 / np.cosh(q1) ** 2
+                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2)
+            )
+        if chart.name == "degelliptic1":
+            return hq * (
+                c3 / np.sinh(q1) ** 2
+                + c2 / np.cosh(q1) ** 2
+                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.cos(q2) ** 2)
+            )
+        return super().form(spec, chart)
+
+    def _degelliptic2(self, spec, partner, axis):
+        hq = potentials._quantum_unit(spec.space)
+        n_oth = int(partner)
+        if axis == 1:
+            def profile(E):
+                lam = potentials.div3_indices(spec, E)
+                return lambda p: hq * (
+                    (lam["3m"] ** 2 - 0.25) / np.sin(p) ** 2
+                    + (lam["1m"] ** 2 - 0.25) / np.cos(p) ** 2
+                )
+
+            def lam_req(E):
+                lam = potentials.div3_indices(spec, E)
+                return hq * (lam["2p"] - lam["3p"] - 2.0 * n_oth - 1.0) ** 2
+
+            def factor(E, n):
+                lam = potentials.div3_indices(spec, E)
+                return _model_factor(spec, sf.PT, {"alpha": lam["3m"], "beta": lam["1m"]}, n)
+
+            return potentials.Separated1D((0.0, math.pi / 4.0), profile, lam_req, factor,
+                                          lambda E, n: (0.12, math.pi / 4.0 - 0.02))
+
+        def profile(E):
+            lam = potentials.div3_indices(spec, E)
+            return lambda w: hq * (
+                (lam["3p"] ** 2 - 0.25) / np.sinh(w) ** 2
+                - (lam["2p"] ** 2 - 0.25) / np.cosh(w) ** 2
+            )
+
+        def lam_req(E):
+            lam = potentials.div3_indices(spec, E)
+            return -hq * (2.0 * n_oth + lam["3m"] + lam["1m"] + 1.0) ** 2
+
+        def factor(E, n):
+            lam = potentials.div3_indices(spec, E)
+            return _model_factor(spec, sf.MPT_BOUND, {"eta": lam["3p"], "nu": lam["2p"]}, n)
+
+        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
+                                      lambda E, n: (0.3, 10.0))
+
+    separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
+
+    def gaps(self, spec, qn, E):
+        return _div3_gaps(spec, qn, E)
+
+    def scan_windows(self, spec, qn):
+        """The energies (E_lo, E_hi) scanned for each convention of ``gaps``:
+        below 0 and below the energy where an index it reads turns complex."""
+        sp = spec.space
+        hb2 = sp.hbar ** 2
+
+        def top_of(name):
+            ci = spec.c(f"c{name[0]}")
+            if name[1] == "p":
+                return (0.25 - ci) * hb2 / (2.0 * sp.mass * sp.a_plus)
+            return (0.25 + ci) * hb2 / (2.0 * sp.mass * sp.a_minus)
+
+        scale = hb2 / (2.0 * sp.mass * sp.a_plus)
+        out = []
+        for needs in (("1m", "2m"), ("2p", "3p", "3m", "1m")):
+            e_hi = min(0.0, min(top_of(nm) for nm in needs)) - 1e-12
+            out.append((e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2, e_hi))
+        return out
+
+    def unsquared_gap(self, spec, qn, E):
+        gaps = [1e6 if math.isnan(g) else min(abs(g), 1e6) for g in self.gaps(spec, qn, E)]
+        return tuple(g / (1.0 + g) for g in gaps)
+
+    def decays(self, spec, qn, E):
+        lam = potentials.div3_indices(spec, E)
+        if any(math.isnan(lam[k]) for k in ("2p", "3p", "3m", "1m")):
+            return False
+        return lam["2p"] - lam["3p"] - 2.0 * qn.l - 1.0 > 0
+
+    def dispersion(self, spec, p, aux):
+        sp = spec.space
+        return potentials._quantum_unit(sp) / sp.a_minus * (p * p + 0.25 - spec.c("c3"))
+
+
+class DIV_V4(DIVFamily):
+    """The centrifugal k0 term: a continuous spectrum only, separated in the
+    tau form of the (u, v) chart."""
+
+    couplings = ("k0",)
+
+    def form(self, spec, chart):
+        k0 = spec.c("k0")
+        hq = potentials._quantum_unit(spec.space)
+        q1, q2 = chart.q1, chart.q2
+        if chart.name == "uv":
+            return hq * (k0 * k0 - 0.25) * (1.0 / np.sin(q1) ** 2 + 1.0 / np.cos(q1) ** 2)
+        if chart.name in ("horospherical", "elliptic"):
+            return hq * (k0 * k0 - 0.25) * (1.0 / q1 ** 2 + 1.0 / q2 ** 2)
+        return super().form(spec, chart)
+
+    def _uv(self, spec, partner, axis):
+        """tau, with the partner as the momentum label of the v direction."""
+        sp = spec.space
+        _, _, m, hb, hq = _units(spec)
+        k0 = spec.c("k0")
+        kv = float(partner)
+
+        def lam0(E):
+            val = k0 * k0 - 2.0 * m * sp.a_minus * E / hb ** 2
+            if val < 0:
+                raise DomainError("lambda_0^2 < 0")
+            return math.sqrt(val)
+
+        def profile(E):
+            l0 = lam0(E)
+            return lambda t: hq * (
+                (l0 * l0 - 0.25) / np.sinh(t) ** 2 + (kv * kv + 0.25) / np.cosh(t) ** 2
+            )
+
+        def lam_req(E):
+            return sp.a_plus * E - hq * k0 * k0
+
+        def factor(E, p=None):
+            l0 = lam0(E)
+            pm = math.sqrt(max((2.0 * m * sp.a_plus * E / hb ** 2 - k0 * k0), 1e-12))
+            fam_s = sf.ModelFamily(sf.MPT_SCATTER, {"eta": l0, "nu": 1j * kv}, hbar=hb, mass=m)
+            return lambda t: sf.model_eigenfunction(fam_s, pm, np.asarray(t))
+
+        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
+                                      lambda E, n: (0.1, 8.0))
+
+    separations = {("uv", 0): _uv, ("uv", 1): _uv}
+
+    def dispersion(self, spec, p, aux):
+        sp = spec.space
+        apm = sp.a_minus if aux == "degelliptic" else sp.a_plus
+        return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k0") ** 2)
+
+    def constant(self, spec, name, state):
+        """R3 = mu p_mu + nu p_nu."""
+        from . import classical
+
+        if name != "R3":
+            return super().constant(spec, name, state)
+        st = classical.transform_state(spec.space, state, "horospherical")
+        return st.chart.q1 * st.p1 + st.chart.q2 * st.p2
+
+
+FAMILIES = {rec.name: rec for rec in (DIII_V1(), DIII_V2(), DIII_V3(), DIII_V4(), DIII_V5(),
+                                      DIV_V1(), DIV_V2(), DIV_V3(), DIV_V4())}

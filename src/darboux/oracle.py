@@ -42,7 +42,9 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n_points if n is None else n)
 
 
-def _solve_once(profile, xs, n_states, hbar, mass):
+def _solve_once(profile, xs, n_states, hbar, mass, vectors=True):
+    """The lowest eigenvalues, with their eigenvectors if ``vectors``, and the
+    interior points of xs."""
     from scipy.linalg import eigh_tridiagonal
 
     h = xs[1] - xs[0]
@@ -50,9 +52,8 @@ def _solve_once(profile, xs, n_states, hbar, mass):
     kin = hbar * hbar / (2.0 * mass * h * h)
     diag = 2.0 * kin + np.asarray(profile(inner), dtype=float)
     off = -kin * np.ones(len(inner) - 1)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, n_states - 1))
-    return vals, vecs, inner
+    return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                            select_range=(0, n_states - 1)), inner
 
 
 def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0,
@@ -69,9 +70,10 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0,
     xs1 = grid.points()
     xs2 = grid.points(2 * n - 1)
     xs3 = grid.points(4 * n - 3)
-    e1, v1, in1 = _solve_once(profile, xs1, n_states, hbar, mass)
-    e2, v2, in2 = _solve_once(profile, xs2, n_states, hbar, mass)
-    e3, v3, in3 = _solve_once(profile, xs3, n_states, hbar, mass)
+    # the coarse grid enters only through its eigenvalues
+    e1, in1 = _solve_once(profile, xs1, n_states, hbar, mass, vectors=False)
+    (e2, v2), in2 = _solve_once(profile, xs2, n_states, hbar, mass)
+    (e3, v3), _ = _solve_once(profile, xs3, n_states, hbar, mass)
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     e_rich = (16.0 * r2 - r1) / 15.0

@@ -1,12 +1,12 @@
 """Special functions and the 1D model eigenproblems used by the separations.
 
-Polynomials are evaluated by three-term recurrence, the confluent and Gauss
-hypergeometric functions by power series plus the standard transformations,
-the Whittaker pair through them, and the complex gamma function by a Lanczos
-approximation.  The model families collect the exactly solvable 1D problems
-that appear as separation factors: harmonic and radial harmonic oscillator,
-Poeschl-Teller and modified Poeschl-Teller, Morse (bound and scattering), and
-the complex periodic Morse problem whose spectrum is real.
+Polynomials are evaluated by three-term recurrence, the Gauss hypergeometric
+function by power series plus the standard transformations, and the complex
+gamma function by a Lanczos approximation.  The model families collect the
+exactly solvable 1D problems that appear as separation factors: harmonic and
+radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller (bound
+and scattering), bound Morse, and the complex periodic Morse problem whose
+spectrum is real.
 """
 
 from __future__ import annotations
@@ -63,17 +63,6 @@ def gamma_complex(z):
         x += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
-
-
-def _rgamma(z):
-    """1/Gamma(z); zero at the poles."""
-    z = complex(z)
-    if z.real < 0.5 and abs(z - round(z.real)) < 1e-14 and round(z.real) <= 0:
-        return 0.0 + 0.0j
-    try:
-        return 1.0 / gamma_complex(z)
-    except PoleError:
-        return 0.0 + 0.0j
 
 
 # ----------------------------------------------------------------------
@@ -134,36 +123,6 @@ def orthopoly_eval(family: str, n: int, params, x):
 def _is_nonpos_int(z, tol=1e-12):
     z = complex(z)
     return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
-
-
-def _series_1f1(a, b, z):
-    term = 1.0 + 0.0j
-    total = term
-    for k in range(_MAXTERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        if abs(term) <= _EPS * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError("1F1 series did not converge")
-
-
-def hyp1f1(a, b, z):
-    """Kummer confluent hypergeometric 1F1(a; b; z), complex arguments."""
-    a, b, z = complex(a), complex(b), complex(z)
-    if _is_nonpos_int(b) and not (_is_nonpos_int(a) and -round(a.real) < -round(b.real)):
-        raise PoleError("1F1 pole: b is a non-positive integer")
-    if _is_nonpos_int(a):
-        # terminating series
-        n = int(round(-a.real))
-        term, total = 1.0 + 0.0j, 1.0 + 0.0j
-        for k in range(n):
-            term *= (a + k) * z / ((b + k) * (k + 1.0))
-            total += term
-        return total
-    if z.real < 0:
-        # Kummer transformation avoids cancellation for large negative z
-        return cmath.exp(z) * _series_1f1(b - a, b, -z)
-    return _series_1f1(a, b, z)
 
 
 def _series_2f1(a, b, c, z):
@@ -244,136 +203,6 @@ def hyp2f1(a, b, c, z):
 
 
 # ----------------------------------------------------------------------
-# Whittaker functions
-# ----------------------------------------------------------------------
-
-def whittaker_m(kappa, mu, z):
-    """Whittaker M_{kappa,mu}(z) for z > 0 (complex indices allowed)."""
-    kappa, mu, z = complex(kappa), complex(mu), complex(z)
-    if _is_nonpos_int(1.0 + 2.0 * mu) and not _is_nonpos_int(mu - kappa + 0.5):
-        raise PoleError("Whittaker M pole: 1 + 2 mu is a non-positive integer")
-    return cmath.exp(-0.5 * z) * z ** (mu + 0.5) * hyp1f1(mu - kappa + 0.5, 1.0 + 2.0 * mu, z)
-
-
-def _whittaker_w_asym_pair(kappa, mu, z, kmax=60):
-    """Asymptotic value and derivative of W for large z (optimal truncation)."""
-    total = 1.0 + 0.0j
-    dsum = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    best = abs(term)
-    for k in range(1, kmax):
-        term *= (mu * mu - (kappa - k + 0.5) ** 2) / (k * z)
-        if abs(term) > best:
-            break
-        best = abs(term)
-        total += term
-        dsum += -k * term / z
-        if abs(term) < _EPS * abs(total):
-            break
-    pref = cmath.exp(-0.5 * z) * z ** kappa
-    val = pref * total
-    dval = pref * ((kappa / z - 0.5) * total + dsum)
-    return val, dval
-
-
-_W_CACHE: dict = {}
-
-
-def _whittaker_w_dense(kappa, mu):
-    """Cached dense solution of the Whittaker equation on (0.5, 30]."""
-    from scipy.integrate import solve_ivp
-
-    key = (kappa, mu)
-    sol = _W_CACHE.get(key)
-    if sol is None:
-        z0 = 30.0
-        y0, dy0 = _whittaker_w_asym_pair(kappa, mu, complex(z0))
-        c_mu = mu * mu - 0.25
-
-        def rhs(t, y):
-            f = 0.25 - kappa / t + c_mu / (t * t)
-            fr, fi = f.real, f.imag
-            return [y[2], y[3],
-                    fr * y[0] - fi * y[1],
-                    fr * y[1] + fi * y[0]]
-
-        sol = solve_ivp(rhs, (z0, 0.015), [y0.real, y0.imag, dy0.real, dy0.imag],
-                        rtol=1e-12, atol=1e-300, dense_output=True, method="DOP853")
-        if not sol.success:
-            raise ConvergenceError("Whittaker W integration failed")
-        if len(_W_CACHE) > 256:
-            _W_CACHE.clear()
-        _W_CACHE[key] = sol
-    return sol
-
-
-def whittaker_w(kappa, mu, z):
-    """Whittaker W_{kappa,mu}(z) for z > 0.
-
-    Small z uses the two-M connection formula (nudged off integer 2 mu),
-    moderate z a cached backward integration of the Whittaker equation started
-    on the decaying branch, large z the asymptotic series directly.  Typical
-    accuracy is 1e-9 relative or better; the logarithmic corner (2 mu integer
-    with z < 0.02) degrades to roughly 1e-7.
-    """
-    kappa, mu, z = complex(kappa), complex(mu), complex(z)
-    if z.real <= 0 or abs(z.imag) > 1e-12:
-        raise ConvergenceError("Whittaker W implemented for real z > 0 only")
-    x = z.real
-    if x >= 30.0:
-        return _whittaker_w_asym_pair(kappa, mu, z)[0]
-    if x > 0.02:
-        sol = _whittaker_w_dense(kappa, mu)
-        y = sol.sol(x)
-        return complex(y[0], y[1])
-    if abs(2.0 * mu - round((2.0 * mu).real)) < 1e-9 and abs(mu.imag) < 1e-9:
-        mu = mu + 1e-8 * (1.0 + abs(mu))
-    g = gamma_complex
-    t1 = g(-2.0 * mu) * _rgamma(0.5 - mu - kappa) * whittaker_m(kappa, mu, z)
-    t2 = g(2.0 * mu) * _rgamma(0.5 + mu - kappa) * whittaker_m(kappa, -mu, z)
-    return t1 + t2
-
-
-# ----------------------------------------------------------------------
-# parabolic cylinder function
-# ----------------------------------------------------------------------
-
-def parabolic_cylinder_d(nu, z):
-    """Parabolic cylinder function D_nu(z).
-
-    Integer nu >= 0 reduces to Hermite polynomials for any real z; other
-    orders use the confluent-hypergeometric representation for moderate z and
-    a backward integration of the defining equation started on the z^nu
-    e^{-z^2/4} asymptotic branch for large positive z.
-    """
-    znum = float(z)
-    nuc = complex(nu)
-    if abs(nuc.imag) < 1e-14 and nuc.real >= 0 and abs(nuc.real - round(nuc.real)) < 1e-12:
-        n = int(round(nuc.real))
-        h = orthopoly_eval("hermite", n, (), np.asarray(znum / math.sqrt(2.0)))
-        return 2.0 ** (-n / 2.0) * math.exp(-znum * znum / 4.0) * complex(h)
-    if znum < 0:
-        raise ConvergenceError("non-integer order D_nu implemented for z >= 0 only")
-    if znum * znum / 2.0 <= 8.0:
-        x = znum * znum / 2.0
-        pref = 2.0 ** (nuc / 2.0) * cmath.exp(-x / 2.0)
-        t1 = math.sqrt(math.pi) * _rgamma((1.0 - nuc) / 2.0) * hyp1f1(-nuc / 2.0, 0.5, x)
-        t2 = (
-            math.sqrt(2.0 * math.pi)
-            * znum
-            * _rgamma(-nuc / 2.0)
-            * hyp1f1((1.0 - nuc) / 2.0, 1.5, x)
-        )
-        return pref * (t1 - t2)
-    # larger arguments through the Whittaker reduction
-    return (
-        2.0 ** (nuc / 2.0 + 0.25)
-        * znum ** -0.5
-        * whittaker_w(nuc / 2.0 + 0.25, -0.25, znum * znum / 2.0)
-    )
-
-
-# ----------------------------------------------------------------------
 # model eigenproblems
 # ----------------------------------------------------------------------
 
@@ -383,7 +212,6 @@ PT = "PT"
 MPT_BOUND = "MPT_bound"
 MPT_SCATTER = "MPT_scatter"
 MORSE_BOUND = "Morse_bound"
-MORSE_SCATTER = "Morse_scatter"
 CMORSE = "cMorse"
 
 _BOUND_TAGS = (HO, RHO, PT, MPT_BOUND, MORSE_BOUND, CMORSE)
@@ -398,7 +226,7 @@ class ModelFamily:
       RHO:           omega, lam
       PT:            alpha, beta                (alpha, beta > -1)
       MPT_bound/scatter: eta, nu  (optional sign_eta, sign_nu in {+1,-1})
-      Morse_bound/scatter: v0, alpha_t          (depth V0 and shape alpha~)
+      Morse_bound:   v0, alpha_t                (depth V0 and shape alpha~)
       cMorse:        c1, c2                     (c1 != 0)
     """
 
@@ -408,7 +236,7 @@ class ModelFamily:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in (_BOUND_TAGS + (MPT_SCATTER, MORSE_SCATTER)):
+        if self.tag not in _BOUND_TAGS + (MPT_SCATTER,):
             raise ParamError(f"unknown model family {self.tag!r}")
         p = self.params
         if self.tag == PT and (p["alpha"] <= -1 or p["beta"] <= -1):
@@ -456,7 +284,7 @@ def _check_index(fam, n):
 
 def model_eigenvalue(fam: ModelFamily, n: int) -> float:
     """Closed-form bound-state energy of the model family."""
-    if fam.tag in (MPT_SCATTER, MORSE_SCATTER):
+    if fam.tag == MPT_SCATTER:
         raise IndexError("scattering families have no discrete levels")
     _check_index(fam, n)
     hb, m = fam.hbar, fam.mass
@@ -487,7 +315,7 @@ def model_domain(fam: ModelFamily):
         return (0.0, math.inf)
     if fam.tag == PT:
         return (0.0, math.pi / 2.0)
-    if fam.tag in (MORSE_BOUND, MORSE_SCATTER):
+    if fam.tag == MORSE_BOUND:
         return (-math.inf, math.inf)
     if fam.tag == CMORSE:
         return (0.0, 2.0 * math.pi)
@@ -509,7 +337,7 @@ def model_potential(fam: ModelFamily):
     if fam.tag in (MPT_BOUND, MPT_SCATTER):
         eta, nu = fam.p("eta"), fam.p("nu")
         return lambda x: c * ((eta * eta - 0.25) / np.sinh(x) ** 2 - (nu * nu - 0.25) / np.cosh(x) ** 2)
-    if fam.tag in (MORSE_BOUND, MORSE_SCATTER):
+    if fam.tag == MORSE_BOUND:
         v0, at = fam.p("v0"), fam.p("alpha_t")
         return lambda x: c * v0 * v0 * (np.exp(2.0 * np.asarray(x)) - 2.0 * at * np.exp(np.asarray(x)))
     if fam.tag == CMORSE:
@@ -518,6 +346,7 @@ def model_potential(fam: ModelFamily):
     raise ParamError(f"no potential profile for {fam.tag}")
 
 
+_W_CACHE: dict = {}  # nothing fills it; perfbench/tracer.py reads its size
 _NORM_CACHE: dict = {}
 NORM_DISCREPANCIES: dict = {}
 
@@ -585,17 +414,6 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
             for t in np.ravel(x)
         ]).reshape(np.shape(x))
         return pref * np.cosh(x) ** (2.0 * k1 - 0.5) * np.sinh(x) ** (2.0 * k2 - 0.5) * f
-    if fam.tag == MORSE_SCATTER:
-        v0, at = fam.p("v0"), fam.p("alpha_t")
-        p = float(n)
-        kap = at * v0
-        pref = math.sqrt(p * math.sinh(2.0 * math.pi * p) / (2.0 * math.pi ** 2 * v0)) * abs(
-            gamma_complex(1j * p - kap + 0.5)
-        )
-        return pref * np.array([
-            whittaker_w(kap, 1j * p, 2.0 * v0 * math.exp(t)) / math.sqrt(2.0 * v0 * math.exp(t))
-            for t in np.ravel(x)
-        ]).reshape(np.shape(x))
     if fam.tag == CMORSE:
         c1, c2 = fam.p("c1"), fam.p("c2")
         mu = 2.0 * c2 / c1 - n - 0.5
@@ -658,7 +476,7 @@ def model_eigenfunction(fam: ModelFamily, index, x, normalized: bool = True):
     built-in constant is off).  For the scattering families ``index`` is the
     real momentum label and the delta-normalized prefactor is kept as is.
     """
-    if fam.tag in (MPT_SCATTER, MORSE_SCATTER):
+    if fam.tag == MPT_SCATTER:
         return _raw_eigenfunction(fam, index, x)
     _check_index(fam, index)
     out = _raw_eigenfunction(fam, int(index), x)

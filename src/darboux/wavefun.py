@@ -27,10 +27,10 @@ from .errors import (
     ParamError,
     UnsupportedChartError,
 )
+from .families import FAMILIES
 from .geometry import Chart, SpaceParams, chart_transform, metric_diag, sqrt_g
 from .potentials import PotentialSpec, potential_value, separated_problem
-from .spectra import SCHEMES, QuantumNumbers, solve_quantization
-from . import specfun as sf
+from .spectra import QuantumNumbers, solve_quantization
 
 @dataclass
 class WaveField:
@@ -68,29 +68,12 @@ def pick_energy(spec: PotentialSpec, qn: QuantumNumbers, index: int = 0) -> floa
 
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
-    """The two separation factor callables (axis 0 and axis 1) at energy E."""
-    fam = spec.family
-    hb, m = spec.space.hbar, spec.space.mass
-    if fam == "DIII_V5" and chart_name in ("uv", "polar"):
-        s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-        f0 = s0.factor(E, qn.n)
-        ang = (lambda v: np.exp(1j * qn.l * v)) if chart_name == "uv" else (
-            lambda p: np.exp(1j * qn.l * p)
-        )
-        return s0, f0, ang
-    if fam == "DIII_V2" and chart_name in ("uv", "polar"):
-        s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-        f0 = s0.factor(E, qn.n)
-        pt = sf.ModelFamily(
-            sf.PT,
-            {"alpha": abs(spec.c("k2")), "beta": abs(spec.c("k1"))},
-            hbar=hb, mass=m,
-        )
-        half = 0.5 if chart_name == "uv" else 1.0
-        ang = lambda v: sf.model_eigenfunction(pt, qn.l, half * np.asarray(v))
-        return s0, f0, ang
-    # generic two-axis families
+    """Axis 0's separated problem and the two factor callables (axis 0 and
+    axis 1) at energy E; an angular second axis takes the record's factor."""
     s0 = separated_problem(spec, chart_name, qn.l, axis=0)
+    ang = FAMILIES[spec.family].angular_factor(spec, chart_name, qn)
+    if ang is not None:
+        return s0, s0.factor(E, qn.n), ang
     s1 = separated_problem(spec, chart_name, qn.n, axis=1)
     return s0, s0.factor(E, qn.n), s1.factor(E, qn.l)
 
@@ -98,22 +81,18 @@ def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
-    ``shape`` is given; 301x201 for the DIV_V2 degelliptic2 pullback)."""
-    fam = spec.family
-    if _is_pullback(spec, chart_name):
+    ``shape`` is given; 301x201 for a pulled-back state)."""
+    rec = FAMILIES[spec.family]
+    if chart_name in rec.pullbacks:
         n1, n2 = shape or (301, 201)
-        return np.linspace(0.35, 1.6, n1), np.linspace(0.25, math.pi / 4.0 - 0.12, n2)
-    s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-    lo1, hi1 = s0.window(E, qn.n)
-    if fam in ("DIII_V5", "DIII_V2") and chart_name == "uv":
-        lo2, hi2 = (0.05, 2.0 * math.pi - 0.05) if fam == "DIII_V5" else (0.1, math.pi - 0.1)
-    elif chart_name == "polar":
-        lo2, hi2 = (0.05, 2.0 * math.pi - 0.05) if fam != "DIII_V2" else (0.05, math.pi / 2.0 - 0.05)
+        (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
+        return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
+    lo1, hi1 = separated_problem(spec, chart_name, qn.l, axis=0).window(E, qn.n)
+    ang = rec.angles.get(chart_name)
+    if ang is not None:
+        lo2, hi2 = ang.pad, ang.length - ang.pad
     else:
-        try:
-            lo2, hi2 = separated_problem(spec, chart_name, qn.n, axis=1).window(E, qn.l)
-        except UnsupportedChartError:
-            lo2, hi2 = lo1, hi1
+        lo2, hi2 = separated_problem(spec, chart_name, qn.n, axis=1).window(E, qn.l)
     if chart_name == "hyperbolic":
         # keep a + b(mu - nu)/2 safely positive on the whole grid
         sp = spec.space
@@ -135,17 +114,17 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     hyperbolic chart are sampled directly, i.e. the grid is in
     (x, y) = (ln mu, ln nu) there.
     """
-    fam = spec.family
-    if chart_name not in SCHEMES.get(fam, ()):
-        raise UnsupportedChartError(f"{fam} states are not assembled in {chart_name!r}")
-    if qn.scheme != chart_name and not _is_pullback(spec, chart_name):
+    rec = FAMILIES[spec.family]
+    if chart_name not in rec.schemes:
+        raise UnsupportedChartError(f"{spec.family} states are not assembled in {chart_name!r}")
+    if qn.scheme != chart_name and chart_name not in rec.pullbacks:
         raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
                          f"do not label states in chart {chart_name!r}")
     if energy is None:
         energy = pick_energy(spec, qn, root_index)
     if grid is None:
         grid = default_grid(spec, chart_name, qn, energy)
-    if _is_pullback(spec, chart_name):
+    if chart_name in rec.pullbacks:
         return _assemble_pullback(spec, chart_name, qn, grid, energy)
     q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
     s0, f1, f2 = _factor_pair(spec, chart_name, qn, energy)
@@ -157,11 +136,6 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     if not np.all(np.isfinite(vals)):
         raise GridError("assembled state not finite on this grid")
     return WaveField(chart_name, q1, q2, vals, float(energy), qn, spec)
-
-
-def _is_pullback(spec: PotentialSpec, chart_name: str) -> bool:
-    """DIV_V2 is assembled in degelliptic2 by pulling its (u, v) state back."""
-    return spec.family == "DIV_V2" and chart_name == "degelliptic2"
 
 
 def _assemble_pullback(spec, chart_name, qn, grid, energy):
@@ -210,50 +184,11 @@ def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
 
     Returns None when a factor fails to decay inside its chart domain.
     """
-    fam = spec.family
     s0, f1, f2 = _factor_pair(spec, chart, qn, E)
-    lo1, hi1 = s0.window(E, qn.n)
-    two_pi = 2.0 * math.pi
-    if chart == "uv" and fam.startswith("DIII"):
-        probe1 = np.linspace(lo1 - 10.0, hi1 + 10.0, 4001)
-        if fam == "DIII_V5":
-            a2 = (np.linspace(0.0, two_pi, n2), True)
-        else:
-            a2 = (np.linspace(1e-3, math.pi - 1e-3, 4001), False)
-    elif chart == "polar":
-        probe1 = np.geomspace(1e-4, 4.0 * hi1, 4001)
-        if fam == "DIII_V2":
-            a2 = (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001), False)
-        else:
-            a2 = (np.linspace(0.0, two_pi, n2), True)
-    elif chart == "parabolic":
-        if fam in ("DIII_V1", "DIII_V5"):
-            probe1 = np.linspace(min(-4.0 * abs(lo1), -20.0), max(4.0 * abs(hi1), 20.0), 4001)
-        else:
-            probe1 = np.geomspace(1e-4, 4.0 * hi1, 4001)
-        a2 = (probe1.copy(), False)
-    elif chart == "horospherical":
-        probe1 = np.geomspace(1e-4, 3.0 * hi1, 4001)
-        a2 = (probe1.copy(), False)
-    elif chart == "uv" and fam.startswith("DIV"):
-        probe1 = np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001)
-        if fam == "DIV_V1":
-            w2 = separated_problem(spec, chart, qn.n, axis=1).window(E, qn.l)
-            a2 = (np.linspace(w2[0] - 6.0, w2[1] + 6.0, 4001), False)
-        else:
-            a2 = (np.geomspace(1e-3, 40.0, 4001), False)
-    elif chart == "degelliptic2":
-        probe1 = np.geomspace(1e-3, 25.0, 4001)
-        a2 = (np.linspace(1e-3, math.pi / 4.0 - 1e-3, 4001), False)
-    elif chart == "hyperbolic":
-        # factor decay confines the support; the sliver where the metric
-        # factor changes sign carries only the decayed tails
-        probe1 = np.linspace(-60.0, hi1 + 12.0, 6001)
-        a2 = (np.linspace(-60.0, 12.0, 6001), False)
-    else:
-        raise UnsupportedChartError(chart)
+    probe1, probe2, compact = FAMILIES[spec.family].norm_probes(
+        spec, chart, qn, E, s0.window(E, qn.n), n2)
     r1 = _norm_axis_support(f1, probe1)
-    r2 = _norm_axis_support(f2, a2[0], compact=a2[1])
+    r2 = _norm_axis_support(f2, probe2, compact=compact)
     if r1 is None or r2 is None:
         return None
     return np.linspace(r1[0], r1[1], n1), np.linspace(r2[0], r2[1], n2)

@@ -275,3 +275,46 @@ def test_failed_suite_exit_3(monkeypatch, tmp_path):
     out = tmp_path / "v.json"
     assert cli.main(["verify", "--suite", "spectra", "--out", str(out)]) == 3
     assert json.loads(out.read_text())["records"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    _with("spectrum.json", potential="V9"),
+    _with("spectrum.json", potential="V5") + ["--k1", "1"],
+], ids=["unknown-potential", "coupling-of-another-family"])
+def test_unknown_potential_or_coupling_is_param_error(argv, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "x.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParamError"
+    assert not out.exists()
+
+
+CLASSICAL = JOBS["classical.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    _with("classical.json", **{"t-final": "0"}),
+    _with("classical.json", **{"t-final": "nan"}),
+    _with("classical.json", **{"t-final": "-1"}),
+    _with("classical.json", **{"t-final": "inf"}),
+    _with("classical.json", samples="0"),
+    _with("classical.json", samples="-3"),
+    CLASSICAL + ["--tol", "-1"],
+    CLASSICAL + ["--tol", "0"],
+    CLASSICAL + ["--tol", "nan"],
+    _with("classical.json", p1="nan"),
+    _with("classical.json", p2="inf"),
+], ids=["t-final-0", "t-final-nan", "t-final--1", "t-final-inf", "samples-0", "samples--3",
+        "tol--1", "tol-0", "tol-nan", "p1-nan", "p2-inf"])
+def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "c.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParamError"
+    assert not out.exists()

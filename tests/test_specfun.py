@@ -3,14 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 import darboux.specfun as sf
 from darboux.errors import ParamError, PoleError
 from darboux.specfun import (
     ModelFamily,
     gamma_complex,
-    hyp1f1,
     hyp2f1,
     model_domain,
     model_eigenfunction,
@@ -18,9 +17,6 @@ from darboux.specfun import (
     model_max_index,
     model_potential,
     orthopoly_eval,
-    parabolic_cylinder_d,
-    whittaker_m,
-    whittaker_w,
 )
 
 HB = 1.0
@@ -53,10 +49,8 @@ def test_orthopoly_complex_laguerre():
 
 def test_hypergeometric_examples():
     assert hyp2f1(1.0, 2.7, 2.7, 0.5) == pytest.approx(2.0)
-    assert hyp1f1(1.3, 1.3, 1.0) == pytest.approx(math.e)
     assert hyp2f1(1, 1, 2, 0.5) == pytest.approx(-math.log(0.5) / 0.5, rel=1e-12)
     assert hyp2f1(1, 1, 2, 0.5) == pytest.approx(1.3862943611, rel=1e-9)
-    assert hyp1f1(2.2, 2.2, 1.0) == pytest.approx(math.e)
 
 
 def test_hyp2f1_against_scipy():
@@ -78,60 +72,6 @@ def test_hyp2f1_pole():
         hyp2f1(0.5, 0.7, -2.0, 0.3)
     # terminating numerator protects against the pole
     assert abs(hyp2f1(-1.0, 0.7, -2.0, 0.3) - (1 - 0.7 * 0.3 / (-2))) < 1e-14
-
-
-def test_whittaker_m_examples():
-    assert whittaker_m(0, 0.5, 1.0) == pytest.approx(2 * math.sinh(0.5), rel=1e-12)
-    z = 1e-6
-    assert whittaker_m(0.3, 0.7, z) / z ** 1.2 == pytest.approx(1.0, abs=1e-5)
-    # terminating reduction matches Laguerre form: M_{k,mu}, mu - k + 1/2 = -n
-    n, mu = 2, 0.8
-    kap = mu + 0.5 + n
-    z = 1.7
-    lag = orthopoly_eval("laguerre", n, (2 * mu,), z) / float(
-        np.real(gamma_complex(2 * mu + n + 1) / (gamma_complex(2 * mu + 1) * gamma_complex(n + 1.0)))
-    )
-    ref = math.exp(-z / 2) * z ** (mu + 0.5) * lag
-    assert abs(whittaker_m(kap, mu, z) - ref) < 1e-12 * abs(ref)
-
-
-def test_whittaker_w_asymptotic():
-    z = 40.0
-    val = whittaker_w(0.3, 0.5, z) * math.exp(z / 2) * z ** -0.3
-    assert val == pytest.approx(1.0, abs=1e-2)
-
-
-def test_whittaker_w_ode_oracle():
-    # independent integration of the Whittaker equation from the decaying branch
-    from darboux.specfun import _whittaker_w_asym_pair
-
-    for (k, mu) in [(0.3, 0.7), (-1.2, 0.25), (1.7, 0.5), (2.5, 1.3j)]:
-        y0, dy0 = _whittaker_w_asym_pair(complex(k), complex(mu), complex(45.0))
-
-        def rhs(t, y):
-            f = 0.25 - k / t + (mu * mu - 0.25) / (t * t)
-            return [y[2], y[3], (f * complex(y[0], y[1])).real, (f * complex(y[0], y[1])).imag]
-
-        for z in (0.9, 5.0, 18.0, 30.0):
-            sol = solve_ivp(rhs, (45.0, z), [y0.real, y0.imag, dy0.real, dy0.imag],
-                            rtol=3e-13, atol=1e-300, method="DOP853")
-            ref = complex(sol.y[0, -1], sol.y[1, -1])
-            assert abs(whittaker_w(k, mu, z) - ref) < 1e-8 * abs(ref)
-
-
-def test_parabolic_cylinder_examples():
-    assert parabolic_cylinder_d(0, 2.0) == pytest.approx(math.exp(-1.0))
-    assert parabolic_cylinder_d(1, 1.0) == pytest.approx(math.exp(-0.25))
-    h2 = (4 * (1.5 / math.sqrt(2)) ** 2 - 2)
-    ref = 2 ** -1.0 * math.exp(-1.5 ** 2 / 4) * h2
-    assert abs(parabolic_cylinder_d(2, 1.5) - ref) < 1e-12
-
-
-def test_parabolic_cylinder_recurrence():
-    for nu, z in [(0.5, 1.0), (0.5, 4.5), (2.3, 12.0), (-0.7, 2.0)]:
-        lhs = parabolic_cylinder_d(nu + 1, z)
-        rhs = z * parabolic_cylinder_d(nu, z) - nu * parabolic_cylinder_d(nu - 1, z)
-        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
 def test_model_eigenvalues():
@@ -219,13 +159,6 @@ def test_ode_residuals_bound_families():
     for fam, x, nmax in cases:
         for n in range(nmax + 1):
             assert fd_residual(fam, n, x) < 1e-6
-
-
-def test_morse_scatter_ode_residual():
-    fam = ModelFamily(sf.MORSE_SCATTER, {"v0": 1.0, "alpha_t": 2.5})
-    x = np.linspace(-5, 1.8, 3001)
-    p = 1.3
-    assert fd_residual(fam, p, x, energy=0.5 * p * p) < 1e-6
 
 
 def test_mpt_scatter_ode_residual():
