@@ -41,7 +41,11 @@ class BlowupError(DarbouxError):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """A chart point plus its conjugate momenta."""
+    """A chart point plus its conjugate momenta.
+
+    The point and the momenta may be arrays that broadcast together, one
+    state per entry (see :func:`hamiltonian_value`).
+    """
 
     chart: Chart
     p1: float
@@ -111,13 +115,26 @@ def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float:
     return math.exp(2.0 * v) * (G * pu * pu + D * pv * pv - C * pu * pv)
 
 
-def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None, state: PhaseState) -> float:
-    """The physical Hamiltonian (kinetic + potential) at the state."""
-    g11, g22 = metric_diag(space, state.chart)
-    kin = (state.p1 ** 2 / g11 + state.p2 ** 2 / g22) / (2.0 * space.mass)
-    if spec is None:
-        return kin
-    return kin + float(np.real(potential_value(spec, state.chart)))
+def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
+                      state: PhaseState) -> float | np.ndarray:
+    """The physical Hamiltonian (kinetic + potential) at the state(s).
+
+    The chart point and the momenta may be arrays of states, which give an
+    array of values.  A single state is evaluated as a one-element array and
+    returns a float, bitwise equal to its entry in an array.
+    """
+    xs = (state.chart.q1, state.chart.q2, state.p1, state.p2)
+    single = not any(isinstance(x, np.ndarray) and x.ndim for x in xs)
+    # as a one-element array a single state gets the arithmetic of an array
+    # (x**2 is x*x, not pow)
+    q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single
+                      else (np.asarray(x, dtype=float) for x in xs))
+    chart = replace(state.chart, q1=q1, q2=q2)
+    g11, g22 = metric_diag(space, chart)
+    val = (p1 ** 2 / g11 + p2 ** 2 / g22) / (2.0 * space.mass)
+    if spec is not None:
+        val = val + np.real(potential_value(spec, chart))
+    return float(val[0]) if single else val
 
 
 def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> PhaseState:
@@ -199,18 +216,28 @@ def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
     return out
 
 
+# solve_ivp raises a smaller rtol to this floor, with only a warning
+TOL_FLOOR = 100 * np.finfo(float).eps
+
+
 def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: PhaseState,
                      t_final: float, tol: float = 1e-10, n_out: int = 201):
     """Integrate Hamilton's equations in the state's chart.
 
     Returns (times, states).  The Hamiltonian is evaluated from the metric
-    and the potential; its gradients are taken by central differences.  A
-    trajectory that leaves the chart domain raises BlowupError.  A t_final
-    or tol that is not finite and positive, fewer than one output sample or
-    a non-finite momentum raises ParamError.
+    and the potential; its gradients are taken by central differences, and
+    each right-hand-side call evaluates H once, as an array over the eight
+    shifted states of those differences.  ``tol`` is both the relative and
+    the absolute tolerance.  A trajectory that leaves the chart domain raises
+    BlowupError.  A t_final that is not finite and positive, a tol that is
+    not finite or lies below solve_ivp's relative-tolerance floor of 100
+    machine epsilons, fewer than one output sample or a non-finite momentum
+    raises ParamError.
     """
-    if not (math.isfinite(t_final) and t_final > 0 and math.isfinite(tol) and tol > 0):
-        raise ParamError(f"t_final and tol must be finite and positive, got {t_final}, {tol}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ParamError(f"t_final must be finite and positive, got {t_final}")
+    if not (math.isfinite(tol) and tol >= TOL_FLOOR):
+        raise ParamError(f"tol must be finite and at least {TOL_FLOOR:.3g}, got {tol}")
     if n_out < 1:
         raise ParamError(f"need at least one output sample, got {n_out}")
     if not (math.isfinite(state0.p1) and math.isfinite(state0.p2)):
@@ -220,23 +247,16 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     chart0 = state0.chart
     hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
 
-    def H(y):
-        st = PhaseState(replace(chart0, q1=y[0], q2=y[1]), y[2], y[3])
-        return hamiltonian_value(space, spec, st)
+    # column 2i of the shifted states is y + h_i e_i, column 2i + 1 is y - h_i e_i
+    # (adding 0 * h_j leaves the other coordinates exactly as they are)
+    signs = np.kron(np.eye(4), [1.0, -1.0])
 
     def rhs(t, y):
-        out = np.empty(4)
-        for i in range(4):
-            h = 1e-6 * (1.0 + abs(y[i]))
-            yp, ym = y.copy(), y.copy()
-            yp[i] += h
-            ym[i] -= h
-            d = (H(yp) - H(ym)) / (2.0 * h)
-            if i < 2:
-                out[i + 2] = -d
-            else:
-                out[i - 2] = d
-        return out
+        h = 1e-6 * (1.0 + np.abs(y))
+        q1, q2, p1, p2 = y[:, None] + h[:, None] * signs
+        H = hamiltonian_value(space, spec, PhaseState(replace(chart0, q1=q1, q2=q2), p1, p2))
+        d = (H[0::2] - H[1::2]) / (2.0 * h)
+        return np.array([d[2], d[3], -d[0], -d[1]])
 
     y0 = np.array([chart0.q1, chart0.q2, state0.p1, state0.p2])
     ts = np.linspace(0.0, t_final, n_out)

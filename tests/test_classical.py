@@ -145,3 +145,62 @@ def test_flow_blowup_detection():
     st0 = PhaseState(Chart("polar", 1.0, 0.3), -2.0, 0.0)
     with pytest.raises(BlowupError):
         hamiltonian_flow(SP1, None, st0, 10.0, tol=1e-9)
+
+
+def _random_states(rng, name, lo1, hi1, lo2, hi2, n=40):
+    return PhaseState(Chart(name, rng.uniform(lo1, hi1, n), rng.uniform(lo2, hi2, n)),
+                      rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))
+
+
+@pytest.mark.parametrize("space, spec, name, box", [
+    (SP1, None, "uv", (-1, 1, 0, 6)),
+    (SP1, None, "polar", (0.2, 2, 0, 3)),
+    (SP1, PotentialSpec(SP1, "DIII_V5", {"v0": 1.3}), "uv", (-1, 1, 0, 6)),
+    (SP1, PotentialSpec(SP1, "DIII_V5", {"v0": 1.3}), "parabolic", (0.1, 2, 0.1, 2)),
+    (SP4, None, "uv", (0.25, 1.3, -1, 1)),
+    (SP4, None, "horospherical", (0.2, 2, 0.2, 2)),
+    (SP4, PotentialSpec(SP4, "DIV_V1", {"alpha": 0.4, "k1": 0.7, "k2": 1.1, "omega": 0.5}),
+     "uv", (0.25, 1.3, -1, 1)),
+    (SP4, PotentialSpec(SP4, "DIV_V1", {"alpha": 0.4, "k1": 0.7, "k2": 1.1, "omega": 0.5}),
+     "horospherical", (0.2, 2, 0.2, 2)),
+], ids=["DIII-free-uv", "DIII-free-polar", "DIII_V5-uv", "DIII_V5-parabolic",
+        "DIV-free-uv", "DIV-free-horospherical", "DIV_V1-uv", "DIV_V1-horospherical"])
+def test_hamiltonian_value_array_matches_scalar_bitwise(space, spec, name, box):
+    # the flow differentiates H evaluated as an array; a single state must get
+    # exactly the same value, so that a flow and its records agree
+    sts = _random_states(np.random.default_rng(17), name, *box)
+    vals = hamiltonian_value(space, spec, sts)
+    assert vals.shape == (40,)
+    for i, v in enumerate(vals):
+        st = PhaseState(Chart(name, float(sts.chart.q1[i]), float(sts.chart.q2[i])),
+                        float(sts.p1[i]), float(sts.p2[i]))
+        single = hamiltonian_value(space, spec, st)
+        assert isinstance(single, float)
+        assert single == v, (i, single, v)
+
+
+def test_flow_evaluates_h_once_per_rhs_call(monkeypatch):
+    # one array evaluation of H per right-hand-side call, plus the domain check
+    # at the start; a scalar central difference per coordinate would make 8
+    import scipy.integrate
+
+    import darboux.classical as cl
+
+    calls, nfev = [], []
+    value, solve = cl.hamiltonian_value, scipy.integrate.solve_ivp
+
+    def counted_value(*args):
+        calls.append(1)
+        return value(*args)
+
+    def recorded_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(cl, "hamiltonian_value", counted_value)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded_solve)
+    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 1.3})
+    hamiltonian_flow(SP1, spec, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), 1.0, tol=1e-11)
+    assert nfev and nfev[0] > 0
+    assert len(calls) <= nfev[0] + 1

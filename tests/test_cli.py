@@ -305,10 +305,11 @@ CLASSICAL = JOBS["classical.json"]
     CLASSICAL + ["--tol", "-1"],
     CLASSICAL + ["--tol", "0"],
     CLASSICAL + ["--tol", "nan"],
+    CLASSICAL + ["--tol", "1e-15"],
     _with("classical.json", p1="nan"),
     _with("classical.json", p2="inf"),
 ], ids=["t-final-0", "t-final-nan", "t-final--1", "t-final-inf", "samples-0", "samples--3",
-        "tol--1", "tol-0", "tol-nan", "p1-nan", "p2-inf"])
+        "tol--1", "tol-0", "tol-nan", "tol-1e-15", "p1-nan", "p2-inf"])
 def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
     from darboux.cli import main
 

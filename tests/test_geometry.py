@@ -101,6 +101,35 @@ def test_curvature_closed_examples():
     assert curvature_closed(SpaceParams(DIII, 1, 1), (0.0, 0)) == pytest.approx(-1 / 16)
 
 
+def test_curvature_closed_forms_exact():
+    # sympy proves that the closed forms of curvature_closed equal
+    # G = -(1/2f) d^2/du^2 ln f for the v-independent factor f of each surface,
+    # then the code is checked against the proven expressions
+    import sympy
+
+    u = sympy.symbols("u", real=True)
+    a, b, ap, am = sympy.symbols("a b a_p a_m", positive=True)
+    s2, c2 = sympy.sin(u) ** 2, sympy.cos(u) ** 2
+    surfaces = {
+        DIII: (a * sympy.exp(-u) + b * sympy.exp(-2 * u),
+               lambda f: -a * b * sympy.exp(-3 * u) / (2 * f ** 3),
+               ((1.0, 1.0), (3.0, 1.0), (0.6, 2.2)), np.linspace(-1.2, 1.2, 7)),
+        DIV: (ap / s2 + am / c2,
+              lambda f: -(ap ** 2 / s2 ** 3 + am ** 2 / c2 ** 3
+                          + 3 * ap * am / (s2 ** 2 * c2 ** 2)) / f ** 3,
+              ((2.0, 1.0), (3.0, 1.0), (2.5, 0.4)), np.linspace(0.15, 1.4, 7)),
+    }
+    for fam, (f, closed, params, us) in surfaces.items():
+        curv = closed(f)
+        assert sympy.simplify(curv + sympy.diff(sympy.log(f), u, 2) / (2 * f)) == 0
+        curv_at = sympy.lambdify((u, a, b, ap, am), curv)
+        for aa, bb in params:
+            sp = SpaceParams(fam, aa, bb)
+            for uu in us:
+                ref = curv_at(uu, aa, bb, (aa + 2 * bb) / 4, (aa - 2 * bb) / 4)
+                assert curvature_closed(sp, (float(uu), 0.0)) == pytest.approx(ref, rel=1e-13)
+
+
 def test_chart_roundtrips():
     sp3 = SpaceParams(DIII, 1.3, 0.7)
     cases3 = [Chart("polar", 1.2, 0.8), Chart("parabolic", 0.5, 1.1),

@@ -281,3 +281,18 @@ def _check_mpt_bound_against_mpmath(mp):
         ])
         psi = model_eigenfunction(fam, n, x, normalized=False)
         assert np.max(np.abs(psi - psi_ref) / np.abs(psi_ref)) < 3.6e-13
+
+
+def test_gamma_complex_against_mpmath():
+    # mpmath's Gamma (DLMF §5) at 30 digits, over both half-planes: Re z < 1/2
+    # takes the reflection branch.  Worst relative deviation measured on this
+    # grid: 4.58e-14, at z = 0.75 - 8i; the bound is 10x that, rounded up
+    import mpmath as mp
+
+    worst = 0.0
+    with mp.workdps(30):
+        for x in np.linspace(-5.75, 11.75, 36):  # steps of 1/2, never a pole
+            for y in (-8.0, -2.5, -1.0, -0.25, 0.0, 0.25, 1.0, 2.5, 8.0):
+                ref = complex(mp.gamma(mp.mpc(x, y)))
+                worst = max(worst, abs(gamma_complex(complex(x, y)) - ref) / abs(ref))
+    assert worst < 4.6e-13
