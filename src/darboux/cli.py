@@ -236,10 +236,11 @@ def cmd_classical(args) -> int:
     st0 = PhaseState(Chart(args.chart, args.q1, args.q2), args.p1, args.p2)
     records = []
     ts, traj = hamiltonian_flow(sp, spec, st0, args.t_final, tol=args.tol, n_out=args.samples)
-    for t, st in zip(ts, traj):
+    q1, q2, p1, p2 = np.array([(st.chart.q1, st.chart.q2, st.p1, st.p2) for st in traj]).T
+    hs = hamiltonian_value(sp, spec, PhaseState(Chart(args.chart, q1, q2), p1, p2))
+    for t, st, h in zip(ts, traj, hs):
         rec = {"t": float(t), "q1": st.chart.q1, "q2": st.chart.q2,
-               "p1": st.p1, "p2": st.p2,
-               "H": hamiltonian_value(sp, spec, st)}
+               "p1": st.p1, "p2": st.p2, "H": float(h)}
         if st.chart.name == "uv":
             for obs in ("H0", "X1", "X2", "K"):
                 rec[obs] = observable_value(sp, obs, st)

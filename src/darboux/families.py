@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,6 +138,44 @@ def _d3_cartesian(chart):
     return elliptic_cartesian(chart)
 
 
+def _flipped_ho(spec, partner, k_own, k_oth, c):
+    """A Cartesian axis of D_III: the flipped oscillator in w(E) with linear
+    term k_own x, whose partner axis has the linear coefficient k_oth and the
+    level ``partner``; c is the shift of a E - c in the condition."""
+    a, _, m, hb, _ = _units(spec)
+    n_oth = int(partner)
+
+    def profile(E):
+        w = _omega_of(spec, E)
+        return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + k_own * np.asarray(x)
+
+    def lam_req(E):
+        w = _omega_of(spec, E)
+        e_oth = -hb * w * (n_oth + 0.5) - k_oth * k_oth / (2.0 * m * w * w)
+        return a * E - c - e_oth
+
+    def factor(E, n):
+        # the oscillator solution at level -hbar w (n + 1/2), a growing Gaussian
+        w = _omega_of(spec, E)
+        q, shift, n = m * w / hb, k_own / (m * w * w), int(n)
+
+        def psi(x):
+            y = np.asarray(x, dtype=float) + shift
+            # the real polynomial i^{-n} H_n(i y)
+            flip = np.real(1j ** -n * sf.orthopoly_eval("hermite", n, (), 1j * np.sqrt(q) * y))
+            return flip * np.exp(0.5 * q * y * y)
+
+        return psi
+
+    def window(E, n):
+        w = _omega_of(spec, E)
+        half = math.sqrt(18.0 * hb / (m * w))
+        s = k_own / (m * w * w)
+        return (-s - half, -s + half)
+
+    return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+
+
 def _log_window(v0):
     """Sampling window of a factor in z = 2 v0 e^x."""
     return (math.log(0.05 / (2.0 * v0)), math.log(12.0 / (2.0 * v0)))
@@ -189,32 +228,8 @@ class DIII_V1(DIIIFamily):
         return super().form(spec, chart)
 
     def _parabolic(self, spec, partner, axis):
-        a, _, m, hb, _ = _units(spec)
-        k_own = spec.c("k1") if axis == 0 else spec.c("k2")
-        k_oth = spec.c("k2") if axis == 0 else spec.c("k1")
-        k3 = spec.c("k3")
-        n_oth = int(partner)
-
-        def profile(E):
-            w = _omega_of(spec, E)
-            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + k_own * np.asarray(x)
-
-        def lam_req(E):
-            w = _omega_of(spec, E)
-            e_oth = -hb * w * (n_oth + 0.5) - k_oth * k_oth / (2.0 * m * w * w)
-            return a * E - k3 - e_oth
-
-        def factor(E, n):
-            w = _omega_of(spec, E)
-            return potentials.ho_flipped_factor(m, hb, w, int(n), shift=k_own / (m * w * w))
-
-        def window(E, n):
-            w = _omega_of(spec, E)
-            half = math.sqrt(18.0 * hb / (m * w))
-            s = k_own / (m * w * w)
-            return (-s - half, -s + half)
-
-        return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+        k = (spec.c("k1"), spec.c("k2"))
+        return _flipped_ho(spec, partner, k[axis], k[1 - axis], spec.c("k3"))
 
     separations = {("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
 
@@ -604,23 +619,7 @@ class DIII_V5(Shifted):
 
     def _parabolic(self, spec, partner, axis):
         """xi or eta: a flipped oscillator."""
-        a, _, m, hb, _ = _units(spec)
-        n_oth = int(partner)
-        coupling = self.shift(spec)
-
-        def profile(E):
-            w = _omega_of(spec, E)
-            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2
-
-        def window(E, n):
-            hi = math.sqrt(18.0 / (m * _omega_of(spec, E) / hb))
-            return (-hi, hi)
-
-        return potentials.Separated1D(
-            (-math.inf, math.inf), profile,
-            lam_req=lambda E: a * E - coupling + hb * _omega_of(spec, E) * (n_oth + 0.5),
-            factor=lambda E, n: potentials.ho_flipped_factor(m, hb, _omega_of(spec, E), int(n)),
-            window=window)
+        return _flipped_ho(spec, partner, 0.0, 0.0, self.shift(spec))
 
     def _hyperbolic(self, spec, partner, axis):
         """x = ln mu: a flipped factor on the growing-exponential side;
@@ -723,6 +722,52 @@ class DIVFamily(Family):
                 np.geomspace(1e-3, 40.0, 4001), False)
 
 
+def _index_root(space, k2, apm, E):
+    """The real index sqrt(k2 - 2 m a_pm E / hbar^2); DomainError if it is not."""
+    sq = potentials.index_square(space, k2, apm, E)
+    if sq < 0:
+        raise DomainError(f"index root not real at E = {E!r}: its square is {sq:.6g}")
+    return math.sqrt(sq)
+
+
+def _pt_axis(spec, indices, lam_req, top, window):
+    """A Poeschl-Teller axis on (0, top) whose indices (alpha, beta) =
+    indices(E) sit at its sin and its cos wall."""
+    hq = potentials._quantum_unit(spec.space)
+
+    def profile(E):
+        a, b = indices(E)
+        return lambda u: hq * ((a * a - 0.25) / np.sin(u) ** 2 + (b * b - 0.25) / np.cos(u) ** 2)
+
+    def factor(E, n):
+        a, b = indices(E)
+        return _model_factor(spec, sf.PT, {"alpha": a, "beta": b}, n)
+
+    return potentials.Separated1D((0.0, top), profile, lam_req, factor, lambda E, n: window)
+
+
+def _mpt_axis(spec, partner, indices, pt_indices, window):
+    """A bound modified Poeschl-Teller axis on (0, inf) whose indices
+    (eta, nu) = indices(E) sit at its sinh and its cosh wall; its partner is
+    the Poeschl-Teller axis at level ``partner`` with indices pt_indices(E)."""
+    hq = potentials._quantum_unit(spec.space)
+    n_oth = int(partner)
+
+    def profile(E):
+        p, q = indices(E)
+        return lambda v: hq * ((p * p - 0.25) / np.sinh(v) ** 2 - (q * q - 0.25) / np.cosh(v) ** 2)
+
+    def lam_req(E):
+        a, b = pt_indices(E)
+        return -hq * (2.0 * n_oth + a + b + 1.0) ** 2
+
+    def factor(E, n):
+        p, q = indices(E)
+        return _model_factor(spec, sf.MPT_BOUND, {"eta": p, "nu": q}, n)
+
+    return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, lambda E, n: window)
+
+
 class DIV_V1(DIVFamily):
     """Centrifugal k1, k2 terms, minus alpha, plus an oscillator in omega:
     Poeschl-Teller times Morse in (u, v), two radial oscillators in the
@@ -751,13 +796,10 @@ class DIV_V1(DIVFamily):
         return super().form(spec, chart)
 
     def indices(self, spec, E: float):
-        """lambda_1 = sqrt(k1^2 - 2 m a_- E), lambda_2 = sqrt(k2^2 - 2 m a_+ E)."""
+        """lambda_1 = sqrt(k1^2 - 2 m a_- E / hbar^2), lambda_2 with k2 and a_+."""
         sp = spec.space
-        l1 = spec.c("k1") ** 2 - 2.0 * sp.mass * sp.a_minus * E / sp.hbar ** 2
-        l2 = spec.c("k2") ** 2 - 2.0 * sp.mass * sp.a_plus * E / sp.hbar ** 2
-        if l1 < 0 or l2 < 0:
-            raise DomainError("DIV_V1 index roots not real at this E")
-        return math.sqrt(l1), math.sqrt(l2)
+        return (_index_root(sp, spec.c("k1") ** 2, sp.a_minus, E),
+                _index_root(sp, spec.c("k2") ** 2, sp.a_plus, E))
 
     def _v_index(self, spec, l: int) -> float:
         """The Morse index alpha/(2 hbar w) - l - 1/2 of the v problem at level l."""
@@ -768,23 +810,13 @@ class DIV_V1(DIVFamily):
         al, om = spec.c("alpha"), spec.c("omega")
         n_oth = int(partner)
         if axis == 0:
-            def profile(E):
-                l1, l2 = self.indices(spec, E)
-                return lambda u: hq * (
-                    (l2 * l2 - 0.25) / np.sin(u) ** 2 + (l1 * l1 - 0.25) / np.cos(u) ** 2
-                )
-
             def lam_req(E):
                 # minus the Morse level of the v problem (doubled-variable convention)
                 s = self._v_index(spec, n_oth)
                 return 2.0 * hb ** 2 / m * s * s
 
-            def factor(E, n):
-                l1, l2 = self.indices(spec, E)
-                return _model_factor(spec, sf.PT, {"alpha": l2, "beta": l1}, n)
-
-            return potentials.Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
-                                          lambda E, n: (0.15, math.pi / 2.0 - 0.15))
+            return _pt_axis(spec, lambda E: self.indices(spec, E)[::-1], lam_req,
+                            math.pi / 2.0, (0.15, math.pi / 2.0 - 0.15))
         # v, in the doubled variable x = 2v: a Morse well of mass m/4
         morse = sf.ModelFamily(
             sf.MORSE_BOUND,
@@ -903,48 +935,18 @@ class DIV_V2(DIVFamily):
         """lambda_pm = sqrt(k3^2 - 2 m a_pm E / hbar^2)."""
         sp = spec.space
         k3 = spec.c("k3")
-        lp = k3 * k3 - 2.0 * sp.mass * sp.a_plus * E / sp.hbar ** 2
-        lm = k3 * k3 - 2.0 * sp.mass * sp.a_minus * E / sp.hbar ** 2
-        if lp < 0 or lm < 0:
-            raise DomainError("index sqrt(k3^2 - 2 m a_pm E) not real at this E")
-        return math.sqrt(lp), math.sqrt(lm)
+        return _index_root(sp, k3 * k3, sp.a_plus, E), _index_root(sp, k3 * k3, sp.a_minus, E)
 
     def _uv(self, spec, partner, axis):
-        _, _, m, hb, hq = _units(spec)
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
-        n_oth = int(partner)
-        mpt_v = sf.ModelFamily(sf.MPT_BOUND, {"eta": k1, "nu": k2}, hbar=hb, mass=m)
-        if axis == 0:
-            def profile(E):
-                lp, lm = self.indices(spec, E)
-                return lambda u: hq * (
-                    (lp * lp - 0.25) / np.sin(u) ** 2 + (lm * lm - 0.25) / np.cos(u) ** 2
-                )
-
-            def lam_req(E):
-                return -sf.model_eigenvalue(mpt_v, n_oth)
-
-            def factor(E, n):
-                lp, lm = self.indices(spec, E)
-                return _model_factor(spec, sf.PT, {"alpha": lp, "beta": lm}, n)
-
-            return potentials.Separated1D((0.0, math.pi / 2.0), profile, lam_req, factor,
-                                          lambda E, n: (0.15, math.pi / 2.0 - 0.15))
-
-        def profile(E):
-            return lambda v: hq * (
-                (k1 * k1 - 0.25) / np.sinh(v) ** 2 - (k2 * k2 - 0.25) / np.cosh(v) ** 2
-            )
-
-        def lam_req(E):
-            lp, lm = self.indices(spec, E)
-            return -hq * (2.0 * n_oth + lp + lm + 1.0) ** 2
-
-        def factor(E, n):
-            return lambda v: sf.model_eigenfunction(mpt_v, int(n), np.asarray(v))
-
-        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
-                                      lambda E, n: (0.8, 6.5))
+        if axis == 1:
+            return _mpt_axis(spec, partner, lambda E: (k1, k2), lambda E: self.indices(spec, E),
+                             (0.8, 6.5))
+        mpt_v = sf.ModelFamily(sf.MPT_BOUND, {"eta": k1, "nu": k2},
+                               hbar=spec.space.hbar, mass=spec.space.mass)
+        return _pt_axis(spec, lambda E: self.indices(spec, E),
+                        lambda E: -sf.model_eigenvalue(mpt_v, int(partner)),
+                        math.pi / 2.0, (0.15, math.pi / 2.0 - 0.15))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv}
 
@@ -961,9 +963,7 @@ class DIV_V2(DIVFamily):
             S2 * S2 * (S2 * S2 - 4.0 * k3 * k3),
         )]
 
-    def unsquared_gap(self, spec, qn, E):
-        lp, lm = self.indices(spec, E)
-        return _gap_pair(self.count(spec, qn), lp + lm)
+    unsquared_gap = DIV_V1.unsquared_gap  # count = lambda_+ + lambda_-
 
     def decays(self, spec, qn, E):
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
@@ -1019,44 +1019,20 @@ class DIV_V3(DIVFamily):
         return super().form(spec, chart)
 
     def _degelliptic2(self, spec, partner, axis):
+        def pair(*keys):
+            return lambda E: itemgetter(*keys)(potentials.div3_indices(spec, E))
+
+        if axis == 0:
+            return _mpt_axis(spec, partner, pair("3p", "2p"), pair("3m", "1m"), (0.3, 10.0))
         hq = potentials._quantum_unit(spec.space)
         n_oth = int(partner)
-        if axis == 1:
-            def profile(E):
-                lam = potentials.div3_indices(spec, E)
-                return lambda p: hq * (
-                    (lam["3m"] ** 2 - 0.25) / np.sin(p) ** 2
-                    + (lam["1m"] ** 2 - 0.25) / np.cos(p) ** 2
-                )
-
-            def lam_req(E):
-                lam = potentials.div3_indices(spec, E)
-                return hq * (lam["2p"] - lam["3p"] - 2.0 * n_oth - 1.0) ** 2
-
-            def factor(E, n):
-                lam = potentials.div3_indices(spec, E)
-                return _model_factor(spec, sf.PT, {"alpha": lam["3m"], "beta": lam["1m"]}, n)
-
-            return potentials.Separated1D((0.0, math.pi / 4.0), profile, lam_req, factor,
-                                          lambda E, n: (0.12, math.pi / 4.0 - 0.02))
-
-        def profile(E):
-            lam = potentials.div3_indices(spec, E)
-            return lambda w: hq * (
-                (lam["3p"] ** 2 - 0.25) / np.sinh(w) ** 2
-                - (lam["2p"] ** 2 - 0.25) / np.cosh(w) ** 2
-            )
 
         def lam_req(E):
             lam = potentials.div3_indices(spec, E)
-            return -hq * (2.0 * n_oth + lam["3m"] + lam["1m"] + 1.0) ** 2
+            return hq * (lam["2p"] - lam["3p"] - 2.0 * n_oth - 1.0) ** 2
 
-        def factor(E, n):
-            lam = potentials.div3_indices(spec, E)
-            return _model_factor(spec, sf.MPT_BOUND, {"eta": lam["3p"], "nu": lam["2p"]}, n)
-
-        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
-                                      lambda E, n: (0.3, 10.0))
+        return _pt_axis(spec, pair("3m", "1m"), lam_req, math.pi / 4.0,
+                        (0.12, math.pi / 4.0 - 0.02))
 
     separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
 
@@ -1120,14 +1096,8 @@ class DIV_V4(DIVFamily):
         k0 = spec.c("k0")
         kv = float(partner)
 
-        def lam0(E):
-            val = k0 * k0 - 2.0 * m * sp.a_minus * E / hb ** 2
-            if val < 0:
-                raise DomainError("lambda_0^2 < 0")
-            return math.sqrt(val)
-
         def profile(E):
-            l0 = lam0(E)
+            l0 = _index_root(sp, k0 * k0, sp.a_minus, E)
             return lambda t: hq * (
                 (l0 * l0 - 0.25) / np.sinh(t) ** 2 + (kv * kv + 0.25) / np.cosh(t) ** 2
             )
@@ -1136,7 +1106,7 @@ class DIV_V4(DIVFamily):
             return sp.a_plus * E - hq * k0 * k0
 
         def factor(E, p=None):
-            l0 = lam0(E)
+            l0 = _index_root(sp, k0 * k0, sp.a_minus, E)
             pm = math.sqrt(max((2.0 * m * sp.a_plus * E / hb ** 2 - k0 * k0), 1e-12))
             fam_s = sf.ModelFamily(sf.MPT_SCATTER, {"eta": l0, "nu": 1j * kv}, hbar=hb, mass=m)
             return lambda t: sf.model_eigenfunction(fam_s, pm, np.asarray(t))

@@ -228,8 +228,12 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
 
     Uses the 5-point Laplacian of ln f at steps h and h/2 with one Richardson
     extrapolation.  The chart may hold a grid of points.  Requires a conformal
-    chart; if any point's stencil leaves the chart domain, DomainError.
+    chart; if any point's stencil leaves the chart domain, DomainError.  A step
+    that is not finite and positive, whose half squares to 0, or that gives a
+    non-finite G raises ParamError.
     """
+    if not (math.isfinite(step) and step > 0 and (step / 2.0) ** 2 > 0):
+        raise ParamError(f"step must be finite and positive with a nonzero square, got {step!r}")
     validate_chart(space, chart)
     if chart.name not in CONFORMAL_CHARTS[space.family]:
         raise DomainError(f"chart {chart.name!r} is not conformal")
@@ -251,7 +255,10 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     f0 = conformal_factor(space, chart.name, chart.q1, chart.q2, chart.d)
     g_h = -lap_lnf(step) / (2.0 * f0)
     g_h2 = -lap_lnf(step / 2.0) / (2.0 * f0)
-    return (4.0 * g_h2 - g_h) / 3.0
+    g = (4.0 * g_h2 - g_h) / 3.0
+    if _anywhere(~np.isfinite(g)):
+        raise ParamError(f"step {step!r} gives a non-finite curvature")
+    return g
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ class Grid1D:
     x_min: float
     x_max: float
     n_points: int = 1024
-    boundary: str = "Dirichlet"
 
     def __post_init__(self):
         if self.x_min >= self.x_max:
@@ -56,8 +55,7 @@ def _solve_once(profile, xs, n_states, hbar, mass, vectors=True):
                             select_range=(0, n_states - 1)), inner
 
 
-def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0,
-                     check_resolution=True):
+def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     """Lowest eigenpairs of -(hbar^2/2m) d2/dx2 + U with Dirichlet walls.
 
     Richardson extrapolation over the nested grids (n, 2n-1, 4n-3) removes
@@ -77,18 +75,17 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0,
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     e_rich = (16.0 * r2 - r1) / 15.0
-    if check_resolution:
-        h = xs1[1] - xs1[0]
-        u = np.asarray(profile(in1), dtype=float)
-        kin_scale = np.maximum(e_rich.max() - u, 1e-12)
-        lam_min = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * kin_scale.max())
-        if h > lam_min / 10.0:
-            raise ResolutionError(
-                f"grid step {h:.3e} exceeds a tenth of the local wavelength {lam_min:.3e}"
-            )
-        # under clean h^2 convergence successive differences shrink by 4
-        if np.any(np.abs(e2 - e3) > 0.5 * np.abs(e1 - e2) + 1e-9 * np.abs(e_rich) + 1e-12):
-            raise ResolutionError("grid triple disagrees beyond the extrapolation model")
+    h = xs1[1] - xs1[0]
+    u = np.asarray(profile(in1), dtype=float)
+    kin_scale = np.maximum(e_rich.max() - u, 1e-12)
+    lam_min = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * kin_scale.max())
+    if h > lam_min / 10.0:
+        raise ResolutionError(
+            f"grid step {h:.3e} exceeds a tenth of the local wavelength {lam_min:.3e}"
+        )
+    # under clean h^2 convergence successive differences shrink by 4
+    if np.any(np.abs(e2 - e3) > 0.5 * np.abs(e1 - e2) + 1e-9 * np.abs(e_rich) + 1e-12):
+        raise ResolutionError("grid triple disagrees beyond the extrapolation model")
     h2 = xs2[1] - xs2[0]
     h3 = xs3[1] - xs3[0]
     out = []

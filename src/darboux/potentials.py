@@ -6,8 +6,8 @@ family in every chart for which its record has a closed form, and
 :func:`separated_problem` returns the effective 1D problem obtained by a
 product ansatz in a separating chart.  This module holds what the families
 share: the spec, the division of every D_IV form by the chart's conformal
-factor, the separated-problem descriptor and the analytic factors the
-separations are built from.
+factor, the separated-problem descriptor, the analytic factors the
+separations are built from and the D_IV index roots.
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ class Separated1D:
     window: Callable | None = None
 
 
-def ho_flipped_factor(mass, hbar, omega, n, shift=0.0):
-    """Oscillator solution at level -hbar w (n + 1/2) (growing Gaussian)."""
-    q = mass * omega / hbar
-
-    def psi(x):
-        y = np.asarray(x, dtype=float) + shift
-        # the real polynomial i^{-n} H_n(i y)
-        flip = np.real(1j ** -n * sf.orthopoly_eval("hermite", n, (), 1j * np.sqrt(q) * y))
-        return flip * np.exp(0.5 * q * y * y)
-
-    return psi
-
-
 def rho_flipped_factor(mass, hbar, omega, lam, n):
     """Radial oscillator solution at level -hbar w (2n + lam + 1)."""
     q = mass * omega / hbar
@@ -174,6 +161,12 @@ def morse_bound_factor(v0, s, n):
     return psi
 
 
+def index_square(space: SpaceParams, k2, apm, E):
+    """The square k2 - 2 m a_pm E / hbar^2 of a D_IV index root; E may be an
+    array of energies."""
+    return k2 - 2.0 * space.mass * apm * E / space.hbar ** 2
+
+
 def div3_indices(spec: PotentialSpec, E):
     """The index roots of DIV_V3 (a_plus carries -c_i, a_minus +c_i).
 
@@ -181,14 +174,12 @@ def div3_indices(spec: PotentialSpec, E):
     whose square goes negative come back as NaN.
     """
     sp = spec.space
-    hb2 = sp.hbar ** 2
-    out = {}
+    signs = ((-1.0, sp.a_plus), (1.0, sp.a_minus))
     # np.sqrt is correctly rounded like math.sqrt, and NaN below 0
     with np.errstate(invalid="ignore"):
-        for i, ci in ((1, spec.c("c1")), (2, spec.c("c2")), (3, spec.c("c3"))):
-            for pm, apm, s in (("p", sp.a_plus, -1.0), ("m", sp.a_minus, +1.0)):
-                out[f"{i}{pm}"] = np.sqrt(0.25 + s * ci - 2.0 * sp.mass * apm * E / hb2)
-    return out
+        roots = [np.sqrt(index_square(sp, 0.25 + s * spec.c(c), apm, E))
+                 for c in ("c1", "c2", "c3") for s, apm in signs]
+    return dict(zip(("1p", "1m", "2p", "2m", "3p", "3m"), roots))
 
 
 def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int = 0) -> Separated1D:

@@ -225,7 +225,7 @@ class ModelFamily:
       HO:            omega
       RHO:           omega, lam
       PT:            alpha, beta                (alpha, beta > -1)
-      MPT_bound/scatter: eta, nu  (optional sign_eta, sign_nu in {+1,-1})
+      MPT_bound/scatter: eta, nu  (optional sign_eta in {+1,-1})
       Morse_bound:   v0, alpha_t                (depth V0 and shape alpha~)
       cMorse:        c1, c2                     (c1 != 0)
     """
@@ -249,10 +249,9 @@ class ModelFamily:
 
 
 def _mpt_k12(fam: ModelFamily):
-    """MPT index pair (k1, k2); both square-root sign branches are exposed."""
-    s_nu = fam.params.get("sign_nu", +1)
+    """MPT index pair (k1, k2); sign_eta exposes both square-root branches of k2."""
     s_eta = fam.params.get("sign_eta", +1)
-    k1 = 0.5 * (1.0 + s_nu * fam.p("nu"))
+    k1 = 0.5 * (1.0 + fam.p("nu"))
     k2 = 0.5 * (1.0 + s_eta * fam.p("eta"))
     return k1, k2
 

@@ -47,11 +47,6 @@ class EnergyRoots:
     candidates: list
     admissible: list = field(default_factory=list)
 
-    def energies(self, only_admissible=True):
-        if only_admissible:
-            return [rec["E"] for rec in self.admissible if rec["admissible"]]
-        return [rec["E"] for rec in self.admissible]
-
 
 def effective_count(spec: PotentialSpec, qn: QuantumNumbers) -> float:
     """The composite quantum number entering the family's squared condition."""
@@ -109,7 +104,7 @@ def quantization_residual(spec: PotentialSpec, qn: QuantumNumbers, E) -> float:
     return min(res)
 
 
-def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float, tol=1e-9) -> dict:
+def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> dict:
     """The three admissibility ingredients for a real candidate energy."""
     rec = FAMILIES[spec.family]
     res = quantization_residual(spec, qn, E)
@@ -128,7 +123,7 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float, tol=1
         "satisfies_unsquared": bool(plus_ok or minus_ok),
         "unsquared_sign": +1 if plus_ok else (-1 if minus_ok else 0),
         "decaying_wavefunction": bool(rec.decays(spec, qn, E)),
-        "admissible": bool(res < tol and sqrt_ok),
+        "admissible": bool(res < 1e-9 and sqrt_ok),
     }
 
 

@@ -23,18 +23,14 @@ def suite_building_blocks() -> dict:
     ok = True
     # pinned reference levels
     morse = sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5})
-    rep = verify_building_block(morse, 1)
-    for det, ref in zip(rep.details, (-2.0, -0.5)):
-        details.append({"case": f"morse_E{det['n']}", "value": det["E_num"], "ref": ref,
-                        "dev": abs(det["E_num"] - ref)})
-    pt = sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5})
-    rep_pt = verify_building_block(pt, 0)
-    details.append({"case": "pt_E0", "value": rep_pt.details[0]["E_num"], "ref": 2.0,
-                    "dev": abs(rep_pt.details[0]["E_num"] - 2.0)})
-    rho = sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5})
-    rep_rho = verify_building_block(rho, 0)
-    details.append({"case": "rho_E0", "value": rep_rho.details[0]["E_num"], "ref": 1.5,
-                    "dev": abs(rep_rho.details[0]["E_num"] - 1.5)})
+    pinned = {"morse": (morse, (-2.0, -0.5)),
+              "pt": (sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5}), (2.0,)),
+              "rho": (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), (1.5,))}
+    for name, (fam, refs) in pinned.items():
+        rep = verify_building_block(fam, len(refs) - 1)
+        for det, ref in zip(rep.details, refs):
+            details.append({"case": f"{name}_E{det['n']}", "value": det["E_num"], "ref": ref,
+                            "dev": abs(det["E_num"] - ref)})
     ok &= all(d["dev"] < 1e-6 for d in details)
     # family certification
     fams = [
@@ -126,16 +122,14 @@ def suite_classical() -> dict:
         sp = SpaceParams(DIII, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         st = PhaseState(Chart("uv", float(rng.uniform(-1, 1)), float(rng.uniform(0, 6))),
                         float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        res = algebra_check(sp, st)
-        worst_fun = max(worst_fun, abs(res["functional"]))
-        worst_br = max(worst_br, *(abs(v) for k, v in res.items() if k.startswith("bracket")))
         b = float(rng.uniform(0.3, 1.2))
         sp4 = SpaceParams(DIV, 2.0 * b + float(rng.uniform(0.1, 1.5)), b)
-        st = PhaseState(Chart("uv", float(rng.uniform(0.25, 1.3)), float(rng.uniform(-1, 1))),
-                        float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        res = algebra_check(sp4, st)
-        worst_fun = max(worst_fun, abs(res["functional"]))
-        worst_br = max(worst_br, *(abs(v) for k, v in res.items() if k.startswith("bracket")))
+        st4 = PhaseState(Chart("uv", float(rng.uniform(0.25, 1.3)), float(rng.uniform(-1, 1))),
+                         float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        for space, state in ((sp, st), (sp4, st4)):
+            res = algebra_check(space, state)
+            worst_fun = max(worst_fun, abs(res["functional"]))
+            worst_br = max(worst_br, *(abs(v) for k, v in res.items() if k.startswith("bracket")))
     sp = SpaceParams(DIII, 1.2, 0.8)
     st0 = PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4)
     _, traj = hamiltonian_flow(sp, None, st0, 10.0, tol=1e-11)

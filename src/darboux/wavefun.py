@@ -16,7 +16,7 @@ tail check report this honestly rather than hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,14 @@ class WaveField:
     qn: QuantumNumbers
     spec: PotentialSpec
     norm_constant: float | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def spacings(self):
         return (self.q1[1] - self.q1[0], self.q2[1] - self.q2[0])
 
 
-def pick_energy(spec: PotentialSpec, qn: QuantumNumbers, index: int = 0) -> float:
-    """An admissible root of the quantization condition (sign-consistent
+def pick_energy(spec: PotentialSpec, qn: QuantumNumbers) -> float:
+    """The first admissible root of the quantization condition (sign-consistent
     roots preferred, then decaying ones, ascending in energy)."""
     roots = solve_quantization(spec, qn)
     good = [r for r in roots.admissible if r["admissible"] and r["satisfies_unsquared"]]
@@ -61,10 +60,7 @@ def pick_energy(spec: PotentialSpec, qn: QuantumNumbers, index: int = 0) -> floa
     good = [r for r in good if r["E"] != 0.0] or good
     if not good:
         raise NoAdmissibleRootError(f"{spec.family} at {qn} has no admissible root")
-    good.sort(key=lambda r: (not r["decaying_wavefunction"], r["E"]))
-    if index >= len(good):
-        raise NoAdmissibleRootError(f"only {len(good)} admissible roots at {qn}")
-    return good[index]["E"]
+    return min(good, key=lambda r: (not r["decaying_wavefunction"], r["E"]))["E"]
 
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
@@ -81,7 +77,10 @@ def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
-    ``shape`` is given; 301x201 for a pulled-back state)."""
+    ``shape`` is given; 301x201 for a pulled-back state).  A non-finite E
+    raises ParamError."""
+    if not math.isfinite(E):
+        raise ParamError(f"energy must be finite, got {E!r}")
     rec = FAMILIES[spec.family]
     if chart_name in rec.pullbacks:
         n1, n2 = shape or (301, 201)
@@ -103,17 +102,18 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
 
 
 def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers,
-                         grid=None, energy: float | None = None,
-                         root_index: int = 0) -> WaveField:
+                         grid=None, energy: float | None = None) -> WaveField:
     """Sample the separated product state on a chart grid.
 
     The quantum numbers must be counted in the chart's own scheme, except
     for the DIV_V2 degelliptic2 pullback, whose count does not read it.  The
-    energy defaults to an admissible quantization root (callers select among
-    several with ``energy=`` or ``root_index=``).  The log variables of the
+    energy defaults to the root ``pick_energy`` picks; other roots are passed
+    as ``energy``.  The log variables of the
     hyperbolic chart are sampled directly, i.e. the grid is in
-    (x, y) = (ln mu, ln nu) there.
+    (x, y) = (ln mu, ln nu) there.  A non-finite energy raises ParamError.
     """
+    if energy is not None and not math.isfinite(energy):
+        raise ParamError(f"energy must be finite, got {energy!r}")
     rec = FAMILIES[spec.family]
     if chart_name not in rec.schemes:
         raise UnsupportedChartError(f"{spec.family} states are not assembled in {chart_name!r}")
@@ -121,7 +121,7 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
         raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
                          f"do not label states in chart {chart_name!r}")
     if energy is None:
-        energy = pick_energy(spec, qn, root_index)
+        energy = pick_energy(spec, qn)
     if grid is None:
         grid = default_grid(spec, chart_name, qn, energy)
     if chart_name in rec.pullbacks:
@@ -194,8 +194,7 @@ def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
     return np.linspace(r1[0], r1[1], n1), np.linspace(r2[0], r2[1], n2)
 
 
-def normalize_weighted(field: WaveField, space: SpaceParams | None = None,
-                       grid=None) -> WaveField:
+def normalize_weighted(field: WaveField) -> WaveField:
     """Rescale so the weighted norm integral of |psi|^2 sqrt(g) is 1.
 
     The norm is integrated with a tensor-product Simpson rule on a grid that
@@ -206,15 +205,13 @@ def normalize_weighted(field: WaveField, space: SpaceParams | None = None,
     from scipy.integrate import simpson
 
     spec = field.spec
-    space = space or spec.space
-    if grid is None:
-        grid = _norm_grid(spec, field.chart, field.qn, field.energy)
+    grid = _norm_grid(spec, field.chart, field.qn, field.energy)
     if grid is None:
         raise DivergentNormError(
             f"{spec.family} state at E={field.energy} does not decay inside the chart"
         )
     big = assemble_bound_state(spec, field.chart, field.qn, grid=grid, energy=field.energy)
-    w = _sqrtg_grid(space, field.chart, big.q1, big.q2)
+    w = _sqrtg_grid(spec.space, field.chart, big.q1, big.q2)
     dens = np.abs(big.values) ** 2 * w
     adens = np.abs(dens)
     peak = adens.max()
@@ -227,10 +224,8 @@ def normalize_weighted(field: WaveField, space: SpaceParams | None = None,
     if total <= 0:
         raise DivergentNormError("weighted norm is not positive for this state")
     c = 1.0 / math.sqrt(total)
-    out = WaveField(field.chart, field.q1, field.q2, field.values * c,
-                    field.energy, field.qn, field.spec, norm_constant=c,
-                    meta=dict(field.meta))
-    return out
+    return WaveField(field.chart, field.q1, field.q2, field.values * c,
+                     field.energy, field.qn, field.spec, norm_constant=c)
 
 
 def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:
@@ -268,7 +263,7 @@ def _d2_4(vals, h, axis):
     return (-m2 + 16.0 * m1 - 30.0 * c0 + 16.0 * p1 - p2) / (12.0 * h * h)
 
 
-def hamiltonian_residual(field: WaveField, spec: PotentialSpec | None = None) -> float:
+def hamiltonian_residual(field: WaveField) -> float:
     """max |H psi - E psi| / (max(|E|, hbar^2/2m) max|psi|) over the interior.
 
     H is the chart Hamiltonian: the Laplace-Beltrami form in conformal and
@@ -276,7 +271,7 @@ def hamiltonian_residual(field: WaveField, spec: PotentialSpec | None = None) ->
     implicitly) and the product-ordered log-variable form in the
     D_III hyperbolic chart.
     """
-    spec = spec or field.spec
+    spec = field.spec
     sp = spec.space
     hq = sp.hbar ** 2 / (2.0 * sp.mass)
     q1, q2 = field.q1, field.q2

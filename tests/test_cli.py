@@ -118,12 +118,20 @@ def test_malformed_ranges_and_grids_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, val", [("a", "nan"), ("b", "inf"), ("v0", "nan")])
+# the job a flag is appended to, where no golden job sets it
+APPENDED_TO = {"step": "curvature.csv", "energy": "wavefunction.json"}
+
+
+@pytest.mark.parametrize("flag, val", [("a", "nan"), ("b", "inf"), ("v0", "nan"),
+                                       ("step", "0"), ("step", "1e-300"),
+                                       ("energy", "inf"), ("energy", "nan")])
 def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):
     from darboux.cli import main
 
     out = tmp_path / "x.json"
-    assert main(_with("spectrum.json", **{flag: val}) + ["--out", str(out)]) == 2
+    job = APPENDED_TO.get(flag)
+    argv = JOBS[job] + [f"--{flag}", val] if job else _with("spectrum.json", **{flag: val})
+    assert main(argv + ["--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
     assert not out.exists()
 

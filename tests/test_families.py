@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import re
 
@@ -50,3 +51,44 @@ def test_one_record_per_family():
         for chart in rec.schemes:
             assert ((chart, 0) in rec.separations and (
                 (chart, 1) in rec.separations or chart in rec.angles)) or chart in rec.pullbacks
+
+
+def _set_arguments(paths):
+    """What the calls in ``paths`` pass: the (callee, keyword) pairs, and per
+    callee the most positional arguments (a starred argument counts as all)."""
+    keywords, positional = set(), {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            keywords |= {(name, kw.arg) for kw in node.keywords}
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            positional[name] = max(positional.get(name, 0), n)
+    return keywords, positional
+
+
+def test_every_keyword_default_is_set():
+    # a default that no call overrides is a constant, not an option
+    tests = pathlib.Path(__file__).parent
+    keywords, positional = _set_arguments(sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py")))
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(0, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+        defs += [(1, d) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for d in c.body if isinstance(d, ast.FunctionDef)]
+        for skip, d in defs:
+            if d.name.startswith("_"):
+                continue
+            args = (d.args.posonlyargs + d.args.args)[skip:]  # a method's self
+            first = len(args) - len(d.args.defaults)
+            for i, arg in enumerate(args[first:], start=first):
+                if (d.name, arg.arg) not in keywords and positional.get(d.name, 0) <= i:
+                    unset.append(f"{path.name}:{d.lineno}: {d.name}({arg.arg})")
+            for arg, default in zip(d.args.kwonlyargs, d.args.kw_defaults):
+                if default is not None and (d.name, arg.arg) not in keywords:
+                    unset.append(f"{path.name}:{d.lineno}: {d.name}({arg.arg})")
+    assert not unset, "\n".join(unset)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,9 @@ def test_verify_rejects_nonconfining():
         verify_building_block(sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 4)
 
 
-@pytest.mark.parametrize("family,coup,chart,qn,axes", [
+# (family, couplings, chart, quantum numbers, axes) of the separated problems
+# whose factors must solve their 1D equations at a quantization root
+RESIDUAL_CASES = [
     ("DIII_V5", {"v0": 0.0}, "uv", (0, 1, "uv"), (0,)),
     ("DIII_V5", {"v0": 0.0}, "polar", (1, 1, "polar"), (0,)),
     ("DIII_V5", {"v0": 0.0}, "parabolic", (1, 1, "parabolic"), (0, 1)),
@@ -87,9 +90,12 @@ def test_verify_rejects_nonconfining():
     ("DIV_V2", {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "uv", (0, 0, "uv"), (0, 1)),
     ("DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2}, "degelliptic2",
      (0, 0, "degelliptic2"), (0, 1)),
-])
-def test_separated_ode_residual_at_roots(family, coup, chart, qn, axes):
-    sp = SP1 if family.startswith("DIII") else SP4
+    ("DIII_V5", {"v0": 0.6}, "parabolic", (1, 1, "parabolic"), (0, 1)),
+]
+
+
+def _check_residual_at_root(family, coup, chart, qn, axes, hbar, mass):
+    sp = replace(SP1 if family.startswith("DIII") else SP4, hbar=hbar, mass=mass)
     spec = PotentialSpec(sp, family, coup)
     q = QuantumNumbers(*qn)
     roots = solve_quantization(spec, q)
@@ -99,6 +105,21 @@ def test_separated_ode_residual_at_roots(family, coup, chart, qn, axes):
     E = good[0]["E"]
     for ax in axes:
         assert separated_ode_residual(spec, chart, q, E, axis=ax) < 1e-6
+
+
+@pytest.mark.parametrize("family,coup,chart,qn,axes", RESIDUAL_CASES)
+def test_separated_ode_residual_at_roots(family, coup, chart, qn, axes):
+    _check_residual_at_root(family, coup, chart, qn, axes, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("family,coup,chart,qn,axes", RESIDUAL_CASES)
+def test_separated_ode_residual_at_roots_non_unit_hbar_mass(family, coup, chart, qn, axes):
+    # the hbar and mass of every separation enter only away from hbar = m = 1;
+    # there (a E - alpha)^2 = -hbar^2 M^2 b E / 2m has real roots only for
+    # alpha <= hbar^2 M^2 b / (8 m a), which is 0.42 for DIII_V2 at M = 3
+    if family == "DIII_V2":
+        coup = {**coup, "alpha": min(coup["alpha"], 0.4)}
+    _check_residual_at_root(family, coup, chart, qn, axes, 0.7, 1.3)
 
 
 def test_energy_closure_sharp_minimum():
