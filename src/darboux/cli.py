@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -30,6 +31,20 @@ from .spectra import QuantumNumbers, solve_quantization
 from .wavefun import assemble_bound_state, default_grid, hamiltonian_residual, pick_energy
 
 COUPLING_FLAGS = ("k1", "k2", "k3", "alpha", "c1", "c2", "c3", "d1", "d2", "omega", "v0", "k0")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ParamError, and which reads a
+    negative number in exponent form, such as -1e-3, as a value (argparse
+    itself reads -0.001 as one, but -1e-3 as an unknown option).  Its
+    subparsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
+
+    def error(self, message):
+        raise ParamError(message)
 
 
 def _add_space_args(p):
@@ -190,11 +205,7 @@ def cmd_spectrum(args) -> int:
             "l": l,
             "candidates_re": [z.real for z in roots.candidates],
             "candidates_im": [z.imag for z in roots.candidates],
-            "admissible": [
-                {k: rec[k] for k in ("E", "residual", "sqrt_real", "satisfies_unsquared",
-                                     "unsquared_sign", "decaying_wavefunction", "admissible")}
-                for rec in roots.admissible
-            ],
+            "admissible": roots.admissible,
         }
 
     records = [one(n, l) for n in ns for l in ls]
@@ -275,9 +286,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="darboux",
-                                 description="Superintegrable systems on the Darboux "
-                                             "surfaces of type III and IV")
+    ap = _Parser(prog="darboux",
+                 description="Superintegrable systems on the Darboux surfaces of type III and IV")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curvature", help="Gaussian curvature map on the (u, v) chart")
@@ -334,13 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help; a parse error raises ParamError instead
+        return 0
     except DarbouxError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

@@ -12,9 +12,10 @@ continuous dispersion and asymptotic pair, and its extra constants of motion.
 Energy enters the separated 1D profiles as an effective coupling: on D_III
 through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
 lambda^2 = k^2 - 2 m a_pm E / hbar^2.  What the families share stays in its
-module: the D_IV conformal-factor division in ``potentials``, root finding
-and admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call
-the public functions of those modules through the module, at call time.
+module: the division by the D_III factor or the D_IV conformal factor in
+``potentials``, root finding and admissibility in ``spectra``, grid assembly
+in ``wavefun``.  Records call the public functions of those modules through
+the module, at call time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
-from .geometry import DIII, DIV, elliptic_cartesian
+from .geometry import DIII, DIV, d3_factor, elliptic_cartesian
 from . import potentials, specfun as sf
 
 # An angle in place of a separated second axis: its length, the margin the
@@ -72,8 +73,9 @@ class Family:
         return type(self).__name__
 
     def form(self, spec, chart):
-        """The potential at the chart points; on D_IV the numerator over the
-        chart's conformal factor, with elliptic points given as their
+        """The numerator of the potential at the chart points: over the
+        D_III factor ``geometry.d3_factor`` on D_III, over the chart's
+        conformal factor on D_IV, with D_IV elliptic points given as their
         horospherical (mu, nu)."""
         raise UnsupportedChartError(f"{self.name} has no form in chart {chart.name!r}")
 
@@ -216,15 +218,13 @@ class DIII_V1(DIIIFamily):
     schemes = ("parabolic",)
 
     def form(self, spec, chart):
-        a, b = spec.space.a, spec.space.b
         k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
         if chart.name == "uv":
             e = np.exp(-chart.q1 / 2.0)
-            num = 2.0 * k1 * e * np.cos(chart.q2 / 2.0) + 2.0 * k2 * e * np.sin(chart.q2 / 2.0) + k3
-            return num / (a + b * np.exp(-chart.q1))
+            return 2.0 * k1 * e * np.cos(chart.q2 / 2.0) + 2.0 * k2 * e * np.sin(chart.q2 / 2.0) + k3
         if chart.name in ("parabolic", "polar", "elliptic"):
             xi, eta = _d3_cartesian(chart)
-            return (k1 * xi + k2 * eta + k3) / (a + 0.25 * b * (xi * xi + eta * eta))
+            return k1 * xi + k2 * eta + k3
         return super().form(spec, chart)
 
     def _parabolic(self, spec, partner, axis):
@@ -356,7 +356,7 @@ class DIII_V2(Shifted):
     angles = {"uv": Angle(math.pi, 0.1, False), "polar": Angle(math.pi / 2.0, 0.05, False)}
 
     def form(self, spec, chart):
-        a, b, _, _, hq = _units(spec)
+        hq = potentials._quantum_unit(spec.space)
         al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
         q1, q2 = chart.q1, chart.q2
         if chart.name == "uv":
@@ -364,16 +364,16 @@ class DIII_V2(Shifted):
                 (k1 * k1 - 0.25) / np.cos(q2 / 2.0) ** 2
                 + (k2 * k2 - 0.25) / np.sin(q2 / 2.0) ** 2
             )
-            return (-al + cen) / (a + b * np.exp(-q1))
+            return -al + cen
         if chart.name == "polar":
             cen = hq / q1 ** 2 * (
                 (k1 * k1 - 0.25) / np.cos(q2) ** 2 + (k2 * k2 - 0.25) / np.sin(q2) ** 2
             )
-            return (-al + cen) / (a + 0.25 * b * q1 ** 2)
+            return -al + cen
         if chart.name in ("parabolic", "elliptic"):
             xi, eta = _d3_cartesian(chart)
             cen = hq * ((k1 * k1 - 0.25) / xi ** 2 + (k2 * k2 - 0.25) / eta ** 2)
-            return (-al + cen) / (a + 0.25 * b * (xi * xi + eta * eta))
+            return -al + cen
         return super().form(spec, chart)
 
     def _uv_index(self, spec, partner):
@@ -438,21 +438,21 @@ class DIII_V3(Shifted):
     angles = {"polar": CIRCLE}
 
     def form(self, spec, chart):
-        a, b, _, _, hq = _units(spec)
+        hq = potentials._quantum_unit(spec.space)
         al, c1, c2 = spec.c("alpha"), spec.c("c1"), spec.c("c2")
         q1, q2 = chart.q1, chart.q2
         if chart.name == "uv":
             cen = hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
-            return (-al + cen) / (a + b * np.exp(-q1))
+            return -al + cen
         if chart.name == "polar":
             cen = 4.0 * hq / q1 ** 2 * (
                 c1 * c1 * np.exp(-2j * q2) - 2.0 * c2 * np.exp(-4j * q2)
             )
-            return (-al + cen) / (a + 0.25 * b * q1 ** 2)
+            return -al + cen
         if chart.name == "hyperbolic":
             mu, nu = q1, q2
             cen = hq * (c1 * c1 / (mu * nu) - c2 * (mu - nu) / (mu * nu) ** 2)
-            return (-al + cen) / (a + 0.5 * b * (mu - nu))
+            return -al + cen
         return super().form(spec, chart)
 
     def _cmorse(self, spec):
@@ -505,11 +505,10 @@ class DIII_V4(DIIIFamily):
     def form(self, spec, chart):
         if chart.name != "hyperbolic":
             return super().form(spec, chart)
-        a, b, m, _, _ = _units(spec)
+        m = spec.space.mass
         d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
         mu, nu = chart.q1, chart.q2
-        num = d1 * mu - d2 * nu + 0.5 * m * om * om * (mu * mu - nu * nu)
-        return num / ((a + 0.5 * b * (mu - nu)) * (mu + nu))
+        return (d1 * mu - d2 * nu + 0.5 * m * om * om * (mu * mu - nu * nu)) / (mu + nu)
 
     def _w2(self, spec, E):
         """m w^2 - bE, which the Morse pair needs positive."""
@@ -593,17 +592,8 @@ class DIII_V5(Shifted):
     angles = {"uv": CIRCLE, "polar": CIRCLE}
 
     def form(self, spec, chart):
-        a, b, _, _, hq = _units(spec)
-        v0 = spec.c("v0")
-        top = hq * v0 * v0
-        if chart.name == "uv":
-            return top / (a + b * np.exp(-chart.q1))
-        if chart.name in ("polar", "parabolic", "elliptic"):
-            xi, eta = _d3_cartesian(chart)
-            return top / (a + 0.25 * b * (xi * xi + eta * eta))
-        if chart.name == "hyperbolic":
-            return top / (a + 0.5 * b * (chart.q1 - chart.q2))
-        return super().form(spec, chart)
+        hq, v0 = potentials._quantum_unit(spec.space), spec.c("v0")
+        return hq * v0 * v0  # the same numerator in every chart
 
     def shift(self, spec):
         return potentials._quantum_unit(spec.space) * spec.c("v0") ** 2
@@ -696,7 +686,7 @@ class DIII_V5(Shifted):
         xi, eta = par.chart.q1, par.chart.q2
         hq = sp.hbar ** 2 / (2.0 * sp.mass)
         v0 = spec.c("v0")
-        den = sp.a + 0.25 * sp.b * (xi * xi + eta * eta)
+        den = d3_factor(sp, par.chart)
         # coupling corrections fixed by the conservation requirement itself
         if name == "R1":
             return classical.observable_value(sp, "X1", st) + 0.125 * hq * v0 * v0 * (

@@ -123,7 +123,7 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
         if name == "hyperbolic":
             if _anywhere((q1 <= 0) | (q2 <= 0)):
                 raise DomainError("hyperbolic chart requires mu, nu > 0")
-            if _anywhere(space.a + 0.5 * space.b * (q1 - q2) <= 0):
+            if _anywhere(d3_factor(space, chart) <= 0):
                 raise DomainError("hyperbolic point outside the metric's domain")
     else:
         if name == "uv" and _anywhere((q1 <= 0) | (q1 >= math.pi / 2)):
@@ -140,6 +140,22 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
             raise DomainError("elliptic chart requires omega > 0, 0 < phi < pi/2")
 
 
+def d3_factor(space: SpaceParams, chart: Chart):
+    """The D_III factor a + b(xi^2 + eta^2)/4 at the chart point(s), written in
+    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar),
+    a + b(mu - nu)/2 (hyperbolic); the parabolic and elliptic charts go
+    through their (xi, eta)."""
+    a, b, q1, q2 = space.a, space.b, chart.q1, chart.q2
+    if chart.name == "uv":
+        return a + b * np.exp(-q1)
+    if chart.name == "polar":
+        return a + 0.25 * b * q1 ** 2
+    if chart.name == "hyperbolic":
+        return a + 0.5 * b * (q1 - q2)
+    xi, eta = (q1, q2) if chart.name == "parabolic" else elliptic_cartesian(chart)
+    return a + 0.25 * b * (xi * xi + eta * eta)
+
+
 def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):
     """Conformal metric factor f with ds^2 = f (dq1^2 + dq2^2).
 
@@ -150,11 +166,10 @@ def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):
         if name == "uv":
             return a * np.exp(-q1) + b * np.exp(-2.0 * q1)
         if name == "parabolic":
-            return a + 0.25 * b * (q1 ** 2 + q2 ** 2)
+            return d3_factor(space, Chart(name, q1, q2))
         if name == "elliptic":
-            sh2, cs2 = np.sinh(q1) ** 2, np.cos(q2) ** 2
-            sn2 = np.sin(q2) ** 2
-            return (a + 0.25 * b * d * d * (sh2 + cs2)) * d * d * (sh2 + sn2)
+            return d3_factor(space, Chart(name, q1, q2, d)) * d * d * (
+                np.sinh(q1) ** 2 + np.sin(q2) ** 2)
     else:
         ap, am = space.a_plus, space.a_minus
         if name == "uv":
@@ -187,10 +202,10 @@ def metric_diag(space: SpaceParams, chart: Chart):
     validate_chart(space, chart)
     name, q1, q2 = chart.name, chart.q1, chart.q2
     if space.family == DIII and name == "polar":
-        f = space.a + 0.25 * space.b * q1 ** 2
+        f = d3_factor(space, chart)
         return (f, f * q1 ** 2)
     if space.family == DIII and name == "hyperbolic":
-        f = (space.a + 0.5 * space.b * (q1 - q2)) * (q1 + q2)
+        f = d3_factor(space, chart) * (q1 + q2)
         return (f / q1 ** 2, -f / q2 ** 2)
     f = conformal_factor(space, name, q1, q2, chart.d)
     return (f, f)
@@ -229,8 +244,9 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     Uses the 5-point Laplacian of ln f at steps h and h/2 with one Richardson
     extrapolation.  The chart may hold a grid of points.  Requires a conformal
     chart; if any point's stencil leaves the chart domain, DomainError.  A step
-    that is not finite and positive, whose half squares to 0, or that gives a
-    non-finite G raises ParamError.
+    that is not finite and positive, whose half squares to 0, that gives a
+    non-finite G, or so small that the stencil's rounding error swamps G
+    raises ParamError.
     """
     if not (math.isfinite(step) and step > 0 and (step / 2.0) ** 2 > 0):
         raise ParamError(f"step must be finite and positive with a nonzero square, got {step!r}")
@@ -258,6 +274,11 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     g = (4.0 * g_h2 - g_h) / 3.0
     if _anywhere(~np.isfinite(g)):
         raise ParamError(f"step {step!r} gives a non-finite curvature")
+    # each ln f of the h/2 stencil is off by about eps (1 + |ln f|), and the
+    # stencil weighs its five values by 1, 1, 1, 1 and 4
+    noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(f0))) / (step / 2.0) ** 2
+    if _anywhere(noise / (2.0 * f0) >= 1.0 + np.abs(g)):
+        raise ParamError(f"step {step!r} is so small that rounding error swamps the curvature")
     return g
 
 

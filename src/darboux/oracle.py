@@ -114,16 +114,22 @@ class BuildingBlockReport:
 
 
 def _oracle_domain(fam: sf.ModelFamily, n_max: int):
-    lo, hi = sf.model_domain(fam)
-    pad = 1e-9
+    """The interval the oracle discretizes: the whole of PT's, else where one
+    of the states 0..n_max is above 1e-12 of its peak."""
+    lo, _ = sf.model_domain(fam)
     if fam.tag == sf.PT:
-        return (pad, math.pi / 2.0 - pad)
-    los, his = [], []
+        return (1e-9, math.pi / 2.0 - 1e-9)
+    right = 40.0
+    if fam.tag == sf.MORSE_BOUND:
+        right = min(right, math.log(600.0 / fam.p("v0")))
+    xs = np.linspace(-40.0 if lo == -math.inf else 1e-8, right, 6001)
+    ends = []
     for n in range(n_max + 1):
-        a, b = sf._truncated_domain(fam, n, tail=1e-12)
-        los.append(a)
-        his.append(b)
-    lo_t, hi_t = min(los), max(his)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.abs(np.nan_to_num(np.real(sf.model_eigenfunction(fam, n, xs))))
+        keep = np.where(vals > 1e-12 * vals.max())[0]
+        ends += [max(keep[0] - 1, 0), min(keep[-1] + 1, len(xs) - 1)]
+    lo_t, hi_t = xs[min(ends)], xs[max(ends)]
     if lo == 0.0:
         lo_t = max(lo_t * 0.5, 1e-8)
     return (lo_t, hi_t)

@@ -5,9 +5,9 @@ record in :mod:`darboux.families`.  :func:`potential_value` evaluates a
 family in every chart for which its record has a closed form, and
 :func:`separated_problem` returns the effective 1D problem obtained by a
 product ansatz in a separating chart.  This module holds what the families
-share: the spec, the division of every D_IV form by the chart's conformal
-factor, the separated-problem descriptor, the analytic factors the
-separations are built from and the D_IV index roots.
+share: the spec, the division of every form by the D_III factor or by the
+D_IV chart's conformal factor, the separated-problem descriptor, the
+analytic factors the separations are built from and the D_IV index roots.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ParamError
 from .geometry import (DIII, Chart, SpaceParams, chart_transform, conformal_factor,
-                       elliptic_cartesian, validate_chart)
+                       d3_factor, elliptic_cartesian, validate_chart)
 from . import families, specfun as sf
 
 
@@ -82,10 +82,11 @@ def _closed_form(spec: PotentialSpec, chart: Chart):
     if chart.name in rec.pullbacks:
         # evaluated through the chart map so the value is a chart scalar
         return _closed_form(spec, chart_transform(spec.space, chart, "uv"))
+    # every D_III form divides by the D_III factor, every D_IV form by the
+    # chart's conformal factor; the D_IV elliptic forms are written in the
+    # horospherical (mu, nu) of the point
     if spec.space.family == DIII:
-        return rec.form(spec, chart)
-    # every D_IV form divides by the chart's conformal factor; the elliptic
-    # forms are written in the horospherical (mu, nu) of the point
+        return rec.form(spec, chart) / d3_factor(spec.space, chart)
     if chart.name != "elliptic":
         return rec.form(spec, chart) / conformal_factor(spec.space, chart.name, chart.q1, chart.q2)
     mu, nu = elliptic_cartesian(chart)

@@ -120,9 +120,9 @@ def orthopoly_eval(family: str, n: int, params, x):
 # hypergeometric functions
 # ----------------------------------------------------------------------
 
-def _is_nonpos_int(z, tol=1e-12):
+def _is_nonpos_int(z):
     z = complex(z)
-    return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
+    return abs(z.imag) < 1e-12 and z.real < 0.5 and abs(z.real - round(z.real)) < 1e-12
 
 
 def _series_2f1(a, b, c, z):
@@ -345,13 +345,23 @@ def model_potential(fam: ModelFamily):
     raise ParamError(f"no potential profile for {fam.tag}")
 
 
-_W_CACHE: dict = {}  # nothing fills it; perfbench/tracer.py reads its size
+# nothing fills these; perfbench/tracer.py reads their sizes
+_W_CACHE: dict = {}
 _NORM_CACHE: dict = {}
-NORM_DISCREPANCIES: dict = {}
 
 
-def _raw_eigenfunction(fam: ModelFamily, n, x):
-    """Printed-prefactor eigenfunction, before any quadrature correction."""
+def model_eigenfunction(fam: ModelFamily, n, x):
+    """Sample the model eigenfunction at x.
+
+    For bound families ``n`` is the integer quantum number and the result
+    carries the closed-form constant that makes it unit-normalized over the
+    natural domain (the Hermite, Laguerre and Jacobi norms of DLMF §18.3); the
+    complex Morse states are left unnormalized.  For the scattering families
+    ``n`` is the real momentum label and the prefactor is delta-normalized.
+    """
+    if fam.tag != MPT_SCATTER:
+        _check_index(fam, n)
+        n = int(n)
     hb, m = fam.hbar, fam.mass
     x = np.asarray(x, dtype=float)
     if fam.tag == HO:
@@ -379,7 +389,7 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
     if fam.tag == MORSE_BOUND:
         v0, at = fam.p("v0"), fam.p("alpha_t")
         s = at * v0 - n - 0.5
-        pref = math.sqrt(2.0 * s / (math.factorial(n) * abs(gamma_complex(2.0 * at * v0 - n))))
+        pref = math.sqrt(2.0 * s * math.factorial(n) / abs(gamma_complex(2.0 * at * v0 - n)))
         z = 2.0 * v0 * np.exp(x)
         lag = orthopoly_eval("laguerre", n, (2.0 * s,), z)
         return pref * z ** s * np.exp(-0.5 * z) * lag
@@ -422,63 +432,3 @@ def _raw_eigenfunction(fam: ModelFamily, n, x):
         lag = orthopoly_eval("laguerre", n, (2.0 * mu,), z.astype(complex))
         return zmu * np.exp(-0.5 * z) * lag
     raise ParamError(f"no eigenfunction for {fam.tag}")
-
-
-def model_norm_correction(fam: ModelFamily, n: int) -> float:
-    """Quadrature correction making the analytic prefactor unit-norm.
-
-    Returns s with integral of |s * psi|^2 = 1 over the natural domain; any
-    deviation of the built-in normalization from 1 is recorded in
-    NORM_DISCREPANCIES.
-    """
-    key = (fam.tag, tuple(sorted(fam.params.items())), fam.hbar, fam.mass, n)
-    if key in _NORM_CACHE:
-        return _NORM_CACHE[key]
-    from scipy.integrate import quad
-
-    lo, hi = model_domain(fam)
-    if fam.tag == CMORSE:
-        val = quad(lambda t: abs(_raw_eigenfunction(fam, n, t)) ** 2, lo, hi, limit=200)[0]
-    else:
-        lo_t, hi_t = _truncated_domain(fam, n)
-        val = quad(lambda t: float(np.real(_raw_eigenfunction(fam, n, t)) ** 2),
-                   lo_t, hi_t, limit=400)[0]
-    s = 1.0 / math.sqrt(val)
-    if abs(val - 1.0) > 1e-9:
-        NORM_DISCREPANCIES[key] = val
-    _NORM_CACHE[key] = s
-    return s
-
-
-def _truncated_domain(fam: ModelFamily, n, tail=1e-10):
-    """Interval outside which the bound eigenfunction is negligible."""
-    lo, hi = model_domain(fam)
-    if fam.tag == PT:
-        return (1e-12, math.pi / 2.0 - 1e-12)
-    left = -40.0 if lo == -math.inf else 1e-8
-    right = 40.0 if hi == math.inf else hi - 1e-8
-    if fam.tag == MORSE_BOUND:
-        right = min(right, math.log(600.0 / fam.p("v0")))
-    xs = np.linspace(left, right, 6001)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.abs(np.nan_to_num(np.real(_raw_eigenfunction(fam, n, xs))))
-    peak = vals.max()
-    keep = np.where(vals > tail * peak)[0]
-    return (xs[max(keep[0] - 1, 0)], xs[min(keep[-1] + 1, len(xs) - 1)])
-
-
-def model_eigenfunction(fam: ModelFamily, index, x, normalized: bool = True):
-    """Sample the model eigenfunction at x.
-
-    For bound families ``index`` is the integer quantum number and the result
-    is unit-normalized over the natural domain (quadrature-corrected where the
-    built-in constant is off).  For the scattering families ``index`` is the
-    real momentum label and the delta-normalized prefactor is kept as is.
-    """
-    if fam.tag == MPT_SCATTER:
-        return _raw_eigenfunction(fam, index, x)
-    _check_index(fam, index)
-    out = _raw_eigenfunction(fam, int(index), x)
-    if normalized and fam.tag != CMORSE:
-        out = out * model_norm_correction(fam, int(index))
-    return out

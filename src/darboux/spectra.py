@@ -77,10 +77,10 @@ def _poly_roots(coeffs):
     return _quad_roots(*(0.0,) * (3 - len(coeffs)), *coeffs)
 
 
-def _polish_poly_root(coeffs, z, steps=8):
+def _polish_poly_root(coeffs, z):
     p = np.poly1d(coeffs)
     dp = p.deriv()
-    for _ in range(steps):
+    for _ in range(8):
         d = dp(z)
         if d == 0:
             break
@@ -147,15 +147,15 @@ def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
     return out
 
 
-def _scan_roots(spec: PotentialSpec, qn: QuantumNumbers, rec, n_brackets=1000):
+def _scan_roots(spec: PotentialSpec, qn: QuantumNumbers, rec):
     """Bracketed roots of a transcendental condition, each of its conventions
-    scanned on the record's energy window; secant-polished."""
+    scanned over 1000 brackets of the record's energy window; secant-polished."""
     roots = []
     for k, (e_lo, e_hi) in enumerate(rec.scan_windows(spec, qn)):
         def func(E):
             return rec.gaps(spec, qn, E)[k]
 
-        es = np.linspace(e_lo, e_hi, n_brackets + 1)
+        es = np.linspace(e_lo, e_hi, 1001)
         vals = func(es)
         va, vb = vals[:-1], vals[1:]
         # brackets with finite ends and no sign agreement

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedChartError,
 )
 from .families import FAMILIES
-from .geometry import Chart, SpaceParams, chart_transform, metric_diag, sqrt_g
+from .geometry import Chart, SpaceParams, chart_transform, d3_factor, metric_diag, sqrt_g
 from .potentials import PotentialSpec, potential_value, separated_problem
 from .spectra import QuantumNumbers, solve_quantization
 
@@ -158,13 +158,13 @@ def _sqrtg_grid(space: SpaceParams, chart: str, q1, q2):
     if chart == "hyperbolic":
         mu = np.exp(q1)[:, None]
         nu = np.exp(q2)[None, :]
-        return (space.a + 0.5 * space.b * (mu - nu)) * (mu + nu)
+        return d3_factor(space, Chart("hyperbolic", mu, nu)) * (mu + nu)
     w = sqrt_g(space, Chart(chart, q1[:, None], q2[None, :]))
     return np.broadcast_to(w, (len(q1), len(q2)))
 
 
-def _norm_axis_support(fn, probe, compact=False, thresh=1e-9):
-    """Support of |fn| above thresh * max along a probe axis."""
+def _norm_axis_support(fn, probe, compact=False):
+    """Support of |fn| above 1e-9 of its max along a probe axis."""
     if compact:
         return probe[0], probe[-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -172,7 +172,7 @@ def _norm_axis_support(fn, probe, compact=False, thresh=1e-9):
     if not np.all(np.isfinite(v)):
         return None
     top = v.max()
-    keep = np.where(v > thresh * top)[0]
+    keep = np.where(v > 1e-9 * top)[0]
     if keep[0] == 0 or keep[-1] == len(probe) - 1:
         return None
     pad = max(2, len(probe) // 100)

@@ -124,6 +124,7 @@ APPENDED_TO = {"step": "curvature.csv", "energy": "wavefunction.json"}
 
 @pytest.mark.parametrize("flag, val", [("a", "nan"), ("b", "inf"), ("v0", "nan"),
                                        ("step", "0"), ("step", "1e-300"),
+                                       ("step", "1e-8"), ("step", "1e-12"),
                                        ("energy", "inf"), ("energy", "nan")])
 def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):
     from darboux.cli import main
@@ -134,6 +135,41 @@ def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
     assert not out.exists()
+
+
+def test_negative_exponent_parses_like_decimal(tmp_path):
+    from darboux.cli import main
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(_with("classical.json", p2="-1e-3") + ["--out", str(a)]) == 0
+    assert main(_with("classical.json", p2="-0.001") + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [JOBS["spectrum.json"] + ["--bogus"],
+                                  CURV + ["--step", "-1e-3"]],
+                         ids=["unknown-flag", "step-negative-exponent"])
+def test_parse_errors_exit_2(argv, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "x.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParamError"
+    assert not out.exists()
+    assert main([argv[0], "--help"]) == 0
+
+
+@pytest.mark.parametrize("step", ["1e-4", "1e-2"])
+def test_curvature_resolving_steps_exit_0(step, tmp_path):
+    # worst |G - G_closed| measured on this grid: 5.0e-8 at 1e-4, 1.4e-6 at 1e-2
+    from darboux.cli import main
+
+    out = tmp_path / "c.csv"
+    assert main(JOBS["curvature.csv"] + ["--step", step, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    assert max(abs(float(r[2]) - float(r[3])) for r in rows) < 2e-6
 
 
 def test_wavefunction_pullback_chart(tmp_path):
@@ -168,15 +204,22 @@ def test_classical_singular_start_point_exit_2(tmp_path):
     assert not out.exists()
 
 
-# the jobs that need numpy only; classical and verify also load scipy.integrate
-NUMPY_ONLY = ("curvature.csv", "spectrum.json", "wavefunction.json")
+# the jobs that need numpy only; classical and verify also load scipy.integrate.
+# The DIV_V1 state is a product of a Poeschl-Teller and a Morse eigenfunction,
+# whose norms are closed forms
+NUMPY_ONLY = {name: JOBS[name] for name in ("curvature.csv", "spectrum.json",
+                                            "wavefunction.json")}
+NUMPY_ONLY["div_v1.json"] = ["wavefunction", "--space", "DIV", "--potential", "V1",
+                             "--a", "3", "--b", "1", "--alpha", "12", "--k1", "0.6",
+                             "--k2", "0.4", "--omega", "1", "--chart", "uv",
+                             "--grid", "40x40"]
 
 
 def test_numpy_only_jobs_load_no_scipy(tmp_path):
     script = (
         "import sys\n"
         "import darboux.cli\n"
-        f"for name, argv in {[(n, JOBS[n]) for n in NUMPY_ONLY]!r}:\n"
+        f"for name, argv in {list(NUMPY_ONLY.items())!r}:\n"
         f"    code = darboux.cli.main(argv + ['--out', {str(tmp_path)!r} + '/' + name])\n"
         "    assert code == 0, (name, code)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"

@@ -71,7 +71,8 @@ def _set_arguments(paths):
 
 
 def test_every_keyword_default_is_set():
-    # a default that no call overrides is a constant, not an option
+    # a default that no call overrides is a constant, not an option; this
+    # holds for private functions and methods too
     tests = pathlib.Path(__file__).parent
     keywords, positional = _set_arguments(sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py")))
     unset = []
@@ -81,8 +82,6 @@ def test_every_keyword_default_is_set():
         defs += [(1, d) for c in tree.body if isinstance(c, ast.ClassDef)
                  for d in c.body if isinstance(d, ast.FunctionDef)]
         for skip, d in defs:
-            if d.name.startswith("_"):
-                continue
             args = (d.args.posonlyargs + d.args.args)[skip:]  # a method's self
             first = len(args) - len(d.args.defaults)
             for i, arg in enumerate(args[first:], start=first):

@@ -24,7 +24,7 @@ HB = 1.0
 
 def fd_residual(fam, index, x, energy=None):
     """4th-order FD residual of the family's defining 1D equation."""
-    psi = model_eigenfunction(fam, index, x, normalized=False)
+    psi = model_eigenfunction(fam, index, x)
     u = model_potential(fam)(x[2:-2])
     e = model_eigenvalue(fam, index) if energy is None else energy
     h = x[1] - x[0]
@@ -175,7 +175,7 @@ def test_cmorse_real_spectrum_and_ode():
     for n in range(3):
         e = model_eigenvalue(fam, n)
         assert complex(e).imag == 0.0
-        psi = model_eigenfunction(fam, n, x, normalized=False)
+        psi = model_eigenfunction(fam, n, x)
         u = model_potential(fam)(x[2:-2])
         h = x[1] - x[0]
         d2 = (-psi[:-4] + 16 * psi[1:-3] - 30 * psi[2:-2] + 16 * psi[3:-1] - psi[4:]) / (12 * h * h)
@@ -215,14 +215,13 @@ def test_mpt_bound_array_matches_pointwise():
         ModelFamily(sf.MPT_BOUND, {"eta": 2.0, "nu": 6.0}),
         ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5, "sign_eta": -1}),
     ]
-    # the grid of _truncated_domain, a 2-D grid, and one point (the norm
-    # quadrature's integrand)
+    # the grid of the oracle's domain, a 2-D grid, and one point
     line = np.linspace(1e-8, 40.0, 6001)
     plane = np.linspace(0.01, 6.0, 41)[:, None] + np.linspace(0.0, 1.0, 7)[None, :]
     for fam in fams:
         for n in range(model_max_index(fam) + 1):
             for x in (line, plane, np.asarray(0.7)):
-                got = sf._raw_eigenfunction(fam, n, x)
+                got = model_eigenfunction(fam, n, x)
                 assert got.shape == x.shape
                 assert np.array_equal(got, _mpt_bound_pointwise(fam, n, x)), (fam, n, x.shape)
 
@@ -279,8 +278,39 @@ def _check_mpt_bound_against_mpmath(mp):
                   * mp.hyp2f1(a, b, c, -mp.sinh(t) ** 2))
             for t in map(mp.mpf, x)
         ])
-        psi = model_eigenfunction(fam, n, x, normalized=False)
+        psi = model_eigenfunction(fam, n, x)
         assert np.max(np.abs(psi - psi_ref) / np.abs(psi_ref)) < 3.6e-13
+
+
+def test_bound_norms_against_mpmath():
+    # the integral of psi_n^2 over the natural domain (clipped to |x| <= 30;
+    # the largest tail left out, Morse n = 3 below -30, is about 7e-18) by
+    # mpmath.quad at 30 digits, for
+    # n = 0..3 or up to the top of the ladder.  Worst deviation from 1
+    # measured: 5.0e-15, at Morse n = 0; the bound is 10x that
+    import mpmath as mp
+
+    cases = [
+        ModelFamily(sf.HO, {"omega": 1.0}),
+        ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.7}),
+        ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}),
+        ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}),
+        ModelFamily(sf.MPT_BOUND, {"eta": 0.3, "nu": 5.5, "sign_eta": -1}),
+        ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 4.2}),
+        ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.7}, hbar=0.7, mass=1.3),
+        ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 4.2}, hbar=0.7, mass=1.3),
+    ]
+    devs = []
+    with mp.workdps(30):
+        for fam in cases:
+            lo, hi = model_domain(fam)
+            pieces = list(np.linspace(max(lo, -30.0), min(hi, 30.0), 7))
+            top = model_max_index(fam)
+            for n in range(4 if top is None else min(3, top) + 1):
+                val = mp.quad(lambda t: float(model_eigenfunction(fam, n, float(t))) ** 2, pieces)
+                devs.append((abs(float(val) - 1.0), f"{fam} n={n}"))
+    worst = max(devs)
+    assert worst[0] < 5e-14, worst
 
 
 def test_gamma_complex_against_mpmath():
