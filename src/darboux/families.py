@@ -175,7 +175,33 @@ def _flipped_ho(spec, partner, k_own, k_oth, c):
         s = k_own / (m * w * w)
         return (-s - half, -s + half)
 
-    return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+    return potentials.Separated1D(profile, lam_req, factor, window)
+
+
+def _flipped_rho(spec, lam, lam_req, window):
+    """A radial axis of D_III: the radial oscillator in w(E) with index lam,
+    solved at its flipped level -hbar w (2n + lam + 1); ``window(q)`` gives
+    the sampling interval from q = m w / hbar."""
+    _, _, m, hb, _ = _units(spec)
+
+    def q_of(E):
+        return m * _omega_of(spec, E) / hb
+
+    def profile(E):
+        return sf.model_potential(
+            sf.ModelFamily(sf.RHO, {"omega": _omega_of(spec, E), "lam": lam}, hbar=hb, mass=m))
+
+    def factor(E, n):
+        q, n = q_of(E), int(n)
+
+        def psi(r):
+            r = np.asarray(r, dtype=float)
+            lag = sf.orthopoly_eval("laguerre", n, (lam,), -q * r * r)
+            return r ** (lam + 0.5) * np.exp(0.5 * q * r * r) * lag
+
+        return psi
+
+    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(q_of(E)))
 
 
 def _log_window(v0):
@@ -294,30 +320,16 @@ class Shifted(DIIIFamily):
             return math.sqrt(-8.0 * m * b * E) / hb
 
         return potentials.Separated1D(
-            (-math.inf, math.inf), profile, lam_req=lambda E: -hq * mu_idx ** 2,
+            profile, lam_req=lambda E: -hq * mu_idx ** 2,
             factor=lambda E, n: potentials.morse_flipped_factor(beta(E), mu_idx, int(n), sign=-1.0),
             window=lambda E, n: (math.log(beta(E) / 12.0), math.log(beta(E) / 0.05)))
 
     def _polar(self, spec, partner, axis):
         """The radius of the polar chart: a flipped radial oscillator."""
-        a, b, m, hb, hq = _units(spec)
+        a, coupling = spec.space.a, self.shift(spec)
         lam_ang = self._polar_index(spec, partner)
-        coupling = self.shift(spec)
-
-        def profile(E):
-            return lambda r: (-0.25 * b * E) * np.asarray(r) ** 2 + hq * (
-                lam_ang * lam_ang - 0.25
-            ) / np.asarray(r) ** 2
-
-        def factor(E, n):
-            return potentials.rho_flipped_factor(m, hb, _omega_of(spec, E), lam_ang, int(n))
-
-        def window(E, n):
-            q = m * _omega_of(spec, E) / hb
-            return (0.35 / math.sqrt(q) / math.sqrt(lam_ang + 1.0), math.sqrt(28.0 / q))
-
-        return potentials.Separated1D((0.0, math.inf), profile, lambda E: a * E - coupling,
-                                      factor, window)
+        return _flipped_rho(spec, lam_ang, lambda E: a * E - coupling, lambda q: (
+            0.35 / math.sqrt(q) / math.sqrt(lam_ang + 1.0), math.sqrt(28.0 / q)))
 
     def branches(self, spec, qn):
         # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
@@ -384,30 +396,19 @@ class DIII_V2(Shifted):
 
     def _parabolic(self, spec, partner, axis):
         """xi or eta > 0: a flipped radial oscillator."""
-        a, _, m, hb, hq = _units(spec)
-        n_oth = int(partner)
+        a, hb, n_oth = spec.space.a, spec.space.hbar, int(partner)
         k_own = abs(spec.c("k1")) if axis == 0 else abs(spec.c("k2"))
         k_oth = abs(spec.c("k2")) if axis == 0 else abs(spec.c("k1"))
         coupling = spec.c("alpha")
 
-        def profile(E):
-            w = _omega_of(spec, E)
-            return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + hq * (
-                k_own * k_own - 0.25
-            ) / np.asarray(x) ** 2
-
         def lam_req(E):
             return a * E - coupling + hb * _omega_of(spec, E) * (2.0 * n_oth + k_oth + 1.0)
 
-        def factor(E, n):
-            return potentials.rho_flipped_factor(m, hb, _omega_of(spec, E), k_own, int(n))
-
-        def window(E, n):
-            q = m * _omega_of(spec, E) / hb
+        def window(q):
             hi = math.sqrt(18.0 / q)
             return (0.3 / math.sqrt(q * hi), hi)
 
-        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, window)
+        return _flipped_rho(spec, k_own, lam_req, window)
 
     separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
                    ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
@@ -481,9 +482,9 @@ class DIII_V3(Shifted):
             )
 
         return potentials.Separated1D(
-            (0.0, 2.0 * math.pi), profile,
-            lam_req=lambda E: hq * self._polar_index(spec, partner) ** 2,
-            factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0))
+            profile, lam_req=lambda E: hq * self._polar_index(spec, partner) ** 2,
+            factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0),
+            window=lambda E, n: (0.0, 2.0 * math.pi))
 
     separations = {("polar", 0): Shifted._polar, ("polar", 1): _angle}
 
@@ -542,8 +543,7 @@ class DIII_V4(DIIIFamily):
             return potentials.morse_bound_factor(self._v0(spec, E), s, int(n))
 
         return potentials.Separated1D(
-            (-math.inf, math.inf), profile,
-            lam_req=lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2,
+            profile, lam_req=lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2,
             factor=factor, window=lambda E, n: _log_window(self._v0(spec, E)))
 
     separations = {("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
@@ -638,8 +638,7 @@ class DIII_V5(Shifted):
             return potentials.morse_bound_factor(vt_of(E), s, int(n))
 
         return potentials.Separated1D(
-            (-math.inf, math.inf), profile,
-            lam_req=lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2,
+            profile, lam_req=lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2,
             factor=factor, window=lambda E, n: _log_window(vt_of(E)))
 
     separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
@@ -720,42 +719,39 @@ def _index_root(space, k2, apm, E):
     return math.sqrt(sq)
 
 
-def _pt_axis(spec, indices, lam_req, top, window):
-    """A Poeschl-Teller axis on (0, top) whose indices (alpha, beta) =
-    indices(E) sit at its sin and its cos wall."""
-    hq = potentials._quantum_unit(spec.space)
+def _model_axis(spec, tag, params, lam_req, window):
+    """An axis solved by the model family ``tag`` of ``specfun`` with the
+    parameters params(E): the model's profile and eigenfunctions, sampled on
+    the fixed ``window``."""
 
     def profile(E):
-        a, b = indices(E)
-        return lambda u: hq * ((a * a - 0.25) / np.sin(u) ** 2 + (b * b - 0.25) / np.cos(u) ** 2)
+        return sf.model_potential(
+            sf.ModelFamily(tag, params(E), hbar=spec.space.hbar, mass=spec.space.mass))
 
-    def factor(E, n):
-        a, b = indices(E)
-        return _model_factor(spec, sf.PT, {"alpha": a, "beta": b}, n)
+    return potentials.Separated1D(profile, lam_req,
+                                  lambda E, n: _model_factor(spec, tag, params(E), n),
+                                  lambda E, n: window)
 
-    return potentials.Separated1D((0.0, top), profile, lam_req, factor, lambda E, n: window)
+
+def _pt_axis(spec, indices, lam_req, window):
+    """A Poeschl-Teller axis whose indices (alpha, beta) = indices(E) sit at
+    its sin and its cos wall."""
+    return _model_axis(spec, sf.PT, lambda E: dict(zip(("alpha", "beta"), indices(E))),
+                       lam_req, window)
 
 
 def _mpt_axis(spec, partner, indices, pt_indices, window):
-    """A bound modified Poeschl-Teller axis on (0, inf) whose indices
-    (eta, nu) = indices(E) sit at its sinh and its cosh wall; its partner is
-    the Poeschl-Teller axis at level ``partner`` with indices pt_indices(E)."""
-    hq = potentials._quantum_unit(spec.space)
-    n_oth = int(partner)
-
-    def profile(E):
-        p, q = indices(E)
-        return lambda v: hq * ((p * p - 0.25) / np.sinh(v) ** 2 - (q * q - 0.25) / np.cosh(v) ** 2)
+    """A bound modified Poeschl-Teller axis whose indices (eta, nu) =
+    indices(E) sit at its sinh and its cosh wall; its partner is the
+    Poeschl-Teller axis at level ``partner`` with indices pt_indices(E)."""
+    hq, n_oth = potentials._quantum_unit(spec.space), int(partner)
 
     def lam_req(E):
         a, b = pt_indices(E)
         return -hq * (2.0 * n_oth + a + b + 1.0) ** 2
 
-    def factor(E, n):
-        p, q = indices(E)
-        return _model_factor(spec, sf.MPT_BOUND, {"eta": p, "nu": q}, n)
-
-    return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, lambda E, n: window)
+    return _model_axis(spec, sf.MPT_BOUND, lambda E: dict(zip(("eta", "nu"), indices(E))),
+                       lam_req, window)
 
 
 class DIV_V1(DIVFamily):
@@ -806,7 +802,7 @@ class DIV_V1(DIVFamily):
                 return 2.0 * hb ** 2 / m * s * s
 
             return _pt_axis(spec, lambda E: self.indices(spec, E)[::-1], lam_req,
-                            math.pi / 2.0, (0.15, math.pi / 2.0 - 0.15))
+                            (0.15, math.pi / 2.0 - 0.15))
         # v, in the doubled variable x = 2v: a Morse well of mass m/4
         morse = sf.ModelFamily(
             sf.MORSE_BOUND,
@@ -831,36 +827,20 @@ class DIV_V1(DIVFamily):
             v0m = morse.p("v0")
             return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
 
-        return potentials.Separated1D((-math.inf, math.inf), profile, lam_req, factor, window)
+        return potentials.Separated1D(profile, lam_req, factor, window)
 
     def _horospherical(self, spec, partner, axis):
         """mu or nu > 0: a radial oscillator."""
-        _, _, m, hb, hq = _units(spec)
+        _, _, m, hb, _ = _units(spec)
         al, om = spec.c("alpha"), spec.c("omega")
-        n_oth = int(partner)
-
-        def idx(E):
-            l1, l2 = self.indices(spec, E)
-            return (l1, l2) if axis == 0 else (l2, l1)
-
-        def profile(E):
-            lo, _ = idx(E)
-            return lambda r: 0.5 * m * om * om * np.asarray(r) ** 2 + hq * (
-                lo * lo - 0.25
-            ) / np.asarray(r) ** 2
+        n_oth, q = int(partner), m * om / hb
 
         def lam_req(E):
-            _, lt = idx(E)
-            return al - hb * om * (2.0 * n_oth + lt + 1.0)
+            return al - hb * om * (2.0 * n_oth + self.indices(spec, E)[1 - axis] + 1.0)
 
-        def factor(E, n):
-            return _model_factor(spec, sf.RHO, {"omega": om, "lam": idx(E)[0]}, n)
-
-        def window(E, n):
-            q = m * om / hb
-            return (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
-
-        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor, window)
+        return _model_axis(spec, sf.RHO,
+                           lambda E: {"omega": om, "lam": self.indices(spec, E)[axis]},
+                           lam_req, (0.25 / math.sqrt(q), math.sqrt(30.0 / q)))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv,
                    ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
@@ -936,7 +916,7 @@ class DIV_V2(DIVFamily):
                                hbar=spec.space.hbar, mass=spec.space.mass)
         return _pt_axis(spec, lambda E: self.indices(spec, E),
                         lambda E: -sf.model_eigenvalue(mpt_v, int(partner)),
-                        math.pi / 2.0, (0.15, math.pi / 2.0 - 0.15))
+                        (0.15, math.pi / 2.0 - 0.15))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv}
 
@@ -969,16 +949,6 @@ class DIV_V2(DIVFamily):
         sp = spec.space
         apm = sp.a_minus if aux == "degelliptic" else sp.a_plus
         return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k3") ** 2)
-
-
-def _div3_gaps(spec, qn, E):
-    """The DIV_V3 condition in its two index conventions, (tabulated after its
-    cancellation, separation-consistent closure); NaN where an index is complex.
-    E may be an array of energies."""
-    lam = potentials.div3_indices(spec, E)
-    nl = 2.0 * (qn.n + qn.l)
-    return (nl + lam["1m"] - lam["2m"] - 2.0,
-            lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0)
 
 
 class DIV_V3(DIVFamily):
@@ -1021,13 +991,18 @@ class DIV_V3(DIVFamily):
             lam = potentials.div3_indices(spec, E)
             return hq * (lam["2p"] - lam["3p"] - 2.0 * n_oth - 1.0) ** 2
 
-        return _pt_axis(spec, pair("3m", "1m"), lam_req, math.pi / 4.0,
-                        (0.12, math.pi / 4.0 - 0.02))
+        return _pt_axis(spec, pair("3m", "1m"), lam_req, (0.12, math.pi / 4.0 - 0.02))
 
     separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
 
     def gaps(self, spec, qn, E):
-        return _div3_gaps(spec, qn, E)
+        """The condition in its two index conventions, (tabulated after its
+        cancellation, separation-consistent closure); NaN where an index is
+        complex.  E may be an array of energies."""
+        lam = potentials.div3_indices(spec, E)
+        nl = 2.0 * (qn.n + qn.l)
+        return (nl + lam["1m"] - lam["2m"] - 2.0,
+                lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0)
 
     def scan_windows(self, spec, qn):
         """The energies (E_lo, E_hi) scanned for each convention of ``gaps``:
@@ -1101,8 +1076,7 @@ class DIV_V4(DIVFamily):
             fam_s = sf.ModelFamily(sf.MPT_SCATTER, {"eta": l0, "nu": 1j * kv}, hbar=hb, mass=m)
             return lambda t: sf.model_eigenfunction(fam_s, pm, np.asarray(t))
 
-        return potentials.Separated1D((0.0, math.inf), profile, lam_req, factor,
-                                      lambda E, n: (0.1, 8.0))
+        return potentials.Separated1D(profile, lam_req, factor, lambda E, n: (0.1, 8.0))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv}
 

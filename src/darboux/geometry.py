@@ -38,12 +38,6 @@ CONFORMAL_CHARTS = {
     DIV: ("uv", "horospherical", "degelliptic1", "degelliptic2", "elliptic"),
 }
 
-# charts reachable from (u, v) by a real analytic map
-TRANSFORMABLE = {
-    DIII: ("uv", "polar", "parabolic", "elliptic"),
-    DIV: ("uv", "horospherical", "degelliptic2", "elliptic"),
-}
-
 
 @dataclass(frozen=True)
 class SpaceParams:
@@ -245,8 +239,8 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     extrapolation.  The chart may hold a grid of points.  Requires a conformal
     chart; if any point's stencil leaves the chart domain, DomainError.  A step
     that is not finite and positive, whose half squares to 0, that gives a
-    non-finite G, or so small that the stencil's rounding error swamps G
-    raises ParamError.
+    non-finite G, or so small that the stencil's rounding bound exceeds
+    1e-3 (1 + |G|) raises ParamError.
     """
     if not (math.isfinite(step) and step > 0 and (step / 2.0) ** 2 > 0):
         raise ParamError(f"step must be finite and positive with a nonzero square, got {step!r}")
@@ -277,8 +271,8 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     # each ln f of the h/2 stencil is off by about eps (1 + |ln f|), and the
     # stencil weighs its five values by 1, 1, 1, 1 and 4
     noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(f0))) / (step / 2.0) ** 2
-    if _anywhere(noise / (2.0 * f0) >= 1.0 + np.abs(g)):
-        raise ParamError(f"step {step!r} is so small that rounding error swamps the curvature")
+    if _anywhere(noise / (2.0 * f0) > 1e-3 * (1.0 + np.abs(g))):
+        raise ParamError(f"step {step!r} is so small that rounding error exceeds 1e-3 (1 + |G|)")
     return g
 
 

@@ -104,32 +104,16 @@ class Separated1D:
 
     ``profile(E)`` returns the potential U_E(x); ``lam_req(E)`` the
     pseudo-eigenvalue required by the partner separation; ``factor(E, n)`` the
-    analytic factor carrying this problem's quantum number n; ``window(E, n)``,
-    where given, the interval on which that factor is sampled.  A root of the
+    analytic factor carrying this problem's quantum number n; ``window(E, n)``
+    the finite interval on which that factor is sampled.  A root of the
     quantization condition is exactly an E at which the factor solves the
     problem at pseudo-eigenvalue lam_req(E).
     """
 
-    domain: tuple
     profile: Callable
     lam_req: Callable
     factor: Callable
-    window: Callable | None = None
-
-
-def rho_flipped_factor(mass, hbar, omega, lam, n):
-    """Radial oscillator solution at level -hbar w (2n + lam + 1)."""
-    q = mass * omega / hbar
-
-    def psi(r):
-        r = np.asarray(r, dtype=float)
-        return (
-            r ** (lam + 0.5)
-            * np.exp(0.5 * q * r * r)
-            * sf.orthopoly_eval("laguerre", n, (lam,), -q * r * r)
-        )
-
-    return psi
+    window: Callable
 
 
 def morse_flipped_factor(beta, mu, n, sign=-1.0):

@@ -225,7 +225,7 @@ class ModelFamily:
       HO:            omega
       RHO:           omega, lam
       PT:            alpha, beta                (alpha, beta > -1)
-      MPT_bound/scatter: eta, nu  (optional sign_eta in {+1,-1})
+      MPT_bound/scatter: eta, nu
       Morse_bound:   v0, alpha_t                (depth V0 and shape alpha~)
       cMorse:        c1, c2                     (c1 != 0)
     """
@@ -249,10 +249,10 @@ class ModelFamily:
 
 
 def _mpt_k12(fam: ModelFamily):
-    """MPT index pair (k1, k2); sign_eta exposes both square-root branches of k2."""
-    s_eta = fam.params.get("sign_eta", +1)
+    """MPT index pair (k1, k2); a negative eta gives the other square-root
+    branch of k2."""
     k1 = 0.5 * (1.0 + fam.p("nu"))
-    k2 = 0.5 * (1.0 + s_eta * fam.p("eta"))
+    k2 = 0.5 * (1.0 + fam.p("eta"))
     return k1, k2
 
 

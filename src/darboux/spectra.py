@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NoRootError, ParamError, UnsupportedError
-from .families import FAMILIES, _div3_gaps  # noqa: F401  (_div3_gaps re-exported)
+from .families import FAMILIES
 from .potentials import PotentialSpec
 
 
@@ -46,11 +46,6 @@ class EnergyRoots:
 
     candidates: list
     admissible: list = field(default_factory=list)
-
-
-def effective_count(spec: PotentialSpec, qn: QuantumNumbers) -> float:
-    """The composite quantum number entering the family's squared condition."""
-    return FAMILIES[spec.family].count(spec, qn)
 
 
 def _quad_roots(A, B, C):

@@ -124,6 +124,7 @@ APPENDED_TO = {"step": "curvature.csv", "energy": "wavefunction.json"}
 
 @pytest.mark.parametrize("flag, val", [("a", "nan"), ("b", "inf"), ("v0", "nan"),
                                        ("step", "0"), ("step", "1e-300"),
+                                       ("step", "1e-6"), ("step", "1e-7"),
                                        ("step", "1e-8"), ("step", "1e-12"),
                                        ("energy", "inf"), ("energy", "nan")])
 def test_non_finite_parameters_exit_2(flag, val, tmp_path, capsys):

@@ -4,7 +4,8 @@ import pathlib
 import re
 
 from darboux.families import FAMILIES
-from darboux.geometry import DIII, DIV
+from darboux.geometry import DIII, DIV, SpaceParams
+from darboux.potentials import PotentialSpec, separated_problem
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
 FAMILY_NAME = re.compile(r"(DIII|DIV)_V\d")
@@ -51,6 +52,30 @@ def test_one_record_per_family():
         for chart in rec.schemes:
             assert ((chart, 0) in rec.separations and (
                 (chart, 1) in rec.separations or chart in rec.angles)) or chart in rec.pullbacks
+
+
+# couplings at which every separation of a record can be built
+COUPLINGS = {
+    "DIII_V1": {"k1": 0.4, "k2": 0.3, "k3": 0.2},
+    "DIII_V2": {"alpha": 1.0, "k1": 0.3, "k2": 0.7},
+    "DIII_V3": {"alpha": 0.5, "c1": 1.2, "c2": 0.8},
+    "DIII_V4": {"d1": -1.5, "d2": -0.5, "omega": 1.0},
+    "DIII_V5": {"v0": 0.6},
+    "DIV_V1": {"alpha": 12.0, "k1": 0.6, "k2": 0.4, "omega": 1.0},
+    "DIV_V2": {"k1": 2.0, "k2": 6.0, "k3": 0.5},
+    "DIV_V3": {"c1": 0.3, "c2": -200.0, "c3": 0.2},
+    "DIV_V4": {"k0": 0.7},
+}
+
+
+def test_every_separation_has_a_finite_window():
+    # the residual check and the default grids sample each factor on its window
+    for name, rec in FAMILIES.items():
+        a, b = (1.0, 1.0) if rec.space == DIII else (3.0, 1.0)
+        spec = PotentialSpec(SpaceParams(rec.space, a, b), name, COUPLINGS[name])
+        for chart, axis in rec.separations:
+            lo, hi = separated_problem(spec, chart, 0, axis).window(-3.7, 0)
+            assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
 
 
 def _set_arguments(paths):

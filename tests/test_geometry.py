@@ -9,7 +9,6 @@ from darboux.geometry import (
     DIV,
     Chart,
     SpaceParams,
-    TRANSFORMABLE,
     chart_transform,
     curvature_closed,
     curvature_numeric,

@@ -140,7 +140,7 @@ def test_mpt_bound_building_block_hyp2f1_calls(monkeypatch):
     # the comparison of each level, not one call per grid point
     fam = sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5})
     n_max = 3
-    verify_building_block(fam, n_max, n_points=4400)  # warms the norm cache
+    verify_building_block(fam, n_max, n_points=4400)  # a first run, uncounted
     calls = []
     original = sf.hyp2f1
 

@@ -185,7 +185,7 @@ def test_cmorse_real_spectrum_and_ode():
 
 def test_mpt_sign_branches_exposed():
     plus = ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5})
-    minus = ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5, "sign_eta": -1})
+    minus = ModelFamily(sf.MPT_BOUND, {"eta": -0.5, "nu": 5.5})
     assert model_eigenvalue(plus, 0) != model_eigenvalue(minus, 0)
 
 
@@ -213,7 +213,7 @@ def test_mpt_bound_array_matches_pointwise():
         ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}),
         ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5}),
         ModelFamily(sf.MPT_BOUND, {"eta": 2.0, "nu": 6.0}),
-        ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5, "sign_eta": -1}),
+        ModelFamily(sf.MPT_BOUND, {"eta": -0.5, "nu": 5.5}),
     ]
     # the grid of the oracle's domain, a 2-D grid, and one point
     line = np.linspace(1e-8, 40.0, 6001)
@@ -295,7 +295,7 @@ def test_bound_norms_against_mpmath():
         ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.7}),
         ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}),
         ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}),
-        ModelFamily(sf.MPT_BOUND, {"eta": 0.3, "nu": 5.5, "sign_eta": -1}),
+        ModelFamily(sf.MPT_BOUND, {"eta": -0.3, "nu": 5.5}),
         ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 4.2}),
         ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.7}, hbar=0.7, mass=1.3),
         ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 4.2}, hbar=0.7, mass=1.3),

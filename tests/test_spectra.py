@@ -12,7 +12,6 @@ from darboux.spectra import (
     admissibility_check,
     asymptotic_spectrum,
     continuous_dispersion,
-    effective_count,
     quantization_residual,
     solve_quantization,
 )
@@ -290,15 +289,16 @@ DIV3 = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
 
 @pytest.mark.parametrize("n, l", [(0, 0), (2, 1), (3, 4)])
 def test_div_v3_gaps_on_an_energy_array(n, l):
+    from darboux.families import FAMILIES
     from darboux.potentials import div3_indices
-    from darboux.spectra import _div3_gaps
 
+    gaps = FAMILIES["DIV_V3"].gaps
     qn = QuantumNumbers(n, l, "degelliptic2")
     # spans energies where some indices are complex (NaN) and where none is
     es = np.linspace(-1000.0, 100.0, 2201)
-    arr = _div3_gaps(DIV3, qn, es)
+    arr = gaps(DIV3, qn, es)
     for k in range(2):
-        one = np.array([_div3_gaps(DIV3, qn, e)[k] for e in es])
+        one = np.array([gaps(DIV3, qn, e)[k] for e in es])
         assert np.isnan(arr[k]).any() and not np.isnan(arr[k]).all()
         assert np.array_equal(np.isnan(arr[k]), np.isnan(one))
         assert arr[k][~np.isnan(one)].tobytes() == one[~np.isnan(one)].tobytes()
