@@ -1,14 +1,14 @@
 """Command-line front end: batch jobs serialized as JSON or CSV.
 
 Commands: curvature maps, spectrum tables, wavefunction grids, classical
-diagnostics, and the verification suites.  Outputs are deterministic
-(shortest round-trip decimals in JSON, 17 significant digits in CSV) and
-written atomically.  Exit codes are 0 (success), 2 (validation error, or a
-spectrum table none of whose records has a root), 3 (a verification suite
-failed its tolerance) and 4 (an internal error: any exception that is not a
-``DarbouxError``).  Errors go to stderr as one line of JSON.  A spectrum record
-without a root carries an ``error`` object and empty candidate lists, and the
-header then counts such records in ``failed_records``.
+diagnostics, and the verification suites.  Outputs are deterministic (shortest
+round-trip decimals in JSON, 17 significant digits in CSV) and written
+atomically.  Exit codes are 0 (success), 2 (validation error, a non-finite
+number in the output, or a spectrum table none of whose records has a root), 3
+(a verification suite failed its tolerance) and 4 (an internal error: any
+exception that is not a ``DarbouxError``).  Errors go to stderr as one line of
+JSON.  A spectrum record without a root carries an ``error`` object and empty
+candidate lists, and the header then counts such records in ``failed_records``.
 """
 
 from __future__ import annotations
@@ -136,20 +136,25 @@ def _atomic_write(path: str, text: str):
 
 def _emit(args, header: dict, records: list, columns=None):
     if args.format == "json":
-        doc = {"header": header, "records": records}
-        _atomic_write(args.out, json.dumps(doc, sort_keys=True) + "\n")
-        return
-    if not columns:
-        columns = sorted({k for r in records for k in r})
-    lines = [",".join(columns)]
-    for r in records:
-        cells = []
-        for c in columns:
-            v = r.get(c, "")
-            cells.append(_fmt17(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
-                         else str(v))
-        lines.append(",".join(cells))
-    _atomic_write(args.out, "\r\n".join(lines) + "\r\n")
+        try:
+            text = json.dumps({"header": header, "records": records}, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError:
+            raise ParamError("the output holds a non-finite number") from None
+    else:
+        columns = columns or sorted({k for r in records for k in r})
+        lines = [",".join(columns)]
+        for r in records:
+            cells = []
+            for c in columns:
+                v = r.get(c, "")
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ParamError(f"the output holds the non-finite number {v} in column {c}")
+                cells.append(_fmt17(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
+                             else str(v))
+            lines.append(",".join(cells))
+        text = "\r\n".join(lines) + "\r\n"
+    _atomic_write(args.out, text)
 
 
 def _header(args, command: str, spec: PotentialSpec | None = None, **extra) -> dict:

@@ -9,6 +9,10 @@ class ParamError(DarbouxError):
     """Space or potential parameters violate a documented constraint."""
 
 
+class LevelError(ParamError, IndexError):
+    """A level index lies outside the ladder of a model's bound states."""
+
+
 class DomainError(DarbouxError):
     """A coordinate point lies outside its chart's domain."""
 

@@ -1,8 +1,8 @@
 """Independent numerical verification of the analytic machinery.
 
-The eigenvalue oracle discretizes -(hbar^2/2m) d^2/dx^2 + U(x) with the
-symmetric second-order three-point stencil, diagonalizes the tridiagonal
-matrix, and Richardson-extrapolates over the grid pair (n, 2n - 1).  It never
+The eigenvalue oracle discretizes -(hbar^2/2m) d^2/dx^2 + U(x) with the three-point
+stencil on the nested grids n, 2n - 1 and 4n - 3, bisects the coarse matrix, refines
+each finer grid's pairs by inverse iteration and Richardson-extrapolates.  It never
 reuses the closed-form eigenvalues, so agreement certifies both sides.
 
 ``separated_ode_residual`` checks that the analytic separation factor of a
@@ -41,43 +41,52 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n_points if n is None else n)
 
 
-def _solve_once(profile, xs, n_states, hbar, mass, vectors=True):
-    """The lowest eigenvalues, with their eigenvectors if ``vectors``, and the
-    interior points of xs."""
-    from scipy.linalg import eigh_tridiagonal
+def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
+    """Lowest eigenpairs on xs: bisected, or refined from ``coarse`` (xs, levels, vectors)."""
+    from scipy.linalg import eigh_tridiagonal, lapack
 
     h = xs[1] - xs[0]
-    inner = xs[1:-1]
     kin = hbar * hbar / (2.0 * mass * h * h)
-    diag = 2.0 * kin + np.asarray(profile(inner), dtype=float)
-    off = -kin * np.ones(len(inner) - 1)
-    return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                            select_range=(0, n_states - 1)), inner
+    u = np.asarray(profile(xs[1:-1]), dtype=float)
+    off = np.full(len(u) - 1, -kin)
+    if coarse is None:
+        return eigh_tridiagonal(2.0 * kin + u, off, select="i", select_range=(0, n_states - 1))
+    vs = np.empty((n_states, len(u)))
+    for k, (e, v) in enumerate(zip(coarse[1], coarse[2].T)):
+        x = seed = np.interp(xs[1:-1], coarse[0], np.pad(v, 1))
+        for _ in range(2):
+            *_, x, info = lapack.dgtsv(off, 2.0 * kin + u - e, off, x)
+            x = x / np.linalg.norm(x)
+            if info != 0 or abs(x @ seed) < 0.99 * np.linalg.norm(seed):
+                raise ResolutionError(f"inverse iteration from the level {e:.6g} left its seed")
+        vs[k] = x
+    es = kin * (np.sum(np.diff(vs) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2) + vs ** 2 @ u
+    if np.any(np.diff(es) <= 0):
+        raise ResolutionError("inverse iteration put the levels out of order")
+    return es, vs.T
 
 
 def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     """Lowest eigenpairs of -(hbar^2/2m) d2/dx2 + U with Dirichlet walls.
 
-    Richardson extrapolation over the nested grids (n, 2n-1, 4n-3) removes
-    the h^2 and h^4 errors from the eigenvalues and the h^2 error from the
-    eigenvectors (returned on the middle grid).  Disagreement of successive
-    estimates beyond the extrapolation model triggers ResolutionError, as
-    does a grid too coarse to resolve the local wavelength by 10 points.
+    Bisection solves the grid n.  The grids 2n-1 and 4n-3 take two steps of inverse
+    iteration from the next coarser level and its interpolated vector, then the Rayleigh
+    quotient kin (sum (dx)^2 + x_0^2 + x_N^2) + sum U x^2, a sum that does not cancel.
+    Richardson extrapolation over the three removes the h^2 and h^4 errors from the
+    levels and the h^2 error from the vectors (returned on the middle grid).  Levels off
+    that model or out of order, an iterate whose |cos| to its seed falls below 0.99, or
+    a step above a tenth of the local wavelength raise ResolutionError.
     """
     n = grid.n_points
-    xs1 = grid.points()
-    xs2 = grid.points(2 * n - 1)
-    xs3 = grid.points(4 * n - 3)
-    # the coarse grid enters only through its eigenvalues
-    e1, in1 = _solve_once(profile, xs1, n_states, hbar, mass, vectors=False)
-    (e2, v2), in2 = _solve_once(profile, xs2, n_states, hbar, mass)
-    (e3, v3), _ = _solve_once(profile, xs3, n_states, hbar, mass)
+    xs1, xs2, xs3 = grid.points(), grid.points(2 * n - 1), grid.points(4 * n - 3)
+    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass)
+    e2, v2 = _eigenpairs(profile, xs2, n_states, hbar, mass, (xs1, e1, v1))
+    e3, v3 = _eigenpairs(profile, xs3, n_states, hbar, mass, (xs2, e2, v2))
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     e_rich = (16.0 * r2 - r1) / 15.0
     h = xs1[1] - xs1[0]
-    u = np.asarray(profile(in1), dtype=float)
-    kin_scale = np.maximum(e_rich.max() - u, 1e-12)
+    kin_scale = np.maximum(e_rich.max() - np.asarray(profile(xs1[1:-1]), dtype=float), 1e-12)
     lam_min = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * kin_scale.max())
     if h > lam_min / 10.0:
         raise ResolutionError(
@@ -86,13 +95,10 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     # under clean h^2 convergence successive differences shrink by 4
     if np.any(np.abs(e2 - e3) > 0.5 * np.abs(e1 - e2) + 1e-9 * np.abs(e_rich) + 1e-12):
         raise ResolutionError("grid triple disagrees beyond the extrapolation model")
-    h2 = xs2[1] - xs2[0]
-    h3 = xs3[1] - xs3[0]
     out = []
     for k in range(n_states):
-        a2 = v2[:, k] / math.sqrt(h2)
-        a3 = v3[:, k] / math.sqrt(h3)
-        a3c = a3[1::2]  # fine-grid interior points that coincide with the middle grid
+        a2 = v2[:, k] / math.sqrt(xs2[1] - xs2[0])
+        a3c = v3[1::2, k] / math.sqrt(xs3[1] - xs3[0])  # the fine points on the middle grid
         if np.dot(a3c, a2) < 0:
             a3c = -a3c
         vec = (4.0 * a3c - a2) / 3.0
@@ -100,7 +106,7 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
         first_ext = int(np.argmax(grad < 0))
         if vec[first_ext] < 0:
             vec = -vec
-        out.append((float(e_rich[k]), in2, vec))
+        out.append((float(e_rich[k]), xs2[1:-1], vec))
     return out
 
 

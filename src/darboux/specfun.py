@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, ParamError, PoleError
+from .errors import ConvergenceError, LevelError, ParamError, PoleError
 
 _EPS = 1e-16
 _MAXTERMS = 4000
@@ -275,16 +275,16 @@ def model_max_index(fam: ModelFamily):
 
 def _check_index(fam, n):
     if n < 0 or n != int(n):
-        raise IndexError("bound-state index must be a non-negative integer")
+        raise LevelError("bound-state index must be a non-negative integer")
     top = model_max_index(fam)
     if top is not None and n > top:
-        raise IndexError(f"{fam.tag} supports indices 0..{top}, got {n}")
+        raise LevelError(f"{fam.tag} supports indices 0..{top}, got {n}")
 
 
 def model_eigenvalue(fam: ModelFamily, n: int) -> float:
     """Closed-form bound-state energy of the model family."""
     if fam.tag == MPT_SCATTER:
-        raise IndexError("scattering families have no discrete levels")
+        raise LevelError("scattering families have no discrete levels")
     _check_index(fam, n)
     hb, m = fam.hbar, fam.mass
     if fam.tag == HO:

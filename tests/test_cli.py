@@ -371,3 +371,53 @@ def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ParamError"
     assert not out.exists()
+
+
+def test_level_beyond_the_ladder_is_level_error(tmp_path, capsys):
+    # the MPT_bound factor of DIV_V2 at these couplings holds the levels 0..1
+    from darboux.cli import main
+    from darboux.errors import LevelError, ParamError
+
+    assert issubclass(LevelError, ParamError) and issubclass(LevelError, IndexError)
+    out = tmp_path / "w.json"
+    argv = ["wavefunction", "--space", "DIV", "--potential", "V2", "--a", "3", "--b", "1",
+            "--k1", "2", "--k2", "6", "--k3", "0.5", "--chart", "uv", "--n", "0", "--l", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "LevelError",
+                               "message": "MPT_bound supports indices 0..1, got 3"}
+    assert not out.exists()
+
+
+def test_non_finite_header_exit_2(tmp_path):
+    # E = -7.5e31 leaves the sampled state 0 everywhere, and its Hamiltonian
+    # residual NaN; the job exited 0 with "hamiltonian_residual": NaN
+    out = tmp_path / "w.json"
+    r = run_cli(["wavefunction", "--space", "DIII", "--a", "1", "--b", "1", "--potential", "V3",
+                 "--alpha", "12", "--c1", "1e6", "--c2", "1e-9", "--chart", "polar",
+                 "--n", "2", "--l", "4", "--grid", "12x12"], out)
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr.splitlines()[-1])["error"] == "ParamError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt,header,record", [
+    ("json", {"residual": math.nan}, {"x": 1.0}),
+    ("json", {}, {"x": -math.inf}),
+    ("csv", {}, {"x": math.nan}),
+    ("csv", {}, {"x": math.inf}),
+], ids=["json-header-nan", "json-record-inf", "csv-nan", "csv-inf"])
+def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
+    from types import SimpleNamespace
+
+    from darboux.cli import _emit
+    from darboux.errors import ParamError
+
+    out = tmp_path / f"x.{fmt}"
+    args = SimpleNamespace(format=fmt, out=str(out))
+    with pytest.raises(ParamError, match="non-finite"):
+        _emit(args, header, [{"x": 0.5}, record])
+    assert not out.exists()
+    _emit(args, {"residual": 0.0}, [{"x": 0.5}, {"x": 2}])
+    assert out.exists()

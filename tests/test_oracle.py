@@ -151,3 +151,88 @@ def test_mpt_bound_building_block_hyp2f1_calls(monkeypatch):
     monkeypatch.setattr(sf, "hyp2f1", counted)
     verify_building_block(fam, n_max, n_points=4400)
     assert 0 < len(calls) <= 2 * (n_max + 1)
+
+
+# the seven pinned blocks of verify.suite_building_blocks: (family, n_max, n_points)
+SUITE_BLOCKS = [
+    (sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 1, 3200),
+    (sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5}), 0, 3200),
+    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), 0, 3200),
+    (sf.ModelFamily(sf.HO, {"omega": 1.0}), 3, 3200),
+    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 1.5}), 3, 3200),
+    (sf.ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}), 3, 3200),
+    (sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}), 3, 4400),
+]
+
+
+@pytest.mark.parametrize("fam,n_max,n_points", SUITE_BLOCKS,
+                         ids=["Morse", "PT-pinned", "RHO-pinned", "HO", "RHO", "PT", "MPT"])
+def test_refined_levels_match_bisection(fam, n_max, n_points, monkeypatch):
+    # each middle- and fine-grid level from inverse iteration lies within
+    # eps ||T||_1 of the bisection level of the same matrix
+    from scipy.linalg import eigh_tridiagonal
+
+    import darboux.oracle as oracle
+
+    refined = []
+    original = oracle._eigenpairs
+
+    def recorded(profile, xs, n_states, hbar, mass, coarse=None):
+        levels, vectors = original(profile, xs, n_states, hbar, mass, coarse)
+        if coarse is not None:
+            refined.append((profile, xs, hbar, mass, levels))
+        return levels, vectors
+
+    monkeypatch.setattr(oracle, "_eigenpairs", recorded)
+    verify_building_block(fam, n_max, n_points=n_points)
+    assert [len(xs) for _, xs, *_ in refined] == [2 * n_points - 1, 4 * n_points - 3]
+    for profile, xs, hbar, mass, levels in refined:
+        h = xs[1] - xs[0]
+        kin = hbar * hbar / (2.0 * mass * h * h)
+        diag = 2.0 * kin + profile(xs[1:-1])
+        off = np.full(len(diag) - 1, -kin)
+        bisected = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                    select_range=(0, n_max))
+        norm1 = np.max(np.abs(diag) + np.pad(np.abs(off), (1, 0)) + np.pad(np.abs(off), (0, 1)))
+        assert np.all(np.abs(levels - bisected) <= np.finfo(float).eps * norm1)
+
+
+@pytest.mark.parametrize("fam,guard", [(SUITE_BLOCKS[0][0], "left its seed"),
+                                       (SUITE_BLOCKS[3][0], "out of order")], ids=["Morse", "HO"])
+def test_seed_from_a_swapped_level_raises(fam, guard, monkeypatch):
+    # the coarse vectors of levels 0 and 1 trade places: inverse iteration
+    # shifted by one level from the other's vector must not return a level.
+    # On the symmetric HO grid the parity of a seed is kept, so each iterate
+    # stays on its seed's level and the levels come out in the wrong order.
+    import scipy.linalg
+
+    lo, hi = sf.model_domain(fam) if fam.tag == sf.HO else (-6.0, 1.5)
+    grid = Grid1D(max(lo, -8.0), min(hi, 8.0), 1600)
+    assert len(fd_eigensolve_1d(sf.model_potential(fam), grid, 2)) == 2  # unswapped: resolved
+    original = scipy.linalg.eigh_tridiagonal
+
+    def swapped(*args, **kwargs):
+        levels, vectors = original(*args, **kwargs)
+        return levels, vectors[:, [1, 0] + list(range(2, vectors.shape[1]))]
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", swapped)
+    with pytest.raises(ResolutionError, match=guard):
+        fd_eigensolve_1d(sf.model_potential(fam), grid, 2)
+
+
+def test_one_bisection_per_eigensolve(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    fam, n_max, n_points = SUITE_BLOCKS[6]
+    verify_building_block(fam, n_max, n_points=n_points)
+    assert calls == [n_points - 2]  # the coarse grid's interior
+    pairs = fd_eigensolve_1d(lambda x: np.zeros_like(x), Grid1D(0.0, 1.0, 200), 3)
+    assert len(calls) == 2 and len(pairs) == 3
