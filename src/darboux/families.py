@@ -204,9 +204,25 @@ def _flipped_rho(spec, lam, lam_req, window):
     return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(q_of(E)))
 
 
-def _log_window(v0):
-    """Sampling window of a factor in z = 2 v0 e^x."""
-    return (math.log(0.05 / (2.0 * v0)), math.log(12.0 / (2.0 * v0)))
+def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
+    """A log-variable axis with the profile quad(E) e^{2kx} + lin(E) e^{kx},
+    solved by ``specfun.morse_factor`` of sign ``sigma`` in z = scale(E) e^{kx}
+    at the index index(E, n), and sampled where 0.05 < z < 12."""
+
+    def profile(E):
+        q, li = quad(E), lin(E)
+        return lambda x: q * np.exp(2.0 * k * np.asarray(x)) + li * np.exp(k * np.asarray(x))
+
+    def factor(E, n):
+        c, s, n = scale(E), index(E, int(n)), int(n)
+        return lambda x: sf.morse_factor(c * np.exp(k * np.asarray(x, dtype=float)), s, n, sigma)
+
+    def window(E, n):
+        c = scale(E)
+        lo, hi = (c / 12.0, c / 0.05) if k < 0 else (0.05 / c, 12.0 / c)
+        return (math.log(lo), math.log(hi))
+
+    return potentials.Separated1D(profile, lam_req, factor, window)
 
 
 class DIIIFamily(Family):
@@ -308,21 +324,12 @@ class Shifted(DIIIFamily):
         return 1.0
 
     def _uv(self, spec, partner, axis):
-        """u of the (u, v) chart: a flipped Morse problem."""
+        """u of the (u, v) chart: a flipped Morse problem in e^{-u}."""
         a, b, m, hb, hq = _units(spec)
         mu_idx = self._uv_index(spec, partner)
-
-        def profile(E):
-            c1 = self.shift(spec) - a * E
-            return lambda u: (-b * E) * np.exp(-2.0 * np.asarray(u)) + c1 * np.exp(-np.asarray(u))
-
-        def beta(E):
-            return math.sqrt(-8.0 * m * b * E) / hb
-
-        return potentials.Separated1D(
-            profile, lam_req=lambda E: -hq * mu_idx ** 2,
-            factor=lambda E, n: potentials.morse_flipped_factor(beta(E), mu_idx, int(n), sign=-1.0),
-            window=lambda E, n: (math.log(beta(E) / 12.0), math.log(beta(E) / 0.05)))
+        return _morse_axis(-1, lambda E: -b * E, lambda E: self.shift(spec) - a * E,
+                           lambda E: math.sqrt(-8.0 * m * b * E) / hb, lambda E, n: mu_idx,
+                           lambda E: -hq * mu_idx ** 2, -1)
 
     def _polar(self, spec, partner, axis):
         """The radius of the polar chart: a flipped radial oscillator."""
@@ -532,19 +539,11 @@ class DIII_V4(DIIIFamily):
     def _hyperbolic(self, spec, partner, axis):
         a, b, m, _, hq = _units(spec)
         d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
-
-        def profile(E):
-            quad = 0.5 * (m * om * om - b * E)
-            lin = (d1 - a * E) if axis == 0 else (d2 + a * E)
-            return lambda x: quad * np.exp(2.0 * np.asarray(x)) + lin * np.exp(np.asarray(x))
-
-        def factor(E, n):
-            s = self._index(spec, E, axis, int(n))
-            return potentials.morse_bound_factor(self._v0(spec, E), s, int(n))
-
-        return potentials.Separated1D(
-            profile, lam_req=lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2,
-            factor=factor, window=lambda E, n: _log_window(self._v0(spec, E)))
+        lin = (lambda E: d1 - a * E) if axis == 0 else (lambda E: d2 + a * E)
+        return _morse_axis(1, lambda E: 0.5 * (m * om * om - b * E), lin,
+                           lambda E: 2.0 * self._v0(spec, E),
+                           lambda E, n: self._index(spec, E, axis, n),
+                           lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2, 1)
 
     separations = {("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
 
@@ -615,31 +614,16 @@ class DIII_V5(Shifted):
         """x = ln mu: a flipped factor on the growing-exponential side;
         y = ln nu: a genuine Morse well."""
         a, b, m, hb, hq = _units(spec)
-        v0c = spec.c("v0")
-        n_oth = int(partner)
-        # the linear coefficient of the profile, in e^x or e^y
-        lin = (lambda E: hq * v0c * v0c - a * E) if axis == 0 else (
-            lambda E: a * E - hq * v0c * v0c)
-
-        def vt_of(E):
-            return math.sqrt(-m * E * b) / hb
+        v0c, n_oth = spec.c("v0"), int(partner)
+        sigma = -1 if axis == 0 else 1
 
         def ktilde(E):
             return (hq * v0c * v0c - a * E) * math.sqrt(-m / (E * b)) / hb
 
-        def profile(E):
-            return lambda x: (-0.5 * b * E) * np.exp(2.0 * np.asarray(x)) + lin(E) * np.exp(
-                np.asarray(x))
-
-        def factor(E, n):
-            s = ktilde(E) - int(n) - 0.5
-            if axis == 0:
-                return potentials.morse_flipped_factor(2.0 * vt_of(E), s, int(n), sign=+1.0)
-            return potentials.morse_bound_factor(vt_of(E), s, int(n))
-
-        return potentials.Separated1D(
-            profile, lam_req=lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2,
-            factor=factor, window=lambda E, n: _log_window(vt_of(E)))
+        return _morse_axis(1, lambda E: -0.5 * b * E, lambda E: -sigma * (hq * v0c * v0c - a * E),
+                           lambda E: 2.0 * (math.sqrt(-m * E * b) / hb),
+                           lambda E, n: ktilde(E) - n - 0.5,
+                           lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2, sigma)
 
     separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
                    ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic,
@@ -717,6 +701,13 @@ def _index_root(space, k2, apm, E):
     if sq < 0:
         raise DomainError(f"index root not real at E = {E!r}: its square is {sq:.6g}")
     return math.sqrt(sq)
+
+
+def _a_minus(spec):
+    """a_- = (a - 2b)/4, which the caller divides by; ParamError at a = 2b."""
+    if spec.space.a_minus == 0:
+        raise ParamError(f"{spec.family} divides by a_- = (a - 2b)/4, 0 at a = 2b = {spec.space.a}")
+    return spec.space.a_minus
 
 
 def _model_axis(spec, tag, params, lam_req, window):
@@ -947,7 +938,7 @@ class DIV_V2(DIVFamily):
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
-        apm = sp.a_minus if aux == "degelliptic" else sp.a_plus
+        apm = _a_minus(spec) if aux == "degelliptic" else sp.a_plus
         return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k3") ** 2)
 
 
@@ -1008,13 +999,13 @@ class DIV_V3(DIVFamily):
         """The energies (E_lo, E_hi) scanned for each convention of ``gaps``:
         below 0 and below the energy where an index it reads turns complex."""
         sp = spec.space
-        hb2 = sp.hbar ** 2
+        hb2, am = sp.hbar ** 2, _a_minus(spec)
 
         def top_of(name):
             ci = spec.c(f"c{name[0]}")
             if name[1] == "p":
                 return (0.25 - ci) * hb2 / (2.0 * sp.mass * sp.a_plus)
-            return (0.25 + ci) * hb2 / (2.0 * sp.mass * sp.a_minus)
+            return (0.25 + ci) * hb2 / (2.0 * sp.mass * am)
 
         scale = hb2 / (2.0 * sp.mass * sp.a_plus)
         out = []
@@ -1035,7 +1026,7 @@ class DIV_V3(DIVFamily):
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
-        return potentials._quantum_unit(sp) / sp.a_minus * (p * p + 0.25 - spec.c("c3"))
+        return potentials._quantum_unit(sp) / _a_minus(spec) * (p * p + 0.25 - spec.c("c3"))
 
 
 class DIV_V4(DIVFamily):
@@ -1082,7 +1073,7 @@ class DIV_V4(DIVFamily):
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
-        apm = sp.a_minus if aux == "degelliptic" else sp.a_plus
+        apm = _a_minus(spec) if aux == "degelliptic" else sp.a_plus
         return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k0") ** 2)
 
     def constant(self, spec, name, state):

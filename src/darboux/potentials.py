@@ -6,8 +6,8 @@ family in every chart for which its record has a closed form, and
 :func:`separated_problem` returns the effective 1D problem obtained by a
 product ansatz in a separating chart.  This module holds what the families
 share: the spec, the division of every form by the D_III factor or by the
-D_IV chart's conformal factor, the separated-problem descriptor, the
-analytic factors the separations are built from and the D_IV index roots.
+D_IV chart's conformal factor, the separated-problem descriptor and the
+D_IV index roots.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ParamError
 from .geometry import (DIII, Chart, SpaceParams, chart_transform, conformal_factor,
                        d3_factor, elliptic_cartesian, validate_chart)
-from . import families, specfun as sf
+from . import families
 
 
 @dataclass(frozen=True)
@@ -114,36 +114,6 @@ class Separated1D:
     lam_req: Callable
     factor: Callable
     window: Callable
-
-
-def morse_flipped_factor(beta, mu, n, sign=-1.0):
-    """Exponential-profile solution at pseudo-level -(hbar^2/2m) mu^2.
-
-    Returns psi(x) = w^mu e^{w/2} L_n^{2 mu}(-w) with w = beta e^{sign x};
-    it solves -(hb^2/2m) psi'' + [(hb^2 beta^2/8m) e^{2 sign x}
-    + (hb^2 beta (n + mu + 1/2)/2m) e^{sign x}] psi = -(hb^2/2m) mu^2 psi.
-    """
-
-    def psi(x):
-        w = beta * np.exp(sign * np.asarray(x, dtype=float))
-        return w ** mu * np.exp(0.5 * w) * sf.orthopoly_eval("laguerre", n, (2.0 * mu,), -w)
-
-    return psi
-
-
-def morse_bound_factor(v0, s, n):
-    """Morse-type solution z^s e^{-z/2} L_n^{2s}(z), z = 2 v0 e^x.
-
-    Solves -(hb^2/2m) psi'' + (hb^2 v0^2/2m)(e^{2x} - 2 at e^x) psi
-    = -(hb^2/2m) s^2 psi with at v0 = s + n + 1/2; s may be negative
-    (formal, growing branch).
-    """
-
-    def psi(x):
-        z = 2.0 * v0 * np.exp(np.asarray(x, dtype=float))
-        return z ** s * np.exp(-0.5 * z) * sf.orthopoly_eval("laguerre", n, (2.0 * s,), z)
-
-    return psi
 
 
 def index_square(space: SpaceParams, k2, apm, E):

@@ -345,6 +345,16 @@ def model_potential(fam: ModelFamily):
     raise ParamError(f"no potential profile for {fam.tag}")
 
 
+def morse_factor(z, s, n, sigma=1.0):
+    """The Morse shape z^s e^{-sigma z/2} L_n^{2s}(sigma z): the bound shape
+    of ``Morse_bound`` at sigma = 1 and its growing partner, at the same
+    pseudo-level -(hbar^2/2m) s^2, at sigma = -1.  An overflow gives inf or
+    NaN, without a warning, for the caller's finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = orthopoly_eval("laguerre", n, (2.0 * s,), sigma * z)
+        return z ** s * np.exp(-0.5 * sigma * z) * lag
+
+
 # nothing fills these; perfbench/tracer.py reads their sizes
 _W_CACHE: dict = {}
 _NORM_CACHE: dict = {}
@@ -358,7 +368,16 @@ def model_eigenfunction(fam: ModelFamily, n, x):
     natural domain (the Hermite, Laguerre and Jacobi norms of DLMF §18.3); the
     complex Morse states are left unnormalized.  For the scattering families
     ``n`` is the real momentum label and the prefactor is delta-normalized.
+    A closed-form constant that overflows a double raises ParamError.
     """
+    try:
+        return _eigenfunction(fam, n, x)
+    except OverflowError:
+        raise ParamError(f"the {fam.tag} eigenfunction at level {n} with parameters "
+                         f"{fam.params} overflows a double") from None
+
+
+def _eigenfunction(fam, n, x):
     if fam.tag != MPT_SCATTER:
         _check_index(fam, n)
         n = int(n)
@@ -390,9 +409,7 @@ def model_eigenfunction(fam: ModelFamily, n, x):
         v0, at = fam.p("v0"), fam.p("alpha_t")
         s = at * v0 - n - 0.5
         pref = math.sqrt(2.0 * s * math.factorial(n) / abs(gamma_complex(2.0 * at * v0 - n)))
-        z = 2.0 * v0 * np.exp(x)
-        lag = orthopoly_eval("laguerre", n, (2.0 * s,), z)
-        return pref * z ** s * np.exp(-0.5 * z) * lag
+        return pref * morse_factor(2.0 * v0 * np.exp(x), s, n)
     if fam.tag == MPT_BOUND:
         k1, k2 = _mpt_k12(fam)
         kap = k1 - k2 - n

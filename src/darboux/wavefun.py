@@ -92,9 +92,9 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         lo2, hi2 = ang.pad, ang.length - ang.pad
     else:
         lo2, hi2 = separated_problem(spec, chart_name, qn.n, axis=1).window(E, qn.l)
-    if chart_name == "hyperbolic":
-        # keep a + b(mu - nu)/2 safely positive on the whole grid
-        sp = spec.space
+    sp = spec.space
+    if chart_name == "hyperbolic" and sp.b > 0:
+        # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)
         lo1 = max(lo1, math.log(0.3))
         hi2 = min(hi2, math.log(math.exp(lo1) + 1.6 * sp.a / sp.b))
     n1, n2 = shape or (401, 201)
@@ -128,9 +128,8 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
         return _assemble_pullback(spec, chart_name, qn, grid, energy)
     q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
     s0, f1, f2 = _factor_pair(spec, chart_name, qn, energy)
-    v1 = np.asarray(f1(q1))
-    v2 = np.asarray(f2(q2))
-    vals = np.outer(v1, v2).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.outer(np.asarray(f1(q1)), np.asarray(f2(q2))).astype(complex)
     if chart_name == "polar":
         vals *= (q1 ** -0.5)[:, None]
     if not np.all(np.isfinite(vals)):
@@ -302,6 +301,8 @@ def hamiltonian_residual(field: WaveField) -> float:
         kin = -hq * (d11 + d22) / g11
     V = potential_value(spec, chart)
 
+    peak = np.abs(vals[inner]).max()
+    if peak == 0:
+        raise ParamError(f"the sampled state is 0 on the whole interior at E = {field.energy!r}")
     r = kin + (V - field.energy) * vals[inner]
-    scale = max(abs(field.energy), hq) * np.abs(vals[inner]).max()
-    return float(np.abs(r).max() / scale)
+    return float(np.abs(r).max() / (max(abs(field.energy), hq) * peak))

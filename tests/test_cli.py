@@ -391,15 +391,51 @@ def test_level_beyond_the_ladder_is_level_error(tmp_path, capsys):
 
 
 def test_non_finite_header_exit_2(tmp_path):
-    # E = -7.5e31 leaves the sampled state 0 everywhere, and its Hamiltonian
-    # residual NaN; the job exited 0 with "hamiltonian_residual": NaN
+    # E = -2.5e32 leaves the sampled state 0 everywhere, which has no relative
+    # Hamiltonian residual
     out = tmp_path / "w.json"
     r = run_cli(["wavefunction", "--space", "DIII", "--a", "1", "--b", "1", "--potential", "V3",
                  "--alpha", "12", "--c1", "1e6", "--c2", "1e-9", "--chart", "polar",
                  "--n", "2", "--l", "4", "--grid", "12x12"], out)
     assert r.returncode == 2, r.stderr
-    assert json.loads(r.stderr.splitlines()[-1])["error"] == "ParamError"
+    assert r.stderr.count("\n") == 1
+    assert json.loads(r.stderr)["error"] == "ParamError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    # the Morse factors overflow on the grid
+    ("wavefunction --space DIII --potential V4 --a 3 --b 1 --d1 0 --d2 1e6 --omega -1 "
+     "--chart hyperbolic --n 1 --l 0", "GridError"),
+    # a closed-form norm overflows: the PT gamma ratio, RHO's q^(lam + 1), cMorse's (4 c1)^mu
+    ("wavefunction --space DIV --potential V2 --a 3 --b 1 --k1 1e6 --k2 6 --k3 0.5 --chart uv",
+     "ParamError"),
+    ("wavefunction --space DIV --potential V1 --a 2.5 --b 1 --alpha 1e6 --k1 2.5 --k2 0.5 "
+     "--omega 2.5 --chart horospherical --n 2 --l 2", "ParamError"),
+    ("wavefunction --space DIII --potential V3 --a 1 --b 0.5 --alpha 12 --c1 1e6 --c2 2.5 "
+     "--chart polar --n 2 --l 2", "ParamError"),
+    # b = 0: the hyperbolic grid is not clamped, as a + b (mu - nu)/2 = a
+    ("wavefunction --space DIII --potential V4 --a 1 --b 0 --d2 0.5 --omega -3.7 "
+     "--chart hyperbolic --n 1 --l 1", None),
+    # a = 2b: a_- = 0
+    ("spectrum --space DIV --potential V3 --a 1 --b 0.5 --c2 1e-9 --c3 -1 --scheme degelliptic2 "
+     "--n 0 --l 0", "ParamError"),
+], ids=["morse-overflow", "pt-norm-overflow", "rho-norm-overflow", "cmorse-norm-overflow",
+        "diii-v4-flat-b", "div-v3-zero-a-minus"])
+def test_extreme_couplings_exit_0_or_2(argv, error, tmp_path, capsys):
+    from darboux.cli import main
+
+    out = tmp_path / "x.json"
+    grid = ["--grid", "12x12"] if argv.startswith("wavefunction") else []
+    code = main(argv.split() + grid + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0 and err == ""
+        assert json.loads(out.read_text())["records"]
+    else:
+        assert code == 2 and err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt,header,record", [

@@ -91,6 +91,9 @@ RESIDUAL_CASES = [
     ("DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2}, "degelliptic2",
      (0, 0, "degelliptic2"), (0, 1)),
     ("DIII_V5", {"v0": 0.6}, "parabolic", (1, 1, "parabolic"), (0, 1)),
+    # v0 != 0 shifts the linear term of the Morse log-axes
+    ("DIII_V5", {"v0": 0.6}, "uv", (0, 1, "uv"), (0,)),
+    ("DIII_V5", {"v0": 0.6}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
 ]
 
 

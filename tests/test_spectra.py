@@ -243,6 +243,11 @@ def test_dispersion_values():
         continuous_dispersion(PotentialSpec(SP1, "DIII_V5", {}), 1.0)
     with pytest.raises(ParamError):
         continuous_dispersion(PotentialSpec(sp6, "DIV_V3", {}), -1.0)
+    # the a_- forms divide by a_-, which is 0 on the a = 2b surface
+    for fam, coup, aux in (("DIV_V2", {"k3": 0.5}, "degelliptic"), ("DIV_V3", {}, None),
+                           ("DIV_V4", {"k0": 0.5}, "degelliptic")):
+        with pytest.raises(ParamError, match="a_-"):
+            continuous_dispersion(PotentialSpec(spd, fam, coup), 1.0, aux=aux)
 
 
 def test_asymptotics_ratio():
