@@ -126,12 +126,17 @@ def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
     # (x**2 is x*x, not pow)
     q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single
                       else (np.asarray(x, dtype=float) for x in xs))
-    chart = replace(state.chart, q1=q1, q2=q2)
+    val = _hamiltonian(space, spec, replace(state.chart, q1=q1, q2=q2), p1, p2)
+    return float(val[0]) if single else val
+
+
+def _hamiltonian(space, spec, chart, p1, p2):
+    """Kinetic + potential energy at the chart point(s) and the momenta (arrays)."""
     g11, g22 = metric_diag(space, chart)
     val = (p1 ** 2 / g11 + p2 ** 2 / g22) / (2.0 * space.mass)
     if spec is not None:
         val = val + np.real(potential_value(spec, chart))
-    return float(val[0]) if single else val
+    return val
 
 
 def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> PhaseState:
@@ -247,7 +252,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     def rhs(t, y):
         h = 1e-6 * (1.0 + np.abs(y))
         q1, q2, p1, p2 = y[:, None] + h[:, None] * signs
-        H = hamiltonian_value(space, spec, PhaseState(replace(chart0, q1=q1, q2=q2), p1, p2))
+        H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
         d = (H[0::2] - H[1::2]) / (2.0 * h)
         return np.array([d[2], d[3], -d[0], -d[1]])
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,33 +244,34 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     """
     if not (math.isfinite(step) and step > 0 and (step / 2.0) ** 2 > 0):
         raise ParamError(f"step must be finite and positive with a nonzero square, got {step!r}")
-    validate_chart(space, chart)
+    # each point's stencil runs along a trailing axis: centre, q1 +- step,
+    # q2 +- step, q1 +- step/2, q2 +- step/2 (the q2 shifts are the q1 shifts rolled by 2)
+    h, k = step, step / 2.0
+    d1 = np.array([0.0, h, -h, 0.0, 0.0, k, -k, 0.0, 0.0])
+    pts = Chart(chart.name, np.asarray(chart.q1)[..., None] + d1,
+                np.asarray(chart.q2)[..., None] + np.roll(d1, 2), chart.d)
+    validate_chart(space, pts)
     if chart.name not in CONFORMAL_CHARTS[space.family]:
         raise DomainError(f"chart {chart.name!r} is not conformal")
-    # each point's stencil runs along a trailing axis
-    q1, q2 = np.asarray(chart.q1)[..., None], np.asarray(chart.q2)[..., None]
+    f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
+    if (f <= 0).any():
+        raise DomainError("metric factor not positive inside stencil")
+    vals = np.log(f)
+    f0, ln_f0 = f[..., 0], vals[..., 0]
 
-    def lap_lnf(h):
-        # the stencil points: centre, q1 +- h, q2 +- h
-        pts = replace(chart, q1=q1 + np.array([0.0, h, -h, 0.0, 0.0]),
-                      q2=q2 + np.array([0.0, 0.0, 0.0, h, -h]))
-        validate_chart(space, pts)
-        f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
-        if (f <= 0).any():
-            raise DomainError("metric factor not positive inside stencil")
-        vals = np.log(f)
-        return (vals[..., 1] + vals[..., 2] + vals[..., 3] + vals[..., 4]
-                - 4.0 * vals[..., 0]) / h ** 2
+    def lap_lnf(i, dq):
+        # the 5-point Laplacian from the neighbours in columns i..i+3
+        return (vals[..., i] + vals[..., i + 1] + vals[..., i + 2] + vals[..., i + 3]
+                - 4.0 * ln_f0) / dq ** 2
 
-    f0 = conformal_factor(space, chart.name, chart.q1, chart.q2, chart.d)
-    g_h = -lap_lnf(step) / (2.0 * f0)
-    g_h2 = -lap_lnf(step / 2.0) / (2.0 * f0)
+    g_h = -lap_lnf(1, h) / (2.0 * f0)
+    g_h2 = -lap_lnf(5, k) / (2.0 * f0)
     g = (4.0 * g_h2 - g_h) / 3.0
     if _anywhere(~np.isfinite(g)):
         raise ParamError(f"step {step!r} gives a non-finite curvature")
     # each ln f of the h/2 stencil is off by about eps (1 + |ln f|), and the
     # stencil weighs its five values by 1, 1, 1, 1 and 4
-    noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(f0))) / (step / 2.0) ** 2
+    noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(ln_f0)) / k ** 2
     if _anywhere(noise / (2.0 * f0) > 1e-3 * (1.0 + np.abs(g))):
         raise ParamError(f"step {step!r} is so small that rounding error exceeds 1e-3 (1 + |G|)")
     return g

@@ -1,9 +1,9 @@
 """Independent numerical verification of the analytic machinery.
 
 The eigenvalue oracle discretizes -(hbar^2/2m) d^2/dx^2 + U(x) with the three-point
-stencil on the nested grids n, 2n - 1 and 4n - 3, bisects the coarse matrix, refines
-each finer grid's pairs by inverse iteration and Richardson-extrapolates.  It never
-reuses the closed-form eigenvalues, so agreement certifies both sides.
+stencil on the nested grids n, 2n - 1 and 4n - 3, bisects a pilot grid of n // 4 points,
+refines all three grids' pairs by inverse iteration and Richardson-extrapolates.  It
+never reuses the closed-form eigenvalues, so agreement certifies both sides.
 
 ``separated_ode_residual`` checks that the analytic separation factor of a
 potential family solves its effective 1D problem at a trial energy; the
@@ -48,16 +48,23 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
     h = xs[1] - xs[0]
     kin = hbar * hbar / (2.0 * mass * h * h)
     u = np.asarray(profile(xs[1:-1]), dtype=float)
+    diag = 2.0 * kin + u
     off = np.full(len(u) - 1, -kin)
     if coarse is None:
-        return eigh_tridiagonal(2.0 * kin + u, off, select="i", select_range=(0, n_states - 1))
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
+    cxs, ces, cvs = coarse
+    nested = len(xs) == 2 * len(cxs) - 1
     vs = np.empty((n_states, len(u)))
-    for k, (e, v) in enumerate(zip(coarse[1], coarse[2].T)):
-        x = seed = np.interp(xs[1:-1], coarse[0], np.pad(v, 1))
+    for k, (e, v) in enumerate(zip(ces, cvs.T)):
+        w = np.pad(v, 1)
+        # nested grids: each coarse value, then its mean with the next (walls dropped)
+        seed = (np.column_stack((w[:-1], 0.5 * (w[:-1] + w[1:]))).ravel()[1:] if nested
+                else np.interp(xs[1:-1], cxs, w))
+        x, shifted, overlap = seed, diag - e, 0.99 * np.linalg.norm(seed)
         for _ in range(2):
-            *_, x, info = lapack.dgtsv(off, 2.0 * kin + u - e, off, x)
+            *_, x, info = lapack.dgtsv(off, shifted, off, x)
             x = x / np.linalg.norm(x)
-            if info != 0 or abs(x @ seed) < 0.99 * np.linalg.norm(seed):
+            if info != 0 or abs(x @ seed) < overlap:
                 raise ResolutionError(f"inverse iteration from the level {e:.6g} left its seed")
         vs[k] = x
     es = kin * (np.sum(np.diff(vs) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2) + vs ** 2 @ u
@@ -69,17 +76,22 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
 def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     """Lowest eigenpairs of -(hbar^2/2m) d2/dx2 + U with Dirichlet walls.
 
-    Bisection solves the grid n.  The grids 2n-1 and 4n-3 take two steps of inverse
-    iteration from the next coarser level and its interpolated vector, then the Rayleigh
-    quotient kin (sum (dx)^2 + x_0^2 + x_N^2) + sum U x^2, a sum that does not cancel.
-    Richardson extrapolation over the three removes the h^2 and h^4 errors from the
-    levels and the h^2 error from the vectors (returned on the middle grid).  Levels off
-    that model or out of order, an iterate whose |cos| to its seed falls below 0.99, or
-    a step above a tenth of the local wavelength raise ResolutionError.
+    Bisection solves a pilot grid of n // 4 points, which fixes the lowest levels.  The
+    grids n, 2n-1 and 4n-3 each take two steps of inverse iteration from the next coarser
+    level and its vector, prolonged linearly (on the nested grids: coarse values on the
+    shared points, neighbour means between), then the Rayleigh quotient kin (sum (dx)^2 +
+    x_0^2 + x_N^2) + sum U x^2, a sum that does not cancel.  Richardson extrapolation over
+    the three removes the h^2 and h^4 errors from the levels and the h^2 error from the
+    vectors (returned on the middle grid).  Levels off that model or out of order, more
+    levels than pilot rows, an iterate whose |cos| to its seed falls below 0.99, or a step
+    above a tenth of the local wavelength raise ResolutionError.
     """
     n = grid.n_points
-    xs1, xs2, xs3 = grid.points(), grid.points(2 * n - 1), grid.points(4 * n - 3)
-    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass)
+    if n_states > n // 4 - 2:
+        raise ResolutionError(f"{n_states} levels exceed the {n // 4 - 2} rows of the pilot grid")
+    xs0, xs1, xs2, xs3 = (grid.points(m) for m in (n // 4, n, 2 * n - 1, 4 * n - 3))
+    e0, v0 = _eigenpairs(profile, xs0, n_states, hbar, mass)
+    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass, (xs0, e0, v0))
     e2, v2 = _eigenpairs(profile, xs2, n_states, hbar, mass, (xs1, e1, v1))
     e3, v3 = _eigenpairs(profile, xs3, n_states, hbar, mass, (xs2, e2, v2))
     r1 = (4.0 * e2 - e1) / 3.0
@@ -89,9 +101,8 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     kin_scale = np.maximum(e_rich.max() - np.asarray(profile(xs1[1:-1]), dtype=float), 1e-12)
     lam_min = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * kin_scale.max())
     if h > lam_min / 10.0:
-        raise ResolutionError(
-            f"grid step {h:.3e} exceeds a tenth of the local wavelength {lam_min:.3e}"
-        )
+        raise ResolutionError(f"grid step {h:.3e} exceeds a tenth of the local wavelength "
+                              f"{lam_min:.3e}")
     # under clean h^2 convergence successive differences shrink by 4
     if np.any(np.abs(e2 - e3) > 0.5 * np.abs(e1 - e2) + 1e-9 * np.abs(e_rich) + 1e-12):
         raise ResolutionError("grid triple disagrees beyond the extrapolation model")

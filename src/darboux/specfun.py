@@ -420,9 +420,7 @@ def _eigenfunction(fam, n, x):
             / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1.0))
         )
         pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
-        # math.sinh, not np.sinh: the two differ by an ulp at some points
-        z = np.fromiter((-math.sinh(t) ** 2 for t in np.ravel(x)), float, x.size).reshape(x.shape)
-        f = np.real(hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, z))
+        f = np.real(hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, -np.sinh(x) ** 2))
         return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
     if fam.tag == MPT_SCATTER:
         k1, k2 = _mpt_k12(fam)

@@ -187,7 +187,7 @@ def test_flow_evaluates_h_once_per_rhs_call(monkeypatch):
     import darboux.classical as cl
 
     calls, nfev = [], []
-    value, solve = cl.hamiltonian_value, scipy.integrate.solve_ivp
+    value, solve = cl._hamiltonian, scipy.integrate.solve_ivp
 
     def counted_value(*args):
         calls.append(1)
@@ -198,7 +198,7 @@ def test_flow_evaluates_h_once_per_rhs_call(monkeypatch):
         nfev.append(sol.nfev)
         return sol
 
-    monkeypatch.setattr(cl, "hamiltonian_value", counted_value)
+    monkeypatch.setattr(cl, "_hamiltonian", counted_value)
     monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded_solve)
     spec = PotentialSpec(SP1, "DIII_V5", {"v0": 1.3})
     hamiltonian_flow(SP1, spec, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), 1.0, tol=1e-11)
