@@ -42,7 +42,7 @@ class Grid1D:
 
 
 def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
-    """Lowest eigenpairs on xs: bisected, or refined from ``coarse`` (xs, levels, vectors)."""
+    """Lowest pairs on xs: bisected, or refined from ``coarse`` (xs, levels, vectors, next)."""
     from scipy.linalg import eigh_tridiagonal, lapack
 
     h = xs[1] - xs[0]
@@ -52,14 +52,10 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
     off = np.full(len(u) - 1, -kin)
     if coarse is None:
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
-    cxs, ces, cvs = coarse
-    nested = len(xs) == 2 * len(cxs) - 1
+    cxs, ces, cvs, top = coarse
     vs = np.empty((n_states, len(u)))
     for k, (e, v) in enumerate(zip(ces, cvs.T)):
-        w = np.pad(v, 1)
-        # nested grids: each coarse value, then its mean with the next (walls dropped)
-        seed = (np.column_stack((w[:-1], 0.5 * (w[:-1] + w[1:]))).ravel()[1:] if nested
-                else np.interp(xs[1:-1], cxs, w))
+        seed = np.interp(xs[1:-1], cxs, np.pad(v, 1))
         x, shifted, overlap = seed, diag - e, 0.99 * np.linalg.norm(seed)
         for _ in range(2):
             *_, x, info = lapack.dgtsv(off, shifted, off, x)
@@ -70,30 +66,36 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
     es = kin * (np.sum(np.diff(vs) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2) + vs ** 2 @ u
     if np.any(np.diff(es) <= 0):
         raise ResolutionError("inverse iteration put the levels out of order")
+    # Kato-Temple: each level lies within |(T - e) x|^2 / gap of an eigenvalue
+    gaps = np.diff(np.append(es, top))
+    tols = np.minimum(gaps, np.append(np.inf, gaps[:-1])) * (np.abs(diag).max() + 2.0 * kin)
+    for e, x, tol in zip(es, vs, tols):
+        r = (diag - e) * x - kin * np.convolve(x, [1.0, 0.0, 1.0], "same")
+        if r @ r > np.finfo(float).eps * tol:
+            raise ResolutionError(f"inverse iteration left the level {e:.6g} unconverged")
     return es, vs.T
 
 
 def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     """Lowest eigenpairs of -(hbar^2/2m) d2/dx2 + U with Dirichlet walls.
 
-    Bisection solves a pilot grid of n // 4 points, which fixes the lowest levels.  The
-    grids n, 2n-1 and 4n-3 each take two steps of inverse iteration from the next coarser
-    level and its vector, prolonged linearly (on the nested grids: coarse values on the
-    shared points, neighbour means between), then the Rayleigh quotient kin (sum (dx)^2 +
-    x_0^2 + x_N^2) + sum U x^2, a sum that does not cancel.  Richardson extrapolation over
-    the three removes the h^2 and h^4 errors from the levels and the h^2 error from the
-    vectors (returned on the middle grid).  Levels off that model or out of order, more
-    levels than pilot rows, an iterate whose |cos| to its seed falls below 0.99, or a step
-    above a tenth of the local wavelength raise ResolutionError.
+    Bisection solves a pilot grid of n // 4 points for these levels and the next; grids n,
+    2n-1 and 4n-3 each take two inverse-iteration steps from the next coarser level and its
+    interpolated vector, then the non-cancelling Rayleigh quotient kin (sum (dx)^2 + x_0^2 +
+    x_N^2) + sum U x^2.  Richardson extrapolation over the three removes the h^2 and h^4
+    errors from the levels and the h^2 error from the vectors (returned on the middle grid).
+    ResolutionError: too few pilot rows, an iterate's |cos| to its seed below 0.99, levels
+    out of order, off that model or with |(T - e) x|^2 / gap > eps ||T||_1 (gaps from the
+    neighbouring levels), or a step above a tenth of the local wavelength.
     """
     n = grid.n_points
-    if n_states > n // 4 - 2:
-        raise ResolutionError(f"{n_states} levels exceed the {n // 4 - 2} rows of the pilot grid")
+    if n_states >= n // 4 - 2:
+        raise ResolutionError(f"{n_states + 1} levels exceed the pilot grid's {n // 4 - 2} rows")
     xs0, xs1, xs2, xs3 = (grid.points(m) for m in (n // 4, n, 2 * n - 1, 4 * n - 3))
-    e0, v0 = _eigenpairs(profile, xs0, n_states, hbar, mass)
-    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass, (xs0, e0, v0))
-    e2, v2 = _eigenpairs(profile, xs2, n_states, hbar, mass, (xs1, e1, v1))
-    e3, v3 = _eigenpairs(profile, xs3, n_states, hbar, mass, (xs2, e2, v2))
+    e0, v0 = _eigenpairs(profile, xs0, n_states + 1, hbar, mass)
+    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass, (xs0, e0[:-1], v0, e0[-1]))
+    e2, v2 = _eigenpairs(profile, xs2, n_states, hbar, mass, (xs1, e1, v1, e0[-1]))
+    e3, v3 = _eigenpairs(profile, xs3, n_states, hbar, mass, (xs2, e2, v2, e0[-1]))
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     e_rich = (16.0 * r2 - r1) / 15.0

@@ -62,7 +62,7 @@ def test_resolution_error():
     grid = Grid1D(-30.0, 2.3, 64)
     with pytest.raises(ResolutionError):
         fd_eigensolve_1d(sf.model_potential(morse), grid, 2)
-    # more levels than the interior rows of the pilot grid (n // 4 points)
+    # the levels and the next one up need the pilot grid's interior rows (n // 4 points)
     with pytest.raises(ResolutionError, match="pilot grid"):
         fd_eigensolve_1d(lambda x: np.zeros_like(x), Grid1D(0.0, 1.0, 64), 15)
 
@@ -245,37 +245,17 @@ def test_one_bisection_per_eigensolve(monkeypatch):
     assert len(calls) == 2 and len(pairs) == 3
 
 
-def test_nested_seed_is_midpoint_prolongation(monkeypatch):
-    # on the nested steps n -> 2n - 1 -> 4n - 3 the seed keeps the coarse
-    # values on the shared points and puts neighbour means between; that is
-    # linear interpolation up to the rounding of the grid points.  Worst
-    # deviation measured on this block: 4.6e-16 max|v| (the Morse block's wider
-    # interval, |x| up to 40, rounds its points more: 2.9e-15)
-    import scipy.linalg
-
-    import darboux.oracle as oracle
-
-    seeds = []
-    original = scipy.linalg.lapack.dgtsv
-
-    def recorded(dl, d, du, b):
-        seeds.append(np.array(b))
-        return original(dl, d, du, b)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", recorded)
+def test_unconverged_pilot_raises(monkeypatch):
+    # a pilot of n // 8 points leaves the MPT block's grid-n levels unconverged
+    # after two inverse-iteration steps (one lands 256 eps ||T||_1 off
+    # bisection); the residual bound must reject them
     fam, n_max, n_points = SUITE_BLOCKS[6]
-    grid = Grid1D(*oracle._oracle_domain(fam, n_max), n_points)
-    profile = sf.model_potential(fam)
-    coarse_xs = grid.points()
-    es, vs = oracle._eigenpairs(profile, coarse_xs, n_max + 1, 1.0, 1.0)
-    for fine in (2 * n_points - 1, 4 * n_points - 3):
-        seeds.clear()
-        xs = grid.points(fine)
-        fine_es, fine_vs = oracle._eigenpairs(profile, xs, n_max + 1, 1.0, 1.0,
-                                              (coarse_xs, es, vs))
-        for k, v in enumerate(vs.T):
-            seed = seeds[2 * k]  # the first of the two solves of level k
-            assert np.array_equal(seed[1::2], v)
-            ref = np.interp(xs[1:-1], coarse_xs, np.pad(v, 1))
-            assert np.abs(seed - ref).max() <= 1e-15 * np.abs(v).max()
-        coarse_xs, es, vs = xs, fine_es, fine_vs
+    verify_building_block(fam, n_max, n_points=n_points)  # the n // 4 pilot: resolved
+    original = Grid1D.points
+
+    def coarser_pilot(self, n=None):
+        return original(self, self.n_points // 8 if n == self.n_points // 4 else n)
+
+    monkeypatch.setattr(Grid1D, "points", coarser_pilot)
+    with pytest.raises(ResolutionError, match="unconverged"):
+        verify_building_block(fam, n_max, n_points=n_points)
