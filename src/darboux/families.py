@@ -102,7 +102,8 @@ class Family:
 
     def unsquared_gap(self, spec, qn, E):
         """(gap with principal signs, gap with flipped sign) of the unsquared
-        condition, both normalized; DomainError when a square root goes complex."""
+        condition, both normalized; DomainError when a square root goes complex.
+        A condition never squared has no sign to flip: its second slot is 1.0."""
         raise UnsupportedError(self.name)
 
     def decays(self, spec, qn, E):
@@ -689,8 +690,9 @@ class DIVFamily(Family):
         """The axes on which the factors' decayed support is sought:
         (probe 1, probe 2, whether axis 2 is compact)."""
         if chart == "degelliptic2":
+            # the Poeschl-Teller phi factor vanishes only like a power at the walls
             return (np.geomspace(1e-3, 25.0, 4001),
-                    np.linspace(1e-3, math.pi / 4.0 - 1e-3, 4001), False)
+                    np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001), True)
         return (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001),
                 np.geomspace(1e-3, 40.0, 4001), False)
 
@@ -944,8 +946,10 @@ class DIV_V2(DIVFamily):
 
 class DIV_V3(DIVFamily):
     """The c1, c2, c3 terms of the degenerate elliptic charts: Poeschl-Teller
-    times a bound modified Poeschl-Teller in degelliptic2, quantized by a
-    transcendental condition in the index roots of ``potentials.div3_indices``."""
+    times a bound modified Poeschl-Teller in degelliptic2, quantized by one
+    transcendental condition in the four index roots of
+    ``potentials.div3_indices``.  It is never squared, so ``spectra`` finds its
+    roots by a bracket scan and each root carries unsquared sign +1."""
 
     couplings = ("c1", "c2", "c3")
     schemes = ("degelliptic2",)
@@ -986,18 +990,17 @@ class DIV_V3(DIVFamily):
 
     separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
 
-    def gaps(self, spec, qn, E):
-        """The condition in its two index conventions, (tabulated after its
-        cancellation, separation-consistent closure); NaN where an index is
-        complex.  E may be an array of energies."""
+    def gap(self, spec, qn, E):
+        """The condition lam_2+ - lam_3+ - lam_3- - lam_1- - 2(n + l) - 2, on
+        which both separations close (their lam_req pair reads these four
+        indices); NaN where an index is complex.  E may be an array of energies."""
         lam = potentials.div3_indices(spec, E)
         nl = 2.0 * (qn.n + qn.l)
-        return (nl + lam["1m"] - lam["2m"] - 2.0,
-                lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0)
+        return lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0
 
-    def scan_windows(self, spec, qn):
-        """The energies (E_lo, E_hi) scanned for each convention of ``gaps``:
-        below 0 and below the energy where an index it reads turns complex."""
+    def scan_window(self, spec, qn):
+        """The energies (E_lo, E_hi) scanned for roots of ``gap``: below 0 and
+        below the energy where one of its indices turns complex."""
         sp = spec.space
         hb2, am = sp.hbar ** 2, _a_minus(spec)
 
@@ -1008,19 +1011,18 @@ class DIV_V3(DIVFamily):
             return (0.25 + ci) * hb2 / (2.0 * sp.mass * am)
 
         scale = hb2 / (2.0 * sp.mass * sp.a_plus)
-        out = []
-        for needs in (("1m", "2m"), ("2p", "3p", "3m", "1m")):
-            e_hi = min(0.0, min(top_of(nm) for nm in needs)) - 1e-12
-            out.append((e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2, e_hi))
-        return out
+        e_hi = min(0.0, min(top_of(nm) for nm in ("2p", "3p", "3m", "1m"))) - 1e-12
+        return e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2, e_hi
 
     def unsquared_gap(self, spec, qn, E):
-        gaps = [1e6 if math.isnan(g) else min(abs(g), 1e6) for g in self.gaps(spec, qn, E)]
-        return tuple(g / (1.0 + g) for g in gaps)
+        g = abs(self.gap(spec, qn, E))
+        if math.isnan(g):
+            raise DomainError(f"a DIV_V3 index root is complex at E = {E!r}")
+        return g / (1.0 + g), 1.0
 
     def decays(self, spec, qn, E):
         lam = potentials.div3_indices(spec, E)
-        if any(math.isnan(lam[k]) for k in ("2p", "3p", "3m", "1m")):
+        if any(math.isnan(v) for v in lam.values()):
             return False
         return lam["2p"] - lam["3p"] - 2.0 * qn.l - 1.0 > 0
 

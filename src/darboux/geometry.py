@@ -124,8 +124,8 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
             raise DomainError("D_IV uv chart requires 0 < u < pi/2")
         if name == "horospherical" and _anywhere((q1 <= 0) | (q2 <= 0)):
             raise DomainError("horospherical chart requires mu, nu > 0")
-        if name == "degelliptic2" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 4)):
-            raise DomainError("degenerate elliptic II requires omega > 0, 0 < phi < pi/4")
+        if name == "degelliptic2" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)):
+            raise DomainError("degenerate elliptic II requires omega > 0, 0 < phi < pi/2")
         if name == "degelliptic1" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)):
             raise DomainError("degenerate elliptic I requires omega > 0, 0 < phi < pi/2")
         if name == "elliptic" and (
@@ -348,7 +348,7 @@ def _d4_from_uv(name: str, u: float, v: float, d: float):
     if name == "degelliptic2":
         w = cmath.atan(cmath.exp(complex(v, -u)))
         phi, om = w.real, -w.imag
-        if om <= 0 or not 0 < phi < math.pi / 4:
+        if om <= 0 or not 0 < phi < math.pi / 2:
             raise DomainError("(u, v) point outside degenerate elliptic II patch")
         return Chart("degelliptic2", om, phi)
     if name == "elliptic":

@@ -123,18 +123,19 @@ def index_square(space: SpaceParams, k2, apm, E):
 
 
 def div3_indices(spec: PotentialSpec, E):
-    """The index roots of DIV_V3 (a_plus carries -c_i, a_minus +c_i).
+    """The four index roots of DIV_V3 that its separations read: 1m, 3m
+    (a_minus, +c_i) and 2p, 3p (a_plus, -c_i).
 
     E may be an array of energies; each index then has its shape.  Indices
     whose square goes negative come back as NaN.
     """
     sp = spec.space
-    signs = ((-1.0, sp.a_plus), (1.0, sp.a_minus))
+    signs = {"p": (-1.0, sp.a_plus), "m": (1.0, sp.a_minus)}
     # np.sqrt is correctly rounded like math.sqrt, and NaN below 0
     with np.errstate(invalid="ignore"):
-        roots = [np.sqrt(index_square(sp, 0.25 + s * spec.c(c), apm, E))
-                 for c in ("c1", "c2", "c3") for s, apm in signs]
-    return dict(zip(("1p", "1m", "2p", "2m", "3p", "3m"), roots))
+        return {i + pm: np.sqrt(index_square(sp, 0.25 + signs[pm][0] * spec.c("c" + i),
+                                             signs[pm][1], E))
+                for i, pm in ("1m", "2p", "3p", "3m")}
 
 
 def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int = 0) -> Separated1D:

@@ -9,15 +9,13 @@ the realized sign recorded), and (iv) a decay diagnostic for the assembled
 state.  No root is silently discarded.
 
 The DIII_V1 quartic is solved by companion-matrix eigenvalues polished with
-Newton steps; DIV_V3 is a bracketed bisection/secant search on its
-transcendental condition in two published index conventions (one of whose
-indices cancels algebraically); roots of both conventions are candidates and
-the flags adjudicate.
+Newton steps.  DIV_V3 is the exception to squaring: its one transcendental
+condition is searched by bracketed bisection and secant steps, its residual
+is the normalized gap itself, and its roots carry unsquared sign +1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,12 +84,11 @@ def _polish_poly_root(coeffs, z):
 def quantization_residual(spec: PotentialSpec, qn: QuantumNumbers, E) -> float:
     """Residual of the family's squared (polynomial) quantization condition,
     normalized by the magnitude of its largest term (the smallest over the
-    branches)."""
+    branches); for a transcendental condition, its gap over 1 + |E|."""
     E = complex(E)
     rec = FAMILIES[spec.family]
     if rec.transcendental:
-        vals = [abs(g) for g in rec.gaps(spec, qn, E.real) if not math.isnan(g)]
-        return (min(vals) if vals else math.nan) / (1.0 + abs(E.real))
+        return abs(rec.gap(spec, qn, E.real)) / (1.0 + abs(E.real))
     res = []
     for co in rec.branches(spec, qn):
         terms = [c * E ** (len(co) - 1 - k) for k, c in enumerate(co)]
@@ -104,13 +101,11 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> di
     rec = FAMILIES[spec.family]
     res = quantization_residual(spec, qn, E)
     try:
-        g_plus, g_minus = rec.unsquared_gap(spec, qn, E)
+        gaps = rec.unsquared_gap(spec, qn, E)
     except DomainError:  # a square root of the condition went complex
-        g_plus = g_minus = math.nan
-    sqrt_ok = not (math.isnan(g_plus) or math.isnan(g_minus))
-    utol = 1e-7
-    plus_ok = sqrt_ok and g_plus < utol
-    minus_ok = sqrt_ok and g_minus < utol
+        gaps = None
+    sqrt_ok = gaps is not None
+    plus_ok, minus_ok = (g < 1e-7 for g in gaps) if sqrt_ok else (False, False)
     return {
         "E": float(E),
         "residual": float(res),
@@ -143,39 +138,40 @@ def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
 
 
 def _scan_roots(spec: PotentialSpec, qn: QuantumNumbers, rec):
-    """Bracketed roots of a transcendental condition, each of its conventions
-    scanned over 1000 brackets of the record's energy window; secant-polished."""
-    roots = []
-    for k, (e_lo, e_hi) in enumerate(rec.scan_windows(spec, qn)):
-        def func(E):
-            return rec.gaps(spec, qn, E)[k]
+    """Bracketed roots of a transcendental condition, scanned over 1000
+    brackets of the record's energy window; secant-polished."""
+    e_lo, e_hi = rec.scan_window(spec, qn)
 
-        es = np.linspace(e_lo, e_hi, 1001)
-        vals = func(es)
-        va, vb = vals[:-1], vals[1:]
-        # brackets with finite ends and no sign agreement
-        for i in np.flatnonzero(np.isfinite(va) & np.isfinite(vb) & ~(va * vb > 0)):
-            lo, hi, flo = es[i], es[i + 1], va[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = func(mid)
-                if fm == 0 or hi - lo < 1e-14 * (1.0 + abs(mid)):
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            # secant polish
-            x0, x1 = lo, hi
-            f0, f1 = func(x0), func(x1)
-            for _ in range(30):
-                if f1 == f0:
-                    break
-                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                if not e_lo <= x2 <= e_hi:
-                    break
-                x0, f0, x1, f1 = x1, f1, x2, func(x2)
-            roots.append(x1)
+    def func(E):
+        return rec.gap(spec, qn, E)
+
+    es = np.linspace(e_lo, e_hi, 1001)
+    vals = func(es)
+    va, vb = vals[:-1], vals[1:]
+    roots = []
+    # brackets with finite ends and no sign agreement
+    for i in np.flatnonzero(np.isfinite(va) & np.isfinite(vb) & ~(va * vb > 0)):
+        lo, hi, flo = es[i], es[i + 1], va[i]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = func(mid)
+            if fm == 0 or hi - lo < 1e-14 * (1.0 + abs(mid)):
+                break
+            if flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        # secant polish
+        x0, x1 = lo, hi
+        f0, f1 = func(x0), func(x1)
+        for _ in range(30):
+            if f1 == f0:
+                break
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if not e_lo <= x2 <= e_hi:
+                break
+            x0, f0, x1, f1 = x1, f1, x2, func(x2)
+        roots.append(x1)
     if not roots:
         raise NoRootError(f"{spec.family} bracket scan found no sign change")
     return sorted(set(round(r, 12) for r in roots))

@@ -16,34 +16,32 @@ from .spectra import QuantumNumbers, solve_quantization
 from . import specfun as sf
 
 
+# The pinned building blocks: (model, top level, grid points, reference levels).
+BUILDING_BLOCKS = [
+    (sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 1, 3200, (-2.0, -0.5)),
+    (sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5}), 0, 3200, (2.0,)),
+    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), 0, 3200, (1.5,)),
+    (sf.ModelFamily(sf.HO, {"omega": 1.0}), 3, 3200, ()),
+    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 1.5}), 3, 3200, ()),
+    (sf.ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}), 3, 3200, ()),
+    (sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}), 3, 4400, ()),
+]
+
+
 def suite_building_blocks() -> dict:
     from .oracle import verify_building_block
 
     details = []
-    ok = True
-    # pinned reference levels
-    morse = sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5})
-    pinned = {"morse": (morse, (-2.0, -0.5)),
-              "pt": (sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5}), (2.0,)),
-              "rho": (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), (1.5,))}
-    for name, (fam, refs) in pinned.items():
-        rep = verify_building_block(fam, len(refs) - 1)
+    ok, max_dev = True, 0.0
+    for fam, nmax, n_points, refs in BUILDING_BLOCKS:
+        rep = verify_building_block(fam, nmax, n_points=n_points)
         for det, ref in zip(rep.details, refs):
-            details.append({"case": f"{name}_E{det['n']}", "value": det["E_num"], "ref": ref,
-                            "dev": abs(det["E_num"] - ref)})
-    ok &= all(d["dev"] < 1e-6 for d in details)
-    # family certification
-    fams = [
-        (sf.ModelFamily(sf.HO, {"omega": 1.0}), 3),
-        (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 1.5}), 3),
-        (sf.ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}), 3),
-        (sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}), 3),
-        (morse, 1),
-    ]
-    max_dev = max(d["dev"] for d in details)
-    for fam, nmax in fams:
-        rep = verify_building_block(fam, nmax, n_points=4400 if fam.tag == sf.MPT_BOUND else 3200)
-        details.append({"case": f"certify_{fam.tag}", "dE": rep.max_dev_eigenvalue,
+            dev = abs(det["E_num"] - ref)
+            details.append({"case": f"{fam.tag}_E{det['n']}", "value": det["E_num"], "ref": ref,
+                            "dev": dev})
+            ok &= dev < 1e-6
+            max_dev = max(max_dev, dev)
+        details.append({"case": f"certify_{fam.tag}_0..{nmax}", "dE": rep.max_dev_eigenvalue,
                         "dL2": rep.max_dev_eigenvector})
         ok &= rep.max_dev_eigenvalue < 1e-6 and rep.max_dev_eigenvector < 1e-5
         max_dev = max(max_dev, rep.max_dev_eigenvalue, rep.max_dev_eigenvector)

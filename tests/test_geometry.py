@@ -188,7 +188,7 @@ def test_curvature_domain_errors():
     (SpaceParams(DIII, 1.0, 1.0), "polar", [0.5, 1.0, 0.0], [0.1, 0.2, 0.3]),
     (SpaceParams(DIII, 1.0, 1.0), "hyperbolic", [2.0, 2.0, 0.5], [1.0, 1.0, 4.0]),
     (SpaceParams(DIV, 3.0, 1.0), "uv", [0.2, 0.4, math.pi / 2], [0.0, 0.0, 0.0]),
-    (SpaceParams(DIV, 3.0, 1.0), "degelliptic2", [0.5, 0.5, 0.5], [0.2, 0.3, 0.8]),
+    (SpaceParams(DIV, 3.0, 1.0), "degelliptic2", [0.5, 0.5, 0.5], [0.2, 0.8, 1.6]),
 ])
 def test_validate_chart_checks_every_point(space, name, q1, q2):
     # the last point of each list lies outside the chart domain
@@ -217,6 +217,19 @@ def test_curvature_numeric_grid_domain_error():
     with pytest.raises(DomainError):
         curvature_numeric(SpaceParams(DIV, 3.0, 1.0), Chart("uv", us[:, None], np.zeros((1, 2))))
     curvature_numeric(SpaceParams(DIV, 3.0, 1.0), Chart("uv", us[1:, None], np.zeros((1, 2))))
+
+
+def test_degelliptic2_covers_the_uv_surface():
+    # tan(phi - i omega) = e^{v - iu} maps 0 < phi < pi/2, omega > 0 onto
+    # the whole (u, v) surface, half of it at phi > pi/4
+    sp = SpaceParams(DIV, 3.0, 1.0)
+    rng = np.random.default_rng(4)
+    us, vs = rng.uniform(0.01, math.pi / 2 - 0.01, 200), rng.uniform(-4.0, 4.0, 200)
+    pts = [chart_transform(sp, Chart("uv", u, v), "degelliptic2") for u, v in zip(us, vs)]
+    phi = np.array([c.q2 for c in pts])
+    assert 40 < np.count_nonzero(phi > math.pi / 4) < 160
+    back = chart_transform(sp, Chart("degelliptic2", np.array([c.q1 for c in pts]), phi), "uv")
+    assert np.abs(back.q1 - us).max() < 1e-12 and np.abs(back.q2 - vs).max() < 1e-12
 
 
 @pytest.mark.parametrize("space, chart, to_name", [

@@ -10,6 +10,7 @@ from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.oracle import Grid1D, fd_eigensolve_1d, separated_ode_residual, verify_building_block
 from darboux.potentials import PotentialSpec
 from darboux.spectra import QuantumNumbers, solve_quantization
+from darboux.verify import BUILDING_BLOCKS
 
 SP1 = SpaceParams(DIII, 1.0, 1.0)
 SP4 = SpaceParams(DIV, 3.0, 1.0)
@@ -160,15 +161,7 @@ def test_mpt_bound_building_block_hyp2f1_calls(monkeypatch):
 
 
 # the seven pinned blocks of verify.suite_building_blocks: (family, n_max, n_points)
-SUITE_BLOCKS = [
-    (sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 1, 3200),
-    (sf.ModelFamily(sf.PT, {"alpha": 0.5, "beta": 0.5}), 0, 3200),
-    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), 0, 3200),
-    (sf.ModelFamily(sf.HO, {"omega": 1.0}), 3, 3200),
-    (sf.ModelFamily(sf.RHO, {"omega": 1.0, "lam": 1.5}), 3, 3200),
-    (sf.ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}), 3, 3200),
-    (sf.ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}), 3, 4400),
-]
+SUITE_BLOCKS = [block[:3] for block in BUILDING_BLOCKS]
 
 
 @pytest.mark.parametrize("fam,n_max,n_points", SUITE_BLOCKS,

@@ -226,6 +226,41 @@ def test_div_v3_no_root():
     spec = PotentialSpec(SP4, "DIV_V3", {"c1": 0.1, "c2": 0.1, "c3": 0.1})
     with pytest.raises(NoRootError):
         solve_quantization(spec, QuantumNumbers(3, 3, "degelliptic2"))
+    # c1 = c2 at n + l = 1, where 2(n + l) + lam_1- - lam_2- - 2, a condition
+    # no product state meets, vanishes at every energy: no root, not 962
+    spec = PotentialSpec(SpaceParams(DIV, 4.0, 1.0), "DIV_V3",
+                         {"c1": -200.0, "c2": -200.0, "c3": 0.1})
+    with pytest.raises(NoRootError):
+        solve_quantization(spec, QuantumNumbers(1, 0, "degelliptic2"))
+
+
+def test_div_v3_roots_solve_both_separated_odes():
+    # every admissible root is a product state: the analytic factors solve
+    # both separated ODEs at it
+    from darboux.errors import NoRootError
+    from darboux.oracle import separated_ode_residual
+
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(80):
+        a = float(rng.choice([3.0, 4.0, 6.0]))
+        c = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-1.0, 2.5, 3)
+        c[1] = -abs(c[1])  # lambda_2+ grows with -c2 and carries the closure
+        spec = PotentialSpec(SpaceParams(DIV, a, 1.0), "DIV_V3",
+                             dict(zip(("c1", "c2", "c3"), c.tolist())))
+        for n, l in ((0, 0), (1, 0), (0, 1)):
+            qn = QuantumNumbers(n, l, "degelliptic2")
+            try:
+                roots = solve_quantization(spec, qn)
+            except NoRootError:
+                continue
+            for rec in roots.admissible:
+                assert rec["admissible"]
+                for axis in (0, 1):
+                    res = separated_ode_residual(spec, "degelliptic2", qn, rec["E"], axis=axis)
+                    assert res < 1e-6, (a, c, n, l, rec["E"], axis)
+                checked += 1
+    assert checked >= 20
 
 
 def test_dispersion_values():
@@ -297,24 +332,24 @@ def test_div_v3_gaps_on_an_energy_array(n, l):
     from darboux.families import FAMILIES
     from darboux.potentials import div3_indices
 
-    gaps = FAMILIES["DIV_V3"].gaps
+    gap = FAMILIES["DIV_V3"].gap
     qn = QuantumNumbers(n, l, "degelliptic2")
     # spans energies where some indices are complex (NaN) and where none is
     es = np.linspace(-1000.0, 100.0, 2201)
-    arr = gaps(DIV3, qn, es)
-    for k in range(2):
-        one = np.array([gaps(DIV3, qn, e)[k] for e in es])
-        assert np.isnan(arr[k]).any() and not np.isnan(arr[k]).all()
-        assert np.array_equal(np.isnan(arr[k]), np.isnan(one))
-        assert arr[k][~np.isnan(one)].tobytes() == one[~np.isnan(one)].tobytes()
+    arr = gap(DIV3, qn, es)
+    one = np.array([gap(DIV3, qn, e) for e in es])
+    assert np.isnan(arr).any() and not np.isnan(arr).all()
+    assert np.array_equal(np.isnan(arr), np.isnan(one))
+    assert arr[~np.isnan(one)].tobytes() == one[~np.isnan(one)].tobytes()
     # the indices are the correctly rounded square roots, NaN below 0
     sp = DIV3.space
     lam = div3_indices(DIV3, es)
-    for i in (1, 2, 3):
-        for pm, s, apm in (("p", -1.0, sp.a_plus), ("m", 1.0, sp.a_minus)):
-            sq = [0.25 + s * DIV3.c(f"c{i}") - 2.0 * sp.mass * apm * e / sp.hbar ** 2 for e in es]
-            ref = np.array([math.sqrt(v) if v >= 0 else math.nan for v in sq])
-            assert np.array_equal(lam[f"{i}{pm}"], ref, equal_nan=True)
+    assert sorted(lam) == ["1m", "2p", "3m", "3p"]
+    for key in lam:
+        s, apm = (-1.0, sp.a_plus) if key[1] == "p" else (1.0, sp.a_minus)
+        sq = [0.25 + s * DIV3.c(f"c{key[0]}") - 2.0 * sp.mass * apm * e / sp.hbar ** 2 for e in es]
+        ref = np.array([math.sqrt(v) if v >= 0 else math.nan for v in sq])
+        assert np.array_equal(lam[key], ref, equal_nan=True)
 
 
 # DIV_V3 at DIV3 depends on n + l only: (energy, plug-back residual) for
@@ -344,7 +379,7 @@ def test_div_v3_pinned_records():
             assert roots.candidates == [complex(energy)]
             assert roots.admissible == [{
                 "E": energy, "residual": residual, "sqrt_real": True,
-                "satisfies_unsquared": True, "unsquared_sign": -1,
+                "satisfies_unsquared": True, "unsquared_sign": 1,
                 "decaying_wavefunction": True, "admissible": True}]
 
 

@@ -59,6 +59,17 @@ def test_pde_residual_gate(family, coup, chart, qn, energy):
     assert hamiltonian_residual(field) < 1e-5
 
 
+def test_div_v3_picks_the_root_that_separates():
+    # not -182.575625, a root of 2(n + l) + lam_1- - lam_2- - 2 = 0: no
+    # product state, its residual is 1.07
+    spec = PotentialSpec(SpaceParams(DIV, 4.0, 1.0), "DIV_V3", {"c1": 0.1, "c2": -50.0, "c3": -0.2})
+    q = QuantumNumbers(0, 0, "degelliptic2")
+    e = pick_energy(spec, q)
+    assert e == -1.995839024938
+    grid = default_grid(spec, "degelliptic2", q, e, (401, 301))
+    assert hamiltonian_residual(assemble_bound_state(spec, "degelliptic2", q, grid=grid, energy=e)) < 1e-5
+
+
 def test_residual_fourth_order_convergence():
     spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.0})
     qn = QuantumNumbers(0, 1, "uv")
@@ -152,6 +163,27 @@ def test_v4_difference_branch_normalizable_pair():
     a.values *= fields[0].norm_constant
     b.values *= fields[1].norm_constant
     assert abs(weighted_overlap(a, b)) < 1e-5
+
+
+def test_div_v3_states_normalize_on_the_whole_chart():
+    # the phi factor lives on all of 0 < phi < pi/2 and does not decay
+    # inside 0 < phi < pi/4
+    from darboux.wavefun import _norm_grid
+
+    spec = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
+    qns = [QuantumNumbers(n, l, "degelliptic2") for n, l in ((0, 0), (1, 0), (1, 1))]
+    energies = [pick_energy(spec, qn) for qn in qns]
+    grid = _norm_grid(spec, "degelliptic2", qns[0], energies[0], n1=801, n2=601)
+    fields = []
+    for qn, e in zip(qns, energies):
+        c = normalize_weighted(assemble_bound_state(spec, "degelliptic2", qn, energy=e)).norm_constant
+        f = assemble_bound_state(spec, "degelliptic2", qn, grid=grid, energy=e)
+        f.values *= c
+        assert weighted_overlap(f, f).real == pytest.approx(1.0, abs=1e-8)
+        fields.append(f)
+    for i in range(3):
+        for j in range(i):
+            assert abs(weighted_overlap(fields[i], fields[j])) < 1e-8
 
 
 def test_divergent_norm_error():
