@@ -14,7 +14,4 @@ Library layout:
 - :mod:`darboux.cli`        batch computation front end
 """
 
-from .geometry import Chart, SpaceParams
-
-__all__ = ["Chart", "SpaceParams"]
 __version__ = "0.1.0"

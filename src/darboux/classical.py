@@ -216,6 +216,8 @@ def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
 
 # solve_ivp raises a smaller rtol to this floor, with only a warning
 TOL_FLOOR = 100 * np.finfo(float).eps
+# right-hand-side calls per unit of t_final (1 at least); a t = 10 flow makes a few hundred
+RHS_CALLS_PER_TIME = 10_000
 
 
 def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: PhaseState,
@@ -227,10 +229,11 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     each right-hand-side call evaluates H once, as an array over the eight
     shifted states of those differences.  ``tol`` is both the relative and
     the absolute tolerance.  A trajectory that leaves the chart domain raises
-    BlowupError.  A t_final that is not finite and positive, a tol that is
-    not finite or lies below solve_ivp's relative-tolerance floor of 100
-    machine epsilons, fewer than one output sample or a non-finite momentum
-    raises ParamError.
+    BlowupError, as does one past RHS_CALLS_PER_TIME max(1, t_final) calls
+    of its right-hand side.  A t_final that is not finite and positive, a tol
+    that is not finite or lies below solve_ivp's relative-tolerance floor of
+    100 machine epsilons, fewer than one output sample or a non-finite
+    momentum raises ParamError.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ParamError(f"t_final must be finite and positive, got {t_final}")
@@ -248,8 +251,14 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     # column 2i of the shifted states is y + h_i e_i, column 2i + 1 is y - h_i e_i
     # (adding 0 * h_j leaves the other coordinates exactly as they are)
     signs = np.kron(np.eye(4), [1.0, -1.0])
+    max_calls = int(RHS_CALLS_PER_TIME * max(1.0, t_final))
+    calls = 0
 
     def rhs(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > max_calls:
+            raise BlowupError(f"the flow needs more than {max_calls} right-hand-side calls")
         h = 1e-6 * (1.0 + np.abs(y))
         q1, q2, p1, p2 = y[:, None] + h[:, None] * signs
         H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)

@@ -9,9 +9,10 @@ number in the output, or a spectrum table none of whose records has a root), 3
 exception that is not a ``DarbouxError``).  Errors go to stderr as one line of
 JSON.  A spectrum record without a root carries an ``error`` object and empty
 candidate lists, and the header then counts such records in ``failed_records``.
-"""
 
-from __future__ import annotations
+Only the standard library and ``errors`` load with this module; each command
+imports the layers it runs, so ``--help`` and argument errors load no numpy.
+"""
 
 import argparse
 import json
@@ -21,14 +22,8 @@ import re
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from .errors import DarbouxError, NoRootError, ParamError
-from .geometry import DIII, DIV, Chart, SpaceParams, curvature_closed, curvature_numeric
-from .potentials import PotentialSpec
-from .spectra import QuantumNumbers, solve_quantization
-from .wavefun import assemble_bound_state, default_grid, hamiltonian_residual, pick_energy
 
 COUPLING_FLAGS = ("k1", "k2", "k3", "alpha", "c1", "c2", "c3", "d1", "d2", "omega", "v0", "k0")
 
@@ -48,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_space_args(p):
-    p.add_argument("--space", required=True, choices=[DIII, DIV])
+    p.add_argument("--space", required=True, choices=("DIII", "DIV"))
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--hbar", type=float, default=1.0)
@@ -67,11 +62,15 @@ def _add_out_args(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _space_of(args) -> SpaceParams:
+def _space_of(args):
+    from .geometry import SpaceParams
+
     return SpaceParams(args.space, args.a, args.b, args.hbar, args.mass)
 
 
-def _spec_of(args) -> PotentialSpec:
+def _spec_of(args):
+    from .potentials import PotentialSpec
+
     coup = {c: getattr(args, c) for c in COUPLING_FLAGS if getattr(args, c) is not None}
     return PotentialSpec(_space_of(args), f"{args.space}_{args.potential}", coup)
 
@@ -157,7 +156,7 @@ def _emit(args, header: dict, records: list, columns=None):
     _atomic_write(args.out, text)
 
 
-def _header(args, command: str, spec: PotentialSpec | None = None, **extra) -> dict:
+def _header(args, command: str, spec=None, **extra) -> dict:
     h = {"tool_version": __version__, "command": command}
     if getattr(args, "space", None) is not None:
         h["space"] = {"family": args.space, "a": args.a, "b": args.b,
@@ -170,9 +169,13 @@ def _header(args, command: str, spec: PotentialSpec | None = None, **extra) -> d
 
 
 def cmd_curvature(args) -> int:
+    import numpy as np
+
+    from .geometry import Chart, curvature_closed, curvature_numeric
+
     sp = _space_of(args)
     n1, n2 = _parse_grid(args.grid)
-    u_default = (-1.0, 1.0) if args.space == DIII else (0.1 * math.pi / 2, 0.9 * math.pi / 2)
+    u_default = (-1.0, 1.0) if args.space == "DIII" else (0.1 * math.pi / 2, 0.9 * math.pi / 2)
     u_lo, u_hi = _parse_span(args.u_range, u_default)
     v_lo, v_hi = _parse_span(args.v_range, (0.0, 1.0))
     us = np.linspace(u_lo, u_hi, n1)
@@ -189,6 +192,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectra import QuantumNumbers, solve_quantization
+
     spec = _spec_of(args)
     scheme = args.scheme.lower().replace("-", "")
     ns = _parse_range(args.n)
@@ -222,6 +227,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from .spectra import QuantumNumbers
+    from .wavefun import assemble_bound_state, default_grid, hamiltonian_residual, pick_energy
+
     spec = _spec_of(args)
     # the chart fixes the counting scheme of the quantum numbers
     qn = QuantumNumbers(_parse_int(args.n), _parse_int(args.l), args.chart)
@@ -244,8 +252,11 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    import numpy as np
+
     from .classical import (PhaseState, algebra_check, hamiltonian_flow,
                             hamiltonian_value, observable_value)
+    from .geometry import Chart
 
     sp = _space_of(args)
     spec = _spec_of(args) if args.potential else None

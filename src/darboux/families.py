@@ -479,9 +479,15 @@ class DIII_V3(Shifted):
         return abs(2.0 * (ratio - int(l) - 0.5))
 
     def _angle(self, spec, partner, axis):
-        """The polar angle phi: the complex Morse family in 2 phi."""
-        hq = potentials._quantum_unit(spec.space)
+        """The polar angle phi: the complex Morse family in 2 phi.  It requires
+        the index at which the radius solves at level ``partner``; at a root
+        that is the angle's own index."""
+        a, _, _, hb, hq = _units(spec)
         C1, C2 = self._cmorse(spec)
+
+        def lam_req(E):
+            idx = abs(a * E - self.shift(spec)) / (hb * _omega_of(spec, E)) - 2 * int(partner) - 1
+            return hq * idx ** 2
 
         def profile(E):
             return lambda phi: 4.0 * hq * (
@@ -490,7 +496,7 @@ class DIII_V3(Shifted):
             )
 
         return potentials.Separated1D(
-            profile, lam_req=lambda E: hq * self._polar_index(spec, partner) ** 2,
+            profile, lam_req,
             factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0),
             window=lambda E, n: (0.0, 2.0 * math.pi))
 

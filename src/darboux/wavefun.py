@@ -51,16 +51,15 @@ class WaveField:
 
 
 def pick_energy(spec: PotentialSpec, qn: QuantumNumbers) -> float:
-    """The first admissible root of the quantization condition (sign-consistent
-    roots preferred, then decaying ones, ascending in energy)."""
+    """The lowest root of the quantization condition that is admissible,
+    satisfies the unsquared condition and decays (a nonzero one preferred)."""
     roots = solve_quantization(spec, qn)
-    good = [r for r in roots.admissible if r["admissible"] and r["satisfies_unsquared"]]
-    if not good:
-        good = [r for r in roots.admissible if r["admissible"]]
+    good = [r for r in roots.admissible if r["admissible"] and r["satisfies_unsquared"]
+            and r["decaying_wavefunction"]]
     good = [r for r in good if r["E"] != 0.0] or good
     if not good:
         raise NoAdmissibleRootError(f"{spec.family} at {qn} has no admissible root")
-    return min(good, key=lambda r: (not r["decaying_wavefunction"], r["E"]))["E"]
+    return min(r["E"] for r in good)
 
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):

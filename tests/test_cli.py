@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -252,6 +253,31 @@ def test_no_module_level_scipy_import():
     assert not offenders, f"scipy imported at module level: {offenders}"
 
 
+NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
+    "geometry", "specfun", "families", "potentials", "spectra", "wavefun", "oracle",
+    "classical", "verify")]
+
+
+@pytest.mark.parametrize("argv,code,absent", [
+    (["--help"], 0, NUMERICAL_LAYERS),
+    (JOBS["curvature.csv"], 2, NUMERICAL_LAYERS),  # no --out: a parse error
+    (JOBS["curvature.csv"] + ["--out", "OUT"], 0, ["scipy", "darboux.spectra"]),
+    (JOBS["spectrum.json"] + ["--out", "OUT"], 0, ["scipy", "darboux.wavefun"]),
+], ids=["help", "parse-error", "curvature", "spectrum"])
+def test_start_up_loads_only_what_the_command_runs(argv, code, absent, tmp_path):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    script = (
+        "import json, sys\n"
+        "import darboux.cli\n"
+        f"code = darboux.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    got, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert got == code, r.stderr
+    assert not set(absent) & set(loaded)
+
+
 def test_curvature_stencil_outside_chart_exit_2(tmp_path, capsys):
     from darboux.cli import main
 
@@ -373,20 +399,54 @@ def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stiff_classical_flow_is_stopped(tmp_path, capsys):
+    # at k3 = 1e6 the flow takes ever smaller steps; it is stopped at its cap of
+    # right-hand-side calls instead of running for minutes
+    import scipy.integrate  # noqa: F401  (imported before the clock starts)
+
+    from darboux.cli import main
+
+    out = tmp_path / "c.json"
+    argv = ["classical", "--space", "DIV", "--a", "3", "--b", "1", "--potential", "V2",
+            "--k1", "3", "--k2", "1e-9", "--k3", "1e6", "--q1", "0.7", "--q2", "0.5",
+            "--p1", "2.5", "--p2", "0.5", "--t-final", "2", "--out", str(out)]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 3.0
+    assert json.loads(capsys.readouterr().err)["error"] == "BlowupError"
+    assert not out.exists()
+
+
+DIV_V2_UV = ["wavefunction", "--space", "DIV", "--potential", "V2", "--a", "3", "--b", "1",
+             "--k1", "2", "--k2", "6", "--k3", "0.5", "--chart", "uv"]
+
+
 def test_level_beyond_the_ladder_is_level_error(tmp_path, capsys):
-    # the MPT_bound factor of DIV_V2 at these couplings holds the levels 0..1
+    # the MPT_bound factor of DIV_V2 at these couplings holds the levels 0..1;
+    # no root of (0, 3) decays, so the job is given the (0, 0) energy
     from darboux.cli import main
     from darboux.errors import LevelError, ParamError
 
     assert issubclass(LevelError, ParamError) and issubclass(LevelError, IndexError)
     out = tmp_path / "w.json"
-    argv = ["wavefunction", "--space", "DIV", "--potential", "V2", "--a", "3", "--b", "1",
-            "--k1", "2", "--k2", "6", "--k3", "0.5", "--chart", "uv", "--n", "0", "--l", "3"]
+    argv = DIV_V2_UV + ["--n", "0", "--l", "3", "--energy", "-0.5505102572168219"]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "LevelError",
                                "message": "MPT_bound supports indices 0..1, got 3"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,l", [(1, 0), (1, 1), (2, 0)])
+def test_no_decaying_sign_consistent_root_exit_2(n, l, tmp_path, capsys):
+    # the squared DIV_V2 condition has roots here (E = 0 at n + l = 1, the
+    # (0, 0) roots at n + l = 2), but none solves the unsquared one and decays
+    from darboux.cli import main
+
+    out = tmp_path / "w.json"
+    assert main(DIV_V2_UV + ["--n", str(n), "--l", str(l), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NoAdmissibleRootError"
     assert not out.exists()
 
 
@@ -405,18 +465,18 @@ def test_non_finite_header_exit_2(tmp_path):
 
 @pytest.mark.parametrize("argv,error", [
     # the Morse factors overflow on the grid
-    ("wavefunction --space DIII --potential V4 --a 3 --b 1 --d1 0 --d2 1e6 --omega -1 "
+    ("wavefunction --space DIII --potential V4 --a 3 --b 1 --d1 -1e6 --d2 -0.5 --omega 1 "
      "--chart hyperbolic --n 1 --l 0", "GridError"),
     # a closed-form norm overflows: the PT gamma ratio, RHO's q^(lam + 1), cMorse's (4 c1)^mu
-    ("wavefunction --space DIV --potential V2 --a 3 --b 1 --k1 1e6 --k2 6 --k3 0.5 --chart uv",
+    ("wavefunction --space DIV --potential V2 --a 3 --b 1 --k1 2 --k2 1e6 --k3 0.5 --chart uv",
      "ParamError"),
     ("wavefunction --space DIV --potential V1 --a 2.5 --b 1 --alpha 1e6 --k1 2.5 --k2 0.5 "
      "--omega 2.5 --chart horospherical --n 2 --l 2", "ParamError"),
     ("wavefunction --space DIII --potential V3 --a 1 --b 0.5 --alpha 12 --c1 1e6 --c2 2.5 "
      "--chart polar --n 2 --l 2", "ParamError"),
     # b = 0: the hyperbolic grid is not clamped, as a + b (mu - nu)/2 = a
-    ("wavefunction --space DIII --potential V4 --a 1 --b 0 --d2 0.5 --omega -3.7 "
-     "--chart hyperbolic --n 1 --l 1", None),
+    ("wavefunction --space DIII --potential V4 --a 1 --b 0 --d1 -1.5 --d2 -0.5 --omega 1 "
+     "--chart hyperbolic --n 0 --l 0", None),
     # a = 2b: a_- = 0
     ("spectrum --space DIV --potential V3 --a 1 --b 0.5 --c2 1e-9 --c3 -1 --scheme degelliptic2 "
      "--n 0 --l 0", "ParamError"),

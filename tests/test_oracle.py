@@ -98,6 +98,8 @@ RESIDUAL_CASES = [
     # v0 != 0 shifts the linear term of the Morse log-axes
     ("DIII_V5", {"v0": 0.6}, "uv", (0, 1, "uv"), (0,)),
     ("DIII_V5", {"v0": 0.6}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
+    # the angle's own index, l, at n != l
+    ("DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8}, "polar", (1, 0, "polar"), (0, 1)),
 ]
 
 
