@@ -29,10 +29,6 @@ class PoleError(DarbouxError):
     """A special function was evaluated at a pole of its parameters."""
 
 
-class ConvergenceError(DarbouxError):
-    """A series or iteration failed to reach the requested accuracy."""
-
-
 class NoRootError(DarbouxError):
     """A bracketed root search found no sign change."""
 

@@ -505,6 +505,13 @@ class DIII_V3(Shifted):
     def count(self, spec, qn):
         return 2.0 * qn.n + self._polar_index(spec, qn.l) + 1.0
 
+    def decays(self, spec, qn, E):
+        """The D_III rule, for an l on the angle's ladder: past it the
+        angular index is the modulus of a negative one and no state exists."""
+        C1, C2 = self._cmorse(spec)
+        top = sf.model_max_index(sf.ModelFamily(sf.CMORSE, {"c1": C1, "c2": C2}))
+        return qn.l <= top and super().decays(spec, qn, E)
+
 
 class DIII_V4(DIIIFamily):
     """(d1 mu - d2 nu + m w^2 (mu^2 - nu^2)/2) over the hyperbolic conformal
@@ -756,7 +763,8 @@ def _mpt_axis(spec, partner, indices, pt_indices, window):
 class DIV_V1(DIVFamily):
     """Centrifugal k1, k2 terms, minus alpha, plus an oscillator in omega:
     Poeschl-Teller times Morse in (u, v), two radial oscillators in the
-    horospherical chart."""
+    horospherical chart.  The potential holds omega only as omega^2, so the
+    separations and the count read |omega|."""
 
     couplings = ("alpha", "k1", "k2", "omega")
     nonzero = ("omega",)
@@ -787,12 +795,12 @@ class DIV_V1(DIVFamily):
                 _index_root(sp, spec.c("k2") ** 2, sp.a_plus, E))
 
     def _v_index(self, spec, l: int) -> float:
-        """The Morse index alpha/(2 hbar w) - l - 1/2 of the v problem at level l."""
-        return spec.c("alpha") / (2.0 * spec.space.hbar * spec.c("omega")) - l - 0.5
+        """The Morse index alpha/(2 hbar |w|) - l - 1/2 of the v problem at level l."""
+        return spec.c("alpha") / (2.0 * spec.space.hbar * abs(spec.c("omega"))) - l - 0.5
 
     def _uv(self, spec, partner, axis):
         _, _, m, hb, hq = _units(spec)
-        al, om = spec.c("alpha"), spec.c("omega")
+        al, om = spec.c("alpha"), abs(spec.c("omega"))
         n_oth = int(partner)
         if axis == 0:
             def lam_req(E):
@@ -831,7 +839,7 @@ class DIV_V1(DIVFamily):
     def _horospherical(self, spec, partner, axis):
         """mu or nu > 0: a radial oscillator."""
         _, _, m, hb, _ = _units(spec)
-        al, om = spec.c("alpha"), spec.c("omega")
+        al, om = spec.c("alpha"), abs(spec.c("omega"))
         n_oth, q = int(partner), m * om / hb
 
         def lam_req(E):
@@ -845,7 +853,7 @@ class DIV_V1(DIVFamily):
                    ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
 
     def count(self, spec, qn):
-        return spec.c("alpha") / (spec.space.hbar * spec.c("omega")) - 2.0 * (qn.n + qn.l + 1.0)
+        return spec.c("alpha") / (spec.space.hbar * abs(spec.c("omega"))) - 2.0 * (qn.n + qn.l + 1.0)
 
     def branches(self, spec, qn):
         a, b, _, _, hq = _units(spec)
@@ -1038,8 +1046,7 @@ class DIV_V3(DIVFamily):
 
 
 class DIV_V4(DIVFamily):
-    """The centrifugal k0 term: a continuous spectrum only, separated in the
-    tau form of the (u, v) chart."""
+    """The centrifugal k0 term: a continuous spectrum only."""
 
     couplings = ("k0",)
 
@@ -1052,32 +1059,6 @@ class DIV_V4(DIVFamily):
         if chart.name in ("horospherical", "elliptic"):
             return hq * (k0 * k0 - 0.25) * (1.0 / q1 ** 2 + 1.0 / q2 ** 2)
         return super().form(spec, chart)
-
-    def _uv(self, spec, partner, axis):
-        """tau, with the partner as the momentum label of the v direction."""
-        sp = spec.space
-        _, _, m, hb, hq = _units(spec)
-        k0 = spec.c("k0")
-        kv = float(partner)
-
-        def profile(E):
-            l0 = _index_root(sp, k0 * k0, sp.a_minus, E)
-            return lambda t: hq * (
-                (l0 * l0 - 0.25) / np.sinh(t) ** 2 + (kv * kv + 0.25) / np.cosh(t) ** 2
-            )
-
-        def lam_req(E):
-            return sp.a_plus * E - hq * k0 * k0
-
-        def factor(E, p=None):
-            l0 = _index_root(sp, k0 * k0, sp.a_minus, E)
-            pm = math.sqrt(max((2.0 * m * sp.a_plus * E / hb ** 2 - k0 * k0), 1e-12))
-            fam_s = sf.ModelFamily(sf.MPT_SCATTER, {"eta": l0, "nu": 1j * kv}, hbar=hb, mass=m)
-            return lambda t: sf.model_eigenfunction(fam_s, pm, np.asarray(t))
-
-        return potentials.Separated1D(profile, lam_req, factor, lambda E, n: (0.1, 8.0))
-
-    separations = {("uv", 0): _uv, ("uv", 1): _uv}
 
     def dispersion(self, spec, p, aux):
         sp = spec.space

@@ -1,12 +1,11 @@
 """Special functions and the 1D model eigenproblems used by the separations.
 
 Polynomials are evaluated by three-term recurrence, the Gauss hypergeometric
-function by power series plus the standard transformations, and the complex
-gamma function by a Lanczos approximation.  The model families collect the
-exactly solvable 1D problems that appear as separation factors: harmonic and
-radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller (bound
-and scattering), bound Morse, and the complex periodic Morse problem whose
-spectrum is real.
+function by its terminating series, and the complex gamma function by a
+Lanczos approximation.  The model families collect the exactly solvable 1D
+bound-state problems that appear as separation factors: harmonic and radial
+harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller, Morse, and
+the complex periodic Morse problem whose spectrum is real.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, LevelError, ParamError, PoleError
-
-_EPS = 1e-16
-_MAXTERMS = 4000
+from .errors import LevelError, ParamError, PoleError
 
 # ----------------------------------------------------------------------
 # gamma function (complex Lanczos, g = 7)
@@ -125,17 +121,6 @@ def _is_nonpos_int(z):
     return abs(z.imag) < 1e-12 and z.real < 0.5 and abs(z.real - round(z.real)) < 1e-12
 
 
-def _series_2f1(a, b, c, z):
-    term = 1.0 + 0.0j
-    total = term
-    for k in range(_MAXTERMS):
-        term *= (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
-        if abs(term) <= _EPS * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError("2F1 series did not converge")
-
-
 def _terminating_degree(a, b, c):
     """n when a or b is -n and c is no pole in front of the last term, else None."""
     for p in (a, b):
@@ -146,60 +131,30 @@ def _terminating_degree(a, b, c):
     return None
 
 
-def _terminating_2f1(a, b, c, z, n, one):
-    """The n + 1 terms of a terminating 2F1, summed from ``one`` (1 in z's type)."""
-    term = total = one
-    for k in range(n):
-        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
-        total = total + term
-    return total
-
-
 def hyp2f1(a, b, c, z):
-    """Gauss hypergeometric 2F1(a, b; c; z).
-
-    Power series for small |z|, Pfaff transformation for z to the left of the
-    disk, and the 1-z connection formula near the unit circle.  Terminating
-    cases are summed directly for any z, and only there may z be an array:
-    the sum then runs over the whole array, in real arithmetic when a, b, c
-    and z are all real.  A scalar z gives a complex result.
-    """
+    """Gauss hypergeometric 2F1(a, b; c; z) of a terminating series, summed
+    directly for any z.  An array z is summed over the whole array, in real
+    arithmetic when a, b, c and z are all real; a scalar z gives a complex
+    result.  A series that does not terminate raises PoleError at a
+    non-positive integer c and ParamError otherwise."""
     n = _terminating_degree(a, b, c)
     if n is None and _is_nonpos_int(c):
         raise PoleError("2F1 pole: c is a non-positive integer")
+    if n is None:
+        raise ParamError("2F1 is summed only when its series terminates")
     if np.ndim(z):
-        if n is None:
-            raise ParamError("2F1 takes an array z only when its series terminates")
         real = not any(np.iscomplexobj(p) for p in (a, b, c, z))
         if real:
             a, b, c = float(a), float(b), float(c)
         z = np.asarray(z, dtype=float if real else complex)
-        return _terminating_2f1(a, b, c, z, n, np.ones(z.shape, dtype=z.dtype))
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if n is not None:
-        return _terminating_2f1(a, b, c, z, n, 1.0 + 0.0j)
-    if abs(z) <= 0.6:
-        return _series_2f1(a, b, c, z)
-    if z.real < 0:
-        # Pfaff: z/(z-1) lies in [0, 1) for real z < 0
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, w)
-    if abs(1.0 - z) < 0.75 and abs(z) <= 1.0 + 1e-12:
-        s = c - a - b
-        if abs(s - round(s.real)) < 1e-8 and abs(s.imag) < 1e-8:
-            # nudge away from the logarithmic case
-            return hyp2f1(a + 1e-9, b, c, z)
-        g = gamma_complex
-        t1 = g(c) * g(s) / (g(c - a) * g(c - b)) * _series_2f1(a, b, 1.0 - s, 1.0 - z)
-        t2 = (
-            g(c) * g(-s) / (g(a) * g(b))
-            * (1.0 - z) ** s
-            * _series_2f1(c - a, c - b, 1.0 + s, 1.0 - z)
-        )
-        return t1 + t2
-    if abs(z) < 1.0:
-        return _series_2f1(a, b, c, z)
-    raise ConvergenceError(f"2F1 argument z = {z} outside the supported region")
+        term = total = np.ones(z.shape, dtype=z.dtype)
+    else:
+        a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+        term = total = 1.0 + 0.0j
+    for k in range(n):
+        term = term * ((a + k) * (b + k) * z / ((c + k) * (k + 1.0)))
+        total = total + term
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -210,22 +165,21 @@ HO = "HO"
 RHO = "RHO"
 PT = "PT"
 MPT_BOUND = "MPT_bound"
-MPT_SCATTER = "MPT_scatter"
 MORSE_BOUND = "Morse_bound"
 CMORSE = "cMorse"
 
-_BOUND_TAGS = (HO, RHO, PT, MPT_BOUND, MORSE_BOUND, CMORSE)
+_TAGS = (HO, RHO, PT, MPT_BOUND, MORSE_BOUND, CMORSE)
 
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A 1D model problem: tag plus its coupling parameters.
+    """A 1D bound-state model problem: tag plus its coupling parameters.
 
     params by tag:
       HO:            omega
       RHO:           omega, lam
       PT:            alpha, beta                (alpha, beta > -1)
-      MPT_bound/scatter: eta, nu
+      MPT_bound:     eta, nu
       Morse_bound:   v0, alpha_t                (depth V0 and shape alpha~)
       cMorse:        c1, c2                     (c1 != 0)
     """
@@ -236,7 +190,7 @@ class ModelFamily:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in _BOUND_TAGS + (MPT_SCATTER,):
+        if self.tag not in _TAGS:
             raise ParamError(f"unknown model family {self.tag!r}")
         p = self.params
         if self.tag == PT and (p["alpha"] <= -1 or p["beta"] <= -1):
@@ -283,8 +237,6 @@ def _check_index(fam, n):
 
 def model_eigenvalue(fam: ModelFamily, n: int) -> float:
     """Closed-form bound-state energy of the model family."""
-    if fam.tag == MPT_SCATTER:
-        raise LevelError("scattering families have no discrete levels")
     _check_index(fam, n)
     hb, m = fam.hbar, fam.mass
     if fam.tag == HO:
@@ -310,7 +262,7 @@ def model_domain(fam: ModelFamily):
     """Natural coordinate domain of the family (open interval)."""
     if fam.tag in (HO,):
         return (-math.inf, math.inf)
-    if fam.tag in (RHO, MPT_BOUND, MPT_SCATTER):
+    if fam.tag in (RHO, MPT_BOUND):
         return (0.0, math.inf)
     if fam.tag == PT:
         return (0.0, math.pi / 2.0)
@@ -333,7 +285,7 @@ def model_potential(fam: ModelFamily):
     if fam.tag == PT:
         al, be = fam.p("alpha"), fam.p("beta")
         return lambda x: c * ((al * al - 0.25) / np.sin(x) ** 2 + (be * be - 0.25) / np.cos(x) ** 2)
-    if fam.tag in (MPT_BOUND, MPT_SCATTER):
+    if fam.tag == MPT_BOUND:
         eta, nu = fam.p("eta"), fam.p("nu")
         return lambda x: c * ((eta * eta - 0.25) / np.sinh(x) ** 2 - (nu * nu - 0.25) / np.cosh(x) ** 2)
     if fam.tag == MORSE_BOUND:
@@ -361,14 +313,13 @@ _NORM_CACHE: dict = {}
 
 
 def model_eigenfunction(fam: ModelFamily, n, x):
-    """Sample the model eigenfunction at x.
+    """Sample the level-n model eigenfunction at x.
 
-    For bound families ``n`` is the integer quantum number and the result
-    carries the closed-form constant that makes it unit-normalized over the
-    natural domain (the Hermite, Laguerre and Jacobi norms of DLMF §18.3); the
-    complex Morse states are left unnormalized.  For the scattering families
-    ``n`` is the real momentum label and the prefactor is delta-normalized.
-    A closed-form constant that overflows a double raises ParamError.
+    The result carries the closed-form constant that makes it unit-normalized
+    over the natural domain (the Hermite, Laguerre and Jacobi norms of DLMF
+    §18.3); the complex Morse states are left unnormalized.  A level beyond
+    the ladder raises LevelError, and a closed-form constant that overflows a
+    double raises ParamError.
     """
     try:
         return _eigenfunction(fam, n, x)
@@ -378,9 +329,8 @@ def model_eigenfunction(fam: ModelFamily, n, x):
 
 
 def _eigenfunction(fam, n, x):
-    if fam.tag != MPT_SCATTER:
-        _check_index(fam, n)
-        n = int(n)
+    _check_index(fam, n)
+    n = int(n)
     hb, m = fam.hbar, fam.mass
     x = np.asarray(x, dtype=float)
     if fam.tag == HO:
@@ -422,22 +372,6 @@ def _eigenfunction(fam, n, x):
         pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
         f = np.real(hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, -np.sinh(x) ** 2))
         return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
-    if fam.tag == MPT_SCATTER:
-        k1, k2 = _mpt_k12(fam)
-        p = float(n)
-        kap = 0.5 * (1.0 + 1j * p)
-        g = gamma_complex
-        pref = (
-            math.sqrt(p * math.sinh(math.pi * p) / (2.0 * math.pi ** 2))
-            * abs(cmath.sqrt(g(k1 + k2 - kap) * g(-k1 + k2 + kap)
-                             * g(k1 + k2 + kap - 1.0) * g(-k1 + k2 - kap + 1.0)))
-            / abs(g(2.0 * k2))
-        )
-        f = np.array([
-            hyp2f1(k1 + k2 - kap, k1 + k2 + kap - 1.0, 2.0 * k2, -math.sinh(t) ** 2)
-            for t in np.ravel(x)
-        ]).reshape(np.shape(x))
-        return pref * np.cosh(x) ** (2.0 * k1 - 0.5) * np.sinh(x) ** (2.0 * k2 - 0.5) * f
     if fam.tag == CMORSE:
         c1, c2 = fam.p("c1"), fam.p("c2")
         mu = 2.0 * c2 / c1 - n - 0.5

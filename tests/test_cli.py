@@ -450,6 +450,57 @@ def test_no_decaying_sign_consistent_root_exit_2(n, l, tmp_path, capsys):
     assert not out.exists()
 
 
+DIII_V3 = ["--space", "DIII", "--potential", "V3", "--a", "1", "--b", "1",
+           "--alpha", "0", "--c1", "1.2", "--c2", "0.8"]
+
+
+def test_diii_v3_levels_past_the_angle_ladder_are_no_states(tmp_path, capsys):
+    # the complex-Morse angle holds only level 0 here; the squared condition
+    # still has roots at l = 1, 2, but no state decays there
+    from darboux.cli import main
+
+    out = tmp_path / "s.json"
+    argv = ["spectrum"] + DIII_V3 + ["--scheme", "polar", "--n", "0", "--l", "0..2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    table = [[(r["l"], row["admissible"], row["decaying_wavefunction"]) for row in r["admissible"]]
+             for r in records]
+    assert table == [[(0, True, True), (0, False, False)],
+                     [(1, True, False), (1, False, False)],
+                     [(2, True, False), (2, False, False)]]
+    levels = [r["candidates_re"][0] for r in records]
+    assert levels == pytest.approx([-0.648, -4.094320169357534, -11.817480254036301], rel=1e-12)
+
+    argv = ["wavefunction"] + DIII_V3 + ["--chart", "polar", "--n", "0", "--l", "1"]
+    assert main(argv + ["--out", str(tmp_path / "w.json")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NoAdmissibleRootError"
+
+
+DIV_V1 = ["--space", "DIV", "--potential", "V1", "--a", "3", "--b", "1", "--alpha", "8",
+          "--k1", "1.6", "--k2", "1.4"]
+
+
+@pytest.mark.parametrize("job", [
+    ["spectrum", "--scheme", "uv", "--n", "0..1", "--l", "0..1"],
+    ["wavefunction", "--chart", "uv", "--n", "1", "--l", "0", "--grid", "12x12"],
+    ["wavefunction", "--chart", "horospherical", "--n", "0", "--l", "1", "--grid", "12x12"],
+    ["wavefunction", "--chart", "uv", "--n", "0", "--l", "0", "--energy", "-0.5",
+     "--grid", "12x12"],
+], ids=["spectrum-uv", "uv-1-0", "horospherical-0-1", "uv-given-energy"])
+def test_div_v1_reads_the_modulus_of_omega(job, tmp_path):
+    # the potential holds omega only as omega^2
+    from darboux.cli import main
+
+    docs = []
+    for omega in ("1", "-1"):
+        out = tmp_path / f"{omega}.json"
+        assert main(job[:1] + DIV_V1 + ["--omega", omega] + job[1:] + ["--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["header"]["couplings"].pop("omega") == float(omega)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_non_finite_header_exit_2(tmp_path):
     # E = -2.5e32 leaves the sampled state 0 everywhere, which has no relative
     # Hamiltonian residual

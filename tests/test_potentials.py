@@ -94,6 +94,8 @@ def test_unsupported_chart_errors():
         potential_value(PotentialSpec(SP3, "DIII_V1", {}), Chart("hyperbolic", 2.0, 1.0))
     with pytest.raises(UnsupportedChartError):
         separated_problem(PotentialSpec(SP3, "DIII_V1", {}), "polar", 0)
+    with pytest.raises(UnsupportedChartError):
+        separated_problem(PotentialSpec(SP4, "DIV_V4", {"k0": 0.7}), "uv", 0)
 
 
 def test_v3_value_is_complex():
@@ -121,17 +123,6 @@ def test_separated_descriptor_v5_uv():
     # profile has Morse form with E-dependent depth
     assert sep.profile(E)(u)[0] == pytest.approx(4.5 + 4.5)
     assert sep.lam_req(E) == pytest.approx(-0.5)
-
-
-def test_separated_descriptor_div_v4():
-    spec = PotentialSpec(SP4, "DIV_V4", {"k0": 0.7})
-    sep = separated_problem(spec, "uv", 0.9)
-    E = 0.9
-    lam0_sq = 0.49 - 2 * SP4.a_minus * E
-    t = np.array([1.0])
-    want = 0.5 * ((lam0_sq - 0.25) / math.sinh(1.0) ** 2 + (0.81 + 0.25) / math.cosh(1.0) ** 2)
-    assert sep.profile(E)(t)[0] == pytest.approx(want)
-    assert sep.lam_req(E) == pytest.approx(SP4.a_plus * E - 0.5 * 0.49)
 
 
 # generic couplings per family, and a patch of each chart away from every
