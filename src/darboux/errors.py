@@ -46,4 +46,4 @@ class GridError(DarbouxError):
 
 
 class ResolutionError(DarbouxError):
-    """A discretization cannot resolve the local wavelength."""
+    """A discretization cannot resolve what it samples (a wavelength, a wall)."""

@@ -3,7 +3,8 @@
 Five families live on D_III (V1..V5) and four on D_IV (V1..V4), after
 Kalnins, Kress, Miller and Winternitz, J. Math. Phys. 44, 5811 (2003).  A
 record holds everything specific to its family: its couplings, its closed
-form per chart, its separations keyed by (chart, axis) with their windows,
+form per chart, its separations keyed by (chart, axis) with their windows
+and natural intervals,
 the charts its states are counted and assembled in, its squared quantization
 condition with the unsquared gap and decay rule that judge the roots, its
 continuous dispersion and asymptotic pair, and its extra constants of motion.
@@ -30,10 +31,10 @@ from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedE
 from .geometry import DIII, DIV, d3_factor, elliptic_cartesian
 from . import potentials, specfun as sf
 
-# An angle in place of a separated second axis: its length, the margin the
-# default grid keeps from its ends, and whether the factor is periodic on it.
-Angle = namedtuple("Angle", "length pad periodic")
-CIRCLE = Angle(2.0 * math.pi, 0.05, True)
+# An angle in place of a separated second axis: its length, and the margin
+# the default grid keeps from its ends.
+Angle = namedtuple("Angle", "length pad")
+CIRCLE = Angle(2.0 * math.pi, 0.05)
 
 
 def _gap_pair(lhs, rhs, floor=1e-300):
@@ -176,7 +177,7 @@ def _flipped_ho(spec, partner, k_own, k_oth, c):
         s = k_own / (m * w * w)
         return (-s - half, -s + half)
 
-    return potentials.Separated1D(profile, lam_req, factor, window)
+    return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
 
 
 def _flipped_rho(spec, lam, lam_req, window):
@@ -202,7 +203,8 @@ def _flipped_rho(spec, lam, lam_req, window):
 
         return psi
 
-    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(q_of(E)))
+    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(q_of(E)),
+                                  (0.0, math.inf))
 
 
 def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
@@ -223,7 +225,7 @@ def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
         lo, hi = (c / 12.0, c / 0.05) if k < 0 else (0.05 / c, 12.0 / c)
         return (math.log(lo), math.log(hi))
 
-    return potentials.Separated1D(profile, lam_req, factor, window)
+    return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
 
 
 class DIIIFamily(Family):
@@ -231,26 +233,6 @@ class DIIIFamily(Family):
 
     def decays(self, spec, qn, E):
         return spec.space.b / spec.space.a > 0 and E < 0
-
-    def norm_probes(self, spec, chart, qn, E, window, n2):
-        """The axes on which the factors' decayed support is sought:
-        (probe 1, probe 2, whether axis 2 is compact)."""
-        lo1, hi1 = window
-        if chart == "parabolic":
-            probe1 = np.linspace(min(-4.0 * abs(lo1), -20.0), max(4.0 * abs(hi1), 20.0), 4001)
-            return probe1, probe1.copy(), False
-        if chart == "hyperbolic":
-            # factor decay confines the support; the sliver where the metric
-            # factor changes sign carries only the decayed tails
-            return np.linspace(-60.0, hi1 + 12.0, 6001), np.linspace(-60.0, 12.0, 6001), False
-        if chart == "uv":
-            probe1 = np.linspace(lo1 - 10.0, hi1 + 10.0, 4001)
-        else:
-            probe1 = np.geomspace(1e-4, 4.0 * hi1, 4001)
-        ang = self.angles[chart]
-        if ang.periodic:
-            return probe1, np.linspace(0.0, ang.length, n2), True
-        return probe1, np.linspace(1e-3, ang.length - 1e-3, 4001), False
 
 
 class DIII_V1(DIIIFamily):
@@ -373,7 +355,7 @@ class DIII_V2(Shifted):
 
     couplings = ("alpha", "k1", "k2")
     schemes = ("uv", "polar", "parabolic")
-    angles = {"uv": Angle(math.pi, 0.1, False), "polar": Angle(math.pi / 2.0, 0.05, False)}
+    angles = {"uv": Angle(math.pi, 0.1), "polar": Angle(math.pi / 2.0, 0.05)}
 
     def form(self, spec, chart):
         hq = potentials._quantum_unit(spec.space)
@@ -429,12 +411,6 @@ class DIII_V2(Shifted):
 
     def count(self, spec, qn):
         return 2.0 * qn.n + 2.0 * qn.l + abs(spec.c("k1")) + abs(spec.c("k2")) + 2.0
-
-    def norm_probes(self, spec, chart, qn, E, window, n2):
-        if chart == "parabolic":  # xi, eta > 0
-            probe1 = np.geomspace(1e-4, 4.0 * window[1], 4001)
-            return probe1, probe1.copy(), False
-        return super().norm_probes(spec, chart, qn, E, window, n2)
 
 
 class DIII_V3(Shifted):
@@ -498,7 +474,7 @@ class DIII_V3(Shifted):
         return potentials.Separated1D(
             profile, lam_req,
             factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0),
-            window=lambda E, n: (0.0, 2.0 * math.pi))
+            window=lambda E, n: (0.0, 2.0 * math.pi), domain=(0.0, 2.0 * math.pi))
 
     separations = {("polar", 0): Shifted._polar, ("polar", 1): _angle}
 
@@ -699,16 +675,6 @@ class DIII_V5(Shifted):
 class DIVFamily(Family):
     space = DIV
 
-    def norm_probes(self, spec, chart, qn, E, window, n2):
-        """The axes on which the factors' decayed support is sought:
-        (probe 1, probe 2, whether axis 2 is compact)."""
-        if chart == "degelliptic2":
-            # the Poeschl-Teller phi factor vanishes only like a power at the walls
-            return (np.geomspace(1e-3, 25.0, 4001),
-                    np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001), True)
-        return (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001),
-                np.geomspace(1e-3, 40.0, 4001), False)
-
 
 def _index_root(space, k2, apm, E):
     """The real index sqrt(k2 - 2 m a_pm E / hbar^2); DomainError if it is not."""
@@ -727,8 +693,8 @@ def _a_minus(spec):
 
 def _model_axis(spec, tag, params, lam_req, window):
     """An axis solved by the model family ``tag`` of ``specfun`` with the
-    parameters params(E): the model's profile and eigenfunctions, sampled on
-    the fixed ``window``."""
+    parameters params(E): the model's profile and eigenfunctions on its
+    natural interval, sampled on the fixed ``window``."""
 
     def profile(E):
         return sf.model_potential(
@@ -736,7 +702,7 @@ def _model_axis(spec, tag, params, lam_req, window):
 
     return potentials.Separated1D(profile, lam_req,
                                   lambda E, n: _model_factor(spec, tag, params(E), n),
-                                  lambda E, n: window)
+                                  lambda E, n: window, sf.model_domain(tag))
 
 
 def _pt_axis(spec, indices, lam_req, window):
@@ -834,7 +800,7 @@ class DIV_V1(DIVFamily):
             v0m = morse.p("v0")
             return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
 
-        return potentials.Separated1D(profile, lam_req, factor, window)
+        return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
 
     def _horospherical(self, spec, partner, axis):
         """mu or nu > 0: a radial oscillator."""
@@ -878,14 +844,6 @@ class DIV_V1(DIVFamily):
     def dispersion(self, spec, p, aux):
         sp = spec.space
         return potentials._quantum_unit(sp) / sp.a_plus * (p * p + spec.c("k2") ** 2) * 1.0
-
-    def norm_probes(self, spec, chart, qn, E, window, n2):
-        if chart == "horospherical":
-            probe1 = np.geomspace(1e-4, 3.0 * window[1], 4001)
-            return probe1, probe1.copy(), False
-        w2 = potentials.separated_problem(spec, chart, qn.n, axis=1).window(E, qn.l)
-        return (np.linspace(1e-3, math.pi / 2.0 - 1e-3, 4001),
-                np.linspace(w2[0] - 6.0, w2[1] + 6.0, 4001), False)
 
 
 class DIV_V2(DIVFamily):

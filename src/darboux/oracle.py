@@ -135,7 +135,7 @@ class BuildingBlockReport:
 def _oracle_domain(fam: sf.ModelFamily, n_max: int):
     """The interval the oracle discretizes: the whole of PT's, else where one
     of the states 0..n_max is above 1e-12 of its peak."""
-    lo, _ = sf.model_domain(fam)
+    lo, _ = sf.model_domain(fam.tag)
     if fam.tag == sf.PT:
         return (1e-9, math.pi / 2.0 - 1e-9)
     right = 40.0

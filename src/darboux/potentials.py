@@ -104,16 +104,17 @@ class Separated1D:
 
     ``profile(E)`` returns the potential U_E(x); ``lam_req(E)`` the
     pseudo-eigenvalue required by the partner separation; ``factor(E, n)`` the
-    analytic factor carrying this problem's quantum number n; ``window(E, n)``
-    the finite interval on which that factor is sampled.  A root of the
-    quantization condition is exactly an E at which the factor solves the
-    problem at pseudo-eigenvalue lam_req(E).
+    analytic factor carrying this problem's quantum number n on the open
+    interval ``domain``; ``window(E, n)`` the finite interval on which that
+    factor is sampled.  A root of the quantization condition is exactly an E
+    at which the factor solves the problem at pseudo-eigenvalue lam_req(E).
     """
 
     profile: Callable
     lam_req: Callable
     factor: Callable
     window: Callable
+    domain: tuple
 
 
 def index_square(space: SpaceParams, k2, apm, E):

@@ -258,17 +258,15 @@ def model_eigenvalue(fam: ModelFamily, n: int) -> float:
         return hb * hb / (2.0 * m) * s * s
 
 
-def model_domain(fam: ModelFamily):
-    """Natural coordinate domain of the family (open interval)."""
-    if fam.tag in (HO,):
+def model_domain(tag: str):
+    """Natural coordinate domain (open interval) of the model family ``tag``."""
+    if tag in (HO, MORSE_BOUND):
         return (-math.inf, math.inf)
-    if fam.tag in (RHO, MPT_BOUND):
+    if tag in (RHO, MPT_BOUND):
         return (0.0, math.inf)
-    if fam.tag == PT:
+    if tag == PT:
         return (0.0, math.pi / 2.0)
-    if fam.tag == MORSE_BOUND:
-        return (-math.inf, math.inf)
-    if fam.tag == CMORSE:
+    if tag == CMORSE:
         return (0.0, 2.0 * math.pi)
 
 

@@ -6,17 +6,19 @@ in the D_III polar chart, none in conformal charts, none in the hyperbolic
 log variables).  ``hamiltonian_residual`` discretizes the chart Hamiltonian
 with 4th-order central stencils and is the single gate that validates the
 factors, the quantization roots, and the metric code together.
+``normalize_weighted`` needs no grid: the chart's area density is a sum of one
+term per axis, so the norm is four 1D sums over the factors' natural intervals.
 
 Negative-energy D_III states are exact solutions of the separated equations
 but generically grow toward one chart boundary (the quantization there
-reflects non-standard boundary conditions); the decay flag and the norm
-tail check report this honestly rather than hiding it.
+reflects non-standard boundary conditions); the decay flag and the
+DivergentNormError of ``normalize_weighted`` report this rather than hide it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .errors import (
     GridError,
     NoAdmissibleRootError,
     ParamError,
+    ResolutionError,
     UnsupportedChartError,
 )
 from .families import FAMILIES
@@ -63,14 +66,16 @@ def pick_energy(spec: PotentialSpec, qn: QuantumNumbers) -> float:
 
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
-    """Axis 0's separated problem and the two factor callables (axis 0 and
-    axis 1) at energy E; an angular second axis takes the record's factor."""
-    s0 = separated_problem(spec, chart_name, qn.l, axis=0)
-    ang = FAMILIES[spec.family].angular_factor(spec, chart_name, qn)
+    """The factors of axis 0 and axis 1 at energy E as (callable, natural
+    interval, window); an unseparated angle takes the record's factor on (0, length)."""
+    rec, s0 = FAMILIES[spec.family], separated_problem(spec, chart_name, qn.l, axis=0)
+    first = (s0.factor(E, qn.n), s0.domain, s0.window(E, qn.n))
+    ang = rec.angular_factor(spec, chart_name, qn)
     if ang is not None:
-        return s0, s0.factor(E, qn.n), ang
+        span = (0.0, rec.angles[chart_name].length)
+        return first, (ang, span, span)
     s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-    return s0, s0.factor(E, qn.n), s1.factor(E, qn.l)
+    return first, (s1.factor(E, qn.l), s1.domain, s1.window(E, qn.l))
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
@@ -85,12 +90,10 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
         return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
-    lo1, hi1 = separated_problem(spec, chart_name, qn.l, axis=0).window(E, qn.n)
+    (_, _, (lo1, hi1)), (_, _, (lo2, hi2)) = _factor_pair(spec, chart_name, qn, E)
     ang = rec.angles.get(chart_name)
     if ang is not None:
         lo2, hi2 = ang.pad, ang.length - ang.pad
-    else:
-        lo2, hi2 = separated_problem(spec, chart_name, qn.n, axis=1).window(E, qn.l)
     sp = spec.space
     if chart_name == "hyperbolic" and sp.b > 0:
         # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)
@@ -123,10 +126,10 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
         energy = pick_energy(spec, qn)
     if grid is None:
         grid = default_grid(spec, chart_name, qn, energy)
-    if chart_name in rec.pullbacks:
-        return _assemble_pullback(spec, chart_name, qn, grid, energy)
     q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
-    s0, f1, f2 = _factor_pair(spec, chart_name, qn, energy)
+    if chart_name in rec.pullbacks:
+        return _assemble_pullback(spec, chart_name, qn, q1, q2, energy)
+    (f1, _, _), (f2, _, _) = _factor_pair(spec, chart_name, qn, energy)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.outer(np.asarray(f1(q1)), np.asarray(f2(q2))).astype(complex)
     if chart_name == "polar":
@@ -136,10 +139,9 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     return WaveField(chart_name, q1, q2, vals, float(energy), qn, spec)
 
 
-def _assemble_pullback(spec, chart_name, qn, grid, energy):
+def _assemble_pullback(spec, chart_name, qn, q1, q2, energy):
     """Assemble in a chart by pulling the (u, v) state back through the map."""
-    q1, q2 = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
-    _, f1, f2 = _factor_pair(spec, "uv", qn, energy)
+    (f1, _, _), (f2, _, _) = _factor_pair(spec, "uv", qn, energy)
     c = chart_transform(spec.space, Chart(chart_name, q1[:, None], q2[None, :]), "uv")
     # the v direction of DIV_V2 is even in v; this patch covers v < 0
     vals = (np.asarray(f1(c.q1)) * np.asarray(f2(np.abs(c.q2)))).astype(complex)
@@ -161,69 +163,80 @@ def _sqrtg_grid(space: SpaceParams, chart: str, q1, q2):
     return np.broadcast_to(w, (len(q1), len(q2)))
 
 
-def _norm_axis_support(fn, probe, compact=False):
-    """Support of |fn| above 1e-9 of its max along a probe axis."""
-    if compact:
-        return probe[0], probe[-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = np.abs(np.asarray(fn(probe), dtype=complex))
-    if not np.all(np.isfinite(v)):
-        return None
-    top = v.max()
-    keep = np.where(v > 1e-9 * top)[0]
-    if keep[0] == 0 or keep[-1] == len(probe) - 1:
-        return None
-    pad = max(2, len(probe) // 100)
-    return probe[max(keep[0] - pad, 0)], probe[min(keep[-1] + pad, len(probe) - 1)]
+# norm sums: step in t; bounds on an end term and on doubling the step, over the sum of |terms|
+_STEP, _END_TOL, _SETTLE_TOL = 1.0 / 64.0, 1e-10, 1e-9
 
 
-def _norm_grid(spec: PotentialSpec, chart: str, qn, E, n1=701, n2=501):
-    """A grid covering the decayed support of the state, for norm integrals.
+def _rule(domain, window, reach):
+    """Nodes x and weights h dx/dt of the trapezoid rule in t on [-reach, reach]
+    mapped onto the open interval ``domain``: tanh-sinh between two walls,
+    x = lo + s exp(t - e^-t) from a wall to infinity, x = c + s sinh t on the
+    whole line; c and s come from ``window``."""
+    t = _STEP * np.arange(-round(reach / _STEP), round(reach / _STEP) + 1)
+    (lo, hi), (wlo, whi) = domain, window
+    if math.isfinite(hi):
+        y = 0.5 * math.pi * np.sinh(t)
+        dx = 0.25 * math.pi * (hi - lo) * np.cosh(t) / np.cosh(y) ** 2
+        return lo + (hi - lo) / (1.0 + np.exp(-2.0 * y)), _STEP * dx
+    if math.isfinite(lo):
+        d = (whi - lo) * np.exp(t - np.exp(-t))
+        return lo + d, _STEP * d * (1.0 + np.exp(-t))
+    s = 0.5 * (whi - wlo)
+    return wlo + s + s * np.sinh(t), _STEP * s * np.cosh(t)
 
-    Returns None when a factor fails to decay inside its chart domain.
-    """
-    s0, f1, f2 = _factor_pair(spec, chart, qn, E)
-    probe1, probe2, compact = FAMILIES[spec.family].norm_probes(
-        spec, chart, qn, E, s0.window(E, qn.n), n2)
-    r1 = _norm_axis_support(f1, probe1)
-    r2 = _norm_axis_support(f2, probe2, compact=compact)
-    if r1 is None or r2 is None:
-        return None
-    return np.linspace(r1[0], r1[1], n1), np.linspace(r2[0], r2[1], n2)
+
+def _axis_sums(fn, domain, window, weight):
+    """The integrals of |fn|^2 weight and of |fn|^2 over the interval ``domain``,
+    the reach in t growing from 2 to 4 until both end terms are below _END_TOL.
+    A non-finite factor, or one not vanishing at an infinite end, raises
+    DivergentNormError; slow decay at a wall (for double-precision nodes), or
+    sums moving by over _SETTLE_TOL as the step doubles, raise ResolutionError."""
+    for reach in (2.0, 2.5, 3.0, 3.5, 4.0):
+        x, dx = _rule(domain, window, reach)
+        keep = (x > domain[0]) & (x < domain[1])  # nodes rounded onto a wall are dropped
+        even, x, dx = (np.arange(len(x)) % 2 == 0)[keep], x[keep], dx[keep]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = np.abs(np.asarray(fn(x), dtype=complex)) ** 2 * dx
+            g = np.array([dens * weight(x), dens])
+        if not np.all(np.isfinite(g)):
+            raise DivergentNormError(f"a factor is not finite on its interval {domain}")
+        scale = np.abs(g).sum(axis=1)
+        ends = [np.any(np.abs(g[:, i]) > _END_TOL * scale) for i in (0, -1)]
+        if not any(ends):
+            break
+    else:
+        end = domain[ends.index(True)]
+        raise (DivergentNormError if math.isinf(end) else ResolutionError)(
+            f"a factor does not vanish fast enough toward {end} for the norm sum")
+    fine, coarse = g.sum(axis=1), 2.0 * g[:, even].sum(axis=1)
+    if np.any(np.abs(fine - coarse) > _SETTLE_TOL * scale):
+        raise ResolutionError(f"the norm sums on {domain} do not settle: {fine} vs {coarse}")
+    return fine
 
 
 def normalize_weighted(field: WaveField) -> WaveField:
     """Rescale so the weighted norm integral of |psi|^2 sqrt(g) is 1.
 
-    The norm is integrated with a tensor-product Simpson rule on a grid that
-    covers the state's decayed support (re-assembled independently of the
-    stored samples); states whose factors do not decay inside the chart
-    domain raise DivergentNormError.
-    """
-    from scipy.integrate import simpson
-
+    The area density splits as w(q1, q2) = f1(q1) + f2(q2), f1 = w(q1, c2),
+    f2 = w(c1, q2) - w(c1, c2), c_i the centre of factor i's window; so the
+    norm is A1 B2 + B1 A2, A_i and B_i the integrals of |psi_i|^2 f_i and of
+    |psi_i|^2 over factor i's natural interval.  The samples of ``field`` are
+    not read; a pulled-back DIV_V2 state takes the norm of its (u, v) product.
+    A norm that is not positive raises DivergentNormError."""
     spec = field.spec
-    grid = _norm_grid(spec, field.chart, field.qn, field.energy)
-    if grid is None:
-        raise DivergentNormError(
-            f"{spec.family} state at E={field.energy} does not decay inside the chart"
-        )
-    big = assemble_bound_state(spec, field.chart, field.qn, grid=grid, energy=field.energy)
-    w = _sqrtg_grid(spec.space, field.chart, big.q1, big.q2)
-    dens = np.abs(big.values) ** 2 * w
-    adens = np.abs(dens)
-    peak = adens.max()
-    ring = max(adens[0, :].max(), adens[-1, :].max())
-    if ring > 1e-8 * peak:
-        raise DivergentNormError(
-            f"boundary density {ring:.3e} vs peak {peak:.3e}: norm integral does not converge"
-        )
-    total = float(simpson(simpson(dens, x=big.q2, axis=1), x=big.q1))
-    if total <= 0:
-        raise DivergentNormError("weighted norm is not positive for this state")
+    chart = "uv" if field.chart in FAMILIES[spec.family].pullbacks else field.chart
+    (f1, dom1, win1), (f2, dom2, win2) = _factor_pair(spec, chart, field.qn, field.energy)
+    c1, c2 = np.array([0.5 * sum(win1)]), np.array([0.5 * sum(win2)])
+    if chart == "polar":  # the assembled state carries 1/sqrt(rho)
+        f1 = (lambda radial: lambda r: radial(r) * r ** -0.5)(f1)
+    w0 = _sqrtg_grid(spec.space, chart, c1, c2)[0, 0]
+    a1, b1 = _axis_sums(f1, dom1, win1, lambda x: _sqrtg_grid(spec.space, chart, x, c2)[:, 0])
+    a2, b2 = _axis_sums(f2, dom2, win2, lambda y: _sqrtg_grid(spec.space, chart, c1, y)[0] - w0)
+    total = a1 * b2 + b1 * a2
+    if not total > 0:
+        raise DivergentNormError(f"weighted norm {total!r} is not positive for this state")
     c = 1.0 / math.sqrt(total)
-    return WaveField(field.chart, field.q1, field.q2, field.values * c,
-                     field.energy, field.qn, field.spec, norm_constant=c)
+    return replace(field, values=field.values * c, norm_constant=c)
 
 
 def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:

@@ -69,13 +69,16 @@ COUPLINGS = {
 
 
 def test_every_separation_has_a_finite_window():
-    # the residual check and the default grids sample each factor on its window
+    # the residual check and the default grids sample each factor on its
+    # window, which lies in the factor's natural interval
     for name, rec in FAMILIES.items():
         a, b = (1.0, 1.0) if rec.space == DIII else (3.0, 1.0)
         spec = PotentialSpec(SpaceParams(rec.space, a, b), name, COUPLINGS[name])
         for chart, axis in rec.separations:
-            lo, hi = separated_problem(spec, chart, 0, axis).window(-3.7, 0)
+            sep = separated_problem(spec, chart, 0, axis)
+            lo, hi = sep.window(-3.7, 0)
             assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
+            assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
 
 
 def _set_arguments(paths):

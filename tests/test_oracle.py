@@ -208,7 +208,7 @@ def test_seed_from_a_swapped_level_raises(fam, guard, monkeypatch):
     # stays on its seed's level and the levels come out in the wrong order.
     import scipy.linalg
 
-    lo, hi = sf.model_domain(fam) if fam.tag == sf.HO else (-6.0, 1.5)
+    lo, hi = sf.model_domain(fam.tag) if fam.tag == sf.HO else (-6.0, 1.5)
     grid = Grid1D(max(lo, -8.0), min(hi, 8.0), 1600)
     assert len(fd_eigensolve_1d(sf.model_potential(fam), grid, 2)) == 2  # unswapped: resolved
     original = scipy.linalg.eigh_tridiagonal

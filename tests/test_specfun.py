@@ -116,7 +116,7 @@ def test_orthonormality_bound_families():
         ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 4.2}),
     ]
     for fam in cases:
-        lo, hi = model_domain(fam)
+        lo, hi = model_domain(fam.tag)
         lo, hi = max(lo, -30.0), min(hi, 30.0)
         top = model_max_index(fam)
         nmax = 3 if top is None else min(3, top)
@@ -307,7 +307,7 @@ def test_bound_norms_against_mpmath():
     devs = []
     with mp.workdps(30):
         for fam in cases:
-            lo, hi = model_domain(fam)
+            lo, hi = model_domain(fam.tag)
             pieces = list(np.linspace(max(lo, -30.0), min(hi, 30.0), 7))
             top = model_max_index(fam)
             for n in range(4 if top is None else min(3, top) + 1):

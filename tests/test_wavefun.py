@@ -7,8 +7,10 @@ from darboux.errors import (
     DivergentNormError,
     NoAdmissibleRootError,
     ParamError,
+    ResolutionError,
     UnsupportedChartError,
 )
+from darboux.families import FAMILIES
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec
 from darboux.spectra import QuantumNumbers
@@ -120,11 +122,12 @@ def test_normalization_div_v1():
     qn = QuantumNumbers(0, 0, "horospherical")
     f = normalize_weighted(assemble_bound_state(spec, "horospherical", qn))
     assert f.norm_constant is not None
-    # independent re-integration on a finer grid
-    from darboux.wavefun import _norm_grid, _sqrtg_grid
+    # independent re-integration with a 2D Simpson rule over the decayed support
+    from darboux.wavefun import _sqrtg_grid
     from scipy.integrate import simpson
 
-    g2 = _norm_grid(spec, "horospherical", qn, f.energy, n1=901, n2=701)
+    g2 = (np.linspace(0.0033845326804145337, 8.336732292493139, 901),
+          np.linspace(0.0879533574436568, 9.067877174371715, 701))
     big = assemble_bound_state(spec, "horospherical", qn, grid=g2, energy=f.energy)
     w = _sqrtg_grid(SP4, "horospherical", big.q1, big.q2)
     total = simpson(simpson(np.abs(big.values * f.norm_constant) ** 2 * w, x=big.q2, axis=1),
@@ -137,9 +140,8 @@ def test_orthogonality_same_l_different_n():
     qn0 = QuantumNumbers(0, 0, "horospherical")
     qn1 = QuantumNumbers(1, 0, "horospherical")
     e0, e1 = pick_energy(spec, qn0), pick_energy(spec, qn1)
-    from darboux.wavefun import _norm_grid
-
-    grid = _norm_grid(spec, "horospherical", qn0, e0, n1=801, n2=601)
+    grid = (np.linspace(0.0033845326804145337, 8.336732292493139, 801),
+            np.linspace(0.0879533574436568, 9.067877174371715, 601))
     f0 = normalize_weighted(assemble_bound_state(spec, "horospherical", qn0, grid=grid, energy=e0))
     f1 = normalize_weighted(assemble_bound_state(spec, "horospherical", qn1, grid=grid, energy=e1))
     assert abs(weighted_overlap(f0, f1)) < 1e-5
@@ -153,9 +155,9 @@ def test_v4_difference_branch_normalizable_pair():
         f = assemble_bound_state(spec, "hyperbolic", qn, energy=e)
         assert hamiltonian_residual(f) < 1e-5
         fields.append(normalize_weighted(f))
-    from darboux.wavefun import _norm_grid
-
-    grid = _norm_grid(spec, "hyperbolic", fields[0].qn, fields[0].energy, n1=801, n2=601)
+    # the log variables (ln mu, ln nu) over the decayed support of the pair
+    grid = (np.linspace(-24.831996828297022, 3.5912901068558796, 801),
+            np.linspace(-24.816000000000003, 3.5760000000000005, 601))
     a = assemble_bound_state(spec, "hyperbolic", fields[0].qn, grid=grid,
                              energy=fields[0].energy)
     b = assemble_bound_state(spec, "hyperbolic", fields[1].qn, grid=grid,
@@ -168,12 +170,11 @@ def test_v4_difference_branch_normalizable_pair():
 def test_div_v3_states_normalize_on_the_whole_chart():
     # the phi factor lives on all of 0 < phi < pi/2 and does not decay
     # inside 0 < phi < pi/4
-    from darboux.wavefun import _norm_grid
-
     spec = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
     qns = [QuantumNumbers(n, l, "degelliptic2") for n, l in ((0, 0), (1, 0), (1, 1))]
     energies = [pick_energy(spec, qn) for qn in qns]
-    grid = _norm_grid(spec, "degelliptic2", qns[0], energies[0], n1=801, n2=601)
+    grid = (np.linspace(0.03152085999229546, 4.53823642466692, 801),
+            np.linspace(0.001, 1.5697963267948967, 601))
     fields = []
     for qn, e in zip(qns, energies):
         c = normalize_weighted(assemble_bound_state(spec, "degelliptic2", qn, energy=e)).norm_constant
@@ -186,11 +187,118 @@ def test_div_v3_states_normalize_on_the_whole_chart():
             assert abs(weighted_overlap(fields[i], fields[j])) < 1e-8
 
 
-def test_divergent_norm_error():
-    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.0})
-    f = assemble_bound_state(spec, "uv", QuantumNumbers(0, 1, "uv"), energy=-4.5)
+D3_GATES = [g for g in GATES if g[0].startswith("DIII")]
+
+
+@pytest.mark.parametrize("family,coup,chart,qn,energy", D3_GATES,
+                         ids=[f"{g[0]}-{g[2]}" for g in D3_GATES])
+def test_divergent_norm_error(family, coup, chart, qn, energy):
+    # each of these states has a factor that grows toward a chart boundary
+    spec = PotentialSpec(SP1, family, coup)
+    q = QuantumNumbers(*qn)
+    f = assemble_bound_state(spec, chart, q, energy=energy if energy is not None
+                             else pick_energy(spec, q))
     with pytest.raises(DivergentNormError):
         normalize_weighted(f)
+
+
+def _closed_form_norm(spec, chart, qn, E):
+    """c^-2 of a D_IV state from Hellmann-Feynman: <sin^-2 u> = (2n + alpha +
+    beta + 1)/alpha on a Poeschl-Teller level, <r^-2> = (m |omega|/hbar)/lambda
+    on a radial oscillator (m = hbar = 1 here)."""
+    sp = spec.space
+    l1, l2 = FAMILIES[spec.family].indices(spec, E)
+    if spec.family == "DIV_V2":  # (lambda_+, lambda_-), times a unit-normed v factor
+        return (2 * qn.n + l1 + l2 + 1) * (sp.a_plus / l1 + sp.a_minus / l2)
+    if chart == "uv":  # the Morse v factor is unit-normed in 2v
+        return 0.5 * (2 * qn.n + l1 + l2 + 1) * (sp.a_plus / l2 + sp.a_minus / l1)
+    return abs(spec.c("omega")) * (sp.a_minus / l1 + sp.a_plus / l2)
+
+
+def _seeded_d4_states():
+    """40 seeded draws of DIV_V1 (uv and horospherical) and DIV_V2 (uv)
+    couplings, each with every n, l <= 2 that has a root."""
+    rng = np.random.default_rng(19)
+    states = []
+    for i in range(40):
+        b = rng.uniform(0.3, 1.5)
+        sp = SpaceParams(DIV, 2 * b + rng.uniform(0.1, 3), b)
+        if i % 2 == 0:
+            coup = {"alpha": rng.uniform(2, 15), "k1": rng.uniform(0.05, 2),
+                    "k2": rng.uniform(0.05, 2),
+                    "omega": rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2)}
+            spec, charts = PotentialSpec(sp, "DIV_V1", coup), ("uv", "horospherical")
+        else:
+            coup = {"k1": rng.uniform(0.05, 2), "k2": rng.uniform(3, 10),
+                    "k3": rng.uniform(0.05, 1.5)}
+            spec, charts = PotentialSpec(sp, "DIV_V2", coup), ("uv",)
+        for chart in charts:
+            for n in range(3):
+                for l in range(3):
+                    q = QuantumNumbers(n, l, chart)
+                    try:
+                        states.append((spec, chart, q, pick_energy(spec, q)))
+                    except NoAdmissibleRootError:
+                        pass
+    return states
+
+
+def test_norms_match_closed_forms_on_seeded_states():
+    states = _seeded_d4_states()
+    assert len(states) > 200
+    small_grid = (np.linspace(0.2, 0.5, 3), np.linspace(0.2, 0.5, 3))
+    for spec, chart, q, E in states:
+        f = assemble_bound_state(spec, chart, q, grid=small_grid, energy=E)
+        try:
+            c = normalize_weighted(f).norm_constant
+        except ResolutionError:
+            # a Poeschl-Teller wall integrand d^(2 lambda - 1) with lambda this
+            # small decays too slowly for double-precision nodes
+            assert spec.family == "DIV_V2" and min(FAMILIES["DIV_V2"].indices(spec, E)) < 0.3
+            continue
+        want = _closed_form_norm(spec, chart, q, E)
+        assert c ** -2 == pytest.approx(want, rel=1e-9), (spec.couplings, chart, q)
+
+
+@pytest.mark.parametrize("family,coup,chart,qn", [
+    ("DIV_V1", {"alpha": 8.0, "k1": 1.6, "k2": 1.4, "omega": 1.0}, "uv", (0, 0, "uv")),
+    ("DIV_V1", {"alpha": 8.0, "k1": 1.6, "k2": 1.4, "omega": 1.0}, "horospherical",
+     (0, 0, "horospherical")),
+    ("DIV_V2", {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "uv", (0, 0, "uv")),
+])
+def test_norms_of_states_whose_factors_vanish_like_a_power(family, coup, chart, qn):
+    spec = PotentialSpec(SP4, family, coup)
+    q = QuantumNumbers(*qn)
+    f = normalize_weighted(assemble_bound_state(spec, chart, q))
+    assert f.norm_constant ** -2 == pytest.approx(_closed_form_norm(spec, chart, q, f.energy),
+                                                  rel=1e-9)
+    if family == "DIV_V2":
+        # the pulled-back degelliptic2 state takes the norm of its (u, v) product
+        g = normalize_weighted(assemble_bound_state(spec, "degelliptic2", q))
+        assert g.norm_constant == f.norm_constant
+
+
+@pytest.mark.parametrize("space,chart,spans", [
+    (SP1, "uv", ((-1.0, 3.0), (0.1, 6.0))),
+    (SP1, "polar", ((0.1, 3.0), (0.1, 6.0))),
+    (SP1, "parabolic", ((-3.0, 3.0), (-3.0, 3.0))),
+    (SP1, "hyperbolic", ((-3.0, 1.0), (-3.0, 1.0))),
+    (SP4, "uv", ((0.05, 1.5), (-2.0, 2.0))),
+    (SP4, "horospherical", ((0.1, 3.0), (0.1, 3.0))),
+    (SP4, "degelliptic2", ((0.1, 3.0), (0.05, 1.5))),
+])
+def test_area_density_splits_into_one_term_per_axis(space, chart, spans):
+    # the premise of normalize_weighted: w(q1, q2) = w(q1, c2) + w(c1, q2) - w(c1, c2)
+    from darboux.wavefun import _sqrtg_grid
+
+    rng = np.random.default_rng(7)
+    (lo1, hi1), (lo2, hi2) = spans
+    q1, q2 = np.sort(rng.uniform(lo1, hi1, 7)), np.sort(rng.uniform(lo2, hi2, 5))
+    c1, c2 = rng.uniform(lo1, hi1, 1), rng.uniform(lo2, hi2, 1)
+    w = _sqrtg_grid(space, chart, q1, q2)
+    split = (_sqrtg_grid(space, chart, q1, c2) + _sqrtg_grid(space, chart, c1, q2)
+             - _sqrtg_grid(space, chart, c1, c2))
+    assert np.abs(w - split).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_scheme_must_match_chart():
