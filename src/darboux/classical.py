@@ -97,6 +97,8 @@ def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float:
     pu, pv = state.p1, state.p2
     if obs == "K":
         return pv
+    if space.b == 0:
+        raise ParamError("the constants of motion are normalized by b, which is 0 here")
     if space.family == DIII:
         g, al, A, B, C = _d3_coeffs(space, u)
         if obs == "H0":
@@ -230,13 +232,13 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     shifted states of those differences.  ``tol`` is both the relative and
     the absolute tolerance.  A trajectory that leaves the chart domain raises
     BlowupError, as does one past RHS_CALLS_PER_TIME max(1, t_final) calls
-    of its right-hand side.  A t_final that is not finite and positive, a tol
+    of its right-hand side.  A t_final not finite or below 2.2e-308, a tol
     that is not finite or lies below solve_ivp's relative-tolerance floor of
     100 machine epsilons, fewer than one output sample or a non-finite
     momentum raises ParamError.
     """
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ParamError(f"t_final must be finite and positive, got {t_final}")
+    if not (math.isfinite(t_final) and t_final >= np.finfo(float).tiny):  # distinct sample times
+        raise ParamError(f"t_final must be finite and at least 2.2e-308, got {t_final}")
     if not (math.isfinite(tol) and tol >= TOL_FLOOR):
         raise ParamError(f"tol must be finite and at least {TOL_FLOOR:.3g}, got {tol}")
     if n_out < 1:

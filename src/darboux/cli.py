@@ -3,12 +3,13 @@
 Commands: curvature maps, spectrum tables, wavefunction grids, classical
 diagnostics, and the verification suites.  Outputs are deterministic (shortest
 round-trip decimals in JSON, 17 significant digits in CSV) and written
-atomically.  Exit codes are 0 (success), 2 (validation error, a non-finite
-number in the output, or a spectrum table none of whose records has a root), 3
-(a verification suite failed its tolerance) and 4 (an internal error: any
-exception that is not a ``DarbouxError``).  Errors go to stderr as one line of
-JSON.  A spectrum record without a root carries an ``error`` object and empty
-candidate lists, and the header then counts such records in ``failed_records``.
+atomically.  Exit codes are 0 (success), 2 (validation error, arithmetic past
+a double's range (an ``ArithmeticError``: numpy's overflow, division by zero
+and invalid operations raise inside a job), a non-finite number in the output,
+or a spectrum table none of whose records has a root), 3 (a failed
+verification suite) and 4 (an internal error: any other exception).  Errors go
+to stderr as one line of JSON.  A spectrum record without a root carries an
+``error`` object and empty candidate lists, counted in ``failed_records``.
 
 Only the standard library and ``errors`` load with this module; each command
 imports the layers it runs, so ``--help`` and argument errors load no numpy.
@@ -147,8 +148,8 @@ def _emit(args, header: dict, records: list, columns=None):
             cells = []
             for c in columns:
                 v = r.get(c, "")
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ParamError(f"the output holds the non-finite number {v} in column {c}")
+                if isinstance(v, (list, dict)) or isinstance(v, float) and not math.isfinite(v):
+                    raise ParamError(f"column {c} holds a list or the non-finite number {v!r:.40}")
                 cells.append(_fmt17(v) if isinstance(v, (int, float)) and not isinstance(v, bool)
                              else str(v))
             lines.append(",".join(cells))
@@ -362,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        import numpy as np  # once the arguments parse: --help loads no numpy
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # FloatingPointError
+            return args.func(args)
     except SystemExit:  # --help; a parse error raises ParamError instead
         return 0
-    except DarbouxError as exc:
+    except (DarbouxError, ArithmeticError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
     except Exception as exc:  # an internal error, apart from a failed verification

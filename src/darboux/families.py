@@ -843,7 +843,7 @@ class DIV_V1(DIVFamily):
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
-        return potentials._quantum_unit(sp) / sp.a_plus * (p * p + spec.c("k2") ** 2) * 1.0
+        return potentials._quantum_unit(sp) / sp.a_plus * (p * p + spec.c("k2") ** 2)
 
 
 class DIV_V2(DIVFamily):
@@ -852,6 +852,7 @@ class DIV_V2(DIVFamily):
     pulled back."""
 
     couplings = ("k1", "k2", "k3")
+    centrifugal = "k3"  # the coupling of the dispersion
     schemes = ("uv", "degelliptic2")
     pullbacks = {"degelliptic2": ((0.35, 1.6), (0.25, math.pi / 4.0 - 0.12))}
 
@@ -913,7 +914,7 @@ class DIV_V2(DIVFamily):
     def dispersion(self, spec, p, aux):
         sp = spec.space
         apm = _a_minus(spec) if aux == "degelliptic" else sp.a_plus
-        return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k3") ** 2)
+        return potentials._quantum_unit(sp) / apm * (p * p + spec.c(self.centrifugal) ** 2)
 
 
 class DIV_V3(DIVFamily):
@@ -1007,6 +1008,8 @@ class DIV_V4(DIVFamily):
     """The centrifugal k0 term: a continuous spectrum only."""
 
     couplings = ("k0",)
+    centrifugal = "k0"
+    dispersion = DIV_V2.dispersion
 
     def form(self, spec, chart):
         k0 = spec.c("k0")
@@ -1017,11 +1020,6 @@ class DIV_V4(DIVFamily):
         if chart.name in ("horospherical", "elliptic"):
             return hq * (k0 * k0 - 0.25) * (1.0 / q1 ** 2 + 1.0 / q2 ** 2)
         return super().form(spec, chart)
-
-    def dispersion(self, spec, p, aux):
-        sp = spec.space
-        apm = _a_minus(spec) if aux == "degelliptic" else sp.a_plus
-        return potentials._quantum_unit(sp) / apm * (p * p + spec.c("k0") ** 2)
 
     def constant(self, spec, name, state):
         """R3 = mu p_mu + nu p_nu."""

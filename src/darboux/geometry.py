@@ -6,19 +6,20 @@ canonical (u, v) chart the line elements are
     D_III :  ds^2 = (a e^{-u} + b e^{-2u}) (du^2 + dv^2),      a, b > 0,
     D_IV  :  ds^2 = (a_+/sin^2 u + a_-/cos^2 u) (du^2 + dv^2), a_pm = (a +- 2b)/4,
 
-with u in (0, pi/2) for D_IV.  Every other chart is reached from (u, v) by an
-explicit analytic map; all inter-chart transforms route through (u, v).
+with u in (0, pi/2) for D_IV.  Each chart is one row of ``CHARTS``: its
+domain, metric factor and analytic maps to and from (u, v), through which
+all transforms route.  Every real map takes points and grids alike.
 
-The D_III hyperbolic chart (mu, nu) is an analytically continued section with
-a signed diagonal metric; it supports metric evaluation and potential
-evaluation only, not real point transforms.
+The D_III hyperbolic chart (mu, nu), with its signed diagonal metric, and the
+D_IV degenerate elliptic I chart are analytically continued sections; they
+support metric and potential evaluation only, not real point transforms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,17 +27,6 @@ from .errors import DomainError, ParamError, UnsupportedError
 
 DIII = "DIII"
 DIV = "DIV"
-
-CHARTS = {
-    DIII: ("uv", "polar", "parabolic", "elliptic", "hyperbolic"),
-    DIV: ("uv", "horospherical", "degelliptic1", "degelliptic2", "elliptic"),
-}
-
-# charts with g11 == g22 (usable by the conformal curvature stencil)
-CONFORMAL_CHARTS = {
-    DIII: ("uv", "parabolic", "elliptic"),
-    DIV: ("uv", "horospherical", "degelliptic1", "degelliptic2", "elliptic"),
-}
 
 
 @dataclass(frozen=True)
@@ -80,13 +70,9 @@ class SpaceParams:
 
 @dataclass(frozen=True)
 class Chart:
-    """A chart name together with a point (q1, q2) in it.
-
-    q1 and q2 may be broadcastable arrays, a grid of points in one chart;
-    what is evaluated on them broadcasts against the grid.
-    ``d`` is the focal parameter of the elliptic charts and is ignored
-    elsewhere.
-    """
+    """A chart name with a point (q1, q2) in it, or a grid of points as
+    broadcastable arrays (what is evaluated on them broadcasts against the
+    grid); ``d`` is the focal parameter of the elliptic charts, unused elsewhere."""
 
     name: str
     q1: float | np.ndarray
@@ -100,54 +86,156 @@ def _anywhere(mask) -> bool:
     return bool(np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask)
 
 
+@dataclass(frozen=True)
+class ChartRow:
+    """One chart of one surface.  ``outside(space, q1, q2, d)`` flags points off
+    its domain (None: no point is), which ``message`` states; ``factor(space, q1,
+    q2, d)`` is the metric factor f, ``diag(f, q1, q2)`` the (g11, g22) of a
+    non-conformal chart (None: (f, f)); ``to_uv(q1, q2, d)``, ``from_uv(u, v, d)``
+    the real maps (None: none); ``d3`` the D_III factor if it is not f."""
+
+    factor: Callable
+    outside: Callable | None = None
+    message: str = ""
+    diag: Callable | None = None
+    to_uv: Callable | None = None
+    from_uv: Callable | None = None
+    d3: Callable | None = None
+
+
+def _focal(q1, q2, d):
+    # (d cosh q1 cos q2, d sinh q1 sin q2): an elliptic point in the plane it
+    # covers, the parabolic (xi, eta) on D_III and the horospherical (mu, nu) on D_IV
+    return d * np.cosh(q1) * np.cos(q2), d * np.sinh(q1) * np.sin(q2)
+
+
+def _from_focal(x, y, d):
+    # the inverse of _focal with q1 >= 0: d cos(q2 - i q1) = x + i y
+    w = np.arccos((x + 1j * y) / d)
+    return np.abs(w.imag), np.where(w.imag > 0, -w.real, w.real)
+
+
+def _parabolic_to_uv(xi, eta, d):
+    return np.log(4.0 / (xi ** 2 + eta ** 2)), 2.0 * np.arctan2(eta, xi)
+
+
+def _uv_to_parabolic(u, v, d):
+    rho = 2.0 * np.exp(-u / 2.0)
+    return rho * np.cos(v / 2.0), rho * np.sin(v / 2.0)
+
+
+def _horospherical_to_uv(mu, nu, d):
+    return np.arctan2(nu, mu), np.log(np.hypot(mu, nu) / 2.0)
+
+
+def _uv_to_horospherical(u, v, d):
+    return 2.0 * np.exp(v) * np.cos(u), 2.0 * np.exp(v) * np.sin(u)
+
+
+def _degelliptic2_to_uv(q1, q2, d):
+    z = np.tan(q2 - 1j * q1)
+    return -np.angle(z), np.log(np.abs(z))
+
+
+def _uv_to_degelliptic2(u, v, d):
+    w = np.arctan(np.exp(v - 1j * u))
+    return -w.imag, w.real
+
+
+def _d3_parabolic(sp, xi, eta, d):
+    return sp.a + 0.25 * sp.b * (xi * xi + eta * eta)
+
+
+def _d3_hyperbolic(sp, q1, q2, d):
+    return sp.a + 0.5 * sp.b * (q1 - q2)
+
+
+def _outside_phi_patch(sp, q1, q2, d):
+    return (q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)
+
+
+CHARTS = {
+    DIII: {
+        "uv": ChartRow(
+            factor=lambda sp, q1, q2, d: sp.a * np.exp(-q1) + sp.b * np.exp(-2.0 * q1),
+            d3=lambda sp, q1, q2, d: sp.a + sp.b * np.exp(-q1),
+            to_uv=lambda q1, q2, d: (q1, q2), from_uv=lambda u, v, d: (u, v)),
+        "polar": ChartRow(
+            outside=lambda sp, q1, q2, d: q1 <= 0, message="polar chart requires rho > 0",
+            factor=lambda sp, q1, q2, d: sp.a + 0.25 * sp.b * q1 ** 2,
+            diag=lambda f, q1, q2: (f, f * q1 ** 2),
+            to_uv=lambda q1, q2, d: (2.0 * np.log(2.0 / q1), 2.0 * q2),
+            from_uv=lambda u, v, d: (2.0 * np.exp(-u / 2.0), v / 2.0)),
+        "parabolic": ChartRow(factor=_d3_parabolic, to_uv=_parabolic_to_uv,
+                              from_uv=_uv_to_parabolic),
+        "elliptic": ChartRow(
+            outside=lambda sp, q1, q2, d: (q1 <= 0) | (d <= 0),
+            message="elliptic chart requires omega > 0 and d > 0",
+            factor=lambda sp, q1, q2, d: _d3_parabolic(sp, *_focal(q1, q2, d), d) * d * d * (
+                np.sinh(q1) ** 2 + np.sin(q2) ** 2),
+            d3=lambda sp, q1, q2, d: _d3_parabolic(sp, *_focal(q1, q2, d), d),
+            to_uv=lambda q1, q2, d: _parabolic_to_uv(*_focal(q1, q2, d), d),
+            from_uv=lambda u, v, d: _from_focal(*_uv_to_parabolic(u, v, d), d)),
+        "hyperbolic": ChartRow(
+            outside=lambda sp, q1, q2, d: ((q1 <= 0) | (q2 <= 0)
+                                           | (_d3_hyperbolic(sp, q1, q2, d) <= 0)),
+            message="hyperbolic chart requires mu, nu > 0 and a + b(mu - nu)/2 > 0",
+            factor=lambda sp, q1, q2, d: _d3_hyperbolic(sp, q1, q2, d) * (q1 + q2),
+            diag=lambda f, q1, q2: (f / q1 ** 2, -f / q2 ** 2), d3=_d3_hyperbolic),
+    },
+    DIV: {
+        "uv": ChartRow(
+            outside=lambda sp, q1, q2, d: (q1 <= 0) | (q1 >= math.pi / 2),
+            message="D_IV uv chart requires 0 < u < pi/2",
+            factor=lambda sp, q1, q2, d: (sp.a_plus / np.sin(q1) ** 2
+                                          + sp.a_minus / np.cos(q1) ** 2),
+            to_uv=lambda q1, q2, d: (q1, q2), from_uv=lambda u, v, d: (u, v)),
+        "horospherical": ChartRow(
+            outside=lambda sp, q1, q2, d: (q1 <= 0) | (q2 <= 0),
+            message="horospherical chart requires mu, nu > 0",
+            factor=lambda sp, q1, q2, d: sp.a_plus / q2 ** 2 + sp.a_minus / q1 ** 2,
+            to_uv=_horospherical_to_uv, from_uv=_uv_to_horospherical),
+        "degelliptic1": ChartRow(
+            outside=_outside_phi_patch,
+            message="degenerate elliptic I requires omega > 0, 0 < phi < pi/2",
+            factor=lambda sp, q1, q2, d: (
+                sp.a_minus * (1.0 / np.sinh(q1) ** 2 + 1.0 / np.sin(q2) ** 2)
+                - sp.a_plus * (1.0 / np.cosh(q1) ** 2 - 1.0 / np.cos(q2) ** 2))),
+        "degelliptic2": ChartRow(
+            outside=_outside_phi_patch,
+            message="degenerate elliptic II requires omega > 0, 0 < phi < pi/2",
+            factor=lambda sp, q1, q2, d: 4.0 * (sp.a_plus / np.sinh(2.0 * q1) ** 2
+                                                + sp.a_minus / np.sin(2.0 * q2) ** 2),
+            to_uv=_degelliptic2_to_uv, from_uv=_uv_to_degelliptic2),
+        "elliptic": ChartRow(
+            outside=lambda sp, q1, q2, d: _outside_phi_patch(sp, q1, q2, d) | (d <= 0),
+            message="elliptic chart requires omega > 0, 0 < phi < pi/2 and d > 0",
+            factor=lambda sp, q1, q2, d: (
+                sp.a_plus / np.sin(q2) ** 2 + sp.a_minus / np.cos(q2) ** 2
+                + sp.a_plus / np.sinh(q1) ** 2 - sp.a_minus / np.cosh(q1) ** 2),
+            to_uv=lambda q1, q2, d: _horospherical_to_uv(*_focal(q1, q2, d), d),
+            from_uv=lambda u, v, d: _from_focal(*_uv_to_horospherical(u, v, d), d)),
+    },
+}
+
+
 def validate_chart(space: SpaceParams, chart: Chart) -> None:
     """Raise DomainError/ParamError unless every point lies in the chart domain."""
-    if chart.name not in CHARTS[space.family]:
+    row = CHARTS[space.family].get(chart.name)
+    if row is None:
         raise ParamError(f"chart {chart.name!r} unknown for {space.family}")
     q1, q2 = chart.q1, chart.q2
-    fam = space.family
-    name = chart.name
     if _anywhere(~(np.isfinite(q1) & np.isfinite(q2))):
         raise DomainError("non-finite chart point")
-    if fam == DIII:
-        if name == "polar" and _anywhere(q1 <= 0):
-            raise DomainError("polar chart requires rho > 0")
-        if name == "elliptic" and (_anywhere(q1 <= 0) or chart.d <= 0):
-            raise DomainError("elliptic chart requires omega > 0 and d > 0")
-        if name == "hyperbolic":
-            if _anywhere((q1 <= 0) | (q2 <= 0)):
-                raise DomainError("hyperbolic chart requires mu, nu > 0")
-            if _anywhere(d3_factor(space, chart) <= 0):
-                raise DomainError("hyperbolic point outside the metric's domain")
-    else:
-        if name == "uv" and _anywhere((q1 <= 0) | (q1 >= math.pi / 2)):
-            raise DomainError("D_IV uv chart requires 0 < u < pi/2")
-        if name == "horospherical" and _anywhere((q1 <= 0) | (q2 <= 0)):
-            raise DomainError("horospherical chart requires mu, nu > 0")
-        if name == "degelliptic2" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)):
-            raise DomainError("degenerate elliptic II requires omega > 0, 0 < phi < pi/2")
-        if name == "degelliptic1" and _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2)):
-            raise DomainError("degenerate elliptic I requires omega > 0, 0 < phi < pi/2")
-        if name == "elliptic" and (
-            chart.d <= 0 or _anywhere((q1 <= 0) | (q2 <= 0) | (q2 >= math.pi / 2))
-        ):
-            raise DomainError("elliptic chart requires omega > 0, 0 < phi < pi/2")
+    if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
+        raise DomainError(row.message)
 
 
 def d3_factor(space: SpaceParams, chart: Chart):
     """The D_III factor a + b(xi^2 + eta^2)/4 at the chart point(s), written in
-    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar),
-    a + b(mu - nu)/2 (hyperbolic); the parabolic and elliptic charts go
-    through their (xi, eta)."""
-    a, b, q1, q2 = space.a, space.b, chart.q1, chart.q2
-    if chart.name == "uv":
-        return a + b * np.exp(-q1)
-    if chart.name == "polar":
-        return a + 0.25 * b * q1 ** 2
-    if chart.name == "hyperbolic":
-        return a + 0.5 * b * (q1 - q2)
-    xi, eta = (q1, q2) if chart.name == "parabolic" else elliptic_cartesian(chart)
-    return a + 0.25 * b * (xi * xi + eta * eta)
+    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar)."""
+    row = CHARTS[space.family][chart.name]
+    return (row.d3 or row.factor)(space, chart.q1, chart.q2, chart.d)
 
 
 def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):
@@ -155,35 +243,10 @@ def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):
 
     Only defined for the conformal charts; accepts scalars or arrays.
     """
-    a, b = space.a, space.b
-    if space.family == DIII:
-        if name == "uv":
-            return a * np.exp(-q1) + b * np.exp(-2.0 * q1)
-        if name == "parabolic":
-            return d3_factor(space, Chart(name, q1, q2))
-        if name == "elliptic":
-            return d3_factor(space, Chart(name, q1, q2, d)) * d * d * (
-                np.sinh(q1) ** 2 + np.sin(q2) ** 2)
-    else:
-        ap, am = space.a_plus, space.a_minus
-        if name == "uv":
-            return ap / np.sin(q1) ** 2 + am / np.cos(q1) ** 2
-        if name == "horospherical":
-            return ap / q2 ** 2 + am / q1 ** 2
-        if name == "degelliptic2":
-            return 4.0 * (ap / np.sinh(2.0 * q1) ** 2 + am / np.sin(2.0 * q2) ** 2)
-        if name == "degelliptic1":
-            return am * (1.0 / np.sinh(q1) ** 2 + 1.0 / np.sin(q2) ** 2) - ap * (
-                1.0 / np.cosh(q1) ** 2 - 1.0 / np.cos(q2) ** 2
-            )
-        if name == "elliptic":
-            return (
-                ap / np.sin(q2) ** 2
-                + am / np.cos(q2) ** 2
-                + ap / np.sinh(q1) ** 2
-                - am / np.cosh(q1) ** 2
-            )
-    raise UnsupportedError(f"no conformal factor for chart {name!r} on {space.family}")
+    row = CHARTS[space.family].get(name)
+    if row is None or row.diag is not None:
+        raise UnsupportedError(f"no conformal factor for chart {name!r} on {space.family}")
+    return row.factor(space, q1, q2, d)
 
 
 def metric_diag(space: SpaceParams, chart: Chart):
@@ -194,15 +257,9 @@ def metric_diag(space: SpaceParams, chart: Chart):
     f = (a + b(mu - nu)/2)(mu + nu).
     """
     validate_chart(space, chart)
-    name, q1, q2 = chart.name, chart.q1, chart.q2
-    if space.family == DIII and name == "polar":
-        f = d3_factor(space, chart)
-        return (f, f * q1 ** 2)
-    if space.family == DIII and name == "hyperbolic":
-        f = d3_factor(space, chart) * (q1 + q2)
-        return (f / q1 ** 2, -f / q2 ** 2)
-    f = conformal_factor(space, name, q1, q2, chart.d)
-    return (f, f)
+    row = CHARTS[space.family][chart.name]
+    f = row.factor(space, chart.q1, chart.q2, chart.d)
+    return (f, f) if row.diag is None else row.diag(f, chart.q1, chart.q2)
 
 
 def sqrt_g(space: SpaceParams, chart: Chart):
@@ -251,7 +308,7 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     pts = Chart(chart.name, np.asarray(chart.q1)[..., None] + d1,
                 np.asarray(chart.q2)[..., None] + np.roll(d1, 2), chart.d)
     validate_chart(space, pts)
-    if chart.name not in CONFORMAL_CHARTS[space.family]:
+    if CHARTS[space.family][chart.name].diag is not None:
         raise DomainError(f"chart {chart.name!r} is not conformal")
     f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
     if (f <= 0).any():
@@ -284,115 +341,30 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
 def elliptic_cartesian(chart: Chart):
     """(d cosh q1 cos q2, d sinh q1 sin q2) of an elliptic chart point: its
     parabolic (xi, eta) on D_III, its horospherical (mu, nu) on D_IV."""
-    return (chart.d * np.cosh(chart.q1) * np.cos(chart.q2),
-            chart.d * np.sinh(chart.q1) * np.sin(chart.q2))
-
-
-def _d3_to_uv(chart: Chart):
-    name, q1, q2 = chart.name, chart.q1, chart.q2
-    if name == "uv":
-        return q1, q2
-    if name == "polar":
-        return 2.0 * math.log(2.0 / q1), 2.0 * q2
-    if name == "parabolic":
-        r2 = q1 ** 2 + q2 ** 2
-        if r2 <= 0:
-            raise DomainError("parabolic origin has no (u, v) image")
-        return math.log(4.0 / r2), 2.0 * math.atan2(q2, q1)
-    if name == "elliptic":
-        return _d3_to_uv(Chart("parabolic", *elliptic_cartesian(chart)))
-    raise UnsupportedError(f"no real (u, v) image for D_III chart {name!r}")
-
-
-def _d3_from_uv(name: str, u: float, v: float, d: float):
-    if name == "uv":
-        return Chart("uv", u, v)
-    rho = 2.0 * math.exp(-u / 2.0)
-    if name == "polar":
-        return Chart("polar", rho, v / 2.0)
-    xi = rho * math.cos(v / 2.0)
-    eta = rho * math.sin(v / 2.0)
-    if name == "parabolic":
-        return Chart("parabolic", xi, eta)
-    if name == "elliptic":
-        w = cmath.acos(complex(xi, eta) / d)
-        phi, om = w.real, -w.imag
-        if om < 0:
-            om, phi = -om, -phi
-        if om <= 0:
-            raise DomainError("point lies on the focal segment of the elliptic chart")
-        return Chart("elliptic", om, phi, d=d)
-    raise UnsupportedError(f"no real map from (u, v) to D_III chart {name!r}")
-
-
-def _d4_to_uv(chart: Chart):
-    name, q1, q2 = chart.name, chart.q1, chart.q2
-    if name == "uv":
-        return q1, q2
-    if name == "horospherical":
-        return math.atan2(q2, q1), math.log(math.hypot(q1, q2) / 2.0)
-    if name == "degelliptic2":
-        z = np.tan(q2 - 1j * q1)
-        return -np.angle(z), np.log(np.abs(z))
-    if name == "elliptic":
-        return _d4_to_uv(Chart("horospherical", *elliptic_cartesian(chart)))
-    raise UnsupportedError(f"no real (u, v) image for D_IV chart {name!r}")
-
-
-def _d4_from_uv(name: str, u: float, v: float, d: float):
-    if name == "uv":
-        return Chart("uv", u, v)
-    if name == "horospherical":
-        return Chart("horospherical", 2.0 * math.exp(v) * math.cos(u),
-                      2.0 * math.exp(v) * math.sin(u))
-    if name == "degelliptic2":
-        w = cmath.atan(cmath.exp(complex(v, -u)))
-        phi, om = w.real, -w.imag
-        if om <= 0 or not 0 < phi < math.pi / 2:
-            raise DomainError("(u, v) point outside degenerate elliptic II patch")
-        return Chart("degelliptic2", om, phi)
-    if name == "elliptic":
-        mu = 2.0 * math.exp(v) * math.cos(u)
-        nu = 2.0 * math.exp(v) * math.sin(u)
-        w = cmath.acos(complex(mu, nu) / d)
-        phi, om = w.real, -w.imag
-        if om < 0:
-            om, phi = -om, -phi
-        if om <= 0 or not 0 < phi < math.pi / 2:
-            raise DomainError("point lies outside the elliptic patch")
-        return Chart("elliptic", om, phi, d=d)
-    raise UnsupportedError(f"no real map from (u, v) to D_IV chart {name!r}")
+    return _focal(chart.q1, chart.q2, chart.d)
 
 
 def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
-    """Express the chart point in the chart named ``to_name``.
+    """Express the chart point(s) in the chart named ``to_name``, through (u, v).
 
-    All transforms route through (u, v).  The D_III hyperbolic chart and the
-    D_IV degenerate elliptic I chart are complexified sections and support
-    only the identity transform.  An array chart is mapped only by the
-    identity and by D_IV degelliptic2 -> uv; other maps raise ParamError.
-    """
+    The chart may hold a grid; a single point is mapped as a one-element array
+    and comes back as floats.  The complexified sections (D_III hyperbolic,
+    D_IV degelliptic1) support only the identity.  A point whose image leaves
+    the target chart raises DomainError."""
     validate_chart(space, chart)
-    if to_name not in CHARTS[space.family]:
+    rows = CHARTS[space.family]
+    if to_name not in rows:
         raise ParamError(f"chart {to_name!r} unknown for {space.family}")
     if to_name == chart.name:
         return chart
-    fixed = ("hyperbolic", "degelliptic1")
-    if chart.name in fixed or to_name in fixed:
-        raise UnsupportedError(
-            f"chart {chart.name!r} -> {to_name!r} has no real transform"
-        )
-    # only degelliptic2 -> (u, v) is written with numpy; the other maps use
-    # math and cmath, whose values feed the classical flows
-    if (np.ndim(chart.q1) or np.ndim(chart.q2)) and (
-            (space.family, chart.name, to_name) != (DIV, "degelliptic2", "uv")):
-        raise ParamError(f"chart map {chart.name!r} -> {to_name!r} on {space.family} "
-                         "takes a single point, not an array")
-    if space.family == DIII:
-        u, v = _d3_to_uv(chart)
-        out = _d3_from_uv(to_name, u, v, chart.d)
-    else:
-        u, v = _d4_to_uv(chart)
-        out = _d4_from_uv(to_name, u, v, chart.d)
+    to_uv, from_uv = rows[chart.name].to_uv, rows[to_name].from_uv
+    if to_uv is None or from_uv is None:
+        raise UnsupportedError(f"chart {chart.name!r} -> {to_name!r} has no real transform")
+    q1, q2 = (np.atleast_1d(np.asarray(q, dtype=float)) for q in (chart.q1, chart.q2))
+    # a point without an image comes out non-finite, and validate_chart refuses it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q1, q2 = from_uv(*to_uv(q1, q2, chart.d), chart.d)
+    out = Chart(to_name, q1, q2, chart.d) if np.ndim(chart.q1) or np.ndim(chart.q2) \
+        else Chart(to_name, float(q1[0]), float(q2[0]), chart.d)
     validate_chart(space, out)
     return out

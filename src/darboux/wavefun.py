@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DivergentNormError,
+    DomainError,
     GridError,
     NoAdmissibleRootError,
     ParamError,
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedChartError,
 )
 from .families import FAMILIES
-from .geometry import Chart, SpaceParams, chart_transform, d3_factor, metric_diag, sqrt_g
+from .geometry import CHARTS, DIII, Chart, SpaceParams, chart_transform, metric_diag, sqrt_g
 from .potentials import PotentialSpec, potential_value, separated_problem
 from .spectra import QuantumNumbers, solve_quantization
 
@@ -67,15 +68,19 @@ def pick_energy(spec: PotentialSpec, qn: QuantumNumbers) -> float:
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
     """The factors of axis 0 and axis 1 at energy E as (callable, natural
-    interval, window); an unseparated angle takes the record's factor on (0, length)."""
+    interval, window); an unseparated angle takes the record's factor on (0, length).
+    An E at which a factor's closed form has no real value raises DomainError."""
     rec, s0 = FAMILIES[spec.family], separated_problem(spec, chart_name, qn.l, axis=0)
-    first = (s0.factor(E, qn.n), s0.domain, s0.window(E, qn.n))
-    ang = rec.angular_factor(spec, chart_name, qn)
-    if ang is not None:
-        span = (0.0, rec.angles[chart_name].length)
-        return first, (ang, span, span)
-    s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-    return first, (s1.factor(E, qn.l), s1.domain, s1.window(E, qn.l))
+    try:
+        first = (s0.factor(E, qn.n), s0.domain, s0.window(E, qn.n))
+        ang = rec.angular_factor(spec, chart_name, qn)
+        if ang is not None:
+            span = (0.0, rec.angles[chart_name].length)
+            return first, (ang, span, span)
+        s1 = separated_problem(spec, chart_name, qn.n, axis=1)
+        return first, (s1.factor(E, qn.l), s1.domain, s1.window(E, qn.l))
+    except (ValueError, ZeroDivisionError):  # a square root, log or quotient at E
+        raise DomainError(f"{spec.family} has no {chart_name} factor at E = {E!r}") from None
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
@@ -99,6 +104,8 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)
         lo1 = max(lo1, math.log(0.3))
         hi2 = min(hi2, math.log(math.exp(lo1) + 1.6 * sp.a / sp.b))
+    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))):
+        raise GridError(f"the sampling window {(lo1, hi1)} x {(lo2, hi2)} is not finite")
     n1, n2 = shape or (401, 201)
     return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
 
@@ -156,9 +163,7 @@ def _sqrtg_grid(space: SpaceParams, chart: str, q1, q2):
     symmetric, hence eigenstates at different energies orthogonal).
     """
     if chart == "hyperbolic":
-        mu = np.exp(q1)[:, None]
-        nu = np.exp(q2)[None, :]
-        return d3_factor(space, Chart("hyperbolic", mu, nu)) * (mu + nu)
+        return CHARTS[DIII][chart].factor(space, np.exp(q1)[:, None], np.exp(q2)[None, :], 1.0)
     w = sqrt_g(space, Chart(chart, q1[:, None], q2[None, :]))
     return np.broadcast_to(w, (len(q1), len(q2)))
 

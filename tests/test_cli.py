@@ -1,12 +1,19 @@
 import ast
+import contextlib
+import csv
+import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -568,3 +575,155 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
     assert not out.exists()
     _emit(args, {"residual": 0.0}, [{"x": 0.5}, {"x": 2}])
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    # a spectrum record holds lists, which a CSV cell cannot
+    ("spectrum --space DIII --a 1 --b 1 --potential V5 --v0 0 --n 0..1 --l 0 --format csv",
+     "ParamError"),
+    # the metric factor leaves the range of a double inside the stencil
+    ("curvature --space DIII --a 2.5 --b 0.5 --u-range=2.5:2.5 --step 1e6 --grid 3x3",
+     "FloatingPointError"),
+    # B^2 of the squared condition overflows
+    ("spectrum --space DIII --a 1.3 --b 0.1 --potential V3 --alpha -1 --c1 2.7 --c2 1.3e-160 "
+     "--scheme polar --n 0 --l 1", "OverflowError"),
+    # the D_III factors need bE < 0
+    ("wavefunction --space DIII --a 2.5 --b 0.4 --potential V5 --chart uv --n 0 --l 0 "
+     "--energy 0 --grid 6x6", "DomainError"),
+    # X1 and X2 are normalized by b
+    ("classical --space DIII --a 1 --b 0 --q1 0.3 --q2 0 --p1 0.7 --p2 0.3 --t-final 1",
+     "ParamError"),
+    ("classical --space DIV --a 3 --b 0 --q1 0.3 --q2 0 --p1 0.7 --p2 0.3 --t-final 1",
+     "ParamError"),
+    # e^{-2v} of X1 overflows
+    ("classical --space DIV --a 2 --b 1 --potential V4 --k0 0.7 --q1 1.2 --q2 -1e6 --p1 -1.6 "
+     "--p2 1.2 --t-final 1", "OverflowError"),
+    # f^3 of the closed-form curvature underflows to 0
+    ("curvature --space DIII --a 2.1e-181 --b 2.1e-181 --grid 3x3", "ZeroDivisionError"),
+    # the metric factor at the start, a step of the flow, a factor's scale leave the
+    # range of a double
+    ("classical --space DIII --a 3 --b 1 --q1 -1e6 --q2 0.3 --p1 -3.7 --p2 0.99 --t-final 1.7",
+     "FloatingPointError"),
+    ("classical --space DIII --a 2.4e-296 --b 2.4e-296 --q1 0.3 --q2 0.57 --p1 1.6e-219 "
+     "--p2 0.3 --t-final 1e-9", "FloatingPointError"),
+    ("wavefunction --space DIII --a 2 --b 1 --potential V4 --chart hyperbolic --n 0 --l 0 "
+     "--energy -8.2e-46 --grid 16x14", "FloatingPointError"),
+    # a subnormal t-final gave sample times that solve_ivp refuses as unsorted
+    ("classical --space DIV --a 1.3 --b 0.1 --q1 0.7 --q2 0.7 --p1 1 --p2 0.7 --t-final 5e-324 "
+     "--samples 7", "ParamError"),
+    # a subnormal omega puts the horospherical sampling window at infinity
+    ("wavefunction --space DIV --a 3 --b 1 --potential V1 --alpha 0 --k1 0 --k2 2.2e-313 "
+     "--omega 2.2e-313 --chart horospherical --n 1 --l 1 --energy 0 --grid 5x3", "GridError"),
+], ids=["spectrum-csv", "curvature-huge-step", "diii-v3-tiny-c2", "diii-v5-energy-0",
+        "diii-b-0", "div-b-0", "div-v4-far-v", "curvature-tiny-a-b", "classical-far-u",
+        "classical-tiny-a-b", "diii-v4-tiny-energy", "classical-subnormal-t-final",
+        "div-v1-subnormal-omega"])
+def test_argvs_the_property_found_exit_2(argv, error, tmp_path, capsys):
+    # each exited 4 (with warnings as errors), or 0 with a CSV of Python lists
+    from darboux.cli import main
+
+    out = tmp_path / "x.out"
+    assert main(argv.split() + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == error
+    assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# every argv exits 0 with output that parses, or 2 with one JSON line
+# ----------------------------------------------------------------------
+
+NUMBERS = st.one_of(st.sampled_from(["0", "1", "-1", "0.7", "2.5", "1e-9", "1e6", "-1e6",
+                                     "nan", "inf"]),
+                    st.floats(-4.0, 4.0).map(repr))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of one of the five subcommands, valid or not, at most 20x20
+    points and t-final <= 2."""
+    from darboux.families import FAMILIES
+    from darboux.geometry import CHARTS
+
+    command = draw(st.sampled_from(["curvature", "spectrum", "wavefunction", "classical",
+                                    "verify"]))
+    fmt = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "verify":
+        suites = ["all", "building-blocks", "curvature", "spectra", "classical"]
+        return ["verify", "--suite", draw(st.sampled_from(suites))] + fmt
+    space = draw(st.sampled_from(["DIII", "DIV"]))
+    a, b = draw(st.sampled_from([("3", "1"), ("2", "1"), ("2.5", "0.4"), ("1.3", "0.1")]))
+    if draw(st.integers(0, 4)) == 0:
+        a, b = draw(NUMBERS), draw(NUMBERS)
+    argv = [command, "--space", space, "--a", a, "--b", b]
+    sizes = st.integers(1, 20)
+    grid = ["--grid", f"{draw(sizes)}x{draw(sizes)}"]
+    if command == "curvature":
+        for flag in ("--u-range", "--v-range"):
+            if draw(st.booleans()):
+                argv += [f"{flag}={draw(NUMBERS)}:{draw(NUMBERS)}"]
+        if draw(st.booleans()):
+            argv += ["--step", draw(st.sampled_from(["1e-2", "1e-4"]) | NUMBERS)]
+        return argv + grid + fmt
+    schemes = ("uv",)
+    if command != "classical" or draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(f for f in FAMILIES if f.startswith(space + "_"))))
+        argv += ["--potential", family.split("_")[1]]
+        for c in FAMILIES[family].couplings:
+            if draw(st.integers(0, 3)):
+                argv += [f"--{c}", draw(NUMBERS)]
+        schemes = FAMILIES[family].schemes or schemes
+    # half the time a chart that the family separates in
+    charts = st.sampled_from(schemes) | st.sampled_from(list(CHARTS[space]))
+    levels = st.sampled_from(["0", "0", "1", "2"])
+    if command == "spectrum":
+        return argv + ["--scheme", draw(charts), "--n", f"{draw(levels)}..{draw(levels)}",
+                       "--l", f"{draw(levels)}..{draw(levels)}"] + fmt
+    if command == "wavefunction":
+        argv += ["--chart", draw(charts), "--n", draw(levels), "--l", draw(levels)] + grid
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--energy", draw(NUMBERS)]
+        return argv + fmt
+    argv += ["--chart", draw(charts)]
+    for flag in ("--q1", "--q2", "--p1", "--p2"):
+        argv += [flag, draw(st.sampled_from(["0.3", "0.7", "1.2"]) | NUMBERS)]
+    return argv + ["--t-final", draw(st.floats(0.0, 2.0).map(repr) | NUMBERS.filter(
+        lambda t: not float(t) > 2)), "--samples", str(draw(st.integers(-1, 12)))] + fmt
+
+
+def _parsed_output(path, fmt):
+    """The rows of a CSV output (equal widths, each cell a finite number, a
+    flag or a name) or a JSON document without NaN or infinities."""
+    text = path.read_bytes().decode("utf-8")
+    if fmt == "json":
+        def refuse(name):
+            raise ValueError(f"non-finite number {name} in the output")
+        return json.loads(text, parse_constant=refuse)
+    rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    assert text.endswith("\r\n") and len(rows) >= 2
+    assert all(len(r) == len(rows[0]) for r in rows)
+    for cell in (c for r in rows[1:] for c in r):
+        try:
+            assert math.isfinite(float(cell)), cell
+        except ValueError:
+            assert re.fullmatch(r"[A-Za-z][\w-]*", cell), cell
+    return rows
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cli_argvs())
+def test_every_argv_gives_output_or_a_classified_error(argv):
+    from darboux.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        if code == 0:
+            assert err.getvalue() == ""
+            _parsed_output(out, argv[argv.index("--format") + 1])
+        else:
+            assert code == 2, (code, err.getvalue())
+            assert err.getvalue().count("\n") == 1 and json.loads(err.getvalue())["error"]
+            assert not out.exists()

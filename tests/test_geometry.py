@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darboux.errors import DomainError, ParamError, UnsupportedError
 from darboux.geometry import (
+    CHARTS,
     DIII,
     DIV,
     Chart,
@@ -232,14 +235,52 @@ def test_degelliptic2_covers_the_uv_surface():
     assert np.abs(back.q1 - us).max() < 1e-12 and np.abs(back.q2 - vs).max() < 1e-12
 
 
-@pytest.mark.parametrize("space, chart, to_name", [
-    (SpaceParams(DIII, 1.0, 1.0), Chart("polar", np.array([1.0, 1.2]), np.array([0.3, 0.4])), "uv"),
-    (SpaceParams(DIII, 1.0, 1.0), Chart("uv", np.array([0.1, 0.2]), 0.3), "parabolic"),
-    (SpaceParams(DIV, 3.0, 1.0), Chart("uv", np.array([0.4, 0.5]), np.array([0.1, 0.2])),
-     "degelliptic2"),
-    (SpaceParams(DIV, 3.0, 1.0), Chart("elliptic", 0.7, np.array([0.8, 0.9])), "uv"),
-])
-def test_chart_transform_array_needs_a_numpy_map(space, chart, to_name):
-    with pytest.raises(ParamError, match=f"'{chart.name}' -> '{to_name}'"):
-        chart_transform(space, chart, to_name)
+# a box inside each domain for every chart with real maps, clear of the
+# elliptic focal points and the parabolic origin, where the inverses lose digits
+REAL_MAP_BOXES = {
+    (DIII, "uv"): ((-2.0, 2.0), (-6.0, 6.0)),
+    (DIII, "polar"): ((0.1, 5.0), (-6.0, 6.0)),
+    (DIII, "parabolic"): ((-3.0, 3.0), (-3.0, 3.0)),
+    (DIII, "elliptic"): ((0.05, 2.0), (-3.0, 3.0)),
+    (DIV, "uv"): ((0.05, math.pi / 2 - 0.05), (-3.0, 3.0)),
+    (DIV, "horospherical"): ((0.05, 5.0), (0.05, 5.0)),
+    (DIV, "degelliptic2"): ((0.05, 3.0), (0.05, math.pi / 2 - 0.05)),
+    (DIV, "elliptic"): ((0.05, 2.0), (0.05, math.pi / 2 - 0.05)),
+}
+MAP_SPACES = {DIII: SpaceParams(DIII, 1.3, 0.7), DIV: SpaceParams(DIV, 3.0, 1.0)}
 
+
+def test_real_map_boxes_cover_every_real_chart():
+    real = {(fam, name) for fam, rows in CHARTS.items() for name, row in rows.items()
+            if row.to_uv is not None and row.from_uv is not None}
+    assert real == set(REAL_MAP_BOXES)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(REAL_MAP_BOXES)), st.floats(0.5, 2.0), st.data())
+def test_chart_maps_round_trip_and_take_arrays(key, d, data):
+    fam, name = key
+    (lo1, hi1), (lo2, hi2) = REAL_MAP_BOXES[key]
+    points = st.tuples(st.floats(lo1, hi1), st.floats(lo2, hi2))
+    if name == "parabolic":
+        points = points.filter(lambda p: p[0] ** 2 + p[1] ** 2 > 0.01)
+    pts = data.draw(st.lists(points, min_size=1, max_size=6))
+    sp = MAP_SPACES[fam]
+    for q1, q2 in pts:
+        back = chart_transform(sp, chart_transform(sp, Chart(name, q1, q2, d), "uv"), name)
+        assert abs(back.q1 - q1) < 1e-10 and abs(back.q2 - q2) < 1e-10
+    # an array of points maps to the same bits as the points one by one
+    q1s, q2s = np.array(pts).T
+    for to_fam, to_name in REAL_MAP_BOXES:
+        if to_fam != fam:
+            continue
+        try:
+            one = [chart_transform(sp, Chart(name, q1, q2, d), to_name) for q1, q2 in pts]
+        except DomainError:  # a point on the focal segment of an elliptic target
+            with pytest.raises(DomainError):
+                chart_transform(sp, Chart(name, q1s, q2s, d), to_name)
+            continue
+        grid = chart_transform(sp, Chart(name, q1s, q2s, d), to_name)
+        assert all(type(c.q1) is float and type(c.q2) is float for c in one)
+        assert grid.q1.tobytes() == np.array([c.q1 for c in one]).tobytes()
+        assert grid.q2.tobytes() == np.array([c.q2 for c in one]).tobytes()
