@@ -563,10 +563,14 @@ class DIII_V4(DIIIFamily):
         return min(g1, g2, key=min)
 
     def decays(self, spec, qn, E):
+        """Both Morse factors bound at one index, s0(n) = s1(l) > 0: the
+        principal sign of the difference branch.  Its flipped sign leaves
+        s0 - s1 = 2(l - n), and the sum branch s0 + s1 <= 0."""
         try:
-            return self._index(spec, E, 0, qn.n) > 0 and self._index(spec, E, 1, qn.l) > 0
+            s0, s1 = self._index(spec, E, 0, qn.n), self._index(spec, E, 1, qn.l)
         except DomainError:
             return False
+        return s0 > 0 and s1 > 0 and _gap_pair(s0, s1, 1.0)[0] < 1e-7
 
     def dispersion(self, spec, p, aux):
         return potentials._quantum_unit(spec.space) * p * p
@@ -797,7 +801,7 @@ class DIV_V1(DIVFamily):
             return lambda v: sf.model_eigenfunction(morse, int(n), 2.0 * np.asarray(v))
 
         def window(E, n):
-            v0m = morse.p("v0")
+            v0m = morse.params["v0"]
             return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
 
         return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))

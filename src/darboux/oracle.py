@@ -133,15 +133,12 @@ class BuildingBlockReport:
 
 
 def _oracle_domain(fam: sf.ModelFamily, n_max: int):
-    """The interval the oracle discretizes: the whole of PT's, else where one
-    of the states 0..n_max is above 1e-12 of its peak."""
+    """The interval the oracle discretizes: the row's whole one, else the part
+    of its scan where one of the states 0..n_max is above 1e-12 of its peak."""
+    if fam.row.whole is not None:
+        return fam.row.whole
     lo, _ = sf.model_domain(fam.tag)
-    if fam.tag == sf.PT:
-        return (1e-9, math.pi / 2.0 - 1e-9)
-    right = 40.0
-    if fam.tag == sf.MORSE_BOUND:
-        right = min(right, math.log(600.0 / fam.p("v0")))
-    xs = np.linspace(-40.0 if lo == -math.inf else 1e-8, right, 6001)
+    xs = np.linspace(*fam.row.scan(*fam.args), 6001)
     ends = []
     for n in range(n_max + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -156,7 +153,7 @@ def _oracle_domain(fam: sf.ModelFamily, n_max: int):
 
 def verify_building_block(fam: sf.ModelFamily, n_max: int, n_points=3200) -> BuildingBlockReport:
     """Compare the FD eigensolver with the closed-form model family."""
-    if fam.tag not in (sf.HO, sf.RHO, sf.PT, sf.MPT_BOUND, sf.MORSE_BOUND):
+    if fam.row.whole is None and fam.row.scan is None:
         raise ParamError(f"{fam.tag} has no real confining profile to verify")
     top = sf.model_max_index(fam)
     if top is not None and n_max > top:

@@ -2,10 +2,10 @@
 
 Polynomials are evaluated by three-term recurrence, the Gauss hypergeometric
 function by its terminating series, and the complex gamma function by a
-Lanczos approximation.  The model families collect the exactly solvable 1D
-bound-state problems that appear as separation factors: harmonic and radial
-harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller, Morse, and
-the complex periodic Morse problem whose spectrum is real.
+Lanczos approximation.  The model table ``MODELS`` holds one row per exactly
+solvable 1D bound-state problem that appears as a separation factor: harmonic
+and radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller,
+Morse, and the complex periodic Morse problem whose spectrum is real.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -74,42 +75,36 @@ def orthopoly_eval(family: str, n: int, params, x):
     """
     if n < 0 or n != int(n):
         raise ParamError("polynomial degree must be a non-negative integer")
+    if family not in ("hermite", "laguerre", "jacobi"):
+        raise ParamError(f"unknown polynomial family {family!r}")
     n = int(n)
     x = np.asarray(x)
+    if family == "laguerre" and (isinstance(params[0], complex) or np.iscomplexobj(x)):
+        x = x.astype(complex)
+    p_prev = np.ones_like(x)
+    if n == 0:
+        return p_prev
     if family == "hermite":
-        p_prev = np.ones_like(x)
-        if n == 0:
-            return p_prev
         p = 2.0 * x
         for k in range(1, n):
             p, p_prev = 2.0 * x * p - 2.0 * k * p_prev, p
         return p
     if family == "laguerre":
         (alpha,) = params
-        if isinstance(alpha, complex) or np.iscomplexobj(x):
-            x = x.astype(complex)
-        p_prev = np.ones_like(x)
-        if n == 0:
-            return p_prev
         p = 1.0 + alpha - x
         for k in range(1, n):
             p, p_prev = ((2.0 * k + 1.0 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1.0), p
         return p
-    if family == "jacobi":
-        alpha, beta = params
-        p_prev = np.ones_like(x)
-        if n == 0:
-            return p_prev
-        p = (alpha + 1.0) + 0.5 * (alpha + beta + 2.0) * (x - 1.0)
-        for k in range(2, n + 1):
-            s = 2.0 * k + alpha + beta
-            a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
-            a2 = (s - 1.0) * (alpha * alpha - beta * beta)
-            a3 = (s - 2.0) * (s - 1.0) * s
-            a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
-            p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-        return p
-    raise ParamError(f"unknown polynomial family {family!r}")
+    alpha, beta = params
+    p = (alpha + 1.0) + 0.5 * (alpha + beta + 2.0) * (x - 1.0)
+    for k in range(2, n + 1):
+        s = 2.0 * k + alpha + beta
+        a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
+        a2 = (s - 1.0) * (alpha * alpha - beta * beta)
+        a3 = (s - 2.0) * (s - 1.0) * s
+        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -158,31 +153,17 @@ def hyp2f1(a, b, c, z):
 
 
 # ----------------------------------------------------------------------
-# model eigenproblems
+# model eigenproblems: one row per model
 # ----------------------------------------------------------------------
 
-HO = "HO"
-RHO = "RHO"
-PT = "PT"
-MPT_BOUND = "MPT_bound"
-MORSE_BOUND = "Morse_bound"
-CMORSE = "cMorse"
-
-_TAGS = (HO, RHO, PT, MPT_BOUND, MORSE_BOUND, CMORSE)
+HO, RHO, PT, CMORSE = "HO", "RHO", "PT", "cMorse"
+MPT_BOUND, MORSE_BOUND = "MPT_bound", "Morse_bound"
 
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """A 1D bound-state model problem: tag plus its coupling parameters.
-
-    params by tag:
-      HO:            omega
-      RHO:           omega, lam
-      PT:            alpha, beta                (alpha, beta > -1)
-      MPT_bound:     eta, nu
-      Morse_bound:   v0, alpha_t                (depth V0 and shape alpha~)
-      cMorse:        c1, c2                     (c1 != 0)
-    """
+    """A 1D bound-state model problem: the tag of its row in ``MODELS`` and
+    the coupling parameters that the row's ``keys`` name."""
 
     tag: str
     params: dict = field(default_factory=dict)
@@ -190,41 +171,158 @@ class ModelFamily:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in MODELS:
             raise ParamError(f"unknown model family {self.tag!r}")
-        p = self.params
-        if self.tag == PT and (p["alpha"] <= -1 or p["beta"] <= -1):
-            raise ParamError("PT requires alpha, beta > -1")
-        if self.tag == CMORSE and p["c1"] == 0:
-            raise ParamError("cMorse requires c1 != 0")
+        if self.row.invalid is not None and self.row.invalid(*self.args):
+            raise ParamError(self.row.message)
 
-    def p(self, key):
-        return self.params[key]
+    @property
+    def row(self):
+        return MODELS[self.tag]
+
+    @property
+    def args(self):
+        return tuple(self.params[k] for k in self.row.keys)
+
+    @property
+    def unit(self):  # hbar^2 / 2m
+        return self.hbar * self.hbar / (2.0 * self.mass)
 
 
-def _mpt_k12(fam: ModelFamily):
-    """MPT index pair (k1, k2); a negative eta gives the other square-root
-    branch of k2."""
-    k1 = 0.5 * (1.0 + fam.p("nu"))
-    k2 = 0.5 * (1.0 + fam.p("eta"))
-    return k1, k2
+@dataclass(frozen=True)
+class ModelRow:
+    """One exactly solvable model on its natural open interval ``domain``.  For
+    the ModelFamily f with parameters args in ``keys`` order, ``level(f, n,
+    *args)`` is the energy of level n, ``profile(f, x, *args)`` the potential and
+    ``state(f, n, x, *args)`` the eigenfunction at the float array x; the levels
+    stay below ``top(*args)`` (None: no top); ``invalid(*args)`` flags what
+    ``message`` rejects.  The finite-difference oracle takes ``whole``, or the
+    part of ``scan(*args)`` where the states live (neither: a complex profile)."""
+
+    keys: tuple
+    domain: tuple
+    level: Callable
+    profile: Callable
+    state: Callable
+    top: Callable | None = None
+    invalid: Callable | None = None
+    message: str = ""
+    whole: tuple | None = None
+    scan: Callable | None = None
+
+
+def _times_square(c, s):  # (c s) s, the rounding every level has had
+    return c * s * s
+
+
+def _mpt_k12(eta, nu):
+    """MPT index pair (k1, k2); a negative eta gives k2's other square-root branch."""
+    return 0.5 * (1.0 + nu), 0.5 * (1.0 + eta)
+
+
+def _mpt_index(eta, nu, n=0):
+    k1, k2 = _mpt_k12(eta, nu)
+    return k1 - k2 - n - 0.5
+
+
+def _ho_state(f, n, x, w):
+    q = f.mass * w / f.hbar
+    pref = (q / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+    return pref * orthopoly_eval("hermite", n, (), np.sqrt(q) * x) * np.exp(-0.5 * q * x * x)
+
+
+def _rho_state(f, n, x, w, lam):
+    q = f.mass * w / f.hbar
+    pref = math.sqrt(2.0 * q ** (lam + 1.0) * math.factorial(n) / abs(gamma_complex(n + lam + 1.0)))
+    lag = orthopoly_eval("laguerre", n, (lam,), q * x * x)
+    return pref * x ** (lam + 0.5) * np.exp(-0.5 * q * x * x) * lag
+
+
+def _pt_state(f, n, x, al, be):
+    s, g = al + be + 2.0 * n + 1.0, al + be + n + 1.0
+    if s <= 0.0:  # n = 0 at alpha + beta <= -1: s Gamma(s) = Gamma(s + 1) > 0
+        s, g = 1.0, al + be + 2.0
+    pref = math.sqrt(2.0 * s * math.factorial(n) * abs(gamma_complex(g))
+                     / (abs(gamma_complex(al + n + 1.0)) * abs(gamma_complex(be + n + 1.0))))
+    jac = orthopoly_eval("jacobi", n, (al, be), np.cos(2.0 * x))
+    return pref * np.sin(x) ** (al + 0.5) * np.cos(x) ** (be + 0.5) * jac
+
+
+def _mpt_state(f, n, x, eta, nu):
+    k1, k2 = _mpt_k12(eta, nu)
+    kap = k1 - k2 - n
+    g = gamma_complex
+    inside = (2.0 * (2.0 * kap - 1.0) * g(k1 + k2 - kap) * g(k1 + k2 + kap - 1.0)
+              / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1.0)))
+    pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
+    # 2F1(-n, n + 1 - 2k1 + 2k2; 2k2; -sinh^2 x) = n!/(2k2)_n P_n^(2k2-1, 1-2k1)(cosh 2x)
+    # (DLMF 15.9.1).  The recurrence divides by 2k(k + a + b)(2k + a + b - 2) with
+    # a + b = 2(k2 - k1) < -2n - 1, since k <= n < k1 - k2 - 1/2 in the ladder: never by 0
+    for j in range(n):
+        pref *= (j + 1.0) / (2.0 * k2 + j)
+    jac = orthopoly_eval("jacobi", n, (2.0 * k2 - 1.0, 1.0 - 2.0 * k1), np.cosh(2.0 * x))
+    return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * jac
+
+
+def _morse_state(f, n, x, v0, at):
+    s = at * v0 - n - 0.5
+    pref = math.sqrt(2.0 * s * math.factorial(n) / abs(gamma_complex(2.0 * at * v0 - n)))
+    return pref * morse_factor(2.0 * v0 * np.exp(x), s, n)
+
+
+def _cmorse_state(f, n, x, c1, c2):
+    mu = 2.0 * c2 / c1 - n - 0.5
+    z = 4.0 * c1 * np.exp(-1j * x)
+    # z^mu taken as (4 c1)^mu e^{-i mu x}: single-valued in the angle
+    zmu = (4.0 * c1) ** mu * np.exp(-1j * mu * x)
+    return zmu * np.exp(-0.5 * z) * orthopoly_eval("laguerre", n, (2.0 * mu,), z.astype(complex))
+
+
+MODELS = {
+    HO: ModelRow(
+        ("omega",), (-math.inf, math.inf), state=_ho_state, scan=lambda w: (-40.0, 40.0),
+        level=lambda f, n, w: f.hbar * w * (n + 0.5),
+        profile=lambda f, x, w: 0.5 * f.mass * w * w * x ** 2),
+    RHO: ModelRow(
+        ("omega", "lam"), (0.0, math.inf), state=_rho_state, scan=lambda w, lam: (1e-8, 40.0),
+        level=lambda f, n, w, lam: f.hbar * w * (2.0 * n + lam + 1.0),
+        profile=lambda f, x, w, lam: (0.5 * f.mass * w * w * x ** 2
+                                      + f.unit * (lam * lam - 0.25) / x ** 2)),
+    PT: ModelRow(
+        ("alpha", "beta"), (0.0, math.pi / 2.0), state=_pt_state,
+        level=lambda f, n, al, be: _times_square(f.unit, 2.0 * n + al + be + 1.0),
+        profile=lambda f, x, al, be: f.unit * ((al * al - 0.25) / np.sin(x) ** 2
+                                               + (be * be - 0.25) / np.cos(x) ** 2),
+        invalid=lambda al, be: al <= -1 or be <= -1, message="PT requires alpha, beta > -1",
+        whole=(1e-9, math.pi / 2.0 - 1e-9)),
+    MPT_BOUND: ModelRow(
+        ("eta", "nu"), (0.0, math.inf), state=_mpt_state, scan=lambda eta, nu: (1e-8, 40.0),
+        level=lambda f, n, eta, nu: _times_square(-f.unit, 2.0 * _mpt_index(eta, nu, n)),
+        profile=lambda f, x, eta, nu: f.unit * ((eta * eta - 0.25) / np.sinh(x) ** 2
+                                                - (nu * nu - 0.25) / np.cosh(x) ** 2),
+        top=_mpt_index),
+    MORSE_BOUND: ModelRow(  # depth v0 and shape alpha_t
+        ("v0", "alpha_t"), (-math.inf, math.inf), state=_morse_state,
+        level=lambda f, n, v0, at: _times_square(-f.unit, at * v0 - n - 0.5),
+        profile=lambda f, x, v0, at: f.unit * v0 * v0 * (np.exp(2.0 * x) - 2.0 * at * np.exp(x)),
+        top=lambda v0, at: at * v0 - 0.5,
+        scan=lambda v0, at: (-40.0, min(40.0, math.log(600.0 / v0)))),
+    CMORSE: ModelRow(
+        ("c1", "c2"), (0.0, 2.0 * math.pi), state=_cmorse_state,
+        level=lambda f, n, c1, c2: _times_square(f.unit, 2.0 * c2 / c1 - n - 0.5),
+        profile=lambda f, x, c1, c2: f.unit * (-4.0 * c1 * c1 * np.exp(-2j * x)
+                                               + 8.0 * c2 * np.exp(-1j * x)),
+        top=lambda c1, c2: 2.0 * c2 / c1 - 0.5,
+        invalid=lambda c1, c2: c1 == 0, message="cMorse requires c1 != 0"),
+}
 
 
 def model_max_index(fam: ModelFamily):
     """Number of bound states minus one; None when the ladder is infinite."""
-    if fam.tag in (HO, RHO, PT):
+    if fam.row.top is None:
         return None
-    if fam.tag == MORSE_BOUND:
-        s = fam.p("alpha_t") * fam.p("v0") - 0.5
-        return math.floor(s - 1e-12) if s > 0 else -1
-    if fam.tag == MPT_BOUND:
-        k1, k2 = _mpt_k12(fam)
-        s = k1 - k2 - 0.5
-        return math.floor(s - 1e-12) if s > 0 else -1
-    if fam.tag == CMORSE:
-        s = 2.0 * fam.p("c2") / fam.p("c1") - 0.5
-        return math.floor(s - 1e-12) if s > 0 else -1
-    raise ParamError(f"{fam.tag} has no discrete ladder")
+    s = fam.row.top(*fam.args)
+    return math.floor(s - 1e-12) if s > 0 else -1
 
 
 def _check_index(fam, n):
@@ -238,61 +336,19 @@ def _check_index(fam, n):
 def model_eigenvalue(fam: ModelFamily, n: int) -> float:
     """Closed-form bound-state energy of the model family."""
     _check_index(fam, n)
-    hb, m = fam.hbar, fam.mass
-    if fam.tag == HO:
-        return hb * fam.p("omega") * (n + 0.5)
-    if fam.tag == RHO:
-        return hb * fam.p("omega") * (2.0 * n + fam.p("lam") + 1.0)
-    if fam.tag == PT:
-        s = 2.0 * n + fam.p("alpha") + fam.p("beta") + 1.0
-        return hb * hb / (2.0 * m) * s * s
-    if fam.tag == MORSE_BOUND:
-        s = fam.p("alpha_t") * fam.p("v0") - n - 0.5
-        return -hb * hb / (2.0 * m) * s * s
-    if fam.tag == MPT_BOUND:
-        k1, k2 = _mpt_k12(fam)
-        s = 2.0 * (k1 - k2 - n) - 1.0
-        return -hb * hb / (2.0 * m) * s * s
-    if fam.tag == CMORSE:
-        s = 2.0 * fam.p("c2") / fam.p("c1") - n - 0.5
-        return hb * hb / (2.0 * m) * s * s
+    return fam.row.level(fam, n, *fam.args)
 
 
 def model_domain(tag: str):
     """Natural coordinate domain (open interval) of the model family ``tag``."""
-    if tag in (HO, MORSE_BOUND):
-        return (-math.inf, math.inf)
-    if tag in (RHO, MPT_BOUND):
-        return (0.0, math.inf)
-    if tag == PT:
-        return (0.0, math.pi / 2.0)
-    if tag == CMORSE:
-        return (0.0, 2.0 * math.pi)
+    if tag not in MODELS:
+        raise ParamError(f"unknown model family {tag!r}")
+    return MODELS[tag].domain
 
 
 def model_potential(fam: ModelFamily):
     """The defining potential profile U(x) as a vectorized callable."""
-    hb, m = fam.hbar, fam.mass
-    c = hb * hb / (2.0 * m)
-    if fam.tag == HO:
-        w = fam.p("omega")
-        return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2
-    if fam.tag == RHO:
-        w, lam = fam.p("omega"), fam.p("lam")
-        return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + c * (lam * lam - 0.25) / np.asarray(x) ** 2
-    if fam.tag == PT:
-        al, be = fam.p("alpha"), fam.p("beta")
-        return lambda x: c * ((al * al - 0.25) / np.sin(x) ** 2 + (be * be - 0.25) / np.cos(x) ** 2)
-    if fam.tag == MPT_BOUND:
-        eta, nu = fam.p("eta"), fam.p("nu")
-        return lambda x: c * ((eta * eta - 0.25) / np.sinh(x) ** 2 - (nu * nu - 0.25) / np.cosh(x) ** 2)
-    if fam.tag == MORSE_BOUND:
-        v0, at = fam.p("v0"), fam.p("alpha_t")
-        return lambda x: c * v0 * v0 * (np.exp(2.0 * np.asarray(x)) - 2.0 * at * np.exp(np.asarray(x)))
-    if fam.tag == CMORSE:
-        c1, c2 = fam.p("c1"), fam.p("c2")
-        return lambda x: c * (-4.0 * c1 * c1 * np.exp(-2j * np.asarray(x)) + 8.0 * c2 * np.exp(-1j * np.asarray(x)))
-    raise ParamError(f"no potential profile for {fam.tag}")
+    return lambda x: fam.row.profile(fam, np.asarray(x), *fam.args)
 
 
 def morse_factor(z, s, n, sigma=1.0):
@@ -311,71 +367,14 @@ _NORM_CACHE: dict = {}
 
 
 def model_eigenfunction(fam: ModelFamily, n, x):
-    """Sample the level-n model eigenfunction at x.
-
-    The result carries the closed-form constant that makes it unit-normalized
-    over the natural domain (the Hermite, Laguerre and Jacobi norms of DLMF
-    §18.3); the complex Morse states are left unnormalized.  A level beyond
-    the ladder raises LevelError, and a closed-form constant that overflows a
-    double raises ParamError.
-    """
+    """Sample the level-n model eigenfunction at x, unit-normalized over the
+    natural domain by its closed-form constant (the Hermite, Laguerre and Jacobi
+    norms of DLMF §18.3; the complex Morse states are left unnormalized).  A
+    level beyond the ladder raises LevelError, a constant that overflows a double
+    ParamError."""
     try:
-        return _eigenfunction(fam, n, x)
+        _check_index(fam, n)
+        return fam.row.state(fam, int(n), np.asarray(x, dtype=float), *fam.args)
     except OverflowError:
         raise ParamError(f"the {fam.tag} eigenfunction at level {n} with parameters "
                          f"{fam.params} overflows a double") from None
-
-
-def _eigenfunction(fam, n, x):
-    _check_index(fam, n)
-    n = int(n)
-    hb, m = fam.hbar, fam.mass
-    x = np.asarray(x, dtype=float)
-    if fam.tag == HO:
-        w = fam.p("omega")
-        q = m * w / hb
-        pref = (q / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
-        h = orthopoly_eval("hermite", n, (), np.sqrt(q) * x)
-        return pref * h * np.exp(-0.5 * q * x * x)
-    if fam.tag == RHO:
-        w, lam = fam.p("omega"), fam.p("lam")
-        q = m * w / hb
-        pref = math.sqrt(2.0 * q ** (lam + 1.0) * math.factorial(n)
-                         / abs(gamma_complex(n + lam + 1.0)))
-        lag = orthopoly_eval("laguerre", n, (lam,), q * x * x)
-        return pref * x ** (lam + 0.5) * np.exp(-0.5 * q * x * x) * lag
-    if fam.tag == PT:
-        al, be = fam.p("alpha"), fam.p("beta")
-        pref = math.sqrt(
-            2.0 * (al + be + 2.0 * n + 1.0) * math.factorial(n)
-            * abs(gamma_complex(al + be + n + 1.0))
-            / (abs(gamma_complex(al + n + 1.0)) * abs(gamma_complex(be + n + 1.0)))
-        )
-        jac = orthopoly_eval("jacobi", n, (al, be), np.cos(2.0 * x))
-        return pref * np.sin(x) ** (al + 0.5) * np.cos(x) ** (be + 0.5) * jac
-    if fam.tag == MORSE_BOUND:
-        v0, at = fam.p("v0"), fam.p("alpha_t")
-        s = at * v0 - n - 0.5
-        pref = math.sqrt(2.0 * s * math.factorial(n) / abs(gamma_complex(2.0 * at * v0 - n)))
-        return pref * morse_factor(2.0 * v0 * np.exp(x), s, n)
-    if fam.tag == MPT_BOUND:
-        k1, k2 = _mpt_k12(fam)
-        kap = k1 - k2 - n
-        g = gamma_complex
-        inside = (
-            2.0 * (2.0 * kap - 1.0)
-            * g(k1 + k2 - kap) * g(k1 + k2 + kap - 1.0)
-            / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1.0))
-        )
-        pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
-        f = np.real(hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, -np.sinh(x) ** 2))
-        return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
-    if fam.tag == CMORSE:
-        c1, c2 = fam.p("c1"), fam.p("c2")
-        mu = 2.0 * c2 / c1 - n - 0.5
-        z = 4.0 * c1 * np.exp(-1j * x)
-        # z^mu taken as (4 c1)^mu e^{-i mu x}: single-valued in the angle
-        zmu = (4.0 * c1) ** mu * np.exp(-1j * mu * x)
-        lag = orthopoly_eval("laguerre", n, (2.0 * mu,), z.astype(complex))
-        return zmu * np.exp(-0.5 * z) * lag
-    raise ParamError(f"no eigenfunction for {fam.tag}")

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -128,17 +127,26 @@ def test_orthonormality_bound_families():
                 assert abs(val - (1.0 if m_ == n_ else 0.0)) < 1e-7
 
 
-def test_ode_residuals_bound_families():
-    cases = [
-        (ModelFamily(sf.HO, {"omega": 1.0}), np.linspace(-8, 8, 3001), 3),
-        (ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), np.linspace(0.05, 9, 3001), 3),
-        (ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}), np.linspace(0.02, math.pi / 2 - 0.02, 3001), 3),
-        (ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}), np.linspace(0.05, 12, 4001), 3),
-        (ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), np.linspace(-12, 2.2, 4001), 1),
-    ]
-    for fam, x, nmax in cases:
-        for n in range(nmax + 1):
-            assert fd_residual(fam, n, x) < 1e-6
+# a case for every row of the model table: (family, grid, highest level checked)
+ODE_CASES = {
+    sf.HO: (ModelFamily(sf.HO, {"omega": 1.0}), np.linspace(-8, 8, 3001), 3),
+    sf.RHO: (ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), np.linspace(0.05, 9, 3001), 3),
+    sf.PT: (ModelFamily(sf.PT, {"alpha": 1.0, "beta": 2.0}),
+            np.linspace(0.02, math.pi / 2 - 0.02, 3001), 3),
+    sf.MPT_BOUND: (ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}),
+                   np.linspace(0.05, 12, 4001), 3),
+    sf.MORSE_BOUND: (ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}),
+                     np.linspace(-12, 2.2, 4001), 1),
+    sf.CMORSE: (ModelFamily(sf.CMORSE, {"c1": 0.8, "c2": 1.2}),
+                np.linspace(0.0, 2 * math.pi, 4001), 2),
+}
+
+
+@pytest.mark.parametrize("tag", list(sf.MODELS))
+def test_ode_residuals_bound_families(tag):
+    fam, x, nmax = ODE_CASES[tag]
+    for n in range(nmax + 1):
+        assert fd_residual(fam, n, x) < 1e-6
 
 
 def test_cmorse_real_spectrum_and_ode():
@@ -162,26 +170,6 @@ def test_mpt_sign_branches_exposed():
     assert model_eigenvalue(plus, 0) != model_eigenvalue(minus, 0)
 
 
-def _mpt_bound_pointwise(fam, n, x):
-    """The MPT_bound eigenfunction as evaluated before the array path: one
-    scalar hyp2f1 call per point of z = -sinh(x)^2.  Kept as the bitwise
-    reference."""
-    k1, k2 = sf._mpt_k12(fam)
-    kap = k1 - k2 - n
-    g = gamma_complex
-    inside = (
-        2.0 * (2.0 * kap - 1.0)
-        * g(k1 + k2 - kap) * g(k1 + k2 + kap - 1.0)
-        / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1.0))
-    )
-    pref = abs(cmath.sqrt(inside)) / abs(g(2.0 * k2))
-    f = np.array([
-        hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1.0, 2.0 * k2, t).real
-        for t in np.ravel(-np.sinh(x) ** 2)
-    ]).reshape(np.shape(x))
-    return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * f
-
-
 MPT_BOUND_FAMS = [
     ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5}),
     ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 5.5}),
@@ -190,40 +178,58 @@ MPT_BOUND_FAMS = [
 ]
 
 
+def _mpt_bound_mpmath(mp, fam, x):
+    """Every level of ``fam`` at the points x, as float arrays of x's shape, from
+    the closed form with 2F1(-n, n + 1 - 2k1 + 2k2; 2k2; -sinh^2 x), its
+    terminating series (DLMF 15.2.1) summed in mpmath."""
+    k1, k2 = (mp.mpf(k) for k in sf._mpt_k12(*fam.args))
+    sc = [(mp.sinh(t), mp.cosh(t)) for t in map(mp.mpf, np.ravel(x))]
+    shape = [s ** (2 * k2 - 0.5) * c ** (1.5 - 2 * k1) for s, c in sc]
+    z = [-s * s for s, _ in sc]
+    g = mp.gamma
+    levels = []
+    for n in range(model_max_index(fam) + 1):
+        kap = k1 - k2 - n
+        pref = mp.sqrt(abs(2 * (2 * kap - 1) * g(k1 + k2 - kap) * g(k1 + k2 + kap - 1)
+                           / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1)))) / abs(g(2 * k2))
+        a, b = -k1 + k2 + kap, -k1 + k2 - kap + 1
+        coef = [pref * mp.rf(a, k) * mp.rf(b, k) / (mp.rf(2 * k2, k) * mp.factorial(k))
+                for k in range(n, -1, -1)]
+        levels.append(np.array([float(s * mp.polyval(coef, zz)) for s, zz in zip(shape, z)])
+                      .reshape(np.shape(x)))
+    return levels
+
+
 def test_mpt_bound_array_matches_pointwise():
-    fams = MPT_BOUND_FAMS
-    # the grid of the oracle's domain, a 2-D grid, and one point
+    # the grid of the oracle's domain, a 2-D grid and one point against the
+    # closed form at 30 digits.  Worst deviation measured: 1.88e-15 max|psi|,
+    # at eta = 0.5, nu = 5.5, n = 1 at x = 0.7; the bound is that of
+    # test_mpt_bound_eigenfunctions_against_mpmath.  Next to a node the
+    # pointwise relative deviation on the line reaches 1.5e-12 (5.3e-13 with
+    # the 2F1 sum), so it is bounded on test_mpt_bound_against_mpmath's grid only
+    import mpmath as mp
+
     line = np.linspace(1e-8, 40.0, 6001)
     plane = np.linspace(0.01, 6.0, 41)[:, None] + np.linspace(0.0, 1.0, 7)[None, :]
-    for fam in fams:
-        for n in range(model_max_index(fam) + 1):
+    with mp.workdps(30):
+        for fam in MPT_BOUND_FAMS:
             for x in (line, plane, np.asarray(0.7)):
-                got = model_eigenfunction(fam, n, x)
-                assert got.shape == x.shape
-                assert np.array_equal(got, _mpt_bound_pointwise(fam, n, x)), (fam, n, x.shape)
+                for n, ref in enumerate(_mpt_bound_mpmath(mp, fam, x)):
+                    got = model_eigenfunction(fam, n, x)
+                    assert got.shape == x.shape
+                    assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max(), (fam, n, x.shape)
 
 
 def test_mpt_bound_eigenfunctions_against_mpmath():
     # every level of the four parameter sets against the closed form at 30
-    # digits; worst deviation measured: 1.63e-15 max|psi|, at eta = 0.5,
-    # nu = 8.5, n = 2.  The bound is 1e-14 max|psi|
+    # digits; worst deviation measured: 1.55e-15 max|psi|, at eta = 0.5,
+    # nu = 5.5, n = 1 (1.63e-15 with the 2F1 sum).  The bound is 1e-14 max|psi|
     import mpmath as mp
 
     x = np.linspace(1e-3, 12.0, 241)
     with mp.workdps(30):
         for fam in MPT_BOUND_FAMS:
-            k1, k2 = (mp.mpf(k) for k in sf._mpt_k12(fam))
-            for n in range(model_max_index(fam) + 1):
-                kap = k1 - k2 - n
-                g = mp.gamma
-                pref = mp.sqrt(abs(2 * (2 * kap - 1) * g(k1 + k2 - kap) * g(k1 + k2 + kap - 1)
-                                   / (g(k1 - k2 + kap) * g(k1 - k2 - kap + 1)))) / abs(g(2 * k2))
-                ref = np.array([
-                    float(pref * mp.sinh(t) ** (2 * k2 - 0.5) * mp.cosh(t) ** (1.5 - 2 * k1)
-                          * mp.hyp2f1(-k1 + k2 + kap, -k1 + k2 - kap + 1, 2 * k2,
-                                      -mp.sinh(t) ** 2))
-                    for t in map(mp.mpf, x)
-                ])
+            for n, ref in enumerate(_mpt_bound_mpmath(mp, fam, x)):
                 psi = model_eigenfunction(fam, n, x)
                 assert np.abs(psi - ref).max() < 1e-14 * np.abs(ref).max(), (fam, n)
 
@@ -254,8 +260,9 @@ def test_hyp2f1_terminating_array():
 
 def test_mpt_bound_against_mpmath():
     # worst pointwise relative deviations measured at n = 0..3 on this grid:
-    # 2.07e-14 for the 2F1 and 3.60e-14 for the eigenfunction, both at n = 2
-    # next to a node; the bounds are 10x those
+    # 2.07e-14 for the 2F1 at n = 2 and 1.40e-14 for the eigenfunction at
+    # n = 1, next to nodes (3.60e-14 with the 2F1 sum); the bounds are 10x
+    # the 2F1 sum's
     import mpmath as mp
 
     with mp.workdps(30):
@@ -264,7 +271,7 @@ def test_mpt_bound_against_mpmath():
 
 def _check_mpt_bound_against_mpmath(mp):
     fam = ModelFamily(sf.MPT_BOUND, {"eta": 0.5, "nu": 8.5})
-    k1, k2 = sf._mpt_k12(fam)
+    k1, k2 = sf._mpt_k12(*fam.args)
     x = np.linspace(1e-3, 12.0, 200)
     z = np.array([-math.sinh(t) ** 2 for t in x])
     K1, K2 = mp.mpf(k1), mp.mpf(k2)
@@ -312,6 +319,17 @@ def test_bound_norms_against_mpmath():
             top = model_max_index(fam)
             for n in range(4 if top is None else min(3, top) + 1):
                 val = mp.quad(lambda t: float(model_eigenfunction(fam, n, float(t))) ** 2, pieces)
+                devs.append((abs(float(val) - 1.0), f"{fam} n={n}"))
+        # PT at alpha = beta <= -1/2, where the parent formula failed at n = 0:
+        # psi^2 ~ d^(2 alpha + 1) at both walls, and no double comes within
+        # 1e-16 of the cos wall.  So the reflection x -> pi/2 - x, which swaps
+        # alpha and beta, doubles the integral over (0, pi/4), taken in
+        # w = x^(1/5).  Worst deviation measured: 2.7e-15, at alpha = -0.9, n = 2
+        for al in (-0.9, -0.5):
+            fam = ModelFamily(sf.PT, {"alpha": al, "beta": al})
+            for n in range(4):
+                val = 2 * mp.quad(lambda w: 5 * w ** 4 * float(
+                    model_eigenfunction(fam, n, float(w ** 5))) ** 2, [0, (mp.pi / 4) ** 0.2])
                 devs.append((abs(float(val) - 1.0), f"{fam} n={n}"))
     worst = max(devs)
     assert worst[0] < 5e-14, worst
