@@ -29,14 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DarbouxError, DomainError, ParamError
+from .dop853 import dop853
+from .errors import BlowupError, DomainError, ParamError
 from .families import FAMILIES
 from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
 from .potentials import PotentialSpec, potential_value
-
-
-class BlowupError(DarbouxError):
-    """The flow left the chart domain within the integration window."""
 
 
 @dataclass(frozen=True)
@@ -216,36 +213,42 @@ def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
     return out
 
 
-# solve_ivp raises a smaller rtol to this floor, with only a warning
+# Below 100 machine epsilons a relative tolerance asks for less error than a
+# step's rounding leaves, so DOP853 cannot honour it (scipy's solve_ivp raises
+# such an rtol to this floor with only a warning); it is refused instead
 TOL_FLOOR = 100 * np.finfo(float).eps
 # right-hand-side calls per unit of t_final (1 at least); a t = 10 flow makes a few hundred
 RHS_CALLS_PER_TIME = 10_000
+# output samples at most: each becomes a PhaseState, and a CLI record of ten numbers
+MAX_SAMPLES = 100_000
 
 
 def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: PhaseState,
                      t_final: float, tol: float = 1e-10, n_out: int = 201):
     """Integrate Hamilton's equations in the state's chart.
 
-    Returns (times, states).  The Hamiltonian is evaluated from the metric
-    and the potential; its gradients are taken by central differences, and
-    each right-hand-side call evaluates H once, as an array over the eight
-    shifted states of those differences.  ``tol`` is both the relative and
-    the absolute tolerance.  A trajectory that leaves the chart domain raises
-    BlowupError, as does one past RHS_CALLS_PER_TIME max(1, t_final) calls
-    of its right-hand side.  A t_final not finite or below 2.2e-308, a tol
-    that is not finite or lies below solve_ivp's relative-tolerance floor of
-    100 machine epsilons, fewer than one output sample or a non-finite
+    Returns (times, states) at n_out equally spaced times from 0 to t_final.
+    The Hamiltonian is evaluated from the metric and the potential; its
+    gradients are taken by central differences, and each right-hand-side
+    call evaluates H once, as an array over the eight shifted states of
+    those differences.  The integrator is DOP853 (:mod:`darboux.dop853`),
+    with ``tol`` as both its relative and its absolute tolerance.  A
+    trajectory that leaves the chart domain raises BlowupError, as does one
+    past RHS_CALLS_PER_TIME max(1, t_final) calls of its right-hand side or
+    one whose step collapses.  A t_final not finite or below 2.2e-308, a tol
+    that is not finite or lies below TOL_FLOOR (100 machine epsilons, the
+    least relative tolerance DOP853 can honour in doubles), fewer than one
+    or more than MAX_SAMPLES = 100,000 output samples, or a non-finite
     momentum raises ParamError.
     """
     if not (math.isfinite(t_final) and t_final >= np.finfo(float).tiny):  # distinct sample times
         raise ParamError(f"t_final must be finite and at least 2.2e-308, got {t_final}")
     if not (math.isfinite(tol) and tol >= TOL_FLOOR):
         raise ParamError(f"tol must be finite and at least {TOL_FLOOR:.3g}, got {tol}")
-    if n_out < 1:
-        raise ParamError(f"need at least one output sample, got {n_out}")
+    if not 1 <= n_out <= MAX_SAMPLES:
+        raise ParamError(f"need from 1 to {MAX_SAMPLES} output samples, got {n_out}")
     if not (math.isfinite(state0.p1) and math.isfinite(state0.p2)):
         raise ParamError("momenta must be finite")
-    from scipy.integrate import solve_ivp
 
     chart0 = state0.chart
     hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
@@ -253,14 +256,8 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     # column 2i of the shifted states is y + h_i e_i, column 2i + 1 is y - h_i e_i
     # (adding 0 * h_j leaves the other coordinates exactly as they are)
     signs = np.kron(np.eye(4), [1.0, -1.0])
-    max_calls = int(RHS_CALLS_PER_TIME * max(1.0, t_final))
-    calls = 0
 
     def rhs(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > max_calls:
-            raise BlowupError(f"the flow needs more than {max_calls} right-hand-side calls")
         h = 1e-6 * (1.0 + np.abs(y))
         q1, q2, p1, p2 = y[:, None] + h[:, None] * signs
         H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
@@ -270,15 +267,11 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     y0 = np.array([chart0.q1, chart0.q2, state0.p1, state0.p2])
     ts = np.linspace(0.0, t_final, n_out)
     try:
-        sol = solve_ivp(rhs, (0.0, t_final), y0, t_eval=ts, rtol=tol, atol=tol,
-                        method="DOP853")
+        ys, _ = dop853(rhs, t_final, y0, ts, tol, int(RHS_CALLS_PER_TIME * max(1.0, t_final)))
     except DomainError as exc:
         raise BlowupError(str(exc)) from exc
-    if not sol.success:
-        raise BlowupError(f"integration stopped: {sol.message}")
-    states = [PhaseState(replace(chart0, q1=q1, q2=q2), p1, p2)
-              for q1, q2, p1, p2 in sol.y.T]
-    return sol.t, states
+    states = [PhaseState(replace(chart0, q1=q1, q2=q2), p1, p2) for q1, q2, p1, p2 in ys.T]
+    return ts, states
 
 
 def residual_constant(spec: PotentialSpec, name: str, state: PhaseState) -> float:

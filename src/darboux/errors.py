@@ -25,6 +25,10 @@ class UnsupportedChartError(UnsupportedError):
     """No closed form exists for this potential/chart combination."""
 
 
+class BlowupError(DarbouxError):
+    """A flow left its chart domain, or could not be integrated, within its window."""
+
+
 class PoleError(DarbouxError):
     """A special function was evaluated at a pole of its parameters."""
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from darboux.classical import (
+    TOL_FLOOR,
     BlowupError,
     PhaseState,
     algebra_check,
@@ -182,25 +183,114 @@ def test_hamiltonian_value_array_matches_scalar_bitwise(space, spec, name, box):
 def test_flow_evaluates_h_once_per_rhs_call(monkeypatch):
     # one array evaluation of H per right-hand-side call, plus the domain check
     # at the start; a scalar central difference per coordinate would make 8
-    import scipy.integrate
-
     import darboux.classical as cl
 
     calls, nfev = [], []
-    value, solve = cl._hamiltonian, scipy.integrate.solve_ivp
+    value, integrate = cl._hamiltonian, cl.dop853
 
     def counted_value(*args):
         calls.append(1)
         return value(*args)
 
-    def recorded_solve(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
+    def recorded_integrate(*args):
+        y, n = integrate(*args)
+        nfev.append(n)
+        return y, n
 
     monkeypatch.setattr(cl, "_hamiltonian", counted_value)
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", recorded_solve)
+    monkeypatch.setattr(cl, "dop853", recorded_integrate)
     spec = PotentialSpec(SP1, "DIII_V5", {"v0": 1.3})
     hamiltonian_flow(SP1, spec, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), 1.0, tol=1e-11)
     assert nfev and nfev[0] > 0
     assert len(calls) <= nfev[0] + 1
+
+
+V5 = PotentialSpec(SP1, "DIII_V5", {"v0": 1.3})
+V1 = PotentialSpec(SP4, "DIV_V1", {"alpha": 0.4, "k1": 0.7, "k2": 1.1, "omega": 0.5})
+# the stiff flow of test_cli.test_stiff_classical_flow_is_stopped
+V2 = PotentialSpec(SP4, "DIV_V2", {"k1": 3.0, "k2": 1e-9, "k3": 1e6})
+
+
+@pytest.mark.parametrize("space, spec, state, t_final, tol, n_out", [
+    # the two criterion-8 flows
+    (SpaceParams(DIII, 1.2, 0.8), None, PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4),
+     10.0, 1e-11, 201),
+    (SP4, None, PhaseState(Chart("uv", 0.7, 0.2), 0.7, -0.4), 10.0, 1e-11, 201),
+    (SP1, V5, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), 3.0, 1e-10, 101),
+    (SP4, V1, PhaseState(Chart("horospherical", 0.8, 0.9), 0.3, -0.2), 5.0, 1e-10, 101),
+    (SP1, None, PhaseState(Chart("polar", 1.0, 0.3), 0.5, 0.2), 2.0, 1e-10, 51),
+    (SP1, V5, PhaseState(Chart("parabolic", 0.9, 0.6), 0.2, -0.5), 0.05, TOL_FLOOR, 50),
+    (SP1, V5, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), 3.0, 1e-6, 101),
+    (SP1, None, PhaseState(Chart("uv", 0.2, 0.8), 0.6, 0.5), np.finfo(float).tiny, 1e-10, 11),
+    (SP4, None, PhaseState(Chart("uv", 0.7, 0.2), 0.5, 0.3), 1.0, 1e-10, 1),
+    (SP4, V2, PhaseState(Chart("uv", 0.7, 0.5), 2.5, 0.5), 1.0, 1e-10, 101),
+], ids=["DIII-criterion-8", "DIV-criterion-8", "DIII_V5-uv", "DIV_V1-horospherical",
+        "DIII-polar", "DIII_V5-parabolic-tol-floor", "DIII_V5-uv-tol-1e-6",
+        "least-normal-t-final", "one-sample", "DIV_V2-stiff"])
+def test_flow_integrator_matches_scipy_bitwise(space, spec, state, t_final, tol, n_out,
+                                               monkeypatch):
+    # the in-repo DOP853 against scipy's, driven by the flow's own right-hand
+    # side: the same calls at the same points, and the same times, states and nfev
+    from scipy.integrate import solve_ivp
+
+    import darboux.classical as cl
+
+    runs = []
+
+    def recorded(fun, t_final, y0, t_eval, tol, max_nfev):
+        points = []
+
+        def logged(t, y):
+            points.append((t, y.copy()))
+            return fun(t, y)
+
+        def capped(t, y):  # the flow's cap on right-hand-side calls, for scipy
+            if len(points) == max_nfev:
+                raise BlowupError(f"the flow needs more than {max_nfev} right-hand-side calls")
+            return logged(t, y)
+
+        runs.append((capped, t_final, y0, t_eval, tol, points))
+        return integrate(logged, t_final, y0, t_eval, tol, max_nfev)
+
+    integrate = cl.dop853
+    monkeypatch.setattr(cl, "dop853", recorded)
+    try:
+        ts, states = hamiltonian_flow(space, spec, state, t_final, tol=tol, n_out=n_out)
+    except BlowupError as exc:
+        ours = exc
+    else:
+        ours = (ts, np.array([(s.chart.q1, s.chart.q2, s.p1, s.p2) for s in states]).T)
+    assert isinstance(ours, BlowupError) == (spec is V2)
+    capped, t_final, y0, t_eval, tol, points = runs[0]
+    mine = list(points)
+    points.clear()
+    try:
+        sol = solve_ivp(capped, (0.0, t_final), y0, t_eval=t_eval, rtol=tol, atol=tol,
+                        method="DOP853")
+    except BlowupError as exc:
+        assert str(ours) == str(exc)
+    else:
+        assert sol.success and sol.nfev == len(mine)
+        assert np.array_equal(sol.t, ours[0]) and np.array_equal(sol.y, ours[1])
+    assert len(points) == len(mine)
+    assert all(t == u and np.array_equal(y, z) for (t, y), (u, z) in zip(points, mine))
+
+
+def test_integrator_step_collapse_matches_scipy():
+    # y' = y^2 from y(0) = 1 blows up at t = 1: both integrators shrink the step
+    # below ten spacings of the doubles there after the same calls
+    from scipy.integrate import solve_ivp
+
+    from darboux.dop853 import dop853
+
+    def logged(points):
+        return lambda t, y: points.append((t, y.copy())) or y * y
+
+    ours, theirs = [], []
+    with pytest.raises(BlowupError, match="integration stopped: Required step size"):
+        dop853(logged(ours), 2.0, np.array([1.0]), np.linspace(0.0, 2.0, 5), 1e-10, 10**6)
+    sol = solve_ivp(logged(theirs), (0.0, 2.0), np.array([1.0]), t_eval=np.linspace(0.0, 2.0, 5),
+                    rtol=1e-10, atol=1e-10, method="DOP853")
+    assert not sol.success and sol.message.startswith("Required step size")
+    assert sol.nfev == len(ours) == len(theirs)
+    assert all(t == u and np.array_equal(y, z) for (t, y), (u, z) in zip(ours, theirs))

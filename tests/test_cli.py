@@ -213,11 +213,12 @@ def test_classical_singular_start_point_exit_2(tmp_path):
     assert not out.exists()
 
 
-# the jobs that need numpy only; classical and verify also load scipy.integrate.
-# The DIV_V1 state is a product of a Poeschl-Teller and a Morse eigenfunction,
+# the jobs that need numpy only; verify also loads scipy.linalg for its
+# finite-difference oracle.  The classical flow runs the in-repo DOP853.  The
+# DIV_V1 state is a product of a Poeschl-Teller and a Morse eigenfunction,
 # whose norms are closed forms
 NUMPY_ONLY = {name: JOBS[name] for name in ("curvature.csv", "spectrum.json",
-                                            "wavefunction.json")}
+                                            "wavefunction.json", "classical.json")}
 NUMPY_ONLY["div_v1.json"] = ["wavefunction", "--space", "DIV", "--potential", "V1",
                              "--a", "3", "--b", "1", "--alpha", "12", "--k1", "0.6",
                              "--k2", "0.4", "--omega", "1", "--chart", "uv",
@@ -270,7 +271,8 @@ NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     (JOBS["curvature.csv"], 2, NUMERICAL_LAYERS),  # no --out: a parse error
     (JOBS["curvature.csv"] + ["--out", "OUT"], 0, ["scipy", "darboux.spectra"]),
     (JOBS["spectrum.json"] + ["--out", "OUT"], 0, ["scipy", "darboux.wavefun"]),
-], ids=["help", "parse-error", "curvature", "spectrum"])
+    (["verify", "--suite", "classical", "--out", "OUT"], 0, ["scipy", "scipy.integrate"]),
+], ids=["help", "parse-error", "curvature", "spectrum", "verify-classical"])
 def test_start_up_loads_only_what_the_command_runs(argv, code, absent, tmp_path):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
     script = (
@@ -387,6 +389,7 @@ CLASSICAL = JOBS["classical.json"]
     _with("classical.json", **{"t-final": "inf"}),
     _with("classical.json", samples="0"),
     _with("classical.json", samples="-3"),
+    _with("classical.json", samples="10000000000000000000"),
     CLASSICAL + ["--tol", "-1"],
     CLASSICAL + ["--tol", "0"],
     CLASSICAL + ["--tol", "nan"],
@@ -394,7 +397,7 @@ CLASSICAL = JOBS["classical.json"]
     _with("classical.json", p1="nan"),
     _with("classical.json", p2="inf"),
 ], ids=["t-final-0", "t-final-nan", "t-final--1", "t-final-inf", "samples-0", "samples--3",
-        "tol--1", "tol-0", "tol-nan", "tol-1e-15", "p1-nan", "p2-inf"])
+        "samples-1e19", "tol--1", "tol-0", "tol-nan", "tol-1e-15", "p1-nan", "p2-inf"])
 def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
     from darboux.cli import main
 
@@ -409,8 +412,6 @@ def test_classical_bad_inputs_exit_2(argv, tmp_path, capsys):
 def test_stiff_classical_flow_is_stopped(tmp_path, capsys):
     # at k3 = 1e6 the flow takes ever smaller steps; it is stopped at its cap of
     # right-hand-side calls instead of running for minutes
-    import scipy.integrate  # noqa: F401  (imported before the clock starts)
-
     from darboux.cli import main
 
     out = tmp_path / "c.json"
