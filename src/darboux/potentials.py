@@ -2,7 +2,8 @@
 
 Five families live on D_III (V1..V5) and four on D_IV (V1..V4); each has a
 record in :mod:`darboux.families`.  :func:`potential_value` evaluates a
-family in every chart for which its record has a closed form, and
+family in the charts its record writes its closed form in and, through the
+chart maps, in every real chart that reaches the first of them;
 :func:`separated_problem` returns the effective 1D problem obtained by a
 product ansatz in a separating chart.  This module holds what the families
 share: the spec, the division of every form by the D_III factor or by the
@@ -18,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError
-from .geometry import (DIII, Chart, SpaceParams, chart_transform, conformal_factor,
-                       d3_factor, elliptic_cartesian, validate_chart)
+from .errors import DomainError, ParamError, UnsupportedChartError
+from .geometry import (CHARTS, DIII, Chart, SpaceParams, conformal_factor, d3_factor,
+                       validate_chart)
 from . import families
 
 
@@ -79,19 +80,20 @@ def potential_value(spec: PotentialSpec, chart: Chart):
 
 def _closed_form(spec: PotentialSpec, chart: Chart):
     rec = families.FAMILIES[spec.family]
-    if chart.name in rec.pullbacks:
-        # evaluated through the chart map so the value is a chart scalar
-        return _closed_form(spec, chart_transform(spec.space, chart, "uv"))
-    # every D_III form divides by the D_III factor, every D_IV form by the
-    # chart's conformal factor; the D_IV elliptic forms are written in the
-    # horospherical (mu, nu) of the point
+    if chart.name not in rec.forms:
+        # a scalar: its value at the point's image in the chart of the form
+        rows = CHARTS[spec.space.family]
+        to_uv, from_uv = rows[chart.name].to_uv, rows[rec.forms[0]].from_uv
+        if to_uv is None or from_uv is None:
+            raise UnsupportedChartError(f"{spec.family} has no form in chart {chart.name!r}")
+        # as in chart_transform; a point without an image comes out non-finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q1, q2 = from_uv(*to_uv(chart.q1, chart.q2, chart.d), chart.d)
+        chart = Chart(rec.forms[0], q1, q2, chart.d)
+    # D_III forms divide by the D_III factor, D_IV forms by the chart's conformal factor
     if spec.space.family == DIII:
         return rec.form(spec, chart) / d3_factor(spec.space, chart)
-    if chart.name != "elliptic":
-        return rec.form(spec, chart) / conformal_factor(spec.space, chart.name, chart.q1, chart.q2)
-    mu, nu = elliptic_cartesian(chart)
-    f = conformal_factor(spec.space, "horospherical", mu, nu)
-    return rec.form(spec, replace(chart, q1=mu, q2=nu)) / f
+    return rec.form(spec, chart) / conformal_factor(spec.space, chart.name, chart.q1, chart.q2)
 
 
 # ----------------------------------------------------------------------

@@ -113,8 +113,13 @@ CURV = ["curvature", "--space", "DIV", "--a", "2", "--b", "1"]
     _with("wavefunction.json", grid="12x"),
     _with("wavefunction.json", n="x"),
     _with("wavefunction.json", l="x"),
+    # sizes no machine holds: past the caps of cli, before anything is allocated
+    _with("spectrum.json", n="0..1000000000000000", l="0"),
+    CURV + ["--grid", "1000000000000000x2"],
+    _with("wavefunction.json", grid="1000000000000000x2"),
 ], ids=["grid-12y12", "grid-0x0", "u-range-1", "v-range-0:x", "n-3..1", "l-a..b",
-        "n-0..1..2", "wavefunction-grid-12x", "wavefunction-n-x", "wavefunction-l-x"])
+        "n-0..1..2", "wavefunction-grid-12x", "wavefunction-n-x", "wavefunction-l-x",
+        "n-0..1e15", "grid-1e15x2", "wavefunction-grid-1e15x2"])
 def test_malformed_ranges_and_grids_exit_2(argv, tmp_path, capsys):
     from darboux.cli import main
 
@@ -124,6 +129,21 @@ def test_malformed_ranges_and_grids_exit_2(argv, tmp_path, capsys):
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ParamError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, size, job", [("MAX_RECORDS", 9, "spectrum.json"),
+                                            ("MAX_GRID_POINTS", 144, "wavefunction.json")])
+def test_caps_bound_the_table_and_the_grid(cap, size, job, monkeypatch, tmp_path, capsys):
+    # the golden table has 3 x 3 records, the golden grid 12 x 12 points: a cap
+    # one below refuses them, and a cap at their size runs them
+    from darboux import cli
+
+    out = tmp_path / "x.json"
+    monkeypatch.setattr(cli, cap, size - 1)
+    assert cli.main(JOBS[job] + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParamError"
+    monkeypatch.setattr(cli, cap, size)
+    assert cli.main(JOBS[job] + ["--out", str(out)]) == 0
 
 
 # the job a flag is appended to, where no golden job sets it

@@ -4,7 +4,7 @@ import pathlib
 import re
 
 from darboux.families import FAMILIES
-from darboux.geometry import DIII, DIV, SpaceParams
+from darboux.geometry import CHARTS, DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec, separated_problem
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
@@ -52,6 +52,17 @@ def test_one_record_per_family():
         for chart in rec.schemes:
             assert ((chart, 0) in rec.separations and (
                 (chart, 1) in rec.separations or chart in rec.angles)) or chart in rec.pullbacks
+
+
+def test_one_form_per_family():
+    # a record writes its form once, in the chart forms[0], which every other
+    # real chart reaches through the chart maps; it may add only the continued
+    # sections that no map reaches, and none if forms[0] is one of them
+    for name, rec in FAMILIES.items():
+        rows = CHARTS[rec.space]
+        assert rec.forms and rec.forms[0] in rows, name
+        assert all(c in rows and rows[c].to_uv is None for c in rec.forms[1:]), name
+        assert rows[rec.forms[0]].to_uv is not None or len(rec.forms) == 1, name
 
 
 # couplings at which every separation of a record can be built

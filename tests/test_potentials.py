@@ -43,7 +43,7 @@ def test_v2_uv_matches_parabolic():
 @pytest.mark.parametrize("family,coup,charts", [
     ("DIII_V1", {"k1": 0.4, "k2": 0.7, "k3": 1.1}, ("uv", "parabolic")),
     ("DIII_V2", {"alpha": 0.9, "k1": 0.3, "k2": 0.6}, ("uv", "polar", "parabolic", "elliptic")),
-    ("DIII_V3", {"alpha": 0.5, "c1": 0.8, "c2": 0.6}, ("uv", "polar")),
+    ("DIII_V3", {"alpha": 0.5, "c1": 0.8, "c2": 0.6}, ("uv", "polar", "parabolic", "elliptic")),
     ("DIII_V5", {"v0": 1.2}, ("uv", "polar", "parabolic", "elliptic")),
 ])
 def test_chart_invariance_diii(family, coup, charts):
@@ -67,19 +67,21 @@ def test_v5_hyperbolic_matches_uv():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+# charts[0] is the chart of the family's form
 @pytest.mark.parametrize("family,coup,charts", [
     ("DIV_V1", {"alpha": 2.0, "k1": 0.3, "k2": 0.5, "omega": 1.0},
-     ("horospherical", "elliptic")),
-    ("DIV_V4", {"k0": 0.7}, ("horospherical", "elliptic")),
-    ("DIV_V2", {"k1": 0.3, "k2": 0.5, "k3": 0.7}, ("degelliptic2",)),
+     ("uv", "horospherical", "elliptic", "degelliptic2")),
+    ("DIV_V4", {"k0": 0.7}, ("uv", "horospherical", "elliptic", "degelliptic2")),
+    ("DIV_V2", {"k1": 0.3, "k2": 0.5, "k3": 0.7}, ("uv", "degelliptic2", "horospherical", "elliptic")),
+    ("DIV_V3", {"c1": 0.3, "c2": 0.2, "c3": 0.1}, ("degelliptic2", "uv", "horospherical", "elliptic")),
 ])
 def test_chart_invariance_div(family, coup, charts):
     spec = PotentialSpec(SP4, family, coup)
     rng = np.random.default_rng(5)
     for _ in range(8):
         base = Chart("uv", rng.uniform(0.3, 1.2), rng.uniform(-1.0, 0.2))
-        ref = potential_value(spec, base)
-        for name in charts:
+        ref = potential_value(spec, chart_transform(spec.space, base, charts[0]))
+        for name in charts[1:]:
             try:
                 c = chart_transform(spec.space, base, name)
             except Exception:
@@ -92,6 +94,18 @@ def test_unsupported_chart_errors():
         potential_value(PotentialSpec(SP3, "DIII_V4", {"d1": 1.0}), Chart("uv", 0.0, 0.0))
     with pytest.raises(UnsupportedChartError):
         potential_value(PotentialSpec(SP3, "DIII_V1", {}), Chart("hyperbolic", 2.0, 1.0))
+    # a chart with no real map to the chart of the form, or a form chart with none
+    for spec, chart in [
+        (PotentialSpec(SP3, "DIII_V4", {"d1": 1.0}), Chart("polar", 0.7, 0.3)),
+        (PotentialSpec(SP3, "DIII_V4", {"d1": 1.0}), Chart("parabolic", 0.7, 0.3)),
+        (PotentialSpec(SP4, "DIV_V1", {"alpha": 2.0, "omega": 1.0}), Chart("degelliptic1", 0.5, 0.4)),
+        (PotentialSpec(SP4, "DIV_V2", {"k1": 0.3, "k2": 0.5, "k3": 0.7}),
+         Chart("degelliptic1", 0.5, 0.4)),
+        (PotentialSpec(SP4, "DIV_V4", {"k0": 0.7}), Chart("degelliptic1", 0.5, 0.4)),
+        (PotentialSpec(SP3, "DIII_V2", {"k1": 0.3}), Chart("hyperbolic", 2.0, 1.0)),
+    ]:
+        with pytest.raises(UnsupportedChartError):
+            potential_value(spec, chart)
     with pytest.raises(UnsupportedChartError):
         separated_problem(PotentialSpec(SP3, "DIII_V1", {}), "polar", 0)
     with pytest.raises(UnsupportedChartError):
@@ -170,11 +184,14 @@ def test_array_chart_matches_points_bitwise():
             # a value independent of one coordinate broadcasts along it
             assert np.array_equal(np.broadcast_to(grid, (11, 9)), points), (family, name)
             pairs += 1
-    assert pairs == 27
+    assert pairs == 36
 
 
+# the polar and elliptic points map to eta = 0 exactly in the parabolic
+# chart of the form
 @pytest.mark.parametrize("chart", [Chart("uv", 0.3, 0.0), Chart("parabolic", 0.0, 0.8),
-                                   Chart("uv", np.array([0.3, 0.4]), np.array([0.5, 0.0]))])
+                                   Chart("uv", np.array([0.3, 0.4]), np.array([0.5, 0.0])),
+                                   Chart("polar", 0.7, 0.0), Chart("elliptic", 0.6, 0.0)])
 def test_singular_point_is_a_domain_error(chart):
     spec = PotentialSpec(SP3, "DIII_V2", {"alpha": 0.3, "k1": 0.3, "k2": 0.7})
     with pytest.raises(DomainError, match="singular"):
