@@ -19,13 +19,14 @@ G(u) = sin^2 2u/(2b cos 2u + a),
 and the algebra closes as b^2 X1 X2 - K^4 - a K^2 H0~ - b^2 H0~^2 = 0 with
 H0~ = -G (p_u^2 + p_v^2).  These coefficient functions are the general-(a,b)
 resolutions of the usual a = b = 1 normal forms; the conservation and
-algebra tests are the adjudicators.
+algebra tests are the adjudicators.  The observables, like the Hamiltonian,
+take arrays of states: a Poisson bracket evaluates each of its two once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +51,17 @@ class PhaseState:
 
 
 OBSERVABLES = ("H0", "X1", "X2", "K")
+# central differences over (q1, q2, p1, p2): column 2i shifts by +e_i, column 2i + 1
+# by -e_i (adding 0 * h leaves the other coordinates exactly as they are)
+_SIGNS = np.kron(np.eye(4), [1.0, -1.0])
+# a Poisson bracket's two Richardson steps h_k, and its shifts: _SIGNS times each
+_STEPS = np.array([1e-5, 1e-5 / 2.0])
+_BRACKET_SHIFTS = np.kron(_STEPS, _SIGNS)
 
 
-def _d3_coeffs(space: SpaceParams, u: float):
+def _d3_coeffs(space: SpaceParams, u):
     a, b = space.a, space.b
-    s = math.exp(u)
+    s = np.exp(u)
     g = s * s / (b + a * s)
     al = a * a / (4.0 * b)
     A = al * g
@@ -63,27 +70,31 @@ def _d3_coeffs(space: SpaceParams, u: float):
     return g, al, A, B, C
 
 
-def _d4_G(space: SpaceParams, u: float):
+def _d4_G(space: SpaceParams, u):
     a, b = space.a, space.b
-    s, c = math.sin(2.0 * u), math.cos(2.0 * u)
+    s, c = np.sin(2.0 * u), np.cos(2.0 * u)
     d = 2.0 * b * c + a
-    G = s * s / d
+    s2 = s * s  # products, not powers: a numpy scalar's power need not be an array's
+    G = s2 / d
     Gp = 4.0 * s * (c * d + b * s * s) / (d * d)
-    Gpp = 8.0 * (d * d * (c * c - s * s) + 5.0 * b * c * s * s * d + 4.0 * b * b * s ** 4) / d ** 3
+    Gpp = 8.0 * (d * d * (c * c - s2) + 5.0 * b * c * s2 * d + 4.0 * b * b * s2 * s2) / (d * d * d)
     return G, Gp, Gpp
 
 
-def _d4_coeffs(space: SpaceParams, u: float):
+def _d4_coeffs(space: SpaceParams, u):
     G, Gp, Gpp = _d4_G(space, u)
     D = 3.0 * G * Gp * Gp / (2.0 * G * Gpp - Gp * Gp + 16.0 * G * G)
     C = -4.0 * G * D / Gp
     return G, D, C
 
 
-def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float:
+def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float | np.ndarray:
     """Value of a constant of motion (or the algebra-normalized Hamiltonian).
 
-    States given in other charts are transformed to (u, v) first, with the
+    In the (u, v) chart the point and the momenta may be arrays of states,
+    which give an array of values.  A single state gives a scalar (a numpy
+    scalar, not a one-element array), bitwise equal to its entry in an array;
+    one given in another chart is transformed to (u, v) first, with the
     momenta carried as covectors.
     """
     if obs not in OBSERVABLES:
@@ -101,14 +112,14 @@ def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float:
         if obs == "H0":
             return al * g * (pu * pu + pv * pv)
         if obs == "X1":
-            return math.cos(v) * (A * pu * pu + B * pv * pv) + math.sin(v) * C * pu * pv
-        return -math.sin(v) * (A * pu * pu + B * pv * pv) + math.cos(v) * C * pu * pv
+            return np.cos(v) * (A * pu * pu + B * pv * pv) + np.sin(v) * C * pu * pv
+        return -np.sin(v) * (A * pu * pu + B * pv * pv) + np.cos(v) * C * pu * pv
     G, D, C = _d4_coeffs(space, u)
     if obs == "H0":
         return -G * (pu * pu + pv * pv)
     if obs == "X1":
-        return math.exp(-2.0 * v) * (G * pu * pu + D * pv * pv + C * pu * pv)
-    return math.exp(2.0 * v) * (G * pu * pu + D * pv * pv - C * pu * pv)
+        return np.exp(-2.0 * v) * (G * pu * pu + D * pv * pv + C * pu * pv)
+    return np.exp(2.0 * v) * (G * pu * pu + D * pv * pv - C * pu * pv)
 
 
 def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
@@ -125,7 +136,7 @@ def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
     # (x**2 is x*x, not pow)
     q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single
                       else (np.asarray(x, dtype=float) for x in xs))
-    val = _hamiltonian(space, spec, replace(state.chart, q1=q1, q2=q2), p1, p2)
+    val = _hamiltonian(space, spec, Chart(state.chart.name, q1, q2, state.chart.d), p1, p2)
     return float(val[0]) if single else val
 
 
@@ -146,7 +157,7 @@ def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> Phas
 
     # p'_j = sum_i p_i dq_i/dq'_j evaluated by central differences of the map
     def fwd(q1, q2):
-        c = chart_transform(space, replace(new_chart, q1=q1, q2=q2), state.chart.name)
+        c = chart_transform(space, Chart(new_chart.name, q1, q2, new_chart.d), state.chart.name)
         return np.array([c.q1, c.q2])
 
     h1 = 1e-7 * (1.0 + abs(new_chart.q1))
@@ -160,40 +171,29 @@ def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> Phas
 def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> float:
     """Canonical Poisson bracket {A, B} by central differences.
 
-    ``obs_a``/``obs_b`` are observable names or callables of a PhaseState;
-    one Richardson extrapolation over the steps 1e-5 and 5e-6 removes the h^2 error.
+    ``obs_a``/``obs_b`` are observable names or callables of a PhaseState
+    that holds arrays; one Richardson extrapolation over the steps 1e-5 and
+    5e-6 removes the h^2 error.  Each observable is evaluated once, as an
+    array over the 16 shifted states: +-h along q1, q2, p1 and p2 at both steps.
     """
-
-    def as_fn(o):
-        if callable(o):
-            return o
-        return lambda st: observable_value(space, o, st)
-
-    fa, fb = as_fn(obs_a), as_fn(obs_b)
     if state.chart.name != "uv":
         state = transform_state(space, state, "uv")
+    y = np.array([state.chart.q1, state.chart.q2, state.p1, state.p2])
+    q1, q2, p1, p2 = y[:, None] + _BRACKET_SHIFTS
+    shifted = PhaseState(Chart("uv", q1, q2), p1, p2)
 
-    def shift(st, dq1=0.0, dq2=0.0, dp1=0.0, dp2=0.0):
-        return PhaseState(replace(st.chart, q1=st.chart.q1 + dq1, q2=st.chart.q2 + dq2),
-                          st.p1 + dp1, st.p2 + dp2)
+    def diffs(o):  # the central differences [step k, along q1, q2, p1, p2]
+        f = (o(shifted) if callable(o) else observable_value(space, o, shifted)).reshape(2, 4, 2)
+        return (f[..., 0] - f[..., 1]) / (2 * _STEPS[:, None])
 
-    def bracket(h):
-        def d(fn, k):  # the central difference of fn along the coordinate or momentum k
-            return (fn(shift(state, **{f"d{k}": h})) - fn(shift(state, **{f"d{k}": -h}))) / (2 * h)
-
-        return sum(d(fa, q) * d(fb, p) - d(fa, p) * d(fb, q)
-                   for q, p in (("q1", "p1"), ("q2", "p2")))
-
-    b1, b2 = bracket(1e-5), bracket(1e-5 / 2.0)
-    return (4.0 * b2 - b1) / 3.0
+    da, db = diffs(obs_a), diffs(obs_b)
+    b1, b2 = (da[:, :2] * db[:, 2:] - da[:, 2:] * db[:, :2]).sum(axis=1)
+    return float((4.0 * b2 - b1) / 3.0)
 
 
 def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
     """Pointwise residuals of the quadratic algebra and the Poisson relations."""
-    H0 = observable_value(space, "H0", state)
-    X1 = observable_value(space, "X1", state)
-    X2 = observable_value(space, "X2", state)
-    K = observable_value(space, "K", state)
+    H0, X1, X2, K = (float(observable_value(space, o, state)) for o in OBSERVABLES)
     out = {}
     scale = max(H0 * H0, abs(X1 * X2), K ** 4, 1e-12)
     if space.family == DIII:
@@ -253,13 +253,9 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     chart0 = state0.chart
     hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
 
-    # column 2i of the shifted states is y + h_i e_i, column 2i + 1 is y - h_i e_i
-    # (adding 0 * h_j leaves the other coordinates exactly as they are)
-    signs = np.kron(np.eye(4), [1.0, -1.0])
-
     def rhs(t, y):
         h = 1e-6 * (1.0 + np.abs(y))
-        q1, q2, p1, p2 = y[:, None] + h[:, None] * signs
+        q1, q2, p1, p2 = y[:, None] + h[:, None] * _SIGNS
         H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
         d = (H[0::2] - H[1::2]) / (2.0 * h)
         return np.array([d[2], d[3], -d[0], -d[1]])
@@ -270,7 +266,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
         ys, _ = dop853(rhs, t_final, y0, ts, tol, int(RHS_CALLS_PER_TIME * max(1.0, t_final)))
     except DomainError as exc:
         raise BlowupError(str(exc)) from exc
-    states = [PhaseState(replace(chart0, q1=q1, q2=q2), p1, p2) for q1, q2, p1, p2 in ys.T]
+    states = [PhaseState(Chart(chart0.name, q1, q2, chart0.d), p1, p2) for q1, q2, p1, p2 in ys.T]
     return ts, states
 
 

@@ -192,9 +192,10 @@ def cmd_curvature(args) -> int:
     gs = curvature_numeric(sp, Chart("uv", *np.meshgrid(us, vs, indexing="ij")), args.step)
     records = []
     for i, u in enumerate(us):
+        g_closed = curvature_closed(sp, (float(u), 0.0))  # the closed form reads only u
         for j, v in enumerate(vs):
             records.append({"u": float(u), "v": float(v), "G": float(gs[i, j]),
-                            "G_closed": curvature_closed(sp, (float(u), float(v)))})
+                            "G_closed": g_closed})
     _emit(args, _header(args, "curvature", grid=args.grid, step=args.step),
           records, columns=["u", "v", "G", "G_closed"])
     return 0
@@ -272,19 +273,15 @@ def cmd_classical(args) -> int:
     sp = _space_of(args)
     spec = _spec_of(args) if args.potential else None
     st0 = PhaseState(Chart(args.chart, args.q1, args.q2), args.p1, args.p2)
-    records = []
     ts, traj = hamiltonian_flow(sp, spec, st0, args.t_final, tol=args.tol, n_out=args.samples)
     q1, q2, p1, p2 = np.array([(st.chart.q1, st.chart.q2, st.p1, st.p2) for st in traj]).T
-    hs = hamiltonian_value(sp, spec, PhaseState(Chart(args.chart, q1, q2), p1, p2))
-    for t, st, h in zip(ts, traj, hs):
-        rec = {"t": float(t), "q1": st.chart.q1, "q2": st.chart.q2,
-               "p1": st.p1, "p2": st.p2, "H": float(h)}
-        if st.chart.name == "uv":
-            for obs in ("H0", "X1", "X2", "K"):
-                rec[obs] = observable_value(sp, obs, st)
-        records.append(rec)
-    alg = {k: float(v) for k, v in algebra_check(sp, st0).items()} \
-        if args.chart == "uv" else {}
+    cols = PhaseState(Chart(args.chart, q1, q2), p1, p2)
+    values = {"t": ts, "q1": q1, "q2": q2, "p1": p1, "p2": p2,
+              "H": hamiltonian_value(sp, spec, cols)}
+    if args.chart == "uv":
+        values.update((obs, observable_value(sp, obs, cols)) for obs in ("H0", "X1", "X2", "K"))
+    records = [dict(zip(values, map(float, row))) for row in zip(*values.values())]
+    alg = algebra_check(sp, st0) if args.chart == "uv" else {}
     _emit(args, _header(args, "classical", spec, tol=args.tol,
                         t_final=args.t_final, algebra_at_start=alg), records)
     return 0

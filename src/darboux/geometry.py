@@ -92,8 +92,8 @@ class ChartRow:
     its domain (None: no point is), which ``message`` states; ``factor(space, q1,
     q2, d)`` is the metric factor f, ``diag(f, q1, q2)`` the (g11, g22) of a
     non-conformal chart (None: (f, f)); ``to_uv(q1, q2, d)``, ``from_uv(u, v, d)``
-    the real maps (None: none); ``d3`` the D_III factor if it is not f, on the
-    charts that potential forms are written in."""
+    the real maps (None: none); ``d3`` the D_III factor, on the charts that
+    potential forms are written in (None: none)."""
 
     factor: Callable
     outside: Callable | None = None
@@ -168,7 +168,7 @@ CHARTS = {
             to_uv=lambda q1, q2, d: (2.0 * np.log(2.0 / q1), 2.0 * q2),
             from_uv=lambda u, v, d: (2.0 * np.exp(-u / 2.0), v / 2.0)),
         "parabolic": ChartRow(factor=_d3_parabolic, to_uv=_parabolic_to_uv,
-                              from_uv=_uv_to_parabolic),
+                              from_uv=_uv_to_parabolic, d3=_d3_parabolic),
         "elliptic": ChartRow(
             outside=lambda sp, q1, q2, d: (q1 <= 0) | (d <= 0),
             message="elliptic chart requires omega > 0 and d > 0",
@@ -232,11 +232,13 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
 
 
 def d3_factor(space: SpaceParams, chart: Chart):
-    """The D_III factor a + b(xi^2 + eta^2)/4 at the chart point(s), written in
-    the chart's own variables: a + b e^{-u} (uv), a + b rho^2/4 (polar).  Not
-    for the elliptic chart, in which no potential form is written."""
-    row = CHARTS[space.family][chart.name]
-    return (row.d3 or row.factor)(space, chart.q1, chart.q2, chart.d)
+    """The D_III factor a + b(xi^2 + eta^2)/4 at the chart point(s), in the variables
+    of a chart that D_III potential forms are written in: a + b e^{-u} (uv), a +
+    b(mu - nu)/2 (hyperbolic).  Any other chart raises UnsupportedError."""
+    row = CHARTS[space.family].get(chart.name)
+    if row is None or row.d3 is None:
+        raise UnsupportedError(f"no D_III factor for chart {chart.name!r} on {space.family}")
+    return row.d3(space, chart.q1, chart.q2, chart.d)
 
 
 def conformal_factor(space: SpaceParams, name: str, q1, q2, d: float = 1.0):

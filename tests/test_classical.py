@@ -180,6 +180,53 @@ def test_hamiltonian_value_array_matches_scalar_bitwise(space, spec, name, box):
         assert single == v, (i, single, v)
 
 
+@pytest.mark.parametrize("family", [DIII, DIV])
+def test_observable_value_array_matches_scalar_bitwise(family):
+    # a bracket and the CLI records evaluate the observables as arrays, a
+    # single state as numpy scalars: both must give the same bits
+    rng = np.random.default_rng(25)
+    for _ in range(3):  # the spaces and states of acceptance criterion 8
+        if family == DIII:
+            sp = SpaceParams(DIII, float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2)))
+            sts = _random_states(rng, "uv", -1, 1, 0, 6, n=200)
+        else:
+            b = float(rng.uniform(0.3, 1.2))
+            sp = SpaceParams(DIV, 2 * b + float(rng.uniform(0.1, 1.5)), b)
+            sts = _random_states(rng, "uv", 0.25, 1.3, -1, 1, n=200)
+        for obs in ("H0", "X1", "X2", "K"):
+            vals = observable_value(sp, obs, sts)
+            assert vals.shape == (200,)
+            for i, v in enumerate(vals):
+                st = PhaseState(Chart("uv", float(sts.chart.q1[i]), float(sts.chart.q2[i])),
+                                float(sts.p1[i]), float(sts.p2[i]))
+                single = observable_value(sp, obs, st)
+                assert np.ndim(single) == 0
+                assert single == v, (obs, i, single, v)
+
+
+def test_bracket_evaluates_each_observable_once(monkeypatch):
+    # each observable once over the 16 shifted states of a bracket; a scalar
+    # central difference per shift made 32 calls
+    import darboux.classical as cl
+
+    calls = []
+    value = cl.observable_value
+
+    def counted_value(*args):
+        calls.append(1)
+        return value(*args)
+
+    monkeypatch.setattr(cl, "observable_value", counted_value)
+    for sp, st in ((SP1, PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4)),
+                   (SP4, PhaseState(Chart("uv", 0.7, 0.2), 0.7, -0.4))):
+        calls.clear()
+        cl.poisson_bracket_fd(sp, "X1", "X2", st)
+        assert len(calls) == 2
+        calls.clear()
+        cl.algebra_check(sp, st)
+        assert len(calls) <= 10
+
+
 def test_flow_evaluates_h_once_per_rhs_call(monkeypatch):
     # one array evaluation of H per right-hand-side call, plus the domain check
     # at the start; a scalar central difference per coordinate would make 8

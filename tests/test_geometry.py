@@ -15,6 +15,7 @@ from darboux.geometry import (
     chart_transform,
     curvature_closed,
     curvature_numeric,
+    d3_factor,
     metric_diag,
     validate_chart,
 )
@@ -284,3 +285,20 @@ def test_chart_maps_round_trip_and_take_arrays(key, d, data):
         assert all(type(c.q1) is float and type(c.q2) is float for c in one)
         assert grid.q1.tobytes() == np.array([c.q1 for c in one]).tobytes()
         assert grid.q2.tobytes() == np.array([c.q2 for c in one]).tobytes()
+
+
+def test_d3_factor_only_in_the_charts_of_potential_forms():
+    # the factor that D_III potential forms divide by; a chart without one
+    # raises rather than give its metric factor (0.756 against 1.508 here)
+    sp = SpaceParams(DIII, 1.3, 0.8)
+    for name in ("polar", "elliptic"):
+        with pytest.raises(UnsupportedError):
+            d3_factor(sp, Chart(name, 0.5, 0.5))
+    with pytest.raises(UnsupportedError):
+        d3_factor(SpaceParams(DIV, 3.0, 1.0), Chart("uv", 0.5, 0.5))
+    u, v = 0.3, 1.1
+    assert d3_factor(sp, Chart("uv", u, v)) == sp.a + sp.b * np.exp(-u)
+    # a + b(xi^2 + eta^2)/4 at the parabolic image of the uv point
+    par = chart_transform(sp, Chart("uv", u, v), "parabolic")
+    assert d3_factor(sp, par) == pytest.approx(sp.a + sp.b * math.exp(-u), rel=1e-14)
+    assert d3_factor(sp, Chart("hyperbolic", 1.4, 0.6)) == sp.a + 0.5 * sp.b * (1.4 - 0.6)
