@@ -57,6 +57,11 @@ _SIGNS = np.kron(np.eye(4), [1.0, -1.0])
 # a Poisson bracket's two Richardson steps h_k, and its shifts: _SIGNS times each
 _STEPS = np.array([1e-5, 1e-5 / 2.0])
 _BRACKET_SHIFTS = np.kron(_STEPS, _SIGNS)
+# Hamilton's equations from the central differences over (q1, q2, p1, p2): the
+# derivatives in the order (p1, p2, q1, q2), those in q negated through the
+# sign of their denominators 2h (a quotient's sign is exact)
+_HAMILTON_ORDER = np.array([2, 3, 0, 1])
+_HAMILTON_TWO = np.array([-2.0, -2.0, 2.0, 2.0])
 
 
 def _d3_coeffs(space: SpaceParams, u):
@@ -150,7 +155,12 @@ def _hamiltonian(space, spec, chart, p1, p2):
 
 
 def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> PhaseState:
-    """Transform a phase-space state to another chart (momenta as covectors)."""
+    """Transform a phase-space state to another chart (momenta as covectors).
+
+    The point and the momenta may be arrays of states, like those of
+    :func:`observable_value`; each entry is bitwise what the single state
+    gives, which comes back with float momenta.
+    """
     if state.chart.name == to_name:
         return state
     new_chart = chart_transform(space, state.chart, to_name)
@@ -158,14 +168,19 @@ def transform_state(space: SpaceParams, state: PhaseState, to_name: str) -> Phas
     # p'_j = sum_i p_i dq_i/dq'_j evaluated by central differences of the map
     def fwd(q1, q2):
         c = chart_transform(space, Chart(new_chart.name, q1, q2, new_chart.d), state.chart.name)
-        return np.array([c.q1, c.q2])
+        return np.stack(np.broadcast_arrays(c.q1, c.q2))
 
     h1 = 1e-7 * (1.0 + abs(new_chart.q1))
     h2 = 1e-7 * (1.0 + abs(new_chart.q2))
     d1 = (fwd(new_chart.q1 + h1, new_chart.q2) - fwd(new_chart.q1 - h1, new_chart.q2)) / (2 * h1)
     d2 = (fwd(new_chart.q1, new_chart.q2 + h2) - fwd(new_chart.q1, new_chart.q2 - h2)) / (2 * h2)
-    p = np.array([state.p1, state.p2])
-    return PhaseState(new_chart, float(p @ d1), float(p @ d2))
+    p = np.stack(np.broadcast_arrays(state.p1, state.p2), axis=-1)[..., None, :]
+    # each state's p . d as a (1, 2) @ (2, 1) product: the dot of a single
+    # state, whose rounding an elementwise sum of the two products does not share
+    p1, p2 = (np.matmul(p, np.moveaxis(d, 0, -1)[..., None])[..., 0, 0] for d in (d1, d2))
+    if p1.ndim == 0:
+        return PhaseState(new_chart, float(p1), float(p2))
+    return PhaseState(new_chart, p1, p2)
 
 
 def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> float:
@@ -175,7 +190,10 @@ def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> f
     that holds arrays; one Richardson extrapolation over the steps 1e-5 and
     5e-6 removes the h^2 error.  Each observable is evaluated once, as an
     array over the 16 shifted states: +-h along q1, q2, p1 and p2 at both steps.
+    The state must be a single one (ParamError otherwise).
     """
+    if any(np.ndim(x) for x in (state.chart.q1, state.chart.q2, state.p1, state.p2)):
+        raise ParamError("a Poisson bracket takes a single state, not an array of states")
     if state.chart.name != "uv":
         state = transform_state(space, state, "uv")
     y = np.array([state.chart.q1, state.chart.q2, state.p1, state.p2])
@@ -257,8 +275,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
         h = 1e-6 * (1.0 + np.abs(y))
         q1, q2, p1, p2 = y[:, None] + h[:, None] * _SIGNS
         H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
-        d = (H[0::2] - H[1::2]) / (2.0 * h)
-        return np.array([d[2], d[3], -d[0], -d[1]])
+        return ((H[0::2] - H[1::2]) / (h * _HAMILTON_TWO))[_HAMILTON_ORDER]
 
     y0 = np.array([chart0.q1, chart0.q2, state0.p1, state0.p2])
     ts = np.linspace(0.0, t_final, n_out)

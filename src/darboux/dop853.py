@@ -116,8 +116,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # the step controller
 ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x):  # np.sqrt(x @ x) is what np.linalg.norm computes for a real 1-D x
+    return np.sqrt(x @ x) / x.size ** 0.5
 
 
 def dop853(fun, t_final, y0, t_eval, tol, max_nfev):
@@ -171,8 +171,8 @@ def dop853(fun, t_final, y0, t_eval, tol, max_nfev):
             y_new = y + h * np.dot(K[:12].T, A[12])
             K[12] = f_new = f(t + h, y_new)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5 = np.linalg.norm(np.dot(K[:13].T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[:13].T, E3) / scale) ** 2
+            w5, w3 = np.dot(K[:13].T, E5) / scale, np.dot(K[:13].T, E3) / scale
+            err5, err3 = np.sqrt(w5 @ w5) ** 2, np.sqrt(w3 @ w3) ** 2  # squared norms
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:

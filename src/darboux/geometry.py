@@ -225,7 +225,8 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
     if row is None:
         raise ParamError(f"chart {chart.name!r} unknown for {space.family}")
     q1, q2 = chart.q1, chart.q2
-    if _anywhere(~(np.isfinite(q1) & np.isfinite(q2))):
+    finite = np.isfinite(q1) & np.isfinite(q2)
+    if np.count_nonzero(finite) < finite.size:
         raise DomainError("non-finite chart point")
     if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
         raise DomainError(row.message)
@@ -292,6 +293,18 @@ def curvature_closed(space: SpaceParams, point_uv) -> float:
     return -num / f ** 3
 
 
+# curvature_numeric's stencil in units of its step h, along a trailing axis: the
+# 5-point stencil of step h (q1 +- 1, q2 +- 1, centre), then that of step h/2
+_STENCIL_Q1 = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.0, 0.0, 0.0])
+_STENCIL_Q2 = np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.0])
+# minus the 5-point Laplacian's weights: summed in stencil order, the negated
+# terms give the negated sum bit for bit
+_LAPLACE_WEIGHTS = np.array([-1.0, -1.0, -1.0, -1.0, 4.0])
+# each ln f of the h/2 stencil is off by about eps (1 + |ln f|), and the
+# stencil weighs its five values by 1, 1, 1, 1 and 4
+_STENCIL_NOISE = 8.0 * float(np.finfo(float).eps)
+
+
 def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     """Gaussian curvature G = -(1/2f) Lap ln f by central differences.
 
@@ -304,35 +317,26 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
     """
     if not (math.isfinite(step) and step > 0 and (step / 2.0) ** 2 > 0):
         raise ParamError(f"step must be finite and positive with a nonzero square, got {step!r}")
-    # each point's stencil runs along a trailing axis: centre, q1 +- step,
-    # q2 +- step, q1 +- step/2, q2 +- step/2 (the q2 shifts are the q1 shifts rolled by 2)
     h, k = step, step / 2.0
-    d1 = np.array([0.0, h, -h, 0.0, 0.0, k, -k, 0.0, 0.0])
-    pts = Chart(chart.name, np.asarray(chart.q1)[..., None] + d1,
-                np.asarray(chart.q2)[..., None] + np.roll(d1, 2), chart.d)
+    pts = Chart(chart.name, np.asarray(chart.q1)[..., None] + h * _STENCIL_Q1,
+                np.asarray(chart.q2)[..., None] + h * _STENCIL_Q2, chart.d)
     validate_chart(space, pts)
     if CHARTS[space.family][chart.name].diag is not None:
         raise DomainError(f"chart {chart.name!r} is not conformal")
     f = conformal_factor(space, chart.name, pts.q1, pts.q2, chart.d)
-    if (f <= 0).any():
+    if _anywhere(f <= 0):
         raise DomainError("metric factor not positive inside stencil")
     vals = np.log(f)
-    f0, ln_f0 = f[..., 0], vals[..., 0]
-
-    def lap_lnf(i, dq):
-        # the 5-point Laplacian from the neighbours in columns i..i+3
-        return (vals[..., i] + vals[..., i + 1] + vals[..., i + 2] + vals[..., i + 3]
-                - 4.0 * ln_f0) / dq ** 2
-
-    g_h = -lap_lnf(1, h) / (2.0 * f0)
-    g_h2 = -lap_lnf(5, k) / (2.0 * f0)
-    g = (4.0 * g_h2 - g_h) / 3.0
+    two_f0, ln_f0 = 2.0 * f[..., 4], vals[..., 4]
+    # minus both 5-point Laplacians of ln f times their steps squared: each stencil's
+    # weighted values summed in stencil order (np.add.accumulate adds left to right)
+    neg = np.add.accumulate(vals.reshape(vals.shape[:-1] + (2, 5)) * _LAPLACE_WEIGHTS, axis=-1)
+    g_hk = neg[..., 4] / np.array([h ** 2, k ** 2]) / two_f0[..., None]  # G at steps h, h/2
+    g = (4.0 * g_hk[..., 1] - g_hk[..., 0]) / 3.0
     if _anywhere(~np.isfinite(g)):
         raise ParamError(f"step {step!r} gives a non-finite curvature")
-    # each ln f of the h/2 stencil is off by about eps (1 + |ln f|), and the
-    # stencil weighs its five values by 1, 1, 1, 1 and 4
-    noise = 8.0 * np.finfo(float).eps * (1.0 + np.abs(ln_f0)) / k ** 2
-    if _anywhere(noise / (2.0 * f0) > 1e-3 * (1.0 + np.abs(g))):
+    noise = _STENCIL_NOISE * (1.0 + abs(ln_f0)) / k ** 2
+    if _anywhere(noise / two_f0 > 1e-3 * (1.0 + abs(g))):
         raise ParamError(f"step {step!r} is so small that rounding error exceeds 1e-3 (1 + |G|)")
     return g
 

@@ -41,6 +41,10 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n_points if n is None else n)
 
 
+# the bound of the Kato-Temple check, in units of the gap and ||T||_1
+_EPS = float(np.finfo(float).eps)
+
+
 def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
     """Lowest pairs on xs: bisected, or refined from ``coarse`` (xs, levels, vectors, next)."""
     from scipy.linalg import eigh_tridiagonal, lapack
@@ -54,24 +58,34 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
     cxs, ces, cvs, top = coarse
     vs = np.empty((n_states, len(u)))
+    walled = np.zeros(len(cxs))  # a coarse vector between its zero walls
     for k, (e, v) in enumerate(zip(ces, cvs.T)):
-        seed = np.interp(xs[1:-1], cxs, np.pad(v, 1))
-        x, shifted, overlap = seed, diag - e, 0.99 * np.linalg.norm(seed)
+        walled[1:-1] = v
+        seed = np.interp(xs[1:-1], cxs, walled)
+        x, shifted, overlap = seed, diag - e, 0.99 * np.sqrt(seed @ seed)
         for _ in range(2):
             *_, x, info = lapack.dgtsv(off, shifted, off, x)
-            x = x / np.linalg.norm(x)
+            x /= np.sqrt(x @ x)
             if info != 0 or abs(x @ seed) < overlap:
                 raise ResolutionError(f"inverse iteration from the level {e:.6g} left its seed")
         vs[k] = x
-    es = kin * (np.sum(np.diff(vs) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2) + vs ** 2 @ u
-    if np.any(np.diff(es) <= 0):
+    es = (kin * (np.sum((vs[:, 1:] - vs[:, :-1]) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2)
+          + vs ** 2 @ u)
+    if np.any(es[1:] <= es[:-1]):
         raise ResolutionError("inverse iteration put the levels out of order")
     # Kato-Temple: each level lies within |(T - e) x|^2 / gap of an eigenvalue
     gaps = np.diff(np.append(es, top))
     tols = np.minimum(gaps, np.append(np.inf, gaps[:-1])) * (np.abs(diag).max() + 2.0 * kin)
     for e, x, tol in zip(es, vs, tols):
-        r = (diag - e) * x - kin * np.convolve(x, [1.0, 0.0, 1.0], "same")
-        if r @ r > np.finfo(float).eps * tol:
+        # r = (diag - e) x - kin (x_{i-1} + x_{i+1}), the walls' zeros included,
+        # built in place in two arrays
+        r, nbr = diag - e, np.zeros_like(x)
+        r *= x
+        nbr[1:] = x[:-1]
+        nbr[:-1] += x[1:]
+        nbr *= kin
+        r -= nbr
+        if r @ r > _EPS * tol:
             raise ResolutionError(f"inverse iteration left the level {e:.6g} unconverged")
     return es, vs.T
 
@@ -92,15 +106,23 @@ def fd_eigensolve_1d(profile, grid: Grid1D, n_states: int, hbar=1.0, mass=1.0):
     if n_states >= n // 4 - 2:
         raise ResolutionError(f"{n_states + 1} levels exceed the pilot grid's {n // 4 - 2} rows")
     xs0, xs1, xs2, xs3 = (grid.points(m) for m in (n // 4, n, 2 * n - 1, 4 * n - 3))
+    # grids n and 2n - 1 are every 4th and every 2nd point of grid 4n - 3, bit for bit, so
+    # the profile is evaluated once, on the finest interior, for all three
+    fine = np.asarray(profile(xs3[1:-1]), dtype=float)
+
+    def nested(x):  # the profile on the interior x of grid n, 2n - 1 or 4n - 3
+        m = (len(fine) + 1) // (len(x) + 1)
+        return np.ascontiguousarray(fine[m - 1::m])
+
     e0, v0 = _eigenpairs(profile, xs0, n_states + 1, hbar, mass)
-    e1, v1 = _eigenpairs(profile, xs1, n_states, hbar, mass, (xs0, e0[:-1], v0, e0[-1]))
-    e2, v2 = _eigenpairs(profile, xs2, n_states, hbar, mass, (xs1, e1, v1, e0[-1]))
-    e3, v3 = _eigenpairs(profile, xs3, n_states, hbar, mass, (xs2, e2, v2, e0[-1]))
+    e1, v1 = _eigenpairs(nested, xs1, n_states, hbar, mass, (xs0, e0[:-1], v0, e0[-1]))
+    e2, v2 = _eigenpairs(nested, xs2, n_states, hbar, mass, (xs1, e1, v1, e0[-1]))
+    e3, v3 = _eigenpairs(nested, xs3, n_states, hbar, mass, (xs2, e2, v2, e0[-1]))
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     e_rich = (16.0 * r2 - r1) / 15.0
     h = xs1[1] - xs1[0]
-    kin_scale = np.maximum(e_rich.max() - np.asarray(profile(xs1[1:-1]), dtype=float), 1e-12)
+    kin_scale = np.maximum(e_rich.max() - nested(xs1[1:-1]), 1e-12)
     lam_min = 2.0 * math.pi * hbar / math.sqrt(2.0 * mass * kin_scale.max())
     if h > lam_min / 10.0:
         raise ResolutionError(f"grid step {h:.3e} exceeds a tenth of the local wavelength "

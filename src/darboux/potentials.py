@@ -125,6 +125,10 @@ def index_square(space: SpaceParams, k2, apm, E):
     return k2 - 2.0 * space.mass * apm * E / space.hbar ** 2
 
 
+# the names of the DIV_V3 index roots, in the order div3_indices computes them
+_DIV3_INDICES = ("1m", "2p", "3p", "3m")
+
+
 def div3_indices(spec: PotentialSpec, E):
     """The four index roots of DIV_V3 that its separations read: 1m, 3m
     (a_minus, +c_i) and 2p, 3p (a_plus, -c_i).
@@ -133,12 +137,13 @@ def div3_indices(spec: PotentialSpec, E):
     whose square goes negative come back as NaN.
     """
     sp = spec.space
-    signs = {"p": (-1.0, sp.a_plus), "m": (1.0, sp.a_minus)}
-    # np.sqrt is correctly rounded like math.sqrt, and NaN below 0
-    with np.errstate(invalid="ignore"):
-        return {i + pm: np.sqrt(index_square(sp, 0.25 + signs[pm][0] * spec.c("c" + i),
-                                             signs[pm][1], E))
-                for i, pm in ("1m", "2p", "3p", "3m")}
+    ap, am, c3 = sp.a_plus, sp.a_minus, spec.c("c3")
+    sq = np.array([index_square(sp, 0.25 + spec.c("c1"), am, E),
+                   index_square(sp, 0.25 - spec.c("c2"), ap, E),
+                   index_square(sp, 0.25 - c3, ap, E), index_square(sp, 0.25 + c3, am, E)])
+    sq[sq < 0] = np.nan  # a complex index is NaN, with no warning from np.sqrt
+    # np.sqrt is correctly rounded like math.sqrt
+    return dict(zip(_DIV3_INDICES, np.sqrt(sq)))
 
 
 def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int = 0) -> Separated1D:

@@ -66,18 +66,29 @@ def _poly_roots(coeffs):
     """All roots of one branch: companion matrix plus Newton polish above
     degree 2, the cancellation-stable closed form otherwise."""
     if len(coeffs) > 3:
-        return [complex(_polish_poly_root(coeffs, z)) for z in np.roots(coeffs)]
+        # the coefficients and derivative that np.poly1d would hold (leading
+        # zeros trimmed), built once for all the roots
+        p = np.trim_zeros(np.atleast_1d(coeffs), "f")
+        dp = p[:-1] * np.arange(len(p) - 1, 0, -1)
+        return [complex(_polish_poly_root(p, dp, z)) for z in np.roots(coeffs)]
     return _quad_roots(*(0.0,) * (3 - len(coeffs)), *coeffs)
 
 
-def _polish_poly_root(coeffs, z):
-    p = np.poly1d(coeffs)
-    dp = p.deriv()
+def _horner(coeffs, x):
+    """np.polyval(coeffs, x) operation for operation, at a 0-d array x."""
+    y = np.zeros((), x.dtype)
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _polish_poly_root(p, dp, z):
     for _ in range(8):
-        d = dp(z)
+        x = np.asanyarray(z)
+        d = _horner(dp, x)
         if d == 0:
             break
-        z = z - p(z) / d
+        z = z - _horner(p, x) / d
     return z
 
 

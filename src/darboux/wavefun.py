@@ -244,17 +244,6 @@ def normalize_weighted(field: WaveField) -> WaveField:
     return replace(field, values=field.values * c, norm_constant=c)
 
 
-def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:
-    """Weighted inner product of two fields on the same grid."""
-    from scipy.integrate import simpson
-
-    if f1.chart != f2.chart or f1.values.shape != f2.values.shape:
-        raise GridError("overlap requires matching grids")
-    w = _sqrtg_grid(f1.spec.space, f1.chart, f1.q1, f1.q2)
-    dens = np.conj(f1.values) * f2.values * w
-    return complex(simpson(simpson(dens, x=f1.q2, axis=1), x=f1.q1))
-
-
 def _stencil_views(vals, axis):
     """The views of vals at offsets -2..2 along ``axis``, on its interior
     (margin 2)."""

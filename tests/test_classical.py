@@ -16,6 +16,7 @@ from darboux.classical import (
     residual_constant,
     transform_state,
 )
+from darboux.errors import ParamError
 from darboux.geometry import DIII, DIV, Chart, SpaceParams
 from darboux.potentials import PotentialSpec
 
@@ -202,6 +203,65 @@ def test_observable_value_array_matches_scalar_bitwise(family):
                 single = observable_value(sp, obs, st)
                 assert np.ndim(single) == 0
                 assert single == v, (obs, i, single, v)
+
+
+# a box inside each domain for every chart with real maps (as in
+# tests/test_geometry.py), clear of the focal points of the elliptic charts
+REAL_STATE_BOXES = {
+    (DIII, "uv"): (-1, 1, 0, 6),
+    (DIII, "polar"): (0.2, 2, 0, 3),
+    (DIII, "parabolic"): (0.1, 2, 0.1, 2),
+    (DIII, "elliptic"): (0.1, 2, -3, 3),
+    (DIV, "uv"): (0.25, 1.3, -1, 1),
+    (DIV, "horospherical"): (0.2, 2, 0.2, 2),
+    (DIV, "degelliptic2"): (0.1, 2, 0.1, math.pi / 2 - 0.1),
+    (DIV, "elliptic"): (0.1, 2, 0.1, math.pi / 2 - 0.1),
+}
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_real_state_boxes_cover_every_real_chart():
+    from darboux.geometry import CHARTS
+
+    real = {(fam, name) for fam, rows in CHARTS.items() for name, row in rows.items()
+            if row.to_uv is not None and row.from_uv is not None}
+    assert real == set(REAL_STATE_BOXES)
+
+
+@pytest.mark.parametrize("family, name", sorted(REAL_STATE_BOXES))
+def test_transform_state_array_matches_scalar_bitwise(family, name):
+    # an array of states in any real chart is transformed, and gives its
+    # observables and constants, with the bits of its states one by one
+    sp = SP1 if family == DIII else SP4
+    sts = _random_states(np.random.default_rng(31), name, *REAL_STATE_BOXES[family, name])
+    arr = transform_state(sp, sts, "uv")
+    vals = {obs: observable_value(sp, obs, sts) for obs in ("H0", "X1", "X2", "K")}
+    if family == DIII:
+        spec, names = PotentialSpec(SP1, "DIII_V5", {"v0": 1.3}), ("R1", "R2", "R3")
+    else:
+        spec, names = PotentialSpec(SP4, "DIV_V4", {"k0": 0.8}), ("R3",)
+    consts = {c: residual_constant(spec, c, sts) for c in names}
+    for i in range(len(sts.p1)):
+        st = PhaseState(Chart(name, float(sts.chart.q1[i]), float(sts.chart.q2[i])),
+                        float(sts.p1[i]), float(sts.p2[i]))
+        one = transform_state(sp, st, "uv")
+        assert type(one.p1) is float and type(one.p2) is float
+        assert _bits(one.chart.q1, one.chart.q2, one.p1, one.p2) == _bits(
+            arr.chart.q1[i], arr.chart.q2[i], arr.p1[i], arr.p2[i]), i
+        for obs, v in vals.items():
+            assert _bits(observable_value(sp, obs, st)) == _bits(v[i]), (obs, i)
+        for c, v in consts.items():
+            assert _bits(residual_constant(spec, c, st)) == _bits(v[i]), (c, i)
+
+
+def test_bracket_refuses_an_array_of_states():
+    a = np.array([0.5, 0.7])
+    for name in ("uv", "polar"):
+        with pytest.raises(ParamError):
+            poisson_bracket_fd(SP1, "K", "X1", PhaseState(Chart(name, a, a), a, a))
 
 
 def test_bracket_evaluates_each_observable_once(monkeypatch):

@@ -215,6 +215,44 @@ def test_curvature_numeric_grid_matches_points_bitwise(space, u_range):
     assert grid.tobytes() == points.tobytes()
 
 
+def _curvature_reference(space, chart, step=1e-3):
+    """The stencil of curvature_numeric written term by term: each 5-point
+    Laplacian summed neighbour by neighbour, on a 9-point stencil."""
+    h, k = step, step / 2.0
+    d1 = np.array([0.0, h, -h, 0.0, 0.0, k, -k, 0.0, 0.0])
+    f = CHARTS[space.family][chart.name].factor(space, np.asarray(chart.q1)[..., None] + d1,
+                                                np.asarray(chart.q2)[..., None] + np.roll(d1, 2),
+                                                chart.d)
+    vals, f0 = np.log(f), f[..., 0]
+
+    def lap(i, dq):
+        return (vals[..., i] + vals[..., i + 1] + vals[..., i + 2] + vals[..., i + 3]
+                - 4.0 * vals[..., 0]) / dq ** 2
+
+    return (4.0 * (-lap(5, k) / (2.0 * f0)) - (-lap(1, h) / (2.0 * f0))) / 3.0
+
+
+@pytest.mark.parametrize("family", [DIII, DIV])
+def test_curvature_numeric_matches_its_reference_bitwise(family):
+    # curvature_numeric sums both Laplacians with np.add.accumulate and
+    # negated weights; the bits must be those of the plain sums
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        if family == DIII:
+            sp = SpaceParams(DIII, float(rng.uniform(0.2, 3)), float(rng.uniform(0, 3)))
+            u = float(rng.uniform(-3, 3))
+        else:
+            b = float(rng.uniform(0.1, 2))
+            sp = SpaceParams(DIV, 2 * b + float(rng.uniform(0, 2)), b)
+            u = float(rng.uniform(0.02, 1.55))
+        pt = Chart("uv", u, float(rng.uniform(-5, 5)))
+        step = float(10 ** rng.uniform(-4, -2))
+        assert curvature_numeric(sp, pt, step).tobytes() == _curvature_reference(sp, pt, step).tobytes()
+    grid = Chart("uv", *np.meshgrid(np.linspace(0.2, 1.3, 7), np.linspace(0, 1, 5), indexing="ij"))
+    sp = SpaceParams(DIV, 3.0, 1.0) if family == DIV else SpaceParams(DIII, 1.3, 0.7)
+    assert curvature_numeric(sp, grid).tobytes() == _curvature_reference(sp, grid).tobytes()
+
+
 def test_curvature_numeric_grid_domain_error():
     # one point of the grid is inside the chart, but its stencil is not
     us = np.array([1e-5, 0.3, 0.6])

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -254,3 +258,76 @@ def test_unconverged_pilot_raises(monkeypatch):
     monkeypatch.setattr(Grid1D, "points", coarser_pilot)
     with pytest.raises(ResolutionError, match="unconverged"):
         verify_building_block(fam, n_max, n_points=n_points)
+
+
+# E_num and dL2 (float.hex) of each level of the seven blocks of
+# verify.BUILDING_BLOCKS, as the oracle gave them at commit a8ee6ee with a
+# single BLAS thread: the oracle's speed-ups must leave every bit as it was.
+# A BLAS that splits a dot product over threads sums it in another order, so
+# the blocks run in a child process with one thread.
+PINNED_BLOCK_NUMBERS = [
+    [["-0x1.ffffffffff170p+0", "0x1.764e4764c6b12p-37"],
+     ["-0x1.fffffffffa88dp-2", "0x1.6ca9c40c2e993p-35"]],
+    [["0x1.0000000aefe22p+1", "0x1.6be3d18b92730p-30"]],
+    [["0x1.8000003076a90p+0", "0x1.68422d8cb7d08p-27"]],
+    [["0x1.00000000001acp-1", "0x1.d24a2213e5477p-42"],
+     ["0x1.8000000000282p+0", "0x1.0f758b28366c8p-39"],
+     ["0x1.4000000000216p+1", "0x1.72afa2b125fa3p-39"],
+     ["0x1.c0000000002edp+1", "0x1.16a4dca854e26p-38"]],
+    [["0x1.4000000000001p+1", "0x1.c6b9deaffe611p-41"],
+     ["0x1.2000000000003p+2", "0x1.11a5e475936bep-40"],
+     ["0x1.a000000000001p+2", "0x1.29e0d8665abf4p-39"],
+     ["0x1.1000000000001p+3", "0x1.22e5f2ea14e65p-38"]],
+    [["0x1.fffffff9456c6p+2", "0x1.3ef51e98dc56cp-28"],
+     ["0x1.1ffffff9456c7p+4", "0x1.48a2e50c86802p-27"],
+     ["0x1.ffffffef2d8f6p+4", "0x1.0c59ee1a41035p-26"],
+     ["0x1.8fffffef2d8f1p+5", "0x1.87f852afad398p-26"]],
+    [["-0x1.87ffffc4f5684p+4", "0x1.f967a1ebb3634p-26"],
+     ["-0x1.8fffff89eadfbp+3", "0x1.5e90202008630p-25"],
+     ["-0x1.1fffff5c8097ep+2", "0x1.9d1b75fc5ab8cp-25"],
+     ["-0x1.fffffc6330f01p-2", "0x1.f02079192428fp-25"]],
+]
+
+
+def test_building_block_numbers_are_pinned():
+    script = (
+        "import json\n"
+        "from darboux.oracle import verify_building_block\n"
+        "from darboux.verify import BUILDING_BLOCKS\n"
+        "print(json.dumps([[[d['E_num'].hex(), d['dL2'].hex()]\n"
+        "                   for d in verify_building_block(f, n, n_points=p).details]\n"
+        "                  for f, n, p, _ in BUILDING_BLOCKS]))\n"
+    )
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == PINNED_BLOCK_NUMBERS
+
+
+@pytest.mark.parametrize("fam,n_max,n_points", SUITE_BLOCKS,
+                         ids=["Morse", "PT-pinned", "RHO-pinned", "HO", "RHO", "PT", "MPT"])
+def test_nested_grids_and_profiles_agree_bitwise(fam, n_max, n_points):
+    # fd_eigensolve_1d evaluates the profile once, on the interior of grid
+    # 4n - 3, and reads grids 2n - 1 and n as its every 2nd and 4th point:
+    # the points and the profile values must be those of a direct evaluation
+    from darboux.oracle import _oracle_domain
+
+    grid = Grid1D(*_oracle_domain(fam, n_max), n_points)
+    profile = sf.model_potential(fam)
+    fine_xs = grid.points(4 * n_points - 3)
+    fine = profile(fine_xs[1:-1])
+    for m, every in ((2 * n_points - 1, 2), (n_points, 4)):
+        xs = grid.points(m)
+        assert fine_xs[::every].tobytes() == xs.tobytes()
+        assert fine[every - 1::every].tobytes() == profile(xs[1:-1]).tobytes()
+
+
+def test_grids_nest_bitwise_on_random_intervals():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        lo = float(rng.uniform(-50, 50))
+        grid = Grid1D(lo, lo + float(10 ** rng.uniform(-3, 2)), int(rng.integers(64, 5000)))
+        n = grid.n_points
+        fine = grid.points(4 * n - 3)
+        assert fine[::2].tobytes() == grid.points(2 * n - 1).tobytes()
+        assert fine[::4].tobytes() == grid.points(n).tobytes()

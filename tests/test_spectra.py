@@ -69,6 +69,36 @@ def test_v1_quartic_roots_and_flags():
             assert rec["satisfies_unsquared"] and rec["residual"] < 1e-9
 
 
+def test_v1_quartic_polish_matches_poly1d_bitwise():
+    # the Newton polish evaluates the quartic and its derivative by Horner's
+    # rule as np.poly1d does; its roots must be those of the np.poly1d polish
+    from darboux.families import FAMILIES
+    from darboux.spectra import _poly_roots
+
+    def reference(coeffs):
+        p = np.poly1d(coeffs)
+        dp = p.deriv()
+        out = []
+        for z in np.roots(coeffs):
+            for _ in range(8):
+                d = dp(z)
+                if d == 0:
+                    break
+                z = z - p(z) / d
+            out.append(complex(z))
+        return out
+
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        coeffs = list(rng.normal(size=5) * 10.0 ** rng.uniform(-3, 3, 5))
+        assert np.array(_poly_roots(coeffs)).tobytes() == np.array(reference(coeffs)).tobytes()
+    sp = SpaceParams(DIII, 1.3, 0.9)
+    for n in range(5):
+        spec = PotentialSpec(sp, "DIII_V1", {"k3": 0.3})
+        for co in FAMILIES["DIII_V1"].branches(spec, QuantumNumbers(n, 0, "parabolic")):
+            assert np.array(_poly_roots(co)).tobytes() == np.array(reference(co)).tobytes()
+
+
 def test_v1_special_case_matches_quartic():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -5,6 +5,7 @@ import pytest
 
 from darboux.errors import (
     DivergentNormError,
+    GridError,
     NoAdmissibleRootError,
     ParamError,
     ResolutionError,
@@ -21,11 +22,23 @@ from darboux.wavefun import (
     hamiltonian_residual,
     normalize_weighted,
     pick_energy,
-    weighted_overlap,
 )
 
 SP1 = SpaceParams(DIII, 1.0, 1.0)
 SP4 = SpaceParams(DIV, 3.0, 1.0)
+
+
+def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:
+    """Weighted inner product of two fields on the same grid (Simpson's rule)."""
+    from scipy.integrate import simpson
+
+    from darboux.wavefun import _sqrtg_grid
+
+    if f1.chart != f2.chart or f1.values.shape != f2.values.shape:
+        raise GridError("overlap requires matching grids")
+    w = _sqrtg_grid(f1.spec.space, f1.chart, f1.q1, f1.q2)
+    dens = np.conj(f1.values) * f2.values * w
+    return complex(simpson(simpson(dens, x=f1.q2, axis=1), x=f1.q1))
 
 GATES = [
     ("DIII_V5", {"v0": 0.0}, "uv", (0, 1, "uv"), -4.5),
