@@ -13,7 +13,10 @@ extra constants of motion.
 
 Energy enters the separated 1D profiles as an effective coupling: on D_III
 through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
-lambda^2 = k^2 - 2 m a_pm E / hbar^2.  What the families share stays in its
+lambda^2 = k^2 - 2 m a_pm E / hbar^2.  A D_IV separation pairs two
+``specfun.MODELS`` rows: each axis takes its row's profile, factor and domain
+and requires its partner row's level, so a partner past that row's ladder
+raises LevelError.  What the families share stays in its
 module: the division by the D_III factor or the D_IV conformal factor in
 ``potentials``, root finding and admissibility in ``spectra``, grid assembly
 in ``wavefun``.  Records call the public functions of those modules through
@@ -22,6 +25,7 @@ the module, at call time.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from operator import itemgetter
@@ -65,7 +69,6 @@ class Family:
     couplings: tuple = ()
     nonzero: tuple = ()      # couplings that must not vanish
     forms: tuple = ()        # the real chart of its form, then continued sections
-    schemes: tuple = ()      # charts its states are counted and assembled in
     pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
     angles: dict = {}        # chart -> Angle of its second axis
     separations: dict = {}   # (chart, axis) -> separated problem
@@ -74,6 +77,12 @@ class Family:
     @property
     def name(self):
         return type(self).__name__
+
+    @functools.cached_property
+    def schemes(self):
+        """The charts its states are counted and assembled in: the separated
+        charts, in order, then the pulled-back ones."""
+        return tuple(dict.fromkeys([chart for chart, _ in self.separations] + [*self.pullbacks]))
 
     def form(self, spec, chart):
         """The numerator of the potential at points of a chart in ``forms``:
@@ -234,7 +243,6 @@ class DIII_V1(DIIIFamily):
 
     couplings = ("k1", "k2", "k3")
     forms = ("parabolic",)
-    schemes = ("parabolic",)
 
     def form(self, spec, chart):
         return spec.c("k1") * chart.q1 + spec.c("k2") * chart.q2 + spec.c("k3")
@@ -343,7 +351,6 @@ class DIII_V2(Shifted):
     couplings = ("alpha", "k1", "k2")
     # in (u, v) the singular line xi = 0 is v = pi, where cos(v/2) is not 0
     forms = ("parabolic",)
-    schemes = ("uv", "polar", "parabolic")
     angles = {"uv": Angle(math.pi, 0.1), "polar": Angle(math.pi / 2.0, 0.05)}
 
     def form(self, spec, chart):
@@ -393,7 +400,6 @@ class DIII_V3(Shifted):
     couplings = ("alpha", "c1", "c2")
     nonzero = ("c1",)
     forms = ("uv", "hyperbolic")
-    schemes = ("polar",)
     angles = {"polar": CIRCLE}
 
     def form(self, spec, chart):
@@ -463,7 +469,6 @@ class DIII_V4(DIIIFamily):
 
     couplings = ("d1", "d2", "omega")
     forms = ("hyperbolic",)
-    schemes = ("hyperbolic",)
 
     def form(self, spec, chart):
         m = spec.space.mass
@@ -545,7 +550,6 @@ class DIII_V5(Shifted):
 
     couplings = ("v0",)
     forms = ("uv", "hyperbolic")
-    schemes = ("uv", "polar", "parabolic", "hyperbolic")
     angles = {"uv": CIRCLE, "polar": CIRCLE}
 
     def form(self, spec, chart):
@@ -659,39 +663,33 @@ def _a_minus(spec):
     return spec.space.a_minus
 
 
-def _model_axis(spec, tag, params, lam_req, window):
-    """An axis solved by the model family ``tag`` of ``specfun`` with the
-    parameters params(E): the model's profile and eigenfunctions on its
-    natural interval, sampled on the fixed ``window``."""
+def _model_pair(spec, rows, partner, axis, shift=0.0):
+    """Axis ``axis`` of a D_IV separation into two ``specfun.MODELS`` rows,
+    ``rows[i] = (tag, params, window, s)``: params(E) in the row's key order,
+    the fixed sampling window, and the scale s of the variable, which enters
+    the row as s x and so solves it at mass m / s^2.  The axis takes its row's
+    profile, factor and domain; it requires shift minus its partner row's
+    level ``partner``, which raises LevelError past that row's ladder."""
+    hb, m = spec.space.hbar, spec.space.mass
+
+    def model(i, E):
+        tag, params, _, s = rows[i]
+        return sf.ModelFamily(tag, dict(zip(sf.MODELS[tag].keys, params(E))),
+                              hbar=hb, mass=m / (s * s))
+
+    tag, _, window, s = rows[axis]
 
     def profile(E):
-        return sf.model_potential(
-            sf.ModelFamily(tag, params(E), hbar=spec.space.hbar, mass=spec.space.mass))
+        U = sf.model_potential(model(axis, E))
+        return lambda x: U(s * np.asarray(x))
 
-    return potentials.Separated1D(profile, lam_req,
-                                  lambda E, n: _model_factor(spec, tag, params(E), n),
-                                  lambda E, n: window, sf.model_domain(tag))
+    def factor(E, n):
+        fam = model(axis, E)
+        return lambda x: sf.model_eigenfunction(fam, int(n), s * np.asarray(x))
 
-
-def _pt_axis(spec, indices, lam_req, window):
-    """A Poeschl-Teller axis whose indices (alpha, beta) = indices(E) sit at
-    its sin and its cos wall."""
-    return _model_axis(spec, sf.PT, lambda E: dict(zip(("alpha", "beta"), indices(E))),
-                       lam_req, window)
-
-
-def _mpt_axis(spec, partner, indices, pt_indices, window):
-    """A bound modified Poeschl-Teller axis whose indices (eta, nu) =
-    indices(E) sit at its sinh and its cosh wall; its partner is the
-    Poeschl-Teller axis at level ``partner`` with indices pt_indices(E)."""
-    hq, n_oth = potentials._quantum_unit(spec.space), int(partner)
-
-    def lam_req(E):
-        a, b = pt_indices(E)
-        return -hq * (2.0 * n_oth + a + b + 1.0) ** 2
-
-    return _model_axis(spec, sf.MPT_BOUND, lambda E: dict(zip(("eta", "nu"), indices(E))),
-                       lam_req, window)
+    return potentials.Separated1D(
+        profile, lambda E: shift - sf.model_eigenvalue(model(1 - axis, E), int(partner)),
+        factor, lambda E, n: window, tuple(d / s for d in sf.model_domain(tag)))
 
 
 class DIV_V1(DIVFamily):
@@ -703,7 +701,6 @@ class DIV_V1(DIVFamily):
     couplings = ("alpha", "k1", "k2", "omega")
     nonzero = ("omega",)
     forms = ("uv",)
-    schemes = ("uv", "horospherical")
 
     def form(self, spec, chart):
         _, _, m, _, hq = _units(spec)
@@ -721,60 +718,27 @@ class DIV_V1(DIVFamily):
         return (_index_root(sp, spec.c("k1") ** 2, sp.a_minus, E),
                 _index_root(sp, spec.c("k2") ** 2, sp.a_plus, E))
 
-    def _v_index(self, spec, l: int) -> float:
-        """The Morse index alpha/(2 hbar |w|) - l - 1/2 of the v problem at level l."""
-        return spec.c("alpha") / (2.0 * spec.space.hbar * abs(spec.c("omega"))) - l - 0.5
-
     def _uv(self, spec, partner, axis):
-        _, _, m, hb, hq = _units(spec)
-        al, om = spec.c("alpha"), abs(spec.c("omega"))
-        n_oth = int(partner)
-        if axis == 0:
-            def lam_req(E):
-                # minus the Morse level of the v problem (doubled-variable convention)
-                s = self._v_index(spec, n_oth)
-                return 2.0 * hb ** 2 / m * s * s
-
-            return _pt_axis(spec, lambda E: self.indices(spec, E)[::-1], lam_req,
-                            (0.15, math.pi / 2.0 - 0.15))
-        # v, in the doubled variable x = 2v: a Morse well of mass m/4
-        morse = sf.ModelFamily(
-            sf.MORSE_BOUND,
-            {"v0": 2.0 * m * om / hb, "alpha_t": al / (4.0 * m * om * om)},
-            hbar=hb,
-            mass=m / 4.0,
-        )
-
-        def profile(E):
-            return lambda v: 8.0 * m * om * om * np.exp(4.0 * np.asarray(v)) - 4.0 * al * np.exp(
-                2.0 * np.asarray(v)
-            )
-
-        def lam_req(E):
-            l1, l2 = self.indices(spec, E)
-            return -hq * (2.0 * n_oth + l1 + l2 + 1.0) ** 2
-
-        def factor(E, n):
-            return lambda v: sf.model_eigenfunction(morse, int(n), 2.0 * np.asarray(v))
-
-        def window(E, n):
-            v0m = morse.params["v0"]
-            return (0.5 * math.log(0.05 / (2.0 * v0m)), 0.5 * math.log(25.0 / (2.0 * v0m)))
-
-        return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
-
-    def _horospherical(self, spec, partner, axis):
-        """mu or nu > 0: a radial oscillator."""
+        """u: Poeschl-Teller with indices (lambda_2, lambda_1); v, in the
+        doubled variable x = 2v: a Morse well."""
         _, _, m, hb, _ = _units(spec)
         al, om = spec.c("alpha"), abs(spec.c("omega"))
-        n_oth, q = int(partner), m * om / hb
+        v0 = 2.0 * m * om / hb
+        return _model_pair(spec, (
+            (sf.PT, lambda E: self.indices(spec, E)[::-1], (0.15, math.pi / 2.0 - 0.15), 1.0),
+            (sf.MORSE_BOUND, lambda E: (v0, al / (4.0 * m * om * om)),
+             (0.5 * math.log(0.05 / (2.0 * v0)), 0.5 * math.log(25.0 / (2.0 * v0))), 2.0),
+        ), partner, axis)
 
-        def lam_req(E):
-            return al - hb * om * (2.0 * n_oth + self.indices(spec, E)[1 - axis] + 1.0)
-
-        return _model_axis(spec, sf.RHO,
-                           lambda E: {"omega": om, "lam": self.indices(spec, E)[axis]},
-                           lam_req, (0.25 / math.sqrt(q), math.sqrt(30.0 / q)))
+    def _horospherical(self, spec, partner, axis):
+        """mu and nu > 0: radial oscillators with the indices lambda_1 and
+        lambda_2, shifted by alpha."""
+        om = abs(spec.c("omega"))
+        q = spec.space.mass * om / spec.space.hbar
+        window = (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
+        rows = [(sf.RHO, lambda E, i=i: (om, self.indices(spec, E)[i]), window, 1.0)
+                for i in (0, 1)]
+        return _model_pair(spec, rows, partner, axis, shift=spec.c("alpha"))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv,
                    ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
@@ -800,7 +764,9 @@ class DIV_V1(DIVFamily):
             self.indices(spec, E)
         except DomainError:
             return False
-        return self.count(spec, qn) > 0 and self._v_index(spec, qn.l) > 0
+        # the Morse index alpha/(2 hbar |w|) - l - 1/2 of the v factor must be positive
+        v_index = spec.c("alpha") / (2.0 * spec.space.hbar * abs(spec.c("omega"))) - qn.l - 0.5
+        return self.count(spec, qn) > 0 and v_index > 0
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
@@ -815,7 +781,6 @@ class DIV_V2(DIVFamily):
     couplings = ("k1", "k2", "k3")
     centrifugal = "k3"  # the coupling of the dispersion
     forms = ("uv",)
-    schemes = ("uv", "degelliptic2")
     pullbacks = {"degelliptic2": ((0.35, 1.6), (0.25, math.pi / 4.0 - 0.12))}
 
     def form(self, spec, chart):
@@ -834,15 +799,12 @@ class DIV_V2(DIVFamily):
         return _index_root(sp, k3 * k3, sp.a_plus, E), _index_root(sp, k3 * k3, sp.a_minus, E)
 
     def _uv(self, spec, partner, axis):
+        """u: Poeschl-Teller with indices (lambda_+, lambda_-); v: a bound
+        modified Poeschl-Teller with indices (|k1|, |k2|)."""
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
-        if axis == 1:
-            return _mpt_axis(spec, partner, lambda E: (k1, k2), lambda E: self.indices(spec, E),
-                             (0.8, 6.5))
-        mpt_v = sf.ModelFamily(sf.MPT_BOUND, {"eta": k1, "nu": k2},
-                               hbar=spec.space.hbar, mass=spec.space.mass)
-        return _pt_axis(spec, lambda E: self.indices(spec, E),
-                        lambda E: -sf.model_eigenvalue(mpt_v, int(partner)),
-                        (0.15, math.pi / 2.0 - 0.15))
+        return _model_pair(spec, (
+            (sf.PT, lambda E: self.indices(spec, E), (0.15, math.pi / 2.0 - 0.15), 1.0),
+            (sf.MPT_BOUND, lambda E: (k1, k2), (0.8, 6.5), 1.0)), partner, axis)
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv}
 
@@ -886,7 +848,6 @@ class DIV_V3(DIVFamily):
 
     couplings = ("c1", "c2", "c3")
     forms = ("degelliptic2", "degelliptic1")
-    schemes = ("degelliptic2",)
     transcendental = True
 
     def form(self, spec, chart):
@@ -900,19 +861,14 @@ class DIV_V3(DIVFamily):
                      + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2))
 
     def _degelliptic2(self, spec, partner, axis):
+        """A bound modified Poeschl-Teller with indices (lam_3+, lam_2+) times
+        a Poeschl-Teller with indices (lam_3-, lam_1-)."""
         def pair(*keys):
             return lambda E: itemgetter(*keys)(potentials.div3_indices(spec, E))
 
-        if axis == 0:
-            return _mpt_axis(spec, partner, pair("3p", "2p"), pair("3m", "1m"), (0.3, 10.0))
-        hq = potentials._quantum_unit(spec.space)
-        n_oth = int(partner)
-
-        def lam_req(E):
-            lam = potentials.div3_indices(spec, E)
-            return hq * (lam["2p"] - lam["3p"] - 2.0 * n_oth - 1.0) ** 2
-
-        return _pt_axis(spec, pair("3m", "1m"), lam_req, (0.12, math.pi / 4.0 - 0.02))
+        return _model_pair(spec, ((sf.MPT_BOUND, pair("3p", "2p"), (0.3, 10.0), 1.0),
+                                  (sf.PT, pair("3m", "1m"), (0.12, math.pi / 4.0 - 0.02), 1.0)),
+                           partner, axis)
 
     separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
 

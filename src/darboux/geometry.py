@@ -228,8 +228,11 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
     finite = np.isfinite(q1) & np.isfinite(q2)
     if np.count_nonzero(finite) < finite.size:
         raise DomainError("non-finite chart point")
-    if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
-        raise DomainError(row.message)
+    try:  # free until it catches, from Python 3.11 on
+        if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
+            raise DomainError(row.message)
+    except TypeError:  # a Python list has no elementwise comparison
+        raise ParamError("chart coordinates must be numbers or numpy arrays") from None
 
 
 def d3_factor(space: SpaceParams, chart: Chart):

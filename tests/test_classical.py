@@ -264,6 +264,12 @@ def test_bracket_refuses_an_array_of_states():
             poisson_bracket_fd(SP1, "K", "X1", PhaseState(Chart(name, a, a), a, a))
 
 
+def test_list_coordinates_are_a_param_error():
+    a = [0.5, 0.7]  # a list, not an array: the polar domain rule cannot compare it
+    with pytest.raises(ParamError):
+        observable_value(SP1, "X1", PhaseState(Chart("polar", a, a), a, a))
+
+
 def test_bracket_evaluates_each_observable_once(monkeypatch):
     # each observable once over the 16 shifted states of a bracket; a scalar
     # central difference per shift made 32 calls

@@ -3,6 +3,9 @@ import math
 import pathlib
 import re
 
+import pytest
+
+from darboux.errors import LevelError
 from darboux.families import FAMILIES
 from darboux.geometry import CHARTS, DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec, separated_problem
@@ -90,6 +93,30 @@ def test_every_separation_has_a_finite_window():
             lo, hi = sep.window(-3.7, 0)
             assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
             assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
+
+
+def test_no_div_record_builds_its_own_separation():
+    # every D_IV axis is a row of specfun.MODELS, built by one builder, and
+    # requires its partner row's level
+    tree = ast.parse((SRC / "families.py").read_text())
+    hits = [f"families.py:{node.lineno}: {cls.name} builds Separated1D"
+            for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name.startswith(DIV)
+            for node in ast.walk(cls) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Separated1D"]
+    assert not hits, "\n".join(hits)
+
+
+@pytest.mark.parametrize("name, chart, axis, top", [
+    ("DIV_V1", "uv", 0, 5),             # the Morse ladder of alpha/(2 hbar |omega|) = 6
+    ("DIV_V2", "uv", 0, 1),             # the MPT ladder of (|k1|, |k2|) = (2, 6)
+    ("DIV_V3", "degelliptic2", 1, 5),   # the MPT ladder of (lam_3+, lam_2+) at E = -3.7
+])
+def test_partner_past_its_ladder_is_a_level_error(name, chart, axis, top):
+    spec = PotentialSpec(SpaceParams(DIV, 3.0, 1.0), name, COUPLINGS[name])
+    assert math.isfinite(separated_problem(spec, chart, top, axis).lam_req(-3.7))
+    for partner in (top + 1, 30):
+        with pytest.raises(LevelError):
+            separated_problem(spec, chart, partner, axis).lam_req(-3.7)
 
 
 def _set_arguments(paths):

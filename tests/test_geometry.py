@@ -201,6 +201,14 @@ def test_validate_chart_checks_every_point(space, name, q1, q2):
         validate_chart(space, Chart(name, np.array(q1), np.array(q2)))
 
 
+def test_validate_chart_refuses_lists_where_a_domain_rule_compares():
+    for space in (SpaceParams(DIII, 1.0, 1.0), SpaceParams(DIV, 3.0, 1.0)):
+        for name, row in CHARTS[space.family].items():
+            if row.outside is not None:
+                with pytest.raises(ParamError):
+                    validate_chart(space, Chart(name, [0.5, 0.7], [0.5, 0.7]))
+
+
 @pytest.mark.parametrize("space, u_range", [
     (SpaceParams(DIV, 2.0, 1.0), (0.1 * math.pi / 2, 0.9 * math.pi / 2)),
     (SpaceParams(DIII, 1.3, 0.7), (-1.0, 1.0)),

@@ -475,6 +475,35 @@ def test_div_v3_pinned_records():
                 "decaying_wavefunction": True, "admissible": True}]
 
 
+def test_div_v3_roots_against_mpmath_findroot():
+    # the bracket-scan roots against mpmath.findroot of the same condition at
+    # 30 digits, built from the exact double couplings.  The worst deviation
+    # measured is 6.29e-14 (1 + |E|); the bound is 10x that
+    import mpmath
+    from mpmath import mpf
+
+    sp = DIV3.space
+    worst = 0.0
+    with mpmath.workdps(30):
+        a, b, c = mpf(sp.a), mpf(sp.b), {k: mpf(DIV3.c(k)) for k in ("c1", "c2", "c3")}
+        unit = 2 * mpf(sp.mass) / mpf(sp.hbar) ** 2
+
+        def lam(k, sign, apm, E):  # sqrt(1/4 + sign c_k - 2 m a_pm E / hbar^2)
+            return mpmath.sqrt(mpf(0.25) + sign * c[k] - unit * apm * E)
+
+        def gap(E, nl):
+            ap, am = (a + 2 * b) / 4, (a - 2 * b) / 4
+            return (lam("c2", -1, ap, E) - lam("c3", -1, ap, E) - lam("c3", 1, am, E)
+                    - lam("c1", 1, am, E) - 2 * nl - 2)
+
+        for n in range(3):
+            for l in range(3):
+                (z,) = solve_quantization(DIV3, QuantumNumbers(n, l, "degelliptic2")).candidates
+                ref = mpmath.findroot(lambda E: gap(E, n + l), mpf(z.real))
+                worst = max(worst, float(abs(ref - mpf(z.real)) / (1 + abs(ref))))
+    assert worst < 6.3e-13
+
+
 def test_diii_v1_degenerate_b_is_a_param_error():
     spec = PotentialSpec(SpaceParams(DIII, 1.0, 1e-300), "DIII_V1", {"k3": 0.1})
     with pytest.raises(ParamError):
