@@ -13,14 +13,18 @@ extra constants of motion.
 
 Energy enters the separated 1D profiles as an effective coupling: on D_III
 through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
-lambda^2 = k^2 - 2 m a_pm E / hbar^2.  A D_IV separation pairs two
-``specfun.MODELS`` rows: each axis takes its row's profile, factor and domain
-and requires its partner row's level, so a partner past that row's ladder
-raises LevelError.  What the families share stays in its
-module: the division by the D_III factor or the D_IV conformal factor in
-``potentials``, root finding and admissibility in ``spectra``, grid assembly
-in ``wavefun``.  Records call the public functions of those modules through
-the module, at call time.
+lambda^2 = k^2 - 2 m a_pm E / hbar^2.  ``_model_pair`` builds an axis from
+two ``specfun.MODELS`` rows: it takes its row's profile, factor and domain and
+requires a shared level minus its partner row's level, so a partner past that
+row's ladder raises LevelError.  It builds every D_IV axis and the D_III
+oscillators, rows at -w(E): the parabolic axes of V1, V2 and V5 and the polar
+radius, whose angle is in its index.  The D_III Morse log-axes keep
+``_morse_axis``: the uv factor takes its index from the partner, and the
+hyperbolic ones are sampled past the Morse ladder, which a row refuses.  What
+the families share stays in its module: the division by the D_III factor or
+the D_IV conformal factor in ``potentials``, root finding and admissibility in
+``spectra``, grid assembly in ``wavefun``.  Records call the public functions
+of those modules through the module, at call time.
 """
 
 from __future__ import annotations
@@ -59,6 +63,46 @@ def _model_factor(spec, tag, params, n, scale=1.0):
     """The level-n eigenfunction of a model family of ``specfun``, at scale * x."""
     fam = sf.ModelFamily(tag, params, hbar=spec.space.hbar, mass=spec.space.mass)
     return lambda x: sf.model_eigenfunction(fam, int(n), scale * np.asarray(x))
+
+
+# A ``specfun.MODELS`` row of a separation: tag, params(E) in the row's key order,
+# sampling window (fixed, or window(E)), and the scale s and origin x0(E) (None:
+# 0; whole-line rows only) of its variable s (x - x0): it is solved at mass m / s^2.
+Row = namedtuple("Row", "tag params window s x0", defaults=(1.0, None))
+
+
+def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0):
+    """Axis ``axis`` of a separation into the two rows ``rows``.  The axis
+    takes its row's profile, factor and domain; it requires shift(E) minus its
+    partner row's level ``partner``, which raises LevelError past that row's
+    ladder.  A partner that is no row (None) has level 0."""
+    hb, m = spec.space.hbar, spec.space.mass
+
+    def model(row, E):
+        return sf.ModelFamily(row.tag, dict(zip(sf.MODELS[row.tag].keys, row.params(E))),
+                              hbar=hb, mass=m / (row.s * row.s))
+
+    row, other = rows[axis], rows[1 - axis]
+
+    def var(E):  # x -> s (x - x0(E)), the row's variable
+        x0 = 0.0 if row.x0 is None else row.x0(E)
+        return lambda x: row.s * (np.asarray(x) - x0)
+
+    def profile(E):
+        U, to = sf.model_potential(model(row, E)), var(E)
+        return lambda x: U(to(x))
+
+    def factor(E, n):
+        fam, to = model(row, E), var(E)
+        return lambda x: sf.model_eigenfunction(fam, int(n), to(x))
+
+    def lam_req(E):
+        lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), int(partner))
+        return shift(E) - lev
+
+    window = row.window if callable(row.window) else lambda E: row.window
+    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(E),
+                                  tuple(d / row.s for d in sf.model_domain(row.tag)))
 
 
 class Family:
@@ -144,69 +188,26 @@ def _omega_of(spec, E: float) -> float:
     return math.sqrt(val)
 
 
-def _flipped_ho(spec, partner, k_own, k_oth, c):
-    """A Cartesian axis of D_III: the flipped oscillator in w(E) with linear
-    term k_own x, whose partner axis has the linear coefficient k_oth and the
-    level ``partner``; c is the shift of a E - c in the condition."""
-    a, _, m, hb, _ = _units(spec)
-    n_oth = int(partner)
+def _ho_row(spec, k):
+    """A Cartesian axis of D_III with linear term k x: the HO row at -w(E) about -k/(m w^2)."""
+    m, hb = spec.space.mass, spec.space.hbar
 
-    def profile(E):
+    def x0(E):
         w = _omega_of(spec, E)
-        return lambda x: 0.5 * m * w * w * np.asarray(x) ** 2 + k_own * np.asarray(x)
+        return -k / (m * w * w)
 
-    def lam_req(E):
-        w = _omega_of(spec, E)
-        e_oth = -hb * w * (n_oth + 0.5) - k_oth * k_oth / (2.0 * m * w * w)
-        return a * E - c - e_oth
+    def window(E):
+        c, half = x0(E), math.sqrt(18.0 * hb / (m * _omega_of(spec, E)))
+        return (c - half, c + half)
 
-    def factor(E, n):
-        # the oscillator solution at level -hbar w (n + 1/2), a growing Gaussian
-        w = _omega_of(spec, E)
-        q, shift, n = m * w / hb, k_own / (m * w * w), int(n)
-
-        def psi(x):
-            y = np.asarray(x, dtype=float) + shift
-            # the real polynomial i^{-n} H_n(i y)
-            flip = np.real(1j ** -n * sf.orthopoly_eval("hermite", n, (), 1j * np.sqrt(q) * y))
-            return flip * np.exp(0.5 * q * y * y)
-
-        return psi
-
-    def window(E, n):
-        w = _omega_of(spec, E)
-        half = math.sqrt(18.0 * hb / (m * w))
-        s = k_own / (m * w * w)
-        return (-s - half, -s + half)
-
-    return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
+    return Row(sf.HO, lambda E: (-_omega_of(spec, E),), window, x0=x0)
 
 
-def _flipped_rho(spec, lam, lam_req, window):
-    """A radial axis of D_III: the radial oscillator in w(E) with index lam,
-    solved at its flipped level -hbar w (2n + lam + 1); ``window(q)`` gives
-    the sampling interval from q = m w / hbar."""
-    _, _, m, hb, _ = _units(spec)
-
-    def q_of(E):
-        return m * _omega_of(spec, E) / hb
-
-    def profile(E):
-        return sf.model_potential(
-            sf.ModelFamily(sf.RHO, {"omega": _omega_of(spec, E), "lam": lam}, hbar=hb, mass=m))
-
-    def factor(E, n):
-        q, n = q_of(E), int(n)
-
-        def psi(r):
-            r = np.asarray(r, dtype=float)
-            lag = sf.orthopoly_eval("laguerre", n, (lam,), -q * r * r)
-            return r ** (lam + 0.5) * np.exp(0.5 * q * r * r) * lag
-
-        return psi
-
-    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(q_of(E)),
-                                  (0.0, math.inf))
+def _rho_row(spec, lam, window):
+    """A radial axis of D_III: the RHO row at -w(E) of index lam, sampled on window(m w/hbar)."""
+    m, hb = spec.space.mass, spec.space.hbar
+    return Row(sf.RHO, lambda E: (-_omega_of(spec, E), lam),
+               lambda E: window(m * _omega_of(spec, E) / hb))
 
 
 def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
@@ -231,10 +232,21 @@ def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
 
 
 class DIIIFamily(Family):
-    """A D_III family; its roots decay when b/a > 0 and E < 0."""
+    """A D_III family; its roots decay when b/a > 0 and E < 0.  All but V4 are
+    quantized by level_sum(E) = -s hbar w M, the level their two axes share."""
 
     def decays(self, spec, qn, E):
         return spec.space.b / spec.space.a > 0 and E < 0
+
+    def scale(self, qn):
+        """The s of the condition."""
+        return 1.0
+
+    def unsquared_gap(self, spec, qn, E):
+        w = _omega_of(spec, E)
+        M = self.count(spec, qn)
+        return _gap_pair(self.level_sum(spec, E),
+                         math.sqrt(self.scale(qn)) * spec.space.hbar * w * M)
 
 
 class DIII_V1(DIIIFamily):
@@ -247,9 +259,15 @@ class DIII_V1(DIIIFamily):
     def form(self, spec, chart):
         return spec.c("k1") * chart.q1 + spec.c("k2") * chart.q2 + spec.c("k3")
 
+    def level_sum(self, spec, E):
+        """a E - k3 + (k1^2 + k2^2)/(2 m w^2)."""
+        c, m, w = spec.c("k1") ** 2 + spec.c("k2") ** 2, spec.space.mass, _omega_of(spec, E)
+        return spec.space.a * E - spec.c("k3") + c / (2.0 * m * w * w)
+
     def _parabolic(self, spec, partner, axis):
-        k = (spec.c("k1"), spec.c("k2"))
-        return _flipped_ho(spec, partner, k[axis], k[1 - axis], spec.c("k3"))
+        """xi and eta: oscillators at -w(E) centred at -k_i/(m w^2)."""
+        return _model_pair(spec, [_ho_row(spec, spec.c("k1")), _ho_row(spec, spec.c("k2"))],
+                           partner, axis, functools.partial(self.level_sum, spec))
 
     separations = {("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
 
@@ -275,13 +293,6 @@ class DIII_V1(DIIIFamily):
             c * c / (a * a * b * b),
         )]
 
-    def unsquared_gap(self, spec, qn, E):
-        a, _, m, hb, _ = _units(spec)
-        w = _omega_of(spec, E)
-        c = spec.c("k1") ** 2 + spec.c("k2") ** 2
-        N = self.count(spec, qn)
-        return _gap_pair(a * E - spec.c("k3") + c / (2.0 * m * w * w), hb * w * N)
-
 
 class Shifted(DIIIFamily):
     """V2, V3 and V5 of D_III, quantized by a E - c = -s hbar w M with an
@@ -297,9 +308,8 @@ class Shifted(DIIIFamily):
     def shift(self, spec):
         return spec.c("alpha")
 
-    def scale(self, qn):
-        """The s of the condition."""
-        return 1.0
+    def level_sum(self, spec, E):
+        return spec.space.a * E - self.shift(spec)
 
     def _uv(self, spec, partner, axis):
         """u of the (u, v) chart: a flipped Morse problem in e^{-u}."""
@@ -310,11 +320,13 @@ class Shifted(DIIIFamily):
                            lambda E: -hq * mu_idx ** 2, -1)
 
     def _polar(self, spec, partner, axis):
-        """The radius of the polar chart: a flipped radial oscillator."""
-        a, coupling = spec.space.a, self.shift(spec)
-        lam_ang = self._polar_index(spec, partner)
-        return _flipped_rho(spec, lam_ang, lambda E: a * E - coupling, lambda q: (
-            0.35 / math.sqrt(q) / math.sqrt(lam_ang + 1.0), math.sqrt(28.0 / q)))
+        """The radius of the polar chart: a radial oscillator at -w(E) whose
+        index carries the angle, so that its partner is no row."""
+        lam = self._polar_index(spec, partner)
+        row = _rho_row(spec, lam, lambda q: (0.35 / math.sqrt(q) / math.sqrt(lam + 1.0),
+                                             math.sqrt(28.0 / q)))
+        return _model_pair(spec, (row, None), partner, axis,
+                           functools.partial(self.level_sum, spec))
 
     def branches(self, spec, qn):
         # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
@@ -323,12 +335,6 @@ class Shifted(DIIIFamily):
         M = self.count(spec, qn)
         B = self.scale(qn) * hb ** 2 * M * M * b / (2.0 * m)
         return [(a ** 2, B - 2.0 * a * c, c * c)]
-
-    def unsquared_gap(self, spec, qn, E):
-        w = _omega_of(spec, E)
-        M = self.count(spec, qn)
-        return _gap_pair(spec.space.a * E - self.shift(spec),
-                         math.sqrt(self.scale(qn)) * spec.space.hbar * w * M)
 
     def asymptotic(self, spec, qn, branch):
         """'minus' is the deep oscillator-like branch, 'plus' the shallow
@@ -365,20 +371,10 @@ class DIII_V2(Shifted):
         return 2.0 * int(partner) + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
 
     def _parabolic(self, spec, partner, axis):
-        """xi or eta > 0: a flipped radial oscillator."""
-        a, hb, n_oth = spec.space.a, spec.space.hbar, int(partner)
-        k_own = abs(spec.c("k1")) if axis == 0 else abs(spec.c("k2"))
-        k_oth = abs(spec.c("k2")) if axis == 0 else abs(spec.c("k1"))
-        coupling = spec.c("alpha")
-
-        def lam_req(E):
-            return a * E - coupling + hb * _omega_of(spec, E) * (2.0 * n_oth + k_oth + 1.0)
-
-        def window(q):
-            hi = math.sqrt(18.0 / q)
-            return (0.3 / math.sqrt(q * hi), hi)
-
-        return _flipped_rho(spec, k_own, lam_req, window)
+        """xi and eta > 0: radial oscillators at -w(E) with the indices |k1|, |k2|."""
+        rows = [_rho_row(spec, abs(spec.c(k)), lambda q: (
+            0.3 / math.sqrt(q * math.sqrt(18.0 / q)), math.sqrt(18.0 / q))) for k in ("k1", "k2")]
+        return _model_pair(spec, rows, partner, axis, functools.partial(self.level_sum, spec))
 
     separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
                    ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
@@ -428,11 +424,11 @@ class DIII_V3(Shifted):
         """The polar angle phi: the complex Morse family in 2 phi.  It requires
         the index at which the radius solves at level ``partner``; at a root
         that is the angle's own index."""
-        a, _, _, hb, hq = _units(spec)
+        _, _, _, hb, hq = _units(spec)
         C1, C2 = self._cmorse(spec)
 
         def lam_req(E):
-            idx = abs(a * E - self.shift(spec)) / (hb * _omega_of(spec, E)) - 2 * int(partner) - 1
+            idx = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E)) - 2 * int(partner) - 1
             return hq * idx ** 2
 
         def profile(E):
@@ -569,8 +565,9 @@ class DIII_V5(Shifted):
         return abs(int(partner))
 
     def _parabolic(self, spec, partner, axis):
-        """xi or eta: a flipped oscillator."""
-        return _flipped_ho(spec, partner, 0.0, 0.0, self.shift(spec))
+        """xi and eta: oscillators at -w(E)."""
+        return _model_pair(spec, [_ho_row(spec, 0.0)] * 2, partner, axis,
+                           functools.partial(self.level_sum, spec))
 
     def _hyperbolic(self, spec, partner, axis):
         """x = ln mu: a flipped factor on the growing-exponential side;
@@ -663,35 +660,6 @@ def _a_minus(spec):
     return spec.space.a_minus
 
 
-def _model_pair(spec, rows, partner, axis, shift=0.0):
-    """Axis ``axis`` of a D_IV separation into two ``specfun.MODELS`` rows,
-    ``rows[i] = (tag, params, window, s)``: params(E) in the row's key order,
-    the fixed sampling window, and the scale s of the variable, which enters
-    the row as s x and so solves it at mass m / s^2.  The axis takes its row's
-    profile, factor and domain; it requires shift minus its partner row's
-    level ``partner``, which raises LevelError past that row's ladder."""
-    hb, m = spec.space.hbar, spec.space.mass
-
-    def model(i, E):
-        tag, params, _, s = rows[i]
-        return sf.ModelFamily(tag, dict(zip(sf.MODELS[tag].keys, params(E))),
-                              hbar=hb, mass=m / (s * s))
-
-    tag, _, window, s = rows[axis]
-
-    def profile(E):
-        U = sf.model_potential(model(axis, E))
-        return lambda x: U(s * np.asarray(x))
-
-    def factor(E, n):
-        fam = model(axis, E)
-        return lambda x: sf.model_eigenfunction(fam, int(n), s * np.asarray(x))
-
-    return potentials.Separated1D(
-        profile, lambda E: shift - sf.model_eigenvalue(model(1 - axis, E), int(partner)),
-        factor, lambda E, n: window, tuple(d / s for d in sf.model_domain(tag)))
-
-
 class DIV_V1(DIVFamily):
     """Centrifugal k1, k2 terms, minus alpha, plus an oscillator in omega:
     Poeschl-Teller times Morse in (u, v), two radial oscillators in the
@@ -725,9 +693,9 @@ class DIV_V1(DIVFamily):
         al, om = spec.c("alpha"), abs(spec.c("omega"))
         v0 = 2.0 * m * om / hb
         return _model_pair(spec, (
-            (sf.PT, lambda E: self.indices(spec, E)[::-1], (0.15, math.pi / 2.0 - 0.15), 1.0),
-            (sf.MORSE_BOUND, lambda E: (v0, al / (4.0 * m * om * om)),
-             (0.5 * math.log(0.05 / (2.0 * v0)), 0.5 * math.log(25.0 / (2.0 * v0))), 2.0),
+            Row(sf.PT, lambda E: self.indices(spec, E)[::-1], (0.15, math.pi / 2.0 - 0.15)),
+            Row(sf.MORSE_BOUND, lambda E: (v0, al / (4.0 * m * om * om)),
+                (0.5 * math.log(0.05 / (2.0 * v0)), 0.5 * math.log(25.0 / (2.0 * v0))), 2.0),
         ), partner, axis)
 
     def _horospherical(self, spec, partner, axis):
@@ -736,9 +704,8 @@ class DIV_V1(DIVFamily):
         om = abs(spec.c("omega"))
         q = spec.space.mass * om / spec.space.hbar
         window = (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
-        rows = [(sf.RHO, lambda E, i=i: (om, self.indices(spec, E)[i]), window, 1.0)
-                for i in (0, 1)]
-        return _model_pair(spec, rows, partner, axis, shift=spec.c("alpha"))
+        rows = [Row(sf.RHO, lambda E, i=i: (om, self.indices(spec, E)[i]), window) for i in (0, 1)]
+        return _model_pair(spec, rows, partner, axis, lambda E: spec.c("alpha"))
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv,
                    ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
@@ -803,8 +770,8 @@ class DIV_V2(DIVFamily):
         modified Poeschl-Teller with indices (|k1|, |k2|)."""
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
         return _model_pair(spec, (
-            (sf.PT, lambda E: self.indices(spec, E), (0.15, math.pi / 2.0 - 0.15), 1.0),
-            (sf.MPT_BOUND, lambda E: (k1, k2), (0.8, 6.5), 1.0)), partner, axis)
+            Row(sf.PT, lambda E: self.indices(spec, E), (0.15, math.pi / 2.0 - 0.15)),
+            Row(sf.MPT_BOUND, lambda E: (k1, k2), (0.8, 6.5))), partner, axis)
 
     separations = {("uv", 0): _uv, ("uv", 1): _uv}
 
@@ -866,8 +833,8 @@ class DIV_V3(DIVFamily):
         def pair(*keys):
             return lambda E: itemgetter(*keys)(potentials.div3_indices(spec, E))
 
-        return _model_pair(spec, ((sf.MPT_BOUND, pair("3p", "2p"), (0.3, 10.0), 1.0),
-                                  (sf.PT, pair("3m", "1m"), (0.12, math.pi / 4.0 - 0.02), 1.0)),
+        return _model_pair(spec, (Row(sf.MPT_BOUND, pair("3p", "2p"), (0.3, 10.0)),
+                                  Row(sf.PT, pair("3m", "1m"), (0.12, math.pi / 4.0 - 0.02))),
                            partner, axis)
 
     separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}

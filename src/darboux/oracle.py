@@ -177,6 +177,8 @@ def verify_building_block(fam: sf.ModelFamily, n_max: int, n_points=3200) -> Bui
     """Compare the FD eigensolver with the closed-form model family."""
     if fam.row.whole is None and fam.row.scan is None:
         raise ParamError(f"{fam.tag} has no real confining profile to verify")
+    if fam.params.get("omega", 0.0) < 0:
+        raise ParamError(f"{fam.tag} at a negative frequency holds growing partners, not states")
     top = sf.model_max_index(fam)
     if top is not None and n_max > top:
         raise ParamError(f"{fam.tag} holds only {top + 1} bound states")

@@ -5,7 +5,9 @@ function by its terminating series, and the complex gamma function by a
 Lanczos approximation.  The model table ``MODELS`` holds one row per exactly
 solvable 1D bound-state problem that appears as a separation factor: harmonic
 and radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller,
-Morse, and the complex periodic Morse problem whose spectrum is real.
+Morse, and the complex periodic Morse problem whose spectrum is real.  An HO
+or RHO row at a negative frequency -w gives the growing partner of its states,
+at the level its formula returns: the flipped factors of the D_III separations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LevelError, ParamError, PoleError
+from .errors import DomainError, LevelError, ParamError, PoleError
 
 # ----------------------------------------------------------------------
 # gamma function (complex Lanczos, g = 7)
@@ -163,7 +165,8 @@ MPT_BOUND, MORSE_BOUND = "MPT_bound", "Morse_bound"
 @dataclass(frozen=True)
 class ModelFamily:
     """A 1D bound-state model problem: the tag of its row in ``MODELS`` and
-    the coupling parameters that the row's ``keys`` name."""
+    the coupling parameters that the row's ``keys`` name.  A non-finite
+    parameter raises DomainError."""
 
     tag: str
     params: dict = field(default_factory=dict)
@@ -171,10 +174,14 @@ class ModelFamily:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.tag not in MODELS:
+        row = MODELS.get(self.tag)
+        if row is None:
             raise ParamError(f"unknown model family {self.tag!r}")
-        if self.row.invalid is not None and self.row.invalid(*self.args):
-            raise ParamError(self.row.message)
+        args = tuple(self.params[k] for k in row.keys)
+        if not all(map(cmath.isfinite, args)):
+            raise DomainError(f"{self.tag} parameters must be finite, got {self.params}")
+        if row.invalid is not None and row.invalid(*args):
+            raise ParamError(row.message)
 
     @property
     def row(self):
@@ -227,13 +234,18 @@ def _mpt_index(eta, nu, n=0):
 
 def _ho_state(f, n, x, w):
     q = f.mass * w / f.hbar
+    if w < 0:  # the growing partner i^{-n} H_n(i sqrt|q| x) e^{|q| x^2/2}, unnormalized
+        flip = np.real(1j ** -n * orthopoly_eval("hermite", n, (), 1j * np.sqrt(-q) * x))
+        return flip * np.exp(-0.5 * q * x * x)
     pref = (q / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
     return pref * orthopoly_eval("hermite", n, (), np.sqrt(q) * x) * np.exp(-0.5 * q * x * x)
 
 
 def _rho_state(f, n, x, w, lam):
     q = f.mass * w / f.hbar
-    pref = math.sqrt(2.0 * q ** (lam + 1.0) * math.factorial(n) / abs(gamma_complex(n + lam + 1.0)))
+    # w < 0: the growing partner x^{lam+1/2} e^{|q| x^2/2} L_n^lam(-|q| x^2), unnormalized
+    pref = 1.0 if w < 0 else math.sqrt(2.0 * q ** (lam + 1.0) * math.factorial(n)
+                                       / abs(gamma_complex(n + lam + 1.0)))
     lag = orthopoly_eval("laguerre", n, (lam,), q * x * x)
     return pref * x ** (lam + 0.5) * np.exp(-0.5 * q * x * x) * lag
 
@@ -369,7 +381,7 @@ _NORM_CACHE: dict = {}
 def model_eigenfunction(fam: ModelFamily, n, x):
     """Sample the level-n model eigenfunction at x, unit-normalized over the
     natural domain by its closed-form constant (the Hermite, Laguerre and Jacobi
-    norms of DLMF §18.3; the complex Morse states are left unnormalized).  A
+    norms of DLMF §18.3; complex Morse states and growing partners are not).  A
     level beyond the ladder raises LevelError, a constant that overflows a double
     ParamError."""
     try:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from darboux.errors import LevelError
+from darboux.errors import DomainError, LevelError
 from darboux.families import FAMILIES
 from darboux.geometry import CHARTS, DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec, separated_problem
@@ -104,6 +104,31 @@ def test_no_div_record_builds_its_own_separation():
             for node in ast.walk(cls) if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "Separated1D"]
     assert not hits, "\n".join(hits)
+
+
+def test_only_the_shared_builders_build_a_separation():
+    # every oscillator axis of both surfaces is a pair of specfun.MODELS rows
+    # built by _model_pair; the D_III Morse log-axes and DIII_V3's complex-Morse
+    # angle keep their own builders
+    def builds(node):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and getattr(c.func, "attr", getattr(c.func, "id", None)) == "Separated1D"]
+
+    tree = ast.parse((SRC / "families.py").read_text())
+    scopes = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    scopes.update({f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)})
+    callers = {name for name, node in scopes.items() if builds(node)}
+    assert callers == {"_model_pair", "_morse_axis", "DIII_V3._angle"}
+    assert len(builds(tree)) == sum(len(builds(scopes[name])) for name in callers)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_complex_index_root_is_a_domain_error(axis):
+    # at E = 2.5 lam_3+ of DIV_V3 is complex (NaN): neither axis's rows exist there
+    spec = PotentialSpec(SpaceParams(DIV, 3.0, 1.0), "DIV_V3", COUPLINGS["DIV_V3"])
+    with pytest.raises(DomainError, match="finite"):
+        separated_problem(spec, "degelliptic2", 0, axis).lam_req(2.5)
 
 
 @pytest.mark.parametrize("name, chart, axis, top", [

@@ -79,6 +79,14 @@ def test_verify_rejects_nonconfining():
         verify_building_block(sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 4)
 
 
+@pytest.mark.parametrize("fam", [sf.ModelFamily(sf.HO, {"omega": -1.0}),
+                                 sf.ModelFamily(sf.RHO, {"omega": -1.0, "lam": 0.5})])
+def test_verify_refuses_a_row_at_negative_frequency(fam):
+    # such a row holds growing partners, which no walled eigensolve reproduces
+    with pytest.raises(ParamError, match="negative frequency"):
+        verify_building_block(fam, 1)
+
+
 # (family, couplings, chart, quantum numbers, axes) of the separated problems
 # whose factors must solve their 1D equations at a quantization root
 RESIDUAL_CASES = [

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import darboux.specfun as sf
-from darboux.errors import ParamError, PoleError
+from darboux.errors import DomainError, ParamError, PoleError
 from darboux.specfun import (
     ModelFamily,
     gamma_complex,
@@ -162,6 +162,58 @@ def test_cmorse_real_spectrum_and_ode():
         d2 = (-psi[:-4] + 16 * psi[1:-3] - 30 * psi[2:-2] + 16 * psi[3:-1] - psi[4:]) / (12 * h * h)
         r = -0.5 * d2 + (u - e) * psi[2:-2]
         assert np.abs(r).max() / (abs(e) * np.abs(psi).max()) < 1e-6
+
+
+def _flipped_ho(n, x, q):
+    """The flipped oscillator as the D_III separations once wrote it out, with
+    q = m w / hbar > 0: i^{-n} H_n(i sqrt(q) x) e^{q x^2/2}."""
+    flip = np.real(1j ** -n * orthopoly_eval("hermite", n, (), 1j * np.sqrt(q) * x))
+    return flip * np.exp(0.5 * q * x * x)
+
+
+def _flipped_rho(n, r, q, lam):
+    """The flipped radial oscillator, likewise: r^{lam+1/2} e^{q r^2/2} L_n^lam(-q r^2)."""
+    lag = orthopoly_eval("laguerre", n, (lam,), -q * r * r)
+    return r ** (lam + 0.5) * np.exp(0.5 * q * r * r) * lag
+
+
+# (w, lam, n, hbar, mass): the rows are taken at omega = -w
+GROWING = [(1.0, 0.5, 0, 1.0, 1.0), (1.0, 0.5, 1, 1.0, 1.0), (2.3, 1.7, 2, 1.0, 1.0),
+           (0.8, 0.3, 3, 0.7, 1.3), (1.9, 2.0, 1, 1.3, 0.6)]
+
+
+@pytest.mark.parametrize("w, lam, n, hbar, mass", GROWING)
+def test_rows_at_negative_frequency_are_the_flipped_factors(w, lam, n, hbar, mass):
+    q = mass * w / hbar
+    x, r = np.linspace(-3.0, 3.0, 257), np.linspace(0.01, 3.0, 257)
+    ho = ModelFamily(sf.HO, {"omega": -w}, hbar=hbar, mass=mass)
+    rho = ModelFamily(sf.RHO, {"omega": -w, "lam": lam}, hbar=hbar, mass=mass)
+    assert model_eigenfunction(ho, n, x).tobytes() == _flipped_ho(n, x, q).tobytes()
+    assert model_eigenfunction(rho, n, r).tobytes() == _flipped_rho(n, r, q, lam).tobytes()
+    assert model_eigenvalue(ho, n) == -hbar * w * (n + 0.5)
+    assert model_eigenvalue(rho, n) == -hbar * w * (2.0 * n + lam + 1.0)
+
+
+@pytest.mark.parametrize("w, lam, n, hbar, mass", GROWING)
+def test_rows_at_negative_frequency_solve_their_equation(w, lam, n, hbar, mass):
+    # the growing partner solves the row's equation at the level its formula
+    # gives (worst 2.4e-9 over these cases)
+    span = 2.5 / math.sqrt(mass * w / hbar)
+    ho = ModelFamily(sf.HO, {"omega": -w}, hbar=hbar, mass=mass)
+    rho = ModelFamily(sf.RHO, {"omega": -w, "lam": lam}, hbar=hbar, mass=mass)
+    assert fd_residual(ho, n, np.linspace(-span, span, 4001)) < 2.5e-8
+    assert fd_residual(rho, n, np.linspace(0.05 * span, span, 4001)) < 2.5e-8
+
+
+@pytest.mark.parametrize("tag, params", [
+    (sf.PT, {"alpha": math.nan, "beta": 1.0}),
+    (sf.MPT_BOUND, {"eta": 0.5, "nu": math.inf}),
+    (sf.RHO, {"omega": -math.inf, "lam": 0.5}),
+    (sf.HO, {"omega": math.nan}),
+])
+def test_non_finite_parameter_is_a_domain_error(tag, params):
+    with pytest.raises(DomainError, match="finite"):
+        ModelFamily(tag, params)
 
 
 def test_mpt_sign_branches_exposed():
