@@ -237,6 +237,8 @@ def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
 TOL_FLOOR = 100 * np.finfo(float).eps
 # right-hand-side calls per unit of t_final (1 at least); a t = 10 flow makes a few hundred
 RHS_CALLS_PER_TIME = 10_000
+# right-hand-side calls in all, whatever t_final: about 17 s of a stiff flow at 85 us a call
+MAX_RHS_CALLS = 200_000
 # output samples at most: each becomes a PhaseState, and a CLI record of ten numbers
 MAX_SAMPLES = 100_000
 
@@ -252,12 +254,12 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     those differences.  The integrator is DOP853 (:mod:`darboux.dop853`),
     with ``tol`` as both its relative and its absolute tolerance.  A
     trajectory that leaves the chart domain raises BlowupError, as does one
-    past RHS_CALLS_PER_TIME max(1, t_final) calls of its right-hand side or
-    one whose step collapses.  A t_final not finite or below 2.2e-308, a tol
-    that is not finite or lies below TOL_FLOOR (100 machine epsilons, the
-    least relative tolerance DOP853 can honour in doubles), fewer than one
-    or more than MAX_SAMPLES = 100,000 output samples, or a non-finite
-    momentum raises ParamError.
+    past min(RHS_CALLS_PER_TIME max(1, t_final), MAX_RHS_CALLS) calls of its
+    right-hand side or one whose step collapses.  A t_final not finite or
+    below 2.2e-308, a tol that is not finite or lies below TOL_FLOOR (100
+    machine epsilons, the least relative tolerance DOP853 can honour in
+    doubles), fewer than one or more than MAX_SAMPLES = 100,000 output
+    samples, or a non-finite momentum raises ParamError.
     """
     if not (math.isfinite(t_final) and t_final >= np.finfo(float).tiny):  # distinct sample times
         raise ParamError(f"t_final must be finite and at least 2.2e-308, got {t_final}")
@@ -280,7 +282,8 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     y0 = np.array([chart0.q1, chart0.q2, state0.p1, state0.p2])
     ts = np.linspace(0.0, t_final, n_out)
     try:
-        ys, _ = dop853(rhs, t_final, y0, ts, tol, int(RHS_CALLS_PER_TIME * max(1.0, t_final)))
+        cap = min(int(RHS_CALLS_PER_TIME * max(1.0, t_final)), MAX_RHS_CALLS)
+        ys, _ = dop853(rhs, t_final, y0, ts, tol, cap)
     except DomainError as exc:
         raise BlowupError(str(exc)) from exc
     states = [PhaseState(Chart(chart0.name, q1, q2, chart0.d), p1, p2) for q1, q2, p1, p2 in ys.T]

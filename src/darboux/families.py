@@ -117,6 +117,7 @@ class Family:
     angles: dict = {}        # chart -> Angle of its second axis
     separations: dict = {}   # (chart, axis) -> separated problem
     transcendental = False   # quantized by a bracket scan rather than by polynomial roots
+    signed_l: tuple = ()     # schemes whose l is a signed momentum, not a ladder level
 
     @property
     def name(self):
@@ -163,8 +164,9 @@ class Family:
         raise UnsupportedError(self.name)
 
     def decays(self, spec, qn, E):
-        """Does the family's stated decay criterion hold for this root?"""
-        return False
+        """Does its decay rule hold at a root?  ``spectra`` asks only where the
+        root's square roots are real, so the default True adds no condition."""
+        return True
 
     def dispersion(self, spec, p, aux):
         raise UnsupportedError(f"{self.name} has no continuous branch")
@@ -232,11 +234,8 @@ def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
 
 
 class DIIIFamily(Family):
-    """A D_III family; its roots decay when b/a > 0 and E < 0.  All but V4 are
-    quantized by level_sum(E) = -s hbar w M, the level their two axes share."""
-
-    def decays(self, spec, qn, E):
-        return spec.space.b / spec.space.a > 0 and E < 0
+    """A D_III family.  All but V4 are quantized by level_sum(E) = -s hbar w M,
+    the level their two axes share, and need no decay rule beyond a real w(E)."""
 
     def scale(self, qn):
         """The s of the condition."""
@@ -448,11 +447,10 @@ class DIII_V3(Shifted):
         return 2.0 * qn.n + self._polar_index(spec, qn.l) + 1.0
 
     def decays(self, spec, qn, E):
-        """The D_III rule, for an l on the angle's ladder: past it the
-        angular index is the modulus of a negative one and no state exists."""
+        """An l on the angle's ladder: past it the angular index is the
+        modulus of a negative one and no state exists."""
         C1, C2 = self._cmorse(spec)
-        top = sf.model_max_index(sf.ModelFamily(sf.CMORSE, {"c1": C1, "c2": C2}))
-        return qn.l <= top and super().decays(spec, qn, E)
+        return qn.l <= sf.model_max_index(sf.ModelFamily(sf.CMORSE, {"c1": C1, "c2": C2}))
 
 
 class DIII_V4(DIIIFamily):
@@ -530,10 +528,7 @@ class DIII_V4(DIIIFamily):
         """Both Morse factors bound at one index, s0(n) = s1(l) > 0: the
         principal sign of the difference branch.  Its flipped sign leaves
         s0 - s1 = 2(l - n), and the sum branch s0 + s1 <= 0."""
-        try:
-            s0, s1 = self._index(spec, E, 0, qn.n), self._index(spec, E, 1, qn.l)
-        except DomainError:
-            return False
+        s0, s1 = self._index(spec, E, 0, qn.n), self._index(spec, E, 1, qn.l)
         return s0 > 0 and s1 > 0 and _gap_pair(s0, s1, 1.0)[0] < 1e-7
 
     def dispersion(self, spec, p, aux):
@@ -547,6 +542,7 @@ class DIII_V5(Shifted):
     couplings = ("v0",)
     forms = ("uv", "hyperbolic")
     angles = {"uv": CIRCLE, "polar": CIRCLE}
+    signed_l = ("uv", "polar")  # the l of e^{ilv}
 
     def form(self, spec, chart):
         hq, v0 = potentials._quantum_unit(spec.space), spec.c("v0")
@@ -595,7 +591,7 @@ class DIII_V5(Shifted):
 
     def count(self, spec, qn):
         if qn.scheme == "uv":
-            return 2.0 * qn.n + 2.0 * qn.l + 1.0
+            return 2.0 * qn.n + 2.0 * abs(qn.l) + 1.0
         if qn.scheme == "polar":
             return 2.0 * qn.n + abs(qn.l) + 1.0
         return qn.n + qn.l + 1.0  # parabolic and hyperbolic countings
@@ -727,13 +723,9 @@ class DIV_V1(DIVFamily):
         return _gap_pair(self.count(spec, qn), l1 + l2)
 
     def decays(self, spec, qn, E):
-        try:
-            self.indices(spec, E)
-        except DomainError:
-            return False
-        # the Morse index alpha/(2 hbar |w|) - l - 1/2 of the v factor must be positive
-        v_index = spec.c("alpha") / (2.0 * spec.space.hbar * abs(spec.c("omega"))) - qn.l - 0.5
-        return self.count(spec, qn) > 0 and v_index > 0
+        """count > 0, which puts l on its v row's ladder: alpha/(2 hbar |w|) - l
+        - 1/2 > n + 1/2 (Morse), (|k2| - |k1| - 1)/2 > n + l + 1/2 (V2's MPT)."""
+        return self.count(spec, qn) > 0
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
@@ -789,16 +781,7 @@ class DIV_V2(DIVFamily):
         )]
 
     unsquared_gap = DIV_V1.unsquared_gap  # count = lambda_+ + lambda_-
-
-    def decays(self, spec, qn, E):
-        k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
-        if qn.l > (k2 - k1 - 1.0) / 2.0 - 1e-12:
-            return False
-        try:
-            self.indices(spec, E)
-        except DomainError:
-            return False
-        return self.count(spec, qn) > 0
+    decays = DIV_V1.decays
 
     def dispersion(self, spec, p, aux):
         sp = spec.space
@@ -811,7 +794,9 @@ class DIV_V3(DIVFamily):
     times a bound modified Poeschl-Teller in degelliptic2, quantized by one
     transcendental condition in the four index roots of
     ``potentials.div3_indices``.  It is never squared, so ``spectra`` finds its
-    roots by a bracket scan and each root carries unsquared sign +1."""
+    roots by a bracket scan and each root carries unsquared sign +1.  It needs
+    no decay rule: at a root, lam_2+ - lam_3+ - 2l - 1 = lam_3- + lam_1- + 2n + 1
+    puts n and l on the ladder of the MPT row."""
 
     couplings = ("c1", "c2", "c3")
     forms = ("degelliptic2", "degelliptic1")
@@ -868,12 +853,6 @@ class DIV_V3(DIVFamily):
         if math.isnan(g):
             raise DomainError(f"a DIV_V3 index root is complex at E = {E!r}")
         return g / (1.0 + g), 1.0
-
-    def decays(self, spec, qn, E):
-        lam = potentials.div3_indices(spec, E)
-        if any(math.isnan(v) for v in lam.values()):
-            return False
-        return lam["2p"] - lam["3p"] - 2.0 * qn.l - 1.0 > 0
 
     def dispersion(self, spec, p, aux):
         sp = spec.space

@@ -6,7 +6,8 @@ polynomial roots, and admissibility flags record (i) the polynomial residual,
 (ii) reality of every square-root subexpression, (iii) whether the unsquared
 condition holds with the principal square-root sign (both signs are kept and
 the realized sign recorded), and (iv) a decay diagnostic for the assembled
-state.  No root is silently discarded.
+state: the family's decay rule, asked only where (ii) holds.  No root is
+silently discarded.
 
 The DIII_V1 quartic is solved by companion-matrix eigenvalues polished with
 Newton steps.  DIV_V3 is the exception to squaring: its one transcendental
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoRootError, ParamError, UnsupportedError
+from .errors import DomainError, LevelError, NoRootError, ParamError, UnsupportedError
 from .families import FAMILIES
 from .potentials import PotentialSpec
 
@@ -123,19 +124,21 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> di
         "sqrt_real": bool(sqrt_ok),
         "satisfies_unsquared": bool(plus_ok or minus_ok),
         "unsquared_sign": +1 if plus_ok else (-1 if minus_ok else 0),
-        "decaying_wavefunction": bool(rec.decays(spec, qn, E)),
+        "decaying_wavefunction": bool(sqrt_ok and rec.decays(spec, qn, E)),
         "admissible": bool(res < 1e-9 and sqrt_ok),
     }
 
 
 def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
-    """All candidate energies of the family's quantization condition at qn."""
+    """All candidate energies of the condition at qn; LevelError for an l < 0 on a ladder."""
     fam = spec.family
     rec = FAMILIES[fam]
     if not rec.schemes:
         raise UnsupportedError(f"{fam} has no discrete quantization")
     if qn.scheme not in rec.schemes:
         raise ParamError(f"{fam} does not separate in scheme {qn.scheme!r}")
+    if qn.l < 0 and qn.scheme not in rec.signed_l:
+        raise LevelError(f"{fam} numbers a ladder level by l in scheme {qn.scheme!r}, got {qn.l}")
 
     if rec.transcendental:
         cands = _scan_roots(spec, qn, rec)

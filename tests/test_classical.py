@@ -149,6 +149,20 @@ def test_flow_blowup_detection():
         hamiltonian_flow(SP1, None, st0, 10.0, tol=1e-9)
 
 
+def test_flow_call_budget_is_capped_whatever_t_final(monkeypatch):
+    # RHS_CALLS_PER_TIME t_final grows without bound; MAX_RHS_CALLS caps it.  A
+    # free t = 100 flow takes about 530 calls and a t = 1 flow about 60, so a
+    # cap of 300 stops the first and not the second
+    from darboux import classical
+
+    sp = SpaceParams(DIII, 1.2, 0.8)
+    st0 = PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4)
+    monkeypatch.setattr(classical, "MAX_RHS_CALLS", 300)
+    with pytest.raises(BlowupError, match="more than 300 right-hand-side calls"):
+        hamiltonian_flow(sp, None, st0, 100.0, tol=1e-9)
+    hamiltonian_flow(sp, None, st0, 1.0, tol=1e-9)
+
+
 def _random_states(rng, name, lo1, hi1, lo2, hi2, n=40):
     return PhaseState(Chart(name, rng.uniform(lo1, hi1, n), rng.uniform(lo2, hi2, n)),
                       rng.uniform(-2, 2, n), rng.uniform(-2, 2, n))

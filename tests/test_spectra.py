@@ -416,6 +416,100 @@ def test_scheme_validation():
         solve_quantization(spec, QuantumNumbers(0, 0, "uv"))
 
 
+# Coupling draws of the decay-rule sweep, one per family with a discrete spectrum
+DECAY_DRAWS = {
+    "DIII_V1": lambda u: {"k1": u(-2, 2), "k2": u(-2, 2), "k3": u(-3, 3)},
+    "DIII_V2": lambda u: {"alpha": u(-3, 6), "k1": u(-2, 2), "k2": u(-2, 2)},
+    "DIII_V3": lambda u: {"alpha": u(-3, 6), "c1": u(0.2, 2.5), "c2": u(0.05, 2)},
+    "DIII_V4": lambda u: {"d1": u(-4, 4), "d2": u(-4, 4), "omega": u(-2, 2)},
+    "DIII_V5": lambda u: {"v0": u(-2, 2)},
+    "DIV_V1": lambda u: {"alpha": u(-5, 40), "k1": u(-3, 3), "k2": u(-3, 3), "omega": u(-2, 2)},
+    "DIV_V2": lambda u: {"k1": u(-3, 3), "k2": u(-14, 14), "k3": u(-3, 3)},
+    "DIV_V3": lambda u: {"c1": u(-3, 3), "c2": u(-800, -100), "c3": u(-3, 3)},
+}
+
+
+def _v_row_top(spec, E):
+    """model_max_index of the row whose ladder the D_IV v axis climbs."""
+    import darboux.specfun as sf
+    from darboux.potentials import div3_indices
+
+    c, sp = spec.c, spec.space
+    if spec.family == "DIV_V1":
+        om = abs(c("omega"))
+        v0, alpha_t = 2.0 * sp.mass * om / sp.hbar, c("alpha") / (4 * sp.mass * om * om)
+        return sf.model_max_index(sf.ModelFamily(sf.MORSE_BOUND, {"v0": v0, "alpha_t": alpha_t}))
+    if spec.family == "DIV_V2":
+        params = {"eta": abs(c("k1")), "nu": abs(c("k2"))}
+    else:
+        lam = div3_indices(spec, E)
+        params = {"eta": lam["3p"], "nu": lam["2p"]}
+    return sf.model_max_index(sf.ModelFamily(sf.MPT_BOUND, params))
+
+
+def test_decay_rule_is_asked_only_where_the_square_roots_are_real():
+    # a record's decay rule states only what its unsquared condition leaves
+    # open; what the deleted D_IV rules computed must follow from the rest:
+    # a decaying DIV_V1 or DIV_V2 root has l on its v row's ladder, and every
+    # real DIV_V3 root has n and l on the ladder of its MPT row
+    from darboux.errors import NoRootError
+    from darboux.families import FAMILIES
+
+    rng = np.random.default_rng(30)
+    seen = dict.fromkeys(("DIV_V1", "DIV_V2", "DIV_V3"), 0)
+    for name, draw in DECAY_DRAWS.items():
+        rec = FAMILIES[name]
+        for _ in range(20):
+            hb, m, a = rng.uniform(0.5, 1.6), rng.uniform(0.5, 2.0), rng.uniform(1.0, 4.0)
+            b = 0.0 if rng.random() < 0.15 else rng.uniform(0.05, 0.5 * a)
+            spec = PotentialSpec(SpaceParams(rec.space, a, b, hb, m), name, draw(rng.uniform))
+            for scheme in rec.schemes:
+                for n in range(4):
+                    for l in range(4):
+                        try:
+                            roots = solve_quantization(spec, QuantumNumbers(n, l, scheme))
+                        except (NoRootError, ParamError):  # DIII_V1 at b = 0, a bare scan
+                            continue
+                        for r in roots.admissible:
+                            assert r["sqrt_real"] or not r["decaying_wavefunction"]
+                            if name in seen and (r["decaying_wavefunction"] or name == "DIV_V3"):
+                                top = _v_row_top(spec, r["E"])
+                                assert l <= top and (name != "DIV_V3" or n <= top)
+                                seen[name] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_negative_l_is_a_level_error_unless_it_is_a_momentum():
+    # l numbers a ladder level in every scheme but DIII_V5's uv and polar,
+    # where it is the signed momentum of e^{ilv}
+    from darboux.errors import LevelError
+    from darboux.families import FAMILIES
+
+    couplings = {
+        "DIII_V1": {"k1": 0.4, "k2": 0.3, "k3": 0.2}, "DIII_V2": {"k1": 0.3, "k2": 0.7},
+        "DIII_V3": {"c1": 1.2, "c2": 0.8}, "DIII_V4": {"d1": -1.5, "d2": -0.5, "omega": 1.0},
+        "DIII_V5": {"v0": 0.5}, "DIV_V1": {"alpha": 8.0, "k1": 1.6, "k2": 1.4, "omega": 1.0},
+        "DIV_V2": {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "DIV_V3": {"c1": 0.3, "c2": -200.0, "c3": 0.2},
+    }
+    for name, coup in couplings.items():
+        rec = FAMILIES[name]
+        spec = PotentialSpec(SP1 if rec.space == DIII else SP4, name, coup)
+        for scheme in rec.schemes:
+            if scheme in rec.signed_l:
+                continue
+            for fn in (solve_quantization, pick_energy):
+                with pytest.raises(LevelError):
+                    fn(spec, QuantumNumbers(0, -1, scheme))
+    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.5})
+    assert FAMILIES["DIII_V5"].signed_l == ("uv", "polar")
+    for scheme in ("uv", "polar"):
+        for n in range(3):
+            for l in (1, 2):
+                assert (pick_energy(spec, QuantumNumbers(n, -l, scheme))
+                        == pick_energy(spec, QuantumNumbers(n, l, scheme))
+                        < pick_energy(spec, QuantumNumbers(n, 0, scheme)))
+
+
 DIV3 = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
 
 

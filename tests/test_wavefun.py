@@ -119,6 +119,23 @@ def test_v5_decay_example():
     assert abs(ratio - want) < 1e-12
 
 
+def test_v5_uv_state_at_negative_l_is_the_opposite_momentum():
+    # l is the momentum of e^{ilv}: its u factor and count read |l|, so l = -1
+    # and l = -2 are the levels of l = 1 and l = 2 with the conjugate state
+    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.5})
+    for l in (1, 2):
+        fields = []
+        for sign in (1, -1):
+            qn = QuantumNumbers(0, sign * l, "uv")
+            e = pick_energy(spec, qn)
+            grid = default_grid(spec, "uv", qn, e, (401, 301))
+            fields.append(assemble_bound_state(spec, "uv", qn, grid=grid, energy=e))
+        plus, minus = fields
+        assert minus.energy == plus.energy
+        assert np.array_equal(minus.values, np.conj(plus.values))
+        assert hamiltonian_residual(minus) == hamiltonian_residual(plus) < 1e-5
+
+
 def test_no_admissible_root_error():
     spec = PotentialSpec(SP1, "DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5})
     big = QuantumNumbers(0, 0, "uv")
