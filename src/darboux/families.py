@@ -36,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
+from .errors import DomainError, LevelError, ParamError, UnsupportedChartError, UnsupportedError
 from .geometry import DIII, DIV, d3_factor
 from . import potentials, specfun as sf
 
@@ -128,6 +128,12 @@ class Family:
         """The charts its states are counted and assembled in: the separated
         charts, in order, then the pulled-back ones."""
         return tuple(dict.fromkeys([chart for chart, _ in self.separations] + [*self.pullbacks]))
+
+    def check_l(self, qn):
+        """LevelError for an l < 0 in a scheme where l numbers a ladder level."""
+        if qn.l < 0 and qn.scheme not in self.signed_l:
+            raise LevelError(f"{self.name} numbers a ladder level by l in scheme "
+                             f"{qn.scheme!r}, got {qn.l}")
 
     def form(self, spec, chart):
         """The numerator of the potential at points of a chart in ``forms``:

@@ -3,7 +3,8 @@
 The eigenvalue oracle discretizes -(hbar^2/2m) d^2/dx^2 + U(x) with the three-point
 stencil on the nested grids n, 2n - 1 and 4n - 3, bisects a pilot grid of n // 4 points,
 refines all three grids' pairs by inverse iteration and Richardson-extrapolates.  It
-never reuses the closed-form eigenvalues, so agreement certifies both sides.
+never reuses the closed-form eigenvalues, so agreement certifies both sides.  It loads
+only scipy's LAPACK extension, not the slower-to-import ``scipy.linalg`` package.
 
 ``separated_ode_residual`` checks that the analytic separation factor of a
 potential family solves its effective 1D problem at a trial energy; the
@@ -13,12 +14,16 @@ adjudication tool for spurious roots of squared conditions.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, ResolutionError
+from .errors import DomainError, ParamError, ResolutionError
 from .potentials import PotentialSpec, separated_problem
 from .spectra import QuantumNumbers
 from .wavefun import _d2_4
@@ -45,17 +50,44 @@ class Grid1D:
 _EPS = float(np.finfo(float).eps)
 
 
-def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
-    """Lowest pairs on xs: bisected, or refined from ``coarse`` (xs, levels, vectors, next)."""
-    from scipy.linalg import eigh_tridiagonal, lapack
+@functools.cache
+def _lapack():
+    """scipy's extension linalg/_flapack, loaded by path without importing scipy;
+    scipy.linalg.lapack where no such file exists."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for path in (f"{root}/linalg/_flapack{s}" for s in importlib.machinery.EXTENSION_SUFFIXES):
+        if os.path.exists(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module("scipy.linalg.lapack")
 
+
+def _bisect(diag, off, k):
+    """The lowest k pairs by the LAPACK calls of scipy's eigh_tridiagonal(select="i")."""
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if info == 0:
+        v, info = lapack.dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise ResolutionError(f"LAPACK bisection of {len(diag)} rows failed (info {info})")
+    order = np.argsort(w[:m])
+    return w[order], v[:, order]
+
+
+def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
+    """Lowest pairs on xs by LAPACK (``_lapack``): bisected, or refined from ``coarse``
+    (xs, levels, vectors, next).  DomainError where the matrix is not finite."""
     h = xs[1] - xs[0]
     kin = hbar * hbar / (2.0 * mass * h * h)
     u = np.asarray(profile(xs[1:-1]), dtype=float)
     diag = 2.0 * kin + u
+    if not np.isfinite(diag).all():
+        raise DomainError(f"the profile is not finite on the {len(xs)}-point grid")
     off = np.full(len(u) - 1, -kin)
     if coarse is None:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
+        return _bisect(diag, off, n_states)
     cxs, ces, cvs, top = coarse
     vs = np.empty((n_states, len(u)))
     walled = np.zeros(len(cxs))  # a coarse vector between its zero walls
@@ -64,7 +96,7 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
         seed = np.interp(xs[1:-1], cxs, walled)
         x, shifted, overlap = seed, diag - e, 0.99 * np.sqrt(seed @ seed)
         for _ in range(2):
-            *_, x, info = lapack.dgtsv(off, shifted, off, x)
+            *_, x, info = _lapack().dgtsv(off, shifted, off, x)
             x /= np.sqrt(x @ x)
             if info != 0 or abs(x @ seed) < overlap:
                 raise ResolutionError(f"inverse iteration from the level {e:.6g} left its seed")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, LevelError, NoRootError, ParamError, UnsupportedError
+from .errors import DomainError, NoRootError, ParamError, UnsupportedError
 from .families import FAMILIES
 from .potentials import PotentialSpec
 
@@ -137,8 +137,7 @@ def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
         raise UnsupportedError(f"{fam} has no discrete quantization")
     if qn.scheme not in rec.schemes:
         raise ParamError(f"{fam} does not separate in scheme {qn.scheme!r}")
-    if qn.l < 0 and qn.scheme not in rec.signed_l:
-        raise LevelError(f"{fam} numbers a ladder level by l in scheme {qn.scheme!r}, got {qn.l}")
+    rec.check_l(qn)
 
     if rec.transcendental:
         cands = _scan_roots(spec, qn, rec)

@@ -117,9 +117,9 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     The quantum numbers must be counted in the chart's own scheme, except
     for the DIV_V2 degelliptic2 pullback, whose count does not read it.  The
     energy defaults to the root ``pick_energy`` picks; other roots are passed
-    as ``energy``.  The log variables of the
-    hyperbolic chart are sampled directly, i.e. the grid is in
-    (x, y) = (ln mu, ln nu) there.  A non-finite energy raises ParamError.
+    as ``energy``.  The log variables of the hyperbolic chart are sampled
+    directly, i.e. the grid is in (x, y) = (ln mu, ln nu) there.  A non-finite
+    energy raises ParamError, and an l < 0 that numbers a ladder level LevelError.
     """
     if energy is not None and not math.isfinite(energy):
         raise ParamError(f"energy must be finite, got {energy!r}")
@@ -129,6 +129,7 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     if qn.scheme != chart_name and chart_name not in rec.pullbacks:
         raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
                          f"do not label states in chart {chart_name!r}")
+    rec.check_l(qn)
     if energy is None:
         energy = pick_energy(spec, qn)
     if grid is None:

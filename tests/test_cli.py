@@ -253,10 +253,10 @@ def test_classical_singular_start_point_exit_2(tmp_path):
     assert not out.exists()
 
 
-# the jobs that need numpy only; verify also loads scipy.linalg for its
-# finite-difference oracle.  The classical flow runs the in-repo DOP853.  The
-# DIV_V1 state is a product of a Poeschl-Teller and a Morse eigenfunction,
-# whose norms are closed forms
+# the jobs that need numpy only; verify also loads scipy's LAPACK extension,
+# not the scipy.linalg package, for its finite-difference oracle.  The
+# classical flow runs the in-repo DOP853.  The DIV_V1 state is a product of a
+# Poeschl-Teller and a Morse eigenfunction, whose norms are closed forms
 NUMPY_ONLY = {name: JOBS[name] for name in ("curvature.csv", "spectrum.json",
                                             "wavefunction.json", "classical.json")}
 NUMPY_ONLY["div_v1.json"] = ["wavefunction", "--space", "DIV", "--potential", "V1",
@@ -312,7 +312,13 @@ NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     (JOBS["curvature.csv"] + ["--out", "OUT"], 0, ["scipy", "darboux.spectra"]),
     (JOBS["spectrum.json"] + ["--out", "OUT"], 0, ["scipy", "darboux.wavefun"]),
     (["verify", "--suite", "classical", "--out", "OUT"], 0, ["scipy", "scipy.integrate"]),
-], ids=["help", "parse-error", "curvature", "spectrum", "verify-classical"])
+    # the oracle loads scipy's LAPACK extension by path: no scipy package is imported
+    (["verify", "--suite", "building-blocks", "--out", "OUT"], 0,
+     ["scipy", "scipy.linalg", "scipy.integrate"]),
+    (["verify", "--suite", "all", "--out", "OUT"], 0,
+     ["scipy", "scipy.linalg", "scipy.integrate"]),
+], ids=["help", "parse-error", "curvature", "spectrum", "verify-classical",
+        "verify-building-blocks", "verify-all"])
 def test_start_up_loads_only_what_the_command_runs(argv, code, absent, tmp_path):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
     script = (
@@ -483,6 +489,25 @@ def test_level_beyond_the_ladder_is_level_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "LevelError",
                                "message": "MPT_bound supports indices 0..1, got 3"}
+    assert not out.exists()
+
+
+def test_negative_l_with_energy_is_the_level_error_of_the_picked_energy(tmp_path, capsys):
+    # the Morse log-axis of the hyperbolic chart numbers a ladder level by l; a
+    # given --energy must not bypass the refusal that picking the energy makes
+    from darboux.cli import main
+
+    out = tmp_path / "w.json"
+    argv = ["wavefunction", "--space", "DIII", "--potential", "V4", "--a", "1", "--b", "1",
+            "--d1", "-1.5", "--d2", "-0.5", "--omega", "1", "--chart", "hyperbolic",
+            "--n", "0", "--l", "-1", "--out", str(out)]
+    errors = []
+    for extra in ([], ["--energy", "-3"]):
+        assert main(argv + extra) == 2
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0] == errors[1] == {
+        "error": "LevelError",
+        "message": "DIII_V4 numbers a ladder level by l in scheme 'hyperbolic', got -1"}
     assert not out.exists()
 
 

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import darboux.specfun as sf
-from darboux.errors import ParamError, ResolutionError
+from darboux.errors import DomainError, ParamError, ResolutionError
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.oracle import Grid1D, fd_eigensolve_1d, separated_ode_residual, verify_building_block
 from darboux.potentials import PotentialSpec
@@ -218,38 +219,116 @@ def test_seed_from_a_swapped_level_raises(fam, guard, monkeypatch):
     # shifted by one level from the other's vector must not return a level.
     # On the symmetric HO grid the parity of a seed is kept, so each iterate
     # stays on its seed's level and the levels come out in the wrong order.
-    import scipy.linalg
+    import darboux.oracle as oracle
 
     lo, hi = sf.model_domain(fam.tag) if fam.tag == sf.HO else (-6.0, 1.5)
     grid = Grid1D(max(lo, -8.0), min(hi, 8.0), 1600)
     assert len(fd_eigensolve_1d(sf.model_potential(fam), grid, 2)) == 2  # unswapped: resolved
-    original = scipy.linalg.eigh_tridiagonal
+    original = oracle._bisect
 
     def swapped(*args, **kwargs):
         levels, vectors = original(*args, **kwargs)
         return levels, vectors[:, [1, 0] + list(range(2, vectors.shape[1]))]
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", swapped)
+    monkeypatch.setattr(oracle, "_bisect", swapped)
     with pytest.raises(ResolutionError, match=guard):
         fd_eigensolve_1d(sf.model_potential(fam), grid, 2)
 
 
 def test_one_bisection_per_eigensolve(monkeypatch):
-    import scipy.linalg
+    import darboux.oracle as oracle
 
     calls = []
-    original = scipy.linalg.eigh_tridiagonal
+    original = oracle._bisect
 
     def counted(*args, **kwargs):
         calls.append(len(args[0]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(oracle, "_bisect", counted)
     fam, n_max, n_points = SUITE_BLOCKS[6]
     verify_building_block(fam, n_max, n_points=n_points)
     assert calls == [n_points // 4 - 2]  # the pilot grid's interior
     pairs = fd_eigensolve_1d(lambda x: np.zeros_like(x), Grid1D(0.0, 1.0, 200), 3)
     assert len(calls) == 2 and len(pairs) == 3
+
+
+@pytest.mark.parametrize("fam,n_max,n_points", SUITE_BLOCKS,
+                         ids=["Morse", "PT-pinned", "RHO-pinned", "HO", "RHO", "PT", "MPT"])
+def test_bisection_is_scipys_eigh_tridiagonal_bitwise(fam, n_max, n_points, monkeypatch):
+    # _bisect makes the LAPACK calls of eigh_tridiagonal(select="i"), so on
+    # each pilot matrix its levels and vectors are scipy's, bit for bit
+    from scipy.linalg import eigh_tridiagonal
+
+    import darboux.oracle as oracle
+
+    pilots = []
+    original = oracle._bisect
+
+    def recorded(diag, off, k):
+        pilots.append((diag, off, k, *original(diag, off, k)))
+        return pilots[-1][3:]
+
+    monkeypatch.setattr(oracle, "_bisect", recorded)
+    verify_building_block(fam, n_max, n_points=n_points)
+    [(diag, off, k, levels, vectors)] = pilots
+    want_levels, want_vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    assert levels.shape == want_levels.shape == (n_max + 2,)
+    assert vectors.shape == want_vectors.shape == (n_points // 4 - 2, n_max + 2)
+    assert levels.tobytes() == want_levels.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+def test_lapack_fallback_gives_the_same_blocks(monkeypatch, tmp_path):
+    # where scipy's directory holds no linalg/_flapack extension, the routines
+    # come from scipy.linalg.lapack, with the same results bit for bit
+    import importlib.util
+
+    import darboux.oracle as oracle
+
+    def blocks():
+        return [repr(verify_building_block(f, n, n_points=p)) for f, n, p in SUITE_BLOCKS]
+
+    assert oracle._lapack().__name__ == "scipy.linalg._flapack"
+    loaded = blocks()
+    find_spec = importlib.util.find_spec
+    no_extension = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *a: no_extension if name == "scipy" else find_spec(name, *a))
+    oracle._lapack.cache_clear()
+    try:
+        assert oracle._lapack().__name__ == "scipy.linalg.lapack"
+        assert blocks() == loaded
+    finally:
+        oracle._lapack.cache_clear()
+
+
+@pytest.mark.parametrize("grid_points,index", [(400, 137), (4 * 1600 - 3, 1001)],
+                         ids=["pilot", "finest-only"])
+def test_non_finite_profile_is_a_domain_error(grid_points, index):
+    # NaN at one point of the pilot grid, or at one point that only the finest
+    # grid holds (the refined grids are solved by dgtsv, which checks nothing)
+    grid = Grid1D(-8.0, 8.0, 1600)
+    bad = grid.points(grid_points)[index]
+
+    def profile(x):
+        return np.where(x == bad, np.nan, 0.5 * x * x)
+
+    assert np.isnan(profile(grid.points(400))).any() == (grid_points == 400)
+    with pytest.raises(DomainError, match=f"not finite on the {grid_points}-point grid"):
+        fd_eigensolve_1d(profile, grid, 2)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_is_a_resolution_error(routine, monkeypatch):
+    import darboux.oracle as oracle
+
+    real = oracle._lapack()
+    lapack = SimpleNamespace(dstebz=real.dstebz, dstein=real.dstein, dgtsv=real.dgtsv)
+    setattr(lapack, routine, lambda *args: (*getattr(real, routine)(*args)[:-1], 1))
+    monkeypatch.setattr(oracle, "_lapack", lambda: lapack)
+    with pytest.raises(ResolutionError, match=r"\(info 1\)"):
+        fd_eigensolve_1d(lambda x: 0.5 * x * x, Grid1D(-8.0, 8.0, 1600), 2)
 
 
 def test_unconverged_pilot_raises(monkeypatch):
