@@ -24,7 +24,9 @@ hyperbolic ones are sampled past the Morse ladder, which a row refuses.  What
 the families share stays in its module: the division by the D_III factor or
 the D_IV conformal factor in ``potentials``, root finding and admissibility in
 ``spectra``, grid assembly in ``wavefun``.  Records call the public functions
-of those modules through the module, at call time.
+of those modules through the module, at call time.  DIV_V3 has one level per
+(n, l) exactly when its gap, increasing in E where c3 >= c2 and below -2 where
+c3 < c2, is positive at the top of its window.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class Family:
     pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
     angles: dict = {}        # chart -> Angle of its second axis
     separations: dict = {}   # (chart, axis) -> separated problem
-    transcendental = False   # quantized by a bracket scan rather than by polynomial roots
+    transcendental = False   # quantized by the one root of an unsquared gap, not by polynomial roots
     signed_l: tuple = ()     # schemes whose l is a signed momentum, not a ladder level
 
     @property
@@ -799,8 +801,12 @@ class DIV_V3(DIVFamily):
     """The c1, c2, c3 terms of the degenerate elliptic charts: Poeschl-Teller
     times a bound modified Poeschl-Teller in degelliptic2, quantized by one
     transcendental condition in the four index roots of
-    ``potentials.div3_indices``.  It is never squared, so ``spectra`` finds its
-    roots by a bracket scan and each root carries unsquared sign +1.  It needs
+    ``potentials.div3_indices``.  It is never squared and has one level per
+    (n, l) or none.  Each index is sqrt(C - kappa E), kappa > 0, and lam_2+^2 -
+    lam_3+^2 = c3 - c2: if c3 >= c2, lam_2+ - lam_3+ does not decrease with E
+    and -lam_3- - lam_1- increases, so ``gap`` increases; if c3 < c2, ``gap`` <
+    -2.  It tends to -inf as E does, so the level exists exactly when ``gap`` is
+    positive at the top of ``first_bracket``, and carries unsquared sign +1.  It needs
     no decay rule: at a root, lam_2+ - lam_3+ - 2l - 1 = lam_3- + lam_1- + 2n + 1
     puts n and l on the ladder of the MPT row."""
 
@@ -838,21 +844,15 @@ class DIV_V3(DIVFamily):
         nl = 2.0 * (qn.n + qn.l)
         return lam["2p"] - lam["3p"] - lam["3m"] - lam["1m"] - nl - 2.0
 
-    def scan_window(self, spec, qn):
-        """The energies (E_lo, E_hi) scanned for roots of ``gap``: below 0 and
-        below the energy where one of its indices turns complex."""
+    def first_bracket(self, spec):
+        """(E_top - hbar^2/(2 m a_+), E_top): E_top, the same at every (n, l),
+        lies just below 0 and below the energy where an index turns complex."""
         sp = spec.space
-        hb2, am = sp.hbar ** 2, _a_minus(spec)
-
-        def top_of(name):
-            ci = spec.c(f"c{name[0]}")
-            if name[1] == "p":
-                return (0.25 - ci) * hb2 / (2.0 * sp.mass * sp.a_plus)
-            return (0.25 + ci) * hb2 / (2.0 * sp.mass * am)
-
-        scale = hb2 / (2.0 * sp.mass * sp.a_plus)
-        e_hi = min(0.0, min(top_of(nm) for nm in ("2p", "3p", "3m", "1m"))) - 1e-12
-        return e_hi - 400.0 * scale * (1.0 + qn.n + qn.l) ** 2, e_hi
+        hb2, ap, am = sp.hbar ** 2, sp.a_plus, _a_minus(spec)
+        c1, c2, c3 = (spec.c(k) for k in self.couplings)
+        e_top = min(0.0, *(k * hb2 / (2.0 * sp.mass * apm) for k, apm in (
+            (0.25 - c2, ap), (0.25 - c3, ap), (0.25 + c3, am), (0.25 + c1, am)))) - 1e-12
+        return e_top - hb2 / (2.0 * sp.mass * ap), e_top
 
     def unsquared_gap(self, spec, qn, E):
         g = abs(self.gap(spec, qn, E))

@@ -11,8 +11,10 @@ silently discarded.
 
 The DIII_V1 quartic is solved by companion-matrix eigenvalues polished with
 Newton steps.  DIV_V3 is the exception to squaring: its one transcendental
-condition is searched by bracketed bisection and secant steps, its residual
-is the normalized gap itself, and its roots carry unsquared sign +1.
+condition increases with E where c3 >= c2 and stays below -2 where c3 < c2,
+so it has a root exactly when it is positive at the top of its window.  One
+bracket, its depth doubled below that top, is polished by bisection and
+secant steps; the residual is the normalized gap, the unsquared sign +1.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
     rec.check_l(qn)
 
     if rec.transcendental:
-        cands = _scan_roots(spec, qn, rec)
+        cands = _one_root(spec, qn, rec)
     else:
         cands = [z for co in rec.branches(spec, qn) for z in _poly_roots(co)]
     out = EnergyRoots(candidates=[complex(z) for z in cands])
@@ -150,44 +152,39 @@ def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
     return out
 
 
-def _scan_roots(spec: PotentialSpec, qn: QuantumNumbers, rec):
-    """Bracketed roots of a transcendental condition, scanned over 1000
-    brackets of the record's energy window; secant-polished."""
-    e_lo, e_hi = rec.scan_window(spec, qn)
+def _one_root(spec: PotentialSpec, qn: QuantumNumbers, rec):
+    """The root of a transcendental condition, which exists exactly when it is
+    positive at the top of the record's first bracket (see ``DIV_V3``).  The
+    bracket's depth doubles until the condition is not positive at its lower
+    end, and that one bracket is bisected and secant-polished."""
+    e_lo, top = rec.first_bracket(spec)
 
     def func(E):
         return rec.gap(spec, qn, E)
 
-    es = np.linspace(e_lo, e_hi, 1001)
-    vals = func(es)
-    va, vb = vals[:-1], vals[1:]
-    roots = []
-    # brackets with finite ends and no sign agreement
-    for i in np.flatnonzero(np.isfinite(va) & np.isfinite(vb) & ~(va * vb > 0)):
-        lo, hi, flo = es[i], es[i + 1], va[i]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = func(mid)
-            if fm == 0 or hi - lo < 1e-14 * (1.0 + abs(mid)):
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        # secant polish
-        x0, x1 = lo, hi
-        f0, f1 = func(x0), func(x1)
-        for _ in range(30):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not e_lo <= x2 <= e_hi:
-                break
-            x0, f0, x1, f1 = x1, f1, x2, func(x2)
-        roots.append(x1)
-    if not roots:
+    if not func(top) > 0:
         raise NoRootError(f"{spec.family} bracket scan found no sign change")
-    return sorted(set(round(r, 12) for r in roots))
+    e_hi = top
+    while func(e_lo) > 0:
+        e_lo, e_hi = 2.0 * e_lo - top, e_lo
+    lo, hi = e_lo, e_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = func(mid)
+        if fm == 0 or hi - lo < 1e-14 * (1.0 + abs(mid)):
+            break
+        lo, hi = (lo, mid) if fm > 0 else (mid, hi)
+    # secant polish
+    x0, x1 = lo, hi
+    f0, f1 = func(x0), func(x1)
+    for _ in range(30):
+        if f1 == f0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not e_lo <= x2 <= e_hi:
+            break
+        x0, f0, x1, f1 = x1, f1, x2, func(x2)
+    return [round(x1, 12)]
 
 
 def continuous_dispersion(spec: PotentialSpec, p: float, aux=None) -> float:

@@ -384,6 +384,22 @@ def test_spectrum_failed_records_kept(tmp_path, capsys):
     assert not none.exists()
 
 
+def test_div_v3_level_below_a_fixed_scan_depth(tmp_path):
+    from darboux.cli import main
+
+    # its level lies 563 hbar^2/(2 m a_+) below the top of its window, deeper
+    # than the 400 (1 + n + l)^2 = 400 that a fixed scan depth would reach
+    out = tmp_path / "s.json"
+    argv = ["spectrum", "--space", "DIV", "--potential", "V3", "--a", "15.434919407274238",
+            "--b", "1", "--c1", "-3.6569288943579323", "--c2", "-4409.966024453553",
+            "--c3", "-53.52303018568568", "--scheme", "degelliptic2", "--n", "0", "--l", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (rec,) = json.loads(out.read_text())["records"]
+    assert rec["candidates_re"] == [-72.508355914351] and rec["candidates_im"] == [0.0]
+    (adm,) = rec["admissible"]
+    assert adm["E"] == -72.508355914351 and adm["admissible"] and adm["residual"] < 1e-9
+
+
 def test_internal_error_exit_4(monkeypatch, tmp_path, capsys):
     import darboux.cli as cli
 

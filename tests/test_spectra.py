@@ -598,6 +598,93 @@ def test_div_v3_roots_against_mpmath_findroot():
     assert worst < 6.3e-13
 
 
+def _heavy_div3(rng, c2_signs=(-1.0, 1.0)):
+    """A seeded DIV_V3 spec with heavy-tailed couplings: a in [2, 50], |c1|, |c3|
+    in [0.1, 1e3] and |c2| in [0.1, 1e4], each of either sign."""
+    c = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-1.0, 3.0, 3)
+    c[1] = rng.choice(c2_signs) * 10.0 ** rng.uniform(-1.0, 4.0)
+    return PotentialSpec(SpaceParams(DIV, float(rng.uniform(2.0, 50.0)), 1.0), "DIV_V3",
+                         dict(zip(("c1", "c2", "c3"), c.tolist())))
+
+
+def test_div_v3_gap_increases_where_c3_is_at_least_c2_and_stays_below_minus_2_elsewhere():
+    # the shape the one-bracket solve rests on, over the whole window below
+    # E_top on a geometric grid of depths from 1e-6 to 1e6 units
+    from darboux.families import FAMILIES
+
+    rec = FAMILIES["DIV_V3"]
+    rng = np.random.default_rng(32)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        spec = _heavy_div3(rng)
+        lo, top = rec.first_bracket(spec)
+        es = top - (top - lo) * np.geomspace(1e6, 1e-6, 2001)  # increasing
+        for n, l in ((0, 0), (2, 1), (5, 5)):
+            g = rec.gap(spec, QuantumNumbers(n, l, "degelliptic2"), es)
+            assert not np.isnan(g).any()
+            ordered = spec.c("c3") >= spec.c("c2")
+            seen[ordered] += 1
+            if ordered:
+                assert (np.diff(g) >= 0).all(), spec.couplings
+            else:
+                assert (g < -2.0).all(), spec.couplings
+    assert min(seen.values()) >= 300
+
+
+def test_div_v3_existence_certificate():
+    # heavy-tailed couplings: NoRootError exactly where the 30-digit gap is not
+    # positive at E_top, and otherwise the one root against mpmath's bracketed
+    # solve of the same condition on a widened bracket.  Some levels lie below
+    # the fixed depth of 400 hbar^2/(2 m a_+) (1 + n + l)^2 under E_top that a
+    # scan window would stop at
+    import mpmath
+    from mpmath import mpf
+
+    from darboux.errors import NoRootError
+
+    rng = np.random.default_rng(2032)
+    found = deep = worst = 0
+    with mpmath.workdps(30):
+        for _ in range(150):
+            spec = _heavy_div3(rng, c2_signs=(-1.0, -1.0, 1.0))
+            sp = spec.space
+            a, b, unit = mpf(sp.a), mpf(sp.b), 2 * mpf(sp.mass) / mpf(sp.hbar) ** 2
+            c = {k: mpf(spec.c(k)) for k in ("c1", "c2", "c3")}
+            apm = {"p": (a + 2 * b) / 4, "m": (a - 2 * b) / 4}
+            squares = [(k, -1, "p") for k in ("c2", "c3")] + [(k, 1, "m") for k in ("c3", "c1")]
+
+            def lam(k, sign, pm, E):
+                sq = mpf(0.25) + sign * c[k] - unit * apm[pm] * E
+                assert sq > 0
+                return mpmath.sqrt(sq)
+
+            # just below 0 and below the energy where an index turns complex
+            top = min(0, *((mpf(0.25) + sign * c[k]) / (unit * apm[pm])
+                           for k, sign, pm in squares)) - mpf(1e-12)
+            for n, l in ((0, 0), (2, 1), (5, 5)):
+                def gap(E):
+                    l2p, l3p, l3m, l1m = (lam(*sq, E) for sq in squares)
+                    return l2p - l3p - l3m - l1m - 2 * (n + l) - 2
+
+                qn = QuantumNumbers(n, l, "degelliptic2")
+                if not gap(top) > 0:
+                    with pytest.raises(NoRootError):
+                        solve_quantization(spec, qn)
+                    continue
+                roots = solve_quantization(spec, qn)
+                (z,) = roots.candidates
+                (adm,) = roots.admissible
+                assert adm["admissible"] and adm["residual"] < 1e-9
+                e_lo = mpf(z.real) - (1 + abs(mpf(z.real)))
+                assert gap(e_lo) < 0
+                ref = mpmath.findroot(gap, (e_lo, top), solver="anderson")
+                worst = max(worst, float(abs(ref - mpf(z.real)) / (1 + abs(ref))))
+                found += 1
+                deep += ref < top - 400 * (1 + n + l) ** 2 / (unit * apm["p"])
+    assert found >= 30 and deep >= 3
+    assert worst < 6.3e-13
+
+
 def test_diii_v1_degenerate_b_is_a_param_error():
     spec = PotentialSpec(SpaceParams(DIII, 1.0, 1e-300), "DIII_V1", {"k3": 0.1})
     with pytest.raises(ParamError):
