@@ -217,8 +217,8 @@ def cmd_spectrum(args) -> int:
         try:
             roots = solve_quantization(spec, qn)
         except NoRootError as exc:
-            # a record without a root does not abort the table
-            # without its traceback, whose frames would keep the root scan's arrays
+            # a record without a root does not abort the table; its error drops the
+            # traceback, whose first frame (this one) holds `failed`: a reference cycle
             failed.append(exc.with_traceback(None))
             return {"n": n, "l": l, "candidates_re": [], "candidates_im": [], "admissible": [],
                     "error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -15,18 +15,18 @@ Energy enters the separated 1D profiles as an effective coupling: on D_III
 through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
 lambda^2 = k^2 - 2 m a_pm E / hbar^2.  ``_model_pair`` builds an axis from
 two ``specfun.MODELS`` rows: it takes its row's profile, factor and domain and
-requires a shared level minus its partner row's level, so a partner past that
-row's ladder raises LevelError.  It builds every D_IV axis and the D_III
-oscillators, rows at -w(E): the parabolic axes of V1, V2 and V5 and the polar
-radius, whose angle is in its index.  The D_III Morse log-axes keep
-``_morse_axis``: the uv factor takes its index from the partner, and the
-hyperbolic ones are sampled past the Morse ladder, which a row refuses.  What
-the families share stays in its module: the division by the D_III factor or
-the D_IV conformal factor in ``potentials``, root finding and admissibility in
-``spectra``, grid assembly in ``wavefun``.  Records call the public functions
-of those modules through the module, at call time.  DIV_V3 has one level per
-(n, l) exactly when its gap, increasing in E where c3 >= c2 and below -2 where
-c3 < c2, is positive at the top of its window.
+requires a shared level minus its partner row's level (in the signed
+hyperbolic chart, that level itself), so a partner past that row's ladder
+raises LevelError.  It builds every axis but DIII_V3's complex-Morse angle:
+on D_III the oscillators, rows at -w(E), and the Morse log-axes, unladdered
+Morse rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5);
+the polar radius and the uv axis carry their angle in their required level.
+What the families share stays in its module: the division by the D_III
+factor or the D_IV conformal factor in ``potentials``, root finding and
+admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call the
+public functions of those modules through the module, at call time.  DIV_V3
+has one level per (n, l) exactly when its gap, increasing in E where c3 >= c2
+and below -2 where c3 < c2, is positive at the top of its window.
 """
 
 from __future__ import annotations
@@ -73,11 +73,13 @@ def _model_factor(spec, tag, params, n, scale=1.0):
 Row = namedtuple("Row", "tag params window s x0", defaults=(1.0, None))
 
 
-def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0):
+def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0, signed=False):
     """Axis ``axis`` of a separation into the two rows ``rows``.  The axis
     takes its row's profile, factor and domain; it requires shift(E) minus its
-    partner row's level ``partner``, which raises LevelError past that row's
-    ladder.  A partner that is no row (None) has level 0."""
+    partner row's level ``partner`` (the two levels sum to shift(E)), or, in a
+    ``signed`` chart, where the two levels agree, that level itself.  A partner
+    past its row's ladder raises LevelError, and one that is no row (None) has
+    level 0."""
     hb, m = spec.space.hbar, spec.space.mass
 
     def model(row, E):
@@ -100,11 +102,11 @@ def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0):
 
     def lam_req(E):
         lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), int(partner))
-        return shift(E) - lev
+        return lev if signed else shift(E) - lev
 
     window = row.window if callable(row.window) else lambda E: row.window
     return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(E),
-                                  tuple(d / row.s for d in sf.model_domain(row.tag)))
+                                  tuple(sorted(d / row.s for d in sf.model_domain(row.tag))))
 
 
 class Family:
@@ -220,25 +222,16 @@ def _rho_row(spec, lam, window):
                lambda E: window(m * _omega_of(spec, E) / hb))
 
 
-def _morse_axis(k, quad, lin, scale, index, lam_req, sigma):
-    """A log-variable axis with the profile quad(E) e^{2kx} + lin(E) e^{kx},
-    solved by ``specfun.morse_factor`` of sign ``sigma`` in z = scale(E) e^{kx}
-    at the index index(E, n), and sampled where 0.05 < z < 12."""
+def _morse_row(v0, at, k):
+    """A log-axis of D_III: the Morse row of depth v0(E) and shape at(E) in k x,
+    sampled where 0.05 < z = 2 |v0(E)| e^{kx} < 12."""
 
-    def profile(E):
-        q, li = quad(E), lin(E)
-        return lambda x: q * np.exp(2.0 * k * np.asarray(x)) + li * np.exp(k * np.asarray(x))
-
-    def factor(E, n):
-        c, s, n = scale(E), index(E, int(n)), int(n)
-        return lambda x: sf.morse_factor(c * np.exp(k * np.asarray(x, dtype=float)), s, n, sigma)
-
-    def window(E, n):
-        c = scale(E)
+    def window(E):
+        c = 2.0 * abs(v0(E))
         lo, hi = (c / 12.0, c / 0.05) if k < 0 else (0.05 / c, 12.0 / c)
         return (math.log(lo), math.log(hi))
 
-    return potentials.Separated1D(profile, lam_req, factor, window, (-math.inf, math.inf))
+    return Row(sf.MORSE, lambda E: (v0(E), at(E)), window, s=k)
 
 
 class DIIIFamily(Family):
@@ -319,12 +312,13 @@ class Shifted(DIIIFamily):
         return spec.space.a * E - self.shift(spec)
 
     def _uv(self, spec, partner, axis):
-        """u of the (u, v) chart: a flipped Morse problem in e^{-u}."""
+        """u of the (u, v) chart: the Morse row at a negative depth in -u.  Its
+        partner is no row: the angle's level is in the level it requires."""
         a, b, m, hb, hq = _units(spec)
         mu_idx = self._uv_index(spec, partner)
-        return _morse_axis(-1, lambda E: -b * E, lambda E: self.shift(spec) - a * E,
-                           lambda E: math.sqrt(-8.0 * m * b * E) / hb, lambda E, n: mu_idx,
-                           lambda E: -hq * mu_idx ** 2, -1)
+        row = _morse_row(lambda E: -0.5 * (math.sqrt(-8.0 * m * b * E) / hb),
+                         lambda E: (self.shift(spec) - a * E) / (2.0 * b * E), -1)
+        return _model_pair(spec, (row, None), partner, axis, lambda E: -hq * mu_idx ** 2)
 
     def _polar(self, spec, partner, axis):
         """The radius of the polar chart: a radial oscillator at -w(E) whose
@@ -490,20 +484,17 @@ class DIII_V4(DIIIFamily):
         """The Morse parameter v0 = sqrt(m (m w^2 - bE)) / hbar."""
         return math.sqrt(spec.space.mass * self._w2(spec, E)) / spec.space.hbar
 
-    def _index(self, spec, E, axis, n):
-        """The Morse index s = a~ v0 - n - 1/2 of the axis' factor at level n."""
+    def _shape(self, spec, E, axis):
+        """The Morse shape a~ of the axis, whose index at level n is a~ v0 - n - 1/2."""
         a = spec.space.a
         num = (a * E - spec.c("d1")) if axis == 0 else -(a * E + spec.c("d2"))
-        return num / self._w2(spec, E) * self._v0(spec, E) - n - 0.5
+        return num / self._w2(spec, E)
 
     def _hyperbolic(self, spec, partner, axis):
-        a, b, m, _, hq = _units(spec)
-        d1, d2, om = spec.c("d1"), spec.c("d2"), spec.c("omega")
-        lin = (lambda E: d1 - a * E) if axis == 0 else (lambda E: d2 + a * E)
-        return _morse_axis(1, lambda E: 0.5 * (m * om * om - b * E), lin,
-                           lambda E: 2.0 * self._v0(spec, E),
-                           lambda E, n: self._index(spec, E, axis, n),
-                           lambda E: -hq * self._index(spec, E, 1 - axis, int(partner)) ** 2, 1)
+        """x = ln mu and y = ln nu: Morse rows of depth v0 at one level."""
+        rows = [_morse_row(functools.partial(self._v0, spec),
+                           functools.partial(self._shape, spec, axis=ax), 1) for ax in (0, 1)]
+        return _model_pair(spec, rows, partner, axis, signed=True)
 
     separations = {("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
 
@@ -536,7 +527,8 @@ class DIII_V4(DIIIFamily):
         """Both Morse factors bound at one index, s0(n) = s1(l) > 0: the
         principal sign of the difference branch.  Its flipped sign leaves
         s0 - s1 = 2(l - n), and the sum branch s0 + s1 <= 0."""
-        s0, s1 = self._index(spec, E, 0, qn.n), self._index(spec, E, 1, qn.l)
+        v0 = self._v0(spec, E)
+        s0, s1 = (self._shape(spec, E, ax) * v0 - k - 0.5 for ax, k in ((0, qn.n), (1, qn.l)))
         return s0 > 0 and s1 > 0 and _gap_pair(s0, s1, 1.0)[0] < 1e-7
 
     def dispersion(self, spec, p, aux):
@@ -574,19 +566,13 @@ class DIII_V5(Shifted):
                            functools.partial(self.level_sum, spec))
 
     def _hyperbolic(self, spec, partner, axis):
-        """x = ln mu: a flipped factor on the growing-exponential side;
-        y = ln nu: a genuine Morse well."""
-        a, b, m, hb, hq = _units(spec)
-        v0c, n_oth = spec.c("v0"), int(partner)
-        sigma = -1 if axis == 0 else 1
-
-        def ktilde(E):
-            return (hq * v0c * v0c - a * E) * math.sqrt(-m / (E * b)) / hb
-
-        return _morse_axis(1, lambda E: -0.5 * b * E, lambda E: -sigma * (hq * v0c * v0c - a * E),
-                           lambda E: 2.0 * (math.sqrt(-m * E * b) / hb),
-                           lambda E, n: ktilde(E) - n - 0.5,
-                           lambda E: -hq * (ktilde(E) - n_oth - 0.5) ** 2, sigma)
+        """x = ln mu: the Morse row at a negative depth, on the growing-exponential
+        side; y = ln nu: a genuine Morse well; both at one level."""
+        a, b, m, hb, _ = _units(spec)
+        rows = [_morse_row(lambda E, sg=sg: sg * (math.sqrt(-m * E * b) / hb),
+                           lambda E, sg=sg: sg * (self.shift(spec) - a * E) / (-b * E), 1)
+                for sg in (-1.0, 1.0)]
+        return _model_pair(spec, rows, partner, axis, signed=True)
 
     separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
                    ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic,
@@ -850,8 +836,12 @@ class DIV_V3(DIVFamily):
         sp = spec.space
         hb2, ap, am = sp.hbar ** 2, sp.a_plus, _a_minus(spec)
         c1, c2, c3 = (spec.c(k) for k in self.couplings)
-        e_top = min(0.0, *(k * hb2 / (2.0 * sp.mass * apm) for k, apm in (
-            (0.25 - c2, ap), (0.25 - c3, ap), (0.25 + c3, am), (0.25 + c1, am)))) - 1e-12
+        squares = ((0.25 - c2, ap), (0.25 - c3, ap), (0.25 + c3, am), (0.25 + c1, am))
+        e_top = min(0.0, *(k * hb2 / (2.0 * sp.mass * apm) for k, apm in squares)) - 1e-12
+        # where 1e-12 is under an ulp of E_top an index square can round negative
+        # there; each grows as E falls (a_pm > 0), so a few ulps lower it is not
+        while min(potentials.index_square(sp, k, apm, e_top) for k, apm in squares) < 0:
+            e_top = math.nextafter(e_top, -math.inf)
         return e_top - hb2 / (2.0 * sp.mass * ap), e_top
 
     def unsquared_gap(self, spec, qn, E):

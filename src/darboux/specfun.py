@@ -8,13 +8,15 @@ and radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller,
 Morse, and the complex periodic Morse problem whose spectrum is real.  An HO
 or RHO row at a negative frequency -w gives the growing partner of its states,
 at the level its formula returns: the flipped factors of the D_III separations.
+The unnormalized ``Morse`` row has no ladder top, and at a negative depth gives
+the growing partner: the shapes of the D_III Morse log-axes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -159,7 +161,7 @@ def hyp2f1(a, b, c, z):
 # ----------------------------------------------------------------------
 
 HO, RHO, PT, CMORSE = "HO", "RHO", "PT", "cMorse"
-MPT_BOUND, MORSE_BOUND = "MPT_bound", "Morse_bound"
+MPT_BOUND, MORSE_BOUND, MORSE = "MPT_bound", "Morse_bound", "Morse"
 
 
 @dataclass(frozen=True)
@@ -276,10 +278,19 @@ def _mpt_state(f, n, x, eta, nu):
     return pref * np.sinh(x) ** (2.0 * k2 - 0.5) * np.cosh(x) ** (-2.0 * k1 + 1.5) * jac
 
 
+def _morse_shape(f, n, x, v0, at):
+    """z^s e^{-sigma z/2} L_n^{2s}(sigma z), z = 2|v0| e^x, s = at v0 - n - 1/2, sigma
+    the sign of v0.  An overflow gives inf or NaN, without a warning, for the caller."""
+    s, sigma, z = at * v0 - n - 0.5, math.copysign(1.0, v0), 2.0 * abs(v0) * np.exp(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = orthopoly_eval("laguerre", n, (2.0 * s,), sigma * z)
+        return z ** s * np.exp(-0.5 * sigma * z) * lag
+
+
 def _morse_state(f, n, x, v0, at):
     s = at * v0 - n - 0.5
     pref = math.sqrt(2.0 * s * math.factorial(n) / abs(gamma_complex(2.0 * at * v0 - n)))
-    return pref * morse_factor(2.0 * v0 * np.exp(x), s, n)
+    return pref * _morse_shape(f, n, x, v0, at)
 
 
 def _cmorse_state(f, n, x, c1, c2):
@@ -327,6 +338,8 @@ MODELS = {
         top=lambda c1, c2: 2.0 * c2 / c1 - 0.5,
         invalid=lambda c1, c2: c1 == 0, message="cMorse requires c1 != 0"),
 }
+# the Morse shape past the ladder, or at a negative depth: no top and no oracle interval
+MODELS[MORSE] = replace(MODELS[MORSE_BOUND], state=_morse_shape, top=None, scan=None)
 
 
 def model_max_index(fam: ModelFamily):
@@ -363,16 +376,6 @@ def model_potential(fam: ModelFamily):
     return lambda x: fam.row.profile(fam, np.asarray(x), *fam.args)
 
 
-def morse_factor(z, s, n, sigma=1.0):
-    """The Morse shape z^s e^{-sigma z/2} L_n^{2s}(sigma z): the bound shape
-    of ``Morse_bound`` at sigma = 1 and its growing partner, at the same
-    pseudo-level -(hbar^2/2m) s^2, at sigma = -1.  An overflow gives inf or
-    NaN, without a warning, for the caller's finiteness check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag = orthopoly_eval("laguerre", n, (2.0 * s,), sigma * z)
-        return z ** s * np.exp(-0.5 * sigma * z) * lag
-
-
 # nothing fills these; perfbench/tracer.py reads their sizes
 _W_CACHE: dict = {}
 _NORM_CACHE: dict = {}
@@ -381,9 +384,9 @@ _NORM_CACHE: dict = {}
 def model_eigenfunction(fam: ModelFamily, n, x):
     """Sample the level-n model eigenfunction at x, unit-normalized over the
     natural domain by its closed-form constant (the Hermite, Laguerre and Jacobi
-    norms of DLMF §18.3; complex Morse states and growing partners are not).  A
-    level beyond the ladder raises LevelError, a constant that overflows a double
-    ParamError."""
+    norms of DLMF §18.3; complex Morse states, ``Morse`` shapes and growing
+    partners are not).  A level beyond the ladder raises LevelError, a constant
+    that overflows a double ParamError."""
     try:
         _check_index(fam, n)
         return fam.row.state(fam, int(n), np.asarray(x, dtype=float), *fam.args)

@@ -400,6 +400,23 @@ def test_div_v3_level_below_a_fixed_scan_depth(tmp_path):
     assert adm["E"] == -72.508355914351 and adm["admissible"] and adm["residual"] < 1e-9
 
 
+def test_div_v3_level_where_an_index_square_rounds_negative_at_the_top(tmp_path):
+    from darboux.cli import main
+
+    # E_top = -17133.298230873406, where 1e-12 is under an ulp: an index square
+    # rounds negative there and the gap is NaN, one ulp lower it is 2.73.  The
+    # level agrees with a 30-digit mpmath root to 2.8e-16 (1 + |E|)
+    out = tmp_path / "s.json"
+    argv = ["spectrum", "--space", "DIV", "--potential", "V3", "--a", "2.0014047737173284",
+            "--b", "1", "--c1", "12.688217531506535", "--c2", "-3711.2996267002586",
+            "--c3", "-12.284203522939976", "--scheme", "degelliptic2", "--n", "0", "--l", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    (rec,) = json.loads(out.read_text())["records"]
+    assert rec["candidates_re"] == [-20838.173050598078] and "error" not in rec
+    (adm,) = rec["admissible"]
+    assert adm["admissible"] and adm["unsquared_sign"] == 1 and adm["residual"] < 1e-9
+
+
 def test_internal_error_exit_4(monkeypatch, tmp_path, capsys):
     import darboux.cli as cli
 

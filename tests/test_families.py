@@ -3,12 +3,16 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from darboux.errors import DomainError, LevelError
 from darboux.families import FAMILIES
 from darboux.geometry import CHARTS, DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec, separated_problem
+from darboux.specfun import orthopoly_eval
+from darboux.spectra import QuantumNumbers, solve_quantization
+from darboux.wavefun import default_grid
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
 FAMILY_NAME = re.compile(r"(DIII|DIV)_V\d")
@@ -119,7 +123,7 @@ def test_only_the_shared_builders_build_a_separation():
     scopes.update({f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
                    for fn in cls.body if isinstance(fn, ast.FunctionDef)})
     callers = {name for name, node in scopes.items() if builds(node)}
-    assert callers == {"_model_pair", "_morse_axis", "DIII_V3._angle"}
+    assert callers == {"_model_pair", "DIII_V3._angle"}
     assert len(builds(tree)) == sum(len(builds(scopes[name])) for name in callers)
 
 
@@ -182,3 +186,99 @@ def test_every_keyword_default_is_set():
                 if default is not None and (d.name, arg.arg) not in keywords:
                     unset.append(f"{path.name}:{d.lineno}: {d.name}({arg.arg})")
     assert not unset, "\n".join(unset)
+
+
+def _old_morse_factor(z, s, n, sigma):
+    """z^s e^{-sigma z/2} L_n^{2s}(sigma z), as the D_III Morse log-axes once took it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = orthopoly_eval("laguerre", n, (2.0 * s,), sigma * z)
+        return z ** s * np.exp(-0.5 * sigma * z) * lag
+
+
+def _old_morse_axis(spec, chart, partner, axis, E, n, x):
+    """The factor of a D_III Morse log-axis as its hand-built separation wrote
+    it out: the uv index from the partner, sigma = -1 on uv and on V5's ln mu."""
+    sp = spec.space
+    a, b, m, hb = sp.a, sp.b, sp.mass, sp.hbar
+    hq = hb * hb / (2.0 * m)
+    if chart == "uv":
+        mu = FAMILIES[spec.family]._uv_index(spec, partner)
+        return _old_morse_factor(math.sqrt(-8.0 * m * b * E) / hb * np.exp(-1 * x), mu, n, -1)
+    if spec.family == "DIII_V4":
+        om = spec.c("omega")
+        w2 = m * om * om - b * E
+        v0 = math.sqrt(m * w2) / hb
+        num = (a * E - spec.c("d1")) if axis == 0 else -(a * E + spec.c("d2"))
+        return _old_morse_factor(2.0 * v0 * np.exp(x), num / w2 * v0 - n - 0.5, n, 1)
+    v0c = spec.c("v0")
+    ktilde = (hq * v0c * v0c - a * E) * math.sqrt(-m / (E * b)) / hb
+    return _old_morse_factor(2.0 * (math.sqrt(-m * E * b) / hb) * np.exp(x), ktilde - n - 0.5,
+                             n, -1 if axis == 0 else 1)
+
+
+def _factors(spec, chart, qn, E, grid):
+    """(new, old) samples of each Morse log-axis of the chart on its grid axis."""
+    for axis in ((0,) if chart == "uv" else (0, 1)):
+        partner, n = (qn.l, qn.n) if axis == 0 else (qn.n, qn.l)
+        new = separated_problem(spec, chart, partner, axis).factor(E, n)(grid[axis])
+        yield new, _old_morse_axis(spec, chart, partner, axis, E, n, grid[axis])
+
+
+MORSE_GATES = [  # the criterion-7 gates in the D_III Morse charts
+    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, (1, 0, "uv"), -12.5),
+    ("DIII_V4", {"d1": -1.5, "d2": -0.5, "omega": 1.0}, (0, 0, "hyperbolic"), -3.0),
+    ("DIII_V5", {"v0": 0.0}, (0, 1, "uv"), -4.5),
+    ("DIII_V5", {"v0": 0.0}, (1, 1, "hyperbolic"), -2.25),
+]
+
+
+@pytest.mark.parametrize("name, coup, qn, E", MORSE_GATES)
+def test_morse_rows_are_the_old_log_axes_at_the_gates(name, coup, qn, E):
+    spec = PotentialSpec(SpaceParams(DIII, 1.0, 1.0), name, coup)
+    qn = QuantumNumbers(*qn)
+    grid = default_grid(spec, qn.scheme, qn, E, (401, 301))
+    for new, old in _factors(spec, qn.scheme, qn, E, grid):
+        assert new.tobytes() == old.tobytes()
+    if qn.scheme == "uv":  # the pseudo-level the angle requires keeps its bits
+        hq, mu = 0.5, FAMILIES[name]._uv_index(spec, qn.l)
+        assert separated_problem(spec, "uv", qn.l, 0).lam_req(E) == -hq * mu ** 2
+
+
+def test_morse_rows_are_the_old_log_axes_at_principal_roots():
+    # the uv and V5 hyperbolic rows read their index from E, the old axes from
+    # the partner or by another rounding: they agree where the closed form's
+    # sign holds, level_sum(E) = -sqrt(s) hbar w M < 0; DIII_V4's factors are
+    # the same expressions at every root.  Over 160 coupling sets the median
+    # difference is 0 and the 99th percentile 5e-15; the worst, 2.7e-13, are
+    # V5's hyperbolic l = 2 factors at shallow roots, where s ~ -1 and
+    # L_2^{2s}(z) ~ z^2/2 cancels (there both sit about 1e-13 from a 40-digit value)
+    rng = np.random.default_rng(34)
+    worst, count = 0.0, 0
+    for _ in range(6):
+        sp = SpaceParams(DIII, rng.uniform(0.5, 3.0), rng.uniform(0.2, 2.0),
+                         mass=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 1.5))
+        for name, coup, chart in [
+            ("DIII_V2", {"alpha": rng.uniform(-3, 3), "k1": rng.uniform(-2, 2),
+                         "k2": rng.uniform(-2, 2)}, "uv"),
+            ("DIII_V4", {"d1": rng.uniform(-4, 1), "d2": rng.uniform(-4, 1),
+                         "omega": rng.uniform(0.3, 2)}, "hyperbolic"),
+            ("DIII_V5", {"v0": rng.uniform(0, 2)}, "uv"),
+            ("DIII_V5", {"v0": rng.uniform(0, 2)}, "hyperbolic")]:
+            spec, rec = PotentialSpec(sp, name, coup), FAMILIES[name]
+            for n in range(3):
+                for l in range(3):
+                    qn = QuantumNumbers(n, l, chart)
+                    for r in solve_quantization(spec, qn).admissible:
+                        E = r["E"]
+                        if not (r["sqrt_real"] and r["satisfies_unsquared"]) or (
+                                name != "DIII_V4" and rec.level_sum(spec, E) >= 0):
+                            continue
+                        grid = default_grid(spec, chart, qn, E, (201, 3))
+                        for new, old in _factors(spec, chart, qn, E, grid):
+                            if name == "DIII_V4":
+                                assert new.tobytes() == old.tobytes()
+                            if np.isfinite(old).all() and np.abs(old).max() > 0:
+                                worst = max(worst, np.abs(new - old).max() / np.abs(old).max())
+                                count += 1
+    assert count > 200
+    assert worst < 1e-12

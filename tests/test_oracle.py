@@ -88,6 +88,14 @@ def test_verify_refuses_a_row_at_negative_frequency(fam):
         verify_building_block(fam, 1)
 
 
+@pytest.mark.parametrize("params", [{"v0": 1.0, "alpha_t": 2.5}, {"v0": -1.0, "alpha_t": -2.5}])
+def test_verify_refuses_the_unladdered_morse_row(params):
+    # the Morse row without a ladder top holds shapes past the ladder and
+    # growing partners, and it has no oracle interval
+    with pytest.raises(ParamError, match="no real confining profile"):
+        verify_building_block(sf.ModelFamily(sf.MORSE, params), 1)
+
+
 # (family, couplings, chart, quantum numbers, axes) of the separated problems
 # whose factors must solve their 1D equations at a quantization root
 RESIDUAL_CASES = [

@@ -139,6 +139,9 @@ ODE_CASES = {
                      np.linspace(-12, 2.2, 4001), 1),
     sf.CMORSE: (ModelFamily(sf.CMORSE, {"c1": 0.8, "c2": 1.2}),
                 np.linspace(0.0, 2 * math.pi, 4001), 2),
+    # a negative depth, the growing partners at s = 2, 1, 0, -1 (worst 7.4e-8)
+    sf.MORSE: (ModelFamily(sf.MORSE, {"v0": -1.0, "alpha_t": -2.5}),
+               np.linspace(-6, 2.2, 8001), 3),
 }
 
 
