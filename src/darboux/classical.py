@@ -21,20 +21,24 @@ H0~ = -G (p_u^2 + p_v^2).  These coefficient functions are the general-(a,b)
 resolutions of the usual a = b = 1 normal forms; the conservation and
 algebra tests are the adjudicators.  The observables, like the Hamiltonian,
 take arrays of states: a Poisson bracket evaluates each of its two once.
+Only a potential or a residual constant loads the family layers
+(``families``, ``potentials``, ``specfun``); free motion runs on the geometry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dop853 import dop853
 from .errors import BlowupError, DomainError, ParamError
-from .families import FAMILIES
 from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
-from .potentials import PotentialSpec, potential_value
+
+if TYPE_CHECKING:
+    from .potentials import PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -141,16 +145,27 @@ def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
     # (x**2 is x*x, not pow)
     q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single
                       else (np.asarray(x, dtype=float) for x in xs))
-    val = _hamiltonian(space, spec, Chart(state.chart.name, q1, q2, state.chart.d), p1, p2)
+    chart = Chart(state.chart.name, q1, q2, state.chart.d)
+    val = _hamiltonian(space, _potential(spec), chart, p1, p2)
     return float(val[0]) if single else val
 
 
-def _hamiltonian(space, spec, chart, p1, p2):
+def _potential(spec):
+    """The potential as a function of chart points; None for free motion, which
+    loads none of the potential layers."""
+    if spec is None:
+        return None
+    from .potentials import potential_value
+
+    return lambda chart: potential_value(spec, chart)
+
+
+def _hamiltonian(space, potential, chart, p1, p2):
     """Kinetic + potential energy at the chart point(s) and the momenta (arrays)."""
     g11, g22 = metric_diag(space, chart)
     val = (p1 ** 2 / g11 + p2 ** 2 / g22) / (2.0 * space.mass)
-    if spec is not None:
-        val = val + np.real(potential_value(spec, chart))
+    if potential is not None:
+        val = val + np.real(potential(chart))
     return val
 
 
@@ -272,11 +287,12 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
 
     chart0 = state0.chart
     hamiltonian_value(space, spec, state0)  # DomainError unless H is defined at the start
+    potential = _potential(spec)
 
     def rhs(t, y):
         h = 1e-6 * (1.0 + np.abs(y))
         q1, q2, p1, p2 = y[:, None] + h[:, None] * _SIGNS
-        H = _hamiltonian(space, spec, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
+        H = _hamiltonian(space, potential, Chart(chart0.name, q1, q2, chart0.d), p1, p2)
         return ((H[0::2] - H[1::2]) / (h * _HAMILTON_TWO))[_HAMILTON_ORDER]
 
     y0 = np.array([chart0.q1, chart0.q2, state0.p1, state0.p2])
@@ -296,6 +312,8 @@ def residual_constant(spec: PotentialSpec, name: str, state: PhaseState) -> floa
     Implemented: DIII_V5 R1, R2, R3 (the coupling corrections in parabolic
     variables added to X1, X2, K) and DIV_V4 R3 = mu p_mu + nu p_nu.
     """
+    from .families import FAMILIES
+
     return FAMILIES[spec.family].constant(spec, name, state)
 
 

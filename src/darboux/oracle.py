@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError, ParamError, ResolutionError
 from .potentials import PotentialSpec, separated_problem
 from .spectra import QuantumNumbers
-from .wavefun import _d2_4
 from . import specfun as sf
 
 
@@ -245,6 +244,8 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     differences; the result is normalized by |lam_req| max|psi| (or max|psi|
     if the required pseudo-eigenvalue vanishes).
     """
+    from .wavefun import _d2_4  # here: verify_building_block loads no wavefun
+
     partner = qn.l if axis == 0 else qn.n
     own = qn.n if axis == 0 else qn.l
     sepd = separated_problem(spec, chart_name, partner, axis=axis)

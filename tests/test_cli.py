@@ -55,12 +55,14 @@ def test_rerun_byte_identical(name, tmp_path):
 
 def test_verify_deterministic_and_exit_code(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    r1 = run_cli(["verify", "--suite", "spectra"], a)
-    r2 = run_cli(["verify", "--suite", "spectra"], b)
+    r1 = run_cli(["verify", "--suite", "all"], a)
+    r2 = run_cli(["verify", "--suite", "all"], b)
     assert r1.returncode == 0 and r2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
-    assert doc["records"][0]["pass"] is True
+    assert [r["suite"] for r in doc["records"]] == ["building-blocks", "curvature", "spectra",
+                                                     "classical"]
+    assert all(r["pass"] is True for r in doc["records"])
 
 
 def test_spectrum_contains_free_level(tmp_path):
@@ -315,10 +317,15 @@ NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     # the oracle loads scipy's LAPACK extension by path: no scipy package is imported
     (["verify", "--suite", "building-blocks", "--out", "OUT"], 0,
      ["scipy", "scipy.linalg", "scipy.integrate"]),
+    # the suites draw their cases with the standard library's random, and the
+    # oracle's ODE residual alone needs wavefun's stencil
     (["verify", "--suite", "all", "--out", "OUT"], 0,
-     ["scipy", "scipy.linalg", "scipy.integrate"]),
+     ["scipy", "scipy.linalg", "scipy.integrate", "numpy.random", "darboux.wavefun"]),
+    # a free flow loads no potential layer
+    (JOBS["classical.json"] + ["--out", "OUT"], 0,
+     ["scipy", "darboux.families", "darboux.specfun", "darboux.potentials"]),
 ], ids=["help", "parse-error", "curvature", "spectrum", "verify-classical",
-        "verify-building-blocks", "verify-all"])
+        "verify-building-blocks", "verify-all", "classical"])
 def test_start_up_loads_only_what_the_command_runs(argv, code, absent, tmp_path):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
     script = (
