@@ -17,10 +17,13 @@ lambda^2 = k^2 - 2 m a_pm E / hbar^2.  ``_model_pair`` builds an axis from
 two ``specfun.MODELS`` rows: it takes its row's profile, factor and domain and
 requires a shared level minus its partner row's level (in the signed
 hyperbolic chart, that level itself), so a partner past that row's ladder
-raises LevelError.  It builds every axis but DIII_V3's complex-Morse angle:
-on D_III the oscillators, rows at -w(E), and the Morse log-axes, unladdered
-Morse rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5);
-the polar radius and the uv axis carry their angle in their required level.
+raises LevelError.  It builds every separated axis: on D_III the
+oscillators, rows at -w(E), the Morse log-axes, unladdered Morse rows (uv of
+V2 and V5 at a negative depth, hyperbolic of V4 and V5), and DIII_V3's polar
+angle, the complex Morse row in 2 phi on (0, pi), one period of its profile.
+The polar radius, the uv axis and that angle have no partner row: each
+carries the other axis in its required level.  A row's window reads E only,
+so a grid is laid out without building a factor.
 What the families share stays in its module: the division by the D_III
 factor or the D_IV conformal factor in ``potentials``, root finding and
 admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call the
@@ -42,8 +45,9 @@ from .errors import DomainError, LevelError, ParamError, UnsupportedChartError, 
 from .geometry import DIII, DIV, d3_factor
 from . import potentials, specfun as sf
 
-# An angle in place of a separated second axis: its length, and the margin
-# the default grid keeps from its ends.
+# The angle of a chart's second axis: its length, which sets its interval
+# (0, length), and the margin the default grid keeps from its ends.  Where the
+# chart does not separate it, the record's angular_factor(spec, chart, qn) is its factor.
 Angle = namedtuple("Angle", "length pad")
 CIRCLE = Angle(2.0 * math.pi, 0.05)
 
@@ -59,12 +63,6 @@ def _units(spec):
     """(a, b, mass, hbar, hbar^2/2m) of the spec's space."""
     sp = spec.space
     return sp.a, sp.b, sp.mass, sp.hbar, potentials._quantum_unit(sp)
-
-
-def _model_factor(spec, tag, params, n, scale=1.0):
-    """The level-n eigenfunction of a model family of ``specfun``, at scale * x."""
-    fam = sf.ModelFamily(tag, params, hbar=spec.space.hbar, mass=spec.space.mass)
-    return lambda x: sf.model_eigenfunction(fam, int(n), scale * np.asarray(x))
 
 
 # A ``specfun.MODELS`` row of a separation: tag, params(E) in the row's key order,
@@ -105,7 +103,7 @@ def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0, signed=False):
         return lev if signed else shift(E) - lev
 
     window = row.window if callable(row.window) else lambda E: row.window
-    return potentials.Separated1D(profile, lam_req, factor, lambda E, n: window(E),
+    return potentials.Separated1D(profile, lam_req, factor, window,
                                   tuple(sorted(d / row.s for d in sf.model_domain(row.tag))))
 
 
@@ -153,10 +151,6 @@ class Family:
             raise UnsupportedChartError(
                 f"{self.name} is not separated in chart {chart!r} (axis {axis})")
         return sep(self, spec, partner, axis)
-
-    def angular_factor(self, spec, chart, qn):
-        """The factor of an angle in ``angles`` that is not separated, or None."""
-        return None
 
     def count(self, spec, qn):
         """The composite quantum number entering the squared condition."""
@@ -381,10 +375,11 @@ class DIII_V2(Shifted):
                    ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
 
     def angular_factor(self, spec, chart, qn):
-        if chart not in self.angles:
-            return None
-        return _model_factor(spec, sf.PT, {"alpha": abs(spec.c("k2")), "beta": abs(spec.c("k1"))},
-                             qn.l, 0.5 if chart == "uv" else 1.0)
+        """The Poeschl-Teller level l in v/2 (uv) or in the polar angle."""
+        fam = sf.ModelFamily(sf.PT, {"alpha": abs(spec.c("k2")), "beta": abs(spec.c("k1"))},
+                             hbar=spec.space.hbar, mass=spec.space.mass)
+        scale = 0.5 if chart == "uv" else 1.0
+        return lambda x: sf.model_eigenfunction(fam, int(qn.l), scale * np.asarray(x))
 
     def count(self, spec, qn):
         return 2.0 * qn.n + 2.0 * qn.l + abs(spec.c("k1")) + abs(spec.c("k2")) + 2.0
@@ -422,9 +417,9 @@ class DIII_V3(Shifted):
         return abs(2.0 * (ratio - int(l) - 0.5))
 
     def _angle(self, spec, partner, axis):
-        """The polar angle phi: the complex Morse family in 2 phi.  It requires
-        the index at which the radius solves at level ``partner``; at a root
-        that is the angle's own index."""
+        """The polar angle phi: the complex Morse row in 2 phi, on (0, pi), one
+        period of its profile.  Its partner is no row: it requires the index at
+        which the radius solves at level ``partner``, at a root its own index."""
         _, _, _, hb, hq = _units(spec)
         C1, C2 = self._cmorse(spec)
 
@@ -432,16 +427,8 @@ class DIII_V3(Shifted):
             idx = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E)) - 2 * int(partner) - 1
             return hq * idx ** 2
 
-        def profile(E):
-            return lambda phi: 4.0 * hq * (
-                spec.c("c1") ** 2 * np.exp(-2j * np.asarray(phi))
-                - 2.0 * spec.c("c2") * np.exp(-4j * np.asarray(phi))
-            )
-
-        return potentials.Separated1D(
-            profile, lam_req,
-            factor=lambda E, n: _model_factor(spec, sf.CMORSE, {"c1": C1, "c2": C2}, n, 2.0),
-            window=lambda E, n: (0.0, 2.0 * math.pi), domain=(0.0, 2.0 * math.pi))
+        return _model_pair(spec, (None, Row(sf.CMORSE, lambda E: (C1, C2), (0.0, math.pi), s=2.0)),
+                           partner, axis, lam_req)
 
     separations = {("polar", 0): Shifted._polar, ("polar", 1): _angle}
 
@@ -579,8 +566,6 @@ class DIII_V5(Shifted):
                    ("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
 
     def angular_factor(self, spec, chart, qn):
-        if chart not in self.angles:
-            return None
         return lambda v: np.exp(1j * qn.l * v)
 
     def count(self, spec, qn):

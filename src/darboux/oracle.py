@@ -249,7 +249,7 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     partner = qn.l if axis == 0 else qn.n
     own = qn.n if axis == 0 else qn.l
     sepd = separated_problem(spec, chart_name, partner, axis=axis)
-    lo, hi = sepd.window(E, own)
+    lo, hi = sepd.window(E)
     xs = np.linspace(lo, hi, n_points)
     h = xs[1] - xs[0]
     psi = np.asarray(sepd.factor(E, own)(xs))

@@ -107,9 +107,9 @@ class Separated1D:
     ``profile(E)`` returns the potential U_E(x); ``lam_req(E)`` the
     pseudo-eigenvalue required by the partner separation; ``factor(E, n)`` the
     analytic factor carrying this problem's quantum number n on the open
-    interval ``domain``; ``window(E, n)`` the finite interval on which that
-    factor is sampled.  A root of the quantization condition is exactly an E
-    at which the factor solves the problem at pseudo-eigenvalue lam_req(E).
+    interval ``domain``; ``window(E)``, which builds no factor, the finite
+    interval its factors are sampled on.  A root of the quantization condition
+    is exactly an E at which the factor solves the problem at lam_req(E).
     """
 
     profile: Callable

@@ -18,6 +18,7 @@ DivergentNormError of ``normalize_weighted`` report this rather than hide it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,28 +67,39 @@ def pick_energy(spec: PotentialSpec, qn: QuantumNumbers) -> float:
     return min(r["E"] for r in good)
 
 
+@contextmanager
+def _at(spec: PotentialSpec, chart_name: str, E: float):
+    """Raise a ValueError or ZeroDivisionError of the block, from a square
+    root, log or quotient at E, as DomainError."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{spec.family} has no {chart_name} factor at E = {E!r}") from None
+
+
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
     """The factors of axis 0 and axis 1 at energy E as (callable, natural
-    interval, window); an unseparated angle takes the record's factor on (0, length).
-    An E at which a factor's closed form has no real value raises DomainError."""
+    interval, window).  An angle in the record's ``angles`` has (0, length) for
+    both, and the record's factor where the chart does not separate it."""
     rec, s0 = FAMILIES[spec.family], separated_problem(spec, chart_name, qn.l, axis=0)
-    try:
-        first = (s0.factor(E, qn.n), s0.domain, s0.window(E, qn.n))
-        ang = rec.angular_factor(spec, chart_name, qn)
-        if ang is not None:
-            span = (0.0, rec.angles[chart_name].length)
-            return first, (ang, span, span)
-        s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-        return first, (s1.factor(E, qn.l), s1.domain, s1.window(E, qn.l))
-    except (ValueError, ZeroDivisionError):  # a square root, log or quotient at E
-        raise DomainError(f"{spec.family} has no {chart_name} factor at E = {E!r}") from None
+    ang = rec.angles.get(chart_name)
+    with _at(spec, chart_name, E):
+        first = (s0.factor(E, qn.n), s0.domain, s0.window(E))
+        if (chart_name, 1) not in rec.separations:
+            f2 = rec.angular_factor(spec, chart_name, qn)
+        else:
+            s1 = separated_problem(spec, chart_name, qn.n, axis=1)
+            f2 = s1.factor(E, qn.l)
+            if ang is None:
+                return first, (f2, s1.domain, s1.window(E))
+        return first, (f2, (0.0, ang.length), (0.0, ang.length))
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
-    ``shape`` is given; 301x201 for a pulled-back state).  A non-finite E
-    raises ParamError."""
+    ``shape`` is given; 301x201 for a pulled-back state), read off the windows.
+    A non-finite E raises ParamError, a window not finite and increasing GridError."""
     if not math.isfinite(E):
         raise ParamError(f"energy must be finite, got {E!r}")
     rec = FAMILIES[spec.family]
@@ -95,17 +107,19 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
         return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
-    (_, _, (lo1, hi1)), (_, _, (lo2, hi2)) = _factor_pair(spec, chart_name, qn, E)
-    ang = rec.angles.get(chart_name)
-    if ang is not None:
-        lo2, hi2 = ang.pad, ang.length - ang.pad
+    ang, s0 = rec.angles.get(chart_name), separated_problem(spec, chart_name, qn.l, axis=0)
+    with _at(spec, chart_name, E):
+        lo1, hi1 = s0.window(E)
+        lo2, hi2 = (ang.pad, ang.length - ang.pad) if ang else \
+            separated_problem(spec, chart_name, qn.n, axis=1).window(E)
     sp = spec.space
     if chart_name == "hyperbolic" and sp.b > 0:
         # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)
         lo1 = max(lo1, math.log(0.3))
         hi2 = min(hi2, math.log(math.exp(lo1) + 1.6 * sp.a / sp.b))
-    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))):
-        raise GridError(f"the sampling window {(lo1, hi1)} x {(lo2, hi2)} is not finite")
+    if not (all(map(math.isfinite, (lo1, hi1, lo2, hi2))) and lo1 < hi1 and lo2 < hi2):
+        raise GridError(f"the sampling window {(lo1, hi1)} x {(lo2, hi2)} is not finite "
+                        "and increasing")
     n1, n2 = shape or (401, 201)
     return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
 

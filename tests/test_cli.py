@@ -706,14 +706,14 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
      "--p2 1.2 --t-final 1", "FloatingPointError"),
     # f^3 of the closed-form curvature underflows to 0
     ("curvature --space DIII --a 2.1e-181 --b 2.1e-181 --grid 3x3", "ZeroDivisionError"),
-    # the metric factor at the start, a step of the flow, a factor's scale leave the
-    # range of a double
+    # the metric factor at the start and a step of the flow leave the range of a double
     ("classical --space DIII --a 3 --b 1 --q1 -1e6 --q2 0.3 --p1 -3.7 --p2 0.99 --t-final 1.7",
      "FloatingPointError"),
     ("classical --space DIII --a 2.4e-296 --b 2.4e-296 --q1 0.3 --q2 0.57 --p1 1.6e-219 "
      "--p2 0.3 --t-final 1e-9", "FloatingPointError"),
+    # the y window of the hyperbolic grid collapses onto its lower end
     ("wavefunction --space DIII --a 2 --b 1 --potential V4 --chart hyperbolic --n 0 --l 0 "
-     "--energy -8.2e-46 --grid 16x14", "FloatingPointError"),
+     "--energy -8.2e-46 --grid 16x14", "GridError"),
     # a subnormal t-final gave sample times that solve_ivp refuses as unsorted
     ("classical --space DIV --a 1.3 --b 0.1 --q1 0.7 --q2 0.7 --p1 1 --p2 0.7 --t-final 5e-324 "
      "--samples 7", "ParamError"),
@@ -732,6 +732,20 @@ def test_argvs_the_property_found_exit_2(argv, error, tmp_path, capsys):
     assert main(argv.split() + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and json.loads(err)["error"] == error
+    assert not out.exists()
+
+
+def test_reversed_hyperbolic_window_is_a_grid_error(tmp_path, capsys):
+    # at E = -500 the clamp of the x window, ln 0.3, lies above the window's top:
+    # the grid was reversed and the job exited 0 with a residual of 427
+    from darboux.cli import main
+
+    out = tmp_path / "x.json"
+    argv = ("wavefunction --space DIII --a 1 --b 1 --potential V4 --d1 -1500 --d2 -500 "
+            "--omega 1 --chart hyperbolic --n 0 --l 0").split()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GridError" and "increasing" in err["message"]
     assert not out.exists()
 
 

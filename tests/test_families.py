@@ -94,7 +94,7 @@ def test_every_separation_has_a_finite_window():
         spec = PotentialSpec(SpaceParams(rec.space, a, b), name, COUPLINGS[name])
         for chart, axis in rec.separations:
             sep = separated_problem(spec, chart, 0, axis)
-            lo, hi = sep.window(-3.7, 0)
+            lo, hi = sep.window(-3.7)
             assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
             assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
 
@@ -111,9 +111,8 @@ def test_no_div_record_builds_its_own_separation():
 
 
 def test_only_the_shared_builders_build_a_separation():
-    # every oscillator axis of both surfaces is a pair of specfun.MODELS rows
-    # built by _model_pair; the D_III Morse log-axes and DIII_V3's complex-Morse
-    # angle keep their own builders
+    # every separated axis of both surfaces, DIII_V3's complex-Morse angle
+    # included, is a specfun.MODELS row built by _model_pair
     def builds(node):
         return [c for c in ast.walk(node) if isinstance(c, ast.Call)
                 and getattr(c.func, "attr", getattr(c.func, "id", None)) == "Separated1D"]
@@ -123,7 +122,7 @@ def test_only_the_shared_builders_build_a_separation():
     scopes.update({f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
                    for fn in cls.body if isinstance(fn, ast.FunctionDef)})
     callers = {name for name, node in scopes.items() if builds(node)}
-    assert callers == {"_model_pair", "DIII_V3._angle"}
+    assert callers == {"_model_pair"}
     assert len(builds(tree)) == sum(len(builds(scopes[name])) for name in callers)
 
 

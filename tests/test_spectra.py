@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from darboux.errors import ParamError, UnsupportedError
+from darboux.errors import NoAdmissibleRootError, ParamError, UnsupportedError
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec
 from darboux.spectra import (
@@ -223,6 +223,68 @@ def test_horospherical_uv_equivalence_div_v1():
     a = sorted(z.real for z in uv.candidates)
     b = sorted(z.real for z in horo.candidates)
     assert all(abs(x - y) < 1e-10 for x, y in zip(a, b))
+
+
+def _picks(spec, scheme, top):
+    """The pick_energy level of each (n, l) with n, l <= top that has one."""
+    out = {}
+    for n in range(top + 1):
+        for l in range(top + 1):
+            try:
+                out[n, l] = pick_energy(spec, QuantumNumbers(n, l, scheme))
+            except NoAdmissibleRootError:
+                pass
+    return out
+
+
+def _cross_chart_specs():
+    """Six seeded coupling sets of DIII_V2 and of DIV_V1, and the three pinned
+    DIV_V2 tables, each with the schemes of its real charts."""
+    rng = np.random.default_rng(36)
+    for _ in range(6):
+        a, b = rng.uniform(0.5, 2.5, 2)
+        coup = {"alpha": rng.uniform(-1.0, 1.0), "k1": rng.uniform(0.1, 1.0),
+                "k2": rng.uniform(0.1, 1.0)}
+        yield (PotentialSpec(SpaceParams(DIII, float(a), float(b)), "DIII_V2",
+                             {k: float(v) for k, v in coup.items()}), ("uv", "polar", "parabolic"))
+    for _ in range(6):
+        b = float(rng.uniform(0.3, 1.2))
+        sp = SpaceParams(DIV, 2.0 * b + float(rng.uniform(0.1, 1.5)), b)
+        coup = {"alpha": rng.uniform(4.0, 16.0), "k1": rng.uniform(0.1, 1.0),
+                "k2": rng.uniform(0.1, 1.0), "omega": rng.uniform(0.5, 1.5)}
+        yield (PotentialSpec(sp, "DIV_V1", {k: float(v) for k, v in coup.items()}),
+               ("uv", "horospherical"))
+    for k1, k2, k3 in ((2.0, 6.0, 0.5), (0.3, 4.0, -0.5), (1.0, 10.0, 2.0)):
+        yield (PotentialSpec(SP4, "DIV_V2", {"k1": k1, "k2": k2, "k3": k3}),
+               ("uv", "degelliptic2"))
+
+
+def test_every_real_chart_has_the_same_spectrum():
+    # one Hamiltonian has one discrete spectrum, whichever chart separates it:
+    # every level at n, l <= 2 of one scheme is a level of every other scheme
+    # at n, l <= 6, as often in each (the levels follow n + l in every scheme
+    # here, so the cut at 6 holds all their copies), and a D_IV level lies
+    # below the continuum.  Left out: the D_III hyperbolic chart, a continued
+    # section with a signed metric and no real map to (u, v), which quantizes
+    # another real form; and DIII_V5, whose uv levels are a proper subset of
+    # its polar and parabolic levels until its L^2 states are told apart.
+    def copies(e, levels):
+        return sum(abs(x - e) <= 1e-9 * max(abs(e), abs(x)) for x in levels)
+
+    checked = 0
+    for spec, schemes in _cross_chart_specs():
+        low = {s: _picks(spec, s, 2) for s in schemes}
+        high = {s: _picks(spec, s, 6).values() for s in schemes}
+        assert low[schemes[0]], spec
+        for s in schemes:
+            for e in low[s].values():
+                for other in schemes:
+                    assert copies(e, high[other]) == copies(e, high[s]) > 0, (spec, s, other, e)
+                    checked += 1
+        if spec.space.family == DIV:
+            top = continuous_dispersion(spec, 0.0)
+            assert all(e < top for s in schemes for e in high[s]), spec
+    assert checked > 300
 
 
 def test_free_motion_embedding():

@@ -74,6 +74,50 @@ def test_pde_residual_gate(family, coup, chart, qn, energy):
     assert hamiltonian_residual(field) < 1e-5
 
 
+def test_diii_v3_angle_row_keeps_the_hand_built_bits():
+    # the angle was typed by hand as the cMorse level l in 2 phi at the space's
+    # mass, requiring hq idx^2 with idx the index at which the radius solves at
+    # level n; the row gives the same bits at the gate
+    from darboux import families, specfun as sf
+    from darboux.potentials import separated_problem
+
+    spec = PotentialSpec(SP1, "DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8})
+    q = QuantumNumbers(0, 0, "polar")
+    e = pick_energy(spec, q)
+    _, phi = default_grid(spec, "polar", q, e, (401, 301))
+    sep = separated_problem(spec, "polar", q.n, axis=1)
+    rec = FAMILIES["DIII_V3"]
+    C1, C2 = rec._cmorse(spec)
+    fam = sf.ModelFamily(sf.CMORSE, {"c1": C1, "c2": C2}, hbar=SP1.hbar, mass=SP1.mass)
+    old = sf.model_eigenfunction(fam, int(q.l), 2.0 * np.asarray(phi))
+    assert np.asarray(sep.factor(e, q.l)(phi)).tobytes() == old.tobytes()
+    hq = SP1.hbar ** 2 / (2.0 * SP1.mass)
+    idx = abs(rec.level_sum(spec, e)) / (SP1.hbar * families._omega_of(spec, e)) - 2 * q.n - 1
+    assert sep.lam_req(e) == hq * idx ** 2
+    assert sep.domain == sep.window(e) == (0.0, math.pi)  # one period of the profile
+
+
+@pytest.mark.parametrize("family,coup,chart,qn,energy", GATES)
+def test_default_grid_builds_no_factor(family, coup, chart, qn, energy, monkeypatch):
+    # the windows come from the rows, so a grid needs no model family, and an
+    # assembly on the default grid builds its two factors once
+    from darboux import specfun as sf
+    from darboux.wavefun import _factor_pair
+
+    sp = SP1 if family.startswith("DIII") else SP4
+    spec, q = PotentialSpec(sp, family, coup), QuantumNumbers(*qn)
+    e = energy if energy is not None else pick_energy(spec, q)
+    built, model = [], sf.ModelFamily
+    monkeypatch.setattr(sf, "ModelFamily", lambda *a, **k: built.append(a[0]) or model(*a, **k))
+    default_grid(spec, chart, q, e)
+    assert built == []
+    _factor_pair(spec, "uv" if chart in FAMILIES[family].pullbacks else chart, q, e)
+    pair = len(built)
+    assert pair >= 1
+    assemble_bound_state(spec, chart, q, energy=e)
+    assert len(built) == 2 * pair
+
+
 def test_div_v3_picks_the_root_that_separates():
     # not -182.575625, a root of 2(n + l) + lam_1- - lam_2- - 2 = 0: no
     # product state, its residual is 1.07
