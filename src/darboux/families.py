@@ -4,26 +4,29 @@ Five families live on D_III (V1..V5) and four on D_IV (V1..V4), after
 Kalnins, Kress, Miller and Winternitz, J. Math. Phys. 44, 5811 (2003).  A
 record holds everything specific to its family: its couplings, its closed
 form, written once in one real chart (and in the continued sections that no
-real map reaches), its separations keyed by (chart, axis) with their windows
-and natural intervals, the charts its states are counted and assembled in,
-its squared quantization condition with the unsquared gap and decay rule
-that judge the roots, its continuous dispersion and asymptotic pair, and its
-extra constants of motion.
+real map reaches), its separations keyed by chart with their windows and
+natural intervals, the charts its states are counted and assembled in, its
+squared quantization condition with the unsquared gap and decay rule that
+judge the roots, its continuous dispersion and asymptotic pair, and its extra
+constants of motion.
 ``FAMILIES`` maps each family name to its record.
 
 Energy enters the separated 1D profiles as an effective coupling: on D_III
 through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
-lambda^2 = k^2 - 2 m a_pm E / hbar^2.  ``_model_pair`` builds an axis from
-two ``specfun.MODELS`` rows: it takes its row's profile, factor and domain and
-requires a shared level minus its partner row's level (in the signed
-hyperbolic chart, that level itself), so a partner past that row's ladder
-raises LevelError.  It builds every separated axis: on D_III the
-oscillators, rows at -w(E), the Morse log-axes, unladdered Morse rows (uv of
-V2 and V5 at a negative depth, hyperbolic of V4 and V5), and DIII_V3's polar
-angle, the complex Morse row in 2 phi on (0, pi), one period of its profile.
-The polar radius, the uv axis and that angle have no partner row: each
-carries the other axis in its required level.  A row's window reads E only,
-so a grid is laid out without building a factor.
+lambda^2 = k^2 - 2 m a_pm E / hbar^2.  A separation maps a state to its two
+axes, axis 0 carrying n and axis 1 carrying l; ``_model_pair`` builds both
+from two ``specfun.MODELS`` rows.  Each axis takes its row's profile, factor
+and domain and requires a shared level minus the other row's level at the
+other quantum number (in the signed hyperbolic chart, that level itself), so
+a quantum number past that row's ladder raises LevelError.  The rows are, on
+D_III, the oscillators, rows at -w(E), the Morse log-axes, unladdered Morse
+rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5), and
+DIII_V3's polar angle, the complex Morse row in 2 phi on (0, pi), one period
+of its profile.  The polar radius, the uv axis and that angle have no
+partner row: each carries the other quantum number in its required level.
+An angle that its chart does not separate is None, given by ``angles`` and
+``angular_factor``.  A row's window reads E only, so a grid is laid out
+without building a factor.
 What the families share stays in its module: the division by the D_III
 factor or the D_IV conformal factor in ``potentials``, root finding and
 admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call the
@@ -71,40 +74,44 @@ def _units(spec):
 Row = namedtuple("Row", "tag params window s x0", defaults=(1.0, None))
 
 
-def _model_pair(spec, rows, partner, axis, shift=lambda E: 0.0, signed=False):
-    """Axis ``axis`` of a separation into the two rows ``rows``.  The axis
-    takes its row's profile, factor and domain; it requires shift(E) minus its
-    partner row's level ``partner`` (the two levels sum to shift(E)), or, in a
-    ``signed`` chart, where the two levels agree, that level itself.  A partner
-    past its row's ladder raises LevelError, and one that is no row (None) has
-    level 0."""
+def _model_pair(spec, rows, qn, shift=lambda E: 0.0, signed=False):
+    """The axes (0 carrying qn.n, 1 carrying qn.l) of a separation into the
+    rows ``rows``; a row that is None gives no axis.  An axis takes its row's
+    profile, factor and domain; it requires shift(E) minus its partner row's
+    level at the other quantum number (the two levels sum to shift(E)), or,
+    in a ``signed`` chart, where the two levels agree, that level itself.  A
+    partner past its row's ladder raises LevelError, and one that is no row
+    (None) has level 0."""
     hb, m = spec.space.hbar, spec.space.mass
 
     def model(row, E):
         return sf.ModelFamily(row.tag, dict(zip(sf.MODELS[row.tag].keys, row.params(E))),
                               hbar=hb, mass=m / (row.s * row.s))
 
-    row, other = rows[axis], rows[1 - axis]
+    def axis(row, own, other, partner):
+        def var(E):  # x -> s (x - x0(E)), the row's variable
+            x0 = 0.0 if row.x0 is None else row.x0(E)
+            return lambda x: row.s * (np.asarray(x) - x0)
 
-    def var(E):  # x -> s (x - x0(E)), the row's variable
-        x0 = 0.0 if row.x0 is None else row.x0(E)
-        return lambda x: row.s * (np.asarray(x) - x0)
+        def profile(E):
+            U, to = sf.model_potential(model(row, E)), var(E)
+            return lambda x: U(to(x))
 
-    def profile(E):
-        U, to = sf.model_potential(model(row, E)), var(E)
-        return lambda x: U(to(x))
+        def factor(E):
+            fam, to = model(row, E), var(E)
+            return lambda x: sf.model_eigenfunction(fam, int(own), to(x))
 
-    def factor(E, n):
-        fam, to = model(row, E), var(E)
-        return lambda x: sf.model_eigenfunction(fam, int(n), to(x))
+        def lam_req(E):
+            lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), int(partner))
+            return lev if signed else shift(E) - lev
 
-    def lam_req(E):
-        lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), int(partner))
-        return lev if signed else shift(E) - lev
+        window = row.window if callable(row.window) else lambda E: row.window
+        return potentials.Separated1D(profile, lam_req, factor, window,
+                                      tuple(sorted(d / row.s for d in sf.model_domain(row.tag))))
 
-    window = row.window if callable(row.window) else lambda E: row.window
-    return potentials.Separated1D(profile, lam_req, factor, window,
-                                  tuple(sorted(d / row.s for d in sf.model_domain(row.tag))))
+    (r0, r1), (n, l) = rows, (qn.n, qn.l)
+    return (None if r0 is None else axis(r0, n, r1, l),
+            None if r1 is None else axis(r1, l, r0, n))
 
 
 class Family:
@@ -117,7 +124,7 @@ class Family:
     forms: tuple = ()        # the real chart of its form, then continued sections
     pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
     angles: dict = {}        # chart -> Angle of its second axis
-    separations: dict = {}   # (chart, axis) -> separated problem
+    separations: dict = {}   # chart -> its separated problems (axis 0, axis 1)
     transcendental = False   # quantized by the one root of an unsquared gap, not by polynomial roots
     signed_l: tuple = ()     # schemes whose l is a signed momentum, not a ladder level
 
@@ -129,7 +136,7 @@ class Family:
     def schemes(self):
         """The charts its states are counted and assembled in: the separated
         charts, in order, then the pulled-back ones."""
-        return tuple(dict.fromkeys([chart for chart, _ in self.separations] + [*self.pullbacks]))
+        return tuple(dict.fromkeys([*self.separations, *self.pullbacks]))
 
     def check_l(self, qn):
         """LevelError for an l < 0 in a scheme where l numbers a ladder level."""
@@ -144,13 +151,12 @@ class Family:
         chart through the chart maps to and from (u, v)."""
         raise UnsupportedChartError(f"{self.name} has no closed form")
 
-    def separation(self, spec, chart, partner, axis):
-        """The separated 1D problem of one axis of a chart (see ``separated_problem``)."""
-        sep = self.separations.get((chart, axis))
+    def separation(self, spec, chart, qn):
+        """The separated 1D problems of a chart's two axes (see ``separated_problem``)."""
+        sep = self.separations.get(chart)
         if sep is None:
-            raise UnsupportedChartError(
-                f"{self.name} is not separated in chart {chart!r} (axis {axis})")
-        return sep(self, spec, partner, axis)
+            raise UnsupportedChartError(f"{self.name} is not separated in chart {chart!r}")
+        return sep(self, spec, qn)
 
     def count(self, spec, qn):
         """The composite quantum number entering the squared condition."""
@@ -258,12 +264,12 @@ class DIII_V1(DIIIFamily):
         c, m, w = spec.c("k1") ** 2 + spec.c("k2") ** 2, spec.space.mass, _omega_of(spec, E)
         return spec.space.a * E - spec.c("k3") + c / (2.0 * m * w * w)
 
-    def _parabolic(self, spec, partner, axis):
-        """xi and eta: oscillators at -w(E) centred at -k_i/(m w^2)."""
+    def _parabolic(self, spec, qn):
+        """xi and eta: oscillators at -w(E) centred at -k_i/(m w^2) (V5's k_i are 0)."""
         return _model_pair(spec, [_ho_row(spec, spec.c("k1")), _ho_row(spec, spec.c("k2"))],
-                           partner, axis, functools.partial(self.level_sum, spec))
+                           qn, functools.partial(self.level_sum, spec))
 
-    separations = {("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
+    separations = {"parabolic": _parabolic}
 
     def count(self, spec, qn):
         return qn.n + qn.l + 1.0
@@ -305,23 +311,22 @@ class Shifted(DIIIFamily):
     def level_sum(self, spec, E):
         return spec.space.a * E - self.shift(spec)
 
-    def _uv(self, spec, partner, axis):
-        """u of the (u, v) chart: the Morse row at a negative depth in -u.  Its
-        partner is no row: the angle's level is in the level it requires."""
+    def _uv(self, spec, qn):
+        """u of the (u, v) chart: the Morse row at a negative depth in -u.  The
+        angle is not separated: its level l is in the level u requires."""
         a, b, m, hb, hq = _units(spec)
-        mu_idx = self._uv_index(spec, partner)
+        mu_idx = self._uv_index(spec, qn.l)
         row = _morse_row(lambda E: -0.5 * (math.sqrt(-8.0 * m * b * E) / hb),
                          lambda E: (self.shift(spec) - a * E) / (2.0 * b * E), -1)
-        return _model_pair(spec, (row, None), partner, axis, lambda E: -hq * mu_idx ** 2)
+        return _model_pair(spec, (row, None), qn, lambda E: -hq * mu_idx ** 2)
 
-    def _polar(self, spec, partner, axis):
+    def _polar(self, spec, qn):
         """The radius of the polar chart: a radial oscillator at -w(E) whose
-        index carries the angle, so that its partner is no row."""
-        lam = self._polar_index(spec, partner)
+        index carries the angle's level l; the angle is not separated."""
+        lam = self._polar_index(spec, qn.l)
         row = _rho_row(spec, lam, lambda q: (0.35 / math.sqrt(q) / math.sqrt(lam + 1.0),
                                              math.sqrt(28.0 / q)))
-        return _model_pair(spec, (row, None), partner, axis,
-                           functools.partial(self.level_sum, spec))
+        return _model_pair(spec, (row, None), qn, functools.partial(self.level_sum, spec))
 
     def branches(self, spec, qn):
         # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
@@ -359,20 +364,19 @@ class DIII_V2(Shifted):
         al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
         return -al + hq * ((k1 * k1 - 0.25) / chart.q1 ** 2 + (k2 * k2 - 0.25) / chart.q2 ** 2)
 
-    def _uv_index(self, spec, partner):
-        return 0.5 * (2.0 * int(partner) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
+    def _uv_index(self, spec, l):
+        return 0.5 * (2.0 * int(l) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
 
-    def _polar_index(self, spec, partner):
-        return 2.0 * int(partner) + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
+    def _polar_index(self, spec, l):
+        return 2.0 * int(l) + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
 
-    def _parabolic(self, spec, partner, axis):
+    def _parabolic(self, spec, qn):
         """xi and eta > 0: radial oscillators at -w(E) with the indices |k1|, |k2|."""
         rows = [_rho_row(spec, abs(spec.c(k)), lambda q: (
             0.3 / math.sqrt(q * math.sqrt(18.0 / q)), math.sqrt(18.0 / q))) for k in ("k1", "k2")]
-        return _model_pair(spec, rows, partner, axis, functools.partial(self.level_sum, spec))
+        return _model_pair(spec, rows, qn, functools.partial(self.level_sum, spec))
 
-    separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
-                   ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic}
+    separations = {"uv": Shifted._uv, "polar": Shifted._polar, "parabolic": _parabolic}
 
     def angular_factor(self, spec, chart, qn):
         """The Poeschl-Teller level l in v/2 (uv) or in the polar angle."""
@@ -416,21 +420,22 @@ class DIII_V3(Shifted):
         ratio = 2.0 * C2 / C1  # = c1^2 / (2 sqrt(2 c2))
         return abs(2.0 * (ratio - int(l) - 0.5))
 
-    def _angle(self, spec, partner, axis):
-        """The polar angle phi: the complex Morse row in 2 phi, on (0, pi), one
-        period of its profile.  Its partner is no row: it requires the index at
-        which the radius solves at level ``partner``, at a root its own index."""
+    def _polar(self, spec, qn):
+        """The radius of ``Shifted._polar`` and the polar angle phi: the complex
+        Morse row in 2 phi, on (0, pi), one period of its profile.  The angle's
+        partner is no row: it requires the index at which the radius solves at
+        level n, at a root its own index."""
         _, _, _, hb, hq = _units(spec)
         C1, C2 = self._cmorse(spec)
 
         def lam_req(E):
-            idx = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E)) - 2 * int(partner) - 1
+            idx = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E)) - 2 * int(qn.n) - 1
             return hq * idx ** 2
 
-        return _model_pair(spec, (None, Row(sf.CMORSE, lambda E: (C1, C2), (0.0, math.pi), s=2.0)),
-                           partner, axis, lam_req)
+        angle = Row(sf.CMORSE, lambda E: (C1, C2), (0.0, math.pi), s=2.0)
+        return super()._polar(spec, qn)[0], _model_pair(spec, (None, angle), qn, lam_req)[1]
 
-    separations = {("polar", 0): Shifted._polar, ("polar", 1): _angle}
+    separations = {"polar": _polar}
 
     def count(self, spec, qn):
         return 2.0 * qn.n + self._polar_index(spec, qn.l) + 1.0
@@ -477,13 +482,13 @@ class DIII_V4(DIIIFamily):
         num = (a * E - spec.c("d1")) if axis == 0 else -(a * E + spec.c("d2"))
         return num / self._w2(spec, E)
 
-    def _hyperbolic(self, spec, partner, axis):
+    def _hyperbolic(self, spec, qn):
         """x = ln mu and y = ln nu: Morse rows of depth v0 at one level."""
         rows = [_morse_row(functools.partial(self._v0, spec),
                            functools.partial(self._shape, spec, axis=ax), 1) for ax in (0, 1)]
-        return _model_pair(spec, rows, partner, axis, signed=True)
+        return _model_pair(spec, rows, qn, signed=True)
 
-    separations = {("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
+    separations = {"hyperbolic": _hyperbolic}
 
     def branches(self, spec, qn):
         # sum branch: m (d1+d2)^2 = hbar^2 (n+l+1)^2 (m w^2 - bE);
@@ -541,29 +546,23 @@ class DIII_V5(Shifted):
     def scale(self, qn):
         return 0.5 if qn.scheme == "hyperbolic" else 1.0
 
-    def _uv_index(self, spec, partner):
-        return abs(float(partner))
+    def _uv_index(self, spec, l):
+        return abs(float(l))
 
-    def _polar_index(self, spec, partner):
-        return abs(int(partner))
+    def _polar_index(self, spec, l):
+        return abs(int(l))
 
-    def _parabolic(self, spec, partner, axis):
-        """xi and eta: oscillators at -w(E)."""
-        return _model_pair(spec, [_ho_row(spec, 0.0)] * 2, partner, axis,
-                           functools.partial(self.level_sum, spec))
-
-    def _hyperbolic(self, spec, partner, axis):
+    def _hyperbolic(self, spec, qn):
         """x = ln mu: the Morse row at a negative depth, on the growing-exponential
         side; y = ln nu: a genuine Morse well; both at one level."""
         a, b, m, hb, _ = _units(spec)
         rows = [_morse_row(lambda E, sg=sg: sg * (math.sqrt(-m * E * b) / hb),
                            lambda E, sg=sg: sg * (self.shift(spec) - a * E) / (-b * E), 1)
                 for sg in (-1.0, 1.0)]
-        return _model_pair(spec, rows, partner, axis, signed=True)
+        return _model_pair(spec, rows, qn, signed=True)
 
-    separations = {("uv", 0): Shifted._uv, ("polar", 0): Shifted._polar,
-                   ("parabolic", 0): _parabolic, ("parabolic", 1): _parabolic,
-                   ("hyperbolic", 0): _hyperbolic, ("hyperbolic", 1): _hyperbolic}
+    separations = {"uv": Shifted._uv, "polar": Shifted._polar,
+                   "parabolic": DIII_V1._parabolic, "hyperbolic": _hyperbolic}
 
     def angular_factor(self, spec, chart, qn):
         return lambda v: np.exp(1j * qn.l * v)
@@ -661,7 +660,7 @@ class DIV_V1(DIVFamily):
         return (_index_root(sp, spec.c("k1") ** 2, sp.a_minus, E),
                 _index_root(sp, spec.c("k2") ** 2, sp.a_plus, E))
 
-    def _uv(self, spec, partner, axis):
+    def _uv(self, spec, qn):
         """u: Poeschl-Teller with indices (lambda_2, lambda_1); v, in the
         doubled variable x = 2v: a Morse well."""
         _, _, m, hb, _ = _units(spec)
@@ -671,19 +670,18 @@ class DIV_V1(DIVFamily):
             Row(sf.PT, lambda E: self.indices(spec, E)[::-1], (0.15, math.pi / 2.0 - 0.15)),
             Row(sf.MORSE_BOUND, lambda E: (v0, al / (4.0 * m * om * om)),
                 (0.5 * math.log(0.05 / (2.0 * v0)), 0.5 * math.log(25.0 / (2.0 * v0))), 2.0),
-        ), partner, axis)
+        ), qn)
 
-    def _horospherical(self, spec, partner, axis):
+    def _horospherical(self, spec, qn):
         """mu and nu > 0: radial oscillators with the indices lambda_1 and
         lambda_2, shifted by alpha."""
         om = abs(spec.c("omega"))
         q = spec.space.mass * om / spec.space.hbar
         window = (0.25 / math.sqrt(q), math.sqrt(30.0 / q))
         rows = [Row(sf.RHO, lambda E, i=i: (om, self.indices(spec, E)[i]), window) for i in (0, 1)]
-        return _model_pair(spec, rows, partner, axis, lambda E: spec.c("alpha"))
+        return _model_pair(spec, rows, qn, lambda E: spec.c("alpha"))
 
-    separations = {("uv", 0): _uv, ("uv", 1): _uv,
-                   ("horospherical", 0): _horospherical, ("horospherical", 1): _horospherical}
+    separations = {"uv": _uv, "horospherical": _horospherical}
 
     def count(self, spec, qn):
         return spec.c("alpha") / (spec.space.hbar * abs(spec.c("omega"))) - 2.0 * (qn.n + qn.l + 1.0)
@@ -736,15 +734,15 @@ class DIV_V2(DIVFamily):
         k3 = spec.c("k3")
         return _index_root(sp, k3 * k3, sp.a_plus, E), _index_root(sp, k3 * k3, sp.a_minus, E)
 
-    def _uv(self, spec, partner, axis):
+    def _uv(self, spec, qn):
         """u: Poeschl-Teller with indices (lambda_+, lambda_-); v: a bound
         modified Poeschl-Teller with indices (|k1|, |k2|)."""
         k1, k2 = abs(spec.c("k1")), abs(spec.c("k2"))
         return _model_pair(spec, (
             Row(sf.PT, lambda E: self.indices(spec, E), (0.15, math.pi / 2.0 - 0.15)),
-            Row(sf.MPT_BOUND, lambda E: (k1, k2), (0.8, 6.5))), partner, axis)
+            Row(sf.MPT_BOUND, lambda E: (k1, k2), (0.8, 6.5))), qn)
 
-    separations = {("uv", 0): _uv, ("uv", 1): _uv}
+    separations = {"uv": _uv}
 
     def count(self, spec, qn):
         return abs(spec.c("k2")) - abs(spec.c("k1")) - 2.0 * (qn.n + qn.l) - 2.0
@@ -795,7 +793,7 @@ class DIV_V3(DIVFamily):
         return hq * (c1 / np.cos(q2) ** 2 + c2 / np.cosh(q1) ** 2
                      + c3 * (1.0 / np.sin(q2) ** 2 - 1.0 / np.sinh(q1) ** 2))
 
-    def _degelliptic2(self, spec, partner, axis):
+    def _degelliptic2(self, spec, qn):
         """A bound modified Poeschl-Teller with indices (lam_3+, lam_2+) times
         a Poeschl-Teller with indices (lam_3-, lam_1-)."""
         def pair(*keys):
@@ -803,9 +801,9 @@ class DIV_V3(DIVFamily):
 
         return _model_pair(spec, (Row(sf.MPT_BOUND, pair("3p", "2p"), (0.3, 10.0)),
                                   Row(sf.PT, pair("3m", "1m"), (0.12, math.pi / 4.0 - 0.02))),
-                           partner, axis)
+                           qn)
 
-    separations = {("degelliptic2", 0): _degelliptic2, ("degelliptic2", 1): _degelliptic2}
+    separations = {"degelliptic2": _degelliptic2}
 
     def gap(self, spec, qn, E):
         """The condition lam_2+ - lam_3+ - lam_3- - lam_1- - 2(n + l) - 2, on

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParamError, ResolutionError
+from .errors import DomainError, ParamError, ResolutionError, UnsupportedChartError
+from .families import FAMILIES
 from .potentials import PotentialSpec, separated_problem
 from .spectra import QuantumNumbers
 from . import specfun as sf
@@ -242,17 +243,20 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     axis' quantum number, and evaluates
     -(hbar^2/2m) psi'' + U_E psi - lam_req(E) psi with 4th-order central
     differences; the result is normalized by |lam_req| max|psi| (or max|psi|
-    if the required pseudo-eigenvalue vanishes).
+    if the required pseudo-eigenvalue vanishes).  An axis other than 0 and 1,
+    or one the chart does not separate, raises UnsupportedChartError.
     """
     from .wavefun import _d2_4  # here: verify_building_block loads no wavefun
 
-    partner = qn.l if axis == 0 else qn.n
-    own = qn.n if axis == 0 else qn.l
-    sepd = separated_problem(spec, chart_name, partner, axis=axis)
+    sepd = (separated_problem(spec, chart_name, qn)[axis]
+            if axis in (0, 1) and chart_name in FAMILIES[spec.family].separations else None)
+    if sepd is None:
+        raise UnsupportedChartError(
+            f"{spec.family} is not separated in chart {chart_name!r} (axis {axis})")
     lo, hi = sepd.window(E)
     xs = np.linspace(lo, hi, n_points)
     h = xs[1] - xs[0]
-    psi = np.asarray(sepd.factor(E, own)(xs))
+    psi = np.asarray(sepd.factor(E)(xs))
     U = np.asarray(sepd.profile(E)(xs))
     lam = sepd.lam_req(E)
     hq = spec.space.hbar ** 2 / (2.0 * spec.space.mass)

@@ -4,11 +4,11 @@ Five families live on D_III (V1..V5) and four on D_IV (V1..V4); each has a
 record in :mod:`darboux.families`.  :func:`potential_value` evaluates a
 family in the charts its record writes its closed form in and, through the
 chart maps, in every real chart that reaches the first of them;
-:func:`separated_problem` returns the effective 1D problem obtained by a
-product ansatz in a separating chart.  This module holds what the families
-share: the spec, the division of every form by the D_III factor or by the
-D_IV chart's conformal factor, the separated-problem descriptor and the
-D_IV index roots.
+:func:`separated_problem` returns the effective 1D problems of a state's two
+axes, obtained by a product ansatz in a separating chart.  This module holds
+what the families share: the spec, the division of every form by the D_III
+factor or by the D_IV chart's conformal factor, the separated-problem
+descriptor and the D_IV index roots.
 """
 
 from __future__ import annotations
@@ -102,14 +102,14 @@ def _closed_form(spec: PotentialSpec, chart: Chart):
 
 @dataclass
 class Separated1D:
-    """Effective 1D problem for one separation variable at trial energy E.
+    """Effective 1D problem of one axis of a state at trial energy E.
 
     ``profile(E)`` returns the potential U_E(x); ``lam_req(E)`` the
-    pseudo-eigenvalue required by the partner separation; ``factor(E, n)`` the
-    analytic factor carrying this problem's quantum number n on the open
-    interval ``domain``; ``window(E)``, which builds no factor, the finite
-    interval its factors are sampled on.  A root of the quantization condition
-    is exactly an E at which the factor solves the problem at lam_req(E).
+    pseudo-eigenvalue required by the partner axis; ``factor(E)`` the analytic
+    factor carrying this axis' quantum number on the open interval ``domain``;
+    ``window(E)``, which builds no factor, the finite interval its factors are
+    sampled on.  A root of the quantization condition is exactly an E at which
+    the factor solves the problem at lam_req(E).
     """
 
     profile: Callable
@@ -146,12 +146,10 @@ def div3_indices(spec: PotentialSpec, E):
     return dict(zip(_DIV3_INDICES, np.sqrt(sq)))
 
 
-def separated_problem(spec: PotentialSpec, chart_name: str, partner, axis: int = 0) -> Separated1D:
-    """The separated 1D problem of ``spec`` in the named chart.
-
-    ``partner`` is the partner factor's quantum number; ``axis`` selects which
-    of the two separation variables the descriptor describes (0 = the one the
-    closed-form solution integrates last, 1 = its partner).  ``factor(E, n)``
-    returns the analytic factor with this variable's quantum number n.
+def separated_problem(spec: PotentialSpec, chart_name: str, qn) -> tuple:
+    """The separated 1D problems (axis 0, axis 1) of the state ``qn`` of
+    ``spec`` in the named chart: axis 0 carries n and axis 1 carries l.  An
+    angle that the chart does not separate is None; a chart that separates
+    nothing raises UnsupportedChartError.
     """
-    return families.FAMILIES[spec.family].separation(spec, chart_name, partner, axis)
+    return families.FAMILIES[spec.family].separation(spec, chart_name, qn)

@@ -81,17 +81,13 @@ def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
     """The factors of axis 0 and axis 1 at energy E as (callable, natural
     interval, window).  An angle in the record's ``angles`` has (0, length) for
     both, and the record's factor where the chart does not separate it."""
-    rec, s0 = FAMILIES[spec.family], separated_problem(spec, chart_name, qn.l, axis=0)
+    rec, (s0, s1) = FAMILIES[spec.family], separated_problem(spec, chart_name, qn)
     ang = rec.angles.get(chart_name)
     with _at(spec, chart_name, E):
-        first = (s0.factor(E, qn.n), s0.domain, s0.window(E))
-        if (chart_name, 1) not in rec.separations:
-            f2 = rec.angular_factor(spec, chart_name, qn)
-        else:
-            s1 = separated_problem(spec, chart_name, qn.n, axis=1)
-            f2 = s1.factor(E, qn.l)
-            if ang is None:
-                return first, (f2, s1.domain, s1.window(E))
+        first = (s0.factor(E), s0.domain, s0.window(E))
+        f2 = rec.angular_factor(spec, chart_name, qn) if s1 is None else s1.factor(E)
+        if ang is None:
+            return first, (f2, s1.domain, s1.window(E))
         return first, (f2, (0.0, ang.length), (0.0, ang.length))
 
 
@@ -99,7 +95,8 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
     ``shape`` is given; 301x201 for a pulled-back state), read off the windows.
-    A non-finite E raises ParamError, a window not finite and increasing GridError."""
+    A non-finite E raises ParamError; a window not finite and increasing, or
+    one too narrow for its nodes to increase in double precision, GridError."""
     if not math.isfinite(E):
         raise ParamError(f"energy must be finite, got {E!r}")
     rec = FAMILIES[spec.family]
@@ -107,11 +104,10 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
         return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
-    ang, s0 = rec.angles.get(chart_name), separated_problem(spec, chart_name, qn.l, axis=0)
+    ang, (s0, s1) = rec.angles.get(chart_name), separated_problem(spec, chart_name, qn)
     with _at(spec, chart_name, E):
         lo1, hi1 = s0.window(E)
-        lo2, hi2 = (ang.pad, ang.length - ang.pad) if ang else \
-            separated_problem(spec, chart_name, qn.n, axis=1).window(E)
+        lo2, hi2 = (ang.pad, ang.length - ang.pad) if ang else s1.window(E)
     sp = spec.space
     if chart_name == "hyperbolic" and sp.b > 0:
         # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)
@@ -121,7 +117,10 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         raise GridError(f"the sampling window {(lo1, hi1)} x {(lo2, hi2)} is not finite "
                         "and increasing")
     n1, n2 = shape or (401, 201)
-    return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
+    q1, q2 = np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
+    if not ((np.diff(q1) > 0).all() and (np.diff(q2) > 0).all()):
+        raise GridError(f"the window {(lo1, hi1)} x {(lo2, hi2)} is too narrow for {n1}x{n2} nodes")
+    return q1, q2
 
 
 def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers,
@@ -254,7 +253,7 @@ def normalize_weighted(field: WaveField) -> WaveField:
     a2, b2 = _axis_sums(f2, dom2, win2, lambda y: _sqrtg_grid(spec.space, chart, c1, y)[0] - w0)
     total = a1 * b2 + b1 * a2
     if not total > 0:
-        raise DivergentNormError(f"weighted norm {total!r} is not positive for this state")
+        raise DivergentNormError(f"weighted norm {float(total)!r} is not positive for this state")
     c = 1.0 / math.sqrt(total)
     return replace(field, values=field.values * c, norm_constant=c)
 

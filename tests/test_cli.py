@@ -720,10 +720,14 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
     # a subnormal omega puts the horospherical sampling window at infinity
     ("wavefunction --space DIV --a 3 --b 1 --potential V1 --alpha 0 --k1 0 --k2 2.2e-313 "
      "--omega 2.2e-313 --chart horospherical --n 1 --l 1 --energy 0 --grid 5x3", "GridError"),
+    # the y window near -2.44e21 is a few ulps wide: its nodes repeated, and the
+    # stencils divided by a zero step
+    ("wavefunction --space DIII --a 2 --b 1 --potential V1 --k1 0.4 --k2 0.3 --k3 0.2 "
+     "--chart parabolic --n 0 --l 0 --energy -2.4602398208697476e-22 --grid 16x14", "GridError"),
 ], ids=["spectrum-csv", "curvature-huge-step", "diii-v3-tiny-c2", "diii-v5-energy-0",
         "diii-b-0", "div-b-0", "div-v4-far-v", "curvature-tiny-a-b", "classical-far-u",
         "classical-tiny-a-b", "diii-v4-tiny-energy", "classical-subnormal-t-final",
-        "div-v1-subnormal-omega"])
+        "div-v1-subnormal-omega", "diii-v1-narrow-window"])
 def test_argvs_the_property_found_exit_2(argv, error, tmp_path, capsys):
     # each exited 4 (with warnings as errors), or 0 with a CSV of Python lists
     from darboux.cli import main

@@ -55,10 +55,14 @@ def test_one_record_per_family():
     for name, rec in FAMILIES.items():
         assert rec.name == name
         assert rec.space == name.split("_")[0]
-        # every assembly chart is separated, an angle or a pulled-back state
+        # separations are keyed by chart; every assembly chart separates its
+        # first axis and its second or an angle, or is a pulled-back state
+        assert set(rec.separations) <= set(CHARTS[rec.space]), name
+        spec = PotentialSpec(SpaceParams(rec.space, *SPACE[rec.space]), name, COUPLINGS[name])
         for chart in rec.schemes:
-            assert ((chart, 0) in rec.separations and (
-                (chart, 1) in rec.separations or chart in rec.angles)) or chart in rec.pullbacks
+            if chart not in rec.pullbacks:
+                axis0, axis1 = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
+                assert axis0 and (axis1 or chart in rec.angles), (name, chart)
 
 
 def test_one_form_per_family():
@@ -72,7 +76,8 @@ def test_one_form_per_family():
         assert rows[rec.forms[0]].to_uv is not None or len(rec.forms) == 1, name
 
 
-# couplings at which every separation of a record can be built
+# (a, b) of each space, and couplings at which every separation of a record can be built
+SPACE = {DIII: (1.0, 1.0), DIV: (3.0, 1.0)}
 COUPLINGS = {
     "DIII_V1": {"k1": 0.4, "k2": 0.3, "k3": 0.2},
     "DIII_V2": {"alpha": 1.0, "k1": 0.3, "k2": 0.7},
@@ -90,13 +95,15 @@ def test_every_separation_has_a_finite_window():
     # the residual check and the default grids sample each factor on its
     # window, which lies in the factor's natural interval
     for name, rec in FAMILIES.items():
-        a, b = (1.0, 1.0) if rec.space == DIII else (3.0, 1.0)
-        spec = PotentialSpec(SpaceParams(rec.space, a, b), name, COUPLINGS[name])
-        for chart, axis in rec.separations:
-            sep = separated_problem(spec, chart, 0, axis)
-            lo, hi = sep.window(-3.7)
-            assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
-            assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
+        spec = PotentialSpec(SpaceParams(rec.space, *SPACE[rec.space]), name, COUPLINGS[name])
+        for chart in rec.separations:
+            axes = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
+            for axis, sep in enumerate(axes):
+                if sep is None:
+                    continue
+                lo, hi = sep.window(-3.7)
+                assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
+                assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
 
 
 def test_no_div_record_builds_its_own_separation():
@@ -131,7 +138,8 @@ def test_complex_index_root_is_a_domain_error(axis):
     # at E = 2.5 lam_3+ of DIV_V3 is complex (NaN): neither axis's rows exist there
     spec = PotentialSpec(SpaceParams(DIV, 3.0, 1.0), "DIV_V3", COUPLINGS["DIV_V3"])
     with pytest.raises(DomainError, match="finite"):
-        separated_problem(spec, "degelliptic2", 0, axis).lam_req(2.5)
+        qn = QuantumNumbers(0, 0, "degelliptic2")
+        separated_problem(spec, "degelliptic2", qn)[axis].lam_req(2.5)
 
 
 @pytest.mark.parametrize("name, chart, axis, top", [
@@ -140,11 +148,17 @@ def test_complex_index_root_is_a_domain_error(axis):
     ("DIV_V3", "degelliptic2", 1, 5),   # the MPT ladder of (lam_3+, lam_2+) at E = -3.7
 ])
 def test_partner_past_its_ladder_is_a_level_error(name, chart, axis, top):
+    # the partner of axis 0 is l, that of axis 1 is n
     spec = PotentialSpec(SpaceParams(DIV, 3.0, 1.0), name, COUPLINGS[name])
-    assert math.isfinite(separated_problem(spec, chart, top, axis).lam_req(-3.7))
+
+    def axis_at(partner):
+        qn = QuantumNumbers(0, partner, chart) if axis == 0 else QuantumNumbers(partner, 0, chart)
+        return separated_problem(spec, chart, qn)[axis]
+
+    assert math.isfinite(axis_at(top).lam_req(-3.7))
     for partner in (top + 1, 30):
         with pytest.raises(LevelError):
-            separated_problem(spec, chart, partner, axis).lam_req(-3.7)
+            axis_at(partner).lam_req(-3.7)
 
 
 def _set_arguments(paths):
@@ -216,11 +230,13 @@ def _old_morse_axis(spec, chart, partner, axis, E, n, x):
 
 
 def _factors(spec, chart, qn, E, grid):
-    """(new, old) samples of each Morse log-axis of the chart on its grid axis."""
-    for axis in ((0,) if chart == "uv" else (0, 1)):
-        partner, n = (qn.l, qn.n) if axis == 0 else (qn.n, qn.l)
-        new = separated_problem(spec, chart, partner, axis).factor(E, n)(grid[axis])
-        yield new, _old_morse_axis(spec, chart, partner, axis, E, n, grid[axis])
+    """(new, old) samples of each Morse log-axis of the chart on its grid axis
+    (the uv angle is not one)."""
+    for axis, sep in enumerate(separated_problem(spec, chart, qn)):
+        if sep is not None:
+            partner, n = (qn.l, qn.n) if axis == 0 else (qn.n, qn.l)
+            yield sep.factor(E)(grid[axis]), _old_morse_axis(spec, chart, partner, axis, E, n,
+                                                              grid[axis])
 
 
 MORSE_GATES = [  # the criterion-7 gates in the D_III Morse charts
@@ -240,7 +256,7 @@ def test_morse_rows_are_the_old_log_axes_at_the_gates(name, coup, qn, E):
         assert new.tobytes() == old.tobytes()
     if qn.scheme == "uv":  # the pseudo-level the angle requires keeps its bits
         hq, mu = 0.5, FAMILIES[name]._uv_index(spec, qn.l)
-        assert separated_problem(spec, "uv", qn.l, 0).lam_req(E) == -hq * mu ** 2
+        assert separated_problem(spec, "uv", qn)[0].lam_req(E) == -hq * mu ** 2
 
 
 def test_morse_rows_are_the_old_log_axes_at_principal_roots():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import darboux.specfun as sf
-from darboux.errors import DomainError, ParamError, ResolutionError
+from darboux.errors import DomainError, ParamError, ResolutionError, UnsupportedChartError
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.oracle import Grid1D, fd_eigensolve_1d, separated_ode_residual, verify_building_block
 from darboux.potentials import PotentialSpec
@@ -163,6 +163,16 @@ def test_energy_closure_sharp_minimum():
     assert separated_ode_residual(spec4, "hyperbolic", qn4, -3.0) < 1e-6
     for fac in (0.95, 1.05):
         assert separated_ode_residual(spec4, "hyperbolic", qn4, -3.0 * fac) > 1e-2
+
+
+@pytest.mark.parametrize("axis", [1, 2, -1])
+def test_ode_residual_of_an_axis_not_separated_names_it(axis):
+    # uv separates only u in DIII_V5 (its angle is a plane wave): axis 1, an
+    # axis past 1 and a negative one are unsupported, not another axis
+    spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.0})
+    with pytest.raises(UnsupportedChartError) as err:
+        separated_ode_residual(spec, "uv", QuantumNumbers(0, 1, "uv"), -4.5, axis=axis)
+    assert str(err.value) == f"DIII_V5 is not separated in chart 'uv' (axis {axis})"
 
 
 def test_mpt_bound_building_block_orthopoly_calls(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from darboux.errors import DomainError, ParamError, UnsupportedChartError
 from darboux.geometry import DIII, DIV, Chart, SpaceParams, chart_transform
 from darboux.potentials import PotentialSpec, potential_value, separated_problem
+from darboux.spectra import QuantumNumbers
 
 SP3 = SpaceParams(DIII, 1.0, 1.0)
 SP4 = SpaceParams(DIV, 3.0, 1.0)
@@ -107,9 +108,10 @@ def test_unsupported_chart_errors():
         with pytest.raises(UnsupportedChartError):
             potential_value(spec, chart)
     with pytest.raises(UnsupportedChartError):
-        separated_problem(PotentialSpec(SP3, "DIII_V1", {}), "polar", 0)
+        separated_problem(PotentialSpec(SP3, "DIII_V1", {}), "polar",
+                          QuantumNumbers(0, 0, "polar"))
     with pytest.raises(UnsupportedChartError):
-        separated_problem(PotentialSpec(SP4, "DIV_V4", {"k0": 0.7}), "uv", 0)
+        separated_problem(PotentialSpec(SP4, "DIV_V4", {"k0": 0.7}), "uv", QuantumNumbers(0, 0))
 
 
 def test_v3_value_is_complex():
@@ -131,7 +133,8 @@ def test_reality_other_families():
 
 def test_separated_descriptor_v5_uv():
     spec = PotentialSpec(SP3, "DIII_V5", {"v0": 0.0})
-    sep = separated_problem(spec, "uv", 1)
+    sep, angle = separated_problem(spec, "uv", QuantumNumbers(0, 1, "uv"))
+    assert angle is None  # the plane wave in v is not a separated axis
     E = -4.5
     u = np.array([0.0])
     # profile has Morse form with E-dependent depth

@@ -390,18 +390,20 @@ def test_picked_roots_solve_both_separated_odes():
     from darboux.errors import DarbouxError
     from darboux.families import FAMILIES
     from darboux.oracle import separated_ode_residual
+    from darboux.potentials import separated_problem
 
     rng = np.random.default_rng(20261019)
     checked = {}
     for name, rec in FAMILIES.items():
-        charts = sorted({chart for chart, _ in rec.separations} & set(rec.schemes))
+        charts = sorted(set(rec.separations) & set(rec.schemes))
         if not charts:
             continue
         checked[name] = 0
         for _ in range(12):
             spec = _draw_spec(rng, name)
             for chart in charts:
-                axes = [axis for axis in (0, 1) if (chart, axis) in rec.separations]
+                pair = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
+                axes = [axis for axis, sep in enumerate(pair) if sep is not None]
                 for n in range(3):
                     for l in range(3):
                         qn = QuantumNumbers(n, l, chart)

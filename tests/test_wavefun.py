@@ -85,12 +85,12 @@ def test_diii_v3_angle_row_keeps_the_hand_built_bits():
     q = QuantumNumbers(0, 0, "polar")
     e = pick_energy(spec, q)
     _, phi = default_grid(spec, "polar", q, e, (401, 301))
-    sep = separated_problem(spec, "polar", q.n, axis=1)
+    _, sep = separated_problem(spec, "polar", q)
     rec = FAMILIES["DIII_V3"]
     C1, C2 = rec._cmorse(spec)
     fam = sf.ModelFamily(sf.CMORSE, {"c1": C1, "c2": C2}, hbar=SP1.hbar, mass=SP1.mass)
     old = sf.model_eigenfunction(fam, int(q.l), 2.0 * np.asarray(phi))
-    assert np.asarray(sep.factor(e, q.l)(phi)).tobytes() == old.tobytes()
+    assert np.asarray(sep.factor(e)(phi)).tobytes() == old.tobytes()
     hq = SP1.hbar ** 2 / (2.0 * SP1.mass)
     idx = abs(rec.level_sum(spec, e)) / (SP1.hbar * families._omega_of(spec, e)) - 2 * q.n - 1
     assert sep.lam_req(e) == hq * idx ** 2
@@ -100,8 +100,9 @@ def test_diii_v3_angle_row_keeps_the_hand_built_bits():
 @pytest.mark.parametrize("family,coup,chart,qn,energy", GATES)
 def test_default_grid_builds_no_factor(family, coup, chart, qn, energy, monkeypatch):
     # the windows come from the rows, so a grid needs no model family, and an
-    # assembly on the default grid builds its two factors once
-    from darboux import specfun as sf
+    # assembly on the default grid builds its two factors once; the grid and
+    # the factors each take both axes from one separation of the state
+    from darboux import specfun as sf, wavefun
     from darboux.wavefun import _factor_pair
 
     sp = SP1 if family.startswith("DIII") else SP4
@@ -109,13 +110,19 @@ def test_default_grid_builds_no_factor(family, coup, chart, qn, energy, monkeypa
     e = energy if energy is not None else pick_energy(spec, q)
     built, model = [], sf.ModelFamily
     monkeypatch.setattr(sf, "ModelFamily", lambda *a, **k: built.append(a[0]) or model(*a, **k))
+    separated, separate = [], wavefun.separated_problem
+    monkeypatch.setattr(wavefun, "separated_problem",
+                        lambda *a: separated.append(a[1]) or separate(*a))
+    pulled = chart in FAMILIES[family].pullbacks
     default_grid(spec, chart, q, e)
-    assert built == []
-    _factor_pair(spec, "uv" if chart in FAMILIES[family].pullbacks else chart, q, e)
+    assert built == [] and len(separated) == (0 if pulled else 1)
+    _factor_pair(spec, "uv" if pulled else chart, q, e)
     pair = len(built)
     assert pair >= 1
+    del separated[:]
     assemble_bound_state(spec, chart, q, energy=e)
     assert len(built) == 2 * pair
+    assert separated == (["uv"] if pulled else [chart, chart])  # default_grid, then the factors
 
 
 def test_div_v3_picks_the_root_that_separates():
@@ -274,6 +281,18 @@ def test_divergent_norm_error(family, coup, chart, qn, energy):
                              else pick_energy(spec, q))
     with pytest.raises(DivergentNormError):
         normalize_weighted(f)
+
+
+def test_zero_norm_message_prints_a_plain_float():
+    # at E = -1e-30 the oscillators are too wide for their factors to register:
+    # the norm sums to 0.0, printed as numpy's repr before
+    spec = PotentialSpec(SP1, "DIII_V1", {"k1": 0.4, "k2": 0.3, "k3": 0.2})
+    z = np.zeros(3)
+    f = WaveField("parabolic", z, z, np.zeros((3, 3)), -1e-30, QuantumNumbers(0, 0, "parabolic"),
+                  spec)
+    with pytest.raises(DivergentNormError, match="weighted norm 0.0 is not positive") as err:
+        normalize_weighted(f)
+    assert "np.float64" not in str(err.value)
 
 
 def _closed_form_norm(spec, chart, qn, E):
