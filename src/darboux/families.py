@@ -138,8 +138,14 @@ class Family:
         charts, in order, then the pulled-back ones."""
         return tuple(dict.fromkeys([*self.separations, *self.pullbacks]))
 
-    def check_l(self, qn):
-        """LevelError for an l < 0 in a scheme where l numbers a ladder level."""
+    def check(self, qn):
+        """Are qn a state's labels?  UnsupportedError for a family with no
+        schemes, ParamError for a scheme it is not counted in, and LevelError
+        for an l < 0 in a scheme where l numbers a ladder level."""
+        if not self.schemes:
+            raise UnsupportedError(f"{self.name} has no discrete quantization")
+        if qn.scheme not in self.schemes:
+            raise ParamError(f"{self.name} does not separate in scheme {qn.scheme!r}")
         if qn.l < 0 and qn.scheme not in self.signed_l:
             raise LevelError(f"{self.name} numbers a ladder level by l in scheme "
                              f"{qn.scheme!r}, got {qn.l}")
@@ -295,18 +301,19 @@ class DIII_V1(DIIIFamily):
 
 
 class Shifted(DIIIFamily):
-    """V2, V3 and V5 of D_III, quantized by a E - c = -s hbar w M with an
-    energy shift c and a composite count M.
+    """V2, V3 and V5 of D_III, quantized by a E - c = -s hbar w M with the
+    energy shift c of ``shift``, the constant of the numerator, and a
+    composite count M; ``deep`` labels the deep root of the large-M pair.
 
-    Sign convention: the shift c of V2 and V3 is their alpha read as the
-    attractive coupling, the convention of the closed-form spectra.  Their
-    potentials carry "-alpha" in the bracket, so the separations follow the
-    spectral convention for the 1D oracle to close, and the 2D Hamiltonian
-    gate of these two families is exact at alpha = 0.
+    Sign convention: alpha is attractive, and it enters the condition as
+    a E + alpha = -hbar w N.
     """
 
+    deep = "minus"
+
     def shift(self, spec):
-        return spec.c("alpha")
+        """The energy shift c: -alpha for V2 and V3."""
+        return -spec.c("alpha")
 
     def level_sum(self, spec, E):
         return spec.space.a * E - self.shift(spec)
@@ -314,10 +321,10 @@ class Shifted(DIIIFamily):
     def _uv(self, spec, qn):
         """u of the (u, v) chart: the Morse row at a negative depth in -u.  The
         angle is not separated: its level l is in the level u requires."""
-        a, b, m, hb, hq = _units(spec)
+        _, b, m, hb, hq = _units(spec)
         mu_idx = self._uv_index(spec, qn.l)
         row = _morse_row(lambda E: -0.5 * (math.sqrt(-8.0 * m * b * E) / hb),
-                         lambda E: (self.shift(spec) - a * E) / (2.0 * b * E), -1)
+                         lambda E: -self.level_sum(spec, E) / (2.0 * b * E), -1)
         return _model_pair(spec, (row, None), qn, lambda E: -hq * mu_idx ** 2)
 
     def _polar(self, spec, qn):
@@ -337,15 +344,14 @@ class Shifted(DIIIFamily):
         return [(a ** 2, B - 2.0 * a * c, c * c)]
 
     def asymptotic(self, spec, qn, branch):
-        """'minus' is the deep oscillator-like branch, 'plus' the shallow
-        Coulomb-like one."""
+        """The ``deep`` root -s b hbar^2 M^2/(2 m a^2) + 2c/a of the large-M
+        pair, or the shallow root -2 m c^2/(s b hbar^2 M^2) of the other label."""
         a, b, m, hb, _ = _units(spec)
-        al = spec.c("alpha")
-        N = self.count(spec, qn)
-        if branch == "minus":
-            return -b * hb * hb * N * N / (2.0 * m * a * a) + 2.0 * al / a
-        if branch == "plus":
-            return -2.0 * m * al * al / (b * hb * hb * N * N)
+        c, M, s = self.shift(spec), self.count(spec, qn), self.scale(qn)
+        if branch == self.deep:
+            return -s * b * hb * hb * M * M / (2.0 * m * a * a) + 2.0 * c / a
+        if branch in ("minus", "plus"):
+            return -2.0 * m * c * c / (s * b * hb * hb * M * M)
         raise ParamError(f"unknown branch {branch!r}")
 
 
@@ -360,9 +366,9 @@ class DIII_V2(Shifted):
     angles = {"uv": Angle(math.pi, 0.1), "polar": Angle(math.pi / 2.0, 0.05)}
 
     def form(self, spec, chart):
-        hq = potentials._quantum_unit(spec.space)
-        al, k1, k2 = spec.c("alpha"), spec.c("k1"), spec.c("k2")
-        return -al + hq * ((k1 * k1 - 0.25) / chart.q1 ** 2 + (k2 * k2 - 0.25) / chart.q2 ** 2)
+        hq, k1, k2 = potentials._quantum_unit(spec.space), spec.c("k1"), spec.c("k2")
+        return self.shift(spec) + hq * ((k1 * k1 - 0.25) / chart.q1 ** 2
+                                        + (k2 * k2 - 0.25) / chart.q2 ** 2)
 
     def _uv_index(self, spec, l):
         return 0.5 * (2.0 * int(l) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
@@ -399,12 +405,11 @@ class DIII_V3(Shifted):
     angles = {"polar": CIRCLE}
 
     def form(self, spec, chart):
-        hq = potentials._quantum_unit(spec.space)
-        al, c1, c2 = spec.c("alpha"), spec.c("c1"), spec.c("c2")
-        q1, q2 = chart.q1, chart.q2
+        hq, c1, c2 = potentials._quantum_unit(spec.space), spec.c("c1"), spec.c("c2")
+        c, q1, q2 = self.shift(spec), chart.q1, chart.q2
         if chart.name == "hyperbolic":
-            return -al + hq * (c1 * c1 / (q1 * q2) - c2 * (q1 - q2) / (q1 * q2) ** 2)
-        return -al + hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
+            return c + hq * (c1 * c1 / (q1 * q2) - c2 * (q1 - q2) / (q1 * q2) ** 2)
+        return c + hq * np.exp(q1) * (c1 * c1 * np.exp(-1j * q2) - 2.0 * c2 * np.exp(-2j * q2))
 
     def _cmorse(self, spec):
         """The couplings (C1, C2) of the complex-Morse family that solves the
@@ -506,14 +511,18 @@ class DIII_V4(DIIIFamily):
              m * (d1 - d2) ** 2 - h2d * m * om * om)]
         return [(h2n * b, m * (d1 + d2) ** 2 - h2n * m * om * om), *diff]
 
-    def unsquared_gap(self, spec, qn, E):
+    def _gaps(self, spec, qn, E):
+        """The gap pairs of the sum branch and of the difference branch, whose
+        principal-sign gap is s0(n) - s1(l) over a scale."""
         a, _, m, hb, _ = _units(spec)
         d1, d2 = spec.c("d1"), spec.c("d2")
         den = hb * math.sqrt(self._w2(spec, E))
         # both sides are pure numbers; a unit scale keeps n = l (rhs 0) finite
-        g1 = _gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0, 1.0)
-        g2 = _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l), 1.0)
-        return min(g1, g2, key=min)
+        return (_gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0, 1.0),
+                _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l), 1.0))
+
+    def unsquared_gap(self, spec, qn, E):
+        return min(self._gaps(spec, qn, E), key=min)
 
     def decays(self, spec, qn, E):
         """Both Morse factors bound at one index, s0(n) = s1(l) > 0: the
@@ -521,7 +530,7 @@ class DIII_V4(DIIIFamily):
         s0 - s1 = 2(l - n), and the sum branch s0 + s1 <= 0."""
         v0 = self._v0(spec, E)
         s0, s1 = (self._shape(spec, E, ax) * v0 - k - 0.5 for ax, k in ((0, qn.n), (1, qn.l)))
-        return s0 > 0 and s1 > 0 and _gap_pair(s0, s1, 1.0)[0] < 1e-7
+        return s0 > 0 and s1 > 0 and self._gaps(spec, qn, E)[1][0] < 1e-7
 
     def dispersion(self, spec, p, aux):
         return potentials._quantum_unit(spec.space) * p * p
@@ -535,10 +544,10 @@ class DIII_V5(Shifted):
     forms = ("uv", "hyperbolic")
     angles = {"uv": CIRCLE, "polar": CIRCLE}
     signed_l = ("uv", "polar")  # the l of e^{ilv}
+    deep = "plus"
 
     def form(self, spec, chart):
-        hq, v0 = potentials._quantum_unit(spec.space), spec.c("v0")
-        return hq * v0 * v0  # the same numerator in both charts
+        return self.shift(spec)  # the same numerator in both charts
 
     def shift(self, spec):
         return potentials._quantum_unit(spec.space) * spec.c("v0") ** 2
@@ -555,9 +564,9 @@ class DIII_V5(Shifted):
     def _hyperbolic(self, spec, qn):
         """x = ln mu: the Morse row at a negative depth, on the growing-exponential
         side; y = ln nu: a genuine Morse well; both at one level."""
-        a, b, m, hb, _ = _units(spec)
+        _, b, m, hb, _ = _units(spec)
         rows = [_morse_row(lambda E, sg=sg: sg * (math.sqrt(-m * E * b) / hb),
-                           lambda E, sg=sg: sg * (self.shift(spec) - a * E) / (-b * E), 1)
+                           lambda E, sg=sg: sg * self.level_sum(spec, E) / (b * E), 1)
                 for sg in (-1.0, 1.0)]
         return _model_pair(spec, rows, qn, signed=True)
 
@@ -574,19 +583,6 @@ class DIII_V5(Shifted):
             return 2.0 * qn.n + abs(qn.l) + 1.0
         return qn.n + qn.l + 1.0  # parabolic and hyperbolic countings
 
-    def asymptotic(self, spec, qn, branch):
-        """'plus' is the deep free-motion-like branch and 'minus' the shallow
-        one, the labels of the closed form."""
-        a, b, _, _, hq = _units(spec)
-        v0 = spec.c("v0")
-        M = self.count(spec, qn)
-        s = self.scale(qn)
-        if branch == "plus":
-            return -hq * s * (b / (a * a)) * (M * M - 2.0 * a * v0 * v0 / (s * b))
-        if branch == "minus":
-            return -hq * v0 ** 4 / (s * b * M * M)
-        raise ParamError(f"unknown branch {branch!r}")
-
     def constant(self, spec, name, state):
         """R1, R2, R3: the coupling corrections in parabolic variables added
         to X1, X2 and K."""
@@ -600,15 +596,12 @@ class DIII_V5(Shifted):
         st = classical.transform_state(sp, state, "uv")
         par = classical.transform_state(sp, st, "parabolic")
         xi, eta = par.chart.q1, par.chart.q2
-        hq = sp.hbar ** 2 / (2.0 * sp.mass)
-        v0 = spec.c("v0")
-        den = d3_factor(sp, par.chart)
+        c, den = self.shift(spec), d3_factor(sp, par.chart)
         # coupling corrections fixed by the conservation requirement itself
         if name == "R1":
-            return classical.observable_value(sp, "X1", st) + 0.125 * hq * v0 * v0 * (
-                eta * eta - xi * xi
-            ) / den
-        return classical.observable_value(sp, "X2", st) + 0.25 * hq * v0 * v0 * xi * eta / den
+            return classical.observable_value(sp, "X1", st) + 0.125 * c * (
+                eta * eta - xi * xi) / den
+        return classical.observable_value(sp, "X2", st) + 0.25 * c * xi * eta / den
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoRootError, ParamError, UnsupportedError
+from .errors import DomainError, NoRootError, ParamError
 from .families import FAMILIES
 from .potentials import PotentialSpec
 
@@ -132,14 +132,9 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> di
 
 
 def solve_quantization(spec: PotentialSpec, qn: QuantumNumbers) -> EnergyRoots:
-    """All candidate energies of the condition at qn; LevelError for an l < 0 on a ladder."""
-    fam = spec.family
-    rec = FAMILIES[fam]
-    if not rec.schemes:
-        raise UnsupportedError(f"{fam} has no discrete quantization")
-    if qn.scheme not in rec.schemes:
-        raise ParamError(f"{fam} does not separate in scheme {qn.scheme!r}")
-    rec.check_l(qn)
+    """All candidate energies of the condition at qn, once ``Family.check`` takes qn."""
+    rec = FAMILIES[spec.family]
+    rec.check(qn)
 
     if rec.transcendental:
         cands = _one_root(spec, qn, rec)
@@ -198,9 +193,7 @@ def continuous_dispersion(spec: PotentialSpec, p: float, aux=None) -> float:
 def asymptotic_spectrum(spec: PotentialSpec, qn: QuantumNumbers, branch: str) -> float:
     """Large-quantum-number limit of the bound spectrum (DIII V2/V3/V5).
 
-    'minus' is the deep oscillator-like branch, 'plus' the shallow
-    Coulomb-like branch for V2/V3; for V5 'plus' is the deep free-motion-like
-    branch and 'minus' the shallow one, matching the labels of its closed
-    form.
+    The deep root is 'minus' for V2/V3 and 'plus' for V5, the labels of the
+    closed forms; the other label is the shallow root.
     """
     return FAMILIES[spec.family].asymptotic(spec, qn, branch)

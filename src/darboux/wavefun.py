@@ -95,11 +95,13 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
     ``shape`` is given; 301x201 for a pulled-back state), read off the windows.
-    A non-finite E raises ParamError; a window not finite and increasing, or
-    one too narrow for its nodes to increase in double precision, GridError."""
+    A non-finite E raises ParamError, and qn that ``Family.check`` refuses its
+    error; a window not finite and increasing, or one too narrow for its
+    nodes to increase in double precision, GridError."""
     if not math.isfinite(E):
         raise ParamError(f"energy must be finite, got {E!r}")
     rec = FAMILIES[spec.family]
+    rec.check(qn)
     if chart_name in rec.pullbacks:
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
@@ -132,7 +134,7 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     energy defaults to the root ``pick_energy`` picks; other roots are passed
     as ``energy``.  The log variables of the hyperbolic chart are sampled
     directly, i.e. the grid is in (x, y) = (ln mu, ln nu) there.  A non-finite
-    energy raises ParamError, and an l < 0 that numbers a ladder level LevelError.
+    energy raises ParamError, and qn that ``Family.check`` refuses its error.
     """
     if energy is not None and not math.isfinite(energy):
         raise ParamError(f"energy must be finite, got {energy!r}")
@@ -142,7 +144,7 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
     if qn.scheme != chart_name and chart_name not in rec.pullbacks:
         raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
                          f"do not label states in chart {chart_name!r}")
-    rec.check_l(qn)
+    rec.check(qn)
     if energy is None:
         energy = pick_energy(spec, qn)
     if grid is None:

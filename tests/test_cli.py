@@ -724,10 +724,21 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
     # stencils divided by a zero step
     ("wavefunction --space DIII --a 2 --b 1 --potential V1 --k1 0.4 --k2 0.3 --k3 0.2 "
      "--chart parabolic --n 0 --l 0 --energy -2.4602398208697476e-22 --grid 16x14", "GridError"),
+    # a chart outside the family's schemes is refused with and without --energy
+    ("wavefunction --space DIII --a 1 --b 1 --potential V1 --k1 0.4 --k2 0.3 --k3 0.2 "
+     "--chart polar", "ParamError"),
+    ("wavefunction --space DIII --a 1 --b 1 --potential V1 --k1 0.4 --k2 0.3 --k3 0.2 "
+     "--chart polar --energy -1", "ParamError"),
+    # and a family with no discrete levels, with and without --energy
+    ("wavefunction --space DIV --a 3 --b 1 --potential V4 --k0 0.7 --chart uv",
+     "UnsupportedError"),
+    ("wavefunction --space DIV --a 3 --b 1 --potential V4 --k0 0.7 --chart uv --energy -1",
+     "UnsupportedError"),
 ], ids=["spectrum-csv", "curvature-huge-step", "diii-v3-tiny-c2", "diii-v5-energy-0",
         "diii-b-0", "div-b-0", "div-v4-far-v", "curvature-tiny-a-b", "classical-far-u",
         "classical-tiny-a-b", "diii-v4-tiny-energy", "classical-subnormal-t-final",
-        "div-v1-subnormal-omega", "diii-v1-narrow-window"])
+        "div-v1-subnormal-omega", "diii-v1-narrow-window", "diii-v1-off-scheme",
+        "diii-v1-off-scheme-energy", "div-v4-no-levels", "div-v4-no-levels-energy"])
 def test_argvs_the_property_found_exit_2(argv, error, tmp_path, capsys):
     # each exited 4 (with warnings as errors), or 0 with a CSV of Python lists
     from darboux.cli import main

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def test_v5_counting_scheme_containment():
 
 
 def test_v2_quadratic_example():
-    spec = PotentialSpec(SP1, "DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5})
+    # a E + alpha = -hbar w N at alpha = -1: (E - 1)^2 = -4.5 E
+    spec = PotentialSpec(SP1, "DIII_V2", {"alpha": -1.0, "k1": 0.5, "k2": 0.5})
     roots = solve_quantization(spec, QuantumNumbers(0, 0, "uv"))
     es = sorted(z.real for z in roots.candidates)
     assert es == [pytest.approx(-2.0, abs=1e-12), pytest.approx(-0.5, abs=1e-12)]
@@ -152,6 +154,34 @@ def test_v4_equal_index_double_root_is_exact():
     assert [r["E"] for r in double] == [(0.98 + 1.12) / (2.0 * 1.02)] * 2
     assert all(r["satisfies_unsquared"] and r["decaying_wavefunction"] for r in double)
     assert pick_energy(spec, qn) == double[0]["E"]
+
+
+def test_v4_decay_rule_reads_the_difference_gap():
+    # the rule reads the principal-sign gap of the difference branch, s0(n) -
+    # s1(l) over the scale of that branch; the reference is the rule that
+    # compared the two Morse indices over their own scale.  Both flag the same
+    # roots over a seeded sweep, 30 % of it at n = l
+    from darboux.families import FAMILIES, _gap_pair
+
+    rec = FAMILIES["DIII_V4"]
+    rng = random.Random(40)
+    flags = []
+    for _ in range(3000):
+        sp = SpaceParams(DIII, rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
+        spec = PotentialSpec(sp, "DIII_V4", {"d1": rng.uniform(-5.0, 5.0),
+                                             "d2": rng.uniform(-5.0, 5.0),
+                                             "omega": rng.uniform(0.2, 3.0)})
+        n = rng.randrange(5)
+        qn = QuantumNumbers(n, n if rng.random() < 0.3 else rng.randrange(5), "hyperbolic")
+        for r in solve_quantization(spec, qn).admissible:
+            if not r["sqrt_real"]:
+                continue
+            E, v0 = r["E"], rec._v0(spec, r["E"])
+            s0, s1 = (rec._shape(spec, E, ax) * v0 - k - 0.5 for ax, k in ((0, qn.n), (1, qn.l)))
+            old = s0 > 0 and s1 > 0 and _gap_pair(s0, s1, 1.0)[0] < 1e-7
+            flags.append((r["decaying_wavefunction"], old))
+    assert all(new == old for new, old in flags)
+    assert len(flags) > 5000 and 100 < sum(old for _, old in flags) < len(flags) - 100
 
 
 def test_plugback_randomized_quadratics():

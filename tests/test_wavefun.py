@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -72,6 +73,39 @@ def test_pde_residual_gate(family, coup, chart, qn, energy):
         grid = default_grid(spec, chart, q, e, (401, 301))
         field = assemble_bound_state(spec, chart, q, grid=grid, energy=e)
     assert hamiltonian_residual(field) < 1e-5
+
+
+ALPHA_STATES = [
+    ("DIII_V2", {"k1": 0.3, "k2": 0.7}, "uv", (1, 0)),
+    ("DIII_V2", {"k1": 0.3, "k2": 0.7}, "polar", (1, 0)),
+    ("DIII_V2", {"k1": 0.3, "k2": 0.7}, "parabolic", (1, 1)),
+    ("DIII_V3", {"c1": 1.2, "c2": 0.8}, "polar", (0, 0)),
+]
+
+
+def test_picked_diii_states_solve_the_hamiltonian_at_every_alpha():
+    # the potential carries -alpha over the D_III factor and the condition
+    # reads a E + alpha = -hbar w N: one attractive alpha, so the picked state
+    # solves the 2D Hamiltonian away from alpha = 0 too
+    rng = random.Random(40)
+    alphas = [0.0] + [rng.uniform(-3.0, 3.0) for _ in range(6)]
+    raised = []
+    for al in alphas:
+        for family, coup, chart, nl in ALPHA_STATES:
+            spec = PotentialSpec(SP1, family, {"alpha": al, **coup})
+            q = QuantumNumbers(*nl, chart)
+            try:
+                e = pick_energy(spec, q)
+            except NoAdmissibleRootError:
+                raised.append((family, al))
+                continue
+            grid = default_grid(spec, chart, q, e, (401, 301))
+            field = assemble_bound_state(spec, chart, q, grid=grid, energy=e)
+            assert hamiltonian_residual(field) <= 1e-5, (family, chart, al)
+    # DIII_V3's (0, 0) polar roots are real where B (B + 4 a alpha) >= 0, B =
+    # hbar^2 M^2 b / 2m = 0.648; each sampled alpha < 0 lies below -B/4a
+    assert min(alphas) < 0.0 < max(alphas)
+    assert raised == [("DIII_V3", al) for al in alphas if al < 0.0]
 
 
 def test_diii_v3_angle_row_keeps_the_hand_built_bits():
@@ -190,8 +224,8 @@ def test_v5_uv_state_at_negative_l_is_the_opposite_momentum():
 def test_no_admissible_root_error():
     spec = PotentialSpec(SP1, "DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5})
     big = QuantumNumbers(0, 0, "uv")
-    # strong alpha makes the discriminant negative: all candidates complex
-    bad = PotentialSpec(SP1, "DIII_V2", {"alpha": 10.0, "k1": 0.5, "k2": 0.5})
+    # a strongly repulsive alpha makes the discriminant negative: all candidates complex
+    bad = PotentialSpec(SP1, "DIII_V2", {"alpha": -10.0, "k1": 0.5, "k2": 0.5})
     with pytest.raises(NoAdmissibleRootError):
         assemble_bound_state(bad, "uv", QuantumNumbers(0, 0, "uv"))
     with pytest.raises(UnsupportedChartError):
