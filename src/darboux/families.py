@@ -20,11 +20,11 @@ and domain and requires a shared level minus the other row's level at the
 other quantum number (in the signed hyperbolic chart, that level itself), so
 a quantum number past that row's ladder raises LevelError.  The rows are, on
 D_III, the oscillators, rows at -w(E), the Morse log-axes, unladdered Morse
-rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5), and
-DIII_V3's polar angle, the complex Morse row in 2 phi on (0, pi), one period
-of its profile.  The polar radius, the uv axis and that angle have no
-partner row: each carries the other quantum number in its required level.
-An angle that its chart does not separate is None, given by ``angles`` and
+rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5), and the
+angles: DIII_V2's Poeschl-Teller rows in v/2 and phi, and DIII_V3's complex
+Morse row in 2 phi on (0, pi).  The uv axis, the polar radius and the angles
+have no partner row: each carries the other quantum number in its level.
+Only DIII_V5's angle, a plane wave, is None, given by ``angles`` and
 ``angular_factor``.  A row's window reads E only, so a grid is laid out
 without building a factor.
 What the families share stays in its module: the division by the D_III
@@ -48,9 +48,8 @@ from .errors import DomainError, LevelError, ParamError, UnsupportedChartError, 
 from .geometry import DIII, DIV, d3_factor
 from . import potentials, specfun as sf
 
-# The angle of a chart's second axis: its length, which sets its interval
-# (0, length), and the margin the default grid keeps from its ends.  Where the
-# chart does not separate it, the record's angular_factor(spec, chart, qn) is its factor.
+# The angle of a chart's second axis: its length, which sets its interval (0, length),
+# and the margin the default grid keeps from its ends; DIII_V2's angle rows read both.
 Angle = namedtuple("Angle", "length pad")
 CIRCLE = Angle(2.0 * math.pi, 0.05)
 
@@ -303,13 +302,15 @@ class DIII_V1(DIIIFamily):
 class Shifted(DIIIFamily):
     """V2, V3 and V5 of D_III, quantized by a E - c = -s hbar w M with the
     energy shift c of ``shift``, the constant of the numerator, and a
-    composite count M; ``deep`` labels the deep root of the large-M pair.
+    composite count M; ``deep`` labels the deep root of the large-M pair.  A
+    uv or polar state is a radius times the chart's row in ``angle_rows``.
 
     Sign convention: alpha is attractive, and it enters the condition as
     a E + alpha = -hbar w N.
     """
 
     deep = "minus"
+    angle_rows: dict = {}  # chart -> row(self, spec, chart) of its angle; DIII_V5 has none
 
     def shift(self, spec):
         """The energy shift c: -alpha for V2 and V3."""
@@ -318,22 +319,37 @@ class Shifted(DIIIFamily):
     def level_sum(self, spec, E):
         return spec.space.a * E - self.shift(spec)
 
+    def _with_angle(self, spec, qn, chart, per, row, shift):
+        """(radius, angle): the radius ``row``, requiring shift(E), and the chart's
+        angle row or None, requiring the index at which the radius solves at
+        level n, at a root its own: (M - 2n - 1)/per, M = |level_sum(E)|/(hbar w(E))."""
+        radius, make = _model_pair(spec, (row, None), qn, shift)[0], self.angle_rows.get(chart)
+        if make is None:
+            return radius, None
+        _, _, _, hb, hq = _units(spec)
+
+        def lam_req(E):
+            M = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E))
+            return hq * ((M - 2 * int(qn.n) - 1) / per) ** 2
+
+        return radius, _model_pair(spec, (None, make(self, spec, chart)), qn, lam_req)[1]
+
     def _uv(self, spec, qn):
-        """u of the (u, v) chart: the Morse row at a negative depth in -u.  The
-        angle is not separated: its level l is in the level u requires."""
+        """u of the (u, v) chart, the Morse row at a negative depth in -u whose
+        level carries the angle's level l, and the angle (per = 2)."""
         _, b, m, hb, hq = _units(spec)
         mu_idx = self._uv_index(spec, qn.l)
         row = _morse_row(lambda E: -0.5 * (math.sqrt(-8.0 * m * b * E) / hb),
                          lambda E: -self.level_sum(spec, E) / (2.0 * b * E), -1)
-        return _model_pair(spec, (row, None), qn, lambda E: -hq * mu_idx ** 2)
+        return self._with_angle(spec, qn, "uv", 2, row, lambda E: -hq * mu_idx ** 2)
 
     def _polar(self, spec, qn):
-        """The radius of the polar chart: a radial oscillator at -w(E) whose
-        index carries the angle's level l; the angle is not separated."""
+        """The polar radius, a radial oscillator at -w(E) whose index carries
+        the angle's level l, and the angle (per = 1)."""
         lam = self._polar_index(spec, qn.l)
         row = _rho_row(spec, lam, lambda q: (0.35 / math.sqrt(q) / math.sqrt(lam + 1.0),
                                              math.sqrt(28.0 / q)))
-        return _model_pair(spec, (row, None), qn, functools.partial(self.level_sum, spec))
+        return self._with_angle(spec, qn, "polar", 1, row, functools.partial(self.level_sum, spec))
 
     def branches(self, spec, qn):
         # (a E - c)^2 = -s hbar^2 M^2 b E / (2m)
@@ -384,12 +400,13 @@ class DIII_V2(Shifted):
 
     separations = {"uv": Shifted._uv, "polar": Shifted._polar, "parabolic": _parabolic}
 
-    def angular_factor(self, spec, chart, qn):
-        """The Poeschl-Teller level l in v/2 (uv) or in the polar angle."""
-        fam = sf.ModelFamily(sf.PT, {"alpha": abs(spec.c("k2")), "beta": abs(spec.c("k1"))},
-                             hbar=spec.space.hbar, mass=spec.space.mass)
-        scale = 0.5 if chart == "uv" else 1.0
-        return lambda x: sf.model_eigenfunction(fam, int(qn.l), scale * np.asarray(x))
+    def _pt_row(self, spec, chart):
+        """The Poeschl-Teller row with indices (|k2|, |k1|) in v/2 (uv) or in
+        the polar angle, sampled on the chart's angle less its pads."""
+        ang, k = self.angles[chart], (abs(spec.c("k2")), abs(spec.c("k1")))
+        return Row(sf.PT, lambda E: k, (ang.pad, ang.length - ang.pad), s=0.5 * math.pi / ang.length)
+
+    angle_rows = {"uv": _pt_row, "polar": _pt_row}
 
     def count(self, spec, qn):
         return 2.0 * qn.n + 2.0 * qn.l + abs(spec.c("k1")) + abs(spec.c("k2")) + 2.0
@@ -425,22 +442,10 @@ class DIII_V3(Shifted):
         ratio = 2.0 * C2 / C1  # = c1^2 / (2 sqrt(2 c2))
         return abs(2.0 * (ratio - int(l) - 0.5))
 
-    def _polar(self, spec, qn):
-        """The radius of ``Shifted._polar`` and the polar angle phi: the complex
-        Morse row in 2 phi, on (0, pi), one period of its profile.  The angle's
-        partner is no row: it requires the index at which the radius solves at
-        level n, at a root its own index."""
-        _, _, _, hb, hq = _units(spec)
-        C1, C2 = self._cmorse(spec)
-
-        def lam_req(E):
-            idx = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E)) - 2 * int(qn.n) - 1
-            return hq * idx ** 2
-
-        angle = Row(sf.CMORSE, lambda E: (C1, C2), (0.0, math.pi), s=2.0)
-        return super()._polar(spec, qn)[0], _model_pair(spec, (None, angle), qn, lam_req)[1]
-
-    separations = {"polar": _polar}
+    # the polar angle phi: the complex Morse row in 2 phi on (0, pi), one period of its profile
+    angle_rows = {"polar": lambda self, spec, chart: Row(
+        sf.CMORSE, lambda E, C=self._cmorse(spec): C, (0.0, math.pi), s=2.0)}
+    separations = {"polar": Shifted._polar}
 
     def count(self, spec, qn):
         return 2.0 * qn.n + self._polar_index(spec, qn.l) + 1.0

@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from darboux.errors import DomainError, LevelError
+from darboux.errors import DomainError, LevelError, NoAdmissibleRootError, NoRootError
 from darboux.families import FAMILIES
-from darboux.geometry import CHARTS, DIII, DIV, SpaceParams
-from darboux.potentials import PotentialSpec, separated_problem
+from darboux.geometry import CHARTS, DIII, DIV, Chart, SpaceParams
+from darboux.potentials import PotentialSpec, potential_value, separated_problem
 from darboux.specfun import orthopoly_eval
 from darboux.spectra import QuantumNumbers, solve_quantization
-from darboux.wavefun import default_grid
+from darboux.wavefun import default_grid, pick_energy
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
 FAMILY_NAME = re.compile(r"(DIII|DIV)_V\d")
@@ -161,6 +161,101 @@ def test_partner_past_its_ladder_is_a_level_error(name, chart, axis, top):
             axis_at(partner).lam_req(-3.7)
 
 
+# coupling ranges of the seeded identity draws, wide enough that most (n, l) <= 2
+# have a picked root; alpha takes both signs
+IDENTITY_COUPLINGS = {
+    "DIII_V1": {"k1": (-2.0, 2.0), "k2": (-2.0, 2.0), "k3": (-2.0, 2.0)},
+    "DIII_V2": {"alpha": (-3.0, 3.0), "k1": (-1.5, 1.5), "k2": (-1.5, 1.5)},
+    "DIII_V3": {"alpha": (-3.0, 3.0), "c1": (1.5, 3.0), "c2": (0.2, 1.0)},
+    "DIII_V4": {"d1": (-3.0, -0.2), "d2": (-3.0, -0.2), "omega": (0.5, 1.5)},
+    "DIII_V5": {"v0": (0.0, 2.0)},
+    "DIV_V1": {"alpha": (8.0, 16.0), "k1": (-1.0, 1.0), "k2": (-1.0, 1.0), "omega": (0.5, 1.5)},
+    "DIV_V2": {"k1": (0.5, 2.0), "k2": (8.0, 12.0), "k3": (0.2, 1.0)},
+    "DIV_V3": {"c1": (-1.0, 1.0), "c2": (-300.0, -50.0), "c3": (-1.0, 1.0)},
+}
+
+# (family, chart, bound): the bound is 10x the worst scaled residual over the
+# seeded draws; DIV_V3's large terms (c2 down to -300) nearly cancel, hence its wider bound.
+# Left out: DIII_V5 in uv and polar, whose angle is a plane wave in a signed l
+# with no row, so it has no profile or required level.
+IDENTITY_PAIRS = [
+    ("DIII_V1", "parabolic", 8.6e-15),
+    ("DIII_V2", "parabolic", 5.3e-15),
+    ("DIII_V5", "parabolic", 4.3e-15),
+    ("DIV_V1", "uv", 1.1e-14),
+    ("DIV_V1", "horospherical", 1.2e-14),
+    ("DIV_V2", "uv", 6.4e-15),
+    ("DIV_V3", "degelliptic2", 5.8e-12),
+    ("DIII_V2", "uv", 5.7e-15),
+    ("DIII_V2", "polar", 6.4e-15),
+    ("DIII_V3", "polar", 4.3e-15),
+    ("DIII_V4", "hyperbolic", 1.2e-14),
+    ("DIII_V5", "hyperbolic", 5.3e-15),
+]
+
+
+def _identity_spec(rng, family):
+    """A seeded spec of the family, at a random space, hbar and mass."""
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    hbar, mass = draw(0.5, 1.5), draw(0.5, 2.0)
+    if family.startswith(DIII):
+        sp = SpaceParams(DIII, draw(0.5, 3.0), draw(0.2, 2.0), hbar=hbar, mass=mass)
+    else:
+        b = draw(0.2, 1.5)
+        sp = SpaceParams(DIV, 2.0 * b + draw(0.2, 2.0), b, hbar=hbar, mass=mass)
+    return PotentialSpec(sp, family, {k: draw(*r) for k, r in IDENTITY_COUPLINGS[family].items()})
+
+
+def _identity_residual(spec, chart, qn, E):
+    """The separation identity at the 11x9 interior points of the two windows,
+    as max |lhs - sum of terms| over the largest term.  With U_i the rows'
+    profiles and lam_i their required levels at E, and f the chart's metric
+    factor: f (V - E) = U0 - lam0 + U1 - lam1 in a conformal chart; in polar,
+    whose states carry rho^{-1/2}, rho^2 f (V - E) = rho^2 (U0 - lam0) +
+    hbar^2/8m + U1 - lam1; in the D_III hyperbolic chart, whose grid is (ln mu,
+    ln nu) and whose metric is signed, f (V - E) = U0 - lam0 - (U1 - lam1)."""
+    sp = spec.space
+    x, y = (g[1:-1] for g in default_grid(spec, chart, qn, E, (13, 11)))
+    x, y = x[:, None], y[None, :]
+    s0, s1 = separated_problem(spec, chart, qn)
+    terms = [s0.profile(E)(x), -s0.lam_req(E), s1.profile(E)(y), -s1.lam_req(E)]
+    if chart == "hyperbolic":
+        x, y, terms[2:] = np.exp(x), np.exp(y), [-t for t in terms[2:]]
+    lhs = CHARTS[sp.family][chart].factor(sp, x, y, 1.0) * (
+        potential_value(spec, Chart(chart, x, y)) - E)
+    if chart == "polar":
+        lhs, terms = x * x * lhs, [x * x * terms[0], x * x * terms[1],
+                                   sp.hbar ** 2 / (8.0 * sp.mass), *terms[2:]]
+    scale = max(np.abs(t).max() for t in (lhs, *terms))
+    return float(np.abs(lhs - sum(terms)).max() / scale)
+
+
+def test_every_separation_states_the_hamiltonian_once():
+    # a separation is right exactly when, at a root E and at every point of
+    # the chart, the potential times the metric factor splits into the two
+    # rows' profiles minus their required levels: an algebraic identity, with
+    # no grid derivative, that ties the form, the metric, both rows, their
+    # variable maps and the energy shift together.  Six seeded draws per pair
+    # at n, l <= 2, at the picked root
+    rng = np.random.default_rng(16)
+    for family, chart, bound in IDENTITY_PAIRS:
+        worst, states = 0.0, 0
+        for _ in range(6):
+            spec = _identity_spec(rng, family)
+            for n in range(3):
+                for l in range(3):
+                    qn = QuantumNumbers(n, l, chart)
+                    try:
+                        E = pick_energy(spec, qn)
+                    except (NoAdmissibleRootError, NoRootError):
+                        continue
+                    worst = max(worst, _identity_residual(spec, chart, qn, E))
+                    states += 1
+        assert states >= 20 and worst < bound, (family, chart, states, worst)
+
+
 def _set_arguments(paths):
     """What the calls in ``paths`` pass: the (callee, keyword) pairs, and per
     callee the most positional arguments (a starred argument counts as all)."""
@@ -232,11 +327,11 @@ def _old_morse_axis(spec, chart, partner, axis, E, n, x):
 def _factors(spec, chart, qn, E, grid):
     """(new, old) samples of each Morse log-axis of the chart on its grid axis
     (the uv angle is not one)."""
-    for axis, sep in enumerate(separated_problem(spec, chart, qn)):
-        if sep is not None:
-            partner, n = (qn.l, qn.n) if axis == 0 else (qn.n, qn.l)
-            yield sep.factor(E)(grid[axis]), _old_morse_axis(spec, chart, partner, axis, E, n,
-                                                              grid[axis])
+    axes = separated_problem(spec, chart, qn)
+    for axis, sep in enumerate(axes[:1] if chart == "uv" else axes):
+        partner, n = (qn.l, qn.n) if axis == 0 else (qn.n, qn.l)
+        yield sep.factor(E)(grid[axis]), _old_morse_axis(spec, chart, partner, axis, E, n,
+                                                          grid[axis])
 
 
 MORSE_GATES = [  # the criterion-7 gates in the D_III Morse charts

@@ -103,8 +103,8 @@ RESIDUAL_CASES = [
     ("DIII_V5", {"v0": 0.0}, "polar", (1, 1, "polar"), (0,)),
     ("DIII_V5", {"v0": 0.0}, "parabolic", (1, 1, "parabolic"), (0, 1)),
     ("DIII_V5", {"v0": 0.0}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
-    ("DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5}, "uv", (0, 0, "uv"), (0,)),
-    ("DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5}, "polar", (0, 0, "polar"), (0,)),
+    ("DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5}, "uv", (0, 0, "uv"), (0, 1)),
+    ("DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5}, "polar", (0, 0, "polar"), (0, 1)),
     ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "parabolic", (1, 1, "parabolic"), (0, 1)),
     ("DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8}, "polar", (0, 0, "polar"), (0, 1)),
     ("DIII_V4", {"d1": -1.5, "d2": -0.5, "omega": 1.0}, "hyperbolic", (0, 0, "hyperbolic"), (0, 1)),
@@ -121,6 +121,8 @@ RESIDUAL_CASES = [
     ("DIII_V5", {"v0": 0.6}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
     # the angle's own index, l, at n != l
     ("DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8}, "polar", (1, 0, "polar"), (0, 1)),
+    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "uv", (1, 0, "uv"), (0, 1)),
+    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "polar", (0, 2, "polar"), (0, 1)),
 ]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from darboux.errors import NoAdmissibleRootError, ParamError, UnsupportedError
+from darboux.families import FAMILIES
 from darboux.geometry import DIII, DIV, SpaceParams
 from darboux.potentials import PotentialSpec
 from darboux.spectra import (
@@ -296,8 +298,7 @@ def test_every_real_chart_has_the_same_spectrum():
     # here, so the cut at 6 holds all their copies), and a D_IV level lies
     # below the continuum.  Left out: the D_III hyperbolic chart, a continued
     # section with a signed metric and no real map to (u, v), which quantizes
-    # another real form; and DIII_V5, whose uv levels are a proper subset of
-    # its polar and parabolic levels until its L^2 states are told apart.
+    # another real form.  DIII_V5 follows below.
     def copies(e, levels):
         return sum(abs(x - e) <= 1e-9 * max(abs(e), abs(x)) for x in levels)
 
@@ -315,6 +316,32 @@ def test_every_real_chart_has_the_same_spectrum():
             top = continuous_dispersion(spec, 0.0)
             assert all(e < top for s in schemes for e in high[s]), spec
     assert checked > 300
+
+    # DIII_V5's uv angle is v = 2 phi, so e^{ilv} is the polar e^{2il phi}: the
+    # uv levels are the polar levels at even l, and the polar levels are the
+    # parabolic ones, each with its multiplicity, all counts M cut at 7 (a
+    # count with no admissible root has none in any chart)
+    rec = FAMILIES["DIII_V5"]
+
+    def levels(spec, scheme, even=False):
+        out = []
+        for n in range(7):
+            for l in range(-6 if scheme in rec.signed_l else 0, 7, 2 if even else 1):
+                qn = QuantumNumbers(n, l, scheme)
+                if rec.count(spec, qn) <= 7:
+                    with contextlib.suppress(NoAdmissibleRootError):
+                        out.append(pick_energy(spec, qn))
+        return sorted(out)
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(5):
+        a, b, v0 = (float(x) for x in rng.uniform([0.3, 0.3, 0.0], [3.0, 3.0, 2.0]))
+        spec = PotentialSpec(SpaceParams(DIII, a, b), "DIII_V5", {"v0": v0})
+        uv, polar = levels(spec, "uv"), levels(spec, "polar")
+        assert uv == levels(spec, "polar", even=True) and polar == levels(spec, "parabolic"), spec
+        checked += len(uv) + len(polar)
+    assert checked > 100
 
 
 def test_free_motion_embedding():

@@ -13,8 +13,8 @@ from darboux.errors import (
     UnsupportedChartError,
 )
 from darboux.families import FAMILIES
-from darboux.geometry import DIII, DIV, SpaceParams
-from darboux.potentials import PotentialSpec
+from darboux.geometry import DIII, DIV, Chart, SpaceParams, chart_transform
+from darboux.potentials import PotentialSpec, separated_problem
 from darboux.spectra import QuantumNumbers
 from darboux.wavefun import (
     WaveField,
@@ -248,6 +248,59 @@ def test_normalization_div_v1():
     total = simpson(simpson(np.abs(big.values * f.norm_constant) ** 2 * w, x=big.q2, axis=1),
                     x=big.q1)
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _state_at(spec, chart, qn, points):
+    """The picked state of ``qn`` in ``chart`` at the (u, v) chart ``points``
+    mapped into it, from its two factors: times its norm constant on D_IV, and
+    times rho^{-1/2} in polar, as assembled."""
+    E = pick_energy(spec, qn)
+    c = chart_transform(spec.space, points, chart)
+    s0, s1 = separated_problem(spec, chart, qn)
+    psi = s0.factor(E)(c.q1) * s1.factor(E)(c.q2) * (c.q1 ** -0.5 if chart == "polar" else 1.0)
+    if spec.space.family == DIII:
+        return psi
+    grid = default_grid(spec, chart, qn, E, (9, 9))
+    return psi * normalize_weighted(assemble_bound_state(spec, chart, qn, grid, E)).norm_constant
+
+
+def _uv_points(spec, qn):
+    """The 7x7 interior points of the uv state's default 9x9 grid."""
+    q1, q2 = default_grid(spec, "uv", qn, pick_energy(spec, qn), (9, 9))
+    return Chart("uv", q1[1:-1, None], q2[None, 1:-1])
+
+
+def test_a_nondegenerate_state_is_one_function_in_every_chart():
+    # the ground level of DIV_V1 and of DIII_V2 has one state, so each chart's
+    # separation and factors must give one function at the same points, up to
+    # one constant: on D_IV that constant is a sign, for each chart's grid-free
+    # norm must agree; D_III's formal states have no norm.  Bounds are 10x the
+    # worst of 14 comparisons: the shapes agree to 4.0e-15, the D_IV norms to
+    # 1.4e-11, the accuracy of their sums (_END_TOL) at alpha/(hbar omega) ~ 4
+    rng = np.random.default_rng(17)
+    shape, norm, compared = 0.0, 0.0, 0
+    for _ in range(8):
+        div = PotentialSpec(SP4, "DIV_V1", {
+            "alpha": float(rng.uniform(4.0, 16.0)), "k1": float(rng.uniform(0.1, 1.0)),
+            "k2": float(rng.uniform(0.1, 1.0)), "omega": float(rng.uniform(0.5, 1.5))})
+        a, b = (float(x) for x in rng.uniform(0.5, 2.5, 2))
+        diii = PotentialSpec(SpaceParams(DIII, a, b), "DIII_V2", {
+            "alpha": float(rng.uniform(-3.0, 3.0)), "k1": float(rng.uniform(0.1, 1.5)),
+            "k2": float(rng.uniform(0.1, 1.5))})
+        for spec, charts in ((div, ("uv", "horospherical")), (diii, ("uv", "polar", "parabolic"))):
+            try:
+                points = _uv_points(spec, QuantumNumbers(0, 0, "uv"))
+                ref, *others = (_state_at(spec, c, QuantumNumbers(0, 0, c), points) for c in charts)
+            except NoAdmissibleRootError:
+                continue
+            for psi in others:
+                ratio = psi / ref
+                shape = max(shape, np.abs(ratio / ratio[0, 0] - 1.0).max())
+                if spec.space.family == DIV:
+                    norm = max(norm, abs(abs(ratio[0, 0]) - 1.0))
+                compared += 1
+    assert compared >= 14
+    assert shape < 4e-14 and norm < 1.4e-10
 
 
 def test_orthogonality_same_l_different_n():
