@@ -46,12 +46,31 @@ class PhaseState:
     """A chart point plus its conjugate momenta.
 
     The point and the momenta may be arrays that broadcast together, one
-    state per entry (see :func:`hamiltonian_value`).
+    state per entry (see :func:`hamiltonian_value`).  Such a state iterates
+    over its first axis: a trajectory of :func:`hamiltonian_flow` gives its
+    single states in order, each with ``np.float64`` fields.  A single state
+    is not iterable (TypeError).
     """
 
     chart: Chart
     p1: float
     p2: float
+
+    def __iter__(self):
+        c = self.chart
+        if not _holds_arrays(self):
+            raise TypeError("a single PhaseState is not iterable")
+        cols = np.broadcast_arrays(c.q1, c.q2, self.p1, self.p2)
+        return (PhaseState(Chart(c.name, q1, q2, c.d), p1, p2) for q1, q2, p1, p2 in zip(*cols))
+
+
+def _holds_arrays(state: PhaseState) -> bool:
+    return any(np.ndim(x) for x in (state.chart.q1, state.chart.q2, state.p1, state.p2))
+
+
+def _require_single(state: PhaseState, what: str) -> None:
+    if _holds_arrays(state):
+        raise ParamError(f"{what} takes a single state, not an array of states")
 
 
 OBSERVABLES = ("H0", "X1", "X2", "K")
@@ -207,8 +226,7 @@ def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> f
     array over the 16 shifted states: +-h along q1, q2, p1 and p2 at both steps.
     The state must be a single one (ParamError otherwise).
     """
-    if any(np.ndim(x) for x in (state.chart.q1, state.chart.q2, state.p1, state.p2)):
-        raise ParamError("a Poisson bracket takes a single state, not an array of states")
+    _require_single(state, "a Poisson bracket")
     if state.chart.name != "uv":
         state = transform_state(space, state, "uv")
     y = np.array([state.chart.q1, state.chart.q2, state.p1, state.p2])
@@ -225,7 +243,9 @@ def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> f
 
 
 def algebra_check(space: SpaceParams, state: PhaseState) -> dict:
-    """Pointwise residuals of the quadratic algebra and the Poisson relations."""
+    """Pointwise residuals of the quadratic algebra and the Poisson relations
+    at a single state (ParamError for an array of states)."""
+    _require_single(state, "an algebra check")
     H0, X1, X2, K = (float(observable_value(space, o, state)) for o in OBSERVABLES)
     out = {}
     scale = max(H0 * H0, abs(X1 * X2), K ** 4, 1e-12)
@@ -254,7 +274,7 @@ TOL_FLOOR = 100 * np.finfo(float).eps
 RHS_CALLS_PER_TIME = 10_000
 # right-hand-side calls in all, whatever t_final: about 17 s of a stiff flow at 85 us a call
 MAX_RHS_CALLS = 200_000
-# output samples at most: each becomes a PhaseState, and a CLI record of ten numbers
+# output samples at most: each becomes a CLI record of ten numbers
 MAX_SAMPLES = 100_000
 
 
@@ -262,7 +282,10 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
                      t_final: float, tol: float = 1e-10, n_out: int = 201):
     """Integrate Hamilton's equations in the state's chart.
 
-    Returns (times, states) at n_out equally spaced times from 0 to t_final.
+    Returns (times, trajectory) at n_out equally spaced times from 0 to
+    t_final: the trajectory is one PhaseState in the start state's chart whose
+    point and momenta are float arrays over the samples, and iterating it
+    gives the single states.
     The Hamiltonian is evaluated from the metric and the potential; its
     gradients are taken by central differences, and each right-hand-side
     call evaluates H once, as an array over the eight shifted states of
@@ -274,7 +297,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
     below 2.2e-308, a tol that is not finite or lies below TOL_FLOOR (100
     machine epsilons, the least relative tolerance DOP853 can honour in
     doubles), fewer than one or more than MAX_SAMPLES = 100,000 output
-    samples, or a non-finite momentum raises ParamError.
+    samples, an array of start states or a non-finite momentum raises ParamError.
     """
     if not (math.isfinite(t_final) and t_final >= np.finfo(float).tiny):  # distinct sample times
         raise ParamError(f"t_final must be finite and at least 2.2e-308, got {t_final}")
@@ -282,6 +305,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
         raise ParamError(f"tol must be finite and at least {TOL_FLOOR:.3g}, got {tol}")
     if not 1 <= n_out <= MAX_SAMPLES:
         raise ParamError(f"need from 1 to {MAX_SAMPLES} output samples, got {n_out}")
+    _require_single(state0, "a flow")
     if not (math.isfinite(state0.p1) and math.isfinite(state0.p2)):
         raise ParamError("momenta must be finite")
 
@@ -302,8 +326,7 @@ def hamiltonian_flow(space: SpaceParams, spec: PotentialSpec | None, state0: Pha
         ys, _ = dop853(rhs, t_final, y0, ts, tol, cap)
     except DomainError as exc:
         raise BlowupError(str(exc)) from exc
-    states = [PhaseState(Chart(chart0.name, q1, q2, chart0.d), p1, p2) for q1, q2, p1, p2 in ys.T]
-    return ts, states
+    return ts, PhaseState(Chart(chart0.name, ys[0], ys[1], chart0.d), ys[2], ys[3])
 
 
 def residual_constant(spec: PotentialSpec, name: str, state: PhaseState) -> float:

@@ -264,8 +264,6 @@ def cmd_wavefunction(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    import numpy as np
-
     from .classical import (PhaseState, algebra_check, hamiltonian_flow,
                             hamiltonian_value, observable_value)
     from .geometry import Chart
@@ -274,12 +272,10 @@ def cmd_classical(args) -> int:
     spec = _spec_of(args) if args.potential else None
     st0 = PhaseState(Chart(args.chart, args.q1, args.q2), args.p1, args.p2)
     ts, traj = hamiltonian_flow(sp, spec, st0, args.t_final, tol=args.tol, n_out=args.samples)
-    q1, q2, p1, p2 = np.array([(st.chart.q1, st.chart.q2, st.p1, st.p2) for st in traj]).T
-    cols = PhaseState(Chart(args.chart, q1, q2), p1, p2)
-    values = {"t": ts, "q1": q1, "q2": q2, "p1": p1, "p2": p2,
-              "H": hamiltonian_value(sp, spec, cols)}
+    values = {"t": ts, "q1": traj.chart.q1, "q2": traj.chart.q2, "p1": traj.p1, "p2": traj.p2,
+              "H": hamiltonian_value(sp, spec, traj)}
     if args.chart == "uv":
-        values.update((obs, observable_value(sp, obs, cols)) for obs in ("H0", "X1", "X2", "K"))
+        values.update((obs, observable_value(sp, obs, traj)) for obs in ("H0", "X1", "X2", "K"))
     records = [dict(zip(values, map(float, row))) for row in zip(*values.values())]
     alg = algebra_check(sp, st0) if args.chart == "uv" else {}
     _emit(args, _header(args, "classical", spec, tol=args.tol,

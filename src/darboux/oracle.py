@@ -34,7 +34,7 @@ from . import specfun as sf
 class Grid1D:
     x_min: float
     x_max: float
-    n_points: int = 1024
+    n_points: int
 
     def __post_init__(self):
         if self.x_min >= self.x_max:

@@ -132,9 +132,7 @@ def suite_classical() -> dict:
     st0 = PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4)
     _, traj = hamiltonian_flow(sp, None, st0, 10.0, tol=1e-11)
     # one array evaluation per observable, bitwise the values of the single states
-    q1, q2, p1, p2 = np.array([(s.chart.q1, s.chart.q2, s.p1, s.p2) for s in traj]).T
-    cols = PhaseState(Chart("uv", q1, q2), p1, p2)
-    worst_dr = max(drift(observable_value(sp, o, cols)) for o in ("X1", "X2", "K", "H0"))
+    worst_dr = max(drift(observable_value(sp, o, traj)) for o in ("X1", "X2", "K", "H0"))
     ok = worst_fun < 1e-10 and worst_br < 1e-6 and worst_dr < 1e-6
     return {"pass": bool(ok), "max_dev": float(max(worst_fun, worst_br, worst_dr)),
             "details": [{"functional": worst_fun, "brackets": worst_br, "drift": worst_dr}]}

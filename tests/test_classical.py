@@ -271,11 +271,86 @@ def test_transform_state_array_matches_scalar_bitwise(family, name):
             assert _bits(residual_constant(spec, c, st)) == _bits(v[i]), (c, i)
 
 
-def test_bracket_refuses_an_array_of_states():
+@pytest.mark.parametrize("refuse", [
+    lambda st: poisson_bracket_fd(SP1, "K", "X1", st),
+    lambda st: algebra_check(SP1, st),
+    lambda st: hamiltonian_flow(SP1, None, st, 1.0),
+], ids=["poisson_bracket_fd", "algebra_check", "hamiltonian_flow"])
+def test_bracket_refuses_an_array_of_states(refuse):
     a = np.array([0.5, 0.7])
     for name in ("uv", "polar"):
-        with pytest.raises(ParamError):
-            poisson_bracket_fd(SP1, "K", "X1", PhaseState(Chart(name, a, a), a, a))
+        with pytest.raises(ParamError, match="single state"):
+            refuse(PhaseState(Chart(name, a, a), a, a))
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 201])
+def test_flow_returns_one_state_of_sample_columns(n_out):
+    st0 = PhaseState(Chart("horospherical", 1.2, 0.9, 0.5), 0.3, -0.5)
+    ts, traj = hamiltonian_flow(SP4, PotentialSpec(SP4, "DIV_V4", {"k0": 0.8}), st0, 1.0,
+                                n_out=n_out)
+    assert type(traj) is PhaseState and (traj.chart.name, traj.chart.d) == ("horospherical", 0.5)
+    cols = (traj.chart.q1, traj.chart.q2, traj.p1, traj.p2)
+    for x in cols:
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == ts.shape == (n_out,)
+    assert _bits(*(x[0] for x in cols)) == _bits(1.2, 0.9, 0.3, -0.5)
+    # iterating it gives the single states in order, with np.float64 fields
+    states = list(traj)
+    assert len(states) == n_out
+    for i, st in enumerate(states):
+        fields = (st.chart.q1, st.chart.q2, st.p1, st.p2)
+        assert all(type(x) is np.float64 for x in fields)
+        assert (st.chart.name, st.chart.d) == ("horospherical", 0.5)
+        assert _bits(*fields) == _bits(*(x[i] for x in cols))
+    assert [_bits(s.p1) for s in traj] == [_bits(s.p1) for s in states]  # it iterates again
+    # fed back whole, as a start state, it is refused
+    with pytest.raises(ParamError, match="single state"):
+        hamiltonian_flow(SP4, None, traj, 1.0)
+
+
+@pytest.mark.parametrize("state", [
+    PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4),
+    PhaseState(Chart("uv", np.float64(0.3), np.array(1.0)), np.float64(0.7), -0.4),
+], ids=["floats", "numpy-scalars"])
+def test_a_single_state_is_not_iterable(state):
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(state)
+
+
+def test_flow_and_its_callers_build_no_state_per_sample(monkeypatch, tmp_path):
+    # a trajectory is one state of arrays: the PhaseStates that the flow, the
+    # classical job and the classical suite build do not grow with the samples
+    import functools
+
+    import darboux.classical as cl
+    import darboux.cli as cli
+    import darboux.verify as vf
+
+    made, init, flow = [], PhaseState.__init__, cl.hamiltonian_flow
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def job(n):
+        assert cli.main(["classical", "--space", "DIII", "--a", "1", "--b", "1", "--q1", "0.3",
+                         "--q2", "1.0", "--p1", "0.7", "--p2", "-0.4", "--t-final", "1",
+                         "--samples", str(n), "--out", str(tmp_path / "c.json")]) == 0
+
+    def suite(n):  # the suite's flow, at n samples
+        monkeypatch.setattr(cl, "hamiltonian_flow", functools.partial(flow, n_out=n))
+        vf.suite_classical()
+
+    def built(run, n):
+        made.clear()
+        run(n)
+        return len(made)
+
+    st0 = PhaseState(Chart("uv", 0.3, 1.0), 0.7, -0.4)
+    monkeypatch.setattr(PhaseState, "__init__", counted)
+    alone = functools.partial(flow, SP1, None, st0, 1.0)
+    assert built(lambda n: alone(n_out=n), 11) == built(lambda n: alone(n_out=n), 1001) == 1
+    for run in (job, suite):
+        assert built(run, 11) == built(run, 1001)
 
 
 def test_list_coordinates_are_a_param_error():
@@ -382,11 +457,11 @@ def test_flow_integrator_matches_scipy_bitwise(space, spec, state, t_final, tol,
     integrate = cl.dop853
     monkeypatch.setattr(cl, "dop853", recorded)
     try:
-        ts, states = hamiltonian_flow(space, spec, state, t_final, tol=tol, n_out=n_out)
+        ts, traj = hamiltonian_flow(space, spec, state, t_final, tol=tol, n_out=n_out)
     except BlowupError as exc:
         ours = exc
     else:
-        ours = (ts, np.array([(s.chart.q1, s.chart.q2, s.p1, s.p2) for s in states]).T)
+        ours = (ts, np.array([traj.chart.q1, traj.chart.q2, traj.p1, traj.p2]))
     assert isinstance(ours, BlowupError) == (spec is V2)
     capped, t_final, y0, t_eval, tol, points = runs[0]
     mine = list(points)
