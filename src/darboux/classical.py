@@ -159,7 +159,7 @@ def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
     returns a float, bitwise equal to its entry in an array.
     """
     xs = (state.chart.q1, state.chart.q2, state.p1, state.p2)
-    single = not any(isinstance(x, np.ndarray) and x.ndim for x in xs)
+    single = not _holds_arrays(state)
     # as a one-element array a single state gets the arithmetic of an array
     # (x**2 is x*x, not pow)
     q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single

@@ -21,11 +21,10 @@ other quantum number (in the signed hyperbolic chart, that level itself), so
 a quantum number past that row's ladder raises LevelError.  The rows are, on
 D_III, the oscillators, rows at -w(E), the Morse log-axes, unladdered Morse
 rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5), and the
-angles: DIII_V2's Poeschl-Teller rows in v/2 and phi, and DIII_V3's complex
-Morse row in 2 phi on (0, pi).  The uv axis, the polar radius and the angles
-have no partner row: each carries the other quantum number in its level.
-Only DIII_V5's angle, a plane wave, is None, given by ``angles`` and
-``angular_factor``.  A row's window reads E only, so a grid is laid out
+angles: DIII_V2's Poeschl-Teller rows in v/2 and phi, DIII_V3's complex Morse
+row in 2 phi on (0, pi), and DIII_V5's plane-wave row.  The uv axis, the polar
+radius and the angles have no partner row: each carries the other quantum
+number in its level.  A row's window reads E only, so a grid is laid out
 without building a factor.
 What the families share stays in its module: the division by the D_III
 factor or the D_IV conformal factor in ``potentials``, root finding and
@@ -310,7 +309,7 @@ class Shifted(DIIIFamily):
     """
 
     deep = "minus"
-    angle_rows: dict = {}  # chart -> row(self, spec, chart) of its angle; DIII_V5 has none
+    angle_rows: dict = {}  # chart -> row(self, spec, chart) of its angle
 
     def shift(self, spec):
         """The energy shift c: -alpha for V2 and V3."""
@@ -321,11 +320,9 @@ class Shifted(DIIIFamily):
 
     def _with_angle(self, spec, qn, chart, per, row, shift):
         """(radius, angle): the radius ``row``, requiring shift(E), and the chart's
-        angle row or None, requiring the index at which the radius solves at
-        level n, at a root its own: (M - 2n - 1)/per, M = |level_sum(E)|/(hbar w(E))."""
-        radius, make = _model_pair(spec, (row, None), qn, shift)[0], self.angle_rows.get(chart)
-        if make is None:
-            return radius, None
+        angle row, requiring the index at which the radius solves at level n, at
+        a root its own: (M - 2n - 1)/per, M = |level_sum(E)|/(hbar w(E))."""
+        radius, make = _model_pair(spec, (row, None), qn, shift)[0], self.angle_rows[chart]
         _, _, _, hb, hq = _units(spec)
 
         def lam_req(E):
@@ -577,9 +574,9 @@ class DIII_V5(Shifted):
 
     separations = {"uv": Shifted._uv, "polar": Shifted._polar,
                    "parabolic": DIII_V1._parabolic, "hyperbolic": _hyperbolic}
-
-    def angular_factor(self, spec, chart, qn):
-        return lambda v: np.exp(1j * qn.l * v)
+    # the angle of uv and polar: the plane wave e^{ilv}, sampled on the circle less its pads
+    angle_rows = dict.fromkeys(("uv", "polar"), lambda self, spec, chart: Row(
+        sf.WAVE, lambda E: (), (CIRCLE.pad, CIRCLE.length - CIRCLE.pad)))
 
     def count(self, spec, qn):
         if qn.scheme == "uv":

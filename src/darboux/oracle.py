@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ParamError, ResolutionError, UnsupportedChartError
 from .families import FAMILIES
-from .potentials import PotentialSpec, separated_problem
+from .potentials import PotentialSpec, _quantum_unit, separated_problem
 from .spectra import QuantumNumbers
 from . import specfun as sf
 
@@ -42,8 +42,8 @@ class Grid1D:
         if self.n_points < 64:
             raise ParamError("need at least 64 grid points")
 
-    def points(self, n=None):
-        return np.linspace(self.x_min, self.x_max, self.n_points if n is None else n)
+    def points(self, n):
+        return np.linspace(self.x_min, self.x_max, n)
 
 
 # the bound of the Kato-Temple check, in units of the gap and ||T||_1
@@ -244,22 +244,21 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     -(hbar^2/2m) psi'' + U_E psi - lam_req(E) psi with 4th-order central
     differences; the result is normalized by |lam_req| max|psi| (or max|psi|
     if the required pseudo-eigenvalue vanishes).  An axis other than 0 and 1,
-    or one the chart does not separate, raises UnsupportedChartError.
+    or a chart the family does not separate, raises UnsupportedChartError.
     """
     from .wavefun import _d2_4  # here: verify_building_block loads no wavefun
 
-    sepd = (separated_problem(spec, chart_name, qn)[axis]
-            if axis in (0, 1) and chart_name in FAMILIES[spec.family].separations else None)
-    if sepd is None:
+    if axis not in (0, 1) or chart_name not in FAMILIES[spec.family].separations:
         raise UnsupportedChartError(
             f"{spec.family} is not separated in chart {chart_name!r} (axis {axis})")
+    sepd = separated_problem(spec, chart_name, qn)[axis]
     lo, hi = sepd.window(E)
     xs = np.linspace(lo, hi, n_points)
     h = xs[1] - xs[0]
     psi = np.asarray(sepd.factor(E)(xs))
     U = np.asarray(sepd.profile(E)(xs))
     lam = sepd.lam_req(E)
-    hq = spec.space.hbar ** 2 / (2.0 * spec.space.mass)
+    hq = _quantum_unit(spec.space)
     r = -hq * _d2_4(psi, h, 0) + (U[2:-2] - lam) * psi[2:-2]
     scale = max(abs(lam), hq) * np.abs(psi[2:-2]).max()
     return float(np.abs(r).max() / scale)

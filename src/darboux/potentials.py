@@ -148,8 +148,7 @@ def div3_indices(spec: PotentialSpec, E):
 
 def separated_problem(spec: PotentialSpec, chart_name: str, qn) -> tuple:
     """The separated 1D problems (axis 0, axis 1) of the state ``qn`` of
-    ``spec`` in the named chart: axis 0 carries n and axis 1 carries l.  An
-    angle that the chart does not separate is None; a chart that separates
-    nothing raises UnsupportedChartError.
+    ``spec`` in the named chart: axis 0 carries n and axis 1 carries l.  A
+    chart that separates nothing raises UnsupportedChartError.
     """
     return families.FAMILIES[spec.family].separation(spec, chart_name, qn)

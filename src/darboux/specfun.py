@@ -5,7 +5,8 @@ function by its terminating series, and the complex gamma function by a
 Lanczos approximation.  The model table ``MODELS`` holds one row per exactly
 solvable 1D bound-state problem that appears as a separation factor: harmonic
 and radial harmonic oscillator, Poeschl-Teller and modified Poeschl-Teller,
-Morse, and the complex periodic Morse problem whose spectrum is real.  An HO
+Morse, the complex periodic Morse problem whose spectrum is real, and the
+plane wave e^{inx} on the circle, whose index takes either sign.  An HO
 or RHO row at a negative frequency -w gives the growing partner of its states,
 at the level its formula returns: the flipped factors of the D_III separations.
 The unnormalized ``Morse`` row has no ladder top, and at a negative depth gives
@@ -160,7 +161,7 @@ def hyp2f1(a, b, c, z):
 # model eigenproblems: one row per model
 # ----------------------------------------------------------------------
 
-HO, RHO, PT, CMORSE = "HO", "RHO", "PT", "cMorse"
+HO, RHO, PT, CMORSE, WAVE = "HO", "RHO", "PT", "cMorse", "wave"
 MPT_BOUND, MORSE_BOUND, MORSE = "MPT_bound", "Morse_bound", "Morse"
 
 
@@ -205,8 +206,9 @@ class ModelRow:
     *args)`` is the energy of level n, ``profile(f, x, *args)`` the potential and
     ``state(f, n, x, *args)`` the eigenfunction at the float array x; the levels
     stay below ``top(*args)`` (None: no top); ``invalid(*args)`` flags what
-    ``message`` rejects.  The finite-difference oracle takes ``whole``, or the
-    part of ``scan(*args)`` where the states live (neither: a complex profile)."""
+    ``message`` rejects; a ``signed`` index n may be negative.  The finite-difference
+    oracle takes ``whole``, or the part of ``scan(*args)`` where the states live
+    (neither: a complex profile, or none to confine)."""
 
     keys: tuple
     domain: tuple
@@ -218,6 +220,7 @@ class ModelRow:
     message: str = ""
     whole: tuple | None = None
     scan: Callable | None = None
+    signed: bool = False
 
 
 def _times_square(c, s):  # (c s) s, the rounding every level has had
@@ -337,6 +340,9 @@ MODELS = {
                                                + 8.0 * c2 * np.exp(-1j * x)),
         top=lambda c1, c2: 2.0 * c2 / c1 - 0.5,
         invalid=lambda c1, c2: c1 == 0, message="cMorse requires c1 != 0"),
+    WAVE: ModelRow(  # the free particle on the circle: e^{inx}, unnormalized
+        (), (0.0, 2.0 * math.pi), state=lambda f, n, x: np.exp(1j * n * x),
+        level=lambda f, n: _times_square(f.unit, n), profile=lambda f, x: 0.0 * x, signed=True),
 }
 # the Morse shape past the ladder, or at a negative depth: no top and no oracle interval
 MODELS[MORSE] = replace(MODELS[MORSE_BOUND], state=_morse_shape, top=None, scan=None)
@@ -351,7 +357,7 @@ def model_max_index(fam: ModelFamily):
 
 
 def _check_index(fam, n):
-    if n < 0 or n != int(n):
+    if (n < 0 and not fam.row.signed) or n != int(n):
         raise LevelError("bound-state index must be a non-negative integer")
     top = model_max_index(fam)
     if top is not None and n > top:
@@ -384,8 +390,8 @@ _NORM_CACHE: dict = {}
 def model_eigenfunction(fam: ModelFamily, n, x):
     """Sample the level-n model eigenfunction at x, unit-normalized over the
     natural domain by its closed-form constant (the Hermite, Laguerre and Jacobi
-    norms of DLMF §18.3; complex Morse states, ``Morse`` shapes and growing
-    partners are not).  A level beyond the ladder raises LevelError, a constant
+    norms of DLMF §18.3; complex Morse states, ``Morse`` shapes, plane waves and
+    growing partners are not).  A level beyond the ladder raises LevelError, a constant
     that overflows a double ParamError."""
     try:
         _check_index(fam, n)

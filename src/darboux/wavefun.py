@@ -34,7 +34,7 @@ from .errors import (
 )
 from .families import FAMILIES
 from .geometry import CHARTS, DIII, Chart, SpaceParams, chart_transform, metric_diag, sqrt_g
-from .potentials import PotentialSpec, potential_value, separated_problem
+from .potentials import PotentialSpec, _quantum_unit, potential_value, separated_problem
 from .spectra import QuantumNumbers, solve_quantization
 
 @dataclass
@@ -80,15 +80,14 @@ def _at(spec: PotentialSpec, chart_name: str, E: float):
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
     """The factors of axis 0 and axis 1 at energy E as (callable, natural
     interval, window).  An angle in the record's ``angles`` has (0, length) for
-    both, and the record's factor where the chart does not separate it."""
-    rec, (s0, s1) = FAMILIES[spec.family], separated_problem(spec, chart_name, qn)
-    ang = rec.angles.get(chart_name)
+    both."""
+    s0, s1 = separated_problem(spec, chart_name, qn)
+    ang = FAMILIES[spec.family].angles.get(chart_name)
     with _at(spec, chart_name, E):
         first = (s0.factor(E), s0.domain, s0.window(E))
-        f2 = rec.angular_factor(spec, chart_name, qn) if s1 is None else s1.factor(E)
         if ang is None:
-            return first, (f2, s1.domain, s1.window(E))
-        return first, (f2, (0.0, ang.length), (0.0, ang.length))
+            return first, (s1.factor(E), s1.domain, s1.window(E))
+        return first, (s1.factor(E), (0.0, ang.length), (0.0, ang.length))
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
@@ -294,7 +293,7 @@ def hamiltonian_residual(field: WaveField) -> float:
     """
     spec = field.spec
     sp = spec.space
-    hq = sp.hbar ** 2 / (2.0 * sp.mass)
+    hq = _quantum_unit(sp)
     q1, q2 = field.q1, field.q2
     if len(q1) < 9 or len(q2) < 9:
         raise GridError("need at least 9 points per axis for 4th-order stencils")

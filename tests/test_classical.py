@@ -195,6 +195,16 @@ def test_hamiltonian_value_array_matches_scalar_bitwise(space, spec, name, box):
         assert single == v, (i, single, v)
 
 
+def test_hamiltonian_value_takes_list_coordinates():
+    # a state of lists is an array of states, as PhaseState reads it, and
+    # gives the values of the same state in arrays
+    lists = PhaseState(Chart("uv", [0.1, 0.2], [0.3, 0.4]), [1.0, 2.0], [3.0, 4.0])
+    arrays = PhaseState(Chart("uv", np.array([0.1, 0.2]), np.array([0.3, 0.4])),
+                        np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    vals = hamiltonian_value(SP1, None, lists)
+    assert vals.tobytes() == hamiltonian_value(SP1, None, arrays).tobytes()
+
+
 @pytest.mark.parametrize("family", [DIII, DIV])
 def test_observable_value_array_matches_scalar_bitwise(family):
     # a bracket and the CLI records evaluate the observables as arrays, a

@@ -55,14 +55,14 @@ def test_one_record_per_family():
     for name, rec in FAMILIES.items():
         assert rec.name == name
         assert rec.space == name.split("_")[0]
-        # separations are keyed by chart; every assembly chart separates its
-        # first axis and its second or an angle, or is a pulled-back state
+        # separations are keyed by chart; every assembly chart separates both
+        # its axes, or is a pulled-back state
         assert set(rec.separations) <= set(CHARTS[rec.space]), name
         spec = PotentialSpec(SpaceParams(rec.space, *SPACE[rec.space]), name, COUPLINGS[name])
         for chart in rec.schemes:
             if chart not in rec.pullbacks:
                 axis0, axis1 = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
-                assert axis0 and (axis1 or chart in rec.angles), (name, chart)
+                assert axis0 and axis1, (name, chart)
 
 
 def test_one_form_per_family():
@@ -99,8 +99,6 @@ def test_every_separation_has_a_finite_window():
         for chart in rec.separations:
             axes = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
             for axis, sep in enumerate(axes):
-                if sep is None:
-                    continue
                 lo, hi = sep.window(-3.7)
                 assert math.isfinite(lo) and math.isfinite(hi) and lo < hi, (name, chart, axis)
                 assert sep.domain[0] <= lo and hi <= sep.domain[1], (name, chart, axis)
@@ -176,8 +174,6 @@ IDENTITY_COUPLINGS = {
 
 # (family, chart, bound): the bound is 10x the worst scaled residual over the
 # seeded draws; DIV_V3's large terms (c2 down to -300) nearly cancel, hence its wider bound.
-# Left out: DIII_V5 in uv and polar, whose angle is a plane wave in a signed l
-# with no row, so it has no profile or required level.
 IDENTITY_PAIRS = [
     ("DIII_V1", "parabolic", 8.6e-15),
     ("DIII_V2", "parabolic", 5.3e-15),
@@ -191,6 +187,8 @@ IDENTITY_PAIRS = [
     ("DIII_V3", "polar", 4.3e-15),
     ("DIII_V4", "hyperbolic", 1.2e-14),
     ("DIII_V5", "hyperbolic", 5.3e-15),
+    ("DIII_V5", "uv", 6.3e-15),
+    ("DIII_V5", "polar", 3.9e-15),
 ]
 
 
@@ -238,14 +236,14 @@ def test_every_separation_states_the_hamiltonian_once():
     # rows' profiles minus their required levels: an algebraic identity, with
     # no grid derivative, that ties the form, the metric, both rows, their
     # variable maps and the energy shift together.  Six seeded draws per pair
-    # at n, l <= 2, at the picked root
+    # at n <= 2 and |l| <= 2 (l >= 0 where l numbers a ladder level), at the picked root
     rng = np.random.default_rng(16)
     for family, chart, bound in IDENTITY_PAIRS:
         worst, states = 0.0, 0
         for _ in range(6):
             spec = _identity_spec(rng, family)
             for n in range(3):
-                for l in range(3):
+                for l in range(-2 if chart in FAMILIES[family].signed_l else 0, 3):
                     qn = QuantumNumbers(n, l, chart)
                     try:
                         E = pick_energy(spec, qn)

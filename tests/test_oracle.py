@@ -76,6 +76,8 @@ def test_resolution_error():
 def test_verify_rejects_nonconfining():
     with pytest.raises(ParamError):
         verify_building_block(sf.ModelFamily(sf.CMORSE, {"c1": 1.0, "c2": 1.0}), 1)
+    with pytest.raises(ParamError, match="no real confining profile"):
+        verify_building_block(sf.ModelFamily(sf.WAVE), 1)
     with pytest.raises(ParamError):
         verify_building_block(sf.ModelFamily(sf.MORSE_BOUND, {"v0": 1.0, "alpha_t": 2.5}), 4)
 
@@ -99,8 +101,8 @@ def test_verify_refuses_the_unladdered_morse_row(params):
 # (family, couplings, chart, quantum numbers, axes) of the separated problems
 # whose factors must solve their 1D equations at a quantization root
 RESIDUAL_CASES = [
-    ("DIII_V5", {"v0": 0.0}, "uv", (0, 1, "uv"), (0,)),
-    ("DIII_V5", {"v0": 0.0}, "polar", (1, 1, "polar"), (0,)),
+    ("DIII_V5", {"v0": 0.0}, "uv", (0, 1, "uv"), (0, 1)),
+    ("DIII_V5", {"v0": 0.0}, "polar", (1, 1, "polar"), (0, 1)),
     ("DIII_V5", {"v0": 0.0}, "parabolic", (1, 1, "parabolic"), (0, 1)),
     ("DIII_V5", {"v0": 0.0}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
     ("DIII_V2", {"alpha": 1.0, "k1": 0.5, "k2": 0.5}, "uv", (0, 0, "uv"), (0, 1)),
@@ -117,12 +119,14 @@ RESIDUAL_CASES = [
      (0, 0, "degelliptic2"), (0, 1)),
     ("DIII_V5", {"v0": 0.6}, "parabolic", (1, 1, "parabolic"), (0, 1)),
     # v0 != 0 shifts the linear term of the Morse log-axes
-    ("DIII_V5", {"v0": 0.6}, "uv", (0, 1, "uv"), (0,)),
+    ("DIII_V5", {"v0": 0.6}, "uv", (0, 1, "uv"), (0, 1)),
     ("DIII_V5", {"v0": 0.6}, "hyperbolic", (1, 1, "hyperbolic"), (0, 1)),
     # the angle's own index, l, at n != l
     ("DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8}, "polar", (1, 0, "polar"), (0, 1)),
     ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "uv", (1, 0, "uv"), (0, 1)),
     ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "polar", (0, 2, "polar"), (0, 1)),
+    # a plane wave of negative momentum
+    ("DIII_V5", {"v0": 0.6}, "polar", (1, -2, "polar"), (0, 1)),
 ]
 
 
@@ -169,12 +173,14 @@ def test_energy_closure_sharp_minimum():
 
 @pytest.mark.parametrize("axis", [1, 2, -1])
 def test_ode_residual_of_an_axis_not_separated_names_it(axis):
-    # uv separates only u in DIII_V5 (its angle is a plane wave): axis 1, an
-    # axis past 1 and a negative one are unsupported, not another axis
+    # DIII_V5 separates both axes of uv but not the elliptic chart: axis 1 of
+    # elliptic, and an axis past 1 or a negative one of uv, are unsupported,
+    # not another axis
     spec = PotentialSpec(SP1, "DIII_V5", {"v0": 0.0})
+    chart = "elliptic" if axis == 1 else "uv"
     with pytest.raises(UnsupportedChartError) as err:
-        separated_ode_residual(spec, "uv", QuantumNumbers(0, 1, "uv"), -4.5, axis=axis)
-    assert str(err.value) == f"DIII_V5 is not separated in chart 'uv' (axis {axis})"
+        separated_ode_residual(spec, chart, QuantumNumbers(0, 1, chart), -4.5, axis=axis)
+    assert str(err.value) == f"DIII_V5 is not separated in chart {chart!r} (axis {axis})"
 
 
 def test_mpt_bound_building_block_orthopoly_calls(monkeypatch):

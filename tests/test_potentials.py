@@ -134,12 +134,17 @@ def test_reality_other_families():
 def test_separated_descriptor_v5_uv():
     spec = PotentialSpec(SP3, "DIII_V5", {"v0": 0.0})
     sep, angle = separated_problem(spec, "uv", QuantumNumbers(0, 1, "uv"))
-    assert angle is None  # the plane wave in v is not a separated axis
     E = -4.5
     u = np.array([0.0])
     # profile has Morse form with E-dependent depth
     assert sep.profile(E)(u)[0] == pytest.approx(4.5 + 4.5)
     assert sep.lam_req(E) == pytest.approx(-0.5)
+    # the angle is the plane wave e^{iv}: no profile, and the level hbar^2 l^2/2m
+    v = np.linspace(0.1, 6.0, 7)
+    assert np.all(angle.profile(E)(v) == 0.0)
+    assert angle.lam_req(E) == pytest.approx(0.5, rel=1e-14)
+    assert np.allclose(angle.factor(E)(v), np.exp(1j * v), rtol=0.0, atol=1e-15)
+    assert angle.domain == (0.0, 2.0 * math.pi)
 
 
 # generic couplings per family, and a patch of each chart away from every

@@ -127,7 +127,8 @@ def test_orthonormality_bound_families():
                 assert abs(val - (1.0 if m_ == n_ else 0.0)) < 1e-7
 
 
-# a case for every row of the model table: (family, grid, highest level checked)
+# a case for every row of the model table: (family, grid, highest level checked);
+# a signed row is checked at the negative levels too
 ODE_CASES = {
     sf.HO: (ModelFamily(sf.HO, {"omega": 1.0}), np.linspace(-8, 8, 3001), 3),
     sf.RHO: (ModelFamily(sf.RHO, {"omega": 1.0, "lam": 0.5}), np.linspace(0.05, 9, 3001), 3),
@@ -142,14 +143,28 @@ ODE_CASES = {
     # a negative depth, the growing partners at s = 2, 1, 0, -1 (worst 7.4e-8)
     sf.MORSE: (ModelFamily(sf.MORSE, {"v0": -1.0, "alpha_t": -2.5}),
                np.linspace(-6, 2.2, 8001), 3),
+    sf.WAVE: (ModelFamily(sf.WAVE, hbar=0.7, mass=1.3), np.linspace(0.0, 2 * math.pi, 4001), 3),
 }
 
 
 @pytest.mark.parametrize("tag", list(sf.MODELS))
 def test_ode_residuals_bound_families(tag):
     fam, x, nmax = ODE_CASES[tag]
-    for n in range(nmax + 1):
+    for n in range(-nmax if fam.row.signed else 0, nmax + 1):
         assert fd_residual(fam, n, x) < 1e-6
+
+
+def test_only_the_signed_row_takes_a_negative_index():
+    # the plane wave's index is a momentum, e^{-2ix} at hbar^2 2^2/2m; every ladder refuses -1
+    x = np.linspace(0.0, 2 * math.pi, 9)
+    wave = ModelFamily(sf.WAVE, hbar=0.7, mass=1.3)
+    assert np.allclose(model_eigenfunction(wave, -2, x), np.cos(2 * x) - 1j * np.sin(2 * x),
+                       rtol=0.0, atol=1e-15)
+    assert model_eigenvalue(wave, -2) == pytest.approx(0.7 ** 2 * 4 / (2 * 1.3), rel=1e-15)
+    for fam, _, _ in ODE_CASES.values():
+        if not fam.row.signed:
+            with pytest.raises(IndexError, match="non-negative integer"):
+                model_eigenfunction(fam, -1, x)
 
 
 def test_cmorse_real_spectrum_and_ode():

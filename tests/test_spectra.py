@@ -441,13 +441,12 @@ def _draw_spec(rng, name):
 
 def test_picked_roots_solve_both_separated_odes():
     # every root that pick_energy returns, for every family with schemes, in
-    # each chart it is separated in, n, l <= 2: the analytic factors solve
-    # their separated ODEs (both, where the angle is separated too).  12
-    # seeded couplings per family; 1145 picks, worst residual 6.9e-7
+    # each chart it is separated in, n, l <= 2: the analytic factors of both
+    # axes solve their separated ODEs.  12 seeded couplings per family; 1148
+    # picks, worst residual 6.9e-7 (1.4e-10 on DIII_V5's plane-wave angles)
     from darboux.errors import DarbouxError
     from darboux.families import FAMILIES
     from darboux.oracle import separated_ode_residual
-    from darboux.potentials import separated_problem
 
     rng = np.random.default_rng(20261019)
     checked = {}
@@ -459,8 +458,6 @@ def test_picked_roots_solve_both_separated_odes():
         for _ in range(12):
             spec = _draw_spec(rng, name)
             for chart in charts:
-                pair = separated_problem(spec, chart, QuantumNumbers(0, 0, chart))
-                axes = [axis for axis, sep in enumerate(pair) if sep is not None]
                 for n in range(3):
                     for l in range(3):
                         qn = QuantumNumbers(n, l, chart)
@@ -468,7 +465,7 @@ def test_picked_roots_solve_both_separated_odes():
                             E = pick_energy(spec, qn)
                         except DarbouxError:
                             continue
-                        for axis in axes:
+                        for axis in (0, 1):
                             res = separated_ode_residual(spec, chart, qn, E, axis=axis)
                             assert res < 1e-6, (name, spec.couplings, chart, n, l, E, axis)
                         checked[name] += 1
