@@ -74,6 +74,8 @@ def _require_single(state: PhaseState, what: str) -> None:
 
 
 OBSERVABLES = ("H0", "X1", "X2", "K")
+# the coordinate types the observables' formulas take as they are
+_AS_GIVEN = (float, np.ndarray)
 # central differences over (q1, q2, p1, p2): column 2i shifts by +e_i, column 2i + 1
 # by -e_i (adding 0 * h leaves the other coordinates exactly as they are)
 _SIGNS = np.kron(np.eye(4), [1.0, -1.0])
@@ -129,8 +131,11 @@ def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float |
         raise ParamError(f"unknown observable {obs!r}")
     if state.chart.name != "uv":
         state = transform_state(space, state, "uv")
-    u, v = state.chart.q1, state.chart.q2
-    pu, pv = state.p1, state.p2
+    u, v, pu, pv = state.chart.q1, state.chart.q2, state.p1, state.p2
+    if not (isinstance(u, _AS_GIVEN) and isinstance(v, _AS_GIVEN)
+            and isinstance(pu, _AS_GIVEN) and isinstance(pv, _AS_GIVEN)):
+        # lists compute as float arrays, other scalars as np.float64 ([()] unwraps 0-d)
+        u, v, pu, pv = (np.asarray(x, dtype=float)[()] for x in (u, v, pu, pv))
     if obs == "K":
         return pv
     if space.b == 0:

@@ -812,15 +812,14 @@ class DIV_V3(DIVFamily):
         """(E_top - hbar^2/(2 m a_+), E_top): E_top, the same at every (n, l),
         lies just below 0 and below the energy where an index turns complex."""
         sp = spec.space
-        hb2, ap, am = sp.hbar ** 2, sp.a_plus, _a_minus(spec)
-        c1, c2, c3 = (spec.c(k) for k in self.couplings)
-        squares = ((0.25 - c2, ap), (0.25 - c3, ap), (0.25 + c3, am), (0.25 + c1, am))
+        _a_minus(spec)  # ParamError at a = 2b, where no E_top exists
+        hb2, squares = sp.hbar ** 2, potentials.div3_squares(spec)
         e_top = min(0.0, *(k * hb2 / (2.0 * sp.mass * apm) for k, apm in squares)) - 1e-12
         # where 1e-12 is under an ulp of E_top an index square can round negative
         # there; each grows as E falls (a_pm > 0), so a few ulps lower it is not
         while min(potentials.index_square(sp, k, apm, e_top) for k, apm in squares) < 0:
             e_top = math.nextafter(e_top, -math.inf)
-        return e_top - hb2 / (2.0 * sp.mass * ap), e_top
+        return e_top - hb2 / (2.0 * sp.mass * sp.a_plus), e_top
 
     def unsquared_gap(self, spec, qn, E):
         g = abs(self.gap(spec, qn, E))

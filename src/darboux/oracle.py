@@ -4,12 +4,14 @@ The eigenvalue oracle discretizes -(hbar^2/2m) d^2/dx^2 + U(x) with the three-po
 stencil on the nested grids n, 2n - 1 and 4n - 3, bisects a pilot grid of n // 4 points,
 refines all three grids' pairs by inverse iteration and Richardson-extrapolates.  It
 never reuses the closed-form eigenvalues, so agreement certifies both sides.  It loads
-only scipy's LAPACK extension, not the slower-to-import ``scipy.linalg`` package.
+only scipy's LAPACK extension, not the slower-to-import ``scipy.linalg`` package, and
+refines each level in place, in work arrays kept for all levels and the level's own row.
 
 ``separated_ode_residual`` checks that the analytic separation factor of a
 potential family solves its effective 1D problem at a trial energy; the
 residual has a sharp minimum exactly at the quantization roots, which is the
-adjudication tool for spurious roots of squared conditions.
+adjudication tool for spurious roots of squared conditions.  It alone loads the
+family layers (``families``, ``potentials``, ``spectra``).
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ParamError, ResolutionError, UnsupportedChartError
-from .families import FAMILIES
-from .potentials import PotentialSpec, _quantum_unit, separated_problem
-from .spectra import QuantumNumbers
 from . import specfun as sf
+
+if TYPE_CHECKING:
+    from .potentials import PotentialSpec
+    from .spectra import QuantumNumbers
 
 
 @dataclass(frozen=True)
@@ -85,34 +89,44 @@ def _eigenpairs(profile, xs, n_states, hbar, mass, coarse=None):
     diag = 2.0 * kin + u
     if not np.isfinite(diag).all():
         raise DomainError(f"the profile is not finite on the {len(xs)}-point grid")
-    off = np.full(len(u) - 1, -kin)
     if coarse is None:
-        return _bisect(diag, off, n_states)
+        return _bisect(diag, np.full(len(u) - 1, -kin), n_states)
     cxs, ces, cvs, top = coarse
     vs = np.empty((n_states, len(u)))
     walled = np.zeros(len(cxs))  # a coarse vector between its zero walls
+    # dgtsv overwrites (dl, d, du) and b: three work arrays serve every step, and
+    # each level's row of vs is its iterate
+    dl, d, du = np.empty(len(u) - 1), np.empty(len(u)), np.empty(len(u) - 1)
     for k, (e, v) in enumerate(zip(ces, cvs.T)):
         walled[1:-1] = v
         seed = np.interp(xs[1:-1], cxs, walled)
-        x, shifted, overlap = seed, diag - e, 0.99 * np.sqrt(seed @ seed)
+        x, overlap = vs[k], 0.99 * np.sqrt(seed @ seed)
+        x[:] = seed
         for _ in range(2):
-            *_, x, info = _lapack().dgtsv(off, shifted, off, x)
+            dl[:] = du[:] = -kin
+            np.subtract(diag, e, out=d)
+            info = _lapack().dgtsv(dl, d, du, x, overwrite_dl=1, overwrite_d=1,
+                                   overwrite_du=1, overwrite_b=1)[-1]
             x /= np.sqrt(x @ x)
             if info != 0 or abs(x @ seed) < overlap:
                 raise ResolutionError(f"inverse iteration from the level {e:.6g} left its seed")
-        vs[k] = x
-    es = (kin * (np.sum((vs[:, 1:] - vs[:, :-1]) ** 2, axis=1) + vs[:, 0] ** 2 + vs[:, -1] ** 2)
-          + vs ** 2 @ u)
+    # the Rayleigh sums: the (k, N) square is freed before the (k, N - 1) work array
+    pot = np.square(vs) @ u
+    grad = np.subtract(vs[:, 1:], vs[:, :-1])
+    grad = np.sum(np.square(grad, out=grad), axis=1)
+    es = kin * (grad + vs[:, 0] ** 2 + vs[:, -1] ** 2) + pot
     if np.any(es[1:] <= es[:-1]):
         raise ResolutionError("inverse iteration put the levels out of order")
     # Kato-Temple: each level lies within |(T - e) x|^2 / gap of an eigenvalue
     gaps = np.diff(np.append(es, top))
     tols = np.minimum(gaps, np.append(np.inf, gaps[:-1])) * (np.abs(diag).max() + 2.0 * kin)
+    nbr = np.empty(len(u))
     for e, x, tol in zip(es, vs, tols):
         # r = (diag - e) x - kin (x_{i-1} + x_{i+1}), the walls' zeros included,
-        # built in place in two arrays
-        r, nbr = diag - e, np.zeros_like(x)
+        # built in place in d and one more array
+        r = np.subtract(diag, e, out=d)
         r *= x
+        nbr[0] = 0.0
         nbr[1:] = x[:-1]
         nbr[:-1] += x[1:]
         nbr *= kin
@@ -246,7 +260,10 @@ def separated_ode_residual(spec: PotentialSpec, chart_name: str, qn: QuantumNumb
     if the required pseudo-eigenvalue vanishes).  An axis other than 0 and 1,
     or a chart the family does not separate, raises UnsupportedChartError.
     """
-    from .wavefun import _d2_4  # here: verify_building_block loads no wavefun
+    # here: verify_building_block loads no family layer and no wavefun
+    from .families import FAMILIES
+    from .potentials import _quantum_unit, separated_problem
+    from .wavefun import _d2_4
 
     if axis not in (0, 1) or chart_name not in FAMILIES[spec.family].separations:
         raise UnsupportedChartError(

@@ -125,22 +125,30 @@ def index_square(space: SpaceParams, k2, apm, E):
     return k2 - 2.0 * space.mass * apm * E / space.hbar ** 2
 
 
-# the names of the DIV_V3 index roots, in the order div3_indices computes them
+# the names of the DIV_V3 index roots, in the order of div3_squares
 _DIV3_INDICES = ("1m", "2p", "3p", "3m")
 
 
+def div3_squares(spec: PotentialSpec) -> tuple:
+    """The four DIV_V3 index squares as the (k2, a_pm) of :func:`index_square`:
+    1m, 3m (a_minus, 1/4 + c_i) and 2p, 3p (a_plus, 1/4 - c_i)."""
+    sp, c3 = spec.space, spec.c("c3")
+    ap, am = sp.a_plus, sp.a_minus
+    return (0.25 + spec.c("c1"), am), (0.25 - spec.c("c2"), ap), (0.25 - c3, ap), (0.25 + c3, am)
+
+
 def div3_indices(spec: PotentialSpec, E):
-    """The four index roots of DIV_V3 that its separations read: 1m, 3m
-    (a_minus, +c_i) and 2p, 3p (a_plus, -c_i).
+    """The four index roots of DIV_V3 that its separations read, by the names
+    1m, 2p, 3p and 3m of :func:`div3_squares`.
 
     E may be an array of energies; each index then has its shape.  Indices
     whose square goes negative come back as NaN.
     """
     sp = spec.space
-    ap, am, c3 = sp.a_plus, sp.a_minus, spec.c("c3")
-    sq = np.array([index_square(sp, 0.25 + spec.c("c1"), am, E),
-                   index_square(sp, 0.25 - spec.c("c2"), ap, E),
-                   index_square(sp, 0.25 - c3, ap, E), index_square(sp, 0.25 + c3, am, E)])
+    # unpacked, not looped: a comprehension costs a tenth of a gap evaluation
+    (k1, a1), (k2, a2), (k3, a3), (k4, a4) = div3_squares(spec)
+    sq = np.array([index_square(sp, k1, a1, E), index_square(sp, k2, a2, E),
+                   index_square(sp, k3, a3, E), index_square(sp, k4, a4, E)])
     sq[sq < 0] = np.nan  # a complex index is NaN, with no warning from np.sqrt
     # np.sqrt is correctly rounded like math.sqrt
     return dict(zip(_DIV3_INDICES, np.sqrt(sq)))

@@ -4,6 +4,8 @@ Each suite returns {"pass": bool, "max_dev": float, "details": [...]}; the
 CLI exits 0 only if every requested suite passes its stated tolerance.  The
 randomized suites draw their cases from pinned seeds with the standard
 library's ``random.Random``, which (unlike ``numpy.random``) costs no import.
+Only ``suite_spectra`` loads the family layers (``families``, ``potentials``,
+``spectra``), so in ``--suite all`` the building blocks run before they load.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import random
 import numpy as np
 
 from .geometry import DIII, DIV, Chart, SpaceParams, curvature_closed, curvature_numeric
-from .potentials import PotentialSpec
-from .spectra import QuantumNumbers, solve_quantization
 from . import specfun as sf
 
 
@@ -85,6 +85,9 @@ def suite_curvature() -> dict:
 
 
 def suite_spectra() -> dict:
+    from .potentials import PotentialSpec
+    from .spectra import QuantumNumbers, solve_quantization
+
     rng = random.Random(5)
     details = []
     worst = 0.0

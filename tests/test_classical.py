@@ -205,6 +205,19 @@ def test_hamiltonian_value_takes_list_coordinates():
     assert vals.tobytes() == hamiltonian_value(SP1, None, arrays).tobytes()
 
 
+@pytest.mark.parametrize("sp", [SP1, SP4], ids=[DIII, DIV])
+def test_observable_value_takes_list_coordinates(sp):
+    # the observables read a state of lists as hamiltonian_value does: as the
+    # same states in float arrays, K included
+    lists = PhaseState(Chart("uv", [0.6, 0.7], [0.3, 0.4]), [1.0, 2.0], [3.0, 4.0])
+    arrays = PhaseState(Chart("uv", np.array([0.6, 0.7]), np.array([0.3, 0.4])),
+                        np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    for obs in ("H0", "X1", "X2", "K"):
+        vals = observable_value(sp, obs, lists)
+        assert isinstance(vals, np.ndarray), obs
+        assert vals.tobytes() == observable_value(sp, obs, arrays).tobytes(), obs
+
+
 @pytest.mark.parametrize("family", [DIII, DIV])
 def test_observable_value_array_matches_scalar_bitwise(family):
     # a bracket and the CLI records evaluate the observables as arrays, a

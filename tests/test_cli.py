@@ -306,6 +306,7 @@ def test_no_module_level_scipy_import():
 NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     "geometry", "specfun", "families", "potentials", "spectra", "wavefun", "oracle",
     "classical", "verify")]
+FAMILY_LAYERS = ["darboux.families", "darboux.potentials", "darboux.spectra"]
 
 
 @pytest.mark.parametrize("argv,code,absent", [
@@ -314,9 +315,11 @@ NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     (JOBS["curvature.csv"] + ["--out", "OUT"], 0, ["scipy", "darboux.spectra"]),
     (JOBS["spectrum.json"] + ["--out", "OUT"], 0, ["scipy", "darboux.wavefun"]),
     (["verify", "--suite", "classical", "--out", "OUT"], 0, ["scipy", "scipy.integrate"]),
-    # the oracle loads scipy's LAPACK extension by path: no scipy package is imported
+    # the oracle loads scipy's LAPACK extension by path: no scipy package is imported,
+    # and neither the oracle nor the geometry suite loads a family layer
     (["verify", "--suite", "building-blocks", "--out", "OUT"], 0,
-     ["scipy", "scipy.linalg", "scipy.integrate"]),
+     ["scipy", "scipy.linalg", "scipy.integrate"] + FAMILY_LAYERS),
+    (["verify", "--suite", "curvature", "--out", "OUT"], 0, ["scipy"] + FAMILY_LAYERS),
     # the suites draw their cases with the standard library's random, and the
     # oracle's ODE residual alone needs wavefun's stencil
     (["verify", "--suite", "all", "--out", "OUT"], 0,
@@ -325,7 +328,7 @@ NUMERICAL_LAYERS = ["numpy"] + [f"darboux.{m}" for m in (
     (JOBS["classical.json"] + ["--out", "OUT"], 0,
      ["scipy", "darboux.families", "darboux.specfun", "darboux.potentials"]),
 ], ids=["help", "parse-error", "curvature", "spectrum", "verify-classical",
-        "verify-building-blocks", "verify-all", "classical"])
+        "verify-building-blocks", "verify-curvature", "verify-all", "classical"])
 def test_start_up_loads_only_what_the_command_runs(argv, code, absent, tmp_path):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
     script = (

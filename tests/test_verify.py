@@ -13,7 +13,8 @@ def test_v5_free_levels_detail_reports_worst_pair(monkeypatch):
             return EnergyRoots([z + 1e-3 for z in roots.candidates])
         return roots
 
-    monkeypatch.setattr(vf, "solve_quantization", shifted)
+    # suite_spectra imports the spectra layer when it runs
+    monkeypatch.setattr("darboux.spectra.solve_quantization", shifted)
     rep = vf.suite_spectra()
     detail = [d for d in rep["details"] if d["case"] == "DIII_V5 free levels"][0]
     assert detail["dev"] == pytest.approx(1e-3, rel=1e-9)

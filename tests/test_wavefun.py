@@ -303,6 +303,51 @@ def test_a_nondegenerate_state_is_one_function_in_every_chart():
     assert shape < 4e-14 and norm < 1.4e-10
 
 
+def test_a_degenerate_level_is_one_span_in_every_chart():
+    # a DIV_V1 level with several states is a space, not one function: each uv
+    # state of the level must lie in the span of the horospherical ones.  The
+    # dimension is the level's multiplicity among the picks at n, l <= 3, counted
+    # as test_spectra's cross-chart test counts it and the same in both charts.
+    # Least squares at the 7x7 interior points of the uv grid leaves 1.6e-15 of
+    # a state over the n + l = 1 and 2 levels of four seeded draws (7 levels);
+    # the bound is 10x that
+    def level(spec, chart, e):
+        qns = []
+        for n in range(4):
+            for l in range(4):
+                qn = QuantumNumbers(n, l, chart)
+                try:
+                    x = pick_energy(spec, qn)
+                except NoAdmissibleRootError:
+                    continue
+                if abs(x - e) <= 1e-9 * max(abs(e), abs(x)):
+                    qns.append(qn)
+        return qns
+
+    rng = np.random.default_rng(23)
+    worst, levels = 0.0, 0
+    for _ in range(4):
+        spec = PotentialSpec(SP4, "DIV_V1", {
+            "alpha": float(rng.uniform(4.0, 16.0)), "k1": float(rng.uniform(0.1, 1.0)),
+            "k2": float(rng.uniform(0.1, 1.0)), "omega": float(rng.uniform(0.5, 1.5))})
+        for top in (1, 2):
+            try:
+                e = pick_energy(spec, QuantumNumbers(0, top, "uv"))
+            except NoAdmissibleRootError:
+                continue
+            uv, horo = level(spec, "uv", e), level(spec, "horospherical", e)
+            assert len(uv) == len(horo) == top + 1, (spec, uv, horo)
+            points = _uv_points(spec, uv[0])
+            states = [np.column_stack([_state_at(spec, qn.scheme, qn, points).ravel()
+                                       for qn in qns]) for qns in (uv, horo)]
+            coef, *_ = np.linalg.lstsq(states[1], states[0], rcond=None)
+            rest = np.linalg.norm(states[0] - states[1] @ coef, axis=0)
+            worst = max(worst, (rest / np.linalg.norm(states[0], axis=0)).max())
+            levels += 1
+    assert levels >= 7
+    assert worst < 1.6e-14
+
+
 def test_orthogonality_same_l_different_n():
     spec = PotentialSpec(SP4, "DIV_V1", {"alpha": 12.0, "k1": 0.6, "k2": 0.4, "omega": 1.0})
     qn0 = QuantumNumbers(0, 0, "horospherical")
