@@ -35,7 +35,7 @@ import numpy as np
 
 from .dop853 import dop853
 from .errors import BlowupError, DomainError, ParamError
-from .geometry import DIII, Chart, SpaceParams, chart_transform, metric_diag
+from .geometry import DIII, Chart, SpaceParams, _is_grid, chart_transform, metric_diag
 
 if TYPE_CHECKING:
     from .potentials import PotentialSpec
@@ -58,18 +58,14 @@ class PhaseState:
 
     def __iter__(self):
         c = self.chart
-        if not _holds_arrays(self):
+        if not _is_grid(c.q1, c.q2, self.p1, self.p2):
             raise TypeError("a single PhaseState is not iterable")
         cols = np.broadcast_arrays(c.q1, c.q2, self.p1, self.p2)
         return (PhaseState(Chart(c.name, q1, q2, c.d), p1, p2) for q1, q2, p1, p2 in zip(*cols))
 
 
-def _holds_arrays(state: PhaseState) -> bool:
-    return any(np.ndim(x) for x in (state.chart.q1, state.chart.q2, state.p1, state.p2))
-
-
 def _require_single(state: PhaseState, what: str) -> None:
-    if _holds_arrays(state):
+    if _is_grid(state.chart.q1, state.chart.q2, state.p1, state.p2):
         raise ParamError(f"{what} takes a single state, not an array of states")
 
 
@@ -129,8 +125,7 @@ def observable_value(space: SpaceParams, obs: str, state: PhaseState) -> float |
     """
     if obs not in OBSERVABLES:
         raise ParamError(f"unknown observable {obs!r}")
-    if state.chart.name != "uv":
-        state = transform_state(space, state, "uv")
+    state = transform_state(space, state, "uv")
     u, v, pu, pv = state.chart.q1, state.chart.q2, state.p1, state.p2
     if not (isinstance(u, _AS_GIVEN) and isinstance(v, _AS_GIVEN)
             and isinstance(pu, _AS_GIVEN) and isinstance(pv, _AS_GIVEN)):
@@ -164,7 +159,7 @@ def hamiltonian_value(space: SpaceParams, spec: PotentialSpec | None,
     returns a float, bitwise equal to its entry in an array.
     """
     xs = (state.chart.q1, state.chart.q2, state.p1, state.p2)
-    single = not _holds_arrays(state)
+    single = not _is_grid(*xs)
     # as a one-element array a single state gets the arithmetic of an array
     # (x**2 is x*x, not pow)
     q1, q2, p1, p2 = (np.array(xs, dtype=float)[:, None] if single
@@ -232,8 +227,7 @@ def poisson_bracket_fd(space: SpaceParams, obs_a, obs_b, state: PhaseState) -> f
     The state must be a single one (ParamError otherwise).
     """
     _require_single(state, "a Poisson bracket")
-    if state.chart.name != "uv":
-        state = transform_state(space, state, "uv")
+    state = transform_state(space, state, "uv")
     y = np.array([state.chart.q1, state.chart.q2, state.p1, state.p2])
     q1, q2, p1, p2 = y[:, None] + _BRACKET_SHIFTS
     shifted = PhaseState(Chart("uv", q1, q2), p1, p2)

@@ -97,10 +97,10 @@ def _model_pair(spec, rows, qn, shift=lambda E: 0.0, signed=False):
 
         def factor(E):
             fam, to = model(row, E), var(E)
-            return lambda x: sf.model_eigenfunction(fam, int(own), to(x))
+            return lambda x: sf.model_eigenfunction(fam, own, to(x))
 
         def lam_req(E):
-            lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), int(partner))
+            lev = 0.0 if other is None else sf.model_eigenvalue(model(other, E), partner)
             return lev if signed else shift(E) - lev
 
         window = row.window if callable(row.window) else lambda E: row.window
@@ -172,9 +172,11 @@ class Family:
         raise UnsupportedError(f"{self.name} has no polynomial quantization condition")
 
     def unsquared_gap(self, spec, qn, E):
-        """(gap with principal signs, gap with flipped sign) of the unsquared
-        condition, both normalized; DomainError when a square root goes complex.
-        A condition never squared has no sign to flip: its second slot is 1.0."""
+        """(gap with the record's first sign, gap with it flipped) of the unsquared
+        condition, both normalized; ``spectra`` records a root closing the first
+        as sign +1, which need not be the closed form's sign (see ``DIIIFamily``).
+        DomainError when a square root goes complex.  A condition never squared
+        has no sign to flip: its second slot is 1.0."""
         raise UnsupportedError(self.name)
 
     def decays(self, spec, qn, E):
@@ -240,7 +242,8 @@ def _morse_row(v0, at, k):
 
 class DIIIFamily(Family):
     """A D_III family.  All but V4 are quantized by level_sum(E) = -s hbar w M,
-    the level their two axes share, and need no decay rule beyond a real w(E)."""
+    the level their two axes share, and need no decay rule beyond a real w(E).
+    Their gap's first sign is +sqrt(s) hbar w M, so those roots read sign -1."""
 
     def scale(self, qn):
         """The s of the condition."""
@@ -327,7 +330,7 @@ class Shifted(DIIIFamily):
 
         def lam_req(E):
             M = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E))
-            return hq * ((M - 2 * int(qn.n) - 1) / per) ** 2
+            return hq * ((M - 2 * qn.n - 1) / per) ** 2
 
         return radius, _model_pair(spec, (None, make(self, spec, chart)), qn, lam_req)[1]
 
@@ -384,10 +387,10 @@ class DIII_V2(Shifted):
                                         + (k2 * k2 - 0.25) / chart.q2 ** 2)
 
     def _uv_index(self, spec, l):
-        return 0.5 * (2.0 * int(l) + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
+        return 0.5 * (2.0 * l + 1.0 + abs(spec.c("k1")) + abs(spec.c("k2")))
 
     def _polar_index(self, spec, l):
-        return 2.0 * int(l) + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
+        return 2.0 * l + abs(spec.c("k1")) + abs(spec.c("k2")) + 1.0
 
     def _parabolic(self, spec, qn):
         """xi and eta > 0: radial oscillators at -w(E) with the indices |k1|, |k2|."""
@@ -437,7 +440,7 @@ class DIII_V3(Shifted):
         """The angular index lambda(l)."""
         C1, C2 = self._cmorse(spec)
         ratio = 2.0 * C2 / C1  # = c1^2 / (2 sqrt(2 c2))
-        return abs(2.0 * (ratio - int(l) - 0.5))
+        return abs(2.0 * (ratio - l - 0.5))
 
     # the polar angle phi: the complex Morse row in 2 phi on (0, pi), one period of its profile
     angle_rows = {"polar": lambda self, spec, chart: Row(
@@ -521,7 +524,7 @@ class DIII_V4(DIIIFamily):
         den = hb * math.sqrt(self._w2(spec, E))
         # both sides are pure numbers; a unit scale keeps n = l (rhs 0) finite
         return (_gap_pair(-(d1 + d2) * math.sqrt(m) / den, qn.n + qn.l + 1.0, 1.0),
-                _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, float(qn.n - qn.l), 1.0))
+                _gap_pair((2.0 * a * E - d1 + d2) * math.sqrt(m) / den, qn.n - qn.l, 1.0))
 
     def unsquared_gap(self, spec, qn, E):
         return min(self._gaps(spec, qn, E), key=min)
@@ -557,11 +560,10 @@ class DIII_V5(Shifted):
     def scale(self, qn):
         return 0.5 if qn.scheme == "hyperbolic" else 1.0
 
-    def _uv_index(self, spec, l):
-        return abs(float(l))
-
     def _polar_index(self, spec, l):
-        return abs(int(l))
+        return abs(l)
+
+    _uv_index = _polar_index  # |l| indexes both radii
 
     def _hyperbolic(self, spec, qn):
         """x = ln mu: the Morse row at a negative depth, on the growing-exponential

@@ -80,6 +80,14 @@ class Chart:
     d: float = 1.0
 
 
+def _is_grid(*coords) -> bool:
+    """Whether coordinates or momenta are arrays (a grid), not one point; floats skip numpy."""
+    for x in coords:
+        if not isinstance(x, float) and np.ndim(x):
+            return True
+    return False
+
+
 def _anywhere(mask) -> bool:
     """Whether a condition (a bool, or a bool array over a grid) holds anywhere."""
     # count_nonzero costs a third of .any() on the few points of a flow step
@@ -284,12 +292,11 @@ def curvature_closed(space: SpaceParams, point_uv) -> float:
     Both follow from G = -(1/2f) (d^2/du^2) ln f for a v-independent factor.
     """
     u = float(point_uv[0])
+    validate_chart(space, Chart("uv", u, point_uv[1]))
     if space.family == DIII:
         f = space.a * math.exp(-u) + space.b * math.exp(-2.0 * u)
         return -space.a * space.b * math.exp(-3.0 * u) / (2.0 * f ** 3)
     ap, am = space.a_plus, space.a_minus
-    if not 0 < u < math.pi / 2:
-        raise DomainError("D_IV uv chart requires 0 < u < pi/2")
     s2, c2 = math.sin(u) ** 2, math.cos(u) ** 2
     f = ap / s2 + am / c2
     num = ap * ap / s2 ** 3 + am * am / c2 ** 3 + 3.0 * ap * am / (s2 ** 2 * c2 ** 2)
@@ -368,7 +375,7 @@ def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
     # a point without an image comes out non-finite, and validate_chart refuses it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q1, q2 = from_uv(*to_uv(q1, q2, chart.d), chart.d)
-    out = Chart(to_name, q1, q2, chart.d) if np.ndim(chart.q1) or np.ndim(chart.q2) \
+    out = Chart(to_name, q1, q2, chart.d) if _is_grid(chart.q1, chart.q2) \
         else Chart(to_name, float(q1[0]), float(q2[0]), chart.d)
     validate_chart(space, out)
     return out

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParamError, UnsupportedChartError
-from .geometry import (CHARTS, DIII, Chart, SpaceParams, conformal_factor, d3_factor,
-                       validate_chart)
+from .geometry import (CHARTS, DIII, Chart, SpaceParams, _is_grid, conformal_factor,
+                       d3_factor, validate_chart)
 from . import families
 
 
@@ -75,7 +75,7 @@ def potential_value(spec: PotentialSpec, chart: Chart):
         val = _closed_form(spec, pts)
     if not np.isfinite(val).all():
         raise DomainError(f"{spec.family} is singular at a point of chart {chart.name!r}")
-    return val if np.ndim(chart.q1) or np.ndim(chart.q2) else val[0]
+    return val if _is_grid(chart.q1, chart.q2) else val[0]
 
 
 def _closed_form(spec: PotentialSpec, chart: Chart):

@@ -4,10 +4,12 @@ Every discrete family reduces to a polynomial condition in the energy once
 the defining transcendental condition is squared; candidates are all
 polynomial roots, and admissibility flags record (i) the polynomial residual,
 (ii) reality of every square-root subexpression, (iii) whether the unsquared
-condition holds with the principal square-root sign (both signs are kept and
-the realized sign recorded), and (iv) a decay diagnostic for the assembled
-state: the family's decay rule, asked only where (ii) holds.  No root is
-silently discarded.
+condition holds with either square-root sign (both are kept, and the realized
+one recorded: +1 for the first slot of ``Family.unsquared_gap``, -1 for its
+flipped slot; D_III V1, V2, V3 and V5 record the roots their factors solve
+as -1, DIII_V4 and the D_IV families as +1), and (iv) a decay diagnostic for
+the assembled state: the family's decay rule, asked only where (ii) holds.
+No root is silently discarded.
 
 The DIII_V1 quartic is solved by companion-matrix eigenvalues polished with
 Newton steps.  DIV_V3 is the exception to squaring: its one transcendental
@@ -30,13 +32,20 @@ from .potentials import PotentialSpec
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Pair of separation quantum numbers and the counting scheme they use."""
+    """Two integral separation quantum numbers, kept as Python ints, and their counting scheme."""
 
     n: int
     l: int
     scheme: str = "uv"
 
     def __post_init__(self):
+        for k, x in (("n", self.n), ("l", self.l)):
+            if type(x) is int:  # stored as it is
+                continue
+            if not (isinstance(x, (int, np.integer))
+                    or isinstance(x, (float, np.floating)) and float(x).is_integer()):
+                raise ParamError(f"{k} must be an integer, got {x!r}")
+            object.__setattr__(self, k, int(x))
         if self.n < 0:
             raise ParamError("n must be non-negative")
 

@@ -294,6 +294,23 @@ def test_transform_state_array_matches_scalar_bitwise(family, name):
             assert _bits(residual_constant(spec, c, st)) == _bits(v[i]), (c, i)
 
 
+@pytest.mark.parametrize("family, name", [(DIII, "polar"), (DIII, "parabolic"),
+                                          (DIV, "horospherical")])
+def test_brackets_in_another_chart_are_those_of_the_uv_state(family, name):
+    # a state outside (u, v) is mapped there by transform_state, bit for bit
+    sp = SP1 if family == DIII else SP4
+    sts = _random_states(np.random.default_rng(32), name, *REAL_STATE_BOXES[family, name], n=4)
+    for i in range(4):
+        st = PhaseState(Chart(name, float(sts.chart.q1[i]), float(sts.chart.q2[i])),
+                        float(sts.p1[i]), float(sts.p2[i]))
+        uv = transform_state(sp, st, "uv")
+        got, want = algebra_check(sp, st), algebra_check(sp, uv)
+        assert list(got) == list(want) and _bits(*got.values()) == _bits(*want.values()), i
+        for a, b in (("K", "X1"), ("X1", "X2"), ("H0", "K")):
+            assert _bits(poisson_bracket_fd(sp, a, b, st)) == _bits(
+                poisson_bracket_fd(sp, a, b, uv)), (i, a, b)
+
+
 @pytest.mark.parametrize("refuse", [
     lambda st: poisson_bracket_fd(SP1, "K", "X1", st),
     lambda st: algebra_check(SP1, st),

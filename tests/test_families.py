@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from darboux.errors import DomainError, LevelError, NoAdmissibleRootError, NoRootError
+from darboux.classical import PhaseState, observable_value, residual_constant
+from darboux.errors import (DomainError, LevelError, NoAdmissibleRootError, NoRootError,
+                            ParamError, UnsupportedError)
 from darboux.families import FAMILIES
 from darboux.geometry import CHARTS, DIII, DIV, Chart, SpaceParams
 from darboux.potentials import PotentialSpec, potential_value, separated_problem
 from darboux.specfun import orthopoly_eval
-from darboux.spectra import QuantumNumbers, solve_quantization
+from darboux.spectra import QuantumNumbers, asymptotic_spectrum, solve_quantization
 from darboux.wavefun import default_grid, pick_energy
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
@@ -115,6 +117,14 @@ def test_no_div_record_builds_its_own_separation():
     assert not hits, "\n".join(hits)
 
 
+def test_no_record_coerces_a_label():
+    # QuantumNumbers holds n and l as Python ints, so a record reads them as they are
+    tree = ast.parse((SRC / "families.py").read_text())
+    hits = [f"families.py:{c.lineno}: {c.func.id}(...)" for c in ast.walk(tree)
+            if isinstance(c, ast.Call) and getattr(c.func, "id", None) in ("int", "float")]
+    assert not hits, "\n".join(hits)
+
+
 def test_only_the_shared_builders_build_a_separation():
     # every separated axis of both surfaces, DIII_V3's complex-Morse angle
     # included, is a specfun.MODELS row built by _model_pair
@@ -138,6 +148,33 @@ def test_complex_index_root_is_a_domain_error(axis):
     with pytest.raises(DomainError, match="finite"):
         qn = QuantumNumbers(0, 0, "degelliptic2")
         separated_problem(spec, "degelliptic2", qn)[axis].lam_req(2.5)
+
+
+SP3, SP4 = SpaceParams(DIII, 1.0, 1.0), SpaceParams(DIV, 3.0, 1.0)
+UV_STATE = PhaseState(Chart("uv", 0.3, 0.4), 0.7, -0.4)
+
+
+def _v3_table(c2):
+    return solve_quantization(PotentialSpec(SP3, "DIII_V3", {"c1": 1.2, "c2": c2}),
+                              QuantumNumbers(0, 0, "polar"))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: _v3_table(0.0), ParamError, "implemented for c2 > 0"),
+    (lambda: _v3_table(-0.5), ParamError, "implemented for c2 > 0"),
+    (lambda: observable_value(SP3, "X3", UV_STATE), ParamError, "unknown observable 'X3'"),
+    (lambda: asymptotic_spectrum(PotentialSpec(SP3, "DIII_V1", {"k1": 0.4}),
+                                 QuantumNumbers(3, 0, "parabolic"), "minus"),
+     UnsupportedError, "no asymptotic pair"),
+    (lambda: residual_constant(PotentialSpec(SP3, "DIII_V5", {"v0": 0.5}), "R4", UV_STATE),
+     UnsupportedError, "no implemented constant 'R4'"),
+    (lambda: residual_constant(PotentialSpec(SP4, "DIV_V4", {"k0": 0.8}), "R1", UV_STATE),
+     UnsupportedError, "no implemented constant 'R1'"),
+], ids=["DIII_V3-c2-zero", "DIII_V3-c2-negative", "unknown-observable",
+        "asymptotic-DIII_V1", "residual-constant-DIII_V5", "residual-constant-DIV_V4"])
+def test_each_refused_input_raises_its_classified_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("name, chart, axis, top", [

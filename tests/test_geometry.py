@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from darboux.geometry import (
     metric_diag,
     validate_chart,
 )
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
 
 
 def test_space_params_validation():
@@ -102,6 +106,19 @@ def test_flat_and_hyperboloid_limits():
 def test_curvature_closed_examples():
     assert curvature_closed(SpaceParams(DIII, 1, 0), (0.4, 0)) == 0.0
     assert curvature_closed(SpaceParams(DIII, 1, 1), (0.0, 0)) == pytest.approx(-1 / 16)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_curvature_closed_refuses_a_non_finite_u(u):
+    # D_III's uv chart has no domain rule, but a non-finite u is no chart point
+    with pytest.raises(DomainError, match="non-finite chart point"):
+        curvature_closed(SpaceParams(DIII, 1.0, 1.0), (u, 0.0))
+
+
+@pytest.mark.parametrize("u", [0.0, -0.3, math.pi / 2, 2.0])
+def test_curvature_closed_states_the_div_chart_rule(u):
+    with pytest.raises(DomainError, match=r"^D_IV uv chart requires 0 < u < pi/2$"):
+        curvature_closed(SpaceParams(DIV, 3.0, 1.0), (u, 0.0))
 
 
 def test_curvature_closed_forms_exact():
@@ -331,6 +348,19 @@ def test_chart_maps_round_trip_and_take_arrays(key, d, data):
         assert all(type(c.q1) is float and type(c.q2) is float for c in one)
         assert grid.q1.tobytes() == np.array([c.q1 for c in one]).tobytes()
         assert grid.q2.tobytes() == np.array([c.q2 for c in one]).tobytes()
+
+
+def test_one_helper_tells_one_point_from_many():
+    # chart_transform, potential_value and the classical layer ask geometry._is_grid
+    # whether coordinates are one point or a grid; none runs its own np.ndim test
+    hits = []
+    for module in ("geometry.py", "potentials.py", "classical.py"):
+        tree = ast.parse((SRC / module).read_text())
+        inside = {id(c) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and f.name == "_is_grid" for c in ast.walk(f)}
+        hits += [f"{module}:{c.lineno}" for c in ast.walk(tree) if isinstance(c, ast.Call)
+                 and getattr(c.func, "attr", None) == "ndim" and id(c) not in inside]
+    assert not hits, hits
 
 
 def test_d3_factor_only_in_the_charts_of_potential_forms():

@@ -628,6 +628,46 @@ def test_negative_l_is_a_level_error_unless_it_is_a_momentum():
                         < pick_energy(spec, QuantumNumbers(n, 0, scheme)))
 
 
+@pytest.mark.parametrize("n, l", [(1.5, 0), (0, 0.5), (math.nan, 0), (0, math.inf),
+                                  (-math.inf, 0), (np.float64(math.nan), 0), ("1", 0), (None, 0)],
+                         ids=["n-half", "l-half", "n-nan", "l-inf", "n-minus-inf",
+                              "n-numpy-nan", "n-string", "n-none"])
+def test_a_label_that_is_not_an_integer_is_a_param_error(n, l):
+    # an n of 1.5 once gave the n = 1.5 energy with the n = 1 factor
+    with pytest.raises(ParamError, match="must be an integer"):
+        QuantumNumbers(n, l, "uv")
+
+
+LABEL_COUPLINGS = {
+    "DIII_V1": {"k1": 0.4, "k2": 0.3, "k3": 0.2}, "DIII_V2": {"alpha": 0.5, "k1": 0.3, "k2": 0.7},
+    "DIII_V3": {"c1": 1.2, "c2": 0.8}, "DIII_V4": {"d1": -1.5, "d2": -0.5, "omega": 1.0},
+    "DIII_V5": {"v0": 0.5}, "DIV_V1": {"alpha": 12.0, "k1": 0.6, "k2": 0.4, "omega": 1.0},
+    "DIV_V2": {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "DIV_V3": {"c1": 0.3, "c2": -200.0, "c3": 0.2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_COUPLINGS))
+def test_integral_labels_of_any_type_give_the_bits_of_python_ints(name):
+    # numpy integers and integral floats are stored as the Python ints they equal
+    rec = FAMILIES[name]
+    spec = PotentialSpec(SP1 if rec.space == DIII else SP4, name, LABEL_COUPLINGS[name])
+    for scheme in rec.schemes:
+        for n, l in ((0, 0), (1, 0), (0, 1), (2, 1)):
+            try:
+                want = pick_energy(spec, QuantumNumbers(n, l, scheme)).hex()
+            except NoAdmissibleRootError:
+                want = "none"
+            for kind in (np.int64, np.int32, np.uint8, float, np.float64):
+                qn = QuantumNumbers(kind(n), kind(l), scheme)
+                assert type(qn.n) is int and type(qn.l) is int
+                assert (qn.n, qn.l) == (n, l)
+                try:
+                    got = pick_energy(spec, qn).hex()
+                except NoAdmissibleRootError:
+                    got = "none"
+                assert got == want, (scheme, n, l, kind)
+
+
 DIV3 = PotentialSpec(SP4, "DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2})
 
 
