@@ -16,16 +16,17 @@ through the frequency w(E) = sqrt(-bE/2m), on D_IV through index shifts like
 lambda^2 = k^2 - 2 m a_pm E / hbar^2.  A separation maps a state to its two
 axes, axis 0 carrying n and axis 1 carrying l; ``_model_pair`` builds both
 from two ``specfun.MODELS`` rows.  Each axis takes its row's profile, factor
-and domain and requires a shared level minus the other row's level at the
-other quantum number (in the signed hyperbolic chart, that level itself), so
-a quantum number past that row's ladder raises LevelError.  The rows are, on
-D_III, the oscillators, rows at -w(E), the Morse log-axes, unladdered Morse
+and natural interval (the model's domain over the row's scale, unless the row
+states its own) and requires a shared level minus the other row's level at
+the other quantum number (in the signed hyperbolic chart, that level itself),
+so a quantum number past that row's ladder raises LevelError.  The rows are,
+on D_III, the oscillators, rows at -w(E), the Morse log-axes, unladdered Morse
 rows (uv of V2 and V5 at a negative depth, hyperbolic of V4 and V5), and the
-angles: DIII_V2's Poeschl-Teller rows in v/2 and phi, DIII_V3's complex Morse
-row in 2 phi on (0, pi), and DIII_V5's plane-wave row.  The uv axis, the polar
-radius and the angles have no partner row: each carries the other quantum
-number in its level.  A row's window reads E only, so a grid is laid out
-without building a factor.
+angle rows: DIII_V2's Poeschl-Teller rows in v/2 and phi, DIII_V3's complex
+Morse row in 2 phi on the circle (0, 2 pi), and DIII_V5's plane-wave row.  The
+uv axis, the polar radius and each angle have no partner row: each carries the
+other quantum number in its level.  A row's window reads E only, so a grid is
+laid out without building a factor.
 What the families share stays in its module: the division by the D_III
 factor or the D_IV conformal factor in ``potentials``, root finding and
 admissibility in ``spectra``, grid assembly in ``wavefun``.  Records call the
@@ -47,10 +48,9 @@ from .errors import DomainError, LevelError, ParamError, UnsupportedChartError, 
 from .geometry import DIII, DIV, d3_factor
 from . import potentials, specfun as sf
 
-# The angle of a chart's second axis: its length, which sets its interval (0, length),
-# and the margin the default grid keeps from its ends; DIII_V2's angle rows read both.
-Angle = namedtuple("Angle", "length pad")
-CIRCLE = Angle(2.0 * math.pi, 0.05)
+# A root satisfies the unsquared condition where its normalized gap is below this
+GAP_TOL = 1e-7
+_CIRCLE_WINDOW = (0.05, 2.0 * math.pi - 0.05)  # an angle on the circle, less 0.05 at each end
 
 
 def _gap_pair(lhs, rhs, floor=1e-300):
@@ -66,10 +66,10 @@ def _units(spec):
     return sp.a, sp.b, sp.mass, sp.hbar, potentials._quantum_unit(sp)
 
 
-# A ``specfun.MODELS`` row of a separation: tag, params(E) in the row's key order,
-# sampling window (fixed, or window(E)), and the scale s and origin x0(E) (None:
-# 0; whole-line rows only) of its variable s (x - x0): it is solved at mass m / s^2.
-Row = namedtuple("Row", "tag params window s x0", defaults=(1.0, None))
+# A ``specfun.MODELS`` row of a separation: tag, params(E) in key order, sampling window
+# (fixed, or window(E)), scale s and origin x0(E) (None: 0; whole-line rows only) of its
+# variable s (x - x0), solved at mass m / s^2, and domain (None: the model's over s).
+Row = namedtuple("Row", "tag params window s x0 domain", defaults=(1.0, None, None))
 
 
 def _model_pair(spec, rows, qn, shift=lambda E: 0.0, signed=False):
@@ -104,8 +104,8 @@ def _model_pair(spec, rows, qn, shift=lambda E: 0.0, signed=False):
             return lev if signed else shift(E) - lev
 
         window = row.window if callable(row.window) else lambda E: row.window
-        return potentials.Separated1D(profile, lam_req, factor, window,
-                                      tuple(sorted(d / row.s for d in sf.model_domain(row.tag))))
+        domain = row.domain or tuple(sorted(d / row.s for d in sf.model_domain(row.tag)))
+        return potentials.Separated1D(profile, lam_req, factor, window, domain)
 
     (r0, r1), (n, l) = rows, (qn.n, qn.l)
     return (None if r0 is None else axis(r0, n, r1, l),
@@ -121,7 +121,6 @@ class Family:
     nonzero: tuple = ()      # couplings that must not vanish
     forms: tuple = ()        # the real chart of its form, then continued sections
     pullbacks: dict = {}     # assembly chart -> default grid spans of the pulled-back (u, v) state
-    angles: dict = {}        # chart -> Angle of its second axis
     separations: dict = {}   # chart -> its separated problems (axis 0, axis 1)
     transcendental = False   # quantized by the one root of an unsquared gap, not by polynomial roots
     signed_l: tuple = ()     # schemes whose l is a signed momentum, not a ladder level
@@ -312,7 +311,7 @@ class Shifted(DIIIFamily):
     """
 
     deep = "minus"
-    angle_rows: dict = {}  # chart -> row(self, spec, chart) of its angle
+    angle_rows: dict = {}  # chart -> row(self, spec) of its angle
 
     def shift(self, spec):
         """The energy shift c: -alpha for V2 and V3."""
@@ -332,7 +331,7 @@ class Shifted(DIIIFamily):
             M = abs(self.level_sum(spec, E)) / (hb * _omega_of(spec, E))
             return hq * ((M - 2 * qn.n - 1) / per) ** 2
 
-        return radius, _model_pair(spec, (None, make(self, spec, chart)), qn, lam_req)[1]
+        return radius, _model_pair(spec, (None, make(self, spec)), qn, lam_req)[1]
 
     def _uv(self, spec, qn):
         """u of the (u, v) chart, the Morse row at a negative depth in -u whose
@@ -379,7 +378,6 @@ class DIII_V2(Shifted):
     couplings = ("alpha", "k1", "k2")
     # in (u, v) the singular line xi = 0 is v = pi, where cos(v/2) is not 0
     forms = ("parabolic",)
-    angles = {"uv": Angle(math.pi, 0.1), "polar": Angle(math.pi / 2.0, 0.05)}
 
     def form(self, spec, chart):
         hq, k1, k2 = potentials._quantum_unit(spec.space), spec.c("k1"), spec.c("k2")
@@ -400,13 +398,14 @@ class DIII_V2(Shifted):
 
     separations = {"uv": Shifted._uv, "polar": Shifted._polar, "parabolic": _parabolic}
 
-    def _pt_row(self, spec, chart):
-        """The Poeschl-Teller row with indices (|k2|, |k1|) in v/2 (uv) or in
-        the polar angle, sampled on the chart's angle less its pads."""
-        ang, k = self.angles[chart], (abs(spec.c("k2")), abs(spec.c("k1")))
-        return Row(sf.PT, lambda E: k, (ang.pad, ang.length - ang.pad), s=0.5 * math.pi / ang.length)
+    def _pt_row(self, spec, length, pad):
+        """The Poeschl-Teller row with indices (|k2|, |k1|) on the angle (0, length), v
+        in uv and phi in polar, sampled on it less ``pad`` at each end."""
+        k = (abs(spec.c("k2")), abs(spec.c("k1")))
+        return Row(sf.PT, lambda E: k, (pad, length - pad), s=0.5 * math.pi / length)
 
-    angle_rows = {"uv": _pt_row, "polar": _pt_row}
+    angle_rows = {"uv": lambda self, spec: self._pt_row(spec, math.pi, 0.1),
+                  "polar": lambda self, spec: self._pt_row(spec, math.pi / 2.0, 0.05)}
 
     def count(self, spec, qn):
         return 2.0 * qn.n + 2.0 * qn.l + abs(spec.c("k1")) + abs(spec.c("k2")) + 2.0
@@ -419,7 +418,6 @@ class DIII_V3(Shifted):
     couplings = ("alpha", "c1", "c2")
     nonzero = ("c1",)
     forms = ("uv", "hyperbolic")
-    angles = {"polar": CIRCLE}
 
     def form(self, spec, chart):
         hq, c1, c2 = potentials._quantum_unit(spec.space), spec.c("c1"), spec.c("c2")
@@ -442,9 +440,10 @@ class DIII_V3(Shifted):
         ratio = 2.0 * C2 / C1  # = c1^2 / (2 sqrt(2 c2))
         return abs(2.0 * (ratio - l - 0.5))
 
-    # the polar angle phi: the complex Morse row in 2 phi on (0, pi), one period of its profile
-    angle_rows = {"polar": lambda self, spec, chart: Row(
-        sf.CMORSE, lambda E, C=self._cmorse(spec): C, (0.0, math.pi), s=2.0)}
+    # the polar angle on the circle, the complex Morse row in 2 phi: over pi, one period
+    # of its profile, its factor gains e^{-2 pi i mu}, so it is not single-valued there
+    angle_rows = {"polar": lambda self, spec: Row(sf.CMORSE, lambda E, C=self._cmorse(spec): C,
+                                                  _CIRCLE_WINDOW, 2.0, domain=(0.0, 2.0 * math.pi))}
     separations = {"polar": Shifted._polar}
 
     def count(self, spec, qn):
@@ -535,7 +534,7 @@ class DIII_V4(DIIIFamily):
         s0 - s1 = 2(l - n), and the sum branch s0 + s1 <= 0."""
         v0 = self._v0(spec, E)
         s0, s1 = (self._shape(spec, E, ax) * v0 - k - 0.5 for ax, k in ((0, qn.n), (1, qn.l)))
-        return s0 > 0 and s1 > 0 and self._gaps(spec, qn, E)[1][0] < 1e-7
+        return s0 > 0 and s1 > 0 and self._gaps(spec, qn, E)[1][0] < GAP_TOL
 
     def dispersion(self, spec, p, aux):
         return potentials._quantum_unit(spec.space) * p * p
@@ -547,7 +546,6 @@ class DIII_V5(Shifted):
 
     couplings = ("v0",)
     forms = ("uv", "hyperbolic")
-    angles = {"uv": CIRCLE, "polar": CIRCLE}
     signed_l = ("uv", "polar")  # the l of e^{ilv}
     deep = "plus"
 
@@ -576,9 +574,9 @@ class DIII_V5(Shifted):
 
     separations = {"uv": Shifted._uv, "polar": Shifted._polar,
                    "parabolic": DIII_V1._parabolic, "hyperbolic": _hyperbolic}
-    # the angle of uv and polar: the plane wave e^{ilv}, sampled on the circle less its pads
-    angle_rows = dict.fromkeys(("uv", "polar"), lambda self, spec, chart: Row(
-        sf.WAVE, lambda E: (), (CIRCLE.pad, CIRCLE.length - CIRCLE.pad)))
+    # the angle of uv and polar: the plane wave e^{ilv} on the circle
+    angle_rows = dict.fromkeys(("uv", "polar"), lambda self, spec: Row(
+        sf.WAVE, lambda E: (), _CIRCLE_WINDOW))
 
     def count(self, spec, qn):
         if qn.scheme == "uv":

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError, UnsupportedError
+from .errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
 
 DIII = "DIII"
 DIV = "DIV"
@@ -233,13 +233,17 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
     if row is None:
         raise ParamError(f"chart {chart.name!r} unknown for {space.family}")
     q1, q2 = chart.q1, chart.q2
-    finite = np.isfinite(q1) & np.isfinite(q2)
-    if np.count_nonzero(finite) < finite.size:
-        raise DomainError("non-finite chart point")
     try:  # free until it catches, from Python 3.11 on
+        if _is_grid(q1, q2):
+            finite = np.isfinite(q1) & np.isfinite(q2)
+            finite = np.count_nonzero(finite) == finite.size
+        else:
+            finite = math.isfinite(q1) and math.isfinite(q2)
+        if not finite:
+            raise DomainError("non-finite chart point")
         if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
             raise DomainError(row.message)
-    except TypeError:  # a Python list has no elementwise comparison
+    except TypeError:  # a Python list has no elementwise comparison, a string no value
         raise ParamError("chart coordinates must be numbers or numpy arrays") from None
 
 
@@ -294,13 +298,26 @@ def curvature_closed(space: SpaceParams, point_uv) -> float:
     u = float(point_uv[0])
     validate_chart(space, Chart("uv", u, point_uv[1]))
     if space.family == DIII:
-        f = space.a * math.exp(-u) + space.b * math.exp(-2.0 * u)
-        return -space.a * space.b * math.exp(-3.0 * u) / (2.0 * f ** 3)
+        a, b = space.a, space.b
+        try:
+            f = a * math.exp(-u) + b * math.exp(-2.0 * u)
+            return -a * b * math.exp(-3.0 * u) / (2.0 * f ** 3)
+        except OverflowError:  # at a = b = 1, u below about -118.2
+            # the same G = -ab e^{3u} / (2 (a e^u + b)^3) as -(a r)(b r) r / 2 with
+            # r = e^u / (a e^u + b), on each side of u = 0 in the form that stays in range
+            t = math.exp(-abs(u))
+            r = 1.0 / (a + b * t) if u >= 0 or b == 0 else t / (a * t + b)
+            return -0.5 * (a * r) * (b * r) * r
     ap, am = space.a_plus, space.a_minus
     s2, c2 = math.sin(u) ** 2, math.cos(u) ** 2
-    f = ap / s2 + am / c2
-    num = ap * ap / s2 ** 3 + am * am / c2 ** 3 + 3.0 * ap * am / (s2 ** 2 * c2 ** 2)
-    return -num / f ** 3
+    try:
+        f = ap / s2 + am / c2
+        num = ap * ap / s2 ** 3 + am * am / c2 ** 3 + 3.0 * ap * am / (s2 ** 2 * c2 ** 2)
+        return -num / f ** 3
+    except (OverflowError, ZeroDivisionError):  # u below about 1e-53: sin^6 u underflows
+        # the same ratio times sin^6 u cos^6 u over itself; -1/a_+ as u -> 0
+        num = ap * ap * c2 ** 3 + am * am * s2 ** 3 + 3.0 * ap * am * s2 * c2
+        return -num / (ap * c2 + am * s2) ** 3
 
 
 # curvature_numeric's stencil in units of its step h, along a trailing axis: the
@@ -355,26 +372,33 @@ def curvature_numeric(space: SpaceParams, chart: Chart, step: float = 1e-3):
 # chart transforms (all routed through the (u, v) chart)
 # ----------------------------------------------------------------------
 
+def _map_point(space: SpaceParams, from_name: str, to_name: str, q1, q2, d):
+    """The image in chart ``to_name`` of the point(s) (q1, q2) of chart ``from_name``,
+    through (u, v) and unchecked: a point without an image comes out non-finite.
+    A chart with no real map raises UnsupportedChartError."""
+    rows = CHARTS[space.family]
+    to_uv, from_uv = rows[from_name].to_uv, rows[to_name].from_uv
+    if to_uv is None or from_uv is None:
+        raise UnsupportedChartError(f"chart {from_name!r} -> {to_name!r} has no real transform")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return from_uv(*to_uv(q1, q2, d), d)
+
+
 def chart_transform(space: SpaceParams, chart: Chart, to_name: str) -> Chart:
     """Express the chart point(s) in the chart named ``to_name``, through (u, v).
 
     The chart may hold a grid; a single point is mapped as a one-element array
     and comes back as floats.  The complexified sections (D_III hyperbolic,
-    D_IV degelliptic1) support only the identity.  A point whose image leaves
-    the target chart raises DomainError."""
+    D_IV degelliptic1) support only the identity (UnsupportedChartError).  A
+    point whose image leaves the target chart raises DomainError."""
     validate_chart(space, chart)
-    rows = CHARTS[space.family]
-    if to_name not in rows:
+    if to_name not in CHARTS[space.family]:
         raise ParamError(f"chart {to_name!r} unknown for {space.family}")
     if to_name == chart.name:
         return chart
-    to_uv, from_uv = rows[chart.name].to_uv, rows[to_name].from_uv
-    if to_uv is None or from_uv is None:
-        raise UnsupportedError(f"chart {chart.name!r} -> {to_name!r} has no real transform")
     q1, q2 = (np.atleast_1d(np.asarray(q, dtype=float)) for q in (chart.q1, chart.q2))
     # a point without an image comes out non-finite, and validate_chart refuses it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q1, q2 = from_uv(*to_uv(q1, q2, chart.d), chart.d)
+    q1, q2 = _map_point(space, chart.name, to_name, q1, q2, chart.d)
     out = Chart(to_name, q1, q2, chart.d) if _is_grid(chart.q1, chart.q2) \
         else Chart(to_name, float(q1[0]), float(q2[0]), chart.d)
     validate_chart(space, out)

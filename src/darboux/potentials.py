@@ -14,13 +14,14 @@ descriptor and the D_IV index roots.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ParamError, UnsupportedChartError
-from .geometry import (CHARTS, DIII, Chart, SpaceParams, _is_grid, conformal_factor,
+from .errors import DomainError, ParamError
+from .geometry import (DIII, Chart, SpaceParams, _is_grid, _map_point, conformal_factor,
                        d3_factor, validate_chart)
 from . import families
 
@@ -42,8 +43,9 @@ class PotentialSpec:
         extra = set(self.couplings) - set(rec.couplings)
         if extra:
             raise ParamError(f"{self.family} does not take couplings {sorted(extra)}")
-        if not all(math.isfinite(self.c(k)) for k in self.couplings):
-            raise ParamError(f"{self.family} couplings must be finite")
+        for k, v in self.couplings.items():  # a bool or a string is no coupling
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ParamError(f"{self.family} couplings must be finite numbers, got {k} = {v!r}")
         for k in rec.nonzero:
             if self.c(k) == 0.0:
                 raise ParamError(f"{self.family} requires {k} != 0")
@@ -82,14 +84,8 @@ def _closed_form(spec: PotentialSpec, chart: Chart):
     rec = families.FAMILIES[spec.family]
     if chart.name not in rec.forms:
         # a scalar: its value at the point's image in the chart of the form
-        rows = CHARTS[spec.space.family]
-        to_uv, from_uv = rows[chart.name].to_uv, rows[rec.forms[0]].from_uv
-        if to_uv is None or from_uv is None:
-            raise UnsupportedChartError(f"{spec.family} has no form in chart {chart.name!r}")
-        # as in chart_transform; a point without an image comes out non-finite
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q1, q2 = from_uv(*to_uv(chart.q1, chart.q2, chart.d), chart.d)
-        chart = Chart(rec.forms[0], q1, q2, chart.d)
+        chart = Chart(rec.forms[0], *_map_point(spec.space, chart.name, rec.forms[0],
+                                                chart.q1, chart.q2, chart.d), chart.d)
     # D_III forms divide by the D_III factor, D_IV forms by the chart's conformal factor
     if spec.space.family == DIII:
         return rec.form(spec, chart) / d3_factor(spec.space, chart)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NoRootError, ParamError
-from .families import FAMILIES
+from .families import FAMILIES, GAP_TOL
 from .potentials import PotentialSpec
 
 
@@ -128,7 +128,7 @@ def admissibility_check(spec: PotentialSpec, qn: QuantumNumbers, E: float) -> di
     except DomainError:  # a square root of the condition went complex
         gaps = None
     sqrt_ok = gaps is not None
-    plus_ok, minus_ok = (g < 1e-7 for g in gaps) if sqrt_ok else (False, False)
+    plus_ok, minus_ok = (g < GAP_TOL for g in gaps) if sqrt_ok else (False, False)
     return {
         "E": float(E),
         "residual": float(res),

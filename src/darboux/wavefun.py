@@ -79,15 +79,10 @@ def _at(spec: PotentialSpec, chart_name: str, E: float):
 
 def _factor_pair(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float):
     """The factors of axis 0 and axis 1 at energy E as (callable, natural
-    interval, window).  An angle in the record's ``angles`` has (0, length) for
-    both."""
-    s0, s1 = separated_problem(spec, chart_name, qn)
-    ang = FAMILIES[spec.family].angles.get(chart_name)
+    interval, window)."""
+    axes = separated_problem(spec, chart_name, qn)
     with _at(spec, chart_name, E):
-        first = (s0.factor(E), s0.domain, s0.window(E))
-        if ang is None:
-            return first, (s1.factor(E), s1.domain, s1.window(E))
-        return first, (s1.factor(E), (0.0, ang.length), (0.0, ang.length))
+        return [(s.factor(E), s.domain, s.window(E)) for s in axes]
 
 
 def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: float,
@@ -105,10 +100,9 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
         return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
-    ang, (s0, s1) = rec.angles.get(chart_name), separated_problem(spec, chart_name, qn)
+    axes = separated_problem(spec, chart_name, qn)
     with _at(spec, chart_name, E):
-        lo1, hi1 = s0.window(E)
-        lo2, hi2 = (ang.pad, ang.length - ang.pad) if ang else s1.window(E)
+        (lo1, hi1), (lo2, hi2) = (s.window(E) for s in axes)
     sp = spec.space
     if chart_name == "hyperbolic" and sp.b > 0:
         # keep a + b(mu - nu)/2 safely positive on the whole grid (it is a at b = 0)

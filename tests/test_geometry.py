@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darboux.errors import DomainError, ParamError, UnsupportedError
+from darboux.errors import DomainError, ParamError, UnsupportedChartError, UnsupportedError
 from darboux.geometry import (
     CHARTS,
     DIII,
@@ -121,6 +121,32 @@ def test_curvature_closed_states_the_div_chart_rule(u):
         curvature_closed(SpaceParams(DIV, 3.0, 1.0), (u, 0.0))
 
 
+@pytest.mark.parametrize("family, a, b, u", [
+    (DIII, 1.0, 1.0, -118.3), (DIII, 1.0, 1.0, -150.0), (DIII, 1.0, 1.0, -800.0),
+    (DIII, 2.0, 3.0, -120.0), (DIII, 1.0, 0.0, -250.0), (DIII, 1e200, 1e200, 0.0),
+    (DIV, 3.0, 1.0, 1e-53), (DIV, 3.0, 1.0, 1e-80), (DIV, 3.0, 1.0, 1e-200), (DIV, 2.0, 1.0, 1e-80),
+])
+def test_curvature_closed_at_extreme_valid_points(family, a, b, u):
+    # at each point a power of the closed form leaves the range of a double (an
+    # OverflowError or ZeroDivisionError); the form multiplied through gives G to
+    # within 1e-14 of 30 digits of mpmath
+    import mpmath
+
+    with mpmath.workdps(30):
+        x, a_, b_ = mpmath.mpf(u), mpmath.mpf(a), mpmath.mpf(b)
+        if family == DIII:
+            f = a_ * mpmath.exp(-x) + b_ * mpmath.exp(-2 * x)
+            ref = -a_ * b_ * mpmath.exp(-3 * x) / (2 * f ** 3)
+        else:
+            ap, am = (a_ + 2 * b_) / 4, (a_ - 2 * b_) / 4
+            s2, c2 = mpmath.sin(x) ** 2, mpmath.cos(x) ** 2
+            ref = -(ap ** 2 / s2 ** 3 + am ** 2 / c2 ** 3 + 3 * ap * am / (s2 ** 2 * c2 ** 2)) / (
+                ap / s2 + am / c2) ** 3
+        ref = float(ref)
+    got = curvature_closed(SpaceParams(family, a, b), (u, 0.0))
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_curvature_closed_forms_exact():
     # sympy proves that the closed forms of curvature_closed equal
     # G = -(1/2f) d^2/du^2 ln f for the v-independent factor f of each surface,
@@ -224,6 +250,17 @@ def test_validate_chart_refuses_lists_where_a_domain_rule_compares():
             if row.outside is not None:
                 with pytest.raises(ParamError):
                     validate_chart(space, Chart(name, [0.5, 0.7], [0.5, 0.7]))
+
+
+@pytest.mark.parametrize("q", [0.5, 1, np.float64(0.5), np.array(0.5)],
+                         ids=["float", "int", "numpy-float", "0-d-array"])
+def test_validate_chart_takes_any_real_number_as_one_point(q):
+    sp = SpaceParams(DIV, 3.0, 1.0)
+    validate_chart(sp, Chart("uv", q, q))
+    with pytest.raises(DomainError, match="non-finite chart point"):
+        validate_chart(sp, Chart("uv", q, np.float64(math.nan)))
+    with pytest.raises(ParamError):
+        validate_chart(sp, Chart("uv", q, "0.5"))
 
 
 @pytest.mark.parametrize("space, u_range", [
@@ -361,6 +398,27 @@ def test_one_helper_tells_one_point_from_many():
         hits += [f"{module}:{c.lineno}" for c in ast.walk(tree) if isinstance(c, ast.Call)
                  and getattr(c.func, "attr", None) == "ndim" and id(c) not in inside]
     assert not hits, hits
+
+
+def test_one_helper_maps_a_point_between_charts():
+    # chart_transform and potential_value reach a chart through geometry._map_point,
+    # the one function that reads a chart row's real maps; where a chart has none,
+    # both raise its UnsupportedChartError
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(c) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  and f.name == "_map_point" for c in ast.walk(f)}
+        hits += [f"{path.name}:{c.lineno}" for c in ast.walk(tree) if isinstance(c, ast.Attribute)
+                 and c.attr in ("to_uv", "from_uv") and id(c) not in inside]
+    assert not hits, hits
+    from darboux.potentials import PotentialSpec, potential_value
+
+    sp = SpaceParams(DIII, 1.0, 1.0)
+    with pytest.raises(UnsupportedChartError, match="'hyperbolic' -> 'uv' has no real transform"):
+        chart_transform(sp, Chart("hyperbolic", 2.0, 1.0), "uv")
+    with pytest.raises(UnsupportedChartError, match="'hyperbolic' -> 'parabolic' has no real"):
+        potential_value(PotentialSpec(sp, "DIII_V1", {}), Chart("hyperbolic", 2.0, 1.0))
 
 
 def test_d3_factor_only_in_the_charts_of_potential_forms():

@@ -21,6 +21,17 @@ def test_coupling_validation():
         PotentialSpec(SP4, "DIII_V1", {})  # wrong space
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1.0], "1", True, np.True_, math.nan],
+                         ids=["text", "none", "list", "numeral", "bool", "numpy-bool", "nan"])
+def test_a_coupling_that_is_no_finite_number_is_a_param_error(value):
+    # a coupling is a finite real number: anything else, a numeral string or a bool
+    # included, is a ParamError rather than a ValueError or TypeError, or stored as given
+    with pytest.raises(ParamError, match="couplings must be finite numbers"):
+        PotentialSpec(SP3, "DIII_V5", {"v0": value})
+    for number in (2, np.float64(0.5), np.int64(3)):
+        assert PotentialSpec(SP3, "DIII_V5", {"v0": number}).c("v0") == float(number)
+
+
 def test_v5_uv_example():
     spec = PotentialSpec(SP3, "DIII_V5", {"v0": 1.0})
     assert potential_value(spec, Chart("uv", 0.0, 0.3)) == pytest.approx(0.25)

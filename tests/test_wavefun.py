@@ -25,6 +25,8 @@ from darboux.wavefun import (
     pick_energy,
 )
 
+import test_acceptance
+
 SP1 = SpaceParams(DIII, 1.0, 1.0)
 SP4 = SpaceParams(DIV, 3.0, 1.0)
 
@@ -41,24 +43,8 @@ def weighted_overlap(f1: WaveField, f2: WaveField) -> complex:
     dens = np.conj(f1.values) * f2.values * w
     return complex(simpson(simpson(dens, x=f1.q2, axis=1), x=f1.q1))
 
-GATES = [
-    ("DIII_V5", {"v0": 0.0}, "uv", (0, 1, "uv"), -4.5),
-    ("DIII_V5", {"v0": 0.0}, "polar", (1, 1, "polar"), -8.0),
-    ("DIII_V5", {"v0": 0.0}, "parabolic", (1, 1, "parabolic"), -4.5),
-    ("DIII_V5", {"v0": 0.0}, "hyperbolic", (1, 1, "hyperbolic"), -2.25),
-    ("DIII_V1", {"k1": 0.4, "k2": 0.3, "k3": 0.2}, "parabolic", (1, 0, "parabolic"), None),
-    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "uv", (1, 0, "uv"), -12.5),
-    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "polar", (1, 0, "polar"), -12.5),
-    ("DIII_V2", {"alpha": 0.0, "k1": 0.3, "k2": 0.7}, "parabolic", (1, 1, "parabolic"), None),
-    ("DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8}, "polar", (0, 0, "polar"), None),
-    ("DIII_V4", {"d1": -1.5, "d2": -0.5, "omega": 1.0}, "hyperbolic", (0, 0, "hyperbolic"), -3.0),
-    ("DIV_V1", {"alpha": 12.0, "k1": 0.6, "k2": 0.4, "omega": 1.0}, "uv", (0, 0, "uv"), None),
-    ("DIV_V1", {"alpha": 12.0, "k1": 0.6, "k2": 0.4, "omega": 1.0}, "horospherical",
-     (0, 0, "horospherical"), None),
-    ("DIV_V2", {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "uv", (0, 0, "uv"), None),
-    ("DIV_V2", {"k1": 2.0, "k2": 6.0, "k3": 0.5}, "degelliptic2", (0, 0, "uv"), None),
-    ("DIV_V3", {"c1": 0.3, "c2": -200.0, "c3": 0.2}, "degelliptic2", (0, 0, "degelliptic2"), None),
-]
+# the criterion-7 gates, the DIII_V5 ones first as the coupN of the test ids number them
+GATES = sorted(test_acceptance.GATES, key=lambda g: g[0] != "DIII_V5")
 
 
 @pytest.mark.parametrize("family,coup,chart,qn,energy", GATES)
@@ -128,7 +114,27 @@ def test_diii_v3_angle_row_keeps_the_hand_built_bits():
     hq = SP1.hbar ** 2 / (2.0 * SP1.mass)
     idx = abs(rec.level_sum(spec, e)) / (SP1.hbar * families._omega_of(spec, e)) - 2 * q.n - 1
     assert sep.lam_req(e) == hq * idx ** 2
-    assert sep.domain == sep.window(e) == (0.0, math.pi)  # one period of the profile
+    # the circle, sampled less 0.05 at each end
+    assert sep.domain == (0.0, 2.0 * math.pi) and sep.window(e) == (0.05, 2.0 * math.pi - 0.05)
+
+
+def test_diii_v3_angle_lives_on_the_circle_where_its_factor_is_not_single_valued():
+    # the polar angle's row declares the circle (0, 2 pi); over pi, one period of its
+    # profile, the factor gains e^{-2 pi i mu}, mu = 2 C2/C1 - l - 1/2, so it does not
+    # return to itself around the circle.  Which boundary condition holds stays open.
+    spec = PotentialSpec(SP1, "DIII_V3", {"alpha": 0.0, "c1": 1.2, "c2": 0.8})
+    q = QuantumNumbers(0, 0, "polar")
+    e = pick_energy(spec, q)
+    _, sep = separated_problem(spec, "polar", q)
+    assert sep.domain == (0.0, 2.0 * math.pi)
+    C1, C2 = FAMILIES["DIII_V3"]._cmorse(spec)
+    mu = 2.0 * C2 / C1 - q.l - 0.5
+    assert mu == pytest.approx(0.0692, abs=5e-5)
+    phi = np.linspace(0.0, math.pi, 201)
+    factor = sep.factor(e)
+    here, there = np.asarray(factor(phi)), np.asarray(factor(phi + math.pi))
+    assert np.abs(there - np.exp(-2j * math.pi * mu) * here).max() <= 1e-14 * np.abs(here).max()
+    assert abs(np.exp(-4j * math.pi * mu) - 1.0) == pytest.approx(0.84, abs=5e-3)
 
 
 @pytest.mark.parametrize("family,coup,chart,qn,energy", GATES)
