@@ -135,10 +135,15 @@ class Family:
         charts, in order, then the pulled-back ones."""
         return tuple(dict.fromkeys([*self.separations, *self.pullbacks]))
 
-    def check(self, qn):
-        """Are qn a state's labels?  UnsupportedError for a family with no
-        schemes, ParamError for a scheme it is not counted in, and LevelError
-        for an l < 0 in a scheme where l numbers a ladder level."""
+    def check(self, qn, chart=None):
+        """Are qn a state's labels (in ``chart``, if given)?  ParamError for qn
+        counted in a scheme other than ``chart`` (unless states are pulled back
+        to it), UnsupportedError for a family with no schemes, ParamError for a
+        scheme it is not counted in, and LevelError for an l < 0 in a scheme
+        where l numbers a ladder level."""
+        if chart is not None and qn.scheme != chart and chart not in self.pullbacks:
+            raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
+                             f"do not label states in chart {chart!r}")
         if not self.schemes:
             raise UnsupportedError(f"{self.name} has no discrete quantization")
         if qn.scheme not in self.schemes:

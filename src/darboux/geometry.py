@@ -235,6 +235,8 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
     q1, q2 = chart.q1, chart.q2
     try:  # free until it catches, from Python 3.11 on
         if _is_grid(q1, q2):
+            if np.iscomplexobj(q1) or np.iscomplexobj(q2):
+                raise TypeError  # as math.isfinite refuses one complex point
             finite = np.isfinite(q1) & np.isfinite(q2)
             finite = np.count_nonzero(finite) == finite.size
         else:
@@ -243,8 +245,8 @@ def validate_chart(space: SpaceParams, chart: Chart) -> None:
             raise DomainError("non-finite chart point")
         if row.outside is not None and _anywhere(row.outside(space, q1, q2, chart.d)):
             raise DomainError(row.message)
-    except TypeError:  # a Python list has no elementwise comparison, a string no value
-        raise ParamError("chart coordinates must be numbers or numpy arrays") from None
+    except TypeError:  # a Python list has no elementwise comparison, a string or complex no value
+        raise ParamError("chart coordinates must be real numbers or numpy arrays") from None
 
 
 def d3_factor(space: SpaceParams, chart: Chart):
@@ -290,7 +292,8 @@ def sqrt_g(space: SpaceParams, chart: Chart):
 def curvature_closed(space: SpaceParams, point_uv) -> float:
     """Closed-form Gaussian curvature in the (u, v) chart.
 
-    For D_III with f = a e^{-u} + b e^{-2u}:  G = -a b e^{-3u} / (2 f^3).
+    For D_III with f = a e^{-u} + b e^{-2u}:  G = -a b e^{-3u} / (2 f^3), evaluated
+        as -(a r)(b r) r / 2 with r = e^u / (a e^u + b), finite wherever G is.
     For D_IV  with f = a_+/sin^2 u + a_-/cos^2 u:
         G = -(a_+^2/sin^6 u + a_-^2/cos^6 u + 3 a_+ a_- /(sin^4 u cos^4 u)) / f^3.
     Both follow from G = -(1/2f) (d^2/du^2) ln f for a v-independent factor.
@@ -299,15 +302,9 @@ def curvature_closed(space: SpaceParams, point_uv) -> float:
     validate_chart(space, Chart("uv", u, point_uv[1]))
     if space.family == DIII:
         a, b = space.a, space.b
-        try:
-            f = a * math.exp(-u) + b * math.exp(-2.0 * u)
-            return -a * b * math.exp(-3.0 * u) / (2.0 * f ** 3)
-        except OverflowError:  # at a = b = 1, u below about -118.2
-            # the same G = -ab e^{3u} / (2 (a e^u + b)^3) as -(a r)(b r) r / 2 with
-            # r = e^u / (a e^u + b), on each side of u = 0 in the form that stays in range
-            t = math.exp(-abs(u))
-            r = 1.0 / (a + b * t) if u >= 0 or b == 0 else t / (a * t + b)
-            return -0.5 * (a * r) * (b * r) * r
+        t = math.exp(-abs(u))
+        r = 1.0 / (a + b * t) if u >= 0 or b == 0 else t / (a * t + b)
+        return -0.5 * (a * r) * (b * r) * r
     ap, am = space.a_plus, space.a_minus
     s2, c2 = math.sin(u) ** 2, math.cos(u) ** 2
     try:

@@ -89,13 +89,13 @@ def default_grid(spec: PotentialSpec, chart_name: str, qn: QuantumNumbers, E: fl
                  shape=None):
     """A sensible rectangular grid for the assembled state (401x201 unless
     ``shape`` is given; 301x201 for a pulled-back state), read off the windows.
-    A non-finite E raises ParamError, and qn that ``Family.check`` refuses its
-    error; a window not finite and increasing, or one too narrow for its
-    nodes to increase in double precision, GridError."""
+    A non-finite E raises ParamError, and qn that ``Family.check`` refuses in
+    the chart its error; a window not finite and increasing, or one too narrow
+    for its nodes to increase in double precision, GridError."""
     if not math.isfinite(E):
         raise ParamError(f"energy must be finite, got {E!r}")
     rec = FAMILIES[spec.family]
-    rec.check(qn)
+    rec.check(qn, chart_name)
     if chart_name in rec.pullbacks:
         n1, n2 = shape or (301, 201)
         (lo1, hi1), (lo2, hi2) = rec.pullbacks[chart_name]
@@ -122,22 +122,19 @@ def assemble_bound_state(spec: PotentialSpec, chart_name: str, qn: QuantumNumber
                          grid=None, energy: float | None = None) -> WaveField:
     """Sample the separated product state on a chart grid.
 
-    The quantum numbers must be counted in the chart's own scheme, except
-    for the DIV_V2 degelliptic2 pullback, whose count does not read it.  The
+    The quantum numbers must label states in the chart (``Family.check``).  The
     energy defaults to the root ``pick_energy`` picks; other roots are passed
     as ``energy``.  The log variables of the hyperbolic chart are sampled
     directly, i.e. the grid is in (x, y) = (ln mu, ln nu) there.  A non-finite
-    energy raises ParamError, and qn that ``Family.check`` refuses its error.
+    energy raises ParamError, and qn that ``Family.check`` refuses in the chart
+    its error.
     """
     if energy is not None and not math.isfinite(energy):
         raise ParamError(f"energy must be finite, got {energy!r}")
     rec = FAMILIES[spec.family]
     if chart_name not in rec.schemes:
         raise UnsupportedChartError(f"{spec.family} states are not assembled in {chart_name!r}")
-    if qn.scheme != chart_name and chart_name not in rec.pullbacks:
-        raise ParamError(f"quantum numbers counted in scheme {qn.scheme!r} "
-                         f"do not label states in chart {chart_name!r}")
-    rec.check(qn)
+    rec.check(qn, chart_name)
     if energy is None:
         energy = pick_energy(spec, qn)
     if grid is None:
@@ -253,28 +250,18 @@ def normalize_weighted(field: WaveField) -> WaveField:
     return replace(field, values=field.values * c, norm_constant=c)
 
 
-def _stencil_views(vals, axis):
-    """The views of vals at offsets -2..2 along ``axis``, on its interior
-    (margin 2)."""
-    n = vals.shape[axis]
-    out = []
-    for k in (-2, -1, 0, 1, 2):
-        s = [slice(None)] * vals.ndim
-        s[axis] = slice(2 + k, n - 2 + k if k != 2 else None)
-        out.append(vals[tuple(s)])
-    return out
-
-
 def _d1_4(vals, h, axis):
     """4th-order first derivative on the interior (margin 2) of ``axis``."""
-    m2, m1, _, p1, p2 = _stencil_views(vals, axis)
-    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+    v = np.moveaxis(vals, axis, 0)
+    d = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    return np.moveaxis(d, 0, axis)
 
 
 def _d2_4(vals, h, axis):
     """4th-order second derivative on the interior (margin 2) of ``axis``."""
-    m2, m1, c0, p1, p2 = _stencil_views(vals, axis)
-    return (-m2 + 16.0 * m1 - 30.0 * c0 + 16.0 * p1 - p2) / (12.0 * h * h)
+    v = np.moveaxis(vals, axis, 0)
+    d = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / (12.0 * h * h)
+    return np.moveaxis(d, 0, axis)
 
 
 def hamiltonian_residual(field: WaveField) -> float:

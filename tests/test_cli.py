@@ -707,8 +707,6 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
     # e^{-2v} of X1 overflows
     ("classical --space DIV --a 2 --b 1 --potential V4 --k0 0.7 --q1 1.2 --q2 -1e6 --p1 -1.6 "
      "--p2 1.2 --t-final 1", "FloatingPointError"),
-    # f^3 of the closed-form curvature underflows to 0
-    ("curvature --space DIII --a 2.1e-181 --b 2.1e-181 --grid 3x3", "ZeroDivisionError"),
     # the metric factor at the start and a step of the flow leave the range of a double
     ("classical --space DIII --a 3 --b 1 --q1 -1e6 --q2 0.3 --p1 -3.7 --p2 0.99 --t-final 1.7",
      "FloatingPointError"),
@@ -738,7 +736,7 @@ def test_emit_refuses_non_finite_numbers(fmt, header, record, tmp_path):
     ("wavefunction --space DIV --a 3 --b 1 --potential V4 --k0 0.7 --chart uv --energy -1",
      "UnsupportedError"),
 ], ids=["spectrum-csv", "curvature-huge-step", "diii-v3-tiny-c2", "diii-v5-energy-0",
-        "diii-b-0", "div-b-0", "div-v4-far-v", "curvature-tiny-a-b", "classical-far-u",
+        "diii-b-0", "div-b-0", "div-v4-far-v", "classical-far-u",
         "classical-tiny-a-b", "diii-v4-tiny-energy", "classical-subnormal-t-final",
         "div-v1-subnormal-omega", "diii-v1-narrow-window", "diii-v1-off-scheme",
         "diii-v1-off-scheme-energy", "div-v4-no-levels", "div-v4-no-levels-energy"])
@@ -751,6 +749,28 @@ def test_argvs_the_property_found_exit_2(argv, error, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and json.loads(err)["error"] == error
     assert not out.exists()
+
+
+def test_curvature_at_tiny_a_b_exits_0_with_finite_curvature(tmp_path):
+    # f^3 underflows to 0 at a = b = 2.1e-181, while G is about -5e179; the
+    # closed form is read off as -(a r)(b r) r / 2, which stays in range
+    import mpmath
+
+    from darboux.cli import main
+
+    out = tmp_path / "c.json"
+    argv = "curvature --space DIII --a 2.1e-181 --b 2.1e-181 --grid 3x3 --format json".split()
+    assert main(argv + ["--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 9
+    with mpmath.workdps(30):
+        a = mpmath.mpf(2.1e-181)
+        for r in records:
+            assert math.isfinite(r["G"]) and math.isfinite(r["G_closed"])
+            x = mpmath.mpf(r["u"])
+            ref = float(-a * a * mpmath.exp(-3 * x) / (2 * (a * mpmath.exp(-x)
+                                                            + a * mpmath.exp(-2 * x)) ** 3))
+            assert r["G_closed"] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_reversed_hyperbolic_window_is_a_grid_error(tmp_path, capsys):

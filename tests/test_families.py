@@ -8,13 +8,15 @@ import pytest
 
 from darboux.classical import PhaseState, observable_value, residual_constant
 from darboux.errors import (DomainError, LevelError, NoAdmissibleRootError, NoRootError,
-                            ParamError, UnsupportedError)
+                            ParamError, PoleError, UnsupportedError)
 from darboux.families import FAMILIES
-from darboux.geometry import CHARTS, DIII, DIV, Chart, SpaceParams
+from darboux.geometry import (CHARTS, DIII, DIV, Chart, SpaceParams, chart_transform,
+                              conformal_factor, validate_chart)
 from darboux.potentials import PotentialSpec, potential_value, separated_problem
-from darboux.specfun import orthopoly_eval
-from darboux.spectra import QuantumNumbers, asymptotic_spectrum, solve_quantization
-from darboux.wavefun import default_grid, pick_energy
+from darboux.specfun import ModelFamily, gamma_complex, model_domain, orthopoly_eval
+from darboux.spectra import (QuantumNumbers, admissibility_check, asymptotic_spectrum,
+                             quantization_residual, solve_quantization)
+from darboux.wavefun import assemble_bound_state, default_grid, pick_energy
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "darboux"
 FAMILY_NAME = re.compile(r"(DIII|DIV)_V\d")
@@ -170,11 +172,67 @@ def _v3_table(c2):
      UnsupportedError, "no implemented constant 'R4'"),
     (lambda: residual_constant(PotentialSpec(SP4, "DIV_V4", {"k0": 0.8}), "R1", UV_STATE),
      UnsupportedError, "no implemented constant 'R1'"),
+    (lambda: quantization_residual(PotentialSpec(SP4, "DIV_V4", COUPLINGS["DIV_V4"]),
+                                   QuantumNumbers(0, 0, "uv"), -1.0),
+     UnsupportedError, "no polynomial quantization condition"),
+    (lambda: asymptotic_spectrum(PotentialSpec(SP3, "DIII_V5", COUPLINGS["DIII_V5"]),
+                                 QuantumNumbers(3, 0, "uv"), "middle"),
+     ParamError, "unknown branch 'middle'"),
+    (lambda: QuantumNumbers(-1, 0), ParamError, "n must be non-negative"),
+    (lambda: gamma_complex(-2.0), PoleError, "gamma pole"),
+    (lambda: ModelFamily("PT", {"alpha": -2.0, "beta": 0.5}), ParamError, "alpha, beta > -1"),
+    (lambda: ModelFamily("XX", {}), ParamError, "unknown model family 'XX'"),
+    (lambda: model_domain("nope"), ParamError, "unknown model family 'nope'"),
+    (lambda: orthopoly_eval("hermite", -1, (), 0.3), ParamError, "non-negative integer"),
+    (lambda: orthopoly_eval("chebyshev", 1, (), 0.3), ParamError,
+     "unknown polynomial family 'chebyshev'"),
+    (lambda: SpaceParams("DV", 1.0, 1.0), ParamError, "unknown family 'DV'"),
+    (lambda: SpaceParams(DIII, 1.0, 1.0, hbar=0.0), ParamError, "must be positive"),
+    (lambda: SP3.a_plus, ParamError, "a_plus is defined for D_IV only"),
+    (lambda: SP3.a_minus, ParamError, "a_minus is defined for D_IV only"),
+    (lambda: validate_chart(SP3, Chart("degelliptic2", 0.5, 0.5)), ParamError,
+     "chart 'degelliptic2' unknown for DIII"),
+    (lambda: chart_transform(SP3, Chart("uv", 0.5, 0.5), "degelliptic2"), ParamError,
+     "chart 'degelliptic2' unknown for DIII"),
+    (lambda: conformal_factor(SP3, "polar", 1.0, 0.0), UnsupportedError,
+     "no conformal factor for chart 'polar'"),
+    (lambda: assemble_bound_state(PotentialSpec(SP3, "DIII_V5", COUPLINGS["DIII_V5"]), "uv",
+                                  QuantumNumbers(0, 1, "uv"), energy=math.nan),
+     ParamError, "energy must be finite"),
 ], ids=["DIII_V3-c2-zero", "DIII_V3-c2-negative", "unknown-observable",
-        "asymptotic-DIII_V1", "residual-constant-DIII_V5", "residual-constant-DIV_V4"])
+        "asymptotic-DIII_V1", "residual-constant-DIII_V5", "residual-constant-DIV_V4",
+        "residual-DIV_V4", "asymptotic-middle-branch", "negative-n", "gamma-pole",
+        "PT-alpha-below-minus-1", "unknown-model-tag", "unknown-model-domain",
+        "negative-degree", "unknown-polynomial", "unknown-space", "hbar-zero",
+        "a-plus-on-DIII", "a-minus-on-DIII", "DIV-chart-on-DIII", "transform-to-DIV-chart",
+        "conformal-factor-polar", "energy-nan"])
 def test_each_refused_input_raises_its_classified_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("name, qn, E", [
+    ("DIV_V1", QuantumNumbers(0, 0, "uv"), 50.0),  # an index root is complex
+    ("DIV_V3", QuantumNumbers(0, 0, "degelliptic2"), 5.0),  # above the top of the window
+])
+def test_an_energy_with_no_real_square_root_is_not_admissible(name, qn, E):
+    rec = admissibility_check(PotentialSpec(SP4, name, COUPLINGS[name]), qn, E)
+    assert (rec["sqrt_real"], rec["unsquared_sign"], rec["admissible"]) == (False, 0, False)
+
+
+def test_default_grid_and_assembly_refuse_labels_of_another_chart_alike():
+    # quantum numbers counted in uv do not label polar states; the DIV_V2
+    # degelliptic2 pullback reads its uv count
+    spec = PotentialSpec(SP3, "DIII_V5", COUPLINGS["DIII_V5"])
+    qn = QuantumNumbers(0, 1, "uv")
+    for call in (lambda: default_grid(spec, "polar", qn, -4.5),
+                 lambda: assemble_bound_state(spec, "polar", qn, energy=-4.5)):
+        with pytest.raises(ParamError, match="counted in scheme 'uv' do not label states in "
+                                             "chart 'polar'"):
+            call()
+    div2 = PotentialSpec(SP4, "DIV_V2", COUPLINGS["DIV_V2"])
+    q1, q2 = default_grid(div2, "degelliptic2", QuantumNumbers(0, 0, "uv"), 0.0, (9, 9))
+    assert q1.shape == q2.shape == (9,)
 
 
 @pytest.mark.parametrize("name, chart, axis, top", [

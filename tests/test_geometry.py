@@ -125,11 +125,15 @@ def test_curvature_closed_states_the_div_chart_rule(u):
     (DIII, 1.0, 1.0, -118.3), (DIII, 1.0, 1.0, -150.0), (DIII, 1.0, 1.0, -800.0),
     (DIII, 2.0, 3.0, -120.0), (DIII, 1.0, 0.0, -250.0), (DIII, 1e200, 1e200, 0.0),
     (DIV, 3.0, 1.0, 1e-53), (DIV, 3.0, 1.0, 1e-80), (DIV, 3.0, 1.0, 1e-200), (DIV, 2.0, 1.0, 1e-80),
+    (DIII, 1.0, 1.0, 300.0), (DIII, 1e200, 1e200, -150.0), (DIII, 2.0, 3.0, 240.0),
+    (DIII, 2.1e-181, 2.1e-181, 0.5),
 ])
 def test_curvature_closed_at_extreme_valid_points(family, a, b, u):
-    # at each point a power of the closed form leaves the range of a double (an
-    # OverflowError or ZeroDivisionError); the form multiplied through gives G to
-    # within 1e-14 of 30 digits of mpmath
+    # at each point a power of the closed form leaves the range of a double: e^{-3u}
+    # or f^3 overflows, underflows or goes subnormal on D_III, sin^6 u underflows on
+    # D_IV.  D_III's one form -(a r)(b r) r / 2 and D_IV's form multiplied through
+    # give G to within 1e-14 of 30 digits of mpmath (at (1e200, 1e200, -150) G
+    # underflows to 0)
     import mpmath
 
     with mpmath.workdps(30):
@@ -242,6 +246,16 @@ def test_validate_chart_checks_every_point(space, name, q1, q2):
     validate_chart(space, Chart(name, np.array(q1[:2]), np.array(q2[:2])))
     with pytest.raises(DomainError):
         validate_chart(space, Chart(name, np.array(q1), np.array(q2)))
+
+
+@pytest.mark.parametrize("q1, q2", [
+    (1j, 0.0), (np.array([1j, 2.0]), np.array([0.0, 0.0])), (np.array([1.0, 2.0]), 1j),
+    (np.array([1.0 + 0j]), np.array([0.0])),
+], ids=["point", "grid", "grid-complex-q2", "grid-zero-imaginary"])
+def test_validate_chart_refuses_complex_coordinates_at_a_point_and_on_a_grid(q1, q2):
+    # the D_III uv chart has no domain rule that would compare the coordinates
+    with pytest.raises(ParamError, match="real numbers"):
+        validate_chart(SpaceParams(DIII, 1.0, 1.0), Chart("uv", q1, q2))
 
 
 def test_validate_chart_refuses_lists_where_a_domain_rule_compares():
